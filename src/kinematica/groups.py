@@ -98,7 +98,8 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     sigma > 0 gives the familiar cosh/sinh boost along b, sigma < 0 a
     rotation mixing b with time (periodic in |b|), and sigma = 0 or
     infinity a shear (the generator squares to zero).  b = 0 returns the
-    identity.
+    identity.  Raises ValueError when the rapidity |b| sqrt(sigma) is too
+    large for cosh to be represented.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size < 1:
@@ -115,10 +116,14 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     uu = np.outer(u, u)
     if s.value > 0.0:
         w = beta * math.sqrt(s.value)
-        out[:n, :n] += (math.cosh(w) - 1.0) * uu
-        out[:n, n] = math.sinh(w) / math.sqrt(s.value) * u
-        out[n, :n] = math.sinh(w) * math.sqrt(s.value) * u
-        out[n, n] = math.cosh(w)
+        try:
+            ch, sh = math.cosh(w), math.sinh(w)
+        except OverflowError:
+            raise ValueError(f"boost rapidity {w:.6g} overflows cosh") from None
+        out[:n, :n] += (ch - 1.0) * uu
+        out[:n, n] = sh / math.sqrt(s.value) * u
+        out[n, :n] = sh * math.sqrt(s.value) * u
+        out[n, n] = ch
     else:
         theta = beta * math.sqrt(-s.value)
         out[:n, :n] += (math.cos(theta) - 1.0) * uu

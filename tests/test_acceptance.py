@@ -395,7 +395,7 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     def always_finite_sigma(b, c, tol=1e-9):
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
-        return Sigma(float(b @ c) / max(float(b @ b), 1e-300))
+        return Sigma(float(np.vdot(b, c)) / max(float(np.vdot(b, b)), 1e-300))
     mutants.append(("kinematica.classify.sigma_from_m3", always_finite_sigma))
 
     def split_without_m2(Z):

@@ -215,6 +215,14 @@ def test_generate_validation_errors(capsys):
     capsys.readouterr()
 
 
+def test_generate_overflowing_rapidity_is_an_error(capsys):
+    code = cli.main(["generate", "--case", "lorentz", "--sigma", "1e8"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "rapidity" in err
+    assert "Traceback" not in err
+
+
 def test_verify_command_passes(capsys):
     code = cli.main(["verify", "--n", "2", "--trials", "3", "--seed", "1"])
     report = json.loads(capsys.readouterr().out)

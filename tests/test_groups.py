@@ -72,6 +72,12 @@ def test_boost_of_zero_vector():
                                       np.eye(4))
 
 
+def test_boost_overflow_names_the_rapidity():
+    with pytest.raises(ValueError, match="rapidity"):
+        boost_closed_form(np.array([1e4, 0.0]), 1.0)
+    assert np.isfinite(boost_closed_form(np.array([700.0, 0.0]), 1.0)).all()
+
+
 def test_boost_matches_series_exponential():
     # dual route: the closed form against the generic matrix exponential
     rng = np.random.default_rng(30)
