@@ -185,9 +185,10 @@ def collinearity_defect(b, c) -> float:
     return 2.0 * (bb * cc - bc * bc)
 
 
-def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float, one: float) -> np.ndarray:
     """Sigma of each collinear mixing pair (one pair per row of b and c),
-    inf for a Carroll row, where b is negligible against c."""
+    inf for a Carroll row, where b is negligible against c.  ``one`` is the
+    absolute term of the collinearity bound: 1 for unscaled b and c."""
     out = []
     for bi, ci in zip(b, c):
         nb = float(np.linalg.norm(bi))
@@ -195,8 +196,9 @@ def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
         if nb == 0.0 and nc == 0.0:
             raise ZeroGenerator("mixing vectors are both zero")
         defect = collinearity_defect(bi, ci)
-        if defect > tol * (1.0 + nb * nb * nc * nc):
-            raise NotCollinear(f"mixing vectors are not collinear (defect {defect:.3e})")
+        if defect > tol * (one + nb * nb * nc * nc):
+            raise NotCollinear(f"mixing vectors are not collinear (relative defect "
+                               f"{defect / (nb * nb * nc * nc):.3e})")
         out.append(float(bi @ ci) / (nb * nb) if nb > tol * nc else math.inf)
     return np.array(out)
 
@@ -215,7 +217,14 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    rows = _row_sigmas(b, c, tol)
+    # Dividing b and c by one power of two 2**e is exact, keeps |b|^2 |c|^2
+    # from overflowing and changes no ratio.  Only the absolute term of the
+    # collinearity bound scales, to 2**(-4 e); capping it at 2**1000 changes
+    # no verdict, since a scaled defect is at most 2 n^2.
+    e = math.frexp(max(float(np.abs(b).max(initial=0.0)),
+                       float(np.abs(c).max(initial=0.0))))[1]
+    b, c = np.ldexp(b, -e), np.ldexp(c, -e)
+    rows = _row_sigmas(b, c, tol, math.ldexp(1.0, min(-4 * e, 1000)))
     finite = np.isfinite(rows)
     if not finite.any():
         return SIGMA_INF
@@ -363,7 +372,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
     b, c = mixing_basis[:, :n], mixing_basis[:, n:]
     try:
         sigma = sigma_from_m3(b, c, tol)
-        rows = _row_sigmas(b, c, tol)
+        rows = _row_sigmas(b, c, tol, 1.0)
     except NotCollinear as exc:
         return ClassificationResult(
             OUTCOME_NOT_KINEMATICAL, reason=str(exc), diagnostics=diagnostics

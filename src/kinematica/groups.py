@@ -3,9 +3,9 @@
 Elements are plain (n+1) x (n+1) arrays.  The building blocks are block
 rotations diag(R, eps) and one-parameter boosts exp of a mixing generator,
 for which closed forms exist in every sigma regime.  For sigma > 0 the
-polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) is available
-and doubles as the Lorentz membership test; the remaining cases reduce to
-block-triangular shape checks.
+polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) is available.
+Lorentz membership is the normalizer test a^dagger a = I; the remaining
+cases reduce to metric-preservation or block-triangular shape checks.
 """
 
 from __future__ import annotations
@@ -172,10 +172,6 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     return ok, lam
 
 
-def _reconstruct(lam: float, k: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    return math.sqrt(lam) * k @ matcore.mat_exp(Z)
-
-
 @dataclass
 class CartanFactors:
     """Factors of a = sqrt(lam) * k * exp(Z) with k a block rotation and Z
@@ -186,7 +182,7 @@ class CartanFactors:
     Z: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return _reconstruct(self.lam, self.k, self.Z)
+        return math.sqrt(self.lam) * self.k @ matcore.mat_exp(self.Z)
 
 
 def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
@@ -194,8 +190,8 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
 
     lam is read off a^dagger a (spacetime metric), exp(2Z) as the positive
     self-adjoint part of a under the companion metric, and k is what is
-    left.  The factors are unique, which is what makes this a usable
-    membership and coordinate chart for the Lorentz case.
+    left.  The factors are unique, which makes this a coordinate chart for
+    the Lorentz case.
 
     Raises NotInNormalizer when a^dagger a is not scalar, NonPositiveLambda
     when the scalar is not positive, and LogarithmFailure when the positive
@@ -254,8 +250,8 @@ def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
 def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool:
     """Whether a belongs to the kinematical group of the given case.
 
-    For Lorentz the test is that the Cartan decomposition exists with
-    lam = 1; for Orthogonal, that a preserves the (positive definite)
+    For Lorentz the test is a^dagger a = lam * I with lam = 1, which needs
+    no logarithm; for Orthogonal, that a preserves the (positive definite)
     spacetime form; Galilei and Carroll are block-triangular shape tests
     and Aristotle is :func:`in_K`.  sigma must match the case; Galilei,
     Carroll and Aristotle may omit it.
@@ -269,13 +265,8 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
         return in_K(a, tol)
 
     if case is CaseLabel.LORENTZ:
-        if abs(np.linalg.det(a)) <= tol:
-            return False
-        try:
-            factors = cartan_decompose(a, s, tol)
-        except (NotInNormalizer, NonPositiveLambda, LogarithmFailure):
-            return False
-        return abs(factors.lam - 1.0) <= tol
+        lam, resid, qnorm = _scalar_part(a, s)
+        return resid <= tol * (1.0 + qnorm) and abs(lam - 1.0) <= tol
 
     if case is CaseLabel.ORTHOGONAL:
         g = _metric(s, +1, n).gram

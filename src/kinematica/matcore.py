@@ -4,9 +4,9 @@ All structured objects in this package reduce to plain ``numpy`` arrays of
 shape (n+1, n+1): generators and group elements of the ambient general
 linear group acting on n space coordinates plus one time coordinate.  This
 module provides the block view of such matrices, commutator brackets, a
-matrix exponential, metric adjoints ("dagger") and the logarithm of a
-positive self-adjoint operator.  Functions are pure and never mutate their
-inputs.
+matrix exponential, metric adjoints ("dagger"), the logarithm of a
+positive self-adjoint operator and the Frobenius norm that scales every
+tolerance check.  Functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def as_square(matrix) -> np.ndarray:
 
 
 def op_norm(matrix) -> float:
-    """Spectral norm, used for tolerance scaling throughout."""
-    return float(np.linalg.norm(matrix, 2))
+    """Frobenius norm, an upper bound on the spectral norm; scales every tolerance."""
+    return float(np.linalg.norm(matrix))
 
 
 @dataclass
@@ -115,10 +115,10 @@ def bracket(X, Y) -> np.ndarray:
 def mat_exp(Z) -> np.ndarray:
     """Matrix exponential by scaling and squaring.
 
-    The argument is halved until its spectral norm is at most 1/2, a
-    fixed-degree Taylor polynomial is evaluated by Horner's rule, and the
-    result is squared back up.  For the tiny matrices used here this is
-    accurate to near machine precision.
+    The argument is halved until its Frobenius norm (an upper bound on the
+    spectral norm) is at most 1/2, a fixed-degree Taylor polynomial is
+    evaluated by Horner's rule, and the result is squared back up.  For the
+    tiny matrices used here this is accurate to near machine precision.
     """
     Z = as_square(Z)
     d = Z.shape[0]

@@ -125,6 +125,44 @@ def test_sigma_from_m3_rejects_bad_pairs():
         sigma_from_m3(np.zeros(2), np.zeros(2))
 
 
+def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():
+    # |b|^2 |c|^2 overflows here; perpendicular pairs must still be rejected
+    with pytest.raises(NotCollinear, match="collinear"):
+        sigma_from_m3([1e160, 0.0], [0.0, 1e160])
+    with pytest.raises(NotCollinear, match="collinear"):
+        sigma_from_m3([1e160, 0.0], [0.0, 1e150])
+    assert sigma_from_m3([1e160, 0.0], [2e160, 0.0]).value == 2.0
+    assert sigma_from_m3([[1e160, 0.0], [0.0, 3e160]],
+                         [[2e160, 0.0], [0.0, 6e160]]).value == 2.0
+    assert sigma_from_m3([1e-300, 0.0], [1e300, 0.0]).is_infinite
+
+
+def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
+    # Scaling by powers of two is exact, so away from overflow the verdict
+    # and the value are those of the unscaled test, bit for bit.
+    def unscaled(b, c, tol=1e-9):
+        nb, nc = float(np.linalg.norm(b)), float(np.linalg.norm(c))
+        if collinearity_defect(b, c) > tol * (1.0 + nb * nb * nc * nc):
+            return "NotCollinear"
+        return float(b @ c) / float(b @ b) if nb > tol * nc else math.inf
+
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for _ in range(3000):
+        b = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 3.0)
+        c = (rng.uniform(-5.0, 5.0) * b
+             + rng.standard_normal(3) * 10.0 ** rng.uniform(-9.0, -3.0))
+        if rng.random() < 0.2:
+            b, c = b * 10.0 ** rng.uniform(-12.0, -7.0), b
+        try:
+            got = sigma_from_m3(b, c).value
+        except NotCollinear:
+            got = "NotCollinear"
+        assert got == unscaled(b, c)
+        verdicts.add(got if isinstance(got, str) or math.isinf(got) else "finite")
+    assert verdicts == {"NotCollinear", "finite", math.inf}
+
+
 def _pairs(*sigmas):
     """One mixing pair per row along the first axis, each with its own
     sigma; inf gives a Carroll row."""

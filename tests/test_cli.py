@@ -1,14 +1,25 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinematica
 from kinematica import cli
 from kinematica.affine import AffineElement
 from kinematica.classify import CaseLabel, rotation_generators
 from kinematica.groups import boost_closed_form, membership, p_generator
-from kinematica.matcore import mat_exp, op_norm
+from kinematica.matcore import mat_exp
+
+
+def op_norm(m) -> float:
+    """Spectral norm: the tests measure in it, whatever norm the library
+    scales its tolerances by."""
+    return float(np.linalg.norm(m, 2))
 
 
 def write_file(tmp_path, payload, name="data.json"):
@@ -267,3 +278,16 @@ def test_env_tolerance_validation(capsys, monkeypatch):
         monkeypatch.setenv("KINEMATICA_TOL", bad)
         assert cli.main(["verify", "--n", "2", "--trials", "2"]) == 1
         capsys.readouterr()
+
+
+def test_python_dash_m_kinematica_runs_without_warnings(tmp_path):
+    src = str(Path(kinematica.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica",
+         "generate", "--case", "galilei", "--count", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(json.loads(proc.stdout)["matrices"]) == 1

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from kinematica import matcore
 from kinematica.classify import SIGMA_INF, CaseLabel, Sigma
 from kinematica.groups import (
     CartanFactors,
+    LogarithmFailure,
+    NonPositiveLambda,
     NotInNormalizer,
     boost_closed_form,
     cartan_decompose,
@@ -17,7 +20,14 @@ from kinematica.groups import (
     random_element,
     random_orthogonal,
 )
-from kinematica.matcore import Metric, block_split, dagger, mat_exp, op_norm
+from kinematica.matcore import Metric, block_split, dagger, mat_exp
+
+
+def op_norm(m) -> float:
+    """Spectral norm: the tests measure in it, whatever norm the library
+    scales its tolerances by."""
+    return float(np.linalg.norm(m, 2))
+
 
 ALL_SIGMAS = [Sigma(1.0), Sigma(0.5), Sigma(2.0), Sigma(-1.0), Sigma(-0.25),
               Sigma(0.0), SIGMA_INF]
@@ -329,6 +339,63 @@ def test_membership_accepts_plain_floats_for_sigma():
     a = boost_closed_form(np.array([0.2, 0.1]), 0.5)
     assert membership(a, CaseLabel.LORENTZ, 0.5)
     assert membership(a, CaseLabel.LORENTZ, Sigma(0.5))
+
+
+def bump_largest(a, rel):
+    """Copy of a with its largest entry (in modulus) changed by rel relative."""
+    out = a.copy()
+    out[np.unravel_index(np.argmax(np.abs(a)), a.shape)] *= 1.0 + rel
+    return out
+
+
+def lorentz_members(max_rapidity, count=6):
+    """Random Lorentz members with rapidity up to max_rapidity."""
+    for n in (2, 3, 10):
+        for sigma in (0.25, 1.0, 4.0):
+            for seed in range(count):
+                bound = max_rapidity / math.sqrt(sigma)
+                yield random_element(CaseLabel.LORENTZ, sigma, n, bound, seed), sigma
+
+
+def test_lorentz_membership_needs_no_logarithm_or_exponential(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("Lorentz membership must not take a log or exp")
+
+    monkeypatch.setattr(matcore, "mat_log_positive", boom)
+    monkeypatch.setattr(matcore, "mat_exp", boom)
+    for g, sigma in lorentz_members(3.0):
+        assert membership(g, CaseLabel.LORENTZ, sigma)
+        assert not membership(bump_largest(g, 1e-6), CaseLabel.LORENTZ, sigma)
+
+
+def test_lorentz_membership_matches_the_cartan_definition():
+    def by_cartan(a, sigma):
+        try:
+            lam = cartan_decompose(a, sigma).lam
+        except (NotInNormalizer, NonPositiveLambda, LogarithmFailure):
+            return False
+        return abs(lam - 1.0) <= 1e-9
+
+    for g, sigma in lorentz_members(5.0):
+        assert by_cartan(g, sigma)
+        for a in (g, bump_largest(g, 1e-6), 1.001 * g):
+            assert membership(a, CaseLabel.LORENTZ, sigma) == by_cartan(a, sigma)
+
+
+@pytest.mark.parametrize("case, sigmas", [
+    (CaseLabel.LORENTZ, (0.25, 1.0, 4.0)),
+    (CaseLabel.ORTHOGONAL, (-0.25, -1.0, -4.0)),
+])
+def test_membership_frobenius_scale_still_rejects_small_perturbations(case, sigmas):
+    # The Frobenius scale can loosen a threshold by at most sqrt(n + 1) < 10
+    # for n <= 10, so a change of 10 tol relative must still be rejected.
+    for n in (2, 3, 10):
+        for sigma in sigmas:
+            for seed in range(6):
+                bound = 3.0 / math.sqrt(abs(sigma))
+                g = random_element(case, sigma, n, bound, seed)
+                assert membership(g, case, sigma)
+                assert not membership(bump_largest(g, 1e-8), case, sigma)
 
 
 def test_random_orthogonal_properties():

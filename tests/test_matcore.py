@@ -14,8 +14,15 @@ from kinematica.matcore import (
     dagger,
     mat_exp,
     mat_log_positive,
-    op_norm,
+    op_norm as frobenius_norm,
 )
+
+
+def op_norm(m) -> float:
+    """Spectral norm: the tests measure in it, whatever norm the library
+    scales its tolerances by."""
+    return float(np.linalg.norm(m, 2))
+
 
 ENTRIES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 SMALL_MATRICES = arrays(np.float64, (3, 3), elements=ENTRIES)
@@ -28,6 +35,14 @@ def test_as_square_rejects_bad_input():
         as_square(np.ones((1, 1)))
     with pytest.raises(ValueError):
         as_square([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_op_norm_is_the_frobenius_bound_on_the_spectral_norm():
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 11):
+        M = rng.standard_normal((d, d))
+        assert frobenius_norm(M) == float(np.linalg.norm(M))
+        assert op_norm(M) <= frobenius_norm(M) <= np.sqrt(d) * op_norm(M) * (1 + 1e-15)
 
 
 def test_as_square_copies():
