@@ -1,9 +1,10 @@
 """Factoring normalizer elements as sqrt(lam) * k * exp(Z) for sigma > 0.
 
 The factors are unique: k is a block rotation, Z a boost generator, lam a
-positive scale.  Because of that, the decomposition doubles as the
-membership test for the group (lam must be 1) and as a coordinate chart
-on the normalizer.
+positive scale, so the decomposition is a coordinate chart on the
+normalizer.  It is computed in closed form: the boost is read off the last
+row of a / sqrt(lam), with no logarithm or exponential.  Group membership
+is the separate normalizer test with lam = 1, not this decomposition.
 """
 
 import numpy as np

@@ -38,7 +38,7 @@ from .groups import (
     p_generator,
     random_element,
 )
-from .matcore import BlockForm, Metric, bracket, dagger, mat_exp, mat_log_positive
+from .matcore import BlockForm, Metric, bracket, dagger, mat_exp
 from .verify import SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"
@@ -72,7 +72,6 @@ __all__ = [
     "isotypic",
     "k_element",
     "mat_exp",
-    "mat_log_positive",
     "matcore",
     "membership",
     "p_generator",

@@ -215,6 +215,11 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     ZeroGenerator when both vectors of a row vanish, and NotCollinear when
     a row fails the collinearity test or the rows disagree on sigma.
     """
+    return _sigma_and_rows(b, c, tol)[0]
+
+
+def _sigma_and_rows(b, c, tol: float) -> tuple[Sigma, np.ndarray]:
+    """:func:`sigma_from_m3` together with the per-row sigmas it checked."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     # Dividing b and c by one power of two 2**e is exact, keeps |b|^2 |c|^2
@@ -227,12 +232,12 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     rows = _row_sigmas(b, c, tol, math.ldexp(1.0, min(-4 * e, 1000)))
     finite = np.isfinite(rows)
     if not finite.any():
-        return SIGMA_INF
+        return SIGMA_INF, rows
     lo, hi = float(rows.min()), float(rows.max())
     if not finite.all() or hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
         raise NotCollinear(f"mixing generators disagree on sigma: "
                            f"{Sigma(lo)!r} vs {Sigma(hi)!r}")
-    return Sigma(float(np.vdot(b, c)) / float(np.vdot(b, b)))
+    return Sigma(float(np.vdot(b, c)) / float(np.vdot(b, b))), rows
 
 
 def rotation_generators(n: int) -> list[np.ndarray]:
@@ -371,8 +376,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
     mixing_basis = _span_rows(np.array(mixing), tol)
     b, c = mixing_basis[:, :n], mixing_basis[:, n:]
     try:
-        sigma = sigma_from_m3(b, c, tol)
-        rows = _row_sigmas(b, c, tol, 1.0)
+        sigma, rows = _sigma_and_rows(b, c, tol)
     except NotCollinear as exc:
         return ClassificationResult(
             OUTCOME_NOT_KINEMATICAL, reason=str(exc), diagnostics=diagnostics

@@ -159,8 +159,7 @@ def _cmd_decompose(args) -> int:
     for matrix in mf.matrices:
         try:
             factors = groups.cartan_decompose(matrix, sigma, tol)
-        except (groups.NotInNormalizer, groups.NonPositiveLambda,
-                groups.LogarithmFailure) as exc:
+        except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
             entries.append({"error": type(exc).__name__})
             failures += 1
         except ValueError:

@@ -2,8 +2,8 @@
 
 Elements are plain (n+1) x (n+1) arrays.  The building blocks are block
 rotations diag(R, eps) and one-parameter boosts exp of a mixing generator,
-for which closed forms exist in every sigma regime.  For sigma > 0 the
-polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) is available.
+for which closed forms exist in every sigma regime, and so does the
+polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) for sigma > 0.
 Lorentz membership is the normalizer test a^dagger a = I; the remaining
 cases reduce to metric-preservation or block-triangular shape checks.
 """
@@ -47,13 +47,14 @@ class NonPositiveLambda(ValueError):
 
 
 class LogarithmFailure(ValueError):
-    """The positive logarithm inside the Cartan decomposition failed."""
+    """Kept for callers that catch it; no longer raised, since the Cartan
+    factors are computed in closed form without a logarithm."""
 
 
-def _metric(sigma: Sigma, sign: int, n: int) -> Metric:
+def _metric(sigma: Sigma, n: int) -> Metric:
     if not sigma.is_finite or sigma.value == 0.0:
         raise ValueError("this operation needs a finite nonzero sigma")
-    return Metric(sigma.value, sign, n)
+    return Metric(sigma.value, +1, n)
 
 
 def k_element(R, eps: int) -> np.ndarray:
@@ -150,7 +151,7 @@ def _scalar_part(a: np.ndarray, sigma: Sigma) -> tuple[float, float, float]:
     """lam, the off-scalar residual and the norm of a^dagger a for the
     spacetime metric."""
     n = a.shape[0] - 1
-    q = matcore.dagger(a, _metric(sigma, +1, n)) @ a
+    q = matcore.dagger(a, _metric(sigma, n)) @ a
     lam = float(np.trace(q)) / (n + 1)
     resid = op_norm(q - lam * np.eye(n + 1))
     return lam, resid, op_norm(q)
@@ -188,14 +189,14 @@ class CartanFactors:
 def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     """Factor a normalizer element as sqrt(lam) * k * exp(Z), sigma > 0.
 
-    lam is read off a^dagger a (spacetime metric), exp(2Z) as the positive
-    self-adjoint part of a under the companion metric, and k is what is
-    left.  The factors are unique, which makes this a coordinate chart for
-    the Lorentz case.
+    lam is read off a^dagger a (spacetime metric).  The boost exp(Z) is
+    read off the last row eps * (sinh(w) sqrt(sigma) u, cosh(w)) of
+    a / sqrt(lam), and k = a exp(-Z) / sqrt(lam) with the closed-form boost,
+    so no logarithm or exponential is taken and the factors lose accuracy
+    only like eps * cond(a).  They are unique: a chart for the Lorentz case.
 
     Raises NotInNormalizer when a^dagger a is not scalar, NonPositiveLambda
-    when the scalar is not positive, and LogarithmFailure when the positive
-    logarithm cannot be taken.
+    when the scalar is not positive, and ValueError when a is singular.
     """
     a = as_square(a)
     s = as_sigma(sigma)
@@ -211,14 +212,13 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
         )
     if lam <= tol:
         raise NonPositiveLambda(f"scalar part is not positive: {lam:.3e}")
-    minus = _metric(s, -1, n)
-    p = matcore.dagger(a, minus) @ a / lam
-    try:
-        Z = 0.5 * matcore.mat_log_positive(p, minus.gram)
-    except ValueError as exc:
-        raise LogarithmFailure(str(exc)) from None
-    k = a @ matcore.mat_exp(-Z) / math.sqrt(lam)
-    return CartanFactors(lam=lam, k=k, Z=Z)
+    a = a / math.sqrt(lam)
+    c = a[n, :n]
+    root = math.sqrt(s.value)
+    beta = float(np.linalg.norm(c))
+    scale = 0.0 if beta == 0.0 else math.asinh(beta / root) / (root * beta)
+    b = math.copysign(scale, a[n, n]) * c
+    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, s), Z=p_generator(b, s))
 
 
 def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
@@ -269,7 +269,7 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
         return resid <= tol * (1.0 + qnorm) and abs(lam - 1.0) <= tol
 
     if case is CaseLabel.ORTHOGONAL:
-        g = _metric(s, +1, n).gram
+        g = _metric(s, n).gram
         return op_norm(a.T @ g @ a - g) <= tol * (1.0 + op_norm(g))
 
     if case is CaseLabel.GALILEI:

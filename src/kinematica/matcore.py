@@ -4,9 +4,10 @@ All structured objects in this package reduce to plain ``numpy`` arrays of
 shape (n+1, n+1): generators and group elements of the ambient general
 linear group acting on n space coordinates plus one time coordinate.  This
 module provides the block view of such matrices, commutator brackets, a
-matrix exponential, metric adjoints ("dagger"), the logarithm of a
-positive self-adjoint operator and the Frobenius norm that scales every
-tolerance check.  Functions are pure and never mutate their inputs.
+matrix exponential (the generic oracle against which the closed-form
+boosts and Cartan factors are checked), metric adjoints ("dagger") and
+the Frobenius norm that scales every tolerance check.  Functions are pure
+and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "bracket",
     "dagger",
     "mat_exp",
-    "mat_log_positive",
     "op_norm",
 ]
 
@@ -179,48 +179,3 @@ def dagger(Z, metric: Metric) -> np.ndarray:
         )
     g = metric.gram_diag
     return (Z.T * g[np.newaxis, :]) / g[:, np.newaxis]
-
-
-def mat_log_positive(P, gram, tol: float = 1e-8) -> np.ndarray:
-    """Logarithm of an operator that is positive self-adjoint for ``gram``.
-
-    Parameters
-    ----------
-    P : square matrix, self-adjoint with respect to the positive definite
-        matrix ``gram`` and with strictly positive spectrum.
-    gram : symmetric positive definite matrix defining the inner product.
-    tol : tolerance for the self-adjointness check and the positivity
-        floor on eigenvalues.
-
-    The computation changes to a basis orthonormal for ``gram`` (through a
-    Cholesky factor), takes a symmetric eigendecomposition there, logs the
-    eigenvalues and maps back.  Raises ValueError if ``gram`` is not
-    positive definite, if P is not self-adjoint within tol, or if an
-    eigenvalue is at or below tol.
-    """
-    P = as_square(P)
-    G = as_square(gram)
-    if P.shape != G.shape:
-        raise ValueError("matrix and gram must have the same shape")
-    if op_norm(G - G.T) > tol * (1.0 + op_norm(G)):
-        raise ValueError("gram matrix must be symmetric")
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise ValueError("gram matrix must be positive definite") from None
-
-    adjoint = np.linalg.solve(G, P.T @ G)
-    if op_norm(P - adjoint) > tol * (1.0 + op_norm(P)):
-        raise ValueError("matrix is not self-adjoint for the given gram matrix")
-
-    # C x is the coordinate vector of x in a gram-orthonormal basis.
-    C = L.T
-    Ptil = np.linalg.solve(C.T, (C @ P).T).T
-    Ptil = 0.5 * (Ptil + Ptil.T)
-    eigvals, Q = np.linalg.eigh(Ptil)
-    if eigvals.min() <= tol:
-        raise ValueError(
-            f"matrix is not positive: smallest eigenvalue {eigvals.min():.3e}"
-        )
-    log_til = (Q * np.log(eigvals)) @ Q.T
-    return np.linalg.solve(C, log_til) @ C

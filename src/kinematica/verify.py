@@ -308,7 +308,7 @@ def _prop_cartan(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
                 rng = stream.rng()
                 lam = float(rng.uniform(0.1, 10.0))
                 k = _random_k(n, rng)
-                bmax = 2.0 / max(1.0, s.value)
+                bmax = 4.0 / math.sqrt(s.value)
                 b = _unit(rng, n) * rng.uniform(0.0, bmax)
                 Z = groups.p_generator(b, s)
                 a = math.sqrt(lam) * k @ matcore.mat_exp(Z)

@@ -401,8 +401,10 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     def always_finite_sigma(b, c, tol=1e-9):
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
-        return Sigma(float(np.vdot(b, c)) / max(float(np.vdot(b, b)), 1e-300))
-    mutants.append(("kinematica.classify.sigma_from_m3", always_finite_sigma))
+        sigma = Sigma(float(np.vdot(b, c)) / max(float(np.vdot(b, b)), 1e-300))
+        return sigma, np.array([sigma.value])
+    # the sigma rule behind sigma_from_m3, which classify_algebra calls directly
+    mutants.append(("kinematica.classify._sigma_and_rows", always_finite_sigma))
 
     def split_without_m2(Z):
         parts = real_split(Z)

@@ -414,6 +414,23 @@ def test_classify_sigma_spread_is_the_range_of_row_sigmas():
     assert carroll.diagnostics["sigma_spread"] == 0.0
 
 
+def test_classify_computes_row_sigmas_once_per_accepted_set(monkeypatch):
+    calls = []
+    row_sigmas = classify._row_sigmas
+
+    def counting(*args):
+        calls.append(args)
+        return row_sigmas(*args)
+
+    monkeypatch.setattr(classify, "_row_sigmas", counting)
+    rng = np.random.default_rng(25)
+    sets = [_standard_generators(rng, n, Sigma(s))
+            for n in (2, 3) for s in (1.0, -0.5, 0.0, math.inf)]
+    for gens in sets:
+        assert classify_algebra(gens).is_kinematical
+    assert len(calls) == len(sets)
+
+
 def test_classify_input_validation():
     with pytest.raises(ValueError):
         classify_algebra([])

