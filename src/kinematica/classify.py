@@ -185,21 +185,28 @@ def collinearity_defect(b, c) -> float:
     return 2.0 * (bb * cc - bc * bc)
 
 
-def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float, one: float) -> np.ndarray:
+def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
     """Sigma of each collinear mixing pair (one pair per row of b and c),
-    inf for a Carroll row, where b is negligible against c.  ``one`` is the
-    absolute term of the collinearity bound: 1 for unscaled b and c."""
+    inf for a Carroll row, where b is negligible against c."""
+    # Each row is divided by its own power of two 2**e: exact, so no ratio
+    # changes, |b|^2 |c|^2 cannot overflow and a small row cannot underflow
+    # next to a large one.  The absolute term 1 of the collinearity bound
+    # becomes 2**(-4 e), capped at 2**1000 since a scaled defect is at most
+    # 2 n^2.
+    e = np.frexp(np.maximum(abs(b), abs(c)).max(axis=1, initial=0.0))[1]
     out = []
-    for bi, ci in zip(b, c):
-        nb = float(np.linalg.norm(bi))
-        nc = float(np.linalg.norm(ci))
-        if nb == 0.0 and nc == 0.0:
+    for bi, ci, ei in zip(np.ldexp(b, -e[:, np.newaxis]), np.ldexp(c, -e[:, np.newaxis]),
+                          e.tolist()):
+        bb, cc, bc = float(bi @ bi), float(ci @ ci), float(bi @ ci)
+        if bb == 0.0 and cc == 0.0:
             raise ZeroGenerator("mixing vectors are both zero")
-        defect = collinearity_defect(bi, ci)
-        if defect > tol * (one + nb * nb * nc * nc):
+        nb, nc = math.sqrt(bb), math.sqrt(cc)
+        size = nb * nb * nc * nc
+        defect = 2.0 * (bb * cc - bc * bc)
+        if defect > tol * (math.ldexp(1.0, min(-4 * ei, 1000)) + size):
             raise NotCollinear(f"mixing vectors are not collinear (relative defect "
-                               f"{defect / (nb * nb * nc * nc):.3e})")
-        out.append(float(bi @ ci) / (nb * nb) if nb > tol * nc else math.inf)
+                               f"{defect / size:.3e})")
+        out.append(bc / (nb * nb) if nb > tol * nc else math.inf)
     return np.array(out)
 
 
@@ -222,14 +229,7 @@ def _sigma_and_rows(b, c, tol: float) -> tuple[Sigma, np.ndarray]:
     """:func:`sigma_from_m3` together with the per-row sigmas it checked."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    # Dividing b and c by one power of two 2**e is exact, keeps |b|^2 |c|^2
-    # from overflowing and changes no ratio.  Only the absolute term of the
-    # collinearity bound scales, to 2**(-4 e); capping it at 2**1000 changes
-    # no verdict, since a scaled defect is at most 2 n^2.
-    e = math.frexp(max(float(np.abs(b).max(initial=0.0)),
-                       float(np.abs(c).max(initial=0.0))))[1]
-    b, c = np.ldexp(b, -e), np.ldexp(c, -e)
-    rows = _row_sigmas(b, c, tol, math.ldexp(1.0, min(-4 * e, 1000)))
+    rows = _row_sigmas(b, c, tol)
     finite = np.isfinite(rows)
     if not finite.any():
         return SIGMA_INF, rows
@@ -237,6 +237,10 @@ def _sigma_and_rows(b, c, tol: float) -> tuple[Sigma, np.ndarray]:
     if not finite.all() or hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
         raise NotCollinear(f"mixing generators disagree on sigma: "
                            f"{Sigma(lo)!r} vs {Sigma(hi)!r}")
+    # One power of two for the whole fit keeps its sums from overflowing
+    # and weighs the rows as given.
+    e = math.frexp(max(float(abs(b).max()), float(abs(c).max())))[1]
+    b, c = np.ldexp(b, -e), np.ldexp(c, -e)
     return Sigma(float(np.vdot(b, c)) / float(np.vdot(b, b))), rows
 
 
@@ -368,12 +372,12 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
             diagnostics=diagnostics,
         )
 
-    mixing = [np.concatenate([s.b, s.c]) for s in splits
-              if np.linalg.norm(np.concatenate([s.b, s.c])) > tol]
-    if not mixing:
+    mixing = np.array([np.concatenate([s.b, s.c]) for s in splits])
+    mixing = mixing[np.linalg.norm(mixing, axis=1) > tol]
+    if not mixing.size:
         return ClassificationResult(OUTCOME_ARISTOTLE, diagnostics=diagnostics)
 
-    mixing_basis = _span_rows(np.array(mixing), tol)
+    mixing_basis = _span_rows(mixing, tol)
     b, c = mixing_basis[:, :n], mixing_basis[:, n:]
     try:
         sigma, rows = _sigma_and_rows(b, c, tol)

@@ -162,9 +162,6 @@ def _cmd_decompose(args) -> int:
         except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
             entries.append({"error": type(exc).__name__})
             failures += 1
-        except ValueError:
-            entries.append({"error": "Singular"})
-            failures += 1
         else:
             entries.append({
                 "lambda": factors.lam,

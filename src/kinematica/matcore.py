@@ -137,27 +137,24 @@ def mat_exp(Z) -> np.ndarray:
 class Metric:
     """Diagonal bilinear form on R^(n+1) used to define adjoints.
 
-    The gram matrix is diag(-sign * sigma, ..., -sign * sigma, 1): with
-    sign=+1 this is the spacetime form (indefinite for sigma > 0), with
-    sign=-1 the companion form (positive definite for sigma > 0) under
-    which boost generators are self-adjoint.
+    The gram matrix is diag(-sigma, ..., -sigma, 1), the spacetime form:
+    indefinite for sigma > 0 and positive definite for sigma < 0.
+    Metric(-sigma, n) is the companion form of sigma, under which the
+    boost generators of sigma are self-adjoint.
     """
 
     sigma: float
-    sign: int
     n: int
 
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma == 0.0:
             raise ValueError("metric needs a finite nonzero sigma")
-        if self.sign not in (1, -1):
-            raise ValueError("metric sign must be +1 or -1")
         if self.n < 1:
             raise ValueError("metric needs n >= 1")
 
     @property
     def gram_diag(self) -> np.ndarray:
-        g = np.full(self.n + 1, -self.sign * self.sigma)
+        g = np.full(self.n + 1, -self.sigma)
         g[self.n] = 1.0
         return g
 
@@ -169,8 +166,8 @@ class Metric:
 def dagger(Z, metric: Metric) -> np.ndarray:
     """Adjoint of Z with respect to ``metric``: gram^-1 Z^T gram.
 
-    On blocks this sends (A, b, c, d) to (A^T, -sign*c/sigma,
-    -sign*sigma*b, d).  It is an involution and reverses products.
+    On blocks this sends (A, b, c, d) to (A^T, -c/sigma, -sigma*b, d).  It
+    is an involution and reverses products.
     """
     Z = as_square(Z)
     if Z.shape[0] != metric.n + 1:

@@ -292,7 +292,7 @@ def _prop_normalizer(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
                 ok, lam = groups.in_normalizer(g, s, cfg.tol)
                 check.flag(ok, {"a": g, "sigma": s})
                 check.residual(abs(lam - 1.0), {"a": g, "sigma": s, "lam": lam})
-                lam0 = float(rng.uniform(0.1, 10.0))
+                lam0 = float(10.0 ** rng.uniform(-8.0, 8.0))
                 ok2, lam2 = groups.in_normalizer(math.sqrt(lam0) * g, s, cfg.tol)
                 check.flag(ok2, {"a": g, "sigma": s, "lam0": lam0})
                 check.residual(abs(lam2 - lam0) / (1.0 + lam0),
@@ -367,7 +367,7 @@ def _prop_invariants(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
                 a = groups.random_element(case, s, n, 2.0, stream.int_seed())
                 payload = {"a": a, "sigma": s}
                 if s.is_finite and s.value != 0.0:
-                    g = matcore.Metric(s.value, +1, n).gram
+                    g = matcore.Metric(s.value, n).gram
                     resid = matcore.op_norm(a.T @ g @ a - g) / (1.0 + matcore.op_norm(g))
                     check.residual(resid, payload)
                 elif s.is_finite:

@@ -163,6 +163,47 @@ def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
     assert verdicts == {"NotCollinear", "finite", math.inf}
 
 
+def test_row_sigmas_equal_the_per_row_loop_bit_for_bit():
+    # The batched row test against the unscaled loop it replaced: scaling
+    # each row by a power of two is exact, so every verdict and ratio agree.
+    def loop(b, c, tol=1e-9):
+        out = []
+        for bi, ci in zip(b, c):
+            nb, nc = float(np.linalg.norm(bi)), float(np.linalg.norm(ci))
+            if collinearity_defect(bi, ci) > tol * (1.0 + nb * nb * nc * nc):
+                return "NotCollinear"
+            out.append(float(bi @ ci) / (nb * nb) if nb > tol * nc else math.inf)
+        return out
+
+    rng = np.random.default_rng(26)
+    verdicts = set()
+    for _ in range(600):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 21))
+        b = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+        c = (rng.uniform(-5.0, 5.0, (m, 1)) * b
+             + rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-14.0, -4.0))
+        carroll = rng.random(m) < 0.2
+        b[carroll], c[carroll] = b[carroll] * 1e-12, b[carroll]
+        try:
+            got = classify._row_sigmas(b, c, 1e-9).tolist()
+        except NotCollinear:
+            got = "NotCollinear"
+        assert got == loop(b, c)
+        verdicts.add("NotCollinear" if isinstance(got, str) else math.inf in got)
+    assert verdicts == {"NotCollinear", True, False}
+
+
+def test_sigma_from_m3_keeps_a_row_far_smaller_than_the_largest():
+    # Each row has its own power-of-two scale, so a nonzero collinear row
+    # 1e170 times smaller than another does not underflow to zero.
+    b = [[1.0, 0.0], [1e-170, 0.0]]
+    c = [[2.0, 0.0], [2e-170, 0.0]]
+    assert sigma_from_m3(b, c) == Sigma(2.0)
+    assert sigma_from_m3(c, b) == Sigma(0.5)
+    with pytest.raises(NotCollinear, match="disagree"):
+        sigma_from_m3(b, [[2.0, 0.0], [3e-170, 0.0]])
+
+
 def _pairs(*sigmas):
     """One mixing pair per row along the first axis, each with its own
     sigma; inf gives a Carroll row."""

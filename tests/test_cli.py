@@ -176,6 +176,13 @@ def test_decompose_reports_failures_with_exit_two(tmp_path, capsys):
     assert entries[1] == {"error": "NotInNormalizer"}
 
 
+def test_decompose_reports_the_zero_matrix_as_non_positive_lambda(tmp_path, capsys):
+    path = write_file(tmp_path, {"n": 2, "matrices": [[0.0] * 9]})
+    code = cli.main(["decompose", path, "--sigma", "1"])
+    assert json.loads(capsys.readouterr().out) == [{"error": "NonPositiveLambda"}]
+    assert code == 2
+
+
 def test_decompose_rejects_bad_sigma(tmp_path, capsys):
     path = write_file(tmp_path, {"n": 2, "matrices": []})
     assert cli.main(["decompose", path, "--sigma", "inf"]) == 1

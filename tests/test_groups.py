@@ -152,8 +152,8 @@ def test_in_K_matches_double_isometry_characterization():
     # oracle: fixed points of both daggers are exactly the block rotations
     rng = np.random.default_rng(31)
     sigma = Sigma(1.7)
-    plus = Metric(sigma.value, +1, 2)
-    minus = Metric(sigma.value, -1, 2)
+    plus = Metric(sigma.value, 2)
+    minus = Metric(-sigma.value, 2)
     samples = [
         k_element(random_orthogonal(2, rng), -1),
         k_element(random_orthogonal(2, rng), 1),
@@ -191,8 +191,7 @@ def test_in_normalizer_rejects_shears():
 
 
 def test_in_normalizer_validation():
-    with pytest.raises(ValueError):
-        in_normalizer(np.zeros((3, 3)), 1.0)
+    assert in_normalizer(np.zeros((3, 3)), 1.0) == (False, 0.0)
     with pytest.raises(ValueError):
         in_normalizer(np.eye(3), 0.0)
     with pytest.raises(ValueError):
@@ -261,6 +260,11 @@ def test_cartan_validation():
     with pytest.raises(ValueError):
         cartan_decompose(np.eye(3), 0.0)
     with pytest.raises(ValueError):
+        cartan_decompose(np.zeros((3, 3)), 1.0)
+
+
+def test_cartan_of_the_zero_matrix_is_non_positive_lambda():
+    with pytest.raises(NonPositiveLambda):
         cartan_decompose(np.zeros((3, 3)), 1.0)
 
 
@@ -422,6 +426,64 @@ def test_membership_frobenius_scale_still_rejects_small_perturbations(case, sigm
                 g = random_element(case, sigma, n, bound, seed)
                 assert membership(g, case, sigma)
                 assert not membership(bump_largest(g, 1e-8), case, sigma)
+
+
+ENVELOPE_SIGMAS = (0.25, 1.0, 4.0, -0.25, -1.0, -4.0)
+
+
+def envelope_members(max_rapidity=30.0, max_angle_norm=5.0):
+    """(case, sigma, w, member) for n = 2, 3, 10 and sigma = +-0.25, +-1,
+    +-4: a random block rotation times a boost of rapidity w up to
+    max_rapidity (sigma > 0), or of norm up to max_angle_norm and angle w
+    (sigma < 0)."""
+    rng = np.random.default_rng(53)
+    for n in (2, 3, 10):
+        for sigma in ENVELOPE_SIGMAS:
+            case = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
+            top = max_rapidity if sigma > 0 else max_angle_norm * math.sqrt(-sigma)
+            for w in np.linspace(0.0, top, 7):
+                k = k_element(random_orthogonal(n, rng), 1 if rng.random() < 0.5 else -1)
+                u = rng.standard_normal(n)
+                b = u / np.linalg.norm(u) * w / math.sqrt(abs(sigma))
+                yield case, sigma, float(w), k @ boost_closed_form(b, sigma)
+
+
+def test_membership_envelope_reaches_rapidity_30():
+    for case, sigma, _, g in envelope_members():
+        assert membership(g, case, sigma)
+        for rel in (1e-8, 1e-6):
+            assert not membership(bump_largest(g, rel), case, sigma)
+            assert not in_normalizer(bump_largest(g, rel), sigma)[0]
+
+
+def test_membership_rejects_scaled_members_up_to_rapidity_12():
+    # lam = 1 is held to tol plus the rounding of its trace, not to
+    # tol * scale, which passes 2 g from about rapidity 11 and (1 + 1e-6) g
+    # from about rapidity 4.  The trace cannot resolve 2e-6 in lam beyond
+    # rapidity about 11.
+    for case, sigma, w, g in envelope_members(max_rapidity=12.0):
+        for factor in (0.5, 2.0) if w > 10.0 else (0.5, 1.0 + 1e-6, 2.0):
+            assert not membership(factor * g, case, sigma), (sigma, w, factor)
+
+
+def test_in_normalizer_envelope_over_lam_from_1e_minus_8_to_1e8():
+    eps = np.finfo(float).eps
+    for _, sigma, _, g in envelope_members(max_rapidity=12.0):
+        slack = 64 * eps * np.linalg.cond(g)
+        for lam in 10.0 ** np.arange(-8.0, 9.0, 2.0):
+            ok, got = in_normalizer(math.sqrt(lam) * g, sigma)
+            assert ok and abs(got - lam) <= slack * lam, (sigma, lam, got)
+
+
+def test_in_normalizer_rejects_gaussian_matrices_at_any_scale():
+    rng = np.random.default_rng(54)
+    for n in (2, 3, 10):
+        for sigma in ENVELOPE_SIGMAS:
+            case = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
+            for scale in 10.0 ** np.arange(-8.0, 5.0):
+                a = scale * rng.standard_normal((n + 1, n + 1))
+                assert not in_normalizer(a, sigma)[0]
+                assert not membership(a, case, sigma)
 
 
 def test_random_orthogonal_properties():

@@ -153,28 +153,28 @@ def test_mat_exp_periodic_boost_wraps_to_reflection():
 
 
 def test_metric_gram_matrices():
-    np.testing.assert_array_equal(Metric(2.0, +1, 2).gram, np.diag([-2.0, -2.0, 1.0]))
-    np.testing.assert_array_equal(Metric(2.0, -1, 2).gram, np.diag([2.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(Metric(2.0, 2).gram, np.diag([-2.0, -2.0, 1.0]))
+    np.testing.assert_array_equal(Metric(-2.0, 2).gram, np.diag([2.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
-        Metric(0.0, +1, 2)
+        Metric(0.0, 2)
     with pytest.raises(ValueError):
-        Metric(np.inf, +1, 2)
+        Metric(np.inf, 2)
     with pytest.raises(ValueError):
-        Metric(1.0, 2, 2)
+        Metric(1.0, 0)
 
 
 def test_dagger_negates_rotation_generators():
     Z = np.zeros((4, 4))
     Z[0, 1], Z[1, 0] = 1.0, -1.0
     Z[1, 2], Z[2, 1] = -0.5, 0.5
-    for sign in (+1, -1):
-        np.testing.assert_allclose(dagger(Z, Metric(1.0, sign, 3)), -Z, atol=1e-15)
+    for sigma in (1.0, -1.0):
+        np.testing.assert_allclose(dagger(Z, Metric(sigma, 3)), -Z, atol=1e-15)
 
 
 def test_dagger_moves_column_to_negated_row():
     Z = np.zeros((3, 3))
     Z[0, 2] = 1.0  # column vector e1
-    out = dagger(Z, Metric(1.0, +1, 2))
+    out = dagger(Z, Metric(1.0, 2))
     expected = np.zeros((3, 3))
     expected[2, 0] = -1.0
     np.testing.assert_allclose(out, expected, atol=1e-15)
@@ -182,8 +182,8 @@ def test_dagger_moves_column_to_negated_row():
 
 def test_dagger_matches_explicit_gram_conjugation():
     rng = np.random.default_rng(4)
-    for sign in (+1, -1):
-        m = Metric(1.7, sign, 3)
+    for sigma in (1.7, -1.7):
+        m = Metric(sigma, 3)
         g = m.gram
         for _ in range(5):
             Z = rng.standard_normal((4, 4))
@@ -194,13 +194,13 @@ def test_dagger_matches_explicit_gram_conjugation():
 @settings(max_examples=30, deadline=None)
 @given(SMALL_MATRICES, st.sampled_from([0.5, 1.0, -2.0]), st.sampled_from([1, -1]))
 def test_dagger_involution(Z, sigma, sign):
-    m = Metric(sigma, sign, 2)
+    m = Metric(sign * sigma, 2)
     np.testing.assert_allclose(dagger(dagger(Z, m), m), Z, atol=1e-14)
 
 
 def test_dagger_reverses_products():
     rng = np.random.default_rng(5)
-    m = Metric(0.8, -1, 2)
+    m = Metric(-0.8, 2)
     for _ in range(10):
         X = rng.standard_normal((3, 3))
         Y = rng.standard_normal((3, 3))
