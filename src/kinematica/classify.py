@@ -188,11 +188,9 @@ def collinearity_defect(b, c) -> float:
 def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
     """Sigma of each collinear mixing pair (one pair per row of b and c),
     inf for a Carroll row, where b is negligible against c."""
-    # Each row is divided by its own power of two 2**e: exact, so no ratio
-    # changes, |b|^2 |c|^2 cannot overflow and a small row cannot underflow
-    # next to a large one.  The absolute term 1 of the collinearity bound
-    # becomes 2**(-4 e), capped at 2**1000 since a scaled defect is at most
-    # 2 n^2.
+    # Dividing each row by its own power of two 2**e is exact and keeps
+    # |b|^2 |c|^2 from overflowing or underflowing.  The bound's absolute
+    # term 1 becomes 2**(-4 e), capped at 2**1000 (a defect is at most 2 n^2).
     e = np.frexp(np.maximum(abs(b), abs(c)).max(axis=1, initial=0.0))[1]
     out = []
     for bi, ci, ei in zip(np.ldexp(b, -e[:, np.newaxis]), np.ldexp(c, -e[:, np.newaxis]),
@@ -237,8 +235,7 @@ def _sigma_and_rows(b, c, tol: float) -> tuple[Sigma, np.ndarray]:
     if not finite.all() or hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
         raise NotCollinear(f"mixing generators disagree on sigma: "
                            f"{Sigma(lo)!r} vs {Sigma(hi)!r}")
-    # One power of two for the whole fit keeps its sums from overflowing
-    # and weighs the rows as given.
+    # One power of two for the whole fit: no overflow, rows weighed as given.
     e = math.frexp(max(float(abs(b).max()), float(abs(c).max())))[1]
     b, c = np.ldexp(b, -e), np.ldexp(c, -e)
     return Sigma(float(np.vdot(b, c)) / float(np.vdot(b, b))), rows
@@ -372,12 +369,12 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
             diagnostics=diagnostics,
         )
 
-    mixing = np.array([np.concatenate([s.b, s.c]) for s in splits])
-    mixing = mixing[np.linalg.norm(mixing, axis=1) > tol]
-    if not mixing.size:
+    mixing = [np.concatenate([s.b, s.c]) for s in splits
+              if np.linalg.norm(np.concatenate([s.b, s.c])) > tol]
+    if not mixing:
         return ClassificationResult(OUTCOME_ARISTOTLE, diagnostics=diagnostics)
 
-    mixing_basis = _span_rows(mixing, tol)
+    mixing_basis = _span_rows(np.array(mixing), tol)
     b, c = mixing_basis[:, :n], mixing_basis[:, n:]
     try:
         sigma, rows = _sigma_and_rows(b, c, tol)

@@ -155,13 +155,11 @@ def _cmd_decompose(args) -> int:
         raise ValueError("decompose needs a finite sigma > 0")
     mf = load_matrix_file(args.file)
     entries = []
-    failures = 0
     for matrix in mf.matrices:
         try:
             factors = groups.cartan_decompose(matrix, sigma, tol)
         except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
             entries.append({"error": type(exc).__name__})
-            failures += 1
         else:
             entries.append({
                 "lambda": factors.lam,
@@ -169,7 +167,7 @@ def _cmd_decompose(args) -> int:
                 "Z": factors.Z.ravel().tolist(),
             })
     print(json.dumps(entries, indent=2))
-    return 2 if failures else 0
+    return 2 if any("error" in entry for entry in entries) else 0
 
 
 def _cmd_generate(args) -> int:

@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-_EPS = float(np.finfo(float).eps)
 
 
 class NotInNormalizer(ValueError):
@@ -48,8 +47,7 @@ class NonPositiveLambda(ValueError):
 
 
 class LogarithmFailure(ValueError):
-    """Kept for callers that catch it; no longer raised, since the Cartan
-    factors are computed in closed form without a logarithm."""
+    """No longer raised: the Cartan factors take no logarithm.  Kept for callers."""
 
 
 def k_element(R, eps: int) -> np.ndarray:
@@ -132,6 +130,7 @@ def boost_closed_form(b, sigma) -> np.ndarray:
 def in_K(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether a is a block rotation: off blocks zero, orthogonal spatial
     block, corner of modulus one, each within tol."""
+    a = as_square(a)
     blocks = block_split(a)
     return (float(np.linalg.norm(blocks.b)) <= tol and float(np.linalg.norm(blocks.c)) <= tol
             and _is_rotation_block(blocks, tol))
@@ -145,26 +144,30 @@ def _is_rotation_block(blocks, tol: float) -> bool:
 
 def _scalar_part(a: np.ndarray, sigma: Sigma) -> tuple[float, float, float]:
     """lam = trace(a^dagger a) / (n+1) for the spacetime metric, the
-    residual |a^dagger a - lam I| and the scale |a^dagger| |a| / (n+1): a
-    bound on |lam| that grows like cond(a), as the rounding of a^dagger a
-    does.  Every normalizer verdict compares the residual with tol * scale."""
+    residual |a^dagger a - lam I| and the unit eps |a^dagger| |a| (Frobenius
+    norms), which grows like cond(a): to first order, rounding moves the
+    computed a^dagger a by at most (n+3) units and lam by about 2."""
     n = a.shape[0] - 1
     adj = matcore.dagger(a, Metric(sigma.value, n))
     q = adj @ a
     lam = float(np.trace(q)) / (n + 1)
     resid = op_norm(q - lam * np.eye(n + 1))
-    return lam, resid, op_norm(adj) * op_norm(a) / (n + 1)
+    return lam, resid, math.ulp(1.0) * op_norm(adj) * op_norm(a)
 
 
 def in_normalizer(a, sigma, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Test whether a^dagger a is a positive multiple of the identity.
 
-    Returns (ok, lam) with lam the mean diagonal of a^dagger a; ok requires
-    the off-scalar residual to be at most tol * |a^dagger| |a| / (n+1) and
-    lam > 0, which makes a invertible.  Needs a finite nonzero sigma.
+    Returns (ok, lam) with lam the mean diagonal of a^dagger a.  ok requires
+    the residual to be at most tol * lam plus the rounding bound of
+    a^dagger a, and that bound to be below lam / 4, so the exact a^dagger a
+    is within (tol + 1/2) lam of lam * I and a is invertible.  Members
+    beyond rapidity about 16 are refused.  Needs a finite nonzero sigma.
     """
-    lam, resid, scale = _scalar_part(as_square(a), as_sigma(sigma))
-    return resid <= tol * scale and lam > 0.0, lam
+    a = as_square(a)
+    lam, resid, unit = _scalar_part(a, as_sigma(sigma))
+    noise = (a.shape[0] + 2) * unit
+    return resid <= tol * lam + noise and lam > 4.0 * noise, lam
 
 
 @dataclass
@@ -189,20 +192,20 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     so no logarithm or exponential is taken and the factors lose accuracy
     only like eps * cond(a).  They are unique: a chart for the Lorentz case.
 
-    Raises ValueError unless sigma is finite and positive, NotInNormalizer
-    when :func:`in_normalizer` finds a^dagger a not scalar, and
-    NonPositiveLambda when the scalar is not positive (the zero matrix).
+    Raises ValueError unless sigma is finite and positive, NonPositiveLambda
+    when a^dagger a is a multiple lam <= 0 of I (the zero matrix), and
+    NotInNormalizer whenever else :func:`in_normalizer` refuses a.
     """
     a = as_square(a)
     s = as_sigma(sigma)
     if not (s.is_finite and s.value > 0.0):
         raise ValueError("Cartan decomposition needs sigma > 0")
     n = a.shape[0] - 1
-    lam, resid, scale = _scalar_part(a, s)
-    if resid > tol * scale:
-        raise NotInNormalizer(
-            f"a^dagger a is not a multiple of the identity (residual {resid:.3e})"
-        )
+    lam, resid, unit = _scalar_part(a, s)
+    noise = (n + 3) * unit
+    if resid > tol * abs(lam) + noise or 0.0 < lam <= 4.0 * noise:
+        raise NotInNormalizer(f"a^dagger a is not a resolvable multiple of the identity "
+                              f"(residual {resid:.3e}, rounding bound {noise:.3e})")
     if lam <= 0.0:
         raise NonPositiveLambda(f"scalar part is not positive: {lam:.3e}")
     a = a / math.sqrt(lam)
@@ -243,10 +246,11 @@ def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
 def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool:
     """Whether a belongs to the kinematical group of the given case.
 
-    For Lorentz and Orthogonal the test is a^dagger a = lam * I: the
-    residual as in :func:`in_normalizer`, and lam = 1 within tol plus the
-    rounding of the trace, at most 2 eps |a^dagger| |a|.  Galilei and
-    Carroll are block-triangular shape tests and Aristotle is :func:`in_K`.
+    For Lorentz and Orthogonal the test is a^dagger a = lam * I with the
+    residual as in :func:`in_normalizer` and lam = 1 within tol; a whose
+    lam rounding, about 2 eps |a^dagger| |a|, exceeds tol is refused, which
+    caps the rapidity near 7.  Galilei and Carroll are block-triangular
+    shape tests and Aristotle is :func:`in_K`.
     sigma must match the case; Galilei, Carroll and Aristotle may omit it.
     """
     a = as_square(a)
@@ -256,8 +260,9 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
         return in_K(a, tol)
 
     if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
-        lam, resid, scale = _scalar_part(a, s)
-        return resid <= tol * scale and abs(lam - 1.0) <= tol + 2 * _EPS * a.shape[0] * scale
+        lam, resid, unit = _scalar_part(a, s)
+        return (resid <= tol * abs(lam) + (a.shape[0] + 2) * unit
+                and abs(lam - 1.0) <= tol and 2.0 * unit <= tol)
 
     blocks = block_split(a)
     tied = blocks.c if case is CaseLabel.GALILEI else blocks.b  # Carroll frees c
@@ -272,6 +277,7 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(M)
     Q = Q * np.sign(np.diag(R))
     if rng.random() < 0.5:
+        Q = Q.copy()
         Q[:, 0] = -Q[:, 0]
     return Q
 

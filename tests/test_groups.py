@@ -259,11 +259,6 @@ def test_cartan_validation():
         cartan_decompose(np.eye(3), -1.0)
     with pytest.raises(ValueError):
         cartan_decompose(np.eye(3), 0.0)
-    with pytest.raises(ValueError):
-        cartan_decompose(np.zeros((3, 3)), 1.0)
-
-
-def test_cartan_of_the_zero_matrix_is_non_positive_lambda():
     with pytest.raises(NonPositiveLambda):
         cartan_decompose(np.zeros((3, 3)), 1.0)
 
@@ -431,44 +426,66 @@ def test_membership_frobenius_scale_still_rejects_small_perturbations(case, sigm
 ENVELOPE_SIGMAS = (0.25, 1.0, 4.0, -0.25, -1.0, -4.0)
 
 
-def envelope_members(max_rapidity=30.0, max_angle_norm=5.0):
+def envelope_members(max_rapidity=30.0, max_angle_norm=5.0, min_rapidity=0.0):
     """(case, sigma, w, member) for n = 2, 3, 10 and sigma = +-0.25, +-1,
-    +-4: a random block rotation times a boost of rapidity w up to
-    max_rapidity (sigma > 0), or of norm up to max_angle_norm and angle w
-    (sigma < 0)."""
+    +-4: a random block rotation times a boost of rapidity w from
+    min_rapidity to max_rapidity (sigma > 0), or of norm up to
+    max_angle_norm and angle w (sigma < 0)."""
     rng = np.random.default_rng(53)
     for n in (2, 3, 10):
         for sigma in ENVELOPE_SIGMAS:
             case = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
-            top = max_rapidity if sigma > 0 else max_angle_norm * math.sqrt(-sigma)
-            for w in np.linspace(0.0, top, 7):
+            lo, hi = ((min_rapidity, max_rapidity) if sigma > 0
+                      else (0.0, max_angle_norm * math.sqrt(-sigma)))
+            for w in np.linspace(lo, hi, 7):
                 k = k_element(random_orthogonal(n, rng), 1 if rng.random() < 0.5 else -1)
                 u = rng.standard_normal(n)
                 b = u / np.linalg.norm(u) * w / math.sqrt(abs(sigma))
                 yield case, sigma, float(w), k @ boost_closed_form(b, sigma)
 
 
-def test_membership_envelope_reaches_rapidity_30():
-    for case, sigma, _, g in envelope_members():
+def test_membership_envelope_ends_at_rapidity_7():
+    for case, sigma, _, g in envelope_members(max_rapidity=7.0):
         assert membership(g, case, sigma)
+    # Just beyond, the trace of some members still lands within tol of 1,
+    # but it cannot resolve lam to tol, so every member is refused.
+    for case, sigma, w, g in envelope_members(min_rapidity=7.5, max_rapidity=9.0):
+        assert sigma < 0 or not membership(g, case, sigma), (sigma, w)
+
+
+def test_refusals_up_to_rapidity_30():
+    # Beyond rapidity about 7 the trace cannot resolve lam to tol, and
+    # beyond about 16 a^dagger a is lost in rounding: both are refused, so
+    # no scaled or bumped copy passes anywhere in the range.
+    for case, sigma, w, g in envelope_members():
+        for factor in (0.5, 1.0 + 1e-6, 2.0):
+            assert not membership(factor * g, case, sigma), (sigma, w, factor)
         for rel in (1e-8, 1e-6):
             assert not membership(bump_largest(g, rel), case, sigma)
             assert not in_normalizer(bump_largest(g, rel), sigma)[0]
+        if w >= 17.0:
+            assert not membership(g, case, sigma)
+            assert not in_normalizer(g, sigma)[0]
+            with pytest.raises((NotInNormalizer, NonPositiveLambda)):
+                cartan_decompose(g, sigma)
 
 
-def test_membership_rejects_scaled_members_up_to_rapidity_12():
-    # lam = 1 is held to tol plus the rounding of its trace, not to
-    # tol * scale, which passes 2 g from about rapidity 11 and (1 + 1e-6) g
-    # from about rapidity 4.  The trace cannot resolve 2e-6 in lam beyond
-    # rapidity about 11.
-    for case, sigma, w, g in envelope_members(max_rapidity=12.0):
-        for factor in (0.5, 2.0) if w > 10.0 else (0.5, 1.0 + 1e-6, 2.0):
-            assert not membership(factor * g, case, sigma), (sigma, w, factor)
+def test_a_rank_one_matrix_with_a_nearly_lightlike_column_is_refused():
+    # a^dagger a is tiny next to |a^dagger| |a| here, so a residual bound
+    # in |a^dagger| |a| alone would let this singular matrix pass.
+    a = np.zeros((3, 3))
+    a[0, 2], a[2, 2] = 1.0, 1.0 + 2.0**-34
+    lam = in_normalizer(a, 1.0)[1]
+    for b in (a, a / math.sqrt(lam)):
+        assert not in_normalizer(b, 1.0)[0]
+        assert not membership(b, CaseLabel.LORENTZ, 1.0)
+        with pytest.raises(NotInNormalizer):
+            cartan_decompose(b, 1.0)
 
 
 def test_in_normalizer_envelope_over_lam_from_1e_minus_8_to_1e8():
     eps = np.finfo(float).eps
-    for _, sigma, _, g in envelope_members(max_rapidity=12.0):
+    for _, sigma, _, g in envelope_members(max_rapidity=15.0):
         slack = 64 * eps * np.linalg.cond(g)
         for lam in 10.0 ** np.arange(-8.0, 9.0, 2.0):
             ok, got = in_normalizer(math.sqrt(lam) * g, sigma)
