@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups
-from .classify import CaseLabel
-
 __all__ = [
     "AffineElement",
     "Event",
@@ -23,7 +20,6 @@ __all__ = [
     "act",
     "compose",
     "inverse",
-    "membership_affine",
     "transform_worldline",
 ]
 
@@ -178,9 +174,3 @@ def transform_worldline(g: AffineElement, line: WorldLine) -> WorldLine:
         return WorldLine(p0, direction=delta)
     return WorldLine(p0, velocity=delta[:-1] / dt)
 
-
-def membership_affine(g: AffineElement, case: CaseLabel, sigma=None,
-                      tol: float = groups.DEFAULT_TOL) -> bool:
-    """Whether g belongs to the inhomogeneous group of the given case:
-    the linear part must be a member, the translation is free."""
-    return groups.membership(g.linear, case, sigma, tol)

@@ -1,12 +1,13 @@
 """Classification of generator sets into the five kinematical cases.
 
 A set of generators is accepted when, together with the rotations, it
-spans one of the classical kinematical Lie algebras.  After reducing the
-input to an orthonormal span, the procedure inspects isotypic content:
-scalar or traceless-symmetric contamination is fatal, pure rotation
-content is the Aristotle case, and any mixing content must consist of
-collinear (b, c) pairs sharing a single ratio sigma.  The sign of sigma
-then selects the case:
+spans one of the classical kinematical Lie algebras.  Since the rotations
+are adjoined anyway, only the non-rotation content of the generators can
+decide the case, and only it is examined: one SVD of that content gives an
+orthonormal basis of the non-rotation span.  Scalar or traceless-symmetric
+content in it is fatal, an empty span is the Aristotle case, and the
+mixing content must consist of collinear (b, c) pairs sharing a single
+ratio sigma.  The sign of sigma then selects the case:
 
 * sigma > 0   Lorentz
 * sigma = 0   Galilei
@@ -144,8 +145,11 @@ class ClassificationResult:
 
     outcome is one of "Kinematical" (sigma set), "AristotleOnly" (only
     rotation content) or "NotKinematical" (reason set).  diagnostics holds
-    the worst per-component norms seen across the span basis and related
-    residuals, all plain floats.
+    plain floats: "rank" is the rank of the non-rotation span; "m0", "m2"
+    and "m3" are the largest norms of those components over its
+    orthonormal basis; "m1" is 0.0, since rotation content is dropped
+    before the basis is formed; an accepted set adds "sigma_spread", the
+    range of the per-row sigmas.
     """
 
     outcome: str
@@ -256,31 +260,14 @@ def rotation_generators(n: int) -> list[np.ndarray]:
     return out
 
 
-def _span_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space, by rank-revealing SVD."""
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return vt[:0]
-    keep = s > tol * s[0]
-    return vt[keep]
-
-
-def _span_basis(mats: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the span of the given matrices."""
-    d = mats[0].shape[0]
-    rows = np.array([M.ravel() for M in mats])
-    return [v.reshape(d, d) for v in _span_rows(rows, tol)]
-
-
 def _closure_scan(basis: list[np.ndarray], tol: float) -> tuple[bool, float]:
     """Least-squares test that all pairwise brackets stay in the span.
 
     Returns (closed, worst raw residual).  The boolean compares each
     residual against tol * (1 + |bracket|); the raw residual is reported
     unnormalized so callers can see how far outside the span a bracket
-    lands.
+    lands.  All m (m - 1) / 2 brackets are formed at once, so memory grows
+    like m^2 (n+1)^2.
     """
     if not basis:
         raise ValueError("no basis matrices given")
@@ -288,17 +275,15 @@ def _closure_scan(basis: list[np.ndarray], tol: float) -> tuple[bool, float]:
     d = mats[0].shape[0]
     if any(M.shape[0] != d for M in mats):
         raise ValueError("basis matrices must share one dimension")
-    Q = _span_rows(np.array([M.ravel() for M in mats]), tol)
-    closed = True
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            w = matcore.bracket(mats[i], mats[j]).ravel()
-            resid = float(np.linalg.norm(w - Q.T @ (Q @ w)))
-            worst = max(worst, resid)
-            if resid > tol * (1.0 + float(np.linalg.norm(w))):
-                closed = False
-    return closed, worst
+    stack = np.array(mats)
+    _, s, vt = np.linalg.svd(stack.reshape(len(mats), -1), full_matrices=False)
+    Q = vt[s > tol * s[0]]
+    products = np.einsum("iab,jbc->ijac", stack, stack)
+    i, j = np.triu_indices(len(mats), 1)
+    w = (products[i, j] - products[j, i]).reshape(len(i), d * d)
+    resid = np.linalg.norm(w - (w @ Q.T) @ Q, axis=1)
+    closed = bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))
+    return closed, float(resid.max(initial=0.0))
 
 
 def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
@@ -327,14 +312,22 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
         adjoined implicitly.
     tol : relative tolerance for every internal threshold.
 
-    The steps: orthonormalize the span, split each basis matrix into
-    isotypic components, reject scalar or traceless-symmetric content,
-    then require all mixing content to be collinear with one shared sigma,
-    which :func:`sigma_from_m3` extracts from the whole mixing span at once.
-    That sigma settles the answer: rotations plus its boosts are closed
-    under the bracket for every sigma (see the module docstring), so no
-    closure check is run.  Failures are reported as a result with outcome
-    "NotKinematical", never as an exception.
+    The steps: split each generator into isotypic components and keep its
+    non-rotation part m0 + m2 + m3 as one row of coordinates, isometric to
+    the Frobenius norm.  Rotation content is dropped here, because the
+    rotations are adjoined anyway: span(G + so(n)) = so(n) + span(P G) with
+    P the projection that removes m1.  Rows that are exactly zero, such as
+    those of rotation generators, are dropped too.  One SVD of the rest
+    gives an orthonormal basis of the non-rotation span, keeping singular
+    values above tol times the largest generator norm.  Scalar or
+    traceless-symmetric content in that basis is rejected; what remains
+    is mixing content, which must be collinear with one shared sigma,
+    extracted by :func:`sigma_from_m3` from the basis rows at once.  That
+    sigma settles the answer: rotations plus its boosts are closed under
+    the bracket for every sigma (see the module docstring), so no closure
+    check is run.  No mixing content at all is the Aristotle case.
+    Failures are reported as a result with outcome "NotKinematical", never
+    as an exception.
     """
     mats = [matcore.as_square(G) for G in generators]
     if not mats:
@@ -346,15 +339,18 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
     if n < 2:
         raise ValueError("classification needs at least two space dimensions")
 
-    basis = _span_basis(mats, tol)
+    rows = np.array([np.concatenate(([math.sqrt(n) * p.lam, p.mu], p.m2.ravel(), p.b, p.c))
+                     for p in map(isotypic.split, mats)])
+    rows = rows[rows.any(axis=1)]
+    basis = rows[:0]
+    if len(rows):
+        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+        basis = vt[s > tol * max(float(np.linalg.norm(M)) for M in mats)]
     diagnostics = {"rank": float(len(basis)), "m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 0.0}
-    if not basis:
+    if not len(basis):
         return ClassificationResult(OUTCOME_ARISTOTLE, diagnostics=diagnostics)
-
-    splits = [isotypic.split(B) for B in basis]
-    for s in splits:
-        for key, value in s.norms().items():
-            diagnostics[key] = max(diagnostics[key], value)
+    for key, cols in (("m0", basis[:, :2]), ("m2", basis[:, 2:-2 * n]), ("m3", basis[:, -2 * n:])):
+        diagnostics[key] = float(np.linalg.norm(cols, axis=1).max())
 
     if diagnostics["m0"] > tol:
         return ClassificationResult(
@@ -369,15 +365,8 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
             diagnostics=diagnostics,
         )
 
-    mixing = [np.concatenate([s.b, s.c]) for s in splits
-              if np.linalg.norm(np.concatenate([s.b, s.c])) > tol]
-    if not mixing:
-        return ClassificationResult(OUTCOME_ARISTOTLE, diagnostics=diagnostics)
-
-    mixing_basis = _span_rows(np.array(mixing), tol)
-    b, c = mixing_basis[:, :n], mixing_basis[:, n:]
     try:
-        sigma, rows = _sigma_and_rows(b, c, tol)
+        sigma, rows = _sigma_and_rows(basis[:, -2 * n:-n], basis[:, -n:], tol)
     except NotCollinear as exc:
         return ClassificationResult(
             OUTCOME_NOT_KINEMATICAL, reason=str(exc), diagnostics=diagnostics

@@ -71,8 +71,15 @@ class MatrixFile:
     affine: list = field(default_factory=list)
 
 
+def _read_numbers(entry, where: str) -> np.ndarray:
+    try:
+        return np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a list of numbers") from None
+
+
 def _read_matrix(entry, d: int, where: str) -> np.ndarray:
-    arr = np.asarray(entry, dtype=float)
+    arr = _read_numbers(entry, where)
     if arr.shape == (d * d,):
         arr = arr.reshape(d, d)
     elif arr.shape != (d, d):
@@ -110,7 +117,7 @@ def load_matrix_file(path: str) -> MatrixFile:
         if not isinstance(entry, dict):
             raise ValueError(f"affine[{i}] must be an object")
         linear = _read_matrix(entry.get("linear"), d, f"affine[{i}].linear")
-        translation = np.asarray(entry.get("translation"), dtype=float)
+        translation = _read_numbers(entry.get("translation"), f"affine[{i}].translation")
         if translation.shape != (d,):
             raise ValueError(f"affine[{i}].translation must have length {d}")
         affine_elements.append(AffineElement(linear, translation))

@@ -249,7 +249,8 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
     For Lorentz and Orthogonal the test is a^dagger a = lam * I with the
     residual as in :func:`in_normalizer` and lam = 1 within tol; a whose
     lam rounding, about 2 eps |a^dagger| |a|, exceeds tol is refused, which
-    caps the rapidity near 7.  Galilei and Carroll are block-triangular
+    caps the rapidity near 7.5 at sigma = 1 and lower away from it (1.25 at
+    sigma = 1e-6 or 1e6).  Galilei and Carroll are block-triangular
     shape tests and Aristotle is :func:`in_K`.
     sigma must match the case; Galilei, Carroll and Aristotle may omit it.
     """

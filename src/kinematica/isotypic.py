@@ -23,7 +23,7 @@ import numpy as np
 from . import matcore
 from .matcore import BlockForm, as_square, block_join, block_split
 
-__all__ = ["IsotypicSplit", "ad_rotation", "component_norms", "merge", "split"]
+__all__ = ["IsotypicSplit", "ad_rotation", "merge", "split"]
 
 
 @dataclass
@@ -94,11 +94,6 @@ def merge(parts: IsotypicSplit) -> np.ndarray:
     n = parts.n
     A = parts.lam * np.eye(n) + parts.m1 + parts.m2
     return block_join(BlockForm(A, parts.b, parts.c, parts.mu))
-
-
-def component_norms(Z) -> dict[str, float]:
-    """Frobenius norms of the four components of Z."""
-    return split(Z).norms()
 
 
 def ad_rotation(R, eps: int, Z) -> np.ndarray:

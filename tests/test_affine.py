@@ -10,11 +10,10 @@ from kinematica.affine import (
     act,
     compose,
     inverse,
-    membership_affine,
     transform_worldline,
 )
 from kinematica.classify import CaseLabel
-from kinematica.groups import boost_closed_form, k_element
+from kinematica.groups import boost_closed_form, k_element, membership
 
 
 def galilei_map(v, translation=None):
@@ -194,26 +193,25 @@ def test_transform_worldline_rejects_point_images():
 
 def test_membership_affine_translations():
     g = AffineElement(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert membership_affine(g, CaseLabel.LORENTZ, 1.0)
-    assert membership_affine(g, CaseLabel.GALILEI)
-    assert membership_affine(g, CaseLabel.ORTHOGONAL, -1.0)
-    assert membership_affine(g, CaseLabel.CARROLL)
-    assert membership_affine(g, CaseLabel.ARISTOTLE)
+    assert membership(g.linear, CaseLabel.LORENTZ, 1.0)
+    assert membership(g.linear, CaseLabel.GALILEI)
+    assert membership(g.linear, CaseLabel.ORTHOGONAL, -1.0)
+    assert membership(g.linear, CaseLabel.CARROLL)
+    assert membership(g.linear, CaseLabel.ARISTOTLE)
 
 
 def test_membership_affine_uses_the_linear_part():
     boost = boost_closed_form(np.array([0.6, 0.0]), 1.0)
     g = AffineElement(boost, np.array([0.0, 1.0, 2.0]))
-    assert membership_affine(g, CaseLabel.LORENTZ, 1.0)
-    assert not membership_affine(g, CaseLabel.GALILEI)
+    assert membership(g.linear, CaseLabel.LORENTZ, 1.0)
+    assert not membership(g.linear, CaseLabel.GALILEI)
     shear = np.eye(3)
     shear[0, 1] = 0.3
-    assert not membership_affine(AffineElement(shear, np.zeros(3)),
-                                 CaseLabel.LORENTZ, 1.0)
+    assert not membership(shear, CaseLabel.LORENTZ, 1.0)
 
 
 def test_membership_affine_rotation_with_offset():
     k = k_element(np.array([[0.0, -1.0], [1.0, 0.0]]), -1)
     g = AffineElement(k, np.array([5.0, 0.0, -1.0]))
-    assert membership_affine(g, CaseLabel.ARISTOTLE)
-    assert membership_affine(g, CaseLabel.LORENTZ, 2.0)
+    assert membership(g.linear, CaseLabel.ARISTOTLE)
+    assert membership(g.linear, CaseLabel.LORENTZ, 2.0)

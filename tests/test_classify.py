@@ -21,7 +21,6 @@ from kinematica.classify import (
     sigma_from_m3,
 )
 from kinematica.groups import p_generator
-from kinematica.isotypic import component_norms
 from kinematica.matcore import BlockForm, block_join, bracket
 
 
@@ -326,10 +325,10 @@ def test_classify_each_case():
 
 def test_classify_sigma_sweep():
     # Rotations plus the boosts of one sigma always close, so the sigma
-    # read from the mixing span decides the case on its own.  Nothing is
-    # asserted from 3e3 upward, where finite sigma starts to be lost.
+    # read from the mixing span decides the case on its own.  From about
+    # 1/tol a finite sigma reads as Carroll (README); this grid stops at 1e3.
     rng = np.random.default_rng(25)
-    for n in (2, 3):
+    for n in (2, 3, 10):
         for sigma in _signed_decades(-12.0, 3.0, 0.25) + [Sigma(0.0), SIGMA_INF]:
             result = classify_algebra(_standard_generators(rng, n, sigma))
             assert result.is_kinematical, (n, sigma, result.reason)
@@ -338,6 +337,54 @@ def test_classify_sigma_sweep():
                 assert result.sigma.value == pytest.approx(sigma.value, rel=1e-9)
             else:
                 assert result.sigma.is_infinite
+
+
+def test_classify_takes_one_svd_of_the_non_rotation_rows(monkeypatch):
+    # Rotations are adjoined anyway, so only the non-rotation content of
+    # each generator goes into the one SVD: rotation generators give zero
+    # rows, which are dropped before it.
+    inputs = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(26)
+    scalar = np.eye(3)
+    symmetric = np.diag([1.0, -1.0, 0.0])
+    sets = [(_standard_generators(rng, n, Sigma(s), count=k), k)
+            for n in (2, 3, 10) for s in (1.0, -0.5, 0.0, math.inf, 1e-6) for k in (1, n)]
+    sets += [(rotation_generators(2) + [scalar], 1), (rotation_generators(2) + [symmetric], 1),
+             ([mixing([1.0, 0.0], [0.0, 1.0])], 1)]
+    for gens, non_rotation in sets:
+        before = len(inputs)
+        classify_algebra(gens)
+        assert len(inputs) == before + 1
+        rows = inputs[-1]
+        assert 1 <= rows.shape[0] <= non_rotation
+        assert np.all(np.any(rows != 0.0, axis=1))
+    # rotations alone leave nothing to decompose
+    before = len(inputs)
+    assert classify_algebra(rotation_generators(10)).outcome == "AristotleOnly"
+    assert len(inputs) == before
+
+
+def test_classify_a_boost_plus_a_rotation_is_the_boost_case():
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 10):
+        rotations = rotation_generators(n)
+        for sigma in (Sigma(2.0), Sigma(1e-8), Sigma(-3.0), Sigma(0.0), SIGMA_INF):
+            for scale in (1e-3, 1.0, 1e3):
+                mixed = [scale * rotations[int(rng.integers(len(rotations)))]
+                         + p_generator(rng.standard_normal(n), sigma) for _ in range(2)]
+                for gens in (mixed, rotations + mixed):
+                    result = classify_algebra(gens)
+                    assert result.is_kinematical, (n, sigma, scale, result.reason)
+                    assert case_label(result) is case_of_sigma(sigma)
+                    if sigma.is_finite:
+                        assert result.sigma.value == pytest.approx(sigma.value, rel=1e-12)
 
 
 def test_classify_rotations_only():

@@ -136,6 +136,21 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert cli.main(["classify", str(path)]) == 1
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"n": 2, "matrices": [{"a": 1}]}, "matrices[0]"),
+    ({"n": 2, "matrices": [[[1.0, 2.0, 3.0], {"a": 1}, [7.0, 8.0, 9.0]]]}, "matrices[0]"),
+    ({"n": 2, "matrices": [],
+      "affine": [{"linear": np.eye(3).ravel().tolist(), "translation": {"t": 1.0}}]},
+     "affine[0].translation"),
+])
+def test_classify_object_where_numbers_belong_is_an_error(tmp_path, capsys, payload, field):
+    path = write_file(tmp_path, payload)
+    assert cli.main(["classify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main([]) == 1
     assert cli.main(["no-such-command"]) == 1

@@ -89,7 +89,7 @@ def test_component_norms_derive_from_parts():
     rng = np.random.default_rng(14)
     M = rng.standard_normal((4, 4))
     s = isotypic.split(M)
-    norms = isotypic.component_norms(M)
+    norms = s.norms()
     assert norms["m0"] == pytest.approx(np.sqrt(3 * s.lam**2 + s.mu**2))
     assert norms["m1"] == pytest.approx(np.linalg.norm(s.m1))
     assert norms["m2"] == pytest.approx(np.linalg.norm(s.m2))
@@ -121,8 +121,8 @@ def test_ad_rotation_preserves_component_norms():
     rng = np.random.default_rng(16)
     M = rng.standard_normal((4, 4))
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    before = isotypic.component_norms(M)
-    after = isotypic.component_norms(isotypic.ad_rotation(Q, -1, M))
+    before = isotypic.split(M).norms()
+    after = isotypic.split(isotypic.ad_rotation(Q, -1, M)).norms()
     for key in before:
         assert after[key] == pytest.approx(before[key], abs=1e-11)
 
