@@ -64,7 +64,8 @@ def _sigma_json(sigma: Sigma | None):
 @dataclass
 class MatrixFile:
     """Parsed contents of the JSON matrix format: the space dimension n,
-    a list of (n+1) x (n+1) matrices, and optional affine elements."""
+    a list (or an (m, n+1, n+1) stack) of (n+1) x (n+1) matrices, and
+    optional affine elements."""
 
     n: int
     matrices: list = field(default_factory=list)
@@ -74,6 +75,8 @@ class MatrixFile:
 def _read_numbers(entry, where: str) -> np.ndarray:
     try:
         return np.asarray(entry, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{where} has entries too large for a float") from None
     except (TypeError, ValueError):
         raise ValueError(f"{where} must be a list of numbers") from None
 
@@ -88,6 +91,20 @@ def _read_matrix(entry, d: int, where: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{where} has non-finite entries")
     return arr
+
+
+def _read_matrices(raw: list, d: int) -> list:
+    """The matrices of the file, converted in one go.  When that does not
+    give finite d x d matrices, each entry is read on its own, so that the
+    error names the entry at fault."""
+    try:
+        stack = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stack = None
+    if (stack is not None and stack.shape[1:] in ((d * d,), (d, d))
+            and np.isfinite(stack).all()):
+        return list(stack.reshape(-1, d, d))
+    return [_read_matrix(entry, d, f"matrices[{i}]") for i, entry in enumerate(raw)]
 
 
 def load_matrix_file(path: str) -> MatrixFile:
@@ -107,8 +124,7 @@ def load_matrix_file(path: str) -> MatrixFile:
     raw = data.get("matrices", [])
     if not isinstance(raw, list):
         raise ValueError('"matrices" must be a list')
-    matrices = [_read_matrix(entry, d, f"matrices[{i}]")
-                for i, entry in enumerate(raw)]
+    matrices = _read_matrices(raw, d)
     affine_elements = []
     raw_affine = data.get("affine", [])
     if not isinstance(raw_affine, list):
@@ -120,14 +136,16 @@ def load_matrix_file(path: str) -> MatrixFile:
         translation = _read_numbers(entry.get("translation"), f"affine[{i}].translation")
         if translation.shape != (d,):
             raise ValueError(f"affine[{i}].translation must have length {d}")
+        if not np.isfinite(translation).all():
+            raise ValueError(f"affine[{i}].translation has non-finite entries")
         affine_elements.append(AffineElement(linear, translation))
     return MatrixFile(n=n, matrices=matrices, affine=affine_elements)
 
 
 def dump_matrix_file(mf: MatrixFile) -> dict:
     """JSON-ready dictionary in the same schema load_matrix_file reads."""
-    out = {"n": mf.n, "matrices": [np.asarray(m).ravel().tolist()
-                                   for m in mf.matrices]}
+    out = {"n": mf.n, "matrices": np.asarray(mf.matrices, dtype=float)
+           .reshape(-1, (mf.n + 1) ** 2).tolist()}
     if mf.affine:
         out["affine"] = [
             {"linear": g.linear.ravel().tolist(),
@@ -135,6 +153,18 @@ def dump_matrix_file(mf: MatrixFile) -> dict:
             for g in mf.affine
         ]
     return out
+
+
+def _json_lines(value) -> str:
+    """JSON text with each item of a list on a line of its own, for a list
+    at the top level or in a top-level object.  Each line is encoded
+    without indentation, which json does in C."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_json_lines(item)}"
+                               for key, item in value.items()) + "}"
+    if isinstance(value, list) and value:
+        return "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
+    return json.dumps(value)
 
 
 def _cmd_classify(args) -> int:
@@ -173,7 +203,7 @@ def _cmd_decompose(args) -> int:
                 "k": factors.k.ravel().tolist(),
                 "Z": factors.Z.ravel().tolist(),
             })
-    print(json.dumps(entries, indent=2))
+    print(_json_lines(entries))
     return 2 if any("error" in entry for entry in entries) else 0
 
 
@@ -184,14 +214,12 @@ def _cmd_generate(args) -> int:
         raise ValueError("--n must be at least 2")
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
-    if args.boost_bound < 0:
-        raise ValueError("--boost-bound must be nonnegative")
+    if not 0.0 <= args.boost_bound < math.inf:
+        raise ValueError("--boost-bound must be finite and nonnegative")
     _check_pairing(case, sigma)
-    matrices = [
-        groups.random_element(case, sigma, args.n, args.boost_bound, args.seed + i)
-        for i in range(args.count)
-    ]
-    print(json.dumps(dump_matrix_file(MatrixFile(args.n, matrices)), indent=2))
+    matrices = groups.random_element(case, sigma, args.n, args.boost_bound,
+                                     range(args.seed, args.seed + args.count))
+    print(_json_lines(dump_matrix_file(MatrixFile(args.n, matrices))))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Group elements of the five kinematical groups and their factorizations.
 
-Elements are plain (n+1) x (n+1) arrays.  The building blocks are block
-rotations diag(R, eps) and one-parameter boosts exp of a mixing generator,
-for which closed forms exist in every sigma regime, and so does the
+Elements are plain (n+1) x (n+1) arrays; boosts and random members also
+come as (m, n+1, n+1) stacks, one per row or seed.  The building blocks
+are block rotations diag(R, eps) and one-parameter boosts exp of a mixing
+generator, for which closed forms exist in every sigma regime, and so does the
 polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) for sigma > 0.
 Lorentz and Orthogonal membership is the normalizer test a^dagger a = I;
 the remaining cases reduce to block-triangular shape checks.
@@ -11,6 +12,7 @@ the remaining cases reduce to block-triangular shape checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+_MAX_RAPIDITY = math.acosh(sys.float_info.max)  # the largest with a finite cosh
 
 
 class NotInNormalizer(ValueError):
@@ -92,38 +95,44 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     sigma > 0 gives the familiar cosh/sinh boost along b, sigma < 0 a
     rotation mixing b with time (periodic in |b|), and sigma = 0 or
     infinity a shear (the generator squares to zero).  b = 0 returns the
-    identity.  Raises ValueError when the rapidity |b| sqrt(sigma) is too
-    large for cosh to be represented.
+    identity.  b may be one vector of shape (n,) or a stack of shape
+    (..., n); the result has shape (n+1, n+1) or (..., n+1, n+1), and each
+    matrix of a stack is the boost of its own row.  Raises ValueError when
+    a rapidity |b| sqrt(sigma) is too large for cosh to be represented.
     """
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size < 1:
-        raise ValueError("b must be a nonempty vector")
+    if b.ndim < 1 or b.shape[-1] < 1:
+        raise ValueError("b must be a nonempty vector or a stack of them")
     s = as_sigma(sigma)
-    n = b.size
+    n = b.shape[-1]
+    out = np.zeros(b.shape[:-1] + (n + 1, n + 1))
+    flat = out.reshape(b.shape[:-1] + ((n + 1) ** 2,))
     if s.is_infinite or s.value == 0.0:
-        return np.eye(n + 1) + p_generator(b, s)
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return np.eye(n + 1)
-    u = b / beta
-    out = np.eye(n + 1)
-    uu = np.outer(u, u)
+        flat[..., ::n + 2] = 1.0
+        if s.is_infinite:
+            out[..., n, :n] = b
+        else:
+            out[..., :n, n] = b
+        return out
+    beta = np.sqrt(np.vecdot(b, b))  # np.linalg.norm of one vector, bit for bit
+    root = math.sqrt(abs(s.value))
+    w = beta * root
     if s.value > 0.0:
-        w = beta * math.sqrt(s.value)
-        try:
-            ch, sh = math.cosh(w), math.sinh(w)
-        except OverflowError:
-            raise ValueError(f"boost rapidity {w:.6g} overflows cosh") from None
-        out[:n, :n] += (ch - 1.0) * uu
-        out[:n, n] = sh / math.sqrt(s.value) * u
-        out[n, :n] = sh * math.sqrt(s.value) * u
-        out[n, n] = ch
+        if (w > _MAX_RAPIDITY).any():
+            raise ValueError(f"boost rapidity {w.max():.6g} overflows cosh")
+        ch, sh, lift = np.cosh(w), np.sinh(w), root
     else:
-        theta = beta * math.sqrt(-s.value)
-        out[:n, :n] += (math.cos(theta) - 1.0) * uu
-        out[:n, n] = math.sin(theta) / math.sqrt(-s.value) * u
-        out[n, :n] = -math.sin(theta) * math.sqrt(-s.value) * u
-        out[n, n] = math.cos(theta)
+        ch, sh, lift = np.cos(w), np.sin(w), -root
+    # Transposed, the stack axes come last, so the per-row scalars broadcast
+    # as they are (plain numpy scalars for one b).  A zero row gives u = 0
+    # and so the identity.
+    t = out.T
+    u = b.T / (beta + (beta == 0.0)).T
+    np.multiply((ch - 1.0).T * u[:, None], u[None, :], out=t[:n, :n])
+    flat[..., :n * (n + 2):n + 2] += 1.0
+    np.multiply((sh / root).T, u, out=t[n, :n])
+    np.multiply((sh * lift).T, u, out=t[:n, n])
+    t[n, n] = ch.T
     return out
 
 
@@ -271,39 +280,59 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
             and _is_rotation_block(blocks, tol))
 
 
+def _haar(M: np.ndarray, flip) -> np.ndarray:
+    """Orthonormalize each matrix of the stack M by QR, with the signs that
+    make the draw Haar distributed, times flip (+-1) on the first column."""
+    Q, R = np.linalg.qr(M)
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
+    signs[..., 0] *= flip
+    return Q * signs[..., None, :]
+
+
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an orthogonal matrix: orthonormalize a Gaussian sample, then
     randomize the sign of the determinant."""
-    M = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.diag(R))
-    if rng.random() < 0.5:
-        Q = Q.copy()
-        Q[:, 0] = -Q[:, 0]
-    return Q
+    return _haar(rng.standard_normal((n, n)), -1.0 if rng.random() < 0.5 else 1.0)
 
 
 def random_element(case: CaseLabel, sigma=None, n: int = 2,
-                   boost_bound: float = 1.0, seed: int = 0) -> np.ndarray:
+                   boost_bound: float = 1.0, seed=0) -> np.ndarray:
     """Deterministic random member of the given group: a random block
-    rotation times a boost of norm at most ``boost_bound``.
+    rotation diag(Q, +-1) times a boost of norm at most ``boost_bound``
+    (none for Aristotle).
 
-    The same arguments always produce the same element.
+    ``seed`` is an int, giving one (n+1) x (n+1) member, or a sequence of
+    m ints, giving an (m, n+1, n+1) stack whose i-th matrix is the member
+    for ``seed[i]``, bit for bit.  The same arguments always produce the
+    same element.
     """
     if n < 2:
         raise ValueError("need at least two space dimensions")
-    if boost_bound < 0:
-        raise ValueError("boost_bound must be nonnegative")
+    if not 0.0 <= boost_bound < math.inf:
+        raise ValueError("boost_bound must be finite and nonnegative")
     s = _check_pairing(case, sigma)
-    rng = np.random.default_rng(seed)
-    R = random_orthogonal(n, rng)
-    eps = 1 if rng.random() < 0.5 else -1
-    k = k_element(R, eps)
-    if case is CaseLabel.ARISTOTLE:
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    stack = () if single else (len(seeds),)
+    # Per seed, in the order drawn: the Gaussian sample for Q, the sign of
+    # Q's first column, eps, the boost direction and the boost size.  One
+    # seed takes the same steps on arrays without the stack axis.
+    gauss = np.empty(stack + (n + 1, n))
+    draws = np.empty(stack + (3,))
+    for one, g, d in zip(seeds, gauss.reshape(-1, n + 1, n), draws.reshape(-1, 3)):
+        rng = np.random.default_rng(one)
+        rng.standard_normal(out=g[:n])
+        d[0] = -1.0 if rng.random() < 0.5 else 1.0
+        d[1] = 1.0 if rng.random() < 0.5 else -1.0
+        if s is not None:
+            rng.standard_normal(out=g[n])
+            d[2] = rng.random()
+    k = np.zeros(stack + (n + 1, n + 1))
+    k[..., :n, :n] = _haar(gauss[..., :n, :], draws[..., 0])
+    k[..., n, n] = draws[..., 1]
+    if s is None or boost_bound == 0.0:  # Aristotle, or no boost asked for
         return k
-    direction = rng.standard_normal(n)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0 or boost_bound == 0.0:
-        return k
-    b = direction / norm * (boost_bound * rng.random())
+    direction = gauss[..., n, :]
+    b = (direction / np.sqrt(np.vecdot(direction, direction))[..., None]
+         * (boost_bound * draws[..., 2])[..., None])
     return k @ boost_closed_form(b, s)

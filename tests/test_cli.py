@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import kinematica
-from kinematica import cli
+from kinematica import cli, groups
 from kinematica.affine import AffineElement
 from kinematica.classify import CaseLabel, rotation_generators
-from kinematica.groups import boost_closed_form, membership, p_generator
+from kinematica.groups import (boost_closed_form, cartan_decompose, membership,
+                               p_generator, random_element)
 from kinematica.matcore import mat_exp
 
 
@@ -151,6 +152,33 @@ def test_classify_object_where_numbers_belong_is_an_error(tmp_path, capsys, payl
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_translation_is_an_error(tmp_path, capsys, bad):
+    payload = {"n": 2, "matrices": [],
+               "affine": [{"linear": np.eye(3).ravel().tolist(), "translation": [0.0, bad, 0.0]}]}
+    path = write_file(tmp_path, payload)
+    with pytest.raises(ValueError, match=r"affine\[0\]\.translation has non-finite entries"):
+        cli.load_matrix_file(path)
+    assert cli.main(["classify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("index, entry, message", [
+    (2, [math.inf] + [0.0] * 8, "matrices[2] has non-finite entries"),
+    (1, [1.0, 2.0], "matrices[1] must hold 9 row-major entries"),
+    (3, {"a": 1}, "matrices[3] must be a list of numbers"),
+    (2, [10**400] + [0] * 8, "matrices[2] has entries too large for a float"),
+])
+def test_load_names_the_bad_matrix_among_good_ones(tmp_path, index, entry, message):
+    matrices = [np.eye(3).ravel().tolist() for _ in range(4)]
+    matrices[index] = entry
+    path = write_file(tmp_path, {"n": 2, "matrices": matrices})
+    with pytest.raises(ValueError) as info:
+        cli.load_matrix_file(path)
+    assert str(info.value).startswith(message)
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main([]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -243,9 +271,77 @@ def test_generate_validation_errors(capsys):
                      "--n", "1"]) == 1
     assert cli.main(["generate", "--case", "lorentz", "--sigma", "1",
                      "--count", "-2"]) == 1
-    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1",
-                     "--boost-bound", "-1"]) == 1
+    for bound in ("-1", "inf", "nan"):
+        assert cli.main(["generate", "--case", "lorentz", "--sigma", "1",
+                         "--boost-bound", bound]) == 1
     capsys.readouterr()
+
+
+def test_generate_seeds_beyond_64_bits(capsys):
+    seed = 2**70
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                     "--count", "2", "--seed", str(seed)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["matrices"] == [
+        random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, seed + i).ravel().tolist() for i in range(2)]
+
+
+def test_generate_count_zero_prints_no_matrices(capsys):
+    assert cli.main(["generate", "--case", "galilei", "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 2, "matrices": []}
+
+
+def test_generate_negative_seed_is_an_error(capsys):
+    assert cli.main(["generate", "--case", "galilei", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_generate_overflow_in_a_large_batch_is_an_error(capsys):
+    code = cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                     "--count", "50", "--boost-bound", "1000", "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: boost rapidity") and "overflows cosh" in err
+
+
+def test_generate_draws_the_whole_batch_in_one_call(capsys, monkeypatch):
+    calls = []
+    real = groups.random_element
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "random_element", counted)
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                     "--count", "1000", "--seed", "5"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["matrices"]) == 1000
+    assert len(calls) == 1
+
+
+def test_generate_and_decompose_print_the_same_values_one_per_line(tmp_path, capsys):
+    # The values are those of one call per seed and one decomposition per
+    # matrix; the text puts each matrix or entry on a line of its own.
+    count, seed = 5, 21
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                     "--count", str(count), "--seed", str(seed)]) == 0
+    text = capsys.readouterr().out
+    members = [random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, seed + i) for i in range(count)]
+    assert json.loads(text) == {"n": 3, "matrices": [g.ravel().tolist() for g in members]}
+    assert len(text.splitlines()) == count + 2
+
+    path = tmp_path / "members.json"
+    path.write_text(text)
+    assert cli.main(["decompose", str(path), "--sigma", "1"]) == 0
+    text = capsys.readouterr().out
+    expected = []
+    for g in cli.load_matrix_file(str(path)).matrices:
+        factors = cartan_decompose(g, 1.0)
+        expected.append({"lambda": factors.lam, "k": factors.k.ravel().tolist(),
+                         "Z": factors.Z.ravel().tolist()})
+    assert json.loads(text) == expected
+    assert len(text.splitlines()) == count + 2
 
 
 def test_generate_overflowing_rapidity_is_an_error(capsys):

@@ -88,6 +88,36 @@ def test_boost_overflow_names_the_rapidity():
     assert np.isfinite(boost_closed_form(np.array([700.0, 0.0]), 1.0)).all()
 
 
+def test_boost_of_a_stack_is_the_boost_of_each_row():
+    rng = np.random.default_rng(31)
+    for sigma in ALL_SIGMAS:
+        for n in (2, 3, 10):
+            rows = rng.standard_normal((6, n)) * rng.uniform(0.0, 3.0, (6, 1))
+            stack = boost_closed_form(rows, sigma)
+            assert stack.shape == (6, n + 1, n + 1)
+            deep = boost_closed_form(rows.reshape(2, 3, n), sigma)
+            assert deep.shape == (2, 3, n + 1, n + 1)
+            for i, b in enumerate(rows):
+                np.testing.assert_array_equal(stack[i], boost_closed_form(b, sigma))
+                np.testing.assert_array_equal(deep[i // 3, i % 3], stack[i])
+
+
+def test_boost_of_a_zero_row_in_a_stack_is_the_identity():
+    rows = np.array([[0.4, -0.3, 0.1], [0.0, 0.0, 0.0], [-2.0, 0.5, 1.0]])
+    for sigma in ALL_SIGMAS:
+        np.testing.assert_array_equal(boost_closed_form(rows, sigma)[1], np.eye(4))
+
+
+def test_boost_overflow_anywhere_in_a_stack_is_an_error():
+    for where in range(3):
+        rows = np.full((3, 2), 0.1)
+        rows[where, 0] = 1e4
+        with pytest.raises(ValueError, match="rapidity"):
+            boost_closed_form(rows, 1.0)
+    with pytest.raises(ValueError):
+        boost_closed_form(np.zeros((3, 0)), 1.0)
+
+
 def test_boost_matches_series_exponential():
     # dual route: the closed form against the generic matrix exponential
     rng = np.random.default_rng(30)
@@ -521,19 +551,74 @@ def test_random_element_is_deterministic():
     assert not np.array_equal(a, c)
 
 
+RANDOM_SPECS = [
+    (CaseLabel.LORENTZ, 0.5),
+    (CaseLabel.ORTHOGONAL, -2.0),
+    (CaseLabel.GALILEI, None),
+    (CaseLabel.CARROLL, None),
+    (CaseLabel.ARISTOTLE, None),
+]
+
+
 def test_random_element_membership():
-    specs = [
-        (CaseLabel.LORENTZ, 0.5),
-        (CaseLabel.GALILEI, None),
-        (CaseLabel.ORTHOGONAL, -2.0),
-        (CaseLabel.CARROLL, None),
-        (CaseLabel.ARISTOTLE, None),
-    ]
     for n in (2, 3):
         for seed in range(5):
-            for case, sigma in specs:
+            for case, sigma in RANDOM_SPECS:
                 a = random_element(case, sigma, n=n, boost_bound=1.5, seed=seed)
                 assert membership(a, case, sigma, tol=1e-8)
+
+
+@pytest.mark.parametrize("case, sigma", RANDOM_SPECS)
+def test_random_element_stack_matches_single_seeds(case, sigma):
+    for n in (2, 3, 10):
+        for seeds in ([4, 0, 2**70, 17], range(100, 105)):
+            stack = random_element(case, sigma, n, 1.5, seeds)
+            assert stack.shape == (len(seeds), n + 1, n + 1)
+            for i, seed in enumerate(seeds):
+                np.testing.assert_array_equal(stack[i], random_element(case, sigma, n, 1.5, seed))
+    assert random_element(case, sigma, 3, 1.5, []).shape == (0, 4, 4)
+
+
+def one_seed_reference(case, sigma, n, bound, seed):
+    """A member drawn seed by seed with math's cosh and sinh, the way
+    random_element drew them before it took stacks of seeds."""
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    if rng.random() < 0.5:
+        Q[:, 0] = -Q[:, 0]
+    k = np.zeros((n + 1, n + 1))
+    k[:n, :n], k[n, n] = Q, (1.0 if rng.random() < 0.5 else -1.0)
+    if case is CaseLabel.ARISTOTLE or bound == 0.0:
+        return k
+    direction = rng.standard_normal(n)
+    b = direction / np.linalg.norm(direction) * (bound * rng.random())
+    boost = np.eye(n + 1)
+    if case is CaseLabel.CARROLL:
+        boost[n, :n] = b
+    elif case is CaseLabel.GALILEI:
+        boost[:n, n] = b
+    else:
+        beta, root = np.linalg.norm(b), math.sqrt(abs(sigma))
+        u, w = b / beta, beta * root
+        ch, sh = (math.cosh(w), math.sinh(w)) if sigma > 0 else (math.cos(w), math.sin(w))
+        boost[:n, :n] += (ch - 1.0) * np.outer(u, u)
+        boost[:n, n] = sh / root * u
+        boost[n, :n] = (sh * root if sigma > 0 else -sh * root) * u
+        boost[n, n] = ch
+    return k @ boost
+
+
+@pytest.mark.parametrize("case, sigma", RANDOM_SPECS)
+def test_random_element_matches_the_one_seed_reference(case, sigma):
+    # numpy's cosh and sinh may differ from math's in the last bit or two.
+    eps = np.finfo(float).eps
+    for n in (2, 3, 10):
+        for bound in (0.0, 1.5, 5.0):
+            for seed in range(20):
+                want = one_seed_reference(case, sigma, n, bound, seed)
+                got = random_element(case, sigma, n, bound, seed)
+                assert np.abs(got - want).max() <= 8 * eps * np.abs(want).max()
 
 
 def test_random_element_zero_bound_is_rotational():
@@ -544,7 +629,8 @@ def test_random_element_zero_bound_is_rotational():
 def test_random_element_validation():
     with pytest.raises(ValueError):
         random_element(CaseLabel.LORENTZ, 1.0, n=1)
-    with pytest.raises(ValueError):
-        random_element(CaseLabel.LORENTZ, 1.0, boost_bound=-1.0)
+    for bound in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="boost_bound"):
+            random_element(CaseLabel.LORENTZ, 1.0, boost_bound=bound)
     with pytest.raises(ValueError):
         random_element(CaseLabel.ARISTOTLE, 1.0)
