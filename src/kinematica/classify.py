@@ -179,33 +179,37 @@ def collinearity_defect(b, c) -> float:
 
     This is also the corner entry of the doubled commutator of the mixing
     generator with the rotation it generates, which is how the tests pin
-    it down from the algebra side.
+    it down from the algebra side.  Formed on the pair divided by a power
+    of two, it is inf only when the defect is beyond the float range.
     """
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    bb = float(b @ b)
-    cc = float(c @ c)
-    bc = float(b @ c)
-    return 2.0 * (bb * cc - bc * bc)
+    _, _, _, defect, e = next(_scaled_products(*np.atleast_2d(b, c)))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(defect, 4 * e))
+
+
+def _scaled_products(b: np.ndarray, c: np.ndarray):
+    """Yield (b.b, c.c, b.c, defect, e) for each row pair of b and c, taken
+    after dividing the pair by its own power of two 2**e.  The division is
+    exact and keeps |b|^2 |c|^2 from overflowing or underflowing."""
+    e = np.frexp(np.maximum(abs(b), abs(c)).max(axis=1, initial=0.0))[1]
+    for bi, ci, ei in zip(np.ldexp(b, -e[:, np.newaxis]), np.ldexp(c, -e[:, np.newaxis]),
+                          e.tolist()):
+        bb, cc, bc = float(bi @ bi), float(ci @ ci), float(bi @ ci)
+        yield bb, cc, bc, 2.0 * (bb * cc - bc * bc), ei
 
 
 def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
     """Sigma of each collinear mixing pair (one pair per row of b and c),
     inf for a Carroll row, where b is negligible against c."""
-    # Dividing each row by its own power of two 2**e is exact and keeps
-    # |b|^2 |c|^2 from overflowing or underflowing.  The bound's absolute
-    # term 1 becomes 2**(-4 e), capped at 2**1000 (a defect is at most 2 n^2).
-    e = np.frexp(np.maximum(abs(b), abs(c)).max(axis=1, initial=0.0))[1]
+    # On the scaled pair the bound's absolute term 1 becomes 2**(-4 e),
+    # capped at 2**1000 (a scaled defect is at most 2 n^2).
     out = []
-    for bi, ci, ei in zip(np.ldexp(b, -e[:, np.newaxis]), np.ldexp(c, -e[:, np.newaxis]),
-                          e.tolist()):
-        bb, cc, bc = float(bi @ bi), float(ci @ ci), float(bi @ ci)
+    for bb, cc, bc, defect, e in _scaled_products(b, c):
         if bb == 0.0 and cc == 0.0:
             raise ZeroGenerator("mixing vectors are both zero")
         nb, nc = math.sqrt(bb), math.sqrt(cc)
         size = nb * nb * nc * nc
-        defect = 2.0 * (bb * cc - bc * bc)
-        if defect > tol * (math.ldexp(1.0, min(-4 * ei, 1000)) + size):
+        if defect > tol * (math.ldexp(1.0, min(-4 * e, 1000)) + size):
             raise NotCollinear(f"mixing vectors are not collinear (relative defect "
                                f"{defect / size:.3e})")
         out.append(bc / (nb * nb) if nb > tol * nc else math.inf)
@@ -260,7 +264,7 @@ def rotation_generators(n: int) -> list[np.ndarray]:
     return out
 
 
-def _closure_scan(basis: list[np.ndarray], tol: float) -> tuple[bool, float]:
+def _closure_scan(basis, tol: float) -> tuple[bool, float]:
     """Least-squares test that all pairwise brackets stay in the span.
 
     Returns (closed, worst raw residual).  The boolean compares each
@@ -269,17 +273,12 @@ def _closure_scan(basis: list[np.ndarray], tol: float) -> tuple[bool, float]:
     lands.  All m (m - 1) / 2 brackets are formed at once, so memory grows
     like m^2 (n+1)^2.
     """
-    if not basis:
-        raise ValueError("no basis matrices given")
-    mats = [matcore.as_square(B) for B in basis]
-    d = mats[0].shape[0]
-    if any(M.shape[0] != d for M in mats):
-        raise ValueError("basis matrices must share one dimension")
-    stack = np.array(mats)
-    _, s, vt = np.linalg.svd(stack.reshape(len(mats), -1), full_matrices=False)
+    stack = matcore.as_square_stack(list(basis))
+    d = stack.shape[-1]
+    _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
     Q = vt[s > tol * s[0]]
     products = np.einsum("iab,jbc->ijac", stack, stack)
-    i, j = np.triu_indices(len(mats), 1)
+    i, j = np.triu_indices(len(stack), 1)
     w = (products[i, j] - products[j, i]).reshape(len(i), d * d)
     resid = np.linalg.norm(w - (w @ Q.T) @ Q, axis=1)
     closed = bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))
@@ -291,13 +290,13 @@ def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
 
     Rank-deficient inputs are fine: the span is what is tested.
     """
-    closed, _ = _closure_scan(list(basis), tol)
+    closed, _ = _closure_scan(basis, tol)
     return closed
 
 
 def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
     """Largest distance of any pairwise bracket from the span of ``basis``."""
-    _, worst = _closure_scan(list(basis), tol)
+    _, worst = _closure_scan(basis, tol)
     return worst
 
 
@@ -312,9 +311,10 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
         adjoined implicitly.
     tol : relative tolerance for every internal threshold.
 
-    The steps: split each generator into isotypic components and keep its
-    non-rotation part m0 + m2 + m3 as one row of coordinates, isometric to
-    the Frobenius norm.  Rotation content is dropped here, because the
+    The steps: stack the generators, split the stack into isotypic
+    components in one call and keep each generator's non-rotation part
+    m0 + m2 + m3 as one row of coordinates, isometric to the Frobenius
+    norm.  Rotation content is dropped here, because the
     rotations are adjoined anyway: span(G + so(n)) = so(n) + span(P G) with
     P the projection that removes m1.  Rows that are exactly zero, such as
     those of rotation generators, are dropped too.  One SVD of the rest
@@ -329,41 +329,32 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
     Failures are reported as a result with outcome "NotKinematical", never
     as an exception.
     """
-    mats = [matcore.as_square(G) for G in generators]
-    if not mats:
-        raise ValueError("no generators given")
-    d = mats[0].shape[0]
-    if any(M.shape[0] != d for M in mats):
-        raise ValueError("generators must share one dimension")
-    n = d - 1
+    stack = matcore.as_square_stack(list(generators))
+    m, n = len(stack), stack.shape[-1] - 1
     if n < 2:
         raise ValueError("classification needs at least two space dimensions")
 
-    rows = np.array([np.concatenate(([math.sqrt(n) * p.lam, p.mu], p.m2.ravel(), p.b, p.c))
-                     for p in map(isotypic.split, mats)])
+    flat = stack.reshape(m, -1)
+    scale = math.sqrt(np.vecdot(flat, flat).max())
+    parts = isotypic.split(stack)
+    rows = np.concatenate((math.sqrt(n) * parts.lam[:, np.newaxis], parts.mu[:, np.newaxis],
+                           parts.m2.reshape(m, -1), parts.b, parts.c), axis=1)
+    del stack, flat, parts  # free the matrices before the SVD
     rows = rows[rows.any(axis=1)]
     basis = rows[:0]
     if len(rows):
         _, s, vt = np.linalg.svd(rows, full_matrices=False)
-        basis = vt[s > tol * max(float(np.linalg.norm(M)) for M in mats)]
+        basis = vt[s > tol * scale]
     diagnostics = {"rank": float(len(basis)), "m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 0.0}
     if not len(basis):
         return ClassificationResult(OUTCOME_ARISTOTLE, diagnostics=diagnostics)
     for key, cols in (("m0", basis[:, :2]), ("m2", basis[:, 2:-2 * n]), ("m3", basis[:, -2 * n:])):
         diagnostics[key] = float(np.linalg.norm(cols, axis=1).max())
 
-    if diagnostics["m0"] > tol:
-        return ClassificationResult(
-            OUTCOME_NOT_KINEMATICAL,
-            reason=f"scalar (m0) content present: norm {diagnostics['m0']:.3e}",
-            diagnostics=diagnostics,
-        )
-    if diagnostics["m2"] > tol:
-        return ClassificationResult(
-            OUTCOME_NOT_KINEMATICAL,
-            reason=f"traceless symmetric (m2) content present: norm {diagnostics['m2']:.3e}",
-            diagnostics=diagnostics,
-        )
+    for key, content in (("m0", "scalar"), ("m2", "traceless symmetric")):
+        if diagnostics[key] > tol:
+            return ClassificationResult(OUTCOME_NOT_KINEMATICAL, diagnostics=diagnostics, reason=(
+                f"{content} ({key}) content present: norm {diagnostics[key]:.3e}"))
 
     try:
         sigma, rows = _sigma_and_rows(basis[:, -2 * n:-n], basis[:, -n:], tol)

@@ -26,7 +26,6 @@ from . import classify as classify_mod
 from . import groups, verify
 from .affine import AffineElement
 from .classify import CaseLabel, SIGMA_INF, Sigma
-from .groups import _check_pairing
 
 __all__ = ["MatrixFile", "dump_matrix_file", "load_matrix_file", "main"]
 
@@ -36,7 +35,7 @@ _CASE_NAMES = {label.value.lower(): label for label in CaseLabel}
 def _default_tol() -> float:
     text = os.environ.get("KINEMATICA_TOL")
     if text is None:
-        return 1e-9
+        return classify_mod.DEFAULT_TOL
     try:
         value = float(text)
     except ValueError:
@@ -210,13 +209,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_generate(args) -> int:
     case = _CASE_NAMES[args.case]
     sigma = _parse_sigma(args.sigma) if args.sigma is not None else None
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
-    if not 0.0 <= args.boost_bound < math.inf:
-        raise ValueError("--boost-bound must be finite and nonnegative")
-    _check_pairing(case, sigma)
     matrices = groups.random_element(case, sigma, args.n, args.boost_bound,
                                      range(args.seed, args.seed + args.count))
     print(_json_lines(dump_matrix_file(MatrixFile(args.n, matrices))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .classify import CaseLabel, SIGMA_INF, Sigma, as_sigma
+from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma
 from .matcore import Metric, as_square, block_split, op_norm
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "random_orthogonal",
 ]
 
-DEFAULT_TOL = 1e-9
 _MAX_RAPIDITY = math.acosh(sys.float_info.max)  # the largest with a finite cosh
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "BlockForm",
     "Metric",
     "as_square",
+    "as_square_stack",
     "block_join",
     "block_split",
     "bracket",
@@ -33,16 +34,32 @@ __all__ = [
 _EXP_DEGREE = 16
 
 
+def as_square_stack(matrices) -> np.ndarray:
+    """Return ``matrices`` as a float array of shape (..., d, d), checking
+    that its matrices are square, finite and at least 2 x 2.  A list or
+    tuple must hold m >= 1 matrices of one shape and gives an (m, d, d)
+    stack.  A float array is returned as it is, anything else is copied."""
+    sequence = isinstance(matrices, (list, tuple))
+    if sequence and not matrices:
+        raise ValueError("no matrices given")
+    if sequence and len({np.shape(M) for M in matrices}) > 1:
+        raise ValueError("matrices must share one dimension")
+    M = np.asarray(matrices, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or (sequence and M.ndim != 3):
+        raise ValueError(f"expected square matrices, got shape {M.shape}")
+    if M.shape[-1] < 2:
+        raise ValueError("matrix dimension must be at least 2")
+    if np.count_nonzero(np.isfinite(M)) != M.size:  # faster than .all() on small arrays
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
 def as_square(matrix) -> np.ndarray:
     """Copy ``matrix`` into a float array, checking it is square, finite and
     at least 2 x 2."""
-    M = np.array(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = as_square_stack(np.array(matrix, dtype=float))
+    if M.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] < 2:
-        raise ValueError("matrix dimension must be at least 2")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite")
     return M
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import affine, classify, groups, isotypic, matcore
-from .classify import CaseLabel, SIGMA_INF, Sigma, as_sigma, case_of_sigma
+from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma, case_of_sigma
 
 __all__ = [
     "PropertyResult",
@@ -43,7 +43,7 @@ class SuiteConfig:
     n_values: tuple = (2, 3)
     sigma_values: tuple = _DEFAULT_SIGMAS
     trials: int = 25
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -510,7 +510,7 @@ def _prop_wraparound(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def wraparound_demo(C: float, u, tol: float = 1e-9) -> np.ndarray:
+def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Boost of norm pi * C for sigma = -1/C^2 along the unit vector u.
 
     The result is a block rotation: the spatial block reflects through the

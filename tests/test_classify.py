@@ -76,6 +76,22 @@ def test_collinearity_defect_values():
     assert collinearity_defect(e1, np.zeros(2)) == 0.0
 
 
+def test_collinearity_defect_beyond_the_square_root_of_overflow_and_underflow():
+    # |b|^2 |c|^2 leaves the float range at these scales; the defect is
+    # formed on the pair divided by a power of two and scaled back.
+    for t in (1e160, 1e-170):
+        assert collinearity_defect([t, 0.0], [2.0 * t, 0.0]) == 0.0
+        assert collinearity_defect([t, -2.0 * t], [-3.0 * t, 6.0 * t]) == 0.0
+        assert collinearity_defect([t, 0.0], [0.0, 0.0]) == 0.0
+    # perpendicular: 2 t^4 is beyond the range at 1e160 and below it at 1e-170
+    assert collinearity_defect([1e160, 0.0], [0.0, 1e160]) == math.inf
+    assert collinearity_defect([1e-170, 0.0], [0.0, 1e-170]) == 0.0
+    # a power-of-two scale k multiplies the defect by k^4 exactly while in range
+    b, c = np.array([0.75, -1.5]), np.array([2.0, 0.5])
+    assert collinearity_defect(2.0**200 * b, 2.0**200 * c) == 2.0**800 * collinearity_defect(b, c)
+    assert collinearity_defect(2.0**-200 * b, 2.0**-200 * c) == 2.0**-800 * collinearity_defect(b, c)
+
+
 def test_collinearity_defect_matches_nested_bracket_corner():
     # independent route: the corner entry of [Z, [Z, W]] with W the spatial
     # rotation generator built from the same pair
@@ -369,6 +385,27 @@ def test_classify_takes_one_svd_of_the_non_rotation_rows(monkeypatch):
     before = len(inputs)
     assert classify_algebra(rotation_generators(10)).outcome == "AristotleOnly"
     assert len(inputs) == before
+
+
+def test_classify_splits_all_generators_in_one_call(monkeypatch):
+    # The generators go to isotypic.split as one (m, n+1, n+1) stack.
+    from kinematica import isotypic
+    shapes = []
+    split = isotypic.split
+
+    def counting(Z):
+        shapes.append(np.shape(Z))
+        return split(Z)
+
+    monkeypatch.setattr(isotypic, "split", counting)
+    rng = np.random.default_rng(29)
+    sets = [_standard_generators(rng, n, Sigma(s), count=n)
+            for n in (2, 3, 10, 20) for s in (1.0, -0.5, 0.0, math.inf)]
+    sets += [rotation_generators(20), rotation_generators(2) + [np.eye(3)]]
+    for gens in sets:
+        before = len(shapes)
+        classify_algebra(gens)
+        assert shapes[before:] == [(len(gens),) + gens[0].shape]
 
 
 def test_classify_a_boost_plus_a_rotation_is_the_boost_case():

@@ -275,6 +275,9 @@ def test_generate_validation_errors(capsys):
         assert cli.main(["generate", "--case", "lorentz", "--sigma", "1",
                          "--boost-bound", bound]) == 1
     capsys.readouterr()
+    # random_element checks its arguments before drawing, even for --count 0
+    assert cli.main(["generate", "--case", "galilei", "--n", "1", "--count", "0"]) == 1
+    assert "need at least two space dimensions" in capsys.readouterr().err
 
 
 def test_generate_seeds_beyond_64_bits(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,12 +50,28 @@ def test_split_of_boost_pair():
     assert s.lam == 0.0 and s.mu == 0.0
 
 
+COMPONENTS = ("m0", "m1", "m2", "m3")
+
+
+def component_matrix(s, component):
+    """One component embedded as a matrix: merge with the other three zeroed."""
+    zeroed = {
+        "m0": {"lam": 0.0, "mu": 0.0},
+        "m1": {"m1": np.zeros_like(s.m1)},
+        "m2": {"m2": np.zeros_like(s.m2)},
+        "m3": {"b": np.zeros_like(s.b), "c": np.zeros_like(s.c)},
+    }
+    fields = {key: value for other, values in zeroed.items() if other != component
+              for key, value in values.items()}
+    return isotypic.merge(replace(s, **fields))
+
+
 def test_component_matrices_sum_back():
     rng = np.random.default_rng(10)
     for n in (2, 3, 5):
         M = rng.standard_normal((n + 1, n + 1))
         s = isotypic.split(M)
-        total = s.m0_matrix() + s.m1_matrix() + s.m2_matrix() + s.m3_matrix()
+        total = sum(component_matrix(s, k) for k in COMPONENTS)
         np.testing.assert_allclose(total, M, atol=1e-14)
 
 
@@ -77,12 +95,10 @@ def test_components_are_orthogonal():
     rng = np.random.default_rng(13)
     X = isotypic.split(rng.standard_normal((4, 4)))
     Y = isotypic.split(rng.standard_normal((4, 4)))
-    parts_x = [X.m0_matrix(), X.m1_matrix(), X.m2_matrix(), X.m3_matrix()]
-    parts_y = [Y.m0_matrix(), Y.m1_matrix(), Y.m2_matrix(), Y.m3_matrix()]
-    for i, P in enumerate(parts_x):
-        for j, Q in enumerate(parts_y):
+    for i in COMPONENTS:
+        for j in COMPONENTS:
             if i != j:
-                assert abs(np.sum(P * Q)) <= 1e-12
+                assert abs(np.sum(component_matrix(X, i) * component_matrix(Y, j))) <= 1e-12
 
 
 def test_component_norms_derive_from_parts():
@@ -145,6 +161,9 @@ def test_ad_rotation_validates_input():
         isotypic.ad_rotation(np.eye(2), 2, Z)
     with pytest.raises(ValueError):
         isotypic.ad_rotation(np.eye(3), 1, Z)
+    # NaN entries would pass the orthogonality bound, since NaN > bound is False
+    with pytest.raises(ValueError, match="finite"):
+        isotypic.ad_rotation(np.full((2, 2), np.nan), 1, Z)
 
 
 def test_split_reads_blocks_consistently():
@@ -158,3 +177,49 @@ def test_split_reads_blocks_consistently():
     np.testing.assert_allclose(s.lam, np.trace(blocks.A) / 4.0)
     reassembled = block_join(blocks)
     np.testing.assert_array_equal(reassembled, M)
+
+
+FIELDS = ("lam", "mu", "m1", "m2", "b", "c")
+
+
+def _stacks(rng, n):
+    d = n + 1
+    return [rng.standard_normal((5, d, d)), rng.standard_normal((2, 3, d, d))]
+
+
+def test_stacked_calls_equal_the_per_matrix_calls_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for n in (2, 3, 10):
+        R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for stack in _stacks(rng, n):
+            parts = isotypic.split(stack)
+            merged = isotypic.merge(parts)
+            moved = isotypic.ad_rotation(R, -1, stack)
+            for index in np.ndindex(stack.shape[:-2]):
+                one = isotypic.split(stack[index])
+                for name in FIELDS:
+                    np.testing.assert_array_equal(getattr(parts, name)[index], getattr(one, name))
+                np.testing.assert_array_equal(merged[index], isotypic.merge(one))
+                np.testing.assert_array_equal(moved[index],
+                                              isotypic.ad_rotation(R, -1, stack[index]))
+
+
+def test_merge_of_split_round_trips_a_stack():
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 10):
+        for stack in _stacks(rng, n):
+            merged = isotypic.merge(isotypic.split(stack))
+            assert merged.shape == stack.shape
+            np.testing.assert_allclose(merged, stack, atol=1e-14)
+
+
+def test_norms_of_a_stack_are_per_matrix():
+    rng = np.random.default_rng(21)
+    stack = rng.standard_normal((2, 3, 4, 4))
+    norms = isotypic.split(stack).norms()
+    for key, values in norms.items():
+        assert values.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert values[index] == pytest.approx(isotypic.split(stack[index]).norms()[key])
+    total = sum(values**2 for values in norms.values())
+    np.testing.assert_allclose(total, np.sum(stack * stack, axis=(-2, -1)))
