@@ -6,7 +6,7 @@ dimensions, classification of generator sets by the sign of the
 causality parameter sigma, an affine layer acting on events and world
 lines, and a randomized property suite.  Submodules:
 
-* ``matcore``   block views, brackets, exponentials, metric adjoints
+* ``matcore``   validation, brackets, exponentials, adjoints under sigma
 * ``isotypic``  decomposition of generators under the rotation action
 * ``classify``  sigma extraction and the five-way classification
 * ``groups``    group elements, membership tests, Cartan factors
@@ -38,19 +38,17 @@ from .groups import (
     p_generator,
     random_element,
 )
-from .matcore import BlockForm, Metric, bracket, dagger, mat_exp
+from .matcore import bracket, dagger, mat_exp
 from .verify import SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineElement",
-    "BlockForm",
     "CartanFactors",
     "CaseLabel",
     "ClassificationResult",
     "Event",
-    "Metric",
     "SIGMA_INF",
     "Sigma",
     "SuiteConfig",

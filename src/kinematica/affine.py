@@ -114,6 +114,10 @@ class AffineElement:
             raise ValueError("linear part must be a square matrix")
         if self.translation.shape != (self.linear.shape[0],):
             raise ValueError("translation length must match the linear part")
+        finite = np.count_nonzero(np.isfinite(self.linear)) + np.count_nonzero(
+            np.isfinite(self.translation))  # faster than .all() on small arrays
+        if finite != self.linear.size + self.translation.size:
+            raise ValueError("affine map entries must be finite")
 
     @property
     def dim(self) -> int:

@@ -181,10 +181,21 @@ def collinearity_defect(b, c) -> float:
     generator with the rotation it generates, which is how the tests pin
     it down from the algebra side.  Formed on the pair divided by a power
     of two, it is inf only when the defect is beyond the float range.
+    Raises ValueError when an entry is not finite.
     """
-    _, _, _, defect, e = next(_scaled_products(*np.atleast_2d(b, c)))
+    _, _, _, defect, e = next(_scaled_products(*_finite_pairs(b, c)))
     with np.errstate(over="ignore"):
         return float(np.ldexp(defect, 4 * e))
+
+
+def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:
+    """b and c as float arrays holding one pair per row.  Non-finite
+    entries are refused: they would read as a Carroll pair or a NaN defect."""
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ValueError("mixing vectors have non-finite entries")
+    return b, c
 
 
 def _scaled_products(b: np.ndarray, c: np.ndarray):
@@ -225,16 +236,16 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     every row must be finite, the per-row ratios (b.c)/|b|^2 must lie
     within tol * (1 + |min| + |max|) of each other, and sigma is the
     least-squares fit sum(b.c) / sum(|b|^2) over all rows.  Raises
-    ZeroGenerator when both vectors of a row vanish, and NotCollinear when
-    a row fails the collinearity test or the rows disagree on sigma.
+    ZeroGenerator when both vectors of a row vanish, NotCollinear when
+    a row fails the collinearity test or the rows disagree on sigma, and
+    ValueError when an entry is not finite.
     """
-    return _sigma_and_rows(b, c, tol)[0]
+    return _sigma_and_rows(*_finite_pairs(b, c), tol)[0]
 
 
 def _sigma_and_rows(b, c, tol: float) -> tuple[Sigma, np.ndarray]:
-    """:func:`sigma_from_m3` together with the per-row sigmas it checked."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
+    """:func:`sigma_from_m3` together with the per-row sigmas it checked,
+    for (m, n) float arrays b and c with finite entries."""
     rows = _row_sigmas(b, c, tol)
     finite = np.isfinite(rows)
     if not finite.any():

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matcore
 from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma
-from .matcore import Metric, as_square, block_split, op_norm
+from .matcore import as_square, op_norm
 
 __all__ = [
     "CartanFactors",
@@ -54,9 +54,7 @@ class LogarithmFailure(ValueError):
 
 def k_element(R, eps: int) -> np.ndarray:
     """Block rotation diag(R, eps) with R orthogonal and eps = +1 or -1."""
-    R = np.array(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError("R must be a square matrix")
+    R = as_square(R)
     n = R.shape[0]
     if op_norm(R.T @ R - np.eye(n)) > 1e-10:
         raise ValueError("R must be orthogonal")
@@ -139,15 +137,16 @@ def in_K(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether a is a block rotation: off blocks zero, orthogonal spatial
     block, corner of modulus one, each within tol."""
     a = as_square(a)
-    blocks = block_split(a)
-    return (float(np.linalg.norm(blocks.b)) <= tol and float(np.linalg.norm(blocks.c)) <= tol
-            and _is_rotation_block(blocks, tol))
+    n = a.shape[0] - 1
+    return (float(np.linalg.norm(a[:n, n])) <= tol and float(np.linalg.norm(a[n, :n])) <= tol
+            and _is_rotation_block(a, tol))
 
 
-def _is_rotation_block(blocks, tol: float) -> bool:
-    """Whether the spatial block is orthogonal and the corner is +-1, within tol."""
-    return (op_norm(blocks.A.T @ blocks.A - np.eye(blocks.n)) <= tol
-            and abs(abs(blocks.d) - 1.0) <= tol)
+def _is_rotation_block(a: np.ndarray, tol: float) -> bool:
+    """Whether the spatial block of a is orthogonal and the corner is +-1, within tol."""
+    n = a.shape[0] - 1
+    A = a[:n, :n]
+    return op_norm(A.T @ A - np.eye(n)) <= tol and abs(abs(float(a[n, n])) - 1.0) <= tol
 
 
 def _scalar_part(a: np.ndarray, sigma: Sigma) -> tuple[float, float, float]:
@@ -156,7 +155,7 @@ def _scalar_part(a: np.ndarray, sigma: Sigma) -> tuple[float, float, float]:
     norms), which grows like cond(a): to first order, rounding moves the
     computed a^dagger a by at most (n+3) units and lam by about 2."""
     n = a.shape[0] - 1
-    adj = matcore.dagger(a, Metric(sigma.value, n))
+    adj = matcore.dagger(a, sigma.value)
     q = adj @ a
     lam = float(np.trace(q)) / (n + 1)
     resid = op_norm(q - lam * np.eye(n + 1))
@@ -273,10 +272,10 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
         return (resid <= tol * abs(lam) + (a.shape[0] + 2) * unit
                 and abs(lam - 1.0) <= tol and 2.0 * unit <= tol)
 
-    blocks = block_split(a)
-    tied = blocks.c if case is CaseLabel.GALILEI else blocks.b  # Carroll frees c
+    n = a.shape[0] - 1
+    tied = a[n, :n] if case is CaseLabel.GALILEI else a[:n, n]  # Carroll frees c
     return (float(np.linalg.norm(tied)) <= tol * (1.0 + op_norm(a))
-            and _is_rotation_block(blocks, tol))
+            and _is_rotation_block(a, tol))
 
 
 def _haar(M: np.ndarray, flip) -> np.ndarray:

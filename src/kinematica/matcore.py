@@ -3,26 +3,23 @@
 All structured objects in this package reduce to plain ``numpy`` arrays of
 shape (n+1, n+1): generators and group elements of the ambient general
 linear group acting on n space coordinates plus one time coordinate.  This
-module provides the block view of such matrices, commutator brackets, a
+module validates such matrices and provides commutator brackets, a
 matrix exponential (the generic oracle against which the closed-form
-boosts and Cartan factors are checked), metric adjoints ("dagger") and
-the Frobenius norm that scales every tolerance check.  Functions are pure
-and never mutate their inputs.
+boosts and Cartan factors are checked), the adjoint ("dagger") under the
+spacetime form of sigma and the Frobenius norm that scales every
+tolerance check.  Blocks are read as slices: a[:n, :n], a[:n, n],
+a[n, :n] and a[n, n].  Functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 __all__ = [
-    "BlockForm",
-    "Metric",
     "as_square",
     "as_square_stack",
-    "block_join",
-    "block_split",
     "bracket",
     "dagger",
     "mat_exp",
@@ -68,58 +65,6 @@ def op_norm(matrix) -> float:
     return float(np.linalg.norm(matrix))
 
 
-@dataclass
-class BlockForm:
-    """Blocks (A, b, c, d) of an (n+1) x (n+1) matrix.
-
-    A is the n x n spatial block, b the last column above the corner, c the
-    last row left of the corner (stored as a vector), d the scalar corner.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: float
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-def block_split(matrix) -> BlockForm:
-    """Split a square matrix into its (A, b, c, d) blocks.
-
-    The pieces are copies, so editing them does not touch the input.
-    """
-    M = as_square(matrix)
-    n = M.shape[0] - 1
-    return BlockForm(
-        A=M[:n, :n].copy(),
-        b=M[:n, n].copy(),
-        c=M[n, :n].copy(),
-        d=float(M[n, n]),
-    )
-
-
-def block_join(blocks: BlockForm) -> np.ndarray:
-    """Reassemble a matrix from its blocks.  Inverse of :func:`block_split`
-    bit for bit: no arithmetic is performed."""
-    A = np.asarray(blocks.A, dtype=float)
-    b = np.asarray(blocks.b, dtype=float)
-    c = np.asarray(blocks.c, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"block A must be square, got shape {A.shape}")
-    n = A.shape[0]
-    if b.shape != (n,) or c.shape != (n,):
-        raise ValueError("blocks b and c must be vectors of length n")
-    M = np.empty((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = b
-    M[n, :n] = c
-    M[n, n] = blocks.d
-    return M
-
-
 def bracket(X, Y) -> np.ndarray:
     """Commutator [X, Y] = XY - YX."""
     X = as_square(X)
@@ -150,46 +95,20 @@ def mat_exp(Z) -> np.ndarray:
     return E
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Diagonal bilinear form on R^(n+1) used to define adjoints.
+def dagger(Z, sigma: float) -> np.ndarray:
+    """Adjoint of the (n+1) x (n+1) matrix Z under the spacetime form
+    diag(-sigma, ..., -sigma, 1): gram^-1 Z^T gram.
 
-    The gram matrix is diag(-sigma, ..., -sigma, 1), the spacetime form:
-    indefinite for sigma > 0 and positive definite for sigma < 0.
-    Metric(-sigma, n) is the companion form of sigma, under which the
-    boost generators of sigma are self-adjoint.
+    On blocks this sends (A, b, c, d) to (A^T, -c/sigma, -sigma*b, d): Z^T
+    with its last column divided by -sigma and its last row multiplied by
+    -sigma, so the spatial block is an exact transpose.  The form of -sigma
+    is the companion of sigma, under which the boost generators of sigma
+    are self-adjoint.  It is an involution and reverses products.  Raises
+    ValueError unless sigma is finite and nonzero.
     """
-
-    sigma: float
-    n: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma == 0.0:
-            raise ValueError("metric needs a finite nonzero sigma")
-        if self.n < 1:
-            raise ValueError("metric needs n >= 1")
-
-    @property
-    def gram_diag(self) -> np.ndarray:
-        g = np.full(self.n + 1, -self.sigma)
-        g[self.n] = 1.0
-        return g
-
-    @property
-    def gram(self) -> np.ndarray:
-        return np.diag(self.gram_diag)
-
-
-def dagger(Z, metric: Metric) -> np.ndarray:
-    """Adjoint of Z with respect to ``metric``: gram^-1 Z^T gram.
-
-    On blocks this sends (A, b, c, d) to (A^T, -c/sigma, -sigma*b, d).  It
-    is an involution and reverses products.
-    """
-    Z = as_square(Z)
-    if Z.shape[0] != metric.n + 1:
-        raise ValueError(
-            f"matrix dimension {Z.shape[0]} does not match metric n={metric.n}"
-        )
-    g = metric.gram_diag
-    return (Z.T * g[np.newaxis, :]) / g[:, np.newaxis]
+    if not math.isfinite(sigma) or sigma == 0.0:
+        raise ValueError("dagger needs a finite nonzero sigma")
+    adj = as_square(Z).T  # a view of a fresh copy, so scaling it in place is safe
+    adj[:-1, -1] /= -sigma
+    adj[-1, :-1] *= -sigma
+    return adj

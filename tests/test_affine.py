@@ -80,6 +80,10 @@ def test_affine_element_validation():
         AffineElement(np.ones((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         AffineElement(np.eye(3), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        AffineElement(np.full((2, 2), np.nan), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        AffineElement(np.eye(2), np.array([0.0, np.inf]))
     g = AffineElement.identity(3)
     assert g.dim == 3
     np.testing.assert_array_equal(g.linear, np.eye(3))

@@ -21,14 +21,17 @@ from kinematica.classify import (
     sigma_from_m3,
 )
 from kinematica.groups import p_generator
-from kinematica.matcore import BlockForm, block_join, bracket
+from kinematica.matcore import bracket
 
 
 def mixing(b, c):
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     n = b.size
-    return block_join(BlockForm(np.zeros((n, n)), b, c, 0.0))
+    M = np.zeros((n + 1, n + 1))
+    M[:n, n] = b
+    M[n, :n] = c
+    return M
 
 
 def test_sigma_validation():
@@ -138,6 +141,18 @@ def test_sigma_from_m3_rejects_bad_pairs():
         sigma_from_m3(e1, e2)
     with pytest.raises(ZeroGenerator):
         sigma_from_m3(np.zeros(2), np.zeros(2))
+
+
+def test_non_finite_mixing_vectors_are_refused():
+    # NaN and inf rows would read as Carroll (sigma = inf) or a NaN defect
+    for bad in (np.nan, np.inf, -np.inf):
+        for b, c in (([bad, 0.0], [1.0, 0.0]), ([1.0, 0.0], [bad, 0.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                sigma_from_m3(b, c)
+            with pytest.raises(ValueError, match="non-finite"):
+                collinearity_defect(b, c)
+    with pytest.raises(ValueError, match="non-finite"):
+        sigma_from_m3([[1.0, 0.0], [np.nan, 0.0]], [[2.0, 0.0], [1.0, 0.0]])
 
 
 def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():

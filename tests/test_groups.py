@@ -20,7 +20,7 @@ from kinematica.groups import (
     random_element,
     random_orthogonal,
 )
-from kinematica.matcore import Metric, block_split, dagger, mat_exp
+from kinematica.matcore import dagger, mat_exp
 
 
 def op_norm(m) -> float:
@@ -52,6 +52,9 @@ def test_k_element_validation():
         k_element(rotation(0.1), 0)
     with pytest.raises(ValueError):
         k_element(np.ones((2, 3)), 1)
+    # NaN entries would pass the orthogonality bound, since NaN > bound is False
+    with pytest.raises(ValueError, match="finite"):
+        k_element(np.full((2, 2), np.nan), 1)
 
 
 def test_p_generator_finite():
@@ -182,8 +185,6 @@ def test_in_K_matches_double_isometry_characterization():
     # oracle: fixed points of both daggers are exactly the block rotations
     rng = np.random.default_rng(31)
     sigma = Sigma(1.7)
-    plus = Metric(sigma.value, 2)
-    minus = Metric(-sigma.value, 2)
     samples = [
         k_element(random_orthogonal(2, rng), -1),
         k_element(random_orthogonal(2, rng), 1),
@@ -191,8 +192,8 @@ def test_in_K_matches_double_isometry_characterization():
         np.eye(3) + 0.3 * np.eye(3),
     ]
     for a in samples:
-        both = (op_norm(dagger(a, plus) @ a - np.eye(3)) <= 1e-9
-                and op_norm(dagger(a, minus) @ a - np.eye(3)) <= 1e-9)
+        both = (op_norm(dagger(a, sigma.value) @ a - np.eye(3)) <= 1e-9
+                and op_norm(dagger(a, -sigma.value) @ a - np.eye(3)) <= 1e-9)
         assert in_K(a) == both
 
 
@@ -261,10 +262,9 @@ def test_cartan_factor_shapes():
                                                          sigma)
     f = cartan_decompose(a, sigma)
     assert in_K(f.k)
-    blocks = block_split(f.Z)
-    assert op_norm(blocks.A) <= 1e-12
-    assert abs(blocks.d) <= 1e-12
-    np.testing.assert_allclose(blocks.c, sigma.value * blocks.b, atol=1e-12)
+    assert op_norm(f.Z[:2, :2]) <= 1e-12
+    assert abs(f.Z[2, 2]) <= 1e-12
+    np.testing.assert_allclose(f.Z[2, :2], sigma.value * f.Z[:2, 2], atol=1e-12)
 
 
 def test_cartan_is_deterministic():
@@ -346,6 +346,22 @@ def test_membership_of_constructed_members():
             assert membership(a, case, sigma)
             assert membership(np.linalg.inv(a), case, sigma)
             assert membership(a @ a, case, sigma)
+
+
+@pytest.mark.parametrize("case, sigma", [
+    (CaseLabel.LORENTZ, 1.0), (CaseLabel.ORTHOGONAL, -1.0), (CaseLabel.GALILEI, None),
+    (CaseLabel.CARROLL, None), (CaseLabel.ARISTOTLE, None)])
+def test_verdicts_are_python_bools(case, sigma):
+    # a numpy comparison on a matrix entry gives np.True_, which fails "is True"
+    a = random_element(case, sigma, 3, 1.0, seed=41)
+    off_corner = a.copy()
+    off_corner[3, 3] *= 2.0
+    assert membership(a, case, sigma) is True
+    assert membership(off_corner, case, sigma) is False
+    verdicts = [in_K(a), in_K(off_corner), in_K(k_element(np.eye(3), -1))]
+    if sigma is not None:
+        verdicts += [in_normalizer(a, sigma)[0], in_normalizer(off_corner, sigma)[0]]
+    assert all(type(v) is bool for v in verdicts)
 
 
 def test_membership_scaled_member_fails():

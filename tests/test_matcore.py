@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kinematica.matcore import (
-    BlockForm,
-    Metric,
     as_square,
-    block_join,
-    block_split,
     bracket,
     dagger,
     mat_exp,
@@ -49,41 +47,6 @@ def test_as_square_copies():
     out = as_square(M)
     out[0, 0] = 5.0
     assert M[0, 0] == 1.0
-
-
-def test_block_split_2x2():
-    blocks = block_split([[1.0, 2.0], [3.0, 4.0]])
-    assert blocks.A.shape == (1, 1) and blocks.A[0, 0] == 1.0
-    assert blocks.b[0] == 2.0
-    assert blocks.c[0] == 3.0
-    assert blocks.d == 4.0
-
-
-def test_block_split_boost_shape():
-    # one space dimension, column entry 1, row entry 2
-    blocks = block_split([[0.0, 1.0], [2.0, 0.0]])
-    assert blocks.b[0] == 1.0 and blocks.c[0] == 2.0
-    assert blocks.A[0, 0] == 0.0 and blocks.d == 0.0
-
-
-def test_block_round_trip_is_exact():
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((4, 4))
-    out = block_join(block_split(M))
-    assert np.array_equal(out, M)
-
-
-def test_block_join_embeds_mixing_entries():
-    n = 2
-    M = block_join(BlockForm(np.zeros((n, n)), np.array([1.0, 0.0]),
-                             np.array([1.0, 0.0]), 0.0))
-    assert M[0, 2] == 1.0 and M[2, 0] == 1.0
-    assert np.count_nonzero(M) == 2
-
-
-def test_block_join_rejects_mismatched_vectors():
-    with pytest.raises(ValueError):
-        block_join(BlockForm(np.zeros((2, 2)), np.zeros(3), np.zeros(2), 0.0))
 
 
 def test_bracket_with_self_is_zero():
@@ -152,15 +115,34 @@ def test_mat_exp_periodic_boost_wraps_to_reflection():
     np.testing.assert_allclose(mat_exp(Z), np.diag([-1.0, 1.0, -1.0]), atol=1e-12)
 
 
-def test_metric_gram_matrices():
-    np.testing.assert_array_equal(Metric(2.0, 2).gram, np.diag([-2.0, -2.0, 1.0]))
-    np.testing.assert_array_equal(Metric(-2.0, 2).gram, np.diag([2.0, 2.0, 1.0]))
+def test_dagger_validation():
+    Z = np.eye(3)
+    for sigma in (0.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite nonzero sigma"):
+            dagger(Z, sigma)
     with pytest.raises(ValueError):
-        Metric(0.0, 2)
-    with pytest.raises(ValueError):
-        Metric(np.inf, 2)
-    with pytest.raises(ValueError):
-        Metric(1.0, 0)
+        dagger(np.ones((2, 3)), 1.0)
+
+
+def test_dagger_spatial_block_is_an_exact_transpose():
+    rng = np.random.default_rng(6)
+    for sigma in rng.uniform(0.1, 10.0, 50):
+        if math.frexp(sigma)[0] == 0.5:
+            continue  # a power of two scales exactly anyway
+        Z = rng.standard_normal((4, 4))
+        for s in (sigma, -sigma):
+            assert np.array_equal(dagger(Z, s)[:3, :3], Z[:3, :3].T)
+
+
+def test_dagger_at_extreme_sigma_stays_finite():
+    # -sigma * x / -sigma would overflow to inf before dividing back
+    Z = np.zeros((3, 3))
+    Z[:2, :2] = 1e10
+    Z[:2, 2] = 1.0
+    out = dagger(Z, 1e300)
+    np.testing.assert_array_equal(out[:2, :2], np.full((2, 2), 1e10))
+    np.testing.assert_array_equal(out[2, :2], [-1e300, -1e300])
+    np.testing.assert_array_equal(out[:, 2], 0.0)
 
 
 def test_dagger_negates_rotation_generators():
@@ -168,13 +150,13 @@ def test_dagger_negates_rotation_generators():
     Z[0, 1], Z[1, 0] = 1.0, -1.0
     Z[1, 2], Z[2, 1] = -0.5, 0.5
     for sigma in (1.0, -1.0):
-        np.testing.assert_allclose(dagger(Z, Metric(sigma, 3)), -Z, atol=1e-15)
+        np.testing.assert_allclose(dagger(Z, sigma), -Z, atol=1e-15)
 
 
 def test_dagger_moves_column_to_negated_row():
     Z = np.zeros((3, 3))
     Z[0, 2] = 1.0  # column vector e1
-    out = dagger(Z, Metric(1.0, 2))
+    out = dagger(Z, 1.0)
     expected = np.zeros((3, 3))
     expected[2, 0] = -1.0
     np.testing.assert_allclose(out, expected, atol=1e-15)
@@ -183,27 +165,26 @@ def test_dagger_moves_column_to_negated_row():
 def test_dagger_matches_explicit_gram_conjugation():
     rng = np.random.default_rng(4)
     for sigma in (1.7, -1.7):
-        m = Metric(sigma, 3)
-        g = m.gram
+        g = np.diag([-sigma, -sigma, -sigma, 1.0])
         for _ in range(5):
             Z = rng.standard_normal((4, 4))
             oracle = np.linalg.inv(g) @ Z.T @ g
-            np.testing.assert_allclose(dagger(Z, m), oracle, atol=1e-13)
+            np.testing.assert_allclose(dagger(Z, sigma), oracle, atol=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
 @given(SMALL_MATRICES, st.sampled_from([0.5, 1.0, -2.0]), st.sampled_from([1, -1]))
 def test_dagger_involution(Z, sigma, sign):
-    m = Metric(sign * sigma, 2)
-    np.testing.assert_allclose(dagger(dagger(Z, m), m), Z, atol=1e-14)
+    s = sign * sigma
+    np.testing.assert_allclose(dagger(dagger(Z, s), s), Z, atol=1e-14)
 
 
 def test_dagger_reverses_products():
     rng = np.random.default_rng(5)
-    m = Metric(-0.8, 2)
+    sigma = -0.8
     for _ in range(10):
         X = rng.standard_normal((3, 3))
         Y = rng.standard_normal((3, 3))
-        lhs = dagger(X @ Y, m)
-        rhs = dagger(Y, m) @ dagger(X, m)
+        lhs = dagger(X @ Y, sigma)
+        rhs = dagger(Y, sigma) @ dagger(X, sigma)
         assert op_norm(lhs - rhs) <= 1e-12 * (1.0 + op_norm(lhs))

@@ -102,8 +102,8 @@ def test_suite_detects_a_corrupted_adjoint(monkeypatch):
     # metric adjoint must take down the normalizer and Cartan properties
     real = matcore.dagger
 
-    def flipped(Z, metric):
-        return -real(Z, metric)
+    def flipped(Z, sigma):
+        return -real(Z, sigma)
 
     monkeypatch.setattr("kinematica.matcore.dagger", flipped)
     report = run_suite(SuiteConfig(**FAST))
