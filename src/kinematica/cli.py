@@ -5,10 +5,8 @@ elements into Cartan factors, ``generate`` sample members, and ``verify``
 to run the property suite.  All input and output is JSON; matrices travel
 as flat row-major lists.  Exit codes: 0 for success, 1 for usage or I/O
 problems, 2 for a negative domain answer (not kinematical, not in the
-normalizer, property failure).
-
-The environment variable KINEMATICA_TOL overrides the default tolerance
-of 1e-9 wherever --tol is not given.
+normalizer, property failure).  ``--tol`` must be a positive finite
+number and defaults to 1e-9.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -32,16 +29,13 @@ __all__ = ["MatrixFile", "dump_matrix_file", "load_matrix_file", "main"]
 _CASE_NAMES = {label.value.lower(): label for label in CaseLabel}
 
 
-def _default_tol() -> float:
-    text = os.environ.get("KINEMATICA_TOL")
-    if text is None:
-        return classify_mod.DEFAULT_TOL
+def _parse_tol(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"KINEMATICA_TOL is not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"KINEMATICA_TOL must be a positive number: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text!r}")
     return value
 
 
@@ -167,9 +161,8 @@ def _json_lines(value) -> str:
 
 
 def _cmd_classify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     mf = load_matrix_file(args.file)
-    result = classify_mod.classify_algebra(mf.matrices, tol)
+    result = classify_mod.classify_algebra(mf.matrices, args.tol)
     out = {
         "outcome": result.outcome,
         "case": None,
@@ -185,7 +178,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     sigma = _parse_sigma(args.sigma)
     if not (sigma.is_finite and sigma.value > 0):
         raise ValueError("decompose needs a finite sigma > 0")
@@ -193,7 +185,7 @@ def _cmd_decompose(args) -> int:
     entries = []
     for matrix in mf.matrices:
         try:
-            factors = groups.cartan_decompose(matrix, sigma, tol)
+            factors = groups.cartan_decompose(matrix, sigma, args.tol)
         except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
             entries.append({"error": type(exc).__name__})
         else:
@@ -225,13 +217,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     n_values = _parse_int_list(args.n, "--n")
     sigma_values = [_parse_sigma(piece) for piece in args.sigma_list.split(",")
                     if piece.strip()]
     cfg = verify.SuiteConfig(n_values=tuple(n_values),
                              sigma_values=tuple(sigma_values),
-                             trials=args.trials, tol=tol, seed=args.seed)
+                             trials=args.trials, tol=args.tol, seed=args.seed)
     report = verify.run_suite(cfg)
     print(report.to_json())
     return 0 if report.passed else 2
@@ -246,14 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a file of generators")
     p.add_argument("file", help="JSON matrix file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=classify_mod.DEFAULT_TOL)
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("decompose",
                        help="Cartan-decompose group elements (sigma > 0)")
     p.add_argument("file", help="JSON matrix file")
     p.add_argument("--sigma", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=classify_mod.DEFAULT_TOL)
     p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("generate", help="emit random group members")
@@ -270,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-list", default="1,0.5,-1,0,inf",
                    help="comma list of sigma values; 'inf' allowed")
     p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=classify_mod.DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_verify)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma
+from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma, case_of_sigma
 from .matcore import as_square, op_norm
 
 __all__ = [
@@ -224,30 +224,27 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, s), Z=p_generator(b, s))
 
 
+_NEEDS = {CaseLabel.LORENTZ: "a finite sigma > 0", CaseLabel.ORTHOGONAL: "a finite sigma < 0",
+          CaseLabel.GALILEI: "sigma = 0", CaseLabel.CARROLL: "an infinite sigma"}
+_OMITTED = {CaseLabel.GALILEI: Sigma(0.0), CaseLabel.CARROLL: SIGMA_INF}
+
+
 def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
-    """Validate the case/sigma pairing, returning the effective sigma."""
+    """Validate the case/sigma pairing, returning the effective sigma: the
+    case of sigma must be the given one, Galilei and Carroll may omit it,
+    and Aristotle takes none."""
     s = None if sigma is None else as_sigma(sigma)
     if case is CaseLabel.ARISTOTLE:
         if s is not None:
             raise ValueError("the Aristotle case takes no sigma")
         return None
-    if case is CaseLabel.LORENTZ:
-        if s is None or not (s.is_finite and s.value > 0):
-            raise ValueError("the Lorentz case needs a finite sigma > 0")
-        return s
-    if case is CaseLabel.ORTHOGONAL:
-        if s is None or not (s.is_finite and s.value < 0):
-            raise ValueError("the Orthogonal case needs a finite sigma < 0")
-        return s
-    if case is CaseLabel.GALILEI:
-        if s is not None and (s.is_infinite or s.value != 0.0):
-            raise ValueError("the Galilei case needs sigma = 0")
-        return Sigma(0.0)
-    if case is CaseLabel.CARROLL:
-        if s is not None and s.is_finite:
-            raise ValueError("the Carroll case needs an infinite sigma")
-        return SIGMA_INF
-    raise ValueError(f"unknown case {case!r}")
+    if not isinstance(case, CaseLabel):
+        raise ValueError(f"unknown case {case!r}")
+    if s is None:
+        s = _OMITTED.get(case)
+    if s is None or case_of_sigma(s) is not case:
+        raise ValueError(f"the {case.value} case needs {_NEEDS[case]}")
+    return s
 
 
 def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool:

@@ -1,11 +1,12 @@
 """Self-contained property suite over randomized inputs.
 
-Each property draws its own deterministic random stream, accumulates the
-worst residual it sees and reports pass/fail against the configured
-tolerance.  Failures never raise: they land in the report, together with
-a counterexample payload of the matrices involved, so a corrupted build
-shows up as a readable report entry and a nonzero exit from the command
-line wrapper.
+Each property draws from one generator seeded by (seed, property number),
+takes its group members in one stacked random_element call per dimension
+and case, accumulates the worst residual it sees and reports pass/fail
+against the configured tolerance.  Failures never raise: they land in the
+report, together with a counterexample payload of the matrices involved,
+so a corrupted build shows up as a readable report entry and a nonzero
+exit from the command line wrapper.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class SuiteConfig:
     """Knobs for :func:`run_suite`.
 
     sigma_values accepts floats (inf included) or Sigma instances; seed
-    must be a nonnegative integer so per-trial streams can be derived
-    from it reproducibly.
+    must be a nonnegative integer: with the property's number it seeds
+    one generator per property, so a report is reproducible from it.
     """
 
     n_values: tuple = (2, 3)
@@ -153,28 +154,16 @@ class _Check:
         return PropertyResult(self.passed, self.worst, self.counterexample)
 
 
-class _Stream:
-    """Deterministic per-trial random streams derived from (seed, property
-    number, counter) through numpy's seed-mixing."""
+def _members(rng: np.random.Generator, case: CaseLabel, s: Sigma | None, n: int,
+             bound: float, count: int) -> np.ndarray:
+    """A (count, n+1, n+1) stack of random members, drawn in one call.
 
-    def __init__(self, seed: int, pnum: int):
-        self.seed = seed
-        self.pnum = pnum
-        self.counter = 0
-
-    def rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence([self.seed, self.pnum, self.counter])
-        self.counter += 1
-        return np.random.default_rng(ss)
-
-    def int_seed(self) -> int:
-        return int(self.rng().integers(2**32))
-
-
-def _random_k(n: int, rng: np.random.Generator) -> np.ndarray:
-    R = groups.random_orthogonal(n, rng)
-    eps = 1 if rng.random() < 0.5 else -1
-    return groups.k_element(R, eps)
+    For sigma > 0, |b| is bounded by bound / sqrt(sigma), so the rapidity
+    |b| sqrt(sigma) is at most bound at every sigma; a bound on |b| alone
+    lets it grow like sqrt(sigma), past what membership can resolve."""
+    if s is not None and s.is_finite and s.value > 0.0:
+        bound /= math.sqrt(s.value)
+    return groups.random_element(case, s, n, bound, rng.integers(2**32, size=count))
 
 
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -192,16 +181,14 @@ def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, Sigma | None]]:
     return seen
 
 
-def _prop_isotypic(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
-        for _ in range(cfg.trials):
-            rng = stream.rng()
-            Z = rng.standard_normal((n + 1, n + 1))
+        rotations = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
+        for Z, k in zip(rng.standard_normal((cfg.trials, n + 1, n + 1)), rotations):
+            R, eps = k[:n, :n], int(k[n, n])
             parts = isotypic.split(Z)
             complete = matcore.op_norm(isotypic.merge(parts) - Z)
-            R = groups.random_orthogonal(n, rng)
-            eps = 1 if rng.random() < 0.5 else -1
             moved = isotypic.split(isotypic.ad_rotation(R, eps, Z))
             resid = max(
                 complete,
@@ -216,12 +203,11 @@ def _prop_isotypic(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def _prop_collinearity(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.sigma_values:
             for _ in range(cfg.trials):
-                rng = stream.rng()
                 b = rng.standard_normal(n)
                 if s.is_infinite:
                     pair = (np.zeros(n), b)
@@ -234,14 +220,8 @@ def _prop_collinearity(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
                                {"b": pair[0], "c": pair[1], "sigma": s})
                 # The doubled commutator of a general mixing generator with
                 # the rotation it spawns reproduces the defect in its corner.
-                b2 = rng.standard_normal(n)
-                c2 = rng.standard_normal(n)
-                Z = np.zeros((n + 1, n + 1))
-                Z[:n, n] = b2
-                Z[n, :n] = c2
-                A = np.zeros((n + 1, n + 1))
-                A[:n, :n] = np.outer(b2, c2) - np.outer(c2, b2)
-                corner = matcore.bracket(Z, matcore.bracket(Z, A))[n, n]
+                b2, c2 = rng.standard_normal((2, n))
+                _, _, corner = _doubled_commutator(b2, c2)
                 closed = classify.collinearity_defect(b2, c2)
                 check.residual(abs(corner - closed) / (1.0 + abs(closed)),
                                {"b": b2, "c": c2})
@@ -257,14 +237,13 @@ def _generated_basis(n: int, s: Sigma, rng: np.random.Generator) -> list[np.ndar
     return basis
 
 
-def _prop_classification(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         result = classify.classify_algebra(classify.rotation_generators(n), cfg.tol)
         check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
         for s in cfg.sigma_values:
             for _ in range(cfg.trials):
-                rng = stream.rng()
                 basis = _generated_basis(n, s, rng)
                 result = classify.classify_algebra(basis, cfg.tol)
                 payload = {"n": n, "sigma": s, "outcome": result.outcome,
@@ -281,14 +260,11 @@ def _prop_classification(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def _prop_normalizer(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.finite_nonzero():
-            case = case_of_sigma(s)
-            for _ in range(cfg.trials):
-                rng = stream.rng()
-                g = groups.random_element(case, s, n, 2.0, stream.int_seed())
+            for g in _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials):
                 ok, lam = groups.in_normalizer(g, s, cfg.tol)
                 check.flag(ok, {"a": g, "sigma": s})
                 check.residual(abs(lam - 1.0), {"a": g, "sigma": s, "lam": lam})
@@ -300,16 +276,13 @@ def _prop_normalizer(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def _prop_cartan(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.positive():
-            for _ in range(cfg.trials):
-                rng = stream.rng()
+            for k in _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials):
                 lam = float(rng.uniform(0.1, 10.0))
-                k = _random_k(n, rng)
-                bmax = 4.0 / math.sqrt(s.value)
-                b = _unit(rng, n) * rng.uniform(0.0, bmax)
+                b = _unit(rng, n) * rng.uniform(0.0, 4.0 / math.sqrt(s.value))
                 Z = groups.p_generator(b, s)
                 a = math.sqrt(lam) * k @ matcore.mat_exp(Z)
                 factors = groups.cartan_decompose(a, s, cfg.tol)
@@ -325,13 +298,12 @@ def _prop_cartan(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def _prop_closure(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for case, s in _cases(cfg):
-            for _ in range(cfg.trials):
-                g1 = groups.random_element(case, s, n, 2.0, stream.int_seed())
-                g2 = groups.random_element(case, s, n, 2.0, stream.int_seed())
+            members = _members(rng, case, s, n, 2.0, 2 * cfg.trials)
+            for g1, g2 in zip(members[:cfg.trials], members[cfg.trials:]):
                 payload = {"g1": g1, "g2": g2, "case": case.value}
                 check.flag(groups.membership(g1 @ g2, case, s, cfg.tol), payload)
                 check.flag(groups.membership(np.linalg.inv(g1), case, s, cfg.tol),
@@ -339,12 +311,11 @@ def _prop_closure(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def _prop_pure_rotations(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for case, s in _cases(cfg):
-            for _ in range(cfg.trials):
-                a = groups.random_element(case, s, n, 0.0, stream.int_seed())
+            for a in _members(rng, case, s, n, 0.0, cfg.trials):
                 A = a[:n, :n]
                 resid = max(
                     float(np.linalg.norm(a[:n, n])),
@@ -357,14 +328,11 @@ def _prop_pure_rotations(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def _prop_invariants(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.sigma_values:
-            case = case_of_sigma(s)
-            for _ in range(cfg.trials):
-                rng = stream.rng()
-                a = groups.random_element(case, s, n, 2.0, stream.int_seed())
+            for a in _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials):
                 payload = {"a": a, "sigma": s}
                 if s.is_finite and s.value != 0.0:
                     g = np.diag(np.r_[np.full(n, -s.value), 1.0])
@@ -402,11 +370,10 @@ def _shift_event(x: affine.Event, step: np.ndarray) -> affine.Event:
     return affine.Event.from_vector(x.vector() + step)
 
 
-def _prop_affine(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for _ in range(cfg.trials):
-            rng = stream.rng()
             g = _random_affine(n, rng)
             h = _random_affine(n, rng)
             w = _random_affine(n, rng)
@@ -429,10 +396,7 @@ def _prop_affine(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
                            {"g_linear": g.linear, "h_linear": h.linear})
         for s in cfg.positive():
             c = s.invariant_speed
-            for _ in range(cfg.trials):
-                rng = stream.rng()
-                member = groups.random_element(CaseLabel.LORENTZ, s, n, 3.0,
-                                               stream.int_seed())
+            for member in _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials):
                 gmap = affine.AffineElement(member, rng.standard_normal(n + 1))
                 origin = affine.Event(rng.standard_normal(n), float(rng.standard_normal()))
                 null_line = affine.WorldLine(origin, velocity=c * _unit(rng, n))
@@ -445,20 +409,16 @@ def _prop_affine(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
     return check.result()
 
 
-def _prop_negative_controls(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
-        rng = stream.rng()
         base = _generated_basis(n, Sigma(1.0), rng)
-        scalar = np.zeros((n + 1, n + 1))
-        scalar[:n, :n] = np.eye(n)
+        scalar = np.diag(np.r_[np.ones(n), 0.0])
         result = classify.classify_algebra(base + [scalar], cfg.tol)
         check.flag(result.outcome == classify.OUTCOME_NOT_KINEMATICAL,
                    {"n": n, "contaminant": "m0", "outcome": result.outcome})
 
-        sym = np.zeros((n + 1, n + 1))
-        sym[0, 0] = 1.0
-        sym[1, 1] = -1.0
+        sym = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
         result = classify.classify_algebra(base + [sym], cfg.tol)
         check.flag(result.outcome == classify.OUTCOME_NOT_KINEMATICAL,
                    {"n": n, "contaminant": "m2", "outcome": result.outcome})
@@ -482,24 +442,18 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
     """Basis of rotations plus the full mixing component, which is not a
     subalgebra."""
     basis = classify.rotation_generators(n)
-    for i in range(n):
-        Z = np.zeros((n + 1, n + 1))
-        Z[i, n] = 1.0
-        basis.append(Z)
-        W = np.zeros((n + 1, n + 1))
-        W[n, i] = 1.0
-        basis.append(W)
+    for e in np.eye(n):
+        basis += [groups.p_generator(e, 0.0), groups.p_generator(e, SIGMA_INF)]
     return basis
 
 
-def _prop_wraparound(cfg: SuiteConfig, stream: _Stream) -> PropertyResult:
+def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     negatives = [s for s in cfg.sigma_values if s.is_finite and s.value < 0.0]
     for n in cfg.n_values:
         for s in negatives:
             C = s.rotation_scale
             for _ in range(cfg.trials):
-                rng = stream.rng()
                 u = _unit(rng, n)
                 M = wraparound_demo(C, u, cfg.tol)
                 expected = groups.k_element(np.eye(n) - 2.0 * np.outer(u, u), -1)
@@ -541,19 +495,21 @@ def nonalgebra_witness(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """
     if n < 2:
         raise ValueError("need at least two space dimensions")
-    b = np.zeros(n)
-    b[0] = 1.0
-    c = np.zeros(n)
-    c[1] = 1.0
+    e = np.eye(n)
+    return _doubled_commutator(e[0], e[1])
+
+
+def _doubled_commutator(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The mixing generator Z with column b and row c, the rotation
+    A = b c^T - c b^T that the bracket of two such generators spawns, and
+    the corner entry of [Z, [Z, A]]."""
+    n = b.size
     Z = np.zeros((n + 1, n + 1))
     Z[:n, n] = b
     Z[n, :n] = c
     A = np.zeros((n + 1, n + 1))
     A[:n, :n] = np.outer(b, c) - np.outer(c, b)
-    corner = float(matcore.bracket(Z, matcore.bracket(Z, A))[n, n])
-    if abs(corner - 2.0) > 1e-12:
-        raise ValueError(f"witness corner should be 2, got {corner!r}")
-    return Z, A, corner
+    return Z, A, float(matcore.bracket(Z, matcore.bracket(Z, A))[n, n])
 
 
 _PROPERTIES = [
@@ -595,7 +551,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     for pnum, (pid, description, fn) in enumerate(jobs, start=1):
         report.descriptions[pid] = description
         try:
-            report.results[pid] = fn(cfg, _Stream(cfg.seed, pnum))
+            report.results[pid] = fn(cfg, np.random.default_rng([cfg.seed, pnum]))
         except Exception as exc:  # a property must never take the suite down
             report.results[pid] = PropertyResult(
                 False, math.inf, {"error": f"{type(exc).__name__}: {exc}"})

@@ -378,27 +378,26 @@ def test_verify_bad_arguments(capsys):
     capsys.readouterr()
 
 
-def test_env_tolerance_is_honored(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KINEMATICA_TOL", "1e-16")
+def test_tol_flag_is_honored(capsys):
     code = cli.main(["verify", "--n", "2", "--sigma-list", "1",
-                     "--trials", "2"])
+                     "--trials", "2", "--tol", "1e-16"])
     capsys.readouterr()
     assert code == 2
 
 
-def test_flag_tolerance_beats_the_environment(capsys, monkeypatch):
-    monkeypatch.setenv("KINEMATICA_TOL", "1e-16")
-    code = cli.main(["verify", "--n", "2", "--sigma-list", "1",
-                     "--trials", "2", "--tol", "1e-9"])
+def test_tol_flag_validation(tmp_path, capsys):
+    # Each file alone gives exit 0, so exit 1 comes from the --tol value.
+    generators = write_file(tmp_path, generator_payload(2, 1.0), "generators.json")
+    members = write_file(tmp_path, {"n": 2, "matrices": [np.eye(3).ravel().tolist()]},
+                         "members.json")
+    commands = (["classify", generators], ["decompose", members, "--sigma", "1"],
+                ["verify", "--n", "2", "--trials", "2"])
+    for argv in commands:
+        assert cli.main(argv) == 0
+        for bad in ("abc", "nan", "inf", "0", "-1"):
+            assert cli.main(argv + ["--tol", bad]) == 1
+            assert "--tol" in capsys.readouterr().err
     capsys.readouterr()
-    assert code == 0
-
-
-def test_env_tolerance_validation(capsys, monkeypatch):
-    for bad in ("abc", "-1", "0", "inf"):
-        monkeypatch.setenv("KINEMATICA_TOL", bad)
-        assert cli.main(["verify", "--n", "2", "--trials", "2"]) == 1
-        capsys.readouterr()
 
 
 def test_python_dash_m_kinematica_runs_without_warnings(tmp_path):

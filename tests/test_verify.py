@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kinematica import matcore, verify
+from kinematica import groups, matcore, verify
 from kinematica.matcore import bracket
 from kinematica.verify import (
     SuiteConfig,
@@ -48,6 +48,29 @@ def test_suite_passes_on_a_correct_build():
         assert res.worst_residual <= report.config.tol
         assert res.counterexample is None
         assert report.descriptions[pid]
+
+
+def test_suite_passes_at_large_sigma():
+    # The boosts are bounded in rapidity, so members stay within what
+    # membership resolves however large sigma is.
+    for n in (2, 3):
+        report = run_suite(SuiteConfig(n_values=(n,), sigma_values=(10.0, 1e3),
+                                       trials=10, seed=0))
+        assert report.passed, [pid for pid, r in report.results.items() if not r.passed]
+
+
+def test_suite_draws_its_members_in_stacks(monkeypatch):
+    real = groups.random_element
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("kinematica.groups.random_element", counted)
+    assert run_suite().passed
+    # one call per property, dimension and case
+    assert 0 < len(calls) <= 50
 
 
 def test_wraparound_entry_only_with_negative_sigma():
