@@ -137,29 +137,39 @@ def in_K(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether a is a block rotation: off blocks zero, orthogonal spatial
     block, corner of modulus one, each within tol."""
     a = as_square(a)
+    return _block_test(a, max(op_norm(a[:-1, -1]), op_norm(a[-1, :-1])), tol, tol)
+
+
+def _block_test(a: np.ndarray, tied: float, bound: float, tol: float) -> bool:
+    """Whether tied <= bound, the spatial block is orthogonal and the corner +-1, within tol."""
     n = a.shape[0] - 1
-    return (float(np.linalg.norm(a[:n, n])) <= tol and float(np.linalg.norm(a[n, :n])) <= tol
-            and _is_rotation_block(a, tol))
+    return (tied <= bound and op_norm(a[:n, :n].T @ a[:n, :n] - np.eye(n)) <= tol
+            and abs(abs(float(a[n, n])) - 1.0) <= tol)
 
 
-def _is_rotation_block(a: np.ndarray, tol: float) -> bool:
-    """Whether the spatial block of a is orthogonal and the corner is +-1, within tol."""
+def _metric_test(a: np.ndarray, s: Sigma, tol: float) -> tuple[bool, float, float]:
+    """(ok, lam, u) for a^dagger a = lam I, lam = trace / (n+1), tested as D a D^-1 against
+    sigma' = 4^-k sigma in [1/2, 2); D = diag(1, ..., 1, 2^-k) maps the group of sigma onto
+    that of sigma'.  u = eps |a^dagger| |a| grows like cond(a).  ok means
+    |a^dagger a - lam I| <= tol |lam| + (n+3) u, with lam zero or a normal float."""
     n = a.shape[0] - 1
-    A = a[:n, :n]
-    return op_norm(A.T @ A - np.eye(n)) <= tol and abs(abs(float(a[n, n])) - 1.0) <= tol
-
-
-def _scalar_part(a: np.ndarray, sigma: Sigma) -> tuple[float, float, float]:
-    """lam = trace(a^dagger a) / (n+1) for the spacetime metric, the
-    residual |a^dagger a - lam I| and the unit eps |a^dagger| |a| (Frobenius
-    norms), which grows like cond(a): to first order, rounding moves the
-    computed a^dagger a by at most (n+3) units and lam by about 2."""
-    n = a.shape[0] - 1
-    adj = matcore.dagger(a, sigma.value)
-    q = adj @ a
-    lam = float(np.trace(q)) / (n + 1)
-    resid = op_norm(q - lam * np.eye(n + 1))
-    return lam, resid, math.ulp(1.0) * op_norm(adj) * op_norm(a)
+    k = math.frexp(s.value)[1] // 2
+    mant, exps = np.frexp(a)
+    exps[n] -= k
+    exps[:, n] += k
+    top = int(exps.max(where=mant != 0.0, initial=-4096))  # zero entries do not count
+    b = np.ldexp(mant, exps - top)  # largest entry in [1/2, 1): nothing overflows
+    adj = matcore.dagger(b, math.ldexp(s.value, -2 * k))
+    q = adj @ b
+    diagonal = q.reshape(-1)[::n + 2]
+    lam = float(diagonal.sum()) / (n + 1)
+    diagonal -= lam
+    u = math.ulp(1.0) * op_norm(adj) * op_norm(b)
+    ok = op_norm(q) <= tol * abs(lam) + (n + 3) * u
+    zero = lam == 0.0
+    lam, u = (math.ldexp(x, 2 * top) if not x or math.frexp(x)[1] + 2 * top <= 1024
+              else math.copysign(math.inf, x) for x in (lam, u))
+    return ok and (zero or sys.float_info.min <= abs(lam) < math.inf), lam, u
 
 
 def in_normalizer(a, sigma, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -168,13 +178,13 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     Returns (ok, lam) with lam the mean diagonal of a^dagger a.  ok requires
     the residual to be at most tol * lam plus the rounding bound of
     a^dagger a, and that bound to be below lam / 4, so the exact a^dagger a
-    is within (tol + 1/2) lam of lam * I and a is invertible.  Members
-    beyond rapidity about 16 are refused.  Needs a finite nonzero sigma.
+    is within (tol + 1/2) lam of lam * I and a is invertible, all in the
+    balanced time unit.  Members beyond rapidity about 16 are refused, and
+    so is a lam beyond the float range.  Needs a finite nonzero sigma.
     """
     a = as_square(a)
-    lam, resid, unit = _scalar_part(a, as_sigma(sigma))
-    noise = (a.shape[0] + 2) * unit
-    return resid <= tol * lam + noise and lam > 4.0 * noise, lam
+    ok, lam, u = _metric_test(a, as_sigma(sigma), tol)
+    return ok and lam > 4.0 * (a.shape[0] + 2) * u, lam
 
 
 @dataclass
@@ -200,28 +210,31 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     only like eps * cond(a).  They are unique: a chart for the Lorentz case.
 
     Raises ValueError unless sigma is finite and positive, NonPositiveLambda
-    when a^dagger a is a multiple lam <= 0 of I (the zero matrix), and
-    NotInNormalizer whenever else :func:`in_normalizer` refuses a.
+    when a^dagger a is a multiple lam <= 0 of I (the zero matrix, or an
+    anti-member at n = 1), and NotInNormalizer whenever else
+    :func:`in_normalizer` refuses a.
     """
     a = as_square(a)
     s = as_sigma(sigma)
     if not (s.is_finite and s.value > 0.0):
         raise ValueError("Cartan decomposition needs sigma > 0")
     n = a.shape[0] - 1
-    lam, resid, unit = _scalar_part(a, s)
-    noise = (n + 3) * unit
-    if resid > tol * abs(lam) + noise or 0.0 < lam <= 4.0 * noise:
-        raise NotInNormalizer(f"a^dagger a is not a resolvable multiple of the identity "
-                              f"(residual {resid:.3e}, rounding bound {noise:.3e})")
-    if lam <= 0.0:
+    ok, lam, u = _metric_test(a, s, tol)
+    if ok and lam <= 0.0:
         raise NonPositiveLambda(f"scalar part is not positive: {lam:.3e}")
+    if not (ok and lam > 4.0 * (n + 3) * u):
+        raise NotInNormalizer(f"a^dagger a is not a resolvable multiple of the identity "
+                              f"(lam {lam:.3e}, rounding bound {(n + 3) * u:.3e})")
+    t = 2.0 ** (math.frexp(s.value)[1] // 2)  # read in the balanced unit of _metric_test
     a = a / math.sqrt(lam)
-    c = a[n, :n]
-    root = math.sqrt(s.value)
-    beta = float(np.linalg.norm(c))
+    a[n] /= t
+    a[:, n] *= t
+    root = math.sqrt(s.value) / t
+    beta = op_norm(a[n, :n])
     step = 0.0 if beta == 0.0 else math.asinh(beta / root) / (root * beta)
-    b = math.copysign(step, a[n, n]) * c
-    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, s), Z=p_generator(b, s))
+    b = math.copysign(step, a[n, n]) * a[n, :n]
+    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, s.value / t / t),
+                         Z=p_generator(b / t, s))
 
 
 _NEEDS = {CaseLabel.LORENTZ: "a finite sigma > 0", CaseLabel.ORTHOGONAL: "a finite sigma < 0",
@@ -250,12 +263,11 @@ def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
 def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool:
     """Whether a belongs to the kinematical group of the given case.
 
-    For Lorentz and Orthogonal the test is a^dagger a = lam * I with the
-    residual as in :func:`in_normalizer` and lam = 1 within tol; a whose
-    lam rounding, about 2 eps |a^dagger| |a|, exceeds tol is refused, which
-    caps the rapidity near 7.5 at sigma = 1 and lower away from it (1.25 at
-    sigma = 1e-6 or 1e6).  Galilei and Carroll are block-triangular
-    shape tests and Aristotle is :func:`in_K`.
+    For Lorentz and Orthogonal the test is a^dagger a = lam * I as in
+    :func:`in_normalizer`, with lam = 1 within tol; a whose lam rounding,
+    about 2 eps |a^dagger| |a|, exceeds tol is refused, which caps the
+    rapidity near 7.5 at every sigma.  Galilei and Carroll are
+    block-triangular shape tests and Aristotle is :func:`in_K`.
     sigma must match the case; Galilei, Carroll and Aristotle may omit it.
     """
     a = as_square(a)
@@ -265,14 +277,11 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
         return in_K(a, tol)
 
     if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
-        lam, resid, unit = _scalar_part(a, s)
-        return (resid <= tol * abs(lam) + (a.shape[0] + 2) * unit
-                and abs(lam - 1.0) <= tol and 2.0 * unit <= tol)
+        ok, lam, u = _metric_test(a, s, tol)
+        return ok and abs(lam - 1.0) <= tol and 2.0 * u <= tol
 
-    n = a.shape[0] - 1
-    tied = a[n, :n] if case is CaseLabel.GALILEI else a[:n, n]  # Carroll frees c
-    return (float(np.linalg.norm(tied)) <= tol * (1.0 + op_norm(a))
-            and _is_rotation_block(a, tol))
+    tied = a[-1, :-1] if case is CaseLabel.GALILEI else a[:-1, -1]  # Carroll frees c
+    return _block_test(a, op_norm(tied), tol * (1.0 + op_norm(a)), tol)
 
 
 def _haar(M: np.ndarray, flip) -> np.ndarray:

@@ -49,15 +49,6 @@ class IsotypicSplit:
     def n(self) -> int:
         return self.m1.shape[-1]
 
-    def norms(self) -> dict:
-        """Frobenius norm of each embedded component, one per matrix."""
-        return {
-            "m0": np.sqrt(self.n * self.lam**2 + self.mu**2),
-            "m1": np.linalg.norm(self.m1, axis=(-2, -1)),
-            "m2": np.linalg.norm(self.m2, axis=(-2, -1)),
-            "m3": np.sqrt(np.vecdot(self.b, self.b) + np.vecdot(self.c, self.c)),
-        }
-
 
 def split(Z) -> IsotypicSplit:
     """Decompose Z, one matrix or a stack, into its four isotypic

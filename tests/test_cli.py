@@ -226,6 +226,28 @@ def test_decompose_reports_the_zero_matrix_as_non_positive_lambda(tmp_path, caps
     assert code == 2
 
 
+def test_decompose_at_sigma_1e12_factors_every_member(tmp_path, capsys):
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1e12", "--n", "3",
+                     "--count", "200", "--seed", "0", "--boost-bound", "5e-6"]) == 0
+    path = tmp_path / "members.json"
+    path.write_text(capsys.readouterr().out)
+    code = cli.main(["decompose", str(path), "--sigma", "1e12"])
+    entries = json.loads(capsys.readouterr().out)
+    assert len(entries) == 200
+    assert all("lambda" in entry for entry in entries)
+    assert code == 0
+
+
+def test_decompose_refuses_a_lam_beyond_the_float_range(tmp_path, capsys):
+    # lam = 1e320 overflows: a refusal, with nothing printed to stderr
+    path = write_file(tmp_path, {"n": 3, "matrices": [(1e160 * np.eye(4)).ravel().tolist()]})
+    code = cli.main(["decompose", path, "--sigma", "1"])
+    out, err = capsys.readouterr()
+    assert json.loads(out) == [{"error": "NotInNormalizer"}]
+    assert err == ""
+    assert code == 2
+
+
 def test_decompose_rejects_bad_sigma(tmp_path, capsys):
     path = write_file(tmp_path, {"n": 2, "matrices": []})
     assert cli.main(["decompose", path, "--sigma", "inf"]) == 1

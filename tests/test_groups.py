@@ -549,6 +549,148 @@ def test_in_normalizer_rejects_gaussian_matrices_at_any_scale():
                 assert not membership(a, case, sigma)
 
 
+def rescaled(a, j):
+    """D a D^-1 with D = diag(1, ..., 1, 2^j), exactly: it maps the group of
+    sigma onto the group of 4^j sigma, as a change of the unit of time."""
+    out = np.array(a, dtype=float)
+    out[-1] *= 2.0 ** j
+    out[:, -1] /= 2.0 ** j
+    return out
+
+
+UNIT_EXPONENTS = (1, -1, 5, -5, 20, -20, 40, -40)
+
+
+def unit_inputs(sigmas, max_rapidity, steps):
+    """(case, sigma, a) for members, 2x members and (1 + 1e-6)x members of
+    rapidity (or angle) 0.5 to max_rapidity, n = 2, 3 and 10."""
+    rng = np.random.default_rng(61)
+    for sigma in sigmas:
+        case = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
+        for n in (2, 3, 10):
+            for w in np.linspace(0.5, max_rapidity, steps):
+                k = k_element(random_orthogonal(n, rng), 1 if rng.random() < 0.5 else -1)
+                u = rng.standard_normal(n)
+                g = k @ boost_closed_form(u / np.linalg.norm(u) * w / math.sqrt(abs(sigma)), sigma)
+                for a in (g, 2.0 * g, (1.0 + 1e-6) * g):
+                    yield case, sigma, a
+
+
+def test_verdicts_do_not_depend_on_the_time_unit():
+    for case, sigma, a in unit_inputs((1.0, -1.0, 0.7, -1.3), 8.0, 10):
+        verdict = membership(a, case, sigma)
+        ok, lam = in_normalizer(a, sigma)
+        for j in UNIT_EXPONENTS:
+            b, s = rescaled(a, j), 4.0 ** j * sigma
+            assert membership(b, case, s) is verdict, (sigma, j)
+            ok_b, lam_b = in_normalizer(b, s)
+            assert ok_b is ok and lam_b.hex() == lam.hex(), (sigma, j)
+
+
+def decomposed(a, sigma):
+    try:
+        return cartan_decompose(a, sigma)
+    except (NotInNormalizer, NonPositiveLambda) as exc:
+        return type(exc)
+
+
+def test_cartan_factors_do_not_depend_on_the_time_unit():
+    # The same lam and exception in every unit; k is unchanged and Z maps
+    # to D Z D^-1, bit for bit.
+    for _, sigma, a in unit_inputs((1.0, 0.7), 17.0, 15):
+        f = decomposed(a, sigma)
+        for j in UNIT_EXPONENTS:
+            g = decomposed(rescaled(a, j), 4.0 ** j * sigma)
+            if isinstance(f, type) or isinstance(g, type):
+                assert g is f, (sigma, j)
+                continue
+            assert g.lam.hex() == f.lam.hex()
+            np.testing.assert_array_equal(g.k, f.k)
+            np.testing.assert_array_equal(g.Z, rescaled(f.Z, j))
+
+
+def first_refused_rapidity(n, sigma, seed):
+    rng = np.random.default_rng(seed)
+    k = k_element(random_orthogonal(n, rng), 1 if rng.random() < 0.5 else -1)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    for w in np.arange(0.25, 12.01, 0.25):
+        g = k @ boost_closed_form(u * w / math.sqrt(sigma), sigma)
+        if not membership(g, CaseLabel.LORENTZ, sigma):
+            return w
+    return math.inf
+
+
+def test_lorentz_members_are_refused_from_one_rapidity_at_every_sigma():
+    for n in (2, 3, 10):
+        for seed in range(2):
+            at_one = first_refused_rapidity(n, 1.0, seed)
+            assert 7.0 <= at_one <= 8.0
+            for e in range(-12, 13):
+                assert abs(first_refused_rapidity(n, 10.0 ** e, seed) - at_one) <= 0.25, (n, e)
+
+
+def test_orthogonal_members_are_accepted_at_sigma_far_from_one():
+    rng = np.random.default_rng(62)
+    for sigma in (-1e-12, -1e12):
+        for n in (2, 3, 10):
+            for w in np.linspace(0.0, 2.0 * math.pi, 27):
+                k = k_element(random_orthogonal(n, rng), 1 if rng.random() < 0.5 else -1)
+                u = rng.standard_normal(n)
+                g = k @ boost_closed_form(u / np.linalg.norm(u) * w / math.sqrt(-sigma), sigma)
+                assert membership(g, CaseLabel.ORTHOGONAL, sigma), (sigma, n, w)
+
+
+EXTREME_SIGMAS = (1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1.7e308, -1.7e308)
+
+
+def test_verdicts_at_the_ends_of_the_float_range():
+    # Every warning is an error in this suite, so each verdict below is
+    # reached without an overflow or underflow warning.
+    for n in (2, 3):
+        for case, own in ((CaseLabel.LORENTZ, 1.0), (CaseLabel.ORTHOGONAL, -1.0),
+                          (CaseLabel.GALILEI, None), (CaseLabel.CARROLL, None)):
+            g = random_element(case, own, n, 1.0, seed=n)
+            for sigma in EXTREME_SIGMAS + (1.0, 0.25):
+                tested = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
+                verdict = membership(g, tested, sigma)
+                ok = in_normalizer(g, sigma)[0]
+                if sigma > 0:
+                    assert isinstance(decomposed(g, sigma), CartanFactors) is ok
+                # By the contraction of sigma to 0 or infinity, a Carroll
+                # member lies within about 1e-150 relative of a member of
+                # the group of sigma >= 1e300, and a Galilei member of one
+                # of |sigma| <= 1e-300.
+                if (case is CaseLabel.CARROLL and sigma >= 1e300
+                        or case is CaseLabel.GALILEI and abs(sigma) <= 1e-300):
+                    assert verdict and ok, (case, sigma)
+                # lam of 2^600 g is beyond the float range: a refusal
+                big = 2.0 ** 600 * g
+                assert not membership(big, tested, sigma)
+                assert not in_normalizer(big, sigma)[0]
+                if sigma > 0:
+                    assert decomposed(big, sigma) is NotInNormalizer
+
+
+def test_a_lam_beyond_the_float_range_is_a_refusal():
+    for scale, lam in ((1e160, math.inf), (1e-200, 0.0)):
+        a = scale * np.eye(3)
+        assert in_normalizer(a, 1.0) == (False, lam)
+        assert not membership(a, CaseLabel.LORENTZ, 1.0)
+        with pytest.raises(NotInNormalizer):
+            cartan_decompose(a, 1.0)
+    # lam <= 0 in exact terms is NonPositiveLambda in any unit and at any
+    # scale: the zero matrix, an anti-member (a^dagger a = -I) at n = 1, and
+    # a matrix whose columns are all one lightlike vector (a^dagger a = 0)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    lightlike = 2.0 ** 600 * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert in_normalizer(lightlike, 1.0) == (False, 0.0)
+    for j in (0, 20, -20):
+        for a in (swap, np.zeros((3, 3)), lightlike):
+            with pytest.raises(NonPositiveLambda):
+                cartan_decompose(rescaled(a, j), 4.0 ** j)
+
+
 def test_random_orthogonal_properties():
     dets = set()
     for seed in range(20):
