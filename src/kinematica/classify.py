@@ -243,21 +243,24 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     return _sigma_and_rows(*_finite_pairs(b, c), tol)[0]
 
 
-def _sigma_and_rows(b, c, tol: float) -> tuple[Sigma, np.ndarray]:
-    """:func:`sigma_from_m3` together with the per-row sigmas it checked,
-    for (m, n) float arrays b and c with finite entries."""
+def _sigma_and_rows(b, c, tol: float, k: int = 0) -> tuple[Sigma, np.ndarray]:
+    """:func:`sigma_from_m3` together with the per-row sigmas it checked, for (m, n)
+    float arrays b and c with finite entries; both are mapped back by 4^k."""
     rows = _row_sigmas(b, c, tol)
+    # Finite rows are below n 2^537 (b.b >= 2^-1074) and classify_algebra's Carroll
+    # guard keeps 4^k <= 2^52, so mapping back cannot overflow.
+    back = np.ldexp(rows, 2 * k)
     finite = np.isfinite(rows)
     if not finite.any():
-        return SIGMA_INF, rows
+        return SIGMA_INF, back
     lo, hi = float(rows.min()), float(rows.max())
     if not finite.all() or hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
         raise NotCollinear(f"mixing generators disagree on sigma: "
-                           f"{Sigma(lo)!r} vs {Sigma(hi)!r}")
+                           f"{Sigma(float(back.min()))!r} vs {Sigma(float(back.max()))!r}")
     # One power of two for the whole fit: no overflow, rows weighed as given.
     e = math.frexp(max(float(abs(b).max()), float(abs(c).max())))[1]
     b, c = np.ldexp(b, -e), np.ldexp(c, -e)
-    return Sigma(float(np.vdot(b, c)) / float(np.vdot(b, b))), rows
+    return Sigma(math.ldexp(float(np.vdot(b, c)) / float(np.vdot(b, b)), 2 * k)), back
 
 
 def rotation_generators(n: int) -> list[np.ndarray]:
@@ -278,13 +281,15 @@ def rotation_generators(n: int) -> list[np.ndarray]:
 def _closure_scan(basis, tol: float) -> tuple[bool, float]:
     """Least-squares test that all pairwise brackets stay in the span.
 
-    Returns (closed, worst raw residual).  The boolean compares each
+    Returns (closed, worst raw residual), both on the basis balanced by
+    :func:`matcore.balance`, an automorphism of the bracket that keeps the
+    rotations next to the boosts of any sigma.  The boolean compares each
     residual against tol * (1 + |bracket|); the raw residual is reported
-    unnormalized so callers can see how far outside the span a bracket
-    lands.  All m (m - 1) / 2 brackets are formed at once, so memory grows
-    like m^2 (n+1)^2.
+    unnormalized.  All m (m - 1) / 2 brackets are formed at once, so memory
+    grows like m^2 (n+1)^2.
     """
     stack = matcore.as_square_stack(list(basis))
+    matcore.balance(stack)
     d = stack.shape[-1]
     _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
     Q = vt[s > tol * s[0]]
@@ -306,51 +311,64 @@ def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
 
 
 def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
-    """Largest distance of any pairwise bracket from the span of ``basis``."""
+    """Largest distance of any pairwise bracket from the span of ``basis``,
+    measured in the balanced time unit of :func:`matcore.balance`."""
     _, worst = _closure_scan(basis, tol)
     return worst
+
+
+def _largest_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm of the stack; squares out of range are redone on stack / 2^e."""
+    flat = stack.reshape(len(stack), -1)
+    with np.errstate(over="ignore"):
+        scale = math.sqrt(np.vecdot(flat, flat).max())
+    if not 2.0 ** -500 < scale < math.inf:
+        e = math.frexp(max(flat.max(), -flat.min()))[1]
+        flat = np.ldexp(flat, -e)
+        scale = math.ldexp(math.sqrt(np.vecdot(flat, flat).max()), e)
+    return scale
 
 
 def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResult:
     """Decide which kinematical algebra the generators span together with
     the rotations.
 
-    Parameters
-    ----------
-    generators : iterable of square matrices of one common dimension
-        n+1 >= 3.  The rotation algebra need not be included; it is
-        adjoined implicitly.
-    tol : relative tolerance for every internal threshold.
+    generators: square matrices of one dimension n+1 >= 3; the rotations
+    need not be among them, they are adjoined.  tol: relative tolerance of
+    every internal threshold.
 
-    The steps: stack the generators, split the stack into isotypic
-    components in one call and keep each generator's non-rotation part
-    m0 + m2 + m3 as one row of coordinates, isometric to the Frobenius
-    norm.  Rotation content is dropped here, because the
-    rotations are adjoined anyway: span(G + so(n)) = so(n) + span(P G) with
-    P the projection that removes m1.  Rows that are exactly zero, such as
-    those of rotation generators, are dropped too.  One SVD of the rest
-    gives an orthonormal basis of the non-rotation span, keeping singular
-    values above tol times the largest generator norm.  Scalar or
-    traceless-symmetric content in that basis is rejected; what remains
-    is mixing content, which must be collinear with one shared sigma,
-    extracted by :func:`sigma_from_m3` from the basis rows at once.  That
-    sigma settles the answer: rotations plus its boosts are closed under
-    the bracket for every sigma (see the module docstring), so no closure
-    check is run.  No mixing content at all is the Aristotle case.
-    Failures are reported as a result with outcome "NotKinematical", never
-    as an exception.
+    The set is judged in the time unit of :func:`matcore.balance`, and
+    sigma is mapped back by 4^k, so the answer does not depend on the unit
+    sigma is given in.  A set stays in its own unit when its largest last
+    column entry |b| is rounding next to its largest last row entry |c|,
+    |b| <= (n+1) eps |c| as in a Carroll set, or when the balanced mixing
+    content would fall under the SVD cut below.  Each generator's
+    non-rotation part m0 + m2 + m3 becomes one row of coordinates,
+    isometric to the Frobenius norm (rotation content is adjoined anyway),
+    and zero rows are dropped.  One SVD gives an orthonormal basis of their
+    span, keeping singular values above tol times the largest generator
+    norm.  Scalar or traceless-symmetric content in it is rejected; the
+    rest is mixing content, whose one shared sigma :func:`sigma_from_m3`
+    extracts from the basis rows at once.  Rotations plus the boosts of one
+    sigma close for every sigma (module docstring), so no closure check is
+    run.  No mixing content at all is the Aristotle case.  Failures are a
+    result with outcome "NotKinematical", never an exception.
     """
     stack = matcore.as_square_stack(list(generators))
     m, n = len(stack), stack.shape[-1] - 1
     if n < 2:
         raise ValueError("classification needs at least two space dimensions")
 
-    flat = stack.reshape(m, -1)
-    scale = math.sqrt(np.vecdot(flat, flat).max())
+    b, c = float(abs(stack[:, :n, n]).max()), float(abs(stack[:, n, :n]).max())
+    k = matcore.balance(stack) if b > (n + 1) * math.ulp(1.0) * c else 0
+    scale = _largest_norm(stack)
+    if k and max(math.ldexp(b, k), math.ldexp(c, -k)) <= tol * scale:
+        matcore.balance(stack, k=-k)  # balanced, the mixing content would fall under the cut
+        k, scale = 0, _largest_norm(stack)
     parts = isotypic.split(stack)
     rows = np.concatenate((math.sqrt(n) * parts.lam[:, np.newaxis], parts.mu[:, np.newaxis],
                            parts.m2.reshape(m, -1), parts.b, parts.c), axis=1)
-    del stack, flat, parts  # free the matrices before the SVD
+    del stack, parts  # free the matrices before the SVD
     rows = rows[rows.any(axis=1)]
     basis = rows[:0]
     if len(rows):
@@ -359,8 +377,8 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
     diagnostics = {"rank": float(len(basis)), "m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 0.0}
     if not len(basis):
         return ClassificationResult(OUTCOME_ARISTOTLE, diagnostics=diagnostics)
-    for key, cols in (("m0", basis[:, :2]), ("m2", basis[:, 2:-2 * n]), ("m3", basis[:, -2 * n:])):
-        diagnostics[key] = float(np.linalg.norm(cols, axis=1).max())
+    norms = np.sqrt(np.add.reduceat(basis * basis, [0, 2, 2 + n * n], axis=1).max(axis=0))
+    diagnostics.update(zip(("m0", "m2", "m3"), norms.tolist()))
 
     for key, content in (("m0", "scalar"), ("m2", "traceless symmetric")):
         if diagnostics[key] > tol:
@@ -368,7 +386,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResu
                 f"{content} ({key}) content present: norm {diagnostics[key]:.3e}"))
 
     try:
-        sigma, rows = _sigma_and_rows(basis[:, -2 * n:-n], basis[:, -n:], tol)
+        sigma, rows = _sigma_and_rows(basis[:, -2 * n:-n], basis[:, -n:], tol, k)
     except NotCollinear as exc:
         return ClassificationResult(
             OUTCOME_NOT_KINEMATICAL, reason=str(exc), diagnostics=diagnostics

@@ -148,15 +148,12 @@ def _block_test(a: np.ndarray, tied: float, bound: float, tol: float) -> bool:
 
 
 def _metric_test(a: np.ndarray, s: Sigma, tol: float) -> tuple[bool, float, float]:
-    """(ok, lam, u) for a^dagger a = lam I, lam = trace / (n+1), tested as D a D^-1 against
-    sigma' = 4^-k sigma in [1/2, 2); D = diag(1, ..., 1, 2^-k) maps the group of sigma onto
-    that of sigma'.  u = eps |a^dagger| |a| grows like cond(a).  ok means
-    |a^dagger a - lam I| <= tol |lam| + (n+3) u, with lam zero or a normal float."""
+    """(ok, lam, u) for a^dagger a = lam I, lam = trace / (n+1), tested on a balanced by
+    matcore.balance against sigma' = 4^-k sigma in [1/2, 2).  u = eps |a^dagger| |a| grows
+    like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u, lam zero or normal."""
     n = a.shape[0] - 1
-    k = math.frexp(s.value)[1] // 2
     mant, exps = np.frexp(a)
-    exps[n] -= k
-    exps[:, n] += k
+    k = matcore.balance(exps, s.value)
     top = int(exps.max(where=mant != 0.0, initial=-4096))  # zero entries do not count
     b = np.ldexp(mant, exps - top)  # largest entry in [1/2, 1): nothing overflows
     adj = matcore.dagger(b, math.ldexp(s.value, -2 * k))
@@ -197,7 +194,12 @@ class CartanFactors:
     Z: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return math.sqrt(self.lam) * self.k @ matcore.mat_exp(self.Z)
+        """sqrt(lam) k mat_exp(Z), formed in the balanced time unit of Z and mapped back."""
+        Z = np.array(self.Z, dtype=float)
+        k = matcore.balance(Z)
+        a = math.sqrt(self.lam) * self.k @ matcore.mat_exp(Z)
+        matcore.balance(a, k=-k)
+        return a
 
 
 def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
@@ -225,16 +227,15 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     if not (ok and lam > 4.0 * (n + 3) * u):
         raise NotInNormalizer(f"a^dagger a is not a resolvable multiple of the identity "
                               f"(lam {lam:.3e}, rounding bound {(n + 3) * u:.3e})")
-    t = 2.0 ** (math.frexp(s.value)[1] // 2)  # read in the balanced unit of _metric_test
     a = a / math.sqrt(lam)
-    a[n] /= t
-    a[:, n] *= t
-    root = math.sqrt(s.value) / t
+    k = matcore.balance(a, s.value)  # read in the balanced unit of _metric_test
+    balanced_sigma = math.ldexp(s.value, -2 * k)
+    root = math.sqrt(balanced_sigma)
     beta = op_norm(a[n, :n])
     step = 0.0 if beta == 0.0 else math.asinh(beta / root) / (root * beta)
     b = math.copysign(step, a[n, n]) * a[n, :n]
-    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, s.value / t / t),
-                         Z=p_generator(b / t, s))
+    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, balanced_sigma),
+                         Z=p_generator(np.ldexp(b, -k), s))
 
 
 _NEEDS = {CaseLabel.LORENTZ: "a finite sigma > 0", CaseLabel.ORTHOGONAL: "a finite sigma < 0",

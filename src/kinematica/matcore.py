@@ -6,9 +6,11 @@ linear group acting on n space coordinates plus one time coordinate.  This
 module validates such matrices and provides commutator brackets, a
 matrix exponential (the generic oracle against which the closed-form
 boosts and Cartan factors are checked), the adjoint ("dagger") under the
-spacetime form of sigma and the Frobenius norm that scales every
-tolerance check.  Blocks are read as slices: a[:n, :n], a[:n, n],
-a[n, :n] and a[n, n].  Functions are pure and never mutate their inputs.
+spacetime form of sigma, the Frobenius norm that scales every
+tolerance check and the change of time unit that every sigma-dependent
+verdict is judged in.  Blocks are read as slices: a[:n, :n], a[:n, n],
+a[n, :n] and a[n, n].  Functions are pure and never mutate their inputs,
+except balance, which rescales the array it is given in place.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 __all__ = [
     "as_square",
     "as_square_stack",
+    "balance",
     "bracket",
     "dagger",
     "mat_exp",
@@ -61,8 +64,30 @@ def as_square(matrix) -> np.ndarray:
 
 
 def op_norm(matrix) -> float:
-    """Frobenius norm, an upper bound on the spectral norm; scales every tolerance."""
-    return float(np.linalg.norm(matrix))
+    """Frobenius norm, an upper bound on the spectral norm; scales every tolerance.
+    It is np.linalg.norm's formula, bit for bit, without its dispatch."""
+    r = np.asarray(matrix, dtype=float).ravel("K")
+    return math.sqrt(r.dot(r))
+
+
+def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> int:
+    """Change the time unit of x in place to D x D^-1, D = diag(1, ..., 1, 2^-k), and
+    return k; D maps the group of sigma exactly onto that of 4^-k sigma.  x is a float
+    (..., n+1, n+1) stack, rescaled by ldexp, or the int binary exponents of a matrix,
+    shifted.  k is given (-k undoes a balance), or taken from sigma, so that 4^-k sigma
+    is in [1/2, 2), or else from the largest entries |b| of the last columns and |c| of
+    the last rows, so that |c| / |b| is in [1/4, 2), and k = 0 when either is zero."""
+    n = x.shape[-1] - 1
+    if k is None and sigma is not None:
+        k = math.frexp(sigma)[1] // 2
+    elif k is None:
+        b, c = float(abs(x[..., :n, n]).max()), float(abs(x[..., n, :n]).max())
+        k = (math.frexp(c)[1] - math.frexp(b)[1] + 1) // 2 if b and c else 0
+    if k:
+        shift = np.ldexp if x.dtype.kind == "f" else np.add  # values or binary exponents
+        shift(x[..., n, :n], -k, out=x[..., n, :n])
+        shift(x[..., :n, n], k, out=x[..., :n, n])
+    return k
 
 
 def bracket(X, Y) -> np.ndarray:

@@ -284,18 +284,25 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
                 lam = float(rng.uniform(0.1, 10.0))
                 b = _unit(rng, n) * rng.uniform(0.0, 4.0 / math.sqrt(s.value))
                 Z = groups.p_generator(b, s)
-                a = math.sqrt(lam) * k @ matcore.mat_exp(Z)
+                a = groups.CartanFactors(lam, k, Z).reconstruct()
                 factors = groups.cartan_decompose(a, s, cfg.tol)
                 resid = max(
                     matcore.op_norm(factors.k - k),
-                    matcore.op_norm(factors.Z - Z),
+                    matcore.op_norm(_balanced(factors.Z - Z, s)),
                     abs(factors.lam - lam) / (1.0 + lam),
-                    matcore.op_norm(factors.reconstruct() - a)
-                    / (1.0 + matcore.op_norm(a)),
+                    matcore.op_norm(_balanced(factors.reconstruct() - a, s))
+                    / (1.0 + matcore.op_norm(_balanced(a, s))),
                 )
                 check.residual(resid, {"a": a, "k": k, "Z": Z, "lam": lam,
                                        "sigma": s})
     return check.result()
+
+
+def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
+    """A copy of x in the balanced time unit of sigma (see matcore.balance)."""
+    x = np.array(x, dtype=float)
+    matcore.balance(x, s.value)
+    return x
 
 
 def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
@@ -457,9 +464,10 @@ def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResu
                 u = _unit(rng, n)
                 M = wraparound_demo(C, u, cfg.tol)
                 expected = groups.k_element(np.eye(n) - 2.0 * np.outer(u, u), -1)
-                check.residual(matcore.op_norm(M - expected), {"u": u, "C": C})
+                check.residual(matcore.op_norm(_balanced(M - expected, s)), {"u": u, "C": C})
                 full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
-                check.residual(matcore.op_norm(full - np.eye(n + 1)), {"u": u, "C": C})
+                check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s)),
+                               {"u": u, "C": C})
     return check.result()
 
 
@@ -468,7 +476,8 @@ def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The result is a block rotation: the spatial block reflects through the
     plane normal to u (determinant -1) and the corner entry is -1, a time
-    reversal.  Raises ValueError if the result fails the block test.
+    reversal.  Raises ValueError if the result, in the balanced time unit
+    of sigma, fails the block test.
     """
     if not (C > 0):
         raise ValueError("C must be positive")
@@ -478,7 +487,7 @@ def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     n = u.size
     sigma = Sigma(-1.0 / (C * C))
     M = groups.boost_closed_form(math.pi * C * u, sigma)
-    if not groups.in_K(M, tol):
+    if not groups.in_K(_balanced(M, sigma), tol):
         raise ValueError("wrap-around boost did not land in the rotation block")
     if abs(M[n, n] + 1.0) > tol or abs(np.linalg.det(M[:n, :n]) + 1.0) > tol:
         raise ValueError("wrap-around boost has the wrong reflection structure")

@@ -5,6 +5,7 @@ import pytest
 
 from kinematica import classify
 from kinematica.classify import (
+    DEFAULT_TOL,
     SIGMA_INF,
     CaseLabel,
     NotCollinear,
@@ -292,12 +293,9 @@ def _signed_decades(lo, hi, step):
 
 
 def test_closure_of_standard_algebras():
-    # Every finite sigma the classifier can return: from about 1e9 it
-    # already answers Carroll.  Above about 1.8e9 the span SVD drops the
-    # rotations and the closure test itself fails, so the grid stops at 1e9.
     standard = [Sigma(1.0), Sigma(0.5), Sigma(-1.0), Sigma(0.0), SIGMA_INF]
     for n in (2, 3):
-        for sigma in standard + _signed_decades(-12.0, 9.0, 0.25):
+        for sigma in standard + _signed_decades(-12.0, 14.0, 0.25):
             basis = rotation_generators(n) + [
                 p_generator(np.eye(n)[i], sigma) for i in range(n)
             ]
@@ -356,11 +354,10 @@ def test_classify_each_case():
 
 def test_classify_sigma_sweep():
     # Rotations plus the boosts of one sigma always close, so the sigma
-    # read from the mixing span decides the case on its own.  From about
-    # 1/tol a finite sigma reads as Carroll (README); this grid stops at 1e3.
+    # read from the mixing span decides the case on its own.
     rng = np.random.default_rng(25)
     for n in (2, 3, 10):
-        for sigma in _signed_decades(-12.0, 3.0, 0.25) + [Sigma(0.0), SIGMA_INF]:
+        for sigma in _signed_decades(-12.0, 14.0, 0.25) + [Sigma(0.0), SIGMA_INF]:
             result = classify_algebra(_standard_generators(rng, n, sigma))
             assert result.is_kinematical, (n, sigma, result.reason)
             assert case_label(result) is case_of_sigma(sigma)
@@ -368,6 +365,100 @@ def test_classify_sigma_sweep():
                 assert result.sigma.value == pytest.approx(sigma.value, rel=1e-9)
             else:
                 assert result.sigma.is_infinite
+
+
+def test_balancing_never_drops_mixing_content_under_the_cut():
+    # Balancing shrinks the larger of b and c to about sqrt(|b| |c|) and leaves
+    # the rotations alone.  Where that would bring the boosts under the SVD
+    # cut next to the rotations, the set is read in its own unit instead.
+    for n in (2, 3):
+        e = np.eye(n)
+        for scale, sigma, tol in ((1.0, 1e-13, 1e-6), (0.01, 2e-15, DEFAULT_TOL),
+                                  (0.01, -2e-15, DEFAULT_TOL)):
+            gens = rotation_generators(n) + [p_generator(scale * v, sigma) for v in e]
+            result = classify_algebra(gens, tol)
+            assert case_label(result) is case_of_sigma(Sigma(sigma)), (n, sigma, result)
+            assert result.sigma.value == pytest.approx(sigma, rel=1e-9)
+        # the same on the Carroll side: the boosts stay, and read as Carroll
+        gens = rotation_generators(n) + [1e-13 * p_generator(v, 1e13) for v in e]
+        assert case_label(classify_algebra(gens, 1e-6)) is CaseLabel.CARROLL
+
+
+def test_rounding_level_columns_read_as_carroll():
+    # With |b| <= (n+1) eps |c| for the largest entries the set is not
+    # balanced, and the per-row rule reads it as Carroll; a column four
+    # times larger is balanced and read as the finite sigma it is.
+    eps = np.finfo(float).eps
+    for n in (2, 3):
+        rotations = rotation_generators(n)
+        carroll = classify_algebra(rotations + [mixing((n + 1) * eps * v, v) for v in np.eye(n)])
+        assert case_label(carroll) is CaseLabel.CARROLL
+        ratio = 4.0 * (n + 1) * eps
+        finite = classify_algebra(rotations + [mixing(ratio * v, v) for v in np.eye(n)])
+        assert finite.sigma.value == pytest.approx(1.0 / ratio, rel=1e-12)
+
+
+def _rescaled(gens, j):
+    """D G D^-1 for each generator G, D = diag(1, ..., 1, 2^-j), exactly:
+    the same set with sigma in a time unit 4^-j times as large."""
+    out = [np.array(G, dtype=float) for G in gens]
+    for G in out:
+        G[-1] *= 2.0 ** -j
+        G[:, -1] *= 2.0 ** j
+    return out
+
+
+def _gate(result):
+    return None if result.reason is None else result.reason.split(":")[0]
+
+
+def test_classify_does_not_depend_on_the_time_unit():
+    # Accepted sets and each rejection gate: the outcome, the gate and the
+    # rank are the same in every unit, and sigma scales by exactly 4^-j, as
+    # long as sigma stays within 1e±13, far from where one of b and c is
+    # rounding next to the other.
+    rng = np.random.default_rng(28)
+    checked = set()
+    for n in (2, 3, 10):
+        for e in np.arange(-12.0, 12.01, 1.0):
+            sigma = float(rng.choice([-1.0, 1.0])) * 10.0 ** e
+            base = _standard_generators(rng, n, Sigma(sigma), count=n,
+                                        scale=rng.uniform(0.25, 4.0))
+            sym = np.zeros((n + 1, n + 1))
+            sym[0, 0], sym[1, 1] = 1.0, -1.0
+            sets = [base, base + [np.eye(n + 1) + base[-1]], base + [sym + base[-1]],
+                    rotation_generators(n) + [p_generator(np.eye(n)[0], sigma),
+                                              p_generator(np.eye(n)[1], 3.0 * sigma)],
+                    base + [mixing(rng.standard_normal(n), sigma * rng.standard_normal(n))]]
+            for gens in sets:
+                result = classify_algebra(gens)
+                for j in (1, -1, 5, -5, 20, -20, 40, -40):
+                    if not 1e-13 <= abs(sigma) * 4.0 ** -j <= 1e13:
+                        continue
+                    moved = classify_algebra(_rescaled(gens, j))
+                    assert moved.outcome == result.outcome, (n, sigma, j)
+                    assert _gate(moved) == _gate(result), (n, sigma, j)
+                    assert moved.diagnostics["rank"] == result.diagnostics["rank"]
+                    if result.is_kinematical:
+                        assert moved.sigma.value == math.ldexp(result.sigma.value, -2 * j)
+                    checked.add(_gate(result))
+    assert {g and g.split(" (")[0] for g in checked} == {
+        None, "scalar", "traceless symmetric", "mixing vectors are not collinear",
+        "mixing generators disagree on sigma"}
+
+
+def test_classify_reads_sets_with_entries_near_the_float_range():
+    # The largest generator norm is taken on the set divided by a power of
+    # two, so its squares cannot overflow (from about 1.3e154) or vanish;
+    # warnings are errors here.
+    rng = np.random.default_rng(31)
+    for n in (2, 3):
+        gens = _standard_generators(rng, n, Sigma(1.0), count=n)
+        for e in (520, -520, 1000, -1000):
+            result = classify_algebra([math.ldexp(1.0, e) * G for G in gens])
+            assert result.is_kinematical, (n, e, result.reason)
+            assert case_label(result) is CaseLabel.LORENTZ
+            assert result.sigma.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_classify_takes_one_svd_of_the_non_rotation_rows(monkeypatch):

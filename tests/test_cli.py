@@ -125,6 +125,33 @@ def test_classify_command_rejection_exit_code(tmp_path, capsys):
     assert "reason" in out
 
 
+def test_classify_command_reads_entries_near_the_float_range(tmp_path, capsys):
+    # 2^520 times a Lorentz set: its squared norms overflow unless taken on
+    # the set divided by a power of two; warnings are errors here.
+    for e in (520, -520):
+        payload = generator_payload(3, 1.0)
+        payload["matrices"] = [[math.ldexp(x, e) for x in m] for m in payload["matrices"]]
+        code = cli.main(["classify", write_file(tmp_path, payload)])
+        out, err = capsys.readouterr()
+        data = json.loads(out)
+        assert (code, data["case"], data["sigma"], err) == (0, "Lorentz", 1.0, "")
+
+
+def test_generate_decompose_classify_at_sigma_1e12(tmp_path, capsys):
+    # The boost generators Z that decompose reads off members of sigma 1e12
+    # classify back to Lorentz and 1e12.
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1e12", "--n", "3",
+                     "--count", "3", "--seed", "4", "--boost-bound", "1e-6"]) == 0
+    members = tmp_path / "members.json"
+    members.write_text(capsys.readouterr().out)
+    assert cli.main(["decompose", str(members), "--sigma", "1e12"]) == 0
+    boosts = [entry["Z"] for entry in json.loads(capsys.readouterr().out)]
+    code = cli.main(["classify", write_file(tmp_path, {"n": 3, "matrices": boosts})])
+    data = json.loads(capsys.readouterr().out)
+    assert (code, data["case"]) == (0, "Lorentz")
+    assert data["sigma"] == pytest.approx(1e12, rel=1e-9)
+
+
 def test_classify_missing_file(capsys):
     code = cli.main(["classify", "/no/such/file.json"])
     assert code == 1

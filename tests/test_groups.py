@@ -609,6 +609,25 @@ def test_cartan_factors_do_not_depend_on_the_time_unit():
             np.testing.assert_array_equal(g.Z, rescaled(f.Z, j))
 
 
+def test_reconstruct_is_accurate_far_from_sigma_one():
+    # The product k exp(Z) is formed in the balanced unit, where k was read,
+    # so its error stays within a few eps cond(a) there at every sigma.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(42)
+    for sigma in (1e12, 1e-12, 1e100, 1e-100, 1e300, 1e-300):
+        for n in (2, 3, 10):
+            for _ in range(10):
+                lam = 10.0 ** rng.uniform(-1.0, 1.0)
+                k = k_element(random_orthogonal(n, rng), 1 if rng.random() < 0.5 else -1)
+                u = rng.standard_normal(n)
+                b = u / np.linalg.norm(u) * rng.uniform(0.0, 4.0) / math.sqrt(sigma)
+                a = math.sqrt(lam) * k @ boost_closed_form(b, sigma)
+                error = cartan_decompose(a, sigma).reconstruct() - a
+                j = -(math.frexp(sigma)[1] // 2)  # 4^j sigma in [1/2, 2)
+                error, a = rescaled(error, j), rescaled(a, j)
+                assert op_norm(error) <= 8.0 * eps * np.linalg.cond(a) * op_norm(a), (sigma, n)
+
+
 def first_refused_rapidity(n, sigma, seed):
     rng = np.random.default_rng(seed)
     k = k_element(random_orthogonal(n, rng), 1 if rng.random() < 0.5 else -1)

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from kinematica.matcore import (
     as_square,
+    balance,
     bracket,
     dagger,
     mat_exp,
@@ -40,6 +41,57 @@ def test_op_norm_is_the_frobenius_bound_on_the_spectral_norm():
         M = rng.standard_normal((d, d))
         assert frobenius_norm(M) == float(np.linalg.norm(M))
         assert op_norm(M) <= frobenius_norm(M) <= np.sqrt(d) * op_norm(M) * (1 + 1e-15)
+    # numpy's own formula, bit for bit, on vectors, stacks and views at any scale
+    for shape in ((3,), (4, 4), (5, 4, 4), (2, 3, 5)):
+        for scale in (1e-100, 1.0, 1e100):
+            x = scale * rng.standard_normal(shape)
+            for view in (x, x.T, x[..., ::2]):
+                assert frobenius_norm(view) == float(np.linalg.norm(view))
+
+
+def test_balance_from_sigma_maps_the_boost_generator_exactly():
+    # D = diag(1, ..., 1, 2^-k) sends the generator of b at sigma to that of
+    # 2^k b at 4^-k sigma, with 4^-k sigma in [1/2, 2), bit for bit.
+    rng = np.random.default_rng(7)
+    for sigma in (1.0, 0.7, 3.0, 1e-12, 1e12, -1e300, 5e-324, 1.7e308):
+        b = rng.uniform(-1.0, 1.0, 3)
+        Z = np.zeros((4, 4))
+        Z[:3, 3], Z[3, :3] = b, sigma * b
+        k = balance(Z, sigma)
+        assert 0.5 <= abs(math.ldexp(sigma, -2 * k)) < 2.0
+        np.testing.assert_array_equal(Z[:3, 3], np.ldexp(b, k))
+        np.testing.assert_array_equal(Z[3, :3], np.ldexp(sigma * b, -k))
+
+
+def test_balance_of_exponents_matches_balance_of_values():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((4, 4))
+    mant, exps = np.frexp(a)
+    assert balance(exps, 1e-20) == balance(a, 1e-20) == -33
+    np.testing.assert_array_equal(np.ldexp(mant, exps), a)
+
+
+def test_balance_without_sigma_levels_the_mixing_entries():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((3, 4, 4))
+    for j in (0, 1, -1, 12, -12, 23, -23):
+        x = stack.copy()
+        x[:, 3, :3] *= 2.0 ** j
+        x[:, :3, 3] /= 2.0 ** j
+        y = x.copy()
+        k = balance(y)
+        ratio = abs(y[:, 3, :3]).max() / abs(y[:, :3, 3]).max()
+        assert 0.25 <= ratio < 2.0
+        assert balance(y, k=-k) == -k
+        np.testing.assert_array_equal(y, x)  # -k undoes it
+
+
+def test_balance_leaves_galilei_and_carroll_content_alone():
+    x = np.zeros((2, 4, 4))
+    x[:, :3, 3] = [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]
+    assert balance(x.copy()) == 0  # no row: Galilei
+    carroll = x.swapaxes(-1, -2).copy()
+    assert balance(carroll.copy()) == 0  # no column
 
 
 def test_as_square_copies():
