@@ -9,23 +9,23 @@ is the separate normalizer test with lam = 1, not this decomposition.
 
 import numpy as np
 
+from kinematica.classify import CaseLabel
 from kinematica.groups import (
     NotInNormalizer,
     boost_closed_form,
     cartan_decompose,
-    k_element,
     p_generator,
-    random_orthogonal,
+    random_element,
 )
 from kinematica.matcore import op_norm
 
 np.set_printoptions(precision=5, suppress=True)
-rng = np.random.default_rng(11)
 sigma = 1.0
 
-# assemble an element with known factors, then take it apart again
+# assemble an element with known factors, then take it apart again; an
+# Aristotle member is a block rotation diag(Q, +-1) with Haar Q
 lam = 2.7
-k = k_element(random_orthogonal(2, rng), -1)
+k = random_element(CaseLabel.ARISTOTLE, n=2, seed=11)
 b = np.array([0.8, -0.3])
 a = np.sqrt(lam) * k @ boost_closed_form(b, sigma)
 print("input matrix a:")

@@ -9,6 +9,7 @@ Carroll maps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ class Event:
         if self.r.ndim != 1:
             raise ValueError("event position must be a vector")
         self.t = float(self.t)
+        if np.count_nonzero(np.isfinite(self.r)) != self.r.size or not math.isfinite(self.t):
+            raise ValueError("event entries must be finite")
 
     @property
     def n(self) -> int:
@@ -70,15 +73,17 @@ class WorldLine:
         if (self.velocity is None) == (self.direction is None):
             raise ValueError("give exactly one of velocity or direction")
         if self.velocity is not None:
-            self.velocity = np.asarray(self.velocity, dtype=float)
+            self.velocity = line = np.asarray(self.velocity, dtype=float)
             if self.velocity.shape != (self.origin.n,):
                 raise ValueError("velocity must have the event's dimension")
         else:
-            self.direction = np.asarray(self.direction, dtype=float)
+            self.direction = line = np.asarray(self.direction, dtype=float)
             if self.direction.shape != (self.origin.n + 1,):
                 raise ValueError("direction must have length n + 1")
             if float(np.linalg.norm(self.direction)) == 0.0:
                 raise ValueError("direction must be nonzero")
+        if np.count_nonzero(np.isfinite(line)) != line.size:
+            raise ValueError("world line entries must be finite")
 
     @property
     def kind(self) -> str:
@@ -127,15 +132,6 @@ class AffineElement:
     def identity(cls, dim: int) -> "AffineElement":
         return cls(np.eye(dim), np.zeros(dim))
 
-    def as_matrix(self) -> np.ndarray:
-        """Embedding as a (dim+1) square matrix with bottom row (0, ..., 1),
-        under which composition is matrix multiplication."""
-        out = np.zeros((self.dim + 1, self.dim + 1))
-        out[: self.dim, : self.dim] = self.linear
-        out[: self.dim, self.dim] = self.translation
-        out[self.dim, self.dim] = 1.0
-        return out
-
 
 def compose(g: AffineElement, h: AffineElement) -> AffineElement:
     """g after h."""
@@ -160,16 +156,12 @@ def act(g: AffineElement, x: Event) -> Event:
 
 
 def transform_worldline(g: AffineElement, line: WorldLine) -> WorldLine:
-    """Image of a straight line under an affine map.
-
-    Determined by the images of two points.  When the image advances in
-    time it is returned time-parametrized; when the time advance vanishes
-    (relative to the whole displacement) a general-direction line is
-    returned instead.
-    """
-    p0 = act(g, line.point(0.0))
-    p1 = act(g, line.point(1.0))
-    delta = p1.vector() - p0.vector()
+    """Image of a straight line under an affine map: the origin is mapped by g, the
+    direction ((v, 1) for a time-parametrized line) by g's linear part alone.  An image
+    that advances in time is returned time-parametrized; when the time advance vanishes
+    (relative to the whole direction) a general-direction line is returned instead."""
+    p0 = act(g, line.origin)
+    delta = g.linear @ (line.direction if line.velocity is None else np.append(line.velocity, 1))
     total = float(np.linalg.norm(delta))
     if total == 0.0:
         raise ValueError("the image of the line is a single point")

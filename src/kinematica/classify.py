@@ -181,18 +181,23 @@ def collinearity_defect(b, c) -> float:
     generator with the rotation it generates, which is how the tests pin
     it down from the algebra side.  Formed on the pair divided by a power
     of two, it is inf only when the defect is beyond the float range.
-    Raises ValueError when an entry is not finite.
+    Raises ValueError unless b and c are one pair of finite vectors.
     """
-    _, _, _, defect, e = next(_scaled_products(*_finite_pairs(b, c)))
+    b, c = _finite_pairs(b, c)
+    if len(b) != 1:
+        raise ValueError(f"collinearity_defect takes one pair of vectors, got shape {b.shape}")
+    _, _, _, defect, e = next(_scaled_products(b, c))
     with np.errstate(over="ignore"):
         return float(np.ldexp(defect, 4 * e))
 
 
 def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:
-    """b and c as float arrays holding one pair per row.  Non-finite
-    entries are refused: they would read as a Carroll pair or a NaN defect."""
+    """b and c as (m, n) float arrays, one pair per row (a vector is one row).  Other shapes,
+    and non-finite entries, which would read as a Carroll pair or a NaN defect, are refused."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
+    if b.shape != c.shape or b.ndim != 2:
+        raise ValueError(f"b and c must share one (m, n) shape, got {b.shape} and {c.shape}")
     if not (np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("mixing vectors have non-finite entries")
     return b, c
@@ -238,7 +243,7 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     least-squares fit sum(b.c) / sum(|b|^2) over all rows.  Raises
     ZeroGenerator when both vectors of a row vanish, NotCollinear when
     a row fails the collinearity test or the rows disagree on sigma, and
-    ValueError when an entry is not finite.
+    ValueError when b and c differ in shape or an entry is not finite.
     """
     return _sigma_and_rows(*_finite_pairs(b, c), tol)[0]
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import classify as classify_mod
 from . import groups, verify
-from .affine import AffineElement
-from .classify import CaseLabel, SIGMA_INF, Sigma
+from .classify import CaseLabel, Sigma
 
 __all__ = ["MatrixFile", "dump_matrix_file", "load_matrix_file", "main"]
 
@@ -40,8 +39,6 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_sigma(text: str) -> Sigma:
-    if text.strip().lower() == "inf":
-        return SIGMA_INF
     try:
         return Sigma(float(text))
     except ValueError:
@@ -56,34 +53,26 @@ def _sigma_json(sigma: Sigma | None):
 
 @dataclass
 class MatrixFile:
-    """Parsed contents of the JSON matrix format: the space dimension n,
-    a list (or an (m, n+1, n+1) stack) of (n+1) x (n+1) matrices, and
-    optional affine elements."""
+    """Parsed contents of the JSON matrix format: the space dimension n and
+    a list (or an (m, n+1, n+1) stack) of (n+1) x (n+1) matrices."""
 
     n: int
     matrices: list = field(default_factory=list)
-    affine: list = field(default_factory=list)
 
 
-def _read_numbers(entry, where: str) -> np.ndarray:
+def _read_matrix(entry, d: int, where: str) -> np.ndarray:
     try:
-        return np.asarray(entry, dtype=float)
+        arr = np.asarray(entry, dtype=float)
     except OverflowError:
         raise ValueError(f"{where} has entries too large for a float") from None
     except (TypeError, ValueError):
         raise ValueError(f"{where} must be a list of numbers") from None
-
-
-def _read_matrix(entry, d: int, where: str) -> np.ndarray:
-    arr = _read_numbers(entry, where)
-    if arr.shape == (d * d,):
-        arr = arr.reshape(d, d)
-    elif arr.shape != (d, d):
+    if arr.shape not in ((d * d,), (d, d)):
         raise ValueError(
             f"{where} must hold {d * d} row-major entries, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{where} has non-finite entries")
-    return arr
+    return arr.reshape(d, d)
 
 
 def _read_matrices(raw: list, d: int) -> list:
@@ -113,39 +102,16 @@ def load_matrix_file(path: str) -> MatrixFile:
     n = data.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError('"n" must be a positive integer')
-    d = n + 1
     raw = data.get("matrices", [])
     if not isinstance(raw, list):
         raise ValueError('"matrices" must be a list')
-    matrices = _read_matrices(raw, d)
-    affine_elements = []
-    raw_affine = data.get("affine", [])
-    if not isinstance(raw_affine, list):
-        raise ValueError('"affine" must be a list')
-    for i, entry in enumerate(raw_affine):
-        if not isinstance(entry, dict):
-            raise ValueError(f"affine[{i}] must be an object")
-        linear = _read_matrix(entry.get("linear"), d, f"affine[{i}].linear")
-        translation = _read_numbers(entry.get("translation"), f"affine[{i}].translation")
-        if translation.shape != (d,):
-            raise ValueError(f"affine[{i}].translation must have length {d}")
-        if not np.isfinite(translation).all():
-            raise ValueError(f"affine[{i}].translation has non-finite entries")
-        affine_elements.append(AffineElement(linear, translation))
-    return MatrixFile(n=n, matrices=matrices, affine=affine_elements)
+    return MatrixFile(n=n, matrices=_read_matrices(raw, n + 1))
 
 
 def dump_matrix_file(mf: MatrixFile) -> dict:
     """JSON-ready dictionary in the same schema load_matrix_file reads."""
-    out = {"n": mf.n, "matrices": np.asarray(mf.matrices, dtype=float)
-           .reshape(-1, (mf.n + 1) ** 2).tolist()}
-    if mf.affine:
-        out["affine"] = [
-            {"linear": g.linear.ravel().tolist(),
-             "translation": g.translation.tolist()}
-            for g in mf.affine
-        ]
-    return out
+    return {"n": mf.n, "matrices": np.asarray(mf.matrices, dtype=float)
+            .reshape(-1, (mf.n + 1) ** 2).tolist()}
 
 
 def _json_lines(value) -> str:

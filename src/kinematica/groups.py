@@ -34,7 +34,6 @@ __all__ = [
     "membership",
     "p_generator",
     "random_element",
-    "random_orthogonal",
 ]
 
 _MAX_RAPIDITY = math.acosh(sys.float_info.max)  # the largest with a finite cosh
@@ -75,6 +74,8 @@ def p_generator(b, sigma) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size < 1:
         raise ValueError("b must be a nonempty vector")
+    if np.count_nonzero(np.isfinite(b)) != b.size:
+        raise ValueError("b must have finite entries")
     s = as_sigma(sigma)
     n = b.size
     Z = np.zeros((n + 1, n + 1))
@@ -95,11 +96,14 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     identity.  b may be one vector of shape (n,) or a stack of shape
     (..., n); the result has shape (n+1, n+1) or (..., n+1, n+1), and each
     matrix of a stack is the boost of its own row.  Raises ValueError when
-    a rapidity |b| sqrt(sigma) is too large for cosh to be represented.
+    an entry of b is not finite, or a rapidity |b| sqrt(sigma) is too
+    large for cosh to be represented.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
+    if np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() on small arrays
+        raise ValueError("b must have finite entries")
     s = as_sigma(sigma)
     n = b.shape[-1]
     out = np.zeros(b.shape[:-1] + (n + 1, n + 1))
@@ -292,12 +296,6 @@ def _haar(M: np.ndarray, flip) -> np.ndarray:
     signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[..., 0] *= flip
     return Q * signs[..., None, :]
-
-
-def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an orthogonal matrix: orthonormalize a Gaussian sample, then
-    randomize the sign of the determinant."""
-    return _haar(rng.standard_normal((n, n)), -1.0 if rng.random() < 0.5 else 1.0)
 
 
 def random_element(case: CaseLabel, sigma=None, n: int = 2,

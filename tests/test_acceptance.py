@@ -32,7 +32,6 @@ from kinematica.groups import (
     membership,
     p_generator,
     random_element,
-    random_orthogonal,
 )
 from kinematica.matcore import bracket, dagger, mat_exp
 from kinematica.verify import nonalgebra_witness
@@ -42,6 +41,16 @@ def op_norm(m) -> float:
     """Spectral norm: the tests measure in it, whatever norm the library
     scales its tolerances by."""
     return float(np.linalg.norm(m, 2))
+
+
+def random_orthogonal(n, rng):
+    """Haar orthogonal matrix with a random determinant sign, drawn from
+    rng as random_element draws its rotation block."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    if rng.random() < 0.5:
+        Q[:, 0] = -Q[:, 0]
+    return Q
 
 
 def _report(num, name, ok, detail=""):

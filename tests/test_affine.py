@@ -75,6 +75,19 @@ def test_worldline_speed_of_general_direction():
     assert line.speed() == 1.5
 
 
+def test_non_finite_events_and_lines_are_refused():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Event([bad, 0.0], 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Event([0.0, 0.0], bad)
+        origin = Event([0.0, 0.0], 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            WorldLine(origin, velocity=[bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            WorldLine(origin, direction=[1.0, 0.0, bad])
+
+
 def test_affine_element_validation():
     with pytest.raises(ValueError):
         AffineElement(np.ones((2, 3)), np.zeros(2))
@@ -91,12 +104,17 @@ def test_affine_element_validation():
 
 def test_as_matrix_is_multiplicative():
     # oracle: the (dim+1) embedding turns composition into a single matmul
+    def as_matrix(g):
+        out = np.eye(g.dim + 1)  # bottom row (0, ..., 1)
+        out[:-1, :-1], out[:-1, -1] = g.linear, g.translation
+        return out
+
     rng = np.random.default_rng(40)
     for _ in range(10):
         g = AffineElement(rng.standard_normal((3, 3)), rng.standard_normal(3))
         h = AffineElement(rng.standard_normal((3, 3)), rng.standard_normal(3))
-        lhs = compose(g, h).as_matrix()
-        rhs = g.as_matrix() @ h.as_matrix()
+        lhs = as_matrix(compose(g, h))
+        rhs = as_matrix(g) @ as_matrix(h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
@@ -172,6 +190,18 @@ def test_lorentz_boost_composes_velocities_relativistically():
     image = transform_worldline(gmap, line)
     expected = (u + math.tanh(w)) / (1.0 + u * math.tanh(w))
     np.testing.assert_allclose(image.velocity, [expected, 0.0], atol=1e-12)
+
+
+def test_far_origins_and_translations_leave_the_image_velocity_exact():
+    # The direction is mapped by the linear part alone: subtracting the
+    # images of two points 1e12 away from the origin would cancel 12 digits.
+    w, u = 0.8, 0.3
+    expected = (u + math.tanh(w)) / (1.0 + u * math.tanh(w))
+    gmap = AffineElement(boost_closed_form(np.array([w, 0.0]), 1.0), np.full(3, 1e12))
+    line = WorldLine(Event([1e12, -1e12], 1e12), velocity=[u, 0.0])
+    image = transform_worldline(gmap, line)
+    np.testing.assert_allclose(image.velocity, [expected, 0.0], rtol=1e-14, atol=1e-15)
+    np.testing.assert_array_equal(image.origin.vector(), act(gmap, line.origin).vector())
 
 
 def test_carroll_map_can_remove_the_time_advance():

@@ -25,6 +25,16 @@ from kinematica.groups import p_generator
 from kinematica.matcore import bracket
 
 
+def random_orthogonal(n, rng):
+    """Haar orthogonal matrix with a random determinant sign, drawn from
+    rng as random_element draws its rotation block."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    if rng.random() < 0.5:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
 def mixing(b, c):
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -154,6 +164,24 @@ def test_non_finite_mixing_vectors_are_refused():
                 collinearity_defect(b, c)
     with pytest.raises(ValueError, match="non-finite"):
         sigma_from_m3([[1.0, 0.0], [np.nan, 0.0]], [[2.0, 0.0], [1.0, 0.0]])
+
+
+def test_mixing_pairs_must_match_row_by_row():
+    # A vector is one row; b and c of other shapes are refused, not broadcast.
+    for b, c in (([1.0, 0.0], [[2.0, 0.0], [0.0, 5.0], [1.0, 1.0]]),
+                 ([[1.0, 0.0], [1.0, 0.0]], [2.0, 0.0]),
+                 ([1.0, 0.0], [1.0, 0.0, 0.0])):
+        for extract in (sigma_from_m3, collinearity_defect):
+            with pytest.raises(ValueError, match=r"shape, got \("):
+                extract(b, c)
+    assert sigma_from_m3([1.0, 0.0], [[2.0, 0.0]]).value == 2.0
+
+
+def test_collinearity_defect_takes_one_pair():
+    # Row 1 has defect 2; an answer for row 0 alone would be 0.
+    with pytest.raises(ValueError, match=r"one pair.*\(2, 2\)"):
+        collinearity_defect([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]])
+    assert collinearity_defect([[0.0, 1.0]], [[1.0, 0.0]]) == 2.0
 
 
 def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():
@@ -560,7 +588,7 @@ def test_classify_is_scale_invariant():
 
 
 def test_classify_survives_rotated_frames():
-    from kinematica.groups import k_element, random_orthogonal
+    from kinematica.groups import k_element
 
     rng = np.random.default_rng(23)
     K = k_element(random_orthogonal(3, rng), -1)
