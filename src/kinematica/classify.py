@@ -193,11 +193,11 @@ def collinearity_defect(b, c) -> float:
 
 def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:
     """b and c as (m, n) float arrays, one pair per row (a vector is one row).  Other shapes,
-    and non-finite entries, which would read as a Carroll pair or a NaN defect, are refused."""
+    no rows or columns and non-finite entries (a Carroll pair or NaN defect else) are refused."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    if b.shape != c.shape or b.ndim != 2:
-        raise ValueError(f"b and c must share one (m, n) shape, got {b.shape} and {c.shape}")
+    if b.shape != c.shape or b.ndim != 2 or not b.size:
+        raise ValueError(f"b, c must share one nonempty (m, n) shape, got {b.shape} and {c.shape}")
     if not (np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("mixing vectors have non-finite entries")
     return b, c

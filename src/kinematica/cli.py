@@ -54,10 +54,10 @@ def _sigma_json(sigma: Sigma | None):
 @dataclass
 class MatrixFile:
     """Parsed contents of the JSON matrix format: the space dimension n and
-    a list (or an (m, n+1, n+1) stack) of (n+1) x (n+1) matrices."""
+    an (m, n+1, n+1) stack (or a list) of (n+1) x (n+1) matrices."""
 
     n: int
-    matrices: list = field(default_factory=list)
+    matrices: np.ndarray | list = field(default_factory=list)
 
 
 def _read_matrix(entry, d: int, where: str) -> np.ndarray:
@@ -75,18 +75,19 @@ def _read_matrix(entry, d: int, where: str) -> np.ndarray:
     return arr.reshape(d, d)
 
 
-def _read_matrices(raw: list, d: int) -> list:
-    """The matrices of the file, converted in one go.  When that does not
-    give finite d x d matrices, each entry is read on its own, so that the
-    error names the entry at fault."""
+def _read_matrices(raw: list, d: int) -> np.ndarray:
+    """The matrices of the file as an (m, d, d) stack, converted in one go.
+    When that does not give finite d x d matrices, each entry is read on its
+    own, so that the error names the entry at fault."""
     try:
         stack = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         stack = None
-    if (stack is not None and stack.shape[1:] in ((d * d,), (d, d))
-            and np.isfinite(stack).all()):
-        return list(stack.reshape(-1, d, d))
-    return [_read_matrix(entry, d, f"matrices[{i}]") for i, entry in enumerate(raw)]
+    if (stack is None or stack.shape[1:] not in ((d * d,), (d, d))
+            or not np.isfinite(stack).all()):
+        stack = np.array([_read_matrix(entry, d, f"matrices[{i}]")
+                          for i, entry in enumerate(raw)])
+    return stack.reshape(-1, d, d)
 
 
 def load_matrix_file(path: str) -> MatrixFile:
@@ -148,18 +149,11 @@ def _cmd_decompose(args) -> int:
     if not (sigma.is_finite and sigma.value > 0):
         raise ValueError("decompose needs a finite sigma > 0")
     mf = load_matrix_file(args.file)
-    entries = []
-    for matrix in mf.matrices:
-        try:
-            factors = groups.cartan_decompose(matrix, sigma, args.tol)
-        except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
-            entries.append({"error": type(exc).__name__})
-        else:
-            entries.append({
-                "lambda": factors.lam,
-                "k": factors.k.ravel().tolist(),
-                "Z": factors.Z.ravel().tolist(),
-            })
+    f = groups.cartan_decompose(mf.matrices, sigma, args.tol)  # one call on the stack
+    entries = [{"error": refused.__name__} if refused else {"lambda": lam, "k": k, "Z": Z}
+               for refused, lam, k, Z in zip(f.refused.tolist(), f.lam.tolist(),
+                                             f.k.reshape(-1, f.k.shape[-1] ** 2).tolist(),
+                                             f.Z.reshape(-1, f.Z.shape[-1] ** 2).tolist())]
     print(_json_lines(entries))
     return 2 if any("error" in entry for entry in entries) else 0
 

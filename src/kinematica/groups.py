@@ -1,8 +1,8 @@
 """Group elements of the five kinematical groups and their factorizations.
 
-Elements are plain (n+1) x (n+1) arrays; boosts and random members also
-come as (m, n+1, n+1) stacks, one per row or seed.  The building blocks
-are block rotations diag(R, eps) and one-parameter boosts exp of a mixing
+Elements are plain (n+1) x (n+1) arrays; boosts, random members and verdicts
+also come as (..., n+1, n+1) stacks, one per row, seed or matrix.  The building
+blocks are block rotations diag(R, eps) and one-parameter boosts exp of a mixing
 generator, for which closed forms exist in every sigma regime, and so does the
 polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) for sigma > 0.
 Lorentz and Orthogonal membership is the normalizer test a^dagger a = I;
@@ -102,7 +102,8 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
-    if np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() on small arrays
+    wide = np.count_nonzero(abs(b) < 2.0 ** 500) != b.size  # else no |b|^2 overflows
+    if wide and np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() when small
         raise ValueError("b must have finite entries")
     s = as_sigma(sigma)
     n = b.shape[-1]
@@ -115,11 +116,17 @@ def boost_closed_form(b, sigma) -> np.ndarray:
         else:
             out[..., :n, n] = b
         return out
-    beta = np.sqrt(np.vecdot(b, b))  # np.linalg.norm of one vector, bit for bit
+    if wide:  # hypot does not overflow where |b|^2 does, past 2^500
+        with np.errstate(over="ignore"):
+            beta = np.sqrt(np.vecdot(b, b))
+        beta = np.where(np.isinf(beta), np.hypot.reduce(b, axis=-1), beta)
+    else:
+        beta = np.sqrt(np.vecdot(b, b))  # np.linalg.norm of one vector, bit for bit
     root = math.sqrt(abs(s.value))
     w = beta * root
     if s.value > 0.0:
-        if (w > _MAX_RAPIDITY).any():
+        big = w > _MAX_RAPIDITY  # any() of a numpy scalar is slow, hence ndim
+        if big.any() if big.ndim else big:
             raise ValueError(f"boost rapidity {w.max():.6g} overflows cosh")
         ch, sh, lift = np.cosh(w), np.sinh(w), root
     else:
@@ -137,43 +144,66 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     return out
 
 
-def in_K(a, tol: float = DEFAULT_TOL) -> bool:
+def _stack(a) -> np.ndarray:
+    """a as a float (..., d, d) stack of finite square matrices, one matrix a stack of none."""
+    return matcore.as_square_stack(np.asarray(a, dtype=float))
+
+
+def _verdict(ok):
+    """A Python bool for one matrix, a bool array for a stack."""
+    return ok if ok.ndim else bool(ok)
+
+
+def in_K(a, tol: float = DEFAULT_TOL):
     """Whether a is a block rotation: off blocks zero, orthogonal spatial
     block, corner of modulus one, each within tol."""
-    a = as_square(a)
-    return _block_test(a, max(op_norm(a[:-1, -1]), op_norm(a[-1, :-1])), tol, tol)
+    a = _stack(a)
+    return _verdict((op_norm(a[..., :-1, -1], 1) <= tol) & (op_norm(a[..., -1, :-1], 1) <= tol)
+                    & _rotation_block(a, tol))
 
 
-def _block_test(a: np.ndarray, tied: float, bound: float, tol: float) -> bool:
-    """Whether tied <= bound, the spatial block is orthogonal and the corner +-1, within tol."""
-    n = a.shape[0] - 1
-    return (tied <= bound and op_norm(a[:n, :n].T @ a[:n, :n] - np.eye(n)) <= tol
-            and abs(abs(float(a[n, n])) - 1.0) <= tol)
+def _rotation_block(a: np.ndarray, tol: float):
+    """Whether the spatial block is orthogonal and the corner +-1, within tol."""
+    n = a.shape[-1] - 1
+    gram = (a[..., :n, :n].mT @ a[..., :n, :n]).reshape(a.shape[:-2] + (n * n,))
+    gram[..., ::n + 1] -= 1.0  # A^T A - I; [()] below makes one corner a numpy scalar
+    return (op_norm(gram, 1) <= tol) & (abs(abs(a[..., n, n][()]) - 1.0) <= tol)
 
 
-def _metric_test(a: np.ndarray, s: Sigma, tol: float) -> tuple[bool, float, float]:
-    """(ok, lam, u) for a^dagger a = lam I, lam = trace / (n+1), tested on a balanced by
-    matcore.balance against sigma' = 4^-k sigma in [1/2, 2).  u = eps |a^dagger| |a| grows
-    like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u, lam zero or normal."""
-    n = a.shape[0] - 1
+def _metric_test(a: np.ndarray, s: Sigma, tol: float):
+    """(ok, lam, u), of a's stack shape, for a^dagger a = lam I, lam = trace / (n+1), tested
+    on a balanced by matcore.balance against sigma' = 4^-k sigma in [1/2, 2).  u = eps
+    |a^dagger| |a| grows like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u,
+    lam zero or normal."""
+    n = a.shape[-1] - 1
     mant, exps = np.frexp(a)
     k = matcore.balance(exps, s.value)
-    top = int(exps.max(where=mant != 0.0, initial=-4096))  # zero entries do not count
-    b = np.ldexp(mant, exps - top)  # largest entry in [1/2, 1): nothing overflows
-    adj = matcore.dagger(b, math.ldexp(s.value, -2 * k))
-    q = adj @ b
-    diagonal = q.reshape(-1)[::n + 2]
-    lam = float(diagonal.sum()) / (n + 1)
-    diagonal -= lam
-    u = math.ulp(1.0) * op_norm(adj) * op_norm(b)
-    ok = op_norm(q) <= tol * abs(lam) + (n + 3) * u
+    top = exps.max(axis=(-2, -1), where=mant != 0.0, initial=-4096)  # zero entries do not count
+    # b = a / 2^top has its largest entry in [1/2, 1): nothing overflows.  adj^T, b and
+    # q = adj b - lam I share one buffer, whose three norms one op_norm call takes.
+    work = np.empty((3,) + a.shape)
+    adj_t, b, q = work[0], work[1], work[2]
+    np.ldexp(mant, exps - top[..., None, None], out=b)
+    np.copyto(adj_t, matcore.dagger(b, math.ldexp(s.value, -2 * k)).mT)
+    np.matmul(adj_t.mT, b, out=q)
+    flat = work.reshape(work.shape[:-2] + ((n + 1) ** 2,))  # one row per matrix
+    diagonal = flat[2, ..., ::n + 2].T  # stack axes last: lam broadcasts as it is
+    lam = np.add.reduce(diagonal, 0).T / (n + 1)
+    diagonal -= lam.T
+    norms = op_norm(flat, 1)
+    u = math.ulp(1.0) * norms[0] * norms[1]
+    ok = norms[2] <= tol * abs(lam) + (n + 3) * u
     zero = lam == 0.0
-    lam, u = (math.ldexp(x, 2 * top) if not x or math.frexp(x)[1] + 2 * top <= 1024
-              else math.copysign(math.inf, x) for x in (lam, u))
-    return ok and (zero or sys.float_info.min <= abs(lam) < math.inf), lam, u
+    big = abs(top) > 500  # any() of a numpy scalar is slow, hence ndim
+    if big.any() if big.ndim else big:  # lam or u may pass the float range, to inf (refused)
+        with np.errstate(over="ignore"):
+            lam, u = np.ldexp(lam, 2 * top), np.ldexp(u, 2 * top)
+    else:  # |lam| <= 2 (n+1) and 4^top is a normal float: a product has ldexp's bits
+        lam, u = lam * (scale := np.ldexp(1.0, 2 * top)), u * scale
+    return ok & (zero | ((abs(lam) >= sys.float_info.min) & (abs(lam) < math.inf))), lam, u
 
 
-def in_normalizer(a, sigma, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     """Test whether a^dagger a is a positive multiple of the identity.
 
     Returns (ok, lam) with lam the mean diagonal of a^dagger a.  ok requires
@@ -183,19 +213,20 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     balanced time unit.  Members beyond rapidity about 16 are refused, and
     so is a lam beyond the float range.  Needs a finite nonzero sigma.
     """
-    a = as_square(a)
+    a = _stack(a)
     ok, lam, u = _metric_test(a, as_sigma(sigma), tol)
-    return ok and lam > 4.0 * (a.shape[0] + 2) * u, lam
+    return _verdict(ok & (lam * (0.25 / (a.shape[-1] + 2)) > u)), lam  # lam > 4 (n+3) u
 
 
 @dataclass
 class CartanFactors:
-    """Factors of a = sqrt(lam) * k * exp(Z) with k a block rotation and Z
-    a boost generator."""
+    """Factors of a = sqrt(lam) * k * exp(Z), k a block rotation and Z a boost generator, per
+    matrix; refused is the error each matrix alone raises, or None (if raised, k = Z = 0)."""
 
-    lam: float
+    lam: float | np.ndarray
     k: np.ndarray
     Z: np.ndarray
+    refused: type | np.ndarray | None = None
 
     def reconstruct(self) -> np.ndarray:
         """sqrt(lam) k mat_exp(Z), formed in the balanced time unit of Z and mapped back."""
@@ -218,30 +249,34 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     Raises ValueError unless sigma is finite and positive, NonPositiveLambda
     when a^dagger a is a multiple lam <= 0 of I (the zero matrix, or an
     anti-member at n = 1), and NotInNormalizer whenever else
-    :func:`in_normalizer` refuses a.
+    :func:`in_normalizer` refuses a.  A stack raises neither (see ``refused``).
     """
-    a = as_square(a)
+    a = _stack(a)
     s = as_sigma(sigma)
     if not (s.is_finite and s.value > 0.0):
         raise ValueError("Cartan decomposition needs sigma > 0")
-    n = a.shape[0] - 1
+    n = a.shape[-1] - 1
     ok, lam, u = _metric_test(a, s, tol)
-    if ok and lam <= 0.0:
-        raise NonPositiveLambda(f"scalar part is not positive: {lam:.3e}")
-    if not (ok and lam > 4.0 * (n + 3) * u):
-        raise NotInNormalizer(f"a^dagger a is not a resolvable multiple of the identity "
-                              f"(lam {lam:.3e}, rounding bound {(n + 3) * u:.3e})")
-    a = a / math.sqrt(lam)
+    factored = ok & (lam * (0.25 / (n + 3)) > u)  # lam > 4 (n+3) u, and nothing overflows
+    status = np.subtract(ok & (lam <= 0.0), factored, dtype=np.intp)  # -1: factored
+    if status.ndim == 0 and status >= 0:  # one matrix raises
+        raise _REFUSALS[status](f"a^dagger a is not a resolvable positive multiple of I "
+                                f"(lam {lam:.3e}, rounding bound {(n + 3) * float(u):.3e})")
+    a = np.divide(a, np.sqrt(abs(lam))[..., None, None], out=np.zeros(a.shape),
+                  where=factored[..., None, None])  # a refused matrix, and its factors, are 0
     k = matcore.balance(a, s.value)  # read in the balanced unit of _metric_test
     balanced_sigma = math.ldexp(s.value, -2 * k)
     root = math.sqrt(balanced_sigma)
-    beta = op_norm(a[n, :n])
-    step = 0.0 if beta == 0.0 else math.asinh(beta / root) / (root * beta)
-    b = math.copysign(step, a[n, n]) * a[n, :n]
-    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, balanced_sigma),
-                         Z=p_generator(np.ldexp(b, -k), s))
+    beta = op_norm(a[..., n, :n], 1)
+    step = np.arcsinh(beta / root) / (root * (beta + (beta == 0.0)))  # 0 for beta = 0
+    b = a[..., n, :n] * np.copysign(step, a[..., n, n])[..., None]
+    Z = np.zeros(a.shape)  # p_generator of each row of b, back in the unit of sigma
+    np.multiply(np.ldexp(b, -k, out=Z[..., :n, n]), s.value, out=Z[..., n, :n])
+    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, balanced_sigma), Z=Z,
+                         refused=_REFUSALS[status])
 
 
+_REFUSALS = np.array([NotInNormalizer, NonPositiveLambda, None])  # by cartan_decompose status
 _NEEDS = {CaseLabel.LORENTZ: "a finite sigma > 0", CaseLabel.ORTHOGONAL: "a finite sigma < 0",
           CaseLabel.GALILEI: "sigma = 0", CaseLabel.CARROLL: "an infinite sigma"}
 _OMITTED = {CaseLabel.GALILEI: Sigma(0.0), CaseLabel.CARROLL: SIGMA_INF}
@@ -265,7 +300,7 @@ def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
     return s
 
 
-def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool:
+def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     """Whether a belongs to the kinematical group of the given case.
 
     For Lorentz and Orthogonal the test is a^dagger a = lam * I as in
@@ -275,7 +310,7 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
     block-triangular shape tests and Aristotle is :func:`in_K`.
     sigma must match the case; Galilei, Carroll and Aristotle may omit it.
     """
-    a = as_square(a)
+    a = _stack(a)
     s = _check_pairing(case, sigma)
 
     if case is CaseLabel.ARISTOTLE:
@@ -283,10 +318,10 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL) -> bool
 
     if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
         ok, lam, u = _metric_test(a, s, tol)
-        return ok and abs(lam - 1.0) <= tol and 2.0 * u <= tol
+        return _verdict(ok & (abs(lam - 1.0) <= tol) & (u <= 0.5 * tol))
 
-    tied = a[-1, :-1] if case is CaseLabel.GALILEI else a[:-1, -1]  # Carroll frees c
-    return _block_test(a, op_norm(tied), tol * (1.0 + op_norm(a)), tol)
+    tied = a[..., -1, :-1] if case is CaseLabel.GALILEI else a[..., :-1, -1]  # Carroll frees c
+    return _verdict((op_norm(tied, 1) <= tol * (1.0 + op_norm(a, 2))) & _rotation_block(a, tol))
 
 
 def _haar(M: np.ndarray, flip) -> np.ndarray:

@@ -63,11 +63,17 @@ def as_square(matrix) -> np.ndarray:
     return M
 
 
-def op_norm(matrix) -> float:
+def op_norm(matrix, axes: int | None = None):
     """Frobenius norm, an upper bound on the spectral norm; scales every tolerance.
-    It is np.linalg.norm's formula, bit for bit, without its dispatch."""
-    r = np.asarray(matrix, dtype=float).ravel("K")
-    return math.sqrt(r.dot(r))
+    It is np.linalg.norm's formula, bit for bit, without its dispatch; with axes = 1 or 2,
+    one per vector or matrix of a stack (a numpy scalar for one), with the same bits."""
+    r = np.asarray(matrix, dtype=float)
+    if axes is None:
+        r = r.ravel("K")
+        return math.sqrt(r.dot(r))
+    if axes == 2:  # one row per matrix
+        r = r.reshape(r.shape[:-2] + (r.shape[-2] * r.shape[-1],))
+    return np.sqrt(np.vecdot(r, r))
 
 
 def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> int:
@@ -121,7 +127,8 @@ def mat_exp(Z) -> np.ndarray:
 
 
 def dagger(Z, sigma: float) -> np.ndarray:
-    """Adjoint of the (n+1) x (n+1) matrix Z under the spacetime form
+    """Adjoint of the (n+1) x (n+1) matrix Z, or of each matrix of an
+    (..., n+1, n+1) stack, under the spacetime form
     diag(-sigma, ..., -sigma, 1): gram^-1 Z^T gram.
 
     On blocks this sends (A, b, c, d) to (A^T, -c/sigma, -sigma*b, d): Z^T
@@ -133,7 +140,8 @@ def dagger(Z, sigma: float) -> np.ndarray:
     """
     if not math.isfinite(sigma) or sigma == 0.0:
         raise ValueError("dagger needs a finite nonzero sigma")
-    adj = as_square(Z).T  # a view of a fresh copy, so scaling it in place is safe
-    adj[:-1, -1] /= -sigma
-    adj[-1, :-1] *= -sigma
+    adj = as_square_stack(np.array(Z, dtype=float)).mT  # a view of a fresh copy, scaled in place
+    column, row = adj[..., :-1, -1], adj[..., -1, :-1]
+    np.divide(column, -sigma, out=column)
+    np.multiply(row, -sigma, out=row)
     return adj

@@ -264,15 +264,16 @@ def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResu
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.finite_nonzero():
-            for g in _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials):
-                ok, lam = groups.in_normalizer(g, s, cfg.tol)
-                check.flag(ok, {"a": g, "sigma": s})
-                check.residual(abs(lam - 1.0), {"a": g, "sigma": s, "lam": lam})
-                lam0 = float(10.0 ** rng.uniform(-8.0, 8.0))
-                ok2, lam2 = groups.in_normalizer(math.sqrt(lam0) * g, s, cfg.tol)
-                check.flag(ok2, {"a": g, "sigma": s, "lam0": lam0})
-                check.residual(abs(lam2 - lam0) / (1.0 + lam0),
-                               {"a": g, "sigma": s, "lam0": lam0, "lam2": lam2})
+            members = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
+            scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
+            ok, lam = groups.in_normalizer(members, s, cfg.tol)
+            ok2, lam2 = groups.in_normalizer(np.sqrt(scales)[:, None, None] * members, s, cfg.tol)
+            for g, lam0, ok_g, lam_g, ok_s, lam_s in zip(members, scales, ok, lam, ok2, lam2):
+                check.flag(ok_g, {"a": g, "sigma": s})
+                check.residual(abs(lam_g - 1.0), {"a": g, "sigma": s, "lam": lam_g})
+                check.flag(ok_s, {"a": g, "sigma": s, "lam0": lam0})
+                check.residual(abs(lam_s - lam0) / (1.0 + lam0),
+                               {"a": g, "sigma": s, "lam0": lam0, "lam2": lam_s})
     return check.result()
 
 
@@ -280,21 +281,23 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.positive():
+            cases = []
             for k in _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials):
                 lam = float(rng.uniform(0.1, 10.0))
                 b = _unit(rng, n) * rng.uniform(0.0, 4.0 / math.sqrt(s.value))
                 Z = groups.p_generator(b, s)
-                a = groups.CartanFactors(lam, k, Z).reconstruct()
-                factors = groups.cartan_decompose(a, s, cfg.tol)
+                cases.append((groups.CartanFactors(lam, k, Z).reconstruct(), k, Z, lam))
+            factors = groups.cartan_decompose(np.array([c[0] for c in cases]), s, cfg.tol)
+            for (a, k, Z, lam), lam_f, k_f, Z_f in zip(cases, factors.lam, factors.k, factors.Z):
                 resid = max(
-                    matcore.op_norm(factors.k - k),
-                    matcore.op_norm(_balanced(factors.Z - Z, s)),
-                    abs(factors.lam - lam) / (1.0 + lam),
-                    matcore.op_norm(_balanced(factors.reconstruct() - a, s))
+                    matcore.op_norm(k_f - k),
+                    matcore.op_norm(_balanced(Z_f - Z, s)),
+                    abs(lam_f - lam) / (1.0 + lam),
+                    matcore.op_norm(_balanced(groups.CartanFactors(lam_f, k_f, Z_f).reconstruct()
+                                              - a, s))
                     / (1.0 + matcore.op_norm(_balanced(a, s))),
                 )
-                check.residual(resid, {"a": a, "k": k, "Z": Z, "lam": lam,
-                                       "sigma": s})
+                check.residual(resid, {"a": a, "k": k, "Z": Z, "lam": lam, "sigma": s})
     return check.result()
 
 
@@ -310,11 +313,11 @@ def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     for n in cfg.n_values:
         for case, s in _cases(cfg):
             members = _members(rng, case, s, n, 2.0, 2 * cfg.trials)
-            for g1, g2 in zip(members[:cfg.trials], members[cfg.trials:]):
-                payload = {"g1": g1, "g2": g2, "case": case.value}
-                check.flag(groups.membership(g1 @ g2, case, s, cfg.tol), payload)
-                check.flag(groups.membership(np.linalg.inv(g1), case, s, cfg.tol),
-                           payload)
+            g1, g2 = members[:cfg.trials], members[cfg.trials:]
+            products = groups.membership(g1 @ g2, case, s, cfg.tol)
+            inverses = groups.membership(np.linalg.inv(g1), case, s, cfg.tol)
+            for one, two, product, inverse in zip(g1, g2, products, inverses):
+                check.flag(product and inverse, {"g1": one, "g2": two, "case": case.value})
     return check.result()
 
 

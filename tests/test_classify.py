@@ -177,6 +177,14 @@ def test_mixing_pairs_must_match_row_by_row():
     assert sigma_from_m3([1.0, 0.0], [[2.0, 0.0]]).value == 2.0
 
 
+def test_mixing_pairs_with_no_rows_or_no_columns_are_refused():
+    # Neither no data nor empty vectors make a Carroll pair or a zero defect.
+    with pytest.raises(ValueError, match="nonempty"):
+        sigma_from_m3(np.zeros((0, 2)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="nonempty"):
+        collinearity_defect([], [])
+
+
 def test_collinearity_defect_takes_one_pair():
     # Row 1 has defect 2; an answer for row 0 alone would be 0.
     with pytest.raises(ValueError, match=r"one pair.*\(2, 2\)"):

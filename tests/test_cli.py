@@ -232,6 +232,38 @@ def test_decompose_reports_the_zero_matrix_as_non_positive_lambda(tmp_path, caps
     assert code == 2
 
 
+def test_decompose_of_a_mixed_file_matches_each_matrix_alone(tmp_path, capsys):
+    # Members scaled by lam from 1e-8 to 1e8, copies moved by 1e-6, the zero
+    # matrix and Gaussian non-members, decomposed in one call.
+    rng = np.random.default_rng(17)
+    members = random_element(CaseLabel.LORENTZ, 1.0, 3, 2.0, range(8))
+    scaled = np.sqrt(10.0 ** rng.uniform(-8.0, 8.0, 8))[:, None, None] * members
+    moved = scaled * (1.0 + 1e-6 * rng.choice((-1.0, 1.0), scaled.shape))
+    matrices = np.concatenate([members, scaled, moved, np.zeros((1, 4, 4)),
+                               rng.standard_normal((4, 4, 4))])
+    path = write_file(tmp_path, {"n": 3, "matrices": matrices.reshape(-1, 16).tolist()})
+    code = cli.main(["decompose", path, "--sigma", "1"])
+    entries = json.loads(capsys.readouterr().out)
+    assert code == 2 and len(entries) == len(matrices)
+    for entry, a in zip(entries, matrices):
+        try:
+            factors = cartan_decompose(a, 1.0)
+        except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
+            assert entry == {"error": type(exc).__name__}
+        else:
+            assert entry == {"lambda": float(factors.lam), "k": factors.k.ravel().tolist(),
+                             "Z": factors.Z.ravel().tolist()}
+    errors = [entry.get("error") for entry in entries]
+    assert errors.count("NonPositiveLambda") == 1 and "NotInNormalizer" in errors
+    assert errors.count(None) >= 8
+
+
+def test_decompose_of_an_empty_file_prints_an_empty_list(tmp_path, capsys):
+    path = write_file(tmp_path, {"n": 3, "matrices": []})
+    assert cli.main(["decompose", path, "--sigma", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+
+
 def test_decompose_at_sigma_1e12_factors_every_member(tmp_path, capsys):
     assert cli.main(["generate", "--case", "lorentz", "--sigma", "1e12", "--n", "3",
                      "--count", "200", "--seed", "0", "--boost-bound", "5e-6"]) == 0

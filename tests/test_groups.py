@@ -139,6 +139,27 @@ def test_boost_overflow_anywhere_in_a_stack_is_an_error():
         boost_closed_form(np.zeros((3, 0)), 1.0)
 
 
+def test_boost_of_a_vector_whose_square_overflows():
+    # |b|^2 is past the float range and the rapidity is not: the row is
+    # scaled, not refused, and ordinary rows beside it keep their bits.
+    root = math.sqrt(1e-310)
+    w = 2e154 * root
+    a = boost_closed_form([2e154, 0.0], 1e-310)
+    assert a[0, 0] == a[2, 2] == pytest.approx(math.cosh(w), rel=1e-15)
+    assert a[0, 2] == pytest.approx(math.sinh(w) / root, rel=1e-15)
+    assert a[2, 0] == pytest.approx(math.sinh(w) * root, rel=1e-15)
+    rows = np.array([[2e154, 0.0], [0.3, -0.1]])
+    np.testing.assert_array_equal(boost_closed_form(rows, 1e-310)[0], a)
+    assert boost_closed_form(rows, 1e-310)[1].tobytes() == boost_closed_form(
+        rows[1], 1e-310).tobytes()
+    # sigma < 0: a rotation by the angle 1e50, finite and metric preserving
+    a = boost_closed_form([1e200, 0.0], -1e-300)
+    assert np.isfinite(a).all()
+    gram = np.diag([1e-300, 1e-300, 1.0])
+    assert op_norm(a.T @ gram @ a - gram) <= 1e-12
+    assert membership(a, CaseLabel.ORTHOGONAL, -1e-300)
+
+
 def test_boost_matches_series_exponential():
     # dual route: the closed form against the generic matrix exponential
     rng = np.random.default_rng(30)
@@ -819,3 +840,91 @@ def test_random_element_validation():
             random_element(CaseLabel.LORENTZ, 1.0, boost_bound=bound)
     with pytest.raises(ValueError):
         random_element(CaseLabel.ARISTOTLE, 1.0)
+
+
+STACK_SIGMAS = tuple(sign * 10.0 ** e for sign in (1.0, -1.0) for e in (-12, -6, 0, 6, 12))
+
+
+def mixed_stack(n, sigma, rng, count=4):
+    """Members of each group at n, the metric one at sigma and of rapidity or
+    angle up to 2, then the same scaled by sqrt(lam) with lam from 1e-8 to
+    1e8, copies of those with every entry moved by 1e-6 relative, the zero
+    matrix and Gaussian non-members: an (m, n+1, n+1) stack."""
+    metric = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
+    seeds = rng.integers(2**32, size=count)
+    members = np.concatenate(
+        [random_element(metric, sigma, n, 2.0 / math.sqrt(abs(sigma)), seeds)]
+        + [random_element(case, None, n, 2.0, seeds)
+           for case in (CaseLabel.GALILEI, CaseLabel.CARROLL, CaseLabel.ARISTOTLE)])
+    scaled = np.sqrt(10.0 ** rng.uniform(-8.0, 8.0, len(members)))[:, None, None] * members
+    moved = scaled * (1.0 + 1e-6 * rng.choice((-1.0, 1.0), scaled.shape))
+    return np.concatenate([members, scaled, moved, np.zeros((1, n + 1, n + 1)),
+                           rng.standard_normal((count, n + 1, n + 1))])
+
+
+def same_bits(stacked, singles):
+    return np.asarray(stacked).tobytes() == np.array(singles).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_a_stack_gets_the_verdicts_of_its_matrices_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for sigma in STACK_SIGMAS:
+        stack = mixed_stack(n, sigma, rng)
+        ok, lam = in_normalizer(stack, sigma)
+        singles = [in_normalizer(a, sigma) for a in stack]
+        assert ok.shape == lam.shape == (len(stack),)
+        assert ok.tolist() == [one[0] for one in singles]
+        assert same_bits(lam, [one[1] for one in singles])
+        assert in_K(stack).tolist() == [in_K(a) for a in stack]
+        for case, s in ((CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL, sigma),
+                        (CaseLabel.GALILEI, None), (CaseLabel.CARROLL, None),
+                        (CaseLabel.ARISTOTLE, None)):
+            verdicts = membership(stack, case, s)
+            assert verdicts.tolist() == [membership(a, case, s) for a in stack], (case, sigma)
+            assert verdicts.any() and not verdicts.all()
+        if sigma > 0:
+            factors = cartan_decompose(stack, sigma)
+            assert factors.k.shape == factors.Z.shape == stack.shape
+            for i, a in enumerate(stack):
+                one = decomposed(a, sigma)
+                if isinstance(one, CartanFactors):
+                    assert factors.refused[i] is None
+                    assert same_bits(factors.lam[i], one.lam)
+                    assert same_bits(factors.k[i], one.k)
+                    assert same_bits(factors.Z[i], one.Z)
+                else:
+                    assert factors.refused[i] is one
+                    assert not factors.k[i].any() and not factors.Z[i].any()
+            assert set(factors.refused.tolist()) == {None, NotInNormalizer, NonPositiveLambda}
+
+
+def test_a_stack_of_stacks_keeps_its_shape():
+    rng = np.random.default_rng(5)
+    stack = mixed_stack(3, 1.0, rng, count=3)
+    deep = stack.reshape(5, 8, 4, 4)
+    ok, lam = in_normalizer(deep, 1.0)
+    assert same_bits(lam, in_normalizer(stack, 1.0)[1]) and lam.shape == (5, 8)
+    assert same_bits(ok, in_normalizer(stack, 1.0)[0])
+    assert same_bits(membership(deep, CaseLabel.LORENTZ, 1.0),
+                     membership(stack, CaseLabel.LORENTZ, 1.0))
+    factors, flat = cartan_decompose(deep, 1.0), cartan_decompose(stack, 1.0)
+    assert factors.refused.shape == (5, 8) and factors.k.shape == deep.shape
+    assert same_bits(factors.k.reshape(stack.shape), flat.k)
+    assert same_bits(factors.Z.reshape(stack.shape), flat.Z)
+
+
+def test_a_stack_with_lam_past_the_float_range_matches_its_matrices():
+    # 2^600 g and 2^-600 g take lam past the float range: the whole stack is
+    # then rescaled by ldexp, which must give each matrix its own answer.
+    g = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, range(4))
+    stack = np.concatenate([g, 2.0 ** 600 * g[:2], 2.0 ** -600 * g[2:]])
+    ok, lam = in_normalizer(stack, 1.0)
+    assert ok.tolist() == [True] * 4 + [False] * 4
+    assert same_bits(lam, [in_normalizer(a, 1.0)[1] for a in stack])
+    assert lam[4:6].tolist() == [math.inf] * 2 and lam[6:].tolist() == [0.0] * 2
+    verdicts = membership(stack, CaseLabel.LORENTZ, 1.0)
+    assert verdicts.tolist() == [membership(a, CaseLabel.LORENTZ, 1.0) for a in stack]
+    factors = cartan_decompose(stack, 1.0)
+    assert factors.refused.tolist() == [None] * 4 + [NotInNormalizer] * 4
+    assert same_bits(factors.k[:4], [cartan_decompose(a, 1.0).k for a in g])

@@ -49,6 +49,16 @@ def test_op_norm_is_the_frobenius_bound_on_the_spectral_norm():
                 assert frobenius_norm(view) == float(np.linalg.norm(view))
 
 
+def test_op_norm_and_dagger_of_a_stack_are_those_of_each_matrix():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((5, 4, 4)) * rng.uniform(1e-3, 1e3, (5, 1, 1))
+    assert frobenius_norm(x, 2).tolist() == [frobenius_norm(m) for m in x]
+    assert frobenius_norm(x[:, 0], 1).tolist() == [frobenius_norm(m[0]) for m in x]
+    for sigma in (0.3, -7.0):
+        adj = dagger(x, sigma)
+        assert all(np.array_equal(adj[i], dagger(m, sigma)) for i, m in enumerate(x))
+
+
 def test_balance_from_sigma_maps_the_boost_generator_exactly():
     # D = diag(1, ..., 1, 2^-k) sends the generator of b at sigma to that of
     # 2^k b at 4^-k sigma, with 4^-k sigma in [1/2, 2), bit for bit.
