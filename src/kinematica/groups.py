@@ -154,20 +154,43 @@ def _verdict(ok):
     return ok if ok.ndim else bool(ok)
 
 
+# 2^500 and 1 as 0-d arrays, which a ufunc takes faster than Python floats.  No entry
+# below 2^500 squares, nor does a sum of n of its squares, past the float range.
+_WIDE, _ONE = np.array(2.0 ** 500), np.array(1.0)
+
+
 def in_K(a, tol: float = DEFAULT_TOL):
     """Whether a is a block rotation: off blocks zero, orthogonal spatial
     block, corner of modulus one, each within tol."""
-    a = _stack(a)
-    return _verdict((op_norm(a[..., :-1, -1], 1) <= tol) & (op_norm(a[..., -1, :-1], 1) <= tol)
-                    & _rotation_block(a, tol))
+    return _verdict(_shape_test(_stack(a), CaseLabel.ARISTOTLE, tol))
 
 
-def _rotation_block(a: np.ndarray, tol: float):
-    """Whether the spatial block is orthogonal and the corner +-1, within tol."""
+def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
+    """Whether the spatial block is orthogonal and the corner +-1, within tol, and the off
+    blocks zero (Aristotle), within tol, or the one the case ties (Galilei, Carroll), within
+    tol (1 + |a|).
+
+    Nothing is squared that could overflow.  A spatial block with an entry past 2^500 is
+    no rotation (|A^T A - I| > 2^999), and a matrix with such an entry has its off blocks
+    judged on a / 2^t, t the binary exponent of its largest entry, against the bounds
+    scaled alike: a power of two scales exactly, so no verdict changes."""
     n = a.shape[-1] - 1
-    gram = (a[..., :n, :n].mT @ a[..., :n, :n]).reshape(a.shape[:-2] + (n * n,))
-    gram[..., ::n + 1] -= 1.0  # A^T A - I; [()] below makes one corner a numpy scalar
-    return (op_norm(gram, 1) <= tol) & (abs(abs(a[..., n, n][()]) - 1.0) <= tol)
+    x, A, s, fits = a, a[..., :n, :n], 1.0, True
+    if np.count_nonzero(abs(a) < _WIDE) != a.size:  # faster than .all() when small
+        top = np.frexp(abs(a).max(axis=(-2, -1)))[1]
+        t = np.where(top > 500, top, 0)  # only matrices with such an entry are scaled
+        x, s = np.ldexp(a, -t[..., None, None]), np.ldexp(1.0, -t)
+        fits = np.count_nonzero(abs(A) < _WIDE, axis=(-2, -1)) == n * n
+        A = A * fits[..., None, None]
+    gram = (A.mT @ A).reshape(A.shape[:-2] + (n * n,))
+    gram[..., ::n + 1] -= _ONE  # A^T A - I
+    if case is CaseLabel.ARISTOTLE:
+        off = (op_norm(x[..., :n, n], 1) <= tol * s) & (op_norm(x[..., n, :n], 1) <= tol * s)
+    else:
+        tied = x[..., n, :n] if case is CaseLabel.GALILEI else x[..., :n, n]  # Carroll frees c
+        off = op_norm(tied, 1) <= tol * (s + op_norm(x, 2))
+    # One matrix gives Python bools up to the corner, a numpy scalar: combined first, faster.
+    return off & (op_norm(gram, 1) <= tol) & fits & (abs(abs(a[..., n, n][()]) - 1.0) <= tol)
 
 
 def _metric_test(a: np.ndarray, s: Sigma, tol: float):
@@ -229,10 +252,18 @@ class CartanFactors:
     refused: type | np.ndarray | None = None
 
     def reconstruct(self) -> np.ndarray:
-        """sqrt(lam) k mat_exp(Z), formed in the balanced time unit of Z and mapped back."""
+        """sqrt(lam) k mat_exp(Z), per matrix, each formed in the time unit matcore.balance
+        takes from its own Z and mapped back; a refused matrix rebuilds to zero.  Raises
+        ValueError for a negative lam that is not refused."""
         Z = np.array(self.Z, dtype=float)
-        k = matcore.balance(Z)
-        a = math.sqrt(self.lam) * self.k @ matcore.mat_exp(Z)
+        n = Z.shape[-1] - 1
+        b, c = abs(Z[..., :n, n]).max(-1, keepdims=True), abs(Z[..., n, :n]).max(-1, keepdims=True)
+        k = np.where((b != 0.0) & (c != 0.0), (np.frexp(c)[1] - np.frexp(b)[1] + 1) // 2, 0)
+        matcore.balance(Z, k=k)
+        lam = np.where(np.equal(self.refused, None), self.lam, 0.0)
+        if np.any(lam < 0.0):
+            raise ValueError("lam must be nonnegative")
+        a = np.sqrt(lam)[..., None, None] * self.k @ matcore.mat_exp(Z)
         matcore.balance(a, k=-k)
         return a
 
@@ -293,8 +324,8 @@ def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
         return None
     if not isinstance(case, CaseLabel):
         raise ValueError(f"unknown case {case!r}")
-    if s is None:
-        s = _OMITTED.get(case)
+    if s is None and case in _OMITTED:
+        return _OMITTED[case]
     if s is None or case_of_sigma(s) is not case:
         raise ValueError(f"the {case.value} case needs {_NEEDS[case]}")
     return s
@@ -313,15 +344,11 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     a = _stack(a)
     s = _check_pairing(case, sigma)
 
-    if case is CaseLabel.ARISTOTLE:
-        return in_K(a, tol)
-
     if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
         ok, lam, u = _metric_test(a, s, tol)
         return _verdict(ok & (abs(lam - 1.0) <= tol) & (u <= 0.5 * tol))
 
-    tied = a[..., -1, :-1] if case is CaseLabel.GALILEI else a[..., :-1, -1]  # Carroll frees c
-    return _verdict((op_norm(tied, 1) <= tol * (1.0 + op_norm(a, 2))) & _rotation_block(a, tol))
+    return _verdict(_shape_test(a, case, tol))
 
 
 def _haar(M: np.ndarray, flip) -> np.ndarray:
@@ -333,8 +360,8 @@ def _haar(M: np.ndarray, flip) -> np.ndarray:
     return Q * signs[..., None, :]
 
 
-def random_element(case: CaseLabel, sigma=None, n: int = 2,
-                   boost_bound: float = 1.0, seed=0) -> np.ndarray:
+def random_element(case: CaseLabel, sigma=None, n: int = 2, boost_bound: float = 1.0,
+                   seed=0, size=None) -> np.ndarray:
     """Deterministic random member of the given group: a random block
     rotation diag(Q, +-1) times a boost of norm at most ``boost_bound``
     (none for Aristotle).
@@ -342,21 +369,33 @@ def random_element(case: CaseLabel, sigma=None, n: int = 2,
     ``seed`` is an int, giving one (n+1) x (n+1) member, or a sequence of
     m ints, giving an (m, n+1, n+1) stack whose i-th matrix is the member
     for ``seed[i]``, bit for bit.  The same arguments always produce the
-    same element.
+    same element.  ``seed`` may also be a numpy Generator, which draws one
+    member, or with ``size`` = m an (m, n+1, n+1) stack, in whole-array
+    draws that advance it; ``size`` goes with a Generator only.
     """
     if n < 2:
         raise ValueError("need at least two space dimensions")
     if not 0.0 <= boost_bound < math.inf:
         raise ValueError("boost_bound must be finite and nonnegative")
     s = _check_pairing(case, sigma)
-    single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
-    stack = () if single else (len(seeds),)
-    # Per seed, in the order drawn: the Gaussian sample for Q, the sign of
+    drawn = isinstance(seed, np.random.Generator)
+    if size is not None and not drawn:
+        raise ValueError("size needs a numpy Generator as seed")
+    single = (drawn and size is None) or isinstance(seed, (int, np.integer))
+    seeds = () if drawn else [seed] if single else list(seed)
+    stack = () if single else (size,) if drawn else (len(seeds),)
+    # Per member, in the order drawn: the Gaussian sample for Q, the sign of
     # Q's first column, eps, the boost direction and the boost size.  One
-    # seed takes the same steps on arrays without the stack axis.
+    # member takes the same steps on arrays without the stack axis.
     gauss = np.empty(stack + (n + 1, n))
     draws = np.empty(stack + (3,))
+    if drawn:  # each draw for the whole stack at once
+        gauss[..., :n, :] = seed.standard_normal(stack + (n, n))
+        draws[..., 0] = np.where(seed.random(stack) < 0.5, -1.0, 1.0)
+        draws[..., 1] = np.where(seed.random(stack) < 0.5, 1.0, -1.0)
+        if s is not None:
+            gauss[..., n, :] = seed.standard_normal(stack + (n,))
+            draws[..., 2] = seed.random(stack)
     for one, g, d in zip(seeds, gauss.reshape(-1, n + 1, n), draws.reshape(-1, 3)):
         rng = np.random.default_rng(one)
         rng.standard_normal(out=g[:n])

@@ -66,10 +66,12 @@ def as_square(matrix) -> np.ndarray:
 def op_norm(matrix, axes: int | None = None):
     """Frobenius norm, an upper bound on the spectral norm; scales every tolerance.
     It is np.linalg.norm's formula, bit for bit, without its dispatch; with axes = 1 or 2,
-    one per vector or matrix of a stack (a numpy scalar for one), with the same bits."""
+    one per vector or matrix of a stack (a float for one vector or matrix), with the
+    same bits."""
     r = np.asarray(matrix, dtype=float)
-    if axes is None:
-        r = r.ravel("K")
+    if axes is None or axes == r.ndim:  # no stack axes: one dot, a Python float
+        if r.ndim != 1:
+            r = r.ravel("K")
         return math.sqrt(r.dot(r))
     if axes == 2:  # one row per matrix
         r = r.reshape(r.shape[:-2] + (r.shape[-2] * r.shape[-1],))
@@ -80,7 +82,8 @@ def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> 
     """Change the time unit of x in place to D x D^-1, D = diag(1, ..., 1, 2^-k), and
     return k; D maps the group of sigma exactly onto that of 4^-k sigma.  x is a float
     (..., n+1, n+1) stack, rescaled by ldexp, or the int binary exponents of a matrix,
-    shifted.  k is given (-k undoes a balance), or taken from sigma, so that 4^-k sigma
+    shifted.  k is given (-k undoes a balance; an int array of shape x.shape[:-2] + (1,)
+    shifts each matrix by its own k), or taken from sigma, so that 4^-k sigma
     is in [1/2, 2), or else from the largest entries |b| of the last columns and |c| of
     the last rows, so that |c| / |b| is in [1/4, 2), and k = 0 when either is zero."""
     n = x.shape[-1] - 1
@@ -89,7 +92,7 @@ def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> 
     elif k is None:
         b, c = float(abs(x[..., :n, n]).max()), float(abs(x[..., n, :n]).max())
         k = (math.frexp(c)[1] - math.frexp(b)[1] + 1) // 2 if b and c else 0
-    if k:
+    if isinstance(k, np.ndarray) or k:
         shift = np.ldexp if x.dtype.kind == "f" else np.add  # values or binary exponents
         shift(x[..., n, :n], -k, out=x[..., n, :n])
         shift(x[..., :n, n], k, out=x[..., :n, n])
@@ -97,32 +100,37 @@ def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> 
 
 
 def bracket(X, Y) -> np.ndarray:
-    """Commutator [X, Y] = XY - YX."""
-    X = as_square(X)
-    Y = as_square(Y)
+    """Commutator [X, Y] = XY - YX, of two matrices or of each pair of two
+    (..., d, d) stacks of one shape."""
+    X = as_square_stack(np.asarray(X, dtype=float))
+    Y = as_square_stack(np.asarray(Y, dtype=float))
     if X.shape != Y.shape:
         raise ValueError("bracket arguments must have the same shape")
     return X @ Y - Y @ X
 
 
 def mat_exp(Z) -> np.ndarray:
-    """Matrix exponential by scaling and squaring.
+    """Matrix exponential by scaling and squaring, of one matrix or of each
+    matrix of an (..., d, d) stack.
 
     The argument is halved until its Frobenius norm (an upper bound on the
     spectral norm) is at most 1/2, a fixed-degree Taylor polynomial is
     evaluated by Horner's rule, and the result is squared back up.  For the
     tiny matrices used here this is accurate to near machine precision.
+    Each matrix of a stack is halved and squared by its own count, so it
+    gets the bits of its one-matrix call.
     """
-    Z = as_square(Z)
-    d = Z.shape[0]
-    norm = op_norm(Z)
-    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    X = Z / (2.0 ** squarings)
+    Z = as_square_stack(np.asarray(Z, dtype=float))
+    d = Z.shape[-1]
+    squarings = np.ceil(np.log2(np.maximum(op_norm(Z, 2), 0.5) / 0.5)).astype(int)
+    X = Z / (2.0 ** squarings)[..., None, None]
     E = np.eye(d)
     for k in range(_EXP_DEGREE, 0, -1):
         E = np.eye(d) + (X @ E) / k
-    for _ in range(squarings):
-        E = E @ E
+    flat, counts = E.reshape(-1, d, d), squarings.reshape(-1)  # views of E and squarings
+    for i in range(counts.max(initial=0)):
+        more = counts > i
+        flat[more] = flat[more] @ flat[more]
     return E
 
 

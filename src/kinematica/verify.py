@@ -1,9 +1,11 @@
 """Self-contained property suite over randomized inputs.
 
 Each property draws from one generator seeded by (seed, property number),
-takes its group members in one stacked random_element call per dimension
-and case, accumulates the worst residual it sees and reports pass/fail
-against the configured tolerance.  Failures never raise: they land in the
+takes its group members from that generator in one stacked random_element
+call per dimension and case, judges each stack in whole-array calls where
+the functions under test take stacks, accumulates the worst residual it
+sees and the number of values it judged, and reports pass/fail against
+the configured tolerance.  Failures never raise: they land in the
 report, together with a counterexample payload of the matrices involved,
 so a corrupted build shows up as a readable report entry and a nonzero
 exit from the command line wrapper.
@@ -83,6 +85,7 @@ class PropertyResult:
     passed: bool
     worst_residual: float
     counterexample: dict | None = None
+    checks: int = 0  # residual and flag values judged
 
 
 @dataclass
@@ -101,6 +104,7 @@ class SuiteReport:
             entry = {
                 "pass": res.passed,
                 "worst_residual": res.worst_residual,
+                "checks": res.checks,
                 "description": self.descriptions.get(pid, ""),
             }
             if res.counterexample is not None:
@@ -129,29 +133,39 @@ def _listify(payload: dict) -> dict:
 
 
 class _Check:
-    """Accumulates residuals and the counterexample at the worst failure."""
+    """Accumulates residuals, how many were judged, and the counterexample at
+    the worst failure."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self.worst = 0.0
         self.passed = True
         self.counterexample = None
+        self.checks = 0
 
-    def residual(self, value: float, payload: dict | None = None):
-        value = float(value)
+    def residual(self, values, payload=None):
+        """Judge one value or an array of them; a NaN fails as inf.  payload is
+        the counterexample, or a function of the index of the worst value that
+        returns it, called only when that value fails and is the worst yet."""
+        values = np.asarray(values, dtype=float).ravel()
+        self.checks += values.size
+        if not values.size:
+            return
+        i = int(values.argmax())  # the first NaN, if there is one
+        value = math.inf if math.isnan(values[i]) else float(values[i])
         failing = value > self.tol
         if value > self.worst:
             self.worst = value
             if failing and payload is not None:
-                self.counterexample = _listify(payload)
+                self.counterexample = _listify(payload(i) if callable(payload) else payload)
         if failing:
             self.passed = False
 
-    def flag(self, ok: bool, payload: dict | None = None):
-        self.residual(0.0 if ok else 1.0, payload)
+    def flag(self, ok, payload=None):
+        self.residual(np.where(ok, 0.0, 1.0), payload)
 
     def result(self) -> PropertyResult:
-        return PropertyResult(self.passed, self.worst, self.counterexample)
+        return PropertyResult(self.passed, self.worst, self.counterexample, self.checks)
 
 
 def _members(rng: np.random.Generator, case: CaseLabel, s: Sigma | None, n: int,
@@ -163,7 +177,7 @@ def _members(rng: np.random.Generator, case: CaseLabel, s: Sigma | None, n: int,
     lets it grow like sqrt(sigma), past what membership can resolve."""
     if s is not None and s.is_finite and s.value > 0.0:
         bound /= math.sqrt(s.value)
-    return groups.random_element(case, s, n, bound, rng.integers(2**32, size=count))
+    return groups.random_element(case, s, n, bound, rng, size=count)
 
 
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -185,21 +199,21 @@ def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         rotations = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
-        for Z, k in zip(rng.standard_normal((cfg.trials, n + 1, n + 1)), rotations):
-            R, eps = k[:n, :n], int(k[n, n])
-            parts = isotypic.split(Z)
-            complete = matcore.op_norm(isotypic.merge(parts) - Z)
-            moved = isotypic.split(isotypic.ad_rotation(R, eps, Z))
-            resid = max(
-                complete,
-                abs(moved.lam - parts.lam),
-                abs(moved.mu - parts.mu),
-                matcore.op_norm(moved.m1 - R @ parts.m1 @ R.T),
-                matcore.op_norm(moved.m2 - R @ parts.m2 @ R.T),
-                float(np.linalg.norm(moved.b - eps * (R @ parts.b))),
-                float(np.linalg.norm(moved.c - eps * (R @ parts.c))),
-            )
-            check.residual(resid, {"Z": Z, "R": R, "eps": eps})
+        Z = rng.standard_normal((cfg.trials, n + 1, n + 1))
+        R, eps = rotations[:, :n, :n], rotations[:, n, n].astype(int)
+        parts = isotypic.split(Z)
+        moved = isotypic.split(np.array([isotypic.ad_rotation(r, e, z)
+                                         for r, e, z in zip(R, eps, Z)]))
+        resid = np.max([
+            matcore.op_norm(isotypic.merge(parts) - Z, 2),
+            abs(moved.lam - parts.lam),
+            abs(moved.mu - parts.mu),
+            matcore.op_norm(moved.m1 - R @ parts.m1 @ R.mT, 2),
+            matcore.op_norm(moved.m2 - R @ parts.m2 @ R.mT, 2),
+            matcore.op_norm(moved.b - eps[:, None] * (R @ parts.b[..., None])[..., 0], 1),
+            matcore.op_norm(moved.c - eps[:, None] * (R @ parts.c[..., None])[..., 0], 1),
+        ], axis=0)
+        check.residual(resid, lambda i: {"Z": Z[i], "R": R[i], "eps": int(eps[i])})
     return check.result()
 
 
@@ -207,24 +221,19 @@ def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyRe
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.sigma_values:
-            for _ in range(cfg.trials):
-                b = rng.standard_normal(n)
-                if s.is_infinite:
-                    pair = (np.zeros(n), b)
-                else:
-                    pair = (b, s.value * b)
-                defect = classify.collinearity_defect(*pair)
-                nb2 = float(pair[0] @ pair[0])
-                nc2 = float(pair[1] @ pair[1])
-                check.residual(abs(defect) / (1.0 + nb2 * nc2),
-                               {"b": pair[0], "c": pair[1], "sigma": s})
-                # The doubled commutator of a general mixing generator with
-                # the rotation it spawns reproduces the defect in its corner.
-                b2, c2 = rng.standard_normal((2, n))
-                _, _, corner = _doubled_commutator(b2, c2)
-                closed = classify.collinearity_defect(b2, c2)
-                check.residual(abs(corner - closed) / (1.0 + abs(closed)),
-                               {"b": b2, "c": c2})
+            b = rng.standard_normal((cfg.trials, n))
+            bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, s.value * b)
+            # collinearity_defect takes one pair, so it is called per pair.
+            defects = np.array([classify.collinearity_defect(*pair) for pair in zip(bs, cs)])
+            check.residual(abs(defects) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
+                           lambda i: {"b": bs[i], "c": cs[i], "sigma": s})
+            # The doubled commutator of a general mixing generator with the
+            # rotation it spawns reproduces the defect in its corner.
+            b2, c2 = rng.standard_normal((2, cfg.trials, n))
+            _, _, corners = _doubled_commutator(b2, c2)
+            closed = np.array([classify.collinearity_defect(*pair) for pair in zip(b2, c2)])
+            check.residual(abs(corners - closed) / (1.0 + abs(closed)),
+                           lambda i: {"b": b2[i], "c": c2[i]})
     return check.result()
 
 
@@ -268,12 +277,12 @@ def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResu
             scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
             ok, lam = groups.in_normalizer(members, s, cfg.tol)
             ok2, lam2 = groups.in_normalizer(np.sqrt(scales)[:, None, None] * members, s, cfg.tol)
-            for g, lam0, ok_g, lam_g, ok_s, lam_s in zip(members, scales, ok, lam, ok2, lam2):
-                check.flag(ok_g, {"a": g, "sigma": s})
-                check.residual(abs(lam_g - 1.0), {"a": g, "sigma": s, "lam": lam_g})
-                check.flag(ok_s, {"a": g, "sigma": s, "lam0": lam0})
-                check.residual(abs(lam_s - lam0) / (1.0 + lam0),
-                               {"a": g, "sigma": s, "lam0": lam0, "lam2": lam_s})
+            check.flag(ok, lambda i: {"a": members[i], "sigma": s})
+            check.residual(abs(lam - 1.0), lambda i: {"a": members[i], "sigma": s, "lam": lam[i]})
+            check.flag(ok2, lambda i: {"a": members[i], "sigma": s, "lam0": scales[i]})
+            check.residual(abs(lam2 - scales) / (1.0 + scales),
+                           lambda i: {"a": members[i], "sigma": s, "lam0": scales[i],
+                                      "lam2": lam2[i]})
     return check.result()
 
 
@@ -281,23 +290,24 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.positive():
-            cases = []
-            for k in _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials):
-                lam = float(rng.uniform(0.1, 10.0))
-                b = _unit(rng, n) * rng.uniform(0.0, 4.0 / math.sqrt(s.value))
-                Z = groups.p_generator(b, s)
-                cases.append((groups.CartanFactors(lam, k, Z).reconstruct(), k, Z, lam))
-            factors = groups.cartan_decompose(np.array([c[0] for c in cases]), s, cfg.tol)
-            for (a, k, Z, lam), lam_f, k_f, Z_f in zip(cases, factors.lam, factors.k, factors.Z):
-                resid = max(
-                    matcore.op_norm(k_f - k),
-                    matcore.op_norm(_balanced(Z_f - Z, s)),
-                    abs(lam_f - lam) / (1.0 + lam),
-                    matcore.op_norm(_balanced(groups.CartanFactors(lam_f, k_f, Z_f).reconstruct()
-                                              - a, s))
-                    / (1.0 + matcore.op_norm(_balanced(a, s))),
-                )
-                check.residual(resid, {"a": a, "k": k, "Z": Z, "lam": lam, "sigma": s})
+            k = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
+            lam = rng.uniform(0.1, 10.0, cfg.trials)
+            direction = rng.standard_normal((cfg.trials, n))
+            b = (direction / matcore.op_norm(direction, 1)[:, None]
+                 * rng.uniform(0.0, 4.0 / math.sqrt(s.value), (cfg.trials, 1)))
+            Z = np.zeros((cfg.trials, n + 1, n + 1))  # p_generator of each row of b
+            Z[:, :n, n], Z[:, n, :n] = b, s.value * b
+            a = groups.CartanFactors(lam, k, Z).reconstruct()
+            factors = groups.cartan_decompose(a, s, cfg.tol)
+            resid = np.max([
+                matcore.op_norm(factors.k - k, 2),
+                matcore.op_norm(_balanced(factors.Z - Z, s), 2),
+                abs(factors.lam - lam) / (1.0 + lam),
+                matcore.op_norm(_balanced(factors.reconstruct() - a, s), 2)
+                / (1.0 + matcore.op_norm(_balanced(a, s), 2)),
+            ], axis=0)
+            check.residual(resid, lambda i: {"a": a[i], "k": k[i], "Z": Z[i], "lam": lam[i],
+                                             "sigma": s})
     return check.result()
 
 
@@ -316,8 +326,8 @@ def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
             g1, g2 = members[:cfg.trials], members[cfg.trials:]
             products = groups.membership(g1 @ g2, case, s, cfg.tol)
             inverses = groups.membership(np.linalg.inv(g1), case, s, cfg.tol)
-            for one, two, product, inverse in zip(g1, g2, products, inverses):
-                check.flag(product and inverse, {"g1": one, "g2": two, "case": case.value})
+            check.flag(products & inverses,
+                       lambda i: {"g1": g1[i], "g2": g2[i], "case": case.value})
     return check.result()
 
 
@@ -325,16 +335,16 @@ def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator) -> Property
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for case, s in _cases(cfg):
-            for a in _members(rng, case, s, n, 0.0, cfg.trials):
-                A = a[:n, :n]
-                resid = max(
-                    float(np.linalg.norm(a[:n, n])),
-                    float(np.linalg.norm(a[n, :n])),
-                    matcore.op_norm(A.T @ A - np.eye(n)),
-                    abs(abs(float(a[n, n])) - 1.0),
-                )
-                check.residual(resid, {"a": a, "case": case.value})
-                check.flag(groups.in_K(a, cfg.tol), {"a": a, "case": case.value})
+            a = _members(rng, case, s, n, 0.0, cfg.trials)
+            A = a[:, :n, :n]
+            resid = np.max([
+                matcore.op_norm(a[:, :n, n], 1),
+                matcore.op_norm(a[:, n, :n], 1),
+                matcore.op_norm(A.mT @ A - np.eye(n), 2),
+                abs(abs(a[:, n, n]) - 1.0),
+            ], axis=0)
+            check.residual(resid, lambda i: {"a": a[i], "case": case.value})
+            check.flag(groups.in_K(a, cfg.tol), lambda i: {"a": a[i], "case": case.value})
     return check.result()
 
 
@@ -342,24 +352,23 @@ def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResu
     check = _Check(cfg.tol)
     for n in cfg.n_values:
         for s in cfg.sigma_values:
-            for a in _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials):
-                payload = {"a": a, "sigma": s}
-                if s.is_finite and s.value != 0.0:
-                    g = np.diag(np.r_[np.full(n, -s.value), 1.0])
-                    resid = matcore.op_norm(a.T @ g @ a - g) / (1.0 + matcore.op_norm(g))
-                    check.residual(resid, payload)
-                elif s.is_finite:
-                    # Galilei: the last row is (0, ..., 0, +-1) exactly by
-                    # construction, so time differences change at most sign.
-                    exact = float(np.linalg.norm(a[n, :n])) + abs(abs(float(a[n, n])) - 1.0)
-                    check.flag(exact == 0.0, payload)
-                else:
-                    # Carroll: spatial separations are preserved.
-                    x = rng.standard_normal(n + 1)
-                    y = rng.standard_normal(n + 1)
-                    before = float(np.linalg.norm((x - y)[:n]))
-                    after = float(np.linalg.norm((a @ x - a @ y)[:n]))
-                    check.residual(abs(after - before) / (1.0 + before), payload)
+            a = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
+            if s.is_finite and s.value != 0.0:
+                g = np.diag(np.r_[np.full(n, -s.value), 1.0])
+                resid = matcore.op_norm(a.mT @ g @ a - g, 2) / (1.0 + matcore.op_norm(g))
+                check.residual(resid, lambda i: {"a": a[i], "sigma": s})
+            elif s.is_finite:
+                # Galilei: the last row is (0, ..., 0, +-1) exactly by
+                # construction, so time differences change at most sign.
+                exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
+                check.flag(exact == 0.0, lambda i: {"a": a[i], "sigma": s})
+            else:
+                # Carroll: spatial separations are preserved.
+                x, y = rng.standard_normal((2, cfg.trials, n + 1, 1))
+                before = matcore.op_norm((x - y)[:, :n, 0], 1)
+                after = matcore.op_norm((a @ x - a @ y)[:, :n, 0], 1)
+                check.residual(abs(after - before) / (1.0 + before),
+                               lambda i: {"a": a[i], "sigma": s})
     return check.result()
 
 
@@ -508,20 +517,22 @@ def nonalgebra_witness(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     if n < 2:
         raise ValueError("need at least two space dimensions")
     e = np.eye(n)
-    return _doubled_commutator(e[0], e[1])
+    Z, A, corner = _doubled_commutator(e[0], e[1])
+    return Z, A, float(corner)
 
 
-def _doubled_commutator(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _doubled_commutator(b: np.ndarray, c: np.ndarray):
     """The mixing generator Z with column b and row c, the rotation
     A = b c^T - c b^T that the bracket of two such generators spawns, and
-    the corner entry of [Z, [Z, A]]."""
-    n = b.size
-    Z = np.zeros((n + 1, n + 1))
-    Z[:n, n] = b
-    Z[n, :n] = c
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = np.outer(b, c) - np.outer(c, b)
-    return Z, A, float(matcore.bracket(Z, matcore.bracket(Z, A))[n, n])
+    the corner entry of [Z, [Z, A]]; for (..., n) stacks of b and c, one
+    of each per pair."""
+    n = b.shape[-1]
+    Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
+    Z[..., :n, n] = b
+    Z[..., n, :n] = c
+    A = np.zeros(Z.shape)
+    A[..., :n, :n] = b[..., :, None] * c[..., None, :] - c[..., :, None] * b[..., None, :]
+    return Z, A, matcore.bracket(Z, matcore.bracket(Z, A))[..., n, n]
 
 
 _PROPERTIES = [

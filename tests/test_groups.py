@@ -364,6 +364,52 @@ def test_cartan_factors_reconstruct():
     np.testing.assert_allclose(f.reconstruct(), 2.0 * np.eye(3), atol=1e-15)
 
 
+def test_stacked_factors_rebuild_like_each_matrix():
+    # Each matrix of a stacked reconstruct gets the bits of its own call,
+    # and a refused one, lam <= 0 or past the float range, rebuilds to zero.
+    rng = np.random.default_rng(13)
+    for sigma in (1.0, 1e-12, 1e12):
+        g = random_element(CaseLabel.LORENTZ, sigma, 3, 2.0 / math.sqrt(sigma), range(4))
+        stack = np.concatenate([mixed_stack(3, sigma, rng), 2.0 ** 600 * g])
+        factors = cartan_decompose(stack, sigma)
+        rebuilt = factors.reconstruct()
+        assert rebuilt.shape == stack.shape
+        refused = np.array([r is not None for r in factors.refused])
+        assert refused.any() and not refused.all()
+        assert (factors.lam[refused] <= 0.0).any() and np.isinf(factors.lam).any()
+        assert not rebuilt[refused].any()
+        for i in np.flatnonzero(~refused):
+            one = CartanFactors(factors.lam[i], factors.k[i], factors.Z[i]).reconstruct()
+            assert rebuilt[i].tobytes() == one.tobytes()
+            assert op_norm(rebuilt[i] - stack[i]) <= 1e-9 * op_norm(stack[i])
+    three = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, [1, 2, 3])
+    np.testing.assert_allclose(cartan_decompose(three, 1.0).reconstruct(), three, atol=1e-13)
+    with pytest.raises(ValueError):
+        CartanFactors(lam=-1.0, k=np.eye(3), Z=np.zeros((3, 3))).reconstruct()
+
+
+def test_shape_verdicts_past_the_square_range_stay_silent():
+    # Squaring entries past about 1e154 overflows; the verdicts are still
+    # given, without a warning (which the test settings turn into errors).
+    galilei = random_element(CaseLabel.GALILEI, 0.0, 3, 1.0, seed=1)
+    free_b = galilei.copy()
+    free_b[:3, 3] = (1e200, 0.0, 0.0)
+    assert membership(free_b, CaseLabel.GALILEI)
+    carroll = random_element(CaseLabel.CARROLL, None, 3, 1.0, seed=1)
+    carroll[3, :3] = (1e200, 0.0, 0.0)
+    assert membership(carroll, CaseLabel.CARROLL)
+    assert not membership(2.0 ** 600 * galilei, CaseLabel.GALILEI)
+    assert not in_K(2.0 ** 600 * np.eye(4))
+    # the relative test still bites, and the spatial block is still judged
+    tied = free_b.copy()
+    tied[3, :3] = (1e200, 0.0, 0.0)
+    squeezed = free_b.copy()
+    squeezed[:3, :3] *= 0.5
+    stack = np.stack([free_b, tied, squeezed, 2.0 ** 600 * galilei, galilei])
+    assert membership(stack, CaseLabel.GALILEI).tolist() == [True, False, False, False, True]
+    assert in_K(np.stack([np.eye(4), 2.0 ** 600 * np.eye(4)])).tolist() == [True, False]
+
+
 def test_membership_of_constructed_members():
     rng = np.random.default_rng(34)
     cases = [
@@ -783,6 +829,30 @@ def test_random_element_stack_matches_single_seeds(case, sigma):
             for i, seed in enumerate(seeds):
                 np.testing.assert_array_equal(stack[i], random_element(case, sigma, n, 1.5, seed))
     assert random_element(case, sigma, 3, 1.5, []).shape == (0, 4, 4)
+
+
+def test_generator_draws_are_members_of_every_case():
+    rng = np.random.default_rng(14)
+    for n in (2, 3, 10):
+        for case, sigma in RANDOM_SPECS:
+            stack = random_element(case, sigma, n, 1.5, rng, size=20)
+            assert stack.shape == (20, n + 1, n + 1)
+            assert all(membership(a, case, sigma, tol=1e-8) for a in stack)
+            assert len({a.tobytes() for a in stack}) == 20
+
+
+def test_generator_draws_repeat_from_the_same_state():
+    one = random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, np.random.default_rng(3))
+    assert one.shape == (4, 4)
+    first = random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, np.random.default_rng(3), size=6)
+    again = random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, np.random.default_rng(3), size=6)
+    assert first.tobytes() == again.tobytes()
+    rng = np.random.default_rng(3)
+    random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, rng, size=6)
+    assert random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, rng, size=6).tobytes() != first.tobytes()
+    for seed in (3, [3, 4]):
+        with pytest.raises(ValueError):
+            random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, seed, size=2)
 
 
 def one_seed_reference(case, sigma, n, bound, seed):

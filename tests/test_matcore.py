@@ -169,6 +169,30 @@ def test_mat_exp_inverse_pairing():
         assert resid <= 1e-11
 
 
+def test_mat_exp_of_a_stack_is_that_of_each_matrix_bit_for_bit():
+    # Norms from 1e-3 to 30 take 0 to 7 squarings, so the stack mixes counts.
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((6, 5, 4, 4)) * 10.0 ** rng.uniform(-3.0, 1.5, (6, 5, 1, 1))
+    stack[2, 3] = 0.0
+    got = mat_exp(stack)
+    assert got.shape == stack.shape
+    flat = stack.reshape(-1, 4, 4)
+    counts = {math.ceil(math.log2(max(frobenius_norm(Z), 0.5) / 0.5)) for Z in flat}
+    assert len(counts) >= 5
+    singles = [mat_exp(Z) for Z in flat]
+    assert got.reshape(-1, 4, 4).tobytes() == np.array(singles).tobytes()
+    np.testing.assert_array_equal(got[2, 3], np.eye(4))
+
+
+def test_bracket_of_stacks_is_that_of_each_pair():
+    rng = np.random.default_rng(12)
+    X, Y = rng.standard_normal((2, 7, 4, 4))
+    got = bracket(X, Y)
+    assert all(np.array_equal(got[i], bracket(X[i], Y[i])) for i in range(7))
+    with pytest.raises(ValueError):
+        bracket(X, Y[0])
+
+
 def test_mat_exp_periodic_boost_wraps_to_reflection():
     # sigma = -1 boost of norm pi along the first axis
     Z = np.zeros((3, 3))

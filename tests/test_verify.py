@@ -84,6 +84,52 @@ def test_suite_draws_its_members_in_stacks(monkeypatch):
     assert 0 < len(calls) <= 50
 
 
+def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
+    counts = {"mat_exp": 0}
+    in_K_stacks = []
+    real_exp, real_in_K = matcore.mat_exp, groups.in_K
+
+    def counted_exp(Z):
+        counts["mat_exp"] += 1
+        return real_exp(Z)
+
+    def counted_in_K(a, tol=1e-9):
+        in_K_stacks.append(np.shape(a))
+        return real_in_K(a, tol)
+
+    monkeypatch.setattr("kinematica.matcore.mat_exp", counted_exp)
+    assert run_suite().passed
+    assert 0 < counts["mat_exp"] <= 8  # two per P5 stack
+    monkeypatch.setattr("kinematica.groups.in_K", counted_in_K)
+    cfg = SuiteConfig()
+    assert verify._prop_pure_rotations(cfg, np.random.default_rng(0)).passed
+    stacks = [(cfg.trials, n + 1, n + 1) for n in cfg.n_values for _ in verify._cases(cfg)]
+    assert in_K_stacks == stacks
+
+
+def test_default_suite_check_counts():
+    # The number of residual and flag values each property judges: stacking
+    # the properties must drop none of them.
+    data = json.loads(run_suite().to_json())
+    counts = {pid: entry["checks"] for pid, entry in data["properties"].items()}
+    assert counts == {"P1": 50, "P2": 500, "P3": 502, "P4": 600, "P5": 100, "P6": 300,
+                      "P7": 600, "P8": 250, "P9": 250, "P10": 12, "wraparound": 100}
+    assert sum(counts.values()) == 3264
+
+
+def test_check_keeps_the_worst_failing_value_and_counts_every_value():
+    check = verify._Check(0.5)
+    check.residual(0.1, {"first": True})
+    check.residual(np.array([0.2, 3.0, 0.7, 3.0]), lambda i: {"index": i})
+    check.flag(np.array([True, False]), lambda i: {"flag": i})
+    result = check.result()
+    assert not result.passed and result.worst_residual == 3.0
+    assert result.counterexample == {"index": 1} and result.checks == 7
+    check.residual(np.array([0.0, math.nan]), lambda i: {"nan": i})
+    assert check.result().worst_residual == math.inf
+    assert check.result().counterexample == {"nan": 1}
+
+
 def test_wraparound_entry_only_with_negative_sigma():
     cfg = SuiteConfig(n_values=(2,), sigma_values=(1.0, 0.0, math.inf),
                       trials=2, seed=0)
