@@ -3,7 +3,8 @@
 classify_algebra looks at the span of its input together with the
 rotations, decomposes it into isotypic components and extracts sigma from
 the mixing part.  Good inputs come back with a case label; contaminated
-ones come back as NotKinematical with a reason string.
+ones come back as NotKinematical with a reason string.  A (T, m, n+1, n+1)
+array of T sets is classified in one call, with each set's own answer.
 """
 
 import numpy as np
@@ -21,16 +22,28 @@ rng = np.random.default_rng(7)
 
 n = 3
 
+sets = []
 for sigma in (Sigma(1.0), Sigma(0.25), Sigma(0.0), Sigma(-1.0), Sigma(np.inf)):
     gens = rotation_generators(n)
     # two boosts in random directions, with arbitrary scaling thrown in
     for _ in range(2):
         gens.append(rng.uniform(0.1, 50.0)
                     * p_generator(rng.standard_normal(n), sigma))
+    sets.append(gens)
     result = classify_algebra(gens)
     print(f"input sigma {sigma!r:14} -> {result.outcome},",
           f"case {case_label(result).value},",
           f"recovered sigma {result.sigma!r}")
+
+# The same five sets as one (5, m, n+1, n+1) stack: one call, a list of
+# five results, each bit for bit the answer of its set alone.
+stacked = classify_algebra(np.array(sets))
+print()
+print("one stacked call:", [case_label(r).value for r in stacked])
+for gens, result in zip(sets, stacked):
+    alone = classify_algebra(gens)
+    assert (result.sigma, result.diagnostics) == (alone.sigma, alone.diagnostics)
+print("each equals its single-set call:", [r.sigma for r in stacked])
 
 print()
 print("rotations alone:",

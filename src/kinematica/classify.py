@@ -186,9 +186,9 @@ def collinearity_defect(b, c) -> float:
     b, c = _finite_pairs(b, c)
     if len(b) != 1:
         raise ValueError(f"collinearity_defect takes one pair of vectors, got shape {b.shape}")
-    _, _, _, defect, e = next(_scaled_products(b, c))
+    bb, cc, bc, e = _scaled_products(np.stack((b[0], c[0])))
     with np.errstate(over="ignore"):
-        return float(np.ldexp(defect, 4 * e))
+        return float(np.ldexp(2.0 * (bb * cc - bc * bc), 4 * e))
 
 
 def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -203,33 +203,43 @@ def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def _scaled_products(b: np.ndarray, c: np.ndarray):
-    """Yield (b.b, c.c, b.c, defect, e) for each row pair of b and c, taken
-    after dividing the pair by its own power of two 2**e.  The division is
-    exact and keeps |b|^2 |c|^2 from overflowing or underflowing."""
-    e = np.frexp(np.maximum(abs(b), abs(c)).max(axis=1, initial=0.0))[1]
-    for bi, ci, ei in zip(np.ldexp(b, -e[:, np.newaxis]), np.ldexp(c, -e[:, np.newaxis]),
-                          e.tolist()):
-        bb, cc, bc = float(bi @ bi), float(ci @ ci), float(bi @ ci)
-        yield bb, cc, bc, 2.0 * (bb * cc - bc * bc), ei
+def _scaled_products(pairs: np.ndarray):
+    """(b.b, c.c, b.c, e) of each pair b over c of the (..., 2, n) array pairs, formed on the
+    pair divided by its own power of two 2**e: exact, and |b|^2 |c|^2 cannot overflow."""
+    e = np.frexp(abs(pairs).max(axis=(-2, -1), initial=0.0))[1]
+    pairs = np.ldexp(pairs, -e[..., np.newaxis, np.newaxis])
+    squares = np.vecdot(pairs, pairs)
+    return squares[..., 0], squares[..., 1], np.vecdot(pairs[..., 0, :], pairs[..., 1, :]), e
 
 
-def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
-    """Sigma of each collinear mixing pair (one pair per row of b and c),
-    inf for a Carroll row, where b is negligible against c."""
-    # On the scaled pair the bound's absolute term 1 becomes 2**(-4 e),
-    # capped at 2**1000 (a scaled defect is at most 2 n^2).
-    out = []
-    for bb, cc, bc, defect, e in _scaled_products(b, c):
-        if bb == 0.0 and cc == 0.0:
-            raise ZeroGenerator("mixing vectors are both zero")
-        nb, nc = math.sqrt(bb), math.sqrt(cc)
-        size = nb * nb * nc * nc
-        if defect > tol * (math.ldexp(1.0, min(-4 * e, 1000)) + size):
-            raise NotCollinear(f"mixing vectors are not collinear (relative defect "
-                               f"{defect / size:.3e})")
-        out.append(bc / (nb * nb) if nb > tol * nc else math.inf)
-    return np.array(out)
+def _not_collinear(bb, cc, bc) -> NotCollinear:
+    nb, nc = math.sqrt(bb), math.sqrt(cc)
+    return NotCollinear(f"mixing vectors are not collinear (relative defect "
+                        f"{2.0 * (bb * cc - bc * bc) / (nb * nb * nc * nc):.3e})")
+
+
+def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float, products=None) -> np.ndarray:
+    """Sigma of each mixing pair b, c (rows of (..., r, n) arrays), inf for a Carroll row (b
+    negligible against c).  The first zero or non-collinear row of (r, n) arrays raises; given
+    products (b.b, c.c, b.c) of rows of norm at most 1, it is NaN or -inf instead."""
+    one, strict = 1.0, products is None  # one: the bound's absolute term
+    if strict:
+        *products, e = _scaled_products(
+            np.concatenate((b, c), axis=-1).reshape(b.shape[:-1] + (2, b.shape[-1])))
+        # On the scaled pair the term 1 becomes 2**(-4 e), capped at 2**1000 (a scaled
+        # defect is at most 2 n^2).
+        one = np.ldexp(1.0, np.minimum(-4 * e, 1000))
+    bb, cc, bc = products
+    nb, nc = np.sqrt(bb), np.sqrt(cc)
+    bad = 2.0 * (bb * cc - bc * bc) > tol * (one + nb * nb * nc * nc)
+    zero = bb + cc == 0.0
+    if strict and (bad | zero).any():
+        i = (bad | zero).argmax()
+        raise ZeroGenerator("mixing vectors are both zero") if zero[i] else _not_collinear(
+            bb[i], cc[i], bc[i])
+    rows = np.divide(bc, nb * nb, out=np.full(bc.shape, np.inf), where=nb > tol * nc)
+    rows[bad], rows[zero] = -np.inf, np.nan
+    return rows
 
 
 def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
@@ -245,27 +255,40 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     a row fails the collinearity test or the rows disagree on sigma, and
     ValueError when b and c differ in shape or an entry is not finite.
     """
-    return _sigma_and_rows(*_finite_pairs(b, c), tol)[0]
+    return Sigma(_sigma_and_rows(np.concatenate(_finite_pairs(b, c), axis=-1), tol)[0][0])
 
 
-def _sigma_and_rows(b, c, tol: float, k: int = 0) -> tuple[Sigma, np.ndarray]:
-    """:func:`sigma_from_m3` together with the per-row sigmas it checked, for (m, n)
-    float arrays b and c with finite entries; both are mapped back by 4^k."""
-    rows = _row_sigmas(b, c, tol)
-    # Finite rows are below n 2^537 (b.b >= 2^-1074) and classify_algebra's Carroll
-    # guard keeps 4^k <= 2^52, so mapping back cannot overflow.
-    back = np.ldexp(rows, 2 * k)
-    finite = np.isfinite(rows)
-    if not finite.any():
-        return SIGMA_INF, back
-    lo, hi = float(rows.min()), float(rows.max())
-    if not finite.all() or hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
-        raise NotCollinear(f"mixing generators disagree on sigma: "
-                           f"{Sigma(float(back.min()))!r} vs {Sigma(float(back.max()))!r}")
-    # One power of two for the whole fit: no overflow, rows weighed as given.
-    e = math.frexp(max(float(abs(b).max()), float(abs(c).max())))[1]
-    b, c = np.ldexp(b, -e), np.ldexp(c, -e)
-    return Sigma(math.ldexp(float(np.vdot(b, c)) / float(np.vdot(b, b)), 2 * k)), back
+def _sigma_and_rows(pairs, tol: float, k=(0,), unit: bool = False) -> list:
+    """:func:`sigma_from_m3` of each set of rows b then c of the (..., r, 2n) array pairs, as
+    (sigma, spread of the row sigmas), mapped back by 4^k, one k per set.  With unit, the rows
+    have norm at most 1, zero rows are skipped and a failed set's NotCollinear is its sigma."""
+    n = pairs.shape[-1] // 2
+    fit = pairs  # without unit, divided by a power of two per set: no overflow, rows as given
+    if not unit:
+        fit = np.ldexp(pairs, -np.frexp(abs(pairs).max(axis=(-2, -1)))[1][..., None, None])
+    products = bb, _, bc = [np.vecdot(fit[..., i:i + n], fit[..., j:j + n])
+                            for i, j in ((0, 0), (n, n), (0, n))]
+    rows = _row_sigmas(pairs[..., :n], pairs[..., n:], tol, products if unit else None)
+    out = []
+    for i, (lo, hi, fit_bc, fit_bb, k) in enumerate(zip(*(x.reshape(-1).tolist() for x in (
+            np.fmin.reduce(rows, axis=-1), np.fmax.reduce(rows, axis=-1),
+            bc.sum(axis=-1), bb.sum(axis=-1), np.asarray(k))))):
+        # Finite rows are below n 2^537 (b.b >= 2^-1074) and classify_algebra's Carroll
+        # guard keeps 4^k <= 2^52, so mapping back cannot overflow.
+        back = math.ldexp(lo, 2 * k), math.ldexp(hi, 2 * k)
+        if lo == -math.inf:  # a non-collinear row, of which the first is named
+            j = (rows[i] == -math.inf).argmax()
+            out.append((_not_collinear(*(x[i, j] for x in products)), None))
+        elif lo < math.inf and (hi == math.inf or hi - lo > tol * (1.0 + abs(lo) + abs(hi))):
+            error = NotCollinear("mixing generators disagree on sigma: "
+                                 f"{Sigma(back[0])!r} vs {Sigma(back[1])!r}")
+            if not unit:
+                raise error
+            out.append((error, None))
+        else:  # lo is inf for Carroll rows only, NaN for no rows
+            out.append((math.ldexp(fit_bc / fit_bb, 2 * k), back[1] - back[0]) if lo < math.inf
+                       else (lo, 0.0))
+    return out
 
 
 def rotation_generators(n: int) -> list[np.ndarray]:
@@ -273,13 +296,9 @@ def rotation_generators(n: int) -> list[np.ndarray]:
     one generator per coordinate plane."""
     if n < 2:
         raise ValueError("need at least two space dimensions")
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            Z = np.zeros((n + 1, n + 1))
-            Z[i, j] = 1.0
-            Z[j, i] = -1.0
-            out.append(Z)
+    out = [np.zeros((n + 1, n + 1)) for _ in range(n * (n - 1) // 2)]
+    for Z, i, j in zip(out, *np.triu_indices(n, 1)):
+        Z[i, j], Z[j, i] = 1.0, -1.0
     return out
 
 
@@ -307,95 +326,91 @@ def _closure_scan(basis, tol: float) -> tuple[bool, float]:
 
 
 def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the span of ``basis`` is closed under the bracket.
-
-    Rank-deficient inputs are fine: the span is what is tested.
-    """
-    closed, _ = _closure_scan(basis, tol)
-    return closed
+    """Whether the span of ``basis`` is closed under the bracket.  Rank-deficient
+    inputs are fine: the span is what is tested."""
+    return _closure_scan(basis, tol)[0]
 
 
 def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
     """Largest distance of any pairwise bracket from the span of ``basis``,
     measured in the balanced time unit of :func:`matcore.balance`."""
-    _, worst = _closure_scan(basis, tol)
-    return worst
+    return _closure_scan(basis, tol)[1]
 
 
-def _largest_norm(stack: np.ndarray) -> float:
-    """Largest Frobenius norm of the stack; squares out of range are redone on stack / 2^e."""
-    flat = stack.reshape(len(stack), -1)
+def _largest_norm(stack: np.ndarray) -> np.ndarray:
+    """Largest Frobenius norm of each (m, d, d) set, redone on each set / 2^e if needed."""
     with np.errstate(over="ignore"):
-        scale = math.sqrt(np.vecdot(flat, flat).max())
-    if not 2.0 ** -500 < scale < math.inf:
-        e = math.frexp(max(flat.max(), -flat.min()))[1]
-        flat = np.ldexp(flat, -e)
-        scale = math.ldexp(math.sqrt(np.vecdot(flat, flat).max()), e)
+        scale = matcore.op_norm(stack, 2).max(axis=-1)
+    if not all(2.0 ** -500 < q < math.inf for q in scale.reshape(-1).tolist()):
+        e = np.frexp(abs(stack).max(axis=(-3, -2, -1)))[1]
+        return np.ldexp(matcore.op_norm(np.ldexp(stack, -e[..., None, None, None]), 2).max(-1), e)
     return scale
 
 
-def classify_algebra(generators, tol: float = DEFAULT_TOL) -> ClassificationResult:
+def classify_algebra(generators, tol: float = DEFAULT_TOL
+                     ) -> ClassificationResult | list[ClassificationResult]:
     """Decide which kinematical algebra the generators span together with
-    the rotations.
+    the rotations, which are adjoined.  generators: one set of m >= 1 square
+    matrices of one dimension n+1 >= 3 (a list or an (m, n+1, n+1) array),
+    giving one result, or a (T, m, n+1, n+1) stack of sets, giving a list of
+    T results, each that of its set alone.  tol: the relative tolerance of
+    every threshold.  Failures are a result "NotKinematical", not a raise.
 
-    generators: square matrices of one dimension n+1 >= 3; the rotations
-    need not be among them, they are adjoined.  tol: relative tolerance of
-    every internal threshold.
-
-    The set is judged in the time unit of :func:`matcore.balance`, and
-    sigma is mapped back by 4^k, so the answer does not depend on the unit
-    sigma is given in.  A set stays in its own unit when its largest last
-    column entry |b| is rounding next to its largest last row entry |c|,
-    |b| <= (n+1) eps |c| as in a Carroll set, or when the balanced mixing
-    content would fall under the SVD cut below.  Each generator's
-    non-rotation part m0 + m2 + m3 becomes one row of coordinates,
-    isometric to the Frobenius norm (rotation content is adjoined anyway),
-    and zero rows are dropped.  One SVD gives an orthonormal basis of their
-    span, keeping singular values above tol times the largest generator
-    norm.  Scalar or traceless-symmetric content in it is rejected; the
-    rest is mixing content, whose one shared sigma :func:`sigma_from_m3`
-    extracts from the basis rows at once.  Rotations plus the boosts of one
-    sigma close for every sigma (module docstring), so no closure check is
-    run.  No mixing content at all is the Aristotle case.  Failures are a
-    result with outcome "NotKinematical", never an exception.
+    Each set is judged in the time unit matcore.balance picks for it, its
+    sigma mapped back, unless its largest last column entry |b| is rounding
+    next to its largest last row entry |c| (|b| <= (n+1) eps |c|, as in a
+    Carroll set) or its balanced mixing content would fall under the cut.
+    The non-rotation parts m0 + m2 + m3 of the generators become rows of
+    coordinates, isometric to the Frobenius norm; rows zero in every set
+    are dropped.  One stacked SVD keeps an orthonormal basis of each set's
+    span above tol times its largest generator norm: scalar or traceless
+    symmetric content is rejected, no content is the Aristotle case, and
+    :func:`sigma_from_m3` extracts the sigma of the mixing content.  Those
+    boosts and the rotations close (module docstring): no closure check.
     """
-    stack = matcore.as_square_stack(list(generators))
-    m, n = len(stack), stack.shape[-1] - 1
-    if n < 2:
-        raise ValueError("classification needs at least two space dimensions")
-
-    b, c = float(abs(stack[:, :n, n]).max()), float(abs(stack[:, n, :n]).max())
-    k = matcore.balance(stack) if b > (n + 1) * math.ulp(1.0) * c else 0
+    stack = matcore.as_square_stack(np.array(generators, dtype=float))
+    m, n = stack.shape[-3] if stack.ndim > 2 else 0, stack.shape[-1] - 1
+    if stack.ndim > 4 or not m or n < 2:
+        raise ValueError("classification takes (m, n+1, n+1) sets, m >= 1 and n >= 2, "
+                         f"or a stack of them, got shape {stack.shape}")
+    b, c = (abs(x).max(axis=(-2, -1)) for x in (stack[..., :n, n], stack[..., n, :n]))
+    k = matcore.unit_exponent(b, c) * (b > (n + 1) * math.ulp(1.0) * c)  # the Carroll guard
+    if balanced := np.count_nonzero(k):  # faster than any() on small arrays
+        matcore.balance(stack, k=k[..., np.newaxis, np.newaxis])
     scale = _largest_norm(stack)
-    if k and max(math.ldexp(b, k), math.ldexp(c, -k)) <= tol * scale:
-        matcore.balance(stack, k=-k)  # balanced, the mixing content would fall under the cut
-        k, scale = 0, _largest_norm(stack)
-    parts = isotypic.split(stack)
-    rows = np.concatenate((math.sqrt(n) * parts.lam[:, np.newaxis], parts.mu[:, np.newaxis],
-                           parts.m2.reshape(m, -1), parts.b, parts.c), axis=1)
-    del stack, parts  # free the matrices before the SVD
-    rows = rows[rows.any(axis=1)]
-    basis = rows[:0]
-    if len(rows):
+    # A set whose balanced mixing content would fall under the cut keeps its own unit.
+    undo = k * (np.maximum(np.ldexp(b, k), np.ldexp(c, -k)) <= tol * scale) if balanced else k
+    if balanced and np.count_nonzero(undo):
+        matcore.balance(stack, k=-undo[..., np.newaxis, np.newaxis])
+        k, scale = k - undo, _largest_norm(stack)
+    p = isotypic.split(stack)
+    rows = np.concatenate((math.sqrt(n) * p.lam[..., np.newaxis], p.mu[..., np.newaxis],
+                           p.m2.reshape(p.b.shape[:-1] + (n * n,)), p.b, p.c), axis=-1)
+    del stack, p  # free the matrices before the SVD
+    rows = rows[..., rows.reshape(-1, m, rows.shape[-1]).any(axis=(0, 2)), :]
+    rank, norms, outcomes = [0] * k.size, [[0.0, 0.0, 0.0]] * k.size, [(None, None)] * k.size
+    if rows.shape[-2]:
         _, s, vt = np.linalg.svd(rows, full_matrices=False)
-        basis = vt[s > tol * scale]
-    diagnostics = {"rank": float(len(basis)), "m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 0.0}
-    if not len(basis):
-        return ClassificationResult(OUTCOME_ARISTOTLE, diagnostics=diagnostics)
-    norms = np.sqrt(np.add.reduceat(basis * basis, [0, 2, 2 + n * n], axis=1).max(axis=0))
-    diagnostics.update(zip(("m0", "m2", "m3"), norms.tolist()))
-
-    for key, content in (("m0", "scalar"), ("m2", "traceless symmetric")):
-        if diagnostics[key] > tol:
-            return ClassificationResult(OUTCOME_NOT_KINEMATICAL, diagnostics=diagnostics, reason=(
-                f"{content} ({key}) content present: norm {diagnostics[key]:.3e}"))
-
-    try:
-        sigma, rows = _sigma_and_rows(basis[:, -2 * n:-n], basis[:, -n:], tol, k)
-    except NotCollinear as exc:
-        return ClassificationResult(
-            OUTCOME_NOT_KINEMATICAL, reason=str(exc), diagnostics=diagnostics
-        )
-    finite = rows[np.isfinite(rows)]
-    diagnostics["sigma_spread"] = float(np.ptp(finite)) if finite.size else 0.0
-    return ClassificationResult(OUTCOME_KINEMATICAL, sigma=sigma, diagnostics=diagnostics)
+        live = s > tol * scale[..., np.newaxis]
+        basis = vt * live[..., np.newaxis]  # the rows under the cut are zero
+        rank = live.sum(axis=-1).reshape(-1).tolist()
+        norms = np.sqrt(np.add.reduceat(basis * basis, [0, 2, 2 + n * n], axis=-1)
+                        .max(axis=-2)).reshape(-1, 3).tolist()
+    if any(r and m0 <= tol and m2 <= tol for r, (m0, m2, _) in zip(rank, norms)):
+        outcomes = _sigma_and_rows(basis[..., -2 * n:].reshape(k.size, -1, 2 * n), tol, k, True)
+    results = []
+    for r, (m0, m2, m3), (sigma, spread) in zip(rank, norms, outcomes):
+        result = ClassificationResult(OUTCOME_ARISTOTLE if not r else OUTCOME_NOT_KINEMATICAL,
+                                      diagnostics={"rank": float(r), "m0": m0, "m1": 0.0,
+                                                   "m2": m2, "m3": m3})
+        if r and max(m0, m2) > tol:
+            key, content, norm = (("m0", "scalar", m0) if m0 > tol
+                                  else ("m2", "traceless symmetric", m2))
+            result.reason = f"{content} ({key}) content present: norm {norm:.3e}"
+        elif r and isinstance(sigma, ValueError):
+            result.reason = str(sigma)
+        elif r:
+            result.outcome, result.sigma = OUTCOME_KINEMATICAL, Sigma(sigma)
+            result.diagnostics["sigma_spread"] = spread
+        results.append(result)
+    return results if k.ndim else results[0]

@@ -36,7 +36,9 @@ __all__ = [
     "random_element",
 ]
 
-_MAX_RAPIDITY = math.acosh(sys.float_info.max)  # the largest with a finite cosh
+# 2^500 and 1 as 0-d arrays, which a ufunc takes faster than Python floats.  No entry
+# below 2^500 squares, nor does a sum of n of its squares, past the float range.
+_WIDE, _ONE = np.array(2.0 ** 500), np.array(1.0)
 
 
 class NotInNormalizer(ValueError):
@@ -96,13 +98,14 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     identity.  b may be one vector of shape (n,) or a stack of shape
     (..., n); the result has shape (n+1, n+1) or (..., n+1, n+1), and each
     matrix of a stack is the boost of its own row.  Raises ValueError when
-    an entry of b is not finite, or a rapidity |b| sqrt(sigma) is too
-    large for cosh to be represented.
+    an entry of b is not finite, or a rapidity w = |b| sqrt(sigma) is so
+    large that cosh(w), sinh(w) sqrt(sigma) or sinh(w) / sqrt(sigma) could
+    overflow: past log(float max / max(sqrt(sigma), 1 / sqrt(sigma))).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
-    wide = np.count_nonzero(abs(b) < 2.0 ** 500) != b.size  # else no |b|^2 overflows
+    wide = np.count_nonzero(abs(b) < _WIDE) != b.size  # else no |b|^2 overflows
     if wide and np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() when small
         raise ValueError("b must have finite entries")
     s = as_sigma(sigma)
@@ -125,9 +128,10 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     root = math.sqrt(abs(s.value))
     w = beta * root
     if s.value > 0.0:
-        big = w > _MAX_RAPIDITY  # any() of a numpy scalar is slow, hence ndim
+        limit = math.log(sys.float_info.max / max(root, 1.0 / root))  # as sinh(w) < e^w / 2
+        big = w > limit  # any() of a numpy scalar is slow, hence ndim
         if big.any() if big.ndim else big:
-            raise ValueError(f"boost rapidity {w.max():.6g} overflows cosh")
+            raise ValueError(f"boost rapidity {w.max():.6g} overflows cosh or sinh: > {limit:.4g}")
         ch, sh, lift = np.cosh(w), np.sinh(w), root
     else:
         ch, sh, lift = np.cos(w), np.sin(w), -root
@@ -152,11 +156,6 @@ def _stack(a) -> np.ndarray:
 def _verdict(ok):
     """A Python bool for one matrix, a bool array for a stack."""
     return ok if ok.ndim else bool(ok)
-
-
-# 2^500 and 1 as 0-d arrays, which a ufunc takes faster than Python floats.  No entry
-# below 2^500 squares, nor does a sum of n of its squares, past the float range.
-_WIDE, _ONE = np.array(2.0 ** 500), np.array(1.0)
 
 
 def in_K(a, tol: float = DEFAULT_TOL):
@@ -257,8 +256,8 @@ class CartanFactors:
         ValueError for a negative lam that is not refused."""
         Z = np.array(self.Z, dtype=float)
         n = Z.shape[-1] - 1
-        b, c = abs(Z[..., :n, n]).max(-1, keepdims=True), abs(Z[..., n, :n]).max(-1, keepdims=True)
-        k = np.where((b != 0.0) & (c != 0.0), (np.frexp(c)[1] - np.frexp(b)[1] + 1) // 2, 0)
+        k = matcore.unit_exponent(abs(Z[..., :n, n]).max(-1, keepdims=True),
+                                  abs(Z[..., n, :n]).max(-1, keepdims=True))
         matcore.balance(Z, k=k)
         lam = np.where(np.equal(self.refused, None), self.lam, 0.0)
         if np.any(lam < 0.0):

@@ -27,6 +27,7 @@ __all__ = [
     "dagger",
     "mat_exp",
     "op_norm",
+    "unit_exponent",
 ]
 
 # Degree of the Taylor polynomial used after scaling the argument below 1/2.
@@ -82,21 +83,25 @@ def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> 
     """Change the time unit of x in place to D x D^-1, D = diag(1, ..., 1, 2^-k), and
     return k; D maps the group of sigma exactly onto that of 4^-k sigma.  x is a float
     (..., n+1, n+1) stack, rescaled by ldexp, or the int binary exponents of a matrix,
-    shifted.  k is given (-k undoes a balance; an int array of shape x.shape[:-2] + (1,)
-    shifts each matrix by its own k), or taken from sigma, so that 4^-k sigma
-    is in [1/2, 2), or else from the largest entries |b| of the last columns and |c| of
-    the last rows, so that |c| / |b| is in [1/4, 2), and k = 0 when either is zero."""
+    shifted.  k is given (-k undoes a balance; an int array broadcasting against x.shape[:-2]
+    + (1,) shifts each matrix by its own k), or taken from sigma, so that 4^-k sigma is in
+    [1/2, 2), or else from the largest entries |b| of the last columns and |c| of the last
+    rows, so that |c| / |b| is in [1/4, 2), and k = 0 if either is zero."""
     n = x.shape[-1] - 1
     if k is None and sigma is not None:
         k = math.frexp(sigma)[1] // 2
     elif k is None:
-        b, c = float(abs(x[..., :n, n]).max()), float(abs(x[..., n, :n]).max())
-        k = (math.frexp(c)[1] - math.frexp(b)[1] + 1) // 2 if b and c else 0
+        k = int(unit_exponent(abs(x[..., :n, n]).max(), abs(x[..., n, :n]).max()))
     if isinstance(k, np.ndarray) or k:
         shift = np.ldexp if x.dtype.kind == "f" else np.add  # values or binary exponents
         shift(x[..., n, :n], -k, out=x[..., n, :n])
         shift(x[..., :n, n], k, out=x[..., :n, n])
     return k
+
+
+def unit_exponent(b, c):
+    """balance's k, one for each largest last column entry b and last row entry c."""
+    return (np.frexp(c)[1] - np.frexp(b)[1] + 1) // 2 * (np.minimum(b, c) > 0.0)
 
 
 def bracket(X, Y) -> np.ndarray:

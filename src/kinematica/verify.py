@@ -1,8 +1,8 @@
 """Self-contained property suite over randomized inputs.
 
 Each property draws from one generator seeded by (seed, property number),
-takes its group members from that generator in one stacked random_element
-call per dimension and case, judges each stack in whole-array calls where
+takes its group members (P3: generator sets) from that generator in one
+stack per dimension and case, judges each stack in whole-array calls where
 the functions under test take stacks, accumulates the worst residual it
 sees and the number of values it judged, and reports pass/fail against
 the configured tolerance.  Failures never raise: they land in the
@@ -186,13 +186,8 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, Sigma | None]]:
-    seen = []
-    for s in cfg.sigma_values:
-        pair = (case_of_sigma(s), s)
-        if pair not in seen:
-            seen.append(pair)
-    seen.append((CaseLabel.ARISTOTLE, None))
-    return seen
+    pairs = dict.fromkeys((case_of_sigma(s), s) for s in cfg.sigma_values)  # first seen first
+    return list(pairs) + [(CaseLabel.ARISTOTLE, None)]
 
 
 def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
@@ -237,13 +232,14 @@ def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyRe
     return check.result()
 
 
-def _generated_basis(n: int, s: Sigma, rng: np.random.Generator) -> list[np.ndarray]:
-    basis = classify.rotation_generators(n)
-    for _ in range(n):
-        b = rng.standard_normal(n)
-        scale = rng.uniform(0.25, 4.0)
-        basis.append(scale * groups.p_generator(b, s))
-    return basis
+def _generated_bases(n: int, s: Sigma, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations and n boosts
+    of sigma s (p_generator of b) along random b, each scaled by a factor in [1/4, 4]."""
+    b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
+    boosts = np.zeros((count, n, n + 1, n + 1))
+    boosts[..., :n, n], boosts[..., n, :n] = (0.0, b) if s.is_infinite else (b, s.value * b)
+    rotations = classify.rotation_generators(n)
+    return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
 
 
 def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
@@ -252,20 +248,16 @@ def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator) -> Property
         result = classify.classify_algebra(classify.rotation_generators(n), cfg.tol)
         check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
         for s in cfg.sigma_values:
-            for _ in range(cfg.trials):
-                basis = _generated_basis(n, s, rng)
-                result = classify.classify_algebra(basis, cfg.tol)
-                payload = {"n": n, "sigma": s, "outcome": result.outcome,
-                           "reason": result.reason}
-                if not result.is_kinematical:
-                    check.flag(False, payload)
-                    continue
-                check.flag(classify.case_label(result) == case_of_sigma(s), payload)
-                if s.is_infinite:
-                    check.flag(result.sigma.is_infinite, payload)
-                else:
-                    err = abs(result.sigma.value - s.value) / (1.0 + abs(s.value))
-                    check.residual(err, payload)
+            results = classify.classify_algebra(_generated_bases(n, s, rng, cfg.trials), cfg.tol)
+            payloads = [{"n": n, "sigma": s, "outcome": r.outcome, "reason": r.reason}
+                        for r in results]
+            check.flag([r.is_kinematical and classify.case_label(r) == case_of_sigma(s)
+                        for r in results], payloads.__getitem__)
+            read = [i for i, r in enumerate(results) if r.is_kinematical]
+            got = np.array([results[i].sigma.value for i in read])
+            err = (np.where(np.isinf(got), 0.0, 1.0) if s.is_infinite
+                   else abs(got - s.value) / (1.0 + abs(s.value)))
+            check.residual(err, lambda j: payloads[read[j]])
     return check.result()
 
 
@@ -431,24 +423,17 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
 def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
-        base = _generated_basis(n, Sigma(1.0), rng)
-        scalar = np.diag(np.r_[np.ones(n), 0.0])
-        result = classify.classify_algebra(base + [scalar], cfg.tol)
-        check.flag(result.outcome == classify.OUTCOME_NOT_KINEMATICAL,
-                   {"n": n, "contaminant": "m0", "outcome": result.outcome})
-
-        sym = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
-        result = classify.classify_algebra(base + [sym], cfg.tol)
-        check.flag(result.outcome == classify.OUTCOME_NOT_KINEMATICAL,
-                   {"n": n, "contaminant": "m2", "outcome": result.outcome})
-
-        mixed = classify.rotation_generators(n)
-        mixed.append(groups.p_generator(rng.standard_normal(n), Sigma(1.0)))
-        mixed.append(groups.p_generator(rng.standard_normal(n), Sigma(2.0)))
-        result = classify.classify_algebra(mixed, cfg.tol)
-        check.flag(result.outcome == classify.OUTCOME_NOT_KINEMATICAL,
-                   {"n": n, "contaminant": "mixed sigma", "outcome": result.outcome})
-
+        # One stack: boosts plus m0, boosts plus m2, two sigmas; zero generators pad them.
+        base = _generated_bases(n, Sigma(1.0), rng, 1)[0]
+        sets = np.zeros((3, len(base) + 1, n + 1, n + 1))
+        sets[:2, :-1] = base
+        sets[0, -1] = np.diag(np.r_[np.ones(n), 0.0])
+        sets[1, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
+        sets[2, :len(base) - n + 2] = classify.rotation_generators(n) + [
+            groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
+        for name, r in zip(("m0", "m2", "mixed sigma"), classify.classify_algebra(sets, cfg.tol)):
+            check.flag(r.outcome == classify.OUTCOME_NOT_KINEMATICAL,
+                       {"n": n, "contaminant": name, "outcome": r.outcome})
         _, _, corner = nonalgebra_witness(n)
         check.residual(abs(corner - 2.0), {"n": n, "corner": corner})
         span = _mixing_span_basis(n)

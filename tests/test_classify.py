@@ -681,6 +681,108 @@ def test_classify_computes_row_sigmas_once_per_accepted_set(monkeypatch):
     assert len(calls) == len(sets)
 
 
+def _padded(gens, m):
+    """The set with zero generators appended up to m, which adds no content."""
+    return list(gens) + [np.zeros_like(gens[0])] * (m - len(gens))
+
+
+def _gate_sets(rng, n):
+    """One set of m = n(n-1)/2 + n + 1 generators for each gate of classify_algebra."""
+    eps = np.finfo(float).eps
+    rotations = rotation_generators(n)
+    m = len(rotations) + n + 1
+    base = _standard_generators(rng, n, Sigma(1.0), count=n)
+    sym = np.zeros((n + 1, n + 1))
+    sym[0, 0], sym[1, 1] = 1.0, -1.0
+    sets = {
+        "aristotle": rotations,
+        "zero": [np.zeros((n + 1, n + 1))],
+        "m0": base + [np.eye(n + 1) + base[-1]],
+        "m2": base + [sym + base[-1]],
+        "mixed sigma": rotations + [p_generator(np.eye(n)[0], 1.0),
+                                    p_generator(np.eye(n)[1], 2.0)],
+        "not collinear": base + [mixing(rng.standard_normal(n), rng.standard_normal(n))],
+        "carroll guard": rotations + [mixing((n + 1) * eps * v, v) for v in np.eye(n)],
+        "undo": rotations + [p_generator(0.01 * v, 2e-15) for v in np.eye(n)],
+    }
+    for sigma in (1e12, -1e12, 1e-12, -1e-12, 0.0, math.inf):
+        sets[f"sigma {sigma}"] = _standard_generators(rng, n, Sigma(sigma), count=n)
+    return {name: _padded(gens, m) for name, gens in sets.items()}
+
+
+def _assert_one_set_answers(stack, bits, tol=DEFAULT_TOL):
+    results = classify_algebra(np.array(stack), tol)
+    assert isinstance(results, list) and len(results) == len(stack)
+    for got, gens in zip(results, stack):
+        want = classify_algebra(list(gens), tol)
+        assert (got.outcome, got.reason) == (want.outcome, want.reason)
+        if got.outcome != "NotKinematical":
+            assert case_label(got) is case_label(want)
+        if bits:
+            assert got.sigma == want.sigma and got.diagnostics == want.diagnostics
+            continue
+        if want.sigma is not None:
+            assert got.sigma.value == pytest.approx(want.sigma.value, rel=1e-12, abs=0.0)
+        # The norms are of unit basis rows, and the spread is in the unit of sigma.
+        scale = {"sigma_spread": 1.0 + abs(want.sigma.value) if want.sigma else 1.0}
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for key, value in want.diagnostics.items():
+            assert abs(got.diagnostics[key] - value) <= 1e-12 * scale.get(key, 1.0), key
+
+
+def test_classify_a_stack_gives_each_set_its_one_set_answer():
+    # Every gate in one (T, m, n+1, n+1) stack: the guard, the undo and the
+    # cut act per set.  These sets differ in their zero rows, so each one's
+    # SVD sees rows the others need: equal to 1e-12.
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 5):
+        sets = _gate_sets(rng, n)
+        _assert_one_set_answers(list(sets.values()), bits=False)
+        outcomes = [classify_algebra(gens) for gens in sets.values()]
+        assert {(_gate(r) or case_label(r).value).split(" (")[0] for r in outcomes} == {
+            "Aristotle", "scalar", "traceless symmetric", "mixing generators disagree on sigma",
+            "mixing vectors are not collinear", "Carroll", "Lorentz", "Orthogonal", "Galilei"}
+
+
+def test_classify_a_stack_of_one_kind_is_bit_for_bit():
+    # Sets that share their zero rows, as the property suite draws them:
+    # each set's answer is that of its one-set call, bit for bit.
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 10):
+        for sigma in (1.0, 0.5, -1.0, 0.0, math.inf, 3e13, -2e-12):
+            stack = [_standard_generators(rng, n, Sigma(sigma), count=n,
+                                          scale=rng.uniform(0.25, 4.0)) for _ in range(6)]
+            _assert_one_set_answers(stack, bits=True)
+        gates = _gate_sets(rng, n)
+        for name in ("m0", "not collinear", "carroll guard", "undo", "zero"):
+            _assert_one_set_answers([gates[name]] * 3, bits=True)
+
+
+def test_classify_a_stack_takes_one_split_and_one_svd(monkeypatch):
+    from kinematica import isotypic
+    calls = []
+    split, svd = isotypic.split, np.linalg.svd
+    monkeypatch.setattr(isotypic, "split", lambda Z: calls.append("split") or split(Z))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        calls.append(np.shape(a)) or svd(a, *args, **kwargs)))
+    stack = np.array(list(_gate_sets(np.random.default_rng(34), 3).values()))
+    assert len(classify_algebra(stack)) == len(stack)
+    assert calls[0] == "split" and len(calls) == 2 and calls[1][0] == len(stack)
+    # a stack with nothing but rotations takes no SVD
+    calls.clear()
+    assert [r.outcome for r in classify_algebra(np.array([rotation_generators(3)] * 4))] == [
+        "AristotleOnly"] * 4
+    assert calls == ["split"]
+    assert classify_algebra(np.zeros((0, 2, 3, 3))) == []
+
+
+def test_classify_refuses_arrays_that_are_no_set_or_stack_of_sets():
+    # One matrix, sets of no matrices and deeper stacks are refused.
+    for shape in ((3, 3), (2, 0, 3, 3), (0, 3, 3), (1, 1, 2, 3, 3)):
+        with pytest.raises(ValueError, match="sets"):
+            classify_algebra(np.zeros(shape))
+
+
 def test_classify_input_validation():
     with pytest.raises(ValueError):
         classify_algebra([])

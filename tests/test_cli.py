@@ -368,6 +368,16 @@ def test_generate_overflow_in_a_large_batch_is_an_error(capsys):
     assert err.startswith("error: boost rapidity") and "overflows cosh" in err
 
 
+def test_generate_refuses_boosts_whose_sinh_overflows_the_time_unit(capsys):
+    # At sigma 1e-12 sinh(w) / sqrt(sigma) overflows from rapidity about 696,
+    # before cosh(w) does (710): an error, not inf and NaN matrices.
+    code = cli.main(["generate", "--case", "lorentz", "--sigma", "1e-12", "--n", "3",
+                     "--count", "50", "--boost-bound", "7.1e8", "--seed", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: boost rapidity") and "Traceback" not in err
+
+
 def test_generate_draws_the_whole_batch_in_one_call(capsys, monkeypatch):
     calls = []
     real = groups.random_element

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +108,23 @@ def test_boost_overflow_names_the_rapidity():
     with pytest.raises(ValueError, match="rapidity"):
         boost_closed_form(np.array([1e4, 0.0]), 1.0)
     assert np.isfinite(boost_closed_form(np.array([700.0, 0.0]), 1.0)).all()
+
+
+def test_boost_overflow_is_judged_on_sinh_times_the_time_unit():
+    # The mixing entries are sinh(w) sqrt(sigma) and sinh(w) / sqrt(sigma),
+    # which leave the float range before cosh(w) does when sigma is far
+    # from 1: every entry is finite below the limit and refused above it.
+    for sigma in (1e-300, 1e-12, 1.0, 1e12, 1e300):
+        root = math.sqrt(sigma)
+        limit = math.log(sys.float_info.max / max(root, 1.0 / root))
+        for w in (0.999 * limit, limit):
+            a = boost_closed_form(np.array([w / root, 0.0, 0.0]), sigma)
+            assert np.isfinite(a).all(), (sigma, w)
+        with pytest.raises(ValueError, match="rapidity"):
+            boost_closed_form(np.array([1.001 * limit / root, 0.0, 0.0]), sigma)
+    for sigma, w in ((1e-12, 700.0), (1e12, 700.0), (1e-300, 400.0), (1e300, 400.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            boost_closed_form(np.array([0.0, w / math.sqrt(sigma)]), sigma)
 
 
 def test_boost_of_a_stack_is_the_boost_of_each_row():

@@ -107,6 +107,26 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
     assert in_K_stacks == stacks
 
 
+def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
+    # One call per (n, sigma) stack of trials sets, and one for the rotations
+    # alone per n; a call per set would be 1 + 5 * 25 = 126 per n.
+    from kinematica import classify
+    real = classify.classify_algebra
+    shapes = []
+
+    def counted(generators, tol=1e-9):
+        shapes.append(np.shape(generators))
+        return real(generators, tol)
+
+    monkeypatch.setattr("kinematica.classify.classify_algebra", counted)
+    cfg = SuiteConfig()
+    assert verify._prop_classification(cfg, np.random.default_rng(0)).passed
+    assert len(shapes) <= len(cfg.n_values) * (1 + len(cfg.sigma_values))
+    for n in cfg.n_values:
+        m = n * (n - 1) // 2 + n
+        assert shapes.count((cfg.trials, m, n + 1, n + 1)) == len(cfg.sigma_values)
+
+
 def test_default_suite_check_counts():
     # The number of residual and flag values each property judges: stacking
     # the properties must drop none of them.
