@@ -174,21 +174,23 @@ def case_label(result: ClassificationResult) -> CaseLabel:
     raise ValueError(f"no case label for a NotKinematical result: {result.reason}")
 
 
-def collinearity_defect(b, c) -> float:
+def collinearity_defect(b, c) -> float | np.ndarray:
     """2 * (|b|^2 |c|^2 - (b.c)^2), zero exactly when b and c are parallel.
 
     This is also the corner entry of the doubled commutator of the mixing
     generator with the rotation it generates, which is how the tests pin
-    it down from the algebra side.  Formed on the pair divided by a power
+    it down from the algebra side.  Formed on each pair divided by a power
     of two, it is inf only when the defect is beyond the float range.
-    Raises ValueError unless b and c are one pair of finite vectors.
+    Two vectors give a float; (m, n) arrays give an (m,) array, one defect
+    per pair of rows, each that pair's own defect bit for bit.  Raises
+    ValueError unless b and c are finite and of one of these shapes.
     """
+    vectors = np.ndim(b) == np.ndim(c) == 1
     b, c = _finite_pairs(b, c)
-    if len(b) != 1:
-        raise ValueError(f"collinearity_defect takes one pair of vectors, got shape {b.shape}")
-    bb, cc, bc, e = _scaled_products(np.stack((b[0], c[0])))
+    bb, cc, bc, e = _scaled_products(np.stack((b, c), axis=-2))
     with np.errstate(over="ignore"):
-        return float(np.ldexp(2.0 * (bb * cc - bc * bc), 4 * e))
+        defects = np.ldexp(2.0 * (bb * cc - bc * bc), 4 * e)
+    return float(defects[0]) if vectors else defects
 
 
 def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:

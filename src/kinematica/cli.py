@@ -163,8 +163,8 @@ def _cmd_generate(args) -> int:
     sigma = _parse_sigma(args.sigma) if args.sigma is not None else None
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
-    matrices = groups.random_element(case, sigma, args.n, args.boost_bound,
-                                     range(args.seed, args.seed + args.count))
+    matrices = groups.random_element(case, sigma, args.n, args.boost_bound, args.seed,
+                                     size=args.count)
     print(_json_lines(dump_matrix_file(MatrixFile(args.n, matrices))))
     return 0
 

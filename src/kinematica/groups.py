@@ -1,7 +1,7 @@
 """Group elements of the five kinematical groups and their factorizations.
 
 Elements are plain (n+1) x (n+1) arrays; boosts, random members and verdicts
-also come as (..., n+1, n+1) stacks, one per row, seed or matrix.  The building
+also come as (..., n+1, n+1) stacks, one per row, draw or matrix.  The building
 blocks are block rotations diag(R, eps) and one-parameter boosts exp of a mixing
 generator, for which closed forms exist in every sigma regime, and so does the
 polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) for sigma > 0.
@@ -365,50 +365,33 @@ def random_element(case: CaseLabel, sigma=None, n: int = 2, boost_bound: float =
     rotation diag(Q, +-1) times a boost of norm at most ``boost_bound``
     (none for Aristotle).
 
-    ``seed`` is an int, giving one (n+1) x (n+1) member, or a sequence of
-    m ints, giving an (m, n+1, n+1) stack whose i-th matrix is the member
-    for ``seed[i]``, bit for bit.  The same arguments always produce the
-    same element.  ``seed`` may also be a numpy Generator, which draws one
-    member, or with ``size`` = m an (m, n+1, n+1) stack, in whole-array
-    draws that advance it; ``size`` goes with a Generator only.
+    ``seed`` is a nonnegative int or a numpy Generator; an int draws through
+    ``np.random.default_rng(seed)``, so the same arguments always produce the
+    same members, and a Generator is advanced by the draws.  ``size=None``
+    gives one (n+1) x (n+1) member, ``size`` = m an (m, n+1, n+1) stack drawn
+    in whole-array calls.  Any other seed, a sequence included, raises
+    ValueError.
     """
     if n < 2:
         raise ValueError("need at least two space dimensions")
     if not 0.0 <= boost_bound < math.inf:
         raise ValueError("boost_bound must be finite and nonnegative")
     s = _check_pairing(case, sigma)
-    drawn = isinstance(seed, np.random.Generator)
-    if size is not None and not drawn:
-        raise ValueError("size needs a numpy Generator as seed")
-    single = (drawn and size is None) or isinstance(seed, (int, np.integer))
-    seeds = () if drawn else [seed] if single else list(seed)
-    stack = () if single else (size,) if drawn else (len(seeds),)
-    # Per member, in the order drawn: the Gaussian sample for Q, the sign of
-    # Q's first column, eps, the boost direction and the boost size.  One
-    # member takes the same steps on arrays without the stack axis.
-    gauss = np.empty(stack + (n + 1, n))
-    draws = np.empty(stack + (3,))
-    if drawn:  # each draw for the whole stack at once
-        gauss[..., :n, :] = seed.standard_normal(stack + (n, n))
-        draws[..., 0] = np.where(seed.random(stack) < 0.5, -1.0, 1.0)
-        draws[..., 1] = np.where(seed.random(stack) < 0.5, 1.0, -1.0)
-        if s is not None:
-            gauss[..., n, :] = seed.standard_normal(stack + (n,))
-            draws[..., 2] = seed.random(stack)
-    for one, g, d in zip(seeds, gauss.reshape(-1, n + 1, n), draws.reshape(-1, 3)):
-        rng = np.random.default_rng(one)
-        rng.standard_normal(out=g[:n])
-        d[0] = -1.0 if rng.random() < 0.5 else 1.0
-        d[1] = 1.0 if rng.random() < 0.5 else -1.0
-        if s is not None:
-            rng.standard_normal(out=g[n])
-            d[2] = rng.random()
+    if not isinstance(seed, (int, np.integer, np.random.Generator)):
+        raise ValueError(f"seed must be an int or a numpy Generator, not {type(seed).__name__}")
+    rng = np.random.default_rng(seed)
+    stack = () if size is None else (size,)
+    # Drawn in this order: the Gaussian sample for Q, the sign of Q's first
+    # column, eps, and then the boost direction and size, even for bound 0.
     k = np.zeros(stack + (n + 1, n + 1))
-    k[..., :n, :n] = _haar(gauss[..., :n, :], draws[..., 0])
-    k[..., n, n] = draws[..., 1]
-    if s is None or boost_bound == 0.0:  # Aristotle, or no boost asked for
+    gauss = rng.standard_normal(stack + (n, n))
+    k[..., :n, :n] = _haar(gauss, np.where(rng.random(stack) < 0.5, -1.0, 1.0))
+    k[..., n, n] = np.where(rng.random(stack) < 0.5, 1.0, -1.0)
+    if s is None:  # Aristotle
         return k
-    direction = gauss[..., n, :]
-    b = (direction / np.sqrt(np.vecdot(direction, direction))[..., None]
-         * (boost_bound * draws[..., 2])[..., None])
+    direction = rng.standard_normal(stack + (n,))
+    scale = boost_bound * rng.random(stack)
+    if boost_bound == 0.0:
+        return k
+    b = direction / np.sqrt(np.vecdot(direction, direction))[..., None] * scale[..., None]
     return k @ boost_closed_form(b, s)

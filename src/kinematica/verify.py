@@ -218,15 +218,14 @@ def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyRe
         for s in cfg.sigma_values:
             b = rng.standard_normal((cfg.trials, n))
             bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, s.value * b)
-            # collinearity_defect takes one pair, so it is called per pair.
-            defects = np.array([classify.collinearity_defect(*pair) for pair in zip(bs, cs)])
+            defects = classify.collinearity_defect(bs, cs)
             check.residual(abs(defects) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
                            lambda i: {"b": bs[i], "c": cs[i], "sigma": s})
             # The doubled commutator of a general mixing generator with the
             # rotation it spawns reproduces the defect in its corner.
             b2, c2 = rng.standard_normal((2, cfg.trials, n))
             _, _, corners = _doubled_commutator(b2, c2)
-            closed = np.array([classify.collinearity_defect(*pair) for pair in zip(b2, c2)])
+            closed = classify.collinearity_defect(b2, c2)
             check.residual(abs(corners - closed) / (1.0 + abs(closed)),
                            lambda i: {"b": b2[i], "c": c2[i]})
     return check.result()

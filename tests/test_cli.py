@@ -236,7 +236,7 @@ def test_decompose_of_a_mixed_file_matches_each_matrix_alone(tmp_path, capsys):
     # Members scaled by lam from 1e-8 to 1e8, copies moved by 1e-6, the zero
     # matrix and Gaussian non-members, decomposed in one call.
     rng = np.random.default_rng(17)
-    members = random_element(CaseLabel.LORENTZ, 1.0, 3, 2.0, range(8))
+    members = random_element(CaseLabel.LORENTZ, 1.0, 3, 2.0, 0, size=8)
     scaled = np.sqrt(10.0 ** rng.uniform(-8.0, 8.0, 8))[:, None, None] * members
     moved = scaled * (1.0 + 1e-6 * rng.choice((-1.0, 1.0), scaled.shape))
     matrices = np.concatenate([members, scaled, moved, np.zeros((1, 4, 4)),
@@ -345,8 +345,27 @@ def test_generate_seeds_beyond_64_bits(capsys):
     assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
                      "--count", "2", "--seed", str(seed)]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["matrices"] == [
-        random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, seed + i).ravel().tolist() for i in range(2)]
+    assert data["matrices"] == random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, seed,
+                                              size=2).reshape(2, 16).tolist()
+
+
+@pytest.mark.parametrize("extra, case, sigma", [
+    (["--case", "lorentz", "--sigma", "0.5"], CaseLabel.LORENTZ, 0.5),
+    (["--case", "orthogonal", "--sigma", "-1"], CaseLabel.ORTHOGONAL, -1.0),
+    (["--case", "galilei"], CaseLabel.GALILEI, None),
+    (["--case", "carroll"], CaseLabel.CARROLL, None),
+    (["--case", "aristotle"], CaseLabel.ARISTOTLE, None),
+])
+def test_generate_prints_one_draw_of_count_members(capsys, extra, case, sigma):
+    # --count m --seed S prints random_element(..., S, size=m); --count 1 the
+    # one member random_element(..., S).
+    for count in (7, 1):
+        assert cli.main(["generate", "--n", "3", "--count", str(count), "--seed", "12",
+                         "--boost-bound", "2"] + extra) == 0
+        printed = json.loads(capsys.readouterr().out)["matrices"]
+        drawn = random_element(case, sigma, 3, 2.0, 12, size=count)
+        assert printed == drawn.reshape(count, 16).tolist()
+    assert printed == [random_element(case, sigma, 3, 2.0, 12).ravel().tolist()]
 
 
 def test_generate_count_zero_prints_no_matrices(capsys):
@@ -355,9 +374,14 @@ def test_generate_count_zero_prints_no_matrices(capsys):
 
 
 def test_generate_negative_seed_is_an_error(capsys):
-    assert cli.main(["generate", "--case", "galilei", "--seed", "-1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    # The same error at any --count, none included.
+    errors = []
+    for count in ("1", "3", "0"):
+        assert cli.main(["generate", "--case", "galilei", "--seed", "-1", "--count", count]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+        errors.append(err)
+    assert len(set(errors)) == 1
 
 
 def test_generate_overflow_in_a_large_batch_is_an_error(capsys):
@@ -370,9 +394,13 @@ def test_generate_overflow_in_a_large_batch_is_an_error(capsys):
 
 def test_generate_refuses_boosts_whose_sinh_overflows_the_time_unit(capsys):
     # At sigma 1e-12 sinh(w) / sqrt(sigma) overflows from rapidity about 696,
-    # before cosh(w) does (710): an error, not inf and NaN matrices.
+    # before cosh(w) does (710): an error, not inf and NaN matrices.  The same
+    # draw with a bound 710 times smaller than 7.1e8 has rapidities w / 710,
+    # read off |a[n, n]| = cosh(w); the largest w lies between the two edges.
+    small = random_element(CaseLabel.LORENTZ, 1e-12, 3, 1e6, 0, size=50)
+    assert 700.0 < 710.0 * np.arccosh(abs(small[:, 3, 3])).max() < 710.0
     code = cli.main(["generate", "--case", "lorentz", "--sigma", "1e-12", "--n", "3",
-                     "--count", "50", "--boost-bound", "7.1e8", "--seed", "3"])
+                     "--count", "50", "--boost-bound", "7.1e8", "--seed", "0"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error: boost rapidity") and "Traceback" not in err
@@ -394,13 +422,13 @@ def test_generate_draws_the_whole_batch_in_one_call(capsys, monkeypatch):
 
 
 def test_generate_and_decompose_print_the_same_values_one_per_line(tmp_path, capsys):
-    # The values are those of one call per seed and one decomposition per
-    # matrix; the text puts each matrix or entry on a line of its own.
+    # The values are those of one draw of count members and one decomposition
+    # per matrix; the text puts each matrix or entry on a line of its own.
     count, seed = 5, 21
     assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
                      "--count", str(count), "--seed", str(seed)]) == 0
     text = capsys.readouterr().out
-    members = [random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, seed + i) for i in range(count)]
+    members = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, seed, size=count)
     assert json.loads(text) == {"n": 3, "matrices": [g.ravel().tolist() for g in members]}
     assert len(text.splitlines()) == count + 2
 

@@ -387,7 +387,7 @@ def test_stacked_factors_rebuild_like_each_matrix():
     # and a refused one, lam <= 0 or past the float range, rebuilds to zero.
     rng = np.random.default_rng(13)
     for sigma in (1.0, 1e-12, 1e12):
-        g = random_element(CaseLabel.LORENTZ, sigma, 3, 2.0 / math.sqrt(sigma), range(4))
+        g = random_element(CaseLabel.LORENTZ, sigma, 3, 2.0 / math.sqrt(sigma), 0, size=4)
         stack = np.concatenate([mixed_stack(3, sigma, rng), 2.0 ** 600 * g])
         factors = cartan_decompose(stack, sigma)
         rebuilt = factors.reconstruct()
@@ -400,7 +400,7 @@ def test_stacked_factors_rebuild_like_each_matrix():
             one = CartanFactors(factors.lam[i], factors.k[i], factors.Z[i]).reconstruct()
             assert rebuilt[i].tobytes() == one.tobytes()
             assert op_norm(rebuilt[i] - stack[i]) <= 1e-9 * op_norm(stack[i])
-    three = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, [1, 2, 3])
+    three = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, 1, size=3)
     np.testing.assert_allclose(cartan_decompose(three, 1.0).reconstruct(), three, atol=1e-13)
     with pytest.raises(ValueError):
         CartanFactors(lam=-1.0, k=np.eye(3), Z=np.zeros((3, 3))).reconstruct()
@@ -839,14 +839,24 @@ def test_random_element_membership():
 
 
 @pytest.mark.parametrize("case, sigma", RANDOM_SPECS)
-def test_random_element_stack_matches_single_seeds(case, sigma):
+def test_an_int_seed_draws_like_its_generator(case, sigma):
+    # An int seed S is np.random.default_rng(S), for one member and for a stack.
     for n in (2, 3, 10):
-        for seeds in ([4, 0, 2**70, 17], range(100, 105)):
-            stack = random_element(case, sigma, n, 1.5, seeds)
-            assert stack.shape == (len(seeds), n + 1, n + 1)
-            for i, seed in enumerate(seeds):
-                np.testing.assert_array_equal(stack[i], random_element(case, sigma, n, 1.5, seed))
-    assert random_element(case, sigma, 3, 1.5, []).shape == (0, 4, 4)
+        for seed in (4, 0, 2**70, 2**32 + 5):
+            for size in (None, 1, 5):
+                drawn = random_element(case, sigma, n, 1.5, seed, size=size)
+                assert drawn.shape == (() if size is None else (size,)) + (n + 1, n + 1)
+                assert drawn.tobytes() == random_element(
+                    case, sigma, n, 1.5, np.random.default_rng(seed), size=size).tobytes()
+    assert random_element(case, sigma, 3, 1.5, 0, size=0).shape == (0, 4, 4)
+
+
+def test_sequence_seeds_are_refused():
+    # default_rng would read a sequence as one entropy pool and return one member.
+    for seed in ([1, 2, 3], [], range(3), np.array([3]), (4,), 1.5, None):
+        for size in (None, 2):
+            with pytest.raises(ValueError, match="seed must be an int or a numpy Generator"):
+                random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, seed, size=size)
 
 
 def test_generator_draws_are_members_of_every_case():
@@ -868,9 +878,6 @@ def test_generator_draws_repeat_from_the_same_state():
     rng = np.random.default_rng(3)
     random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, rng, size=6)
     assert random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, rng, size=6).tobytes() != first.tobytes()
-    for seed in (3, [3, 4]):
-        with pytest.raises(ValueError):
-            random_element(CaseLabel.LORENTZ, 0.5, 3, 1.5, seed, size=2)
 
 
 def one_seed_reference(case, sigma, n, bound, seed):
@@ -939,10 +946,10 @@ def mixed_stack(n, sigma, rng, count=4):
     1e8, copies of those with every entry moved by 1e-6 relative, the zero
     matrix and Gaussian non-members: an (m, n+1, n+1) stack."""
     metric = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
-    seeds = rng.integers(2**32, size=count)
+    seed = int(rng.integers(2**32))
     members = np.concatenate(
-        [random_element(metric, sigma, n, 2.0 / math.sqrt(abs(sigma)), seeds)]
-        + [random_element(case, None, n, 2.0, seeds)
+        [random_element(metric, sigma, n, 2.0 / math.sqrt(abs(sigma)), seed, size=count)]
+        + [random_element(case, None, n, 2.0, seed, size=count)
            for case in (CaseLabel.GALILEI, CaseLabel.CARROLL, CaseLabel.ARISTOTLE)])
     scaled = np.sqrt(10.0 ** rng.uniform(-8.0, 8.0, len(members)))[:, None, None] * members
     moved = scaled * (1.0 + 1e-6 * rng.choice((-1.0, 1.0), scaled.shape))
@@ -1005,7 +1012,7 @@ def test_a_stack_of_stacks_keeps_its_shape():
 def test_a_stack_with_lam_past_the_float_range_matches_its_matrices():
     # 2^600 g and 2^-600 g take lam past the float range: the whole stack is
     # then rescaled by ldexp, which must give each matrix its own answer.
-    g = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, range(4))
+    g = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, 0, size=4)
     stack = np.concatenate([g, 2.0 ** 600 * g[:2], 2.0 ** -600 * g[2:]])
     ok, lam = in_normalizer(stack, 1.0)
     assert ok.tolist() == [True] * 4 + [False] * 4

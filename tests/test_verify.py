@@ -127,6 +127,25 @@ def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
         assert shapes.count((cfg.trials, m, n + 1, n + 1)) == len(cfg.sigma_values)
 
 
+def test_collinearity_property_takes_one_defect_call_per_stack(monkeypatch):
+    # Two calls per (n, sigma), each on a stack of trials pairs; a call per
+    # pair would be 2 * 25 = 50 per (n, sigma).
+    from kinematica import classify
+    real = classify.collinearity_defect
+    shapes = []
+
+    def counted(b, c):
+        shapes.append(np.shape(b))
+        return real(b, c)
+
+    monkeypatch.setattr("kinematica.classify.collinearity_defect", counted)
+    cfg = SuiteConfig()
+    assert verify._prop_collinearity(cfg, np.random.default_rng(0)).passed
+    assert len(shapes) == 2 * len(cfg.n_values) * len(cfg.sigma_values)
+    for n in cfg.n_values:
+        assert shapes.count((cfg.trials, n)) == 2 * len(cfg.sigma_values)
+
+
 def test_default_suite_check_counts():
     # The number of residual and flag values each property judges: stacking
     # the properties must drop none of them.
