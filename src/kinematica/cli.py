@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from . import classify as classify_mod
 from . import groups, verify
@@ -117,14 +118,16 @@ def dump_matrix_file(mf: MatrixFile) -> dict:
 
 def _json_lines(value) -> str:
     """JSON text with each item of a list on a line of its own, for a list
-    at the top level or in a top-level object.  Each line is encoded
-    without indentation, which json does in C."""
+    at the top level or in a top-level object.  orjson encodes each line and
+    spells each float as the shortest text that reads back to the same
+    double.  It would write NaN or an infinity as null; the generated members
+    and the accepted Cartan factors this prints are finite."""
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(key)}: {_json_lines(item)}"
+        return "{" + ", ".join(f"{_json_lines(key)}: {_json_lines(item)}"
                                for key, item in value.items()) + "}"
     if isinstance(value, list) and value:
-        return "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
-    return json.dumps(value)
+        return "[\n" + b",\n".join(map(orjson.dumps, value)).decode() + "\n]"
+    return orjson.dumps(value).decode()
 
 
 def _cmd_classify(args) -> int:

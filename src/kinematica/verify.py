@@ -103,7 +103,8 @@ class SuiteReport:
         for pid, res in self.results.items():
             entry = {
                 "pass": res.passed,
-                "worst_residual": res.worst_residual,
+                "worst_residual": (res.worst_residual if math.isfinite(res.worst_residual)
+                                   else "inf"),  # Infinity is not JSON
                 "checks": res.checks,
                 "description": self.descriptions.get(pid, ""),
             }

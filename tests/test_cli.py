@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 
 import kinematica
-from kinematica import cli, groups
+from kinematica import cli, groups, verify
 from kinematica.classify import CaseLabel, rotation_generators
 from kinematica.groups import (boost_closed_form, cartan_decompose, membership,
                                p_generator, random_element)
@@ -445,6 +447,64 @@ def test_generate_and_decompose_print_the_same_values_one_per_line(tmp_path, cap
     assert len(text.splitlines()) == count + 2
 
 
+# Floats whose text is easy to get wrong: a signed zero, the smallest
+# subnormal, the largest double, and the powers of ten where a shortest
+# spelling switches to an exponent.
+EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5, 1e-7,
+                     -1 / 3, -2.5e-300, 0.1])
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_generate_text_keeps_every_float_bit_for_bit(tmp_path, capsys, monkeypatch):
+    stack = np.stack([EXTREMES.reshape(3, 3), -EXTREMES[::-1].reshape(3, 3)])
+    monkeypatch.setattr(groups, "random_element", lambda *args, **kwargs: stack)
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "2",
+                     "--count", "2"]) == 0
+    text = capsys.readouterr().out
+    assert len(text.splitlines()) == 2 + 2
+    path = tmp_path / "members.json"
+    path.write_text(text)
+    np.testing.assert_array_equal(bits(cli.load_matrix_file(str(path)).matrices), bits(stack))
+    np.testing.assert_array_equal(bits(orjson.loads(text)["matrices"]),
+                                  bits(stack.reshape(2, 9)))
+
+
+def test_decompose_text_keeps_every_float_bit_for_bit(tmp_path, capsys, monkeypatch):
+    k = np.stack([EXTREMES.reshape(3, 3), EXTREMES[::-1].reshape(3, 3)])
+    factors = SimpleNamespace(refused=np.array([None, None]), lam=EXTREMES[[1, 2]],
+                              k=k, Z=-k)
+    monkeypatch.setattr(groups, "cartan_decompose", lambda *args: factors)
+    path = write_file(tmp_path, {"n": 2, "matrices": [np.eye(3).ravel().tolist()] * 2})
+    assert cli.main(["decompose", path, "--sigma", "1"]) == 0
+    text = capsys.readouterr().out
+    assert len(text.splitlines()) == 2 + 2
+    entries = json.loads(text)
+    np.testing.assert_array_equal(bits([e["lambda"] for e in entries]), bits(factors.lam))
+    np.testing.assert_array_equal(bits([e["k"] for e in entries]), bits(k.reshape(2, 9)))
+    np.testing.assert_array_equal(bits([e["Z"] for e in entries]), bits(-k.reshape(2, 9)))
+
+
+def test_generate_text_keeps_galilei_entries_near_1e299(capsys):
+    assert cli.main(["generate", "--case", "galilei", "--sigma", "0", "--n", "3",
+                     "--count", "20", "--seed", "4", "--boost-bound", "1e300"]) == 0
+    printed = json.loads(capsys.readouterr().out)["matrices"]
+    drawn = random_element(CaseLabel.GALILEI, 0.0, 3, 1e300, 4, size=20)
+    assert abs(drawn).max() > 1e298
+    np.testing.assert_array_equal(bits(printed), bits(drawn.reshape(20, 16)))
+
+
+def test_empty_outputs_are_pinned_as_text(tmp_path, capsys):
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                     "--count", "0"]) == 0
+    assert capsys.readouterr().out == '{"n": 3, "matrices": []}\n'
+    path = write_file(tmp_path, {"n": 3, "matrices": []})
+    assert cli.main(["decompose", path, "--sigma", "1"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
 def test_generate_overflowing_rapidity_is_an_error(capsys):
     code = cli.main(["generate", "--case", "lorentz", "--sigma", "1e8"])
     err = capsys.readouterr().err
@@ -459,6 +519,21 @@ def test_verify_command_passes(capsys):
     assert code == 0
     assert report["pass"] is True
     assert "wraparound" in report["properties"]
+
+
+def test_verify_report_of_a_raising_property_is_strict_json(capsys, monkeypatch):
+    def boom(cfg, rng):
+        raise RuntimeError("boom")
+
+    patched = [(pid, text, boom if pid == "P5" else fn)
+               for pid, text, fn in verify._PROPERTIES]
+    monkeypatch.setattr(verify, "_PROPERTIES", patched)
+    code = cli.main(["verify", "--n", "2", "--sigma-list", "1", "--trials", "2"])
+    report = orjson.loads(capsys.readouterr().out)  # refuses Infinity and NaN
+    assert code == 2
+    assert report["properties"]["P5"]["worst_residual"] == "inf"
+    assert "RuntimeError: boom" in report["properties"]["P5"]["counterexample"]["error"]
+    assert all(entry["pass"] for pid, entry in report["properties"].items() if pid != "P5")
 
 
 def test_verify_sigma_list_controls_the_jobs(capsys):
