@@ -1,10 +1,14 @@
 """Inhomogeneous kinematical groups acting on events and world lines.
 
-An affine element is a pair (linear, translation) acting on event vectors
-packed space-first as (r_1, ..., r_n, t).  World lines come in two kinds:
-parametrized by time with a finite velocity, or given by a general
-direction vector when the image has no time advance (which happens under
-Carroll maps).
+An affine element (linear, translation) acts on event vectors packed
+space-first as (r_1, ..., r_n, t).  Each type holds one object or a stack:
+an AffineElement a (..., d, d) linear part and a (..., d) translation, an
+Event an (..., n) position r and a (...) time t, a WorldLine an Event origin
+and an (..., n+1) direction.  compose, inverse, act and transform_worldline
+broadcast stack axes as numpy does, each entry the one-object answer bit for
+bit.  A line given by a velocity v has the direction (v, 1); its kind is
+derived per line: general when its time advance is at most _TIME_CUTOFF times
+its direction's length (Carroll maps can do this), else timelike.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .matcore import op_norm, refuse
 
 __all__ = [
     "AffineElement",
@@ -24,90 +30,96 @@ __all__ = [
     "transform_worldline",
 ]
 
-# Relative cutoff below which the time advance of an image line counts as
-# zero and the result switches to a general-direction line.
 _TIME_CUTOFF = 1e-12
 
 
-@dataclass
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if np.count_nonzero(np.isfinite(x)) != x.size:  # faster than .all() on small arrays
+        raise ValueError(f"{what} entries must be finite")
+    return x
+
+
 class Event:
-    """A point of spacetime: spatial position r and time t."""
+    """A point of spacetime, position r and time t, or a stack: r of shape (..., n) and t
+    of shape (...).  It holds the packed (..., n+1) vector."""
 
-    r: np.ndarray
-    t: float
+    def __init__(self, r, t):
+        r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+        if r.ndim < 1 or t.shape != r.shape[:-1]:
+            raise ValueError("event position must be a vector, with one time per vector")
+        self._v = _finite(np.concatenate((r, t[..., None]), -1), "event")
 
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        if self.r.ndim != 1:
-            raise ValueError("event position must be a vector")
-        self.t = float(self.t)
-        if np.count_nonzero(np.isfinite(self.r)) != self.r.size or not math.isfinite(self.t):
-            raise ValueError("event entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.r.size
+    r = property(lambda self: self._v[..., :-1])
+    t = property(lambda self: self._v[..., -1])
+    n = property(lambda self: self._v.shape[-1] - 1)
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.r, [self.t]])
+        return self._v
 
     @classmethod
     def from_vector(cls, v) -> "Event":
-        v = np.asarray(v, dtype=float)
-        return cls(v[:-1].copy(), float(v[-1]))
+        event = cls.__new__(cls)
+        event._v = _finite(np.array(v, dtype=float, ndmin=1), "event")
+        return event
+
+    def __repr__(self) -> str:
+        return f"Event(r={self.r!r}, t={self.t!r})"
 
 
-@dataclass
 class WorldLine:
-    """A straight line of events.
+    """A straight line of events, or a stack: an Event origin and a direction of the
+    origin's shape, given as exactly one of ``velocity`` v, for (v, 1), or ``direction``."""
 
-    Exactly one of ``velocity`` (length n, time-parametrized) or
-    ``direction`` (length n+1, general) must be given.
-    """
-
-    origin: Event
-    velocity: np.ndarray | None = None
-    direction: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.velocity is None) == (self.direction is None):
+    def __init__(self, origin: Event, velocity=None, direction=None):
+        if (velocity is None) == (direction is None):
             raise ValueError("give exactly one of velocity or direction")
-        if self.velocity is not None:
-            self.velocity = line = np.asarray(self.velocity, dtype=float)
-            if self.velocity.shape != (self.origin.n,):
+        if direction is None:
+            velocity = np.asarray(velocity, dtype=float)
+            if velocity.shape != origin.r.shape:
                 raise ValueError("velocity must have the event's dimension")
+            direction = np.empty(origin.vector().shape)
+            direction[..., :-1], direction[..., -1] = velocity, 1.0
         else:
-            self.direction = line = np.asarray(self.direction, dtype=float)
-            if self.direction.shape != (self.origin.n + 1,):
+            direction = np.asarray(direction, dtype=float)
+            if direction.shape != origin.vector().shape:
                 raise ValueError("direction must have length n + 1")
-            if float(np.linalg.norm(self.direction)) == 0.0:
-                raise ValueError("direction must be nonzero")
-        if np.count_nonzero(np.isfinite(line)) != line.size:
-            raise ValueError("world line entries must be finite")
+            refuse(op_norm(direction, 1) == 0.0, "direction must be nonzero")
+        self.origin, self.direction = origin, _finite(direction, "world line")
+
+    def _advance(self):
+        """Each line's time advance, NaN on a general line."""
+        d = self.direction
+        return np.where(abs(d[..., -1]) > _TIME_CUTOFF * op_norm(d, 1), d[..., -1], np.nan)
 
     @property
-    def kind(self) -> str:
-        return "timelike" if self.velocity is not None else "general"
+    def kind(self):
+        """"timelike" or "general", an array of them for a stack."""
+        return np.where(np.isnan(self._advance()), "general", "timelike")[()]
+
+    @property
+    def velocity(self) -> np.ndarray:
+        """dr/dt, NaN on general lines."""
+        return self.direction[..., :-1] / self._advance()[..., None]
 
     def point(self, s: float) -> Event:
-        """Event at parameter s (time advance for the timelike kind)."""
-        if self.velocity is not None:
-            return Event(self.origin.r + s * self.velocity, self.origin.t + s)
-        return Event.from_vector(self.origin.vector() + s * self.direction)
+        """Event at parameter s, the time advance on timelike lines."""
+        dt = self._advance()
+        step = self.direction / np.where(np.isnan(dt), 1.0, dt)[..., None]
+        return Event.from_vector(self.origin.vector() + s * step)
 
-    def speed(self) -> float:
-        """|dr/dt| along the line; error for a line with no time advance."""
-        if self.velocity is not None:
-            return float(np.linalg.norm(self.velocity))
-        dt = self.direction[-1]
-        if dt == 0.0:
+    def speed(self):
+        """|dr/dt| per line, NaN on the general lines of a stack; ValueError for one
+        general line."""
+        speed = op_norm(self.velocity, 1)
+        if isinstance(speed, float) and math.isnan(speed):  # one line
             raise ValueError("line has no time advance, speed is undefined")
-        return float(np.linalg.norm(self.direction[:-1])) / abs(dt)
+        return speed
 
 
 @dataclass
 class AffineElement:
-    """Pair (linear, translation) acting as x -> linear @ x + translation."""
+    """x -> linear @ x + translation, or a stack: linear of shape (..., d, d) and
+    translation of shape (..., d)."""
 
     linear: np.ndarray
     translation: np.ndarray
@@ -115,18 +127,16 @@ class AffineElement:
     def __post_init__(self):
         self.linear = np.asarray(self.linear, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
-        if self.linear.ndim != 2 or self.linear.shape[0] != self.linear.shape[1]:
+        if self.linear.ndim < 2 or self.linear.shape[-1] != self.linear.shape[-2]:
             raise ValueError("linear part must be a square matrix")
-        if self.translation.shape != (self.linear.shape[0],):
+        if self.translation.shape != self.linear.shape[:-1]:
             raise ValueError("translation length must match the linear part")
-        finite = np.count_nonzero(np.isfinite(self.linear)) + np.count_nonzero(
-            np.isfinite(self.translation))  # faster than .all() on small arrays
-        if finite != self.linear.size + self.translation.size:
-            raise ValueError("affine map entries must be finite")
+        _finite(self.linear, "affine map")
+        _finite(self.translation, "affine map")
 
     @property
     def dim(self) -> int:
-        return self.linear.shape[0]
+        return self.linear.shape[-1]
 
     @classmethod
     def identity(cls, dim: int) -> "AffineElement":
@@ -138,35 +148,24 @@ def compose(g: AffineElement, h: AffineElement) -> AffineElement:
     if g.dim != h.dim:
         raise ValueError("affine elements must share one dimension")
     return AffineElement(g.linear @ h.linear,
-                         g.linear @ h.translation + g.translation)
+                         np.matvec(g.linear, h.translation) + g.translation)
 
 
 def inverse(g: AffineElement) -> AffineElement:
+    """ValueError for a singular linear part, naming the first of a stack."""
     d = np.linalg.det(g.linear)
-    if not np.isfinite(d) or d == 0.0:
-        raise ValueError("linear part is singular")
+    refuse(~np.isfinite(d) | (d == 0.0), "linear part is singular")
     Li = np.linalg.inv(g.linear)
-    return AffineElement(Li, -Li @ g.translation)
+    return AffineElement(Li, -np.matvec(Li, g.translation))
 
 
 def act(g: AffineElement, x: Event) -> Event:
     if g.dim != x.n + 1:
         raise ValueError("event dimension does not match the map")
-    return Event.from_vector(g.linear @ x.vector() + g.translation)
+    return Event.from_vector(np.matvec(g.linear, x.vector()) + g.translation)
 
 
 def transform_worldline(g: AffineElement, line: WorldLine) -> WorldLine:
-    """Image of a straight line under an affine map: the origin is mapped by g, the
-    direction ((v, 1) for a time-parametrized line) by g's linear part alone.  An image
-    that advances in time is returned time-parametrized; when the time advance vanishes
-    (relative to the whole direction) a general-direction line is returned instead."""
-    p0 = act(g, line.origin)
-    delta = g.linear @ (line.direction if line.velocity is None else np.append(line.velocity, 1))
-    total = float(np.linalg.norm(delta))
-    if total == 0.0:
-        raise ValueError("the image of the line is a single point")
-    dt = delta[-1]
-    if abs(dt) <= _TIME_CUTOFF * total:
-        return WorldLine(p0, direction=delta)
-    return WorldLine(p0, velocity=delta[:-1] / dt)
-
+    """The origin is mapped by g, the direction by g's linear part alone, so a far
+    origin or translation cancels no digits of it."""
+    return WorldLine(act(g, line.origin), direction=np.matvec(g.linear, line.direction))

@@ -126,15 +126,15 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     else:
         beta = np.sqrt(np.vecdot(b, b))  # np.linalg.norm of one vector, bit for bit
     root = math.sqrt(abs(s.value))
-    w = beta * root
     if s.value > 0.0:
         limit = math.log(sys.float_info.max / max(root, 1.0 / root))  # as sinh(w) < e^w / 2
-        big = w > limit  # any() of a numpy scalar is slow, hence ndim
-        if big.any() if big.ndim else big:
-            raise ValueError(f"boost rapidity {w.max():.6g} overflows cosh or sinh: > {limit:.4g}")
-        ch, sh, lift = np.cosh(w), np.sinh(w), root
-    else:
-        ch, sh, lift = np.cos(w), np.sin(w), -root
+        big = beta > limit / root  # judged before w = beta * root, which can overflow
+        if big.any() if big.ndim else big:  # any() of a numpy scalar is slow, hence ndim
+            raise ValueError(f"boost rapidity {float(beta.max()) * root:.6g} overflows cosh "
+                             f"or sinh: > {limit:.4g}")
+    w = beta * root
+    ch, sh, lift = ((np.cosh(w), np.sinh(w), root) if s.value > 0.0
+                    else (np.cos(w), np.sin(w), -root))
     # Transposed, the stack axes come last, so the per-row scalars broadcast
     # as they are (plain numpy scalars for one b).  A zero row gives u = 0
     # and so the identity.

@@ -27,6 +27,7 @@ __all__ = [
     "dagger",
     "mat_exp",
     "op_norm",
+    "refuse",
     "unit_exponent",
 ]
 
@@ -62,6 +63,15 @@ def as_square(matrix) -> np.ndarray:
     if M.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return M
+
+
+def refuse(failed, message: str) -> None:
+    """Raise ValueError(message) if an entry of the failure mask is true, naming the first
+    such index of a stack: " at index i", a tuple for more than one stack axis."""
+    failed = np.asarray(failed)
+    if failed.any():
+        i = tuple(int(k) for k in np.argwhere(failed)[0])  # () for one value
+        raise ValueError(message + (f" at index {i[0] if len(i) == 1 else i}" if i else ""))
 
 
 def op_norm(matrix, axes: int | None = None):

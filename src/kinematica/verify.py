@@ -181,9 +181,10 @@ def _members(rng: np.random.Generator, case: CaseLabel, s: Sigma | None, n: int,
     return groups.random_element(case, s, n, bound, rng, size=count)
 
 
-def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """A stack of random unit vectors, the last axis of shape."""
+    v = rng.standard_normal(shape)
+    return v / matcore.op_norm(v, 1)[..., None]
 
 
 def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, Sigma | None]]:
@@ -364,59 +365,52 @@ def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResu
     return check.result()
 
 
-def _random_affine(n: int, rng: np.random.Generator) -> affine.AffineElement:
-    while True:
-        L = rng.standard_normal((n + 1, n + 1))
-        if abs(np.linalg.det(L)) > 0.1:
-            break
-    return affine.AffineElement(L, rng.standard_normal(n + 1))
-
-
-def _affine_distance(g: affine.AffineElement, h: affine.AffineElement) -> float:
-    return max(matcore.op_norm(g.linear - h.linear),
-               float(np.linalg.norm(g.translation - h.translation)))
-
-
-def _shift_event(x: affine.Event, step: np.ndarray) -> affine.Event:
-    return affine.Event.from_vector(x.vector() + step)
+def _random_affine(n: int, rng: np.random.Generator, count: int) -> affine.AffineElement:
+    """A stack of count affine maps of dimension n + 1, each linear part redrawn until
+    |det| > 0.1."""
+    L = rng.standard_normal((count, n + 1, n + 1))
+    while (redraw := abs(np.linalg.det(L)) <= 0.1).any():
+        L[redraw] = rng.standard_normal((np.count_nonzero(redraw), n + 1, n + 1))
+    return affine.AffineElement(L, rng.standard_normal((count, n + 1)))
 
 
 def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     check = _Check(cfg.tol)
     for n in cfg.n_values:
-        for _ in range(cfg.trials):
-            g = _random_affine(n, rng)
-            h = _random_affine(n, rng)
-            w = _random_affine(n, rng)
-            assoc = _affine_distance(affine.compose(affine.compose(g, h), w),
-                                     affine.compose(g, affine.compose(h, w)))
-            ident = _affine_distance(affine.compose(g, affine.inverse(g)),
-                                     affine.AffineElement.identity(n + 1))
-            x = affine.Event(rng.standard_normal(n), float(rng.standard_normal()))
-            gh_x = affine.act(affine.compose(g, h), x)
-            g_hx = affine.act(g, affine.act(h, x))
-            equivariance = float(np.linalg.norm(gh_x.vector() - g_hx.vector()))
-            step = rng.standard_normal(n + 1)
-            q0 = affine.act(g, x)
-            q1 = affine.act(g, _shift_event(x, step))
-            q2 = affine.act(g, _shift_event(x, 2.0 * step))
-            straight = float(np.linalg.norm(
-                (q2.vector() - q0.vector()) - 2.0 * (q1.vector() - q0.vector())))
-            scale = 1.0 + matcore.op_norm(g.linear) * (1.0 + float(np.linalg.norm(step)))
-            check.residual(max(assoc, ident, equivariance, straight) / scale,
-                           {"g_linear": g.linear, "h_linear": h.linear})
+        g, h, w = (_random_affine(n, rng, cfg.trials) for _ in range(3))
+        gh_w = affine.compose(affine.compose(g, h), w)
+        g_hw = affine.compose(g, affine.compose(h, w))
+        ident = affine.compose(g, affine.inverse(g))
+        x = affine.Event(rng.standard_normal((cfg.trials, n)), rng.standard_normal(cfg.trials))
+        gh_x = affine.act(affine.compose(g, h), x).vector()
+        g_hx = affine.act(g, affine.act(h, x)).vector()
+        step = rng.standard_normal((cfg.trials, n + 1))
+        # x, x + step and x + 2 step as one (3, trials) stack of events, each under its g
+        q0, q1, q2 = affine.act(g, affine.Event.from_vector(
+            x.vector() + np.multiply.outer([0.0, 1.0, 2.0], step))).vector()
+        resid = np.max([
+            matcore.op_norm(gh_w.linear - g_hw.linear, 2),
+            matcore.op_norm(gh_w.translation - g_hw.translation, 1),
+            matcore.op_norm(ident.linear - np.eye(n + 1), 2),
+            matcore.op_norm(ident.translation, 1),
+            matcore.op_norm(gh_x - g_hx, 1),
+            matcore.op_norm((q2 - q0) - 2.0 * (q1 - q0), 1),
+        ], axis=0)
+        scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
+        check.residual(resid / scale,
+                       lambda i: {"g_linear": g.linear[i], "h_linear": h.linear[i]})
         for s in cfg.positive():
             c = s.invariant_speed
-            for member in _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials):
-                gmap = affine.AffineElement(member, rng.standard_normal(n + 1))
-                origin = affine.Event(rng.standard_normal(n), float(rng.standard_normal()))
-                null_line = affine.WorldLine(origin, velocity=c * _unit(rng, n))
-                image = affine.transform_worldline(gmap, null_line)
-                check.residual(abs(image.speed() - c) / (1.0 + c),
-                               {"a": member, "sigma": s})
-                slow_line = affine.WorldLine(origin, velocity=0.5 * c * _unit(rng, n))
-                slow_image = affine.transform_worldline(gmap, slow_line)
-                check.flag(slow_image.speed() < c, {"a": member, "sigma": s})
+            members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
+            gmap = affine.AffineElement(members, rng.standard_normal((cfg.trials, n + 1)))
+            # a null and a slow line through random origins, one (2, trials) stack
+            origins = affine.Event(rng.standard_normal((2, cfg.trials, n)),
+                                   rng.standard_normal((2, cfg.trials)))
+            velocities = np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))
+            null, slow = affine.transform_worldline(
+                gmap, affine.WorldLine(origins, velocity=velocities)).speed()
+            check.residual(abs(null - c) / (1.0 + c), lambda i: {"a": members[i], "sigma": s})
+            check.flag(slow < c, lambda i: {"a": members[i], "sigma": s})
     return check.result()
 
 
@@ -457,37 +451,41 @@ def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResu
     for n in cfg.n_values:
         for s in negatives:
             C = s.rotation_scale
-            for _ in range(cfg.trials):
-                u = _unit(rng, n)
-                M = wraparound_demo(C, u, cfg.tol)
-                expected = groups.k_element(np.eye(n) - 2.0 * np.outer(u, u), -1)
-                check.residual(matcore.op_norm(_balanced(M - expected, s)), {"u": u, "C": C})
-                full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
-                check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s)),
-                               {"u": u, "C": C})
+            u = _units(rng, (cfg.trials, n))
+            M = wraparound_demo(C, u, cfg.tol)
+            expected = np.zeros(M.shape)  # the reflection through the plane normal to u
+            expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
+            expected[:, n, n] = -1.0  # and time reversed
+            check.residual(matcore.op_norm(_balanced(M - expected, s), 2),
+                           lambda i: {"u": u[i], "C": C})
+            full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
+            check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2),
+                           lambda i: {"u": u[i], "C": C})
     return check.result()
 
 
 def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Boost of norm pi * C for sigma = -1/C^2 along the unit vector u.
+    """Boost of norm pi * C for sigma = -1/C^2 along the unit vector u, or one such
+    boost per row of an (..., n) stack of them.
 
     The result is a block rotation: the spatial block reflects through the
     plane normal to u (determinant -1) and the corner entry is -1, a time
-    reversal.  Raises ValueError if the result, in the balanced time unit
-    of sigma, fails the block test.
+    reversal.  Raises ValueError, naming the first failing row of a stack,
+    if u is not a unit vector or the result, in the balanced time unit of
+    sigma, fails the block test.
     """
     if not (C > 0):
         raise ValueError("C must be positive")
     u = np.asarray(u, dtype=float)
-    if abs(float(np.linalg.norm(u)) - 1.0) > 1e-12:
-        raise ValueError("u must be a unit vector")
-    n = u.size
+    matcore.refuse(abs(matcore.op_norm(u, 1) - 1.0) > 1e-12, "u must be a unit vector")
+    n = u.shape[-1]
     sigma = Sigma(-1.0 / (C * C))
     M = groups.boost_closed_form(math.pi * C * u, sigma)
-    if not groups.in_K(_balanced(M, sigma), tol):
-        raise ValueError("wrap-around boost did not land in the rotation block")
-    if abs(M[n, n] + 1.0) > tol or abs(np.linalg.det(M[:n, :n]) + 1.0) > tol:
-        raise ValueError("wrap-around boost has the wrong reflection structure")
+    matcore.refuse(np.logical_not(groups.in_K(_balanced(M, sigma), tol)),
+                   "wrap-around boost did not land in the rotation block")
+    matcore.refuse((abs(M[..., n, n] + 1.0) > tol)
+                   | (abs(np.linalg.det(M[..., :n, :n]) + 1.0) > tol),
+                   "wrap-around boost has the wrong reflection structure")
     return M
 
 

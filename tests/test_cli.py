@@ -584,3 +584,19 @@ def test_python_dash_m_kinematica_runs_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert len(json.loads(proc.stdout)["matrices"]) == 1
+
+
+def test_generate_with_an_overflowing_rapidity_product_is_an_error_under_warnings(tmp_path):
+    # |b| and sigma near 1e300: the rapidity |b| sqrt(sigma) itself overflows,
+    # which must end in the documented error, not a RuntimeWarning traceback.
+    src = str(Path(kinematica.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica", "generate",
+         "--case", "lorentz", "--sigma", "1e300", "--n", "2", "--count", "3",
+         "--boost-bound", "1e300"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: boost rapidity") and "Traceback" not in proc.stderr

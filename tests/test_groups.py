@@ -127,6 +127,15 @@ def test_boost_overflow_is_judged_on_sinh_times_the_time_unit():
             boost_closed_form(np.array([0.0, w / math.sqrt(sigma)]), sigma)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boost_whose_rapidity_product_overflows_is_refused_without_a_warning():
+    # |b| sqrt(sigma) is past the float range itself: the range check must not
+    # form it, or an overflow warning comes before the documented error.
+    for rows in ([1e300, 0.0], [[0.1, 0.0], [1e300, 1e300]]):
+        with pytest.raises(ValueError, match="rapidity inf overflows"):
+            boost_closed_form(rows, 1e300)
+
+
 def test_boost_of_a_stack_is_the_boost_of_each_row():
     rng = np.random.default_rng(31)
     for sigma in ALL_SIGMAS:

@@ -146,6 +146,37 @@ def test_collinearity_property_takes_one_defect_call_per_stack(monkeypatch):
         assert shapes.count((cfg.trials, n)) == 2 * len(cfg.sigma_values)
 
 
+def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
+    # Each (n, sigma) stack is judged in a fixed number of calls, whatever the
+    # number of trials: P9 composes six times per n and maps one stack of lines
+    # per (n, sigma > 0); wrap-around makes one demo and two boosts per (n, sigma < 0).
+    from kinematica import affine
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((affine, "compose"), (affine, "transform_worldline"),
+                         (verify, "wraparound_demo"), (groups, "boost_closed_form")):
+        count(module, name)
+    for trials in (3, 25):
+        cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
+        counts.clear()
+        assert verify._prop_affine(cfg, np.random.default_rng(0)).passed
+        assert counts["compose"] == 6 * len(cfg.n_values)
+        assert counts["transform_worldline"] == len(cfg.n_values) * len(cfg.positive())
+        counts.clear()
+        assert verify._prop_wraparound(cfg, np.random.default_rng(0)).passed
+        assert counts == {"wraparound_demo": 2 * len(cfg.n_values),
+                          "boost_closed_form": 4 * len(cfg.n_values)}
+
+
 def test_default_suite_check_counts():
     # The number of residual and flag values each property judges: stacking
     # the properties must drop none of them.
@@ -253,6 +284,24 @@ def test_wraparound_demo_validation():
         wraparound_demo(0.0, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         wraparound_demo(1.0, np.array([2.0, 0.0]))
+
+
+def test_wraparound_demo_of_a_stack_is_each_row_and_names_a_bad_row():
+    rng = np.random.default_rng(44)
+    u = rng.standard_normal((2, 3, 3))
+    u /= np.linalg.norm(u, axis=-1)[..., None]
+    M = wraparound_demo(2.0, u)
+    assert M.shape == (2, 3, 4, 4)
+    for i in range(2):
+        for j in range(3):
+            assert M[i, j].tobytes() == wraparound_demo(2.0, u[i, j]).tobytes()
+    u[1, 2] *= 2.0
+    with pytest.raises(ValueError, match=r"unit vector at index \(1, 2\)$"):
+        wraparound_demo(2.0, u)
+    with pytest.raises(ValueError, match=r"unit vector at index 2$"):
+        wraparound_demo(2.0, u[1])
+    with pytest.raises(ValueError, match=r"unit vector$"):
+        wraparound_demo(2.0, u[1, 2])
 
 
 def test_nonalgebra_witness_corner_is_two():
