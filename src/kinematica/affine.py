@@ -73,23 +73,34 @@ class WorldLine:
     def __init__(self, origin: Event, velocity=None, direction=None):
         if (velocity is None) == (direction is None):
             raise ValueError("give exactly one of velocity or direction")
+        self.origin, self._dt = origin, None  # each line's time advance, measured on first use
         if direction is None:
             velocity = np.asarray(velocity, dtype=float)
             if velocity.shape != origin.r.shape:
                 raise ValueError("velocity must have the event's dimension")
-            direction = np.empty(origin.vector().shape)
-            direction[..., :-1], direction[..., -1] = velocity, 1.0
+            self.direction = np.empty(origin.vector().shape)
+            self.direction[..., :-1], self.direction[..., -1] = _finite(velocity, "world line"), 1.0
         else:
-            direction = np.asarray(direction, dtype=float)
-            if direction.shape != origin.vector().shape:
+            self.direction = np.asarray(direction, dtype=float)
+            if self.direction.shape != origin.vector().shape:
                 raise ValueError("direction must have length n + 1")
-            refuse(op_norm(direction, 1) == 0.0, "direction must be nonzero")
-        self.origin, self.direction = origin, _finite(direction, "world line")
+            refuse(self._measure()[1] == 0.0, "direction must be nonzero")  # and finite
+
+    def _measure(self):
+        """Store each line's time advance, NaN on a general line, and return it and each line's
+        length, judged on d, or where d has an entry past 2^500 or a line shorter than 2^-500, on
+        each line over 2^e, e the exponent of its largest entry: exact, and no square overflows."""
+        d = x = self.direction
+        if np.count_nonzero(abs(d) < 2.0 ** 500) != d.size or np.count_nonzero(
+                (length := op_norm(d, 1)) < 2.0 ** -500):  # inf and NaN come here, to _finite
+            x = np.ldexp(_finite(d, "world line"), -np.frexp(abs(d).max(-1))[1][..., None])
+            length = op_norm(x, 1)
+        self._dt = np.where(abs(x[..., -1]) > _TIME_CUTOFF * length, d[..., -1], np.nan)
+        return self._dt, length
 
     def _advance(self):
         """Each line's time advance, NaN on a general line."""
-        d = self.direction
-        return np.where(abs(d[..., -1]) > _TIME_CUTOFF * op_norm(d, 1), d[..., -1], np.nan)
+        return self._measure()[0] if self._dt is None else self._dt
 
     @property
     def kind(self):

@@ -314,9 +314,10 @@ def _closure_scan(basis, tol: float) -> tuple[bool, float]:
     unnormalized.  All m (m - 1) / 2 brackets are formed at once, so memory
     grows like m^2 (n+1)^2.
     """
-    stack = matcore.as_square_stack(list(basis))
-    matcore.balance(stack)
+    stack = matcore.as_square_stack(np.array(basis, dtype=float))
     d = stack.shape[-1]
+    matcore.balance(stack, k=matcore.unit_exponent(abs(stack[..., :d - 1, -1]).max(),
+                                                   abs(stack[..., -1, :d - 1]).max()))
     _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
     Q = vt[s > tol * s[0]]
     products = np.einsum("iab,jbc->ijac", stack, stack)

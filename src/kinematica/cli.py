@@ -180,11 +180,9 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
-    n_values = _parse_int_list(args.n, "--n")
     sigma_values = [_parse_sigma(piece) for piece in args.sigma_list.split(",")
                     if piece.strip()]
-    cfg = verify.SuiteConfig(n_values=tuple(n_values),
-                             sigma_values=tuple(sigma_values),
+    cfg = verify.SuiteConfig(n_values=_parse_int_list(args.n, "--n"), sigma_values=sigma_values,
                              trials=args.trials, tol=args.tol, seed=args.seed)
     report = verify.run_suite(cfg)
     print(report.to_json())
@@ -220,12 +218,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--n", default="2,3", help="comma list of dimensions")
-    p.add_argument("--sigma-list", default="1,0.5,-1,0,inf",
+    p.add_argument("--n", default=",".join(map(str, verify.SuiteConfig.n_values)),
+                   help="comma list of dimensions")
+    p.add_argument("--sigma-list", default=",".join(map(str, verify.SuiteConfig.sigma_values)),
                    help="comma list of sigma values; 'inf' allowed")
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--tol", type=_parse_tol, default=classify_mod.DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=verify.SuiteConfig.trials)
+    p.add_argument("--tol", type=_parse_tol, default=verify.SuiteConfig.tol)
+    p.add_argument("--seed", type=int, default=verify.SuiteConfig.seed)
     p.set_defaults(run=_cmd_verify)
 
     return parser

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import isotypic, matcore
 from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma, case_of_sigma
-from .matcore import as_square, op_norm
+from .matcore import as_square, as_square_stack, op_norm
 
 __all__ = [
     "CartanFactors",
@@ -55,16 +55,7 @@ class LogarithmFailure(ValueError):
 
 def k_element(R, eps: int) -> np.ndarray:
     """Block rotation diag(R, eps) with R orthogonal and eps = +1 or -1."""
-    R = as_square(R)
-    n = R.shape[0]
-    if op_norm(R.T @ R - np.eye(n)) > 1e-10:
-        raise ValueError("R must be orthogonal")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = R
-    out[n, n] = float(eps)
-    return out
+    return isotypic.block_rotation(as_square(R), eps)
 
 
 def p_generator(b, sigma) -> np.ndarray:
@@ -98,9 +89,10 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     identity.  b may be one vector of shape (n,) or a stack of shape
     (..., n); the result has shape (n+1, n+1) or (..., n+1, n+1), and each
     matrix of a stack is the boost of its own row.  Raises ValueError when
-    an entry of b is not finite, or a rapidity w = |b| sqrt(sigma) is so
+    an entry of b is not finite, or a rapidity w = |b| sqrt(|sigma|) is so
     large that cosh(w), sinh(w) sqrt(sigma) or sinh(w) / sqrt(sigma) could
-    overflow: past log(float max / max(sqrt(sigma), 1 / sqrt(sigma))).
+    overflow: past log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or,
+    for sigma < 0, past half the float max.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 1:
@@ -126,12 +118,13 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     else:
         beta = np.sqrt(np.vecdot(b, b))  # np.linalg.norm of one vector, bit for bit
     root = math.sqrt(abs(s.value))
-    if s.value > 0.0:
-        limit = math.log(sys.float_info.max / max(root, 1.0 / root))  # as sinh(w) < e^w / 2
-        big = beta > limit / root  # judged before w = beta * root, which can overflow
-        if big.any() if big.ndim else big:  # any() of a numpy scalar is slow, hence ndim
-            raise ValueError(f"boost rapidity {float(beta.max()) * root:.6g} overflows cosh "
-                             f"or sinh: > {limit:.4g}")
+    # Below limit, w is finite for cos and sin, and cosh(w), sinh(w) root^+-1 < e^w for sigma > 0
+    limit, trig = ((math.log(sys.float_info.max / max(root, 1.0 / root)), "cosh or sinh")
+                   if s.value > 0.0 else (sys.float_info.max / 2.0, "cos or sin"))
+    big = beta > min(limit / root, sys.float_info.max)  # judged before w = beta * root
+    if big.any() if big.ndim else big:  # any() of a numpy scalar is slow, hence ndim
+        raise ValueError(f"boost rapidity {float(beta.max()) * root:.6g} overflows {trig}: "
+                         f"> {limit:.4g}")
     w = beta * root
     ch, sh, lift = ((np.cosh(w), np.sinh(w), root) if s.value > 0.0
                     else (np.cos(w), np.sin(w), -root))
@@ -148,11 +141,6 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     return out
 
 
-def _stack(a) -> np.ndarray:
-    """a as a float (..., d, d) stack of finite square matrices, one matrix a stack of none."""
-    return matcore.as_square_stack(np.asarray(a, dtype=float))
-
-
 def _verdict(ok):
     """A Python bool for one matrix, a bool array for a stack."""
     return ok if ok.ndim else bool(ok)
@@ -161,7 +149,7 @@ def _verdict(ok):
 def in_K(a, tol: float = DEFAULT_TOL):
     """Whether a is a block rotation: off blocks zero, orthogonal spatial
     block, corner of modulus one, each within tol."""
-    return _verdict(_shape_test(_stack(a), CaseLabel.ARISTOTLE, tol))
+    return _verdict(_shape_test(as_square_stack(a), CaseLabel.ARISTOTLE, tol))
 
 
 def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
@@ -235,7 +223,7 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     balanced time unit.  Members beyond rapidity about 16 are refused, and
     so is a lam beyond the float range.  Needs a finite nonzero sigma.
     """
-    a = _stack(a)
+    a = as_square_stack(a)
     ok, lam, u = _metric_test(a, as_sigma(sigma), tol)
     return _verdict(ok & (lam * (0.25 / (a.shape[-1] + 2)) > u)), lam  # lam > 4 (n+3) u
 
@@ -281,7 +269,7 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     anti-member at n = 1), and NotInNormalizer whenever else
     :func:`in_normalizer` refuses a.  A stack raises neither (see ``refused``).
     """
-    a = _stack(a)
+    a = as_square_stack(a)
     s = as_sigma(sigma)
     if not (s.is_finite and s.value > 0.0):
         raise ValueError("Cartan decomposition needs sigma > 0")
@@ -340,7 +328,7 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     block-triangular shape tests and Aristotle is :func:`in_K`.
     sigma must match the case; Galilei, Carroll and Aristotle may omit it.
     """
-    a = _stack(a)
+    a = as_square_stack(a)
     s = _check_pairing(case, sigma)
 
     if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import matcore
 
-__all__ = ["IsotypicSplit", "ad_rotation", "merge", "split"]
+__all__ = ["IsotypicSplit", "ad_rotation", "block_rotation", "merge", "split"]
 
 
 @dataclass
@@ -59,7 +59,7 @@ def split(Z) -> IsotypicSplit:
     (A + A^T)/2 to the symmetric part; the off blocks pass through as
     (b, c) and the corner as mu.  The components are new arrays.
     """
-    Z = matcore.as_square_stack(np.asarray(Z, dtype=float))
+    Z = matcore.as_square_stack(Z)
     n = Z.shape[-1] - 1
     if n < 2:
         raise ValueError("isotypic split needs at least two space dimensions")
@@ -88,23 +88,30 @@ def merge(parts: IsotypicSplit) -> np.ndarray:
     return Z
 
 
-def ad_rotation(R, eps: int, Z) -> np.ndarray:
-    """Conjugate Z, one matrix or a stack, by the block rotation
-    K = diag(R, eps), which is K Z K^T since K is orthogonal.
+def block_rotation(R, eps) -> np.ndarray:
+    """K = diag(R, eps), or a stack of them for an (..., n, n) stack of R and a (...) stack
+    of eps that broadcast.  Each R must be orthogonal and each eps +1 or -1; ValueError
+    names the first entry of a stack that is not."""
+    R = matcore.as_square_stack(R)
+    eps = np.asarray(eps)
+    n = R.shape[-1]
+    matcore.refuse(matcore.op_norm(R.mT @ R - np.eye(n), 2) > 1e-10, "R must be orthogonal")
+    matcore.refuse((eps != 1) & (eps != -1), "eps must be +1 or -1")
+    K = np.zeros(np.broadcast_shapes(R.shape[:-2], eps.shape) + (n + 1, n + 1))
+    K[..., :n, :n] = R
+    K[..., n, n] = eps
+    return K
+
+
+def ad_rotation(R, eps, Z) -> np.ndarray:
+    """Conjugate Z by the block rotation K = diag(R, eps), which is K Z K^T since K is
+    orthogonal; Z, R and eps may be stacks that broadcast (see :func:`block_rotation`).
 
     On blocks: A goes to R A R^T, b to eps * R b, c to eps * R c, and the
     corner d is untouched.  R must be orthogonal and eps must be +1 or -1.
     """
-    R = matcore.as_square(R)
-    if matcore.op_norm(R.T @ R - np.eye(R.shape[0])) > 1e-10:
-        raise ValueError("R must be orthogonal")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    Z = matcore.as_square_stack(np.asarray(Z, dtype=float))
-    n = R.shape[0]
-    if Z.shape[-1] != n + 1:
+    K = block_rotation(R, eps)
+    Z = matcore.as_square_stack(Z)
+    if Z.shape[-1] != K.shape[-1]:
         raise ValueError("Z must have one more row than R")
-    K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = R
-    K[n, n] = eps
-    return K @ Z @ K.T
+    return K @ Z @ K.mT

@@ -38,16 +38,10 @@ _EXP_DEGREE = 16
 
 def as_square_stack(matrices) -> np.ndarray:
     """Return ``matrices`` as a float array of shape (..., d, d), checking
-    that its matrices are square, finite and at least 2 x 2.  A list or
-    tuple must hold m >= 1 matrices of one shape and gives an (m, d, d)
-    stack.  A float array is returned as it is, anything else is copied."""
-    sequence = isinstance(matrices, (list, tuple))
-    if sequence and not matrices:
-        raise ValueError("no matrices given")
-    if sequence and len({np.shape(M) for M in matrices}) > 1:
-        raise ValueError("matrices must share one dimension")
+    that its matrices are square, finite and at least 2 x 2.  A float array
+    is returned as it is, anything else is copied into one."""
     M = np.asarray(matrices, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or (sequence and M.ndim != 3):
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {M.shape}")
     if M.shape[-1] < 2:
         raise ValueError("matrix dimension must be at least 2")
@@ -94,14 +88,11 @@ def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> 
     return k; D maps the group of sigma exactly onto that of 4^-k sigma.  x is a float
     (..., n+1, n+1) stack, rescaled by ldexp, or the int binary exponents of a matrix,
     shifted.  k is given (-k undoes a balance; an int array broadcasting against x.shape[:-2]
-    + (1,) shifts each matrix by its own k), or taken from sigma, so that 4^-k sigma is in
-    [1/2, 2), or else from the largest entries |b| of the last columns and |c| of the last
-    rows, so that |c| / |b| is in [1/4, 2), and k = 0 if either is zero."""
+    + (1,) shifts each matrix by its own k; :func:`unit_exponent` levels the mixing entries),
+    or else taken from sigma, so that 4^-k sigma is in [1/2, 2)."""
     n = x.shape[-1] - 1
-    if k is None and sigma is not None:
+    if k is None:
         k = math.frexp(sigma)[1] // 2
-    elif k is None:
-        k = int(unit_exponent(abs(x[..., :n, n]).max(), abs(x[..., n, :n]).max()))
     if isinstance(k, np.ndarray) or k:
         shift = np.ldexp if x.dtype.kind == "f" else np.add  # values or binary exponents
         shift(x[..., n, :n], -k, out=x[..., n, :n])
@@ -110,15 +101,16 @@ def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> 
 
 
 def unit_exponent(b, c):
-    """balance's k, one for each largest last column entry b and last row entry c."""
+    """balance's k that levels the mixing entries, one for each largest last column entry
+    |b| and last row entry |c|: |c| / |b| goes into [1/4, 2), and k = 0 if either is zero."""
     return (np.frexp(c)[1] - np.frexp(b)[1] + 1) // 2 * (np.minimum(b, c) > 0.0)
 
 
 def bracket(X, Y) -> np.ndarray:
     """Commutator [X, Y] = XY - YX, of two matrices or of each pair of two
     (..., d, d) stacks of one shape."""
-    X = as_square_stack(np.asarray(X, dtype=float))
-    Y = as_square_stack(np.asarray(Y, dtype=float))
+    X = as_square_stack(X)
+    Y = as_square_stack(Y)
     if X.shape != Y.shape:
         raise ValueError("bracket arguments must have the same shape")
     return X @ Y - Y @ X
@@ -135,7 +127,7 @@ def mat_exp(Z) -> np.ndarray:
     Each matrix of a stack is halved and squared by its own count, so it
     gets the bits of its one-matrix call.
     """
-    Z = as_square_stack(np.asarray(Z, dtype=float))
+    Z = as_square_stack(Z)
     d = Z.shape[-1]
     squarings = np.ceil(np.log2(np.maximum(op_norm(Z, 2), 0.5) / 0.5)).astype(int)
     X = Z / (2.0 ** squarings)[..., None, None]

@@ -192,45 +192,46 @@ def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, Sigma | None]]:
     return list(pairs) + [(CaseLabel.ARISTOTLE, None)]
 
 
-def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
+def _run(fn, cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
+    """Run property fn(cfg, rng, check, n) at each n of cfg, drawing from rng, into one check."""
     check = _Check(cfg.tol)
     for n in cfg.n_values:
-        rotations = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
-        Z = rng.standard_normal((cfg.trials, n + 1, n + 1))
-        R, eps = rotations[:, :n, :n], rotations[:, n, n].astype(int)
-        parts = isotypic.split(Z)
-        moved = isotypic.split(np.array([isotypic.ad_rotation(r, e, z)
-                                         for r, e, z in zip(R, eps, Z)]))
-        resid = np.max([
-            matcore.op_norm(isotypic.merge(parts) - Z, 2),
-            abs(moved.lam - parts.lam),
-            abs(moved.mu - parts.mu),
-            matcore.op_norm(moved.m1 - R @ parts.m1 @ R.mT, 2),
-            matcore.op_norm(moved.m2 - R @ parts.m2 @ R.mT, 2),
-            matcore.op_norm(moved.b - eps[:, None] * (R @ parts.b[..., None])[..., 0], 1),
-            matcore.op_norm(moved.c - eps[:, None] * (R @ parts.c[..., None])[..., 0], 1),
-        ], axis=0)
-        check.residual(resid, lambda i: {"Z": Z[i], "R": R[i], "eps": int(eps[i])})
+        fn(cfg, rng, check, n)
     return check.result()
 
 
-def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        for s in cfg.sigma_values:
-            b = rng.standard_normal((cfg.trials, n))
-            bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, s.value * b)
-            defects = classify.collinearity_defect(bs, cs)
-            check.residual(abs(defects) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
-                           lambda i: {"b": bs[i], "c": cs[i], "sigma": s})
-            # The doubled commutator of a general mixing generator with the
-            # rotation it spawns reproduces the defect in its corner.
-            b2, c2 = rng.standard_normal((2, cfg.trials, n))
-            _, _, corners = _doubled_commutator(b2, c2)
-            closed = classify.collinearity_defect(b2, c2)
-            check.residual(abs(corners - closed) / (1.0 + abs(closed)),
-                           lambda i: {"b": b2[i], "c": c2[i]})
-    return check.result()
+def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    rotations = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
+    Z = rng.standard_normal((cfg.trials, n + 1, n + 1))
+    R, eps = rotations[:, :n, :n], rotations[:, n, n].astype(int)
+    parts = isotypic.split(Z)
+    moved = isotypic.split(isotypic.ad_rotation(R, eps, Z))
+    resid = np.max([
+        matcore.op_norm(isotypic.merge(parts) - Z, 2),
+        abs(moved.lam - parts.lam),
+        abs(moved.mu - parts.mu),
+        matcore.op_norm(moved.m1 - R @ parts.m1 @ R.mT, 2),
+        matcore.op_norm(moved.m2 - R @ parts.m2 @ R.mT, 2),
+        matcore.op_norm(moved.b - eps[:, None] * (R @ parts.b[..., None])[..., 0], 1),
+        matcore.op_norm(moved.c - eps[:, None] * (R @ parts.c[..., None])[..., 0], 1),
+    ], axis=0)
+    check.residual(resid, lambda i: {"Z": Z[i], "R": R[i], "eps": int(eps[i])})
+
+
+def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    for s in cfg.sigma_values:
+        b = rng.standard_normal((cfg.trials, n))
+        bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, s.value * b)
+        defects = classify.collinearity_defect(bs, cs)
+        check.residual(abs(defects) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
+                       lambda i: {"b": bs[i], "c": cs[i], "sigma": s})
+        # The doubled commutator of a general mixing generator with the
+        # rotation it spawns reproduces the defect in its corner.
+        b2, c2 = rng.standard_normal((2, cfg.trials, n))
+        _, _, corners = _doubled_commutator(b2, c2)
+        closed = classify.collinearity_defect(b2, c2)
+        check.residual(abs(corners - closed) / (1.0 + abs(closed)),
+                       lambda i: {"b": b2[i], "c": c2[i]})
 
 
 def _generated_bases(n: int, s: Sigma, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -243,65 +244,55 @@ def _generated_bases(n: int, s: Sigma, rng: np.random.Generator, count: int) -> 
     return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
 
 
-def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        result = classify.classify_algebra(classify.rotation_generators(n), cfg.tol)
-        check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
-        for s in cfg.sigma_values:
-            results = classify.classify_algebra(_generated_bases(n, s, rng, cfg.trials), cfg.tol)
-            payloads = [{"n": n, "sigma": s, "outcome": r.outcome, "reason": r.reason}
-                        for r in results]
-            check.flag([r.is_kinematical and classify.case_label(r) == case_of_sigma(s)
-                        for r in results], payloads.__getitem__)
-            read = [i for i, r in enumerate(results) if r.is_kinematical]
-            got = np.array([results[i].sigma.value for i in read])
-            err = (np.where(np.isinf(got), 0.0, 1.0) if s.is_infinite
-                   else abs(got - s.value) / (1.0 + abs(s.value)))
-            check.residual(err, lambda j: payloads[read[j]])
-    return check.result()
+def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    result = classify.classify_algebra(classify.rotation_generators(n), cfg.tol)
+    check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
+    for s in cfg.sigma_values:
+        results = classify.classify_algebra(_generated_bases(n, s, rng, cfg.trials), cfg.tol)
+        payloads = [{"n": n, "sigma": s, "outcome": r.outcome, "reason": r.reason}
+                    for r in results]
+        check.flag([r.is_kinematical and classify.case_label(r) == case_of_sigma(s)
+                    for r in results], payloads.__getitem__)
+        read = [i for i, r in enumerate(results) if r.is_kinematical]
+        got = np.array([results[i].sigma.value for i in read])
+        err = (np.where(np.isinf(got), 0.0, 1.0) if s.is_infinite
+               else abs(got - s.value) / (1.0 + abs(s.value)))
+        check.residual(err, lambda j: payloads[read[j]])
 
 
-def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        for s in cfg.finite_nonzero():
-            members = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
-            scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
-            ok, lam = groups.in_normalizer(members, s, cfg.tol)
-            ok2, lam2 = groups.in_normalizer(np.sqrt(scales)[:, None, None] * members, s, cfg.tol)
-            check.flag(ok, lambda i: {"a": members[i], "sigma": s})
-            check.residual(abs(lam - 1.0), lambda i: {"a": members[i], "sigma": s, "lam": lam[i]})
-            check.flag(ok2, lambda i: {"a": members[i], "sigma": s, "lam0": scales[i]})
-            check.residual(abs(lam2 - scales) / (1.0 + scales),
-                           lambda i: {"a": members[i], "sigma": s, "lam0": scales[i],
-                                      "lam2": lam2[i]})
-    return check.result()
+def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    for s in cfg.finite_nonzero():
+        members = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
+        scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
+        ok, lam = groups.in_normalizer(members, s, cfg.tol)
+        ok2, lam2 = groups.in_normalizer(np.sqrt(scales)[:, None, None] * members, s, cfg.tol)
+        check.flag(ok, lambda i: {"a": members[i], "sigma": s})
+        check.residual(abs(lam - 1.0), lambda i: {"a": members[i], "sigma": s, "lam": lam[i]})
+        check.flag(ok2, lambda i: {"a": members[i], "sigma": s, "lam0": scales[i]})
+        check.residual(abs(lam2 - scales) / (1.0 + scales),
+                       lambda i: {"a": members[i], "sigma": s, "lam0": scales[i],
+                                  "lam2": lam2[i]})
 
 
-def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        for s in cfg.positive():
-            k = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
-            lam = rng.uniform(0.1, 10.0, cfg.trials)
-            direction = rng.standard_normal((cfg.trials, n))
-            b = (direction / matcore.op_norm(direction, 1)[:, None]
-                 * rng.uniform(0.0, 4.0 / math.sqrt(s.value), (cfg.trials, 1)))
-            Z = np.zeros((cfg.trials, n + 1, n + 1))  # p_generator of each row of b
-            Z[:, :n, n], Z[:, n, :n] = b, s.value * b
-            a = groups.CartanFactors(lam, k, Z).reconstruct()
-            factors = groups.cartan_decompose(a, s, cfg.tol)
-            resid = np.max([
-                matcore.op_norm(factors.k - k, 2),
-                matcore.op_norm(_balanced(factors.Z - Z, s), 2),
-                abs(factors.lam - lam) / (1.0 + lam),
-                matcore.op_norm(_balanced(factors.reconstruct() - a, s), 2)
-                / (1.0 + matcore.op_norm(_balanced(a, s), 2)),
-            ], axis=0)
-            check.residual(resid, lambda i: {"a": a[i], "k": k[i], "Z": Z[i], "lam": lam[i],
-                                             "sigma": s})
-    return check.result()
+def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    for s in cfg.positive():
+        k = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
+        lam = rng.uniform(0.1, 10.0, cfg.trials)
+        b = _units(rng, (cfg.trials, n)) * rng.uniform(0.0, 4.0 / math.sqrt(s.value),
+                                                      (cfg.trials, 1))
+        Z = np.zeros((cfg.trials, n + 1, n + 1))  # p_generator of each row of b
+        Z[:, :n, n], Z[:, n, :n] = b, s.value * b
+        a = groups.CartanFactors(lam, k, Z).reconstruct()
+        factors = groups.cartan_decompose(a, s, cfg.tol)
+        resid = np.max([
+            matcore.op_norm(factors.k - k, 2),
+            matcore.op_norm(_balanced(factors.Z - Z, s), 2),
+            abs(factors.lam - lam) / (1.0 + lam),
+            matcore.op_norm(_balanced(factors.reconstruct() - a, s), 2)
+            / (1.0 + matcore.op_norm(_balanced(a, s), 2)),
+        ], axis=0)
+        check.residual(resid, lambda i: {"a": a[i], "k": k[i], "Z": Z[i], "lam": lam[i],
+                                         "sigma": s})
 
 
 def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
@@ -311,58 +302,49 @@ def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
     return x
 
 
-def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        for case, s in _cases(cfg):
-            members = _members(rng, case, s, n, 2.0, 2 * cfg.trials)
-            g1, g2 = members[:cfg.trials], members[cfg.trials:]
-            products = groups.membership(g1 @ g2, case, s, cfg.tol)
-            inverses = groups.membership(np.linalg.inv(g1), case, s, cfg.tol)
-            check.flag(products & inverses,
-                       lambda i: {"g1": g1[i], "g2": g2[i], "case": case.value})
-    return check.result()
+def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    for case, s in _cases(cfg):
+        members = _members(rng, case, s, n, 2.0, 2 * cfg.trials)
+        g1, g2 = members[:cfg.trials], members[cfg.trials:]
+        products = groups.membership(g1 @ g2, case, s, cfg.tol)
+        inverses = groups.membership(np.linalg.inv(g1), case, s, cfg.tol)
+        check.flag(products & inverses,
+                   lambda i: {"g1": g1[i], "g2": g2[i], "case": case.value})
 
 
-def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        for case, s in _cases(cfg):
-            a = _members(rng, case, s, n, 0.0, cfg.trials)
-            A = a[:, :n, :n]
-            resid = np.max([
-                matcore.op_norm(a[:, :n, n], 1),
-                matcore.op_norm(a[:, n, :n], 1),
-                matcore.op_norm(A.mT @ A - np.eye(n), 2),
-                abs(abs(a[:, n, n]) - 1.0),
-            ], axis=0)
-            check.residual(resid, lambda i: {"a": a[i], "case": case.value})
-            check.flag(groups.in_K(a, cfg.tol), lambda i: {"a": a[i], "case": case.value})
-    return check.result()
+def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    for case, s in _cases(cfg):
+        a = _members(rng, case, s, n, 0.0, cfg.trials)
+        A = a[:, :n, :n]
+        resid = np.max([
+            matcore.op_norm(a[:, :n, n], 1),
+            matcore.op_norm(a[:, n, :n], 1),
+            matcore.op_norm(A.mT @ A - np.eye(n), 2),
+            abs(abs(a[:, n, n]) - 1.0),
+        ], axis=0)
+        check.residual(resid, lambda i: {"a": a[i], "case": case.value})
+        check.flag(groups.in_K(a, cfg.tol), lambda i: {"a": a[i], "case": case.value})
 
 
-def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        for s in cfg.sigma_values:
-            a = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
-            if s.is_finite and s.value != 0.0:
-                g = np.diag(np.r_[np.full(n, -s.value), 1.0])
-                resid = matcore.op_norm(a.mT @ g @ a - g, 2) / (1.0 + matcore.op_norm(g))
-                check.residual(resid, lambda i: {"a": a[i], "sigma": s})
-            elif s.is_finite:
-                # Galilei: the last row is (0, ..., 0, +-1) exactly by
-                # construction, so time differences change at most sign.
-                exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
-                check.flag(exact == 0.0, lambda i: {"a": a[i], "sigma": s})
-            else:
-                # Carroll: spatial separations are preserved.
-                x, y = rng.standard_normal((2, cfg.trials, n + 1, 1))
-                before = matcore.op_norm((x - y)[:, :n, 0], 1)
-                after = matcore.op_norm((a @ x - a @ y)[:, :n, 0], 1)
-                check.residual(abs(after - before) / (1.0 + before),
-                               lambda i: {"a": a[i], "sigma": s})
-    return check.result()
+def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    for s in cfg.sigma_values:
+        a = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
+        if s.is_finite and s.value != 0.0:
+            g = np.diag(np.r_[np.full(n, -s.value), 1.0])
+            resid = matcore.op_norm(a.mT @ g @ a - g, 2) / (1.0 + matcore.op_norm(g))
+            check.residual(resid, lambda i: {"a": a[i], "sigma": s})
+        elif s.is_finite:
+            # Galilei: the last row is (0, ..., 0, +-1) exactly by
+            # construction, so time differences change at most sign.
+            exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
+            check.flag(exact == 0.0, lambda i: {"a": a[i], "sigma": s})
+        else:
+            # Carroll: spatial separations are preserved.
+            x, y = rng.standard_normal((2, cfg.trials, n + 1, 1))
+            before = matcore.op_norm((x - y)[:, :n, 0], 1)
+            after = matcore.op_norm((a @ x - a @ y)[:, :n, 0], 1)
+            check.residual(abs(after - before) / (1.0 + before),
+                           lambda i: {"a": a[i], "sigma": s})
 
 
 def _random_affine(n: int, rng: np.random.Generator, count: int) -> affine.AffineElement:
@@ -374,66 +356,60 @@ def _random_affine(n: int, rng: np.random.Generator, count: int) -> affine.Affin
     return affine.AffineElement(L, rng.standard_normal((count, n + 1)))
 
 
-def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        g, h, w = (_random_affine(n, rng, cfg.trials) for _ in range(3))
-        gh_w = affine.compose(affine.compose(g, h), w)
-        g_hw = affine.compose(g, affine.compose(h, w))
-        ident = affine.compose(g, affine.inverse(g))
-        x = affine.Event(rng.standard_normal((cfg.trials, n)), rng.standard_normal(cfg.trials))
-        gh_x = affine.act(affine.compose(g, h), x).vector()
-        g_hx = affine.act(g, affine.act(h, x)).vector()
-        step = rng.standard_normal((cfg.trials, n + 1))
-        # x, x + step and x + 2 step as one (3, trials) stack of events, each under its g
-        q0, q1, q2 = affine.act(g, affine.Event.from_vector(
-            x.vector() + np.multiply.outer([0.0, 1.0, 2.0], step))).vector()
-        resid = np.max([
-            matcore.op_norm(gh_w.linear - g_hw.linear, 2),
-            matcore.op_norm(gh_w.translation - g_hw.translation, 1),
-            matcore.op_norm(ident.linear - np.eye(n + 1), 2),
-            matcore.op_norm(ident.translation, 1),
-            matcore.op_norm(gh_x - g_hx, 1),
-            matcore.op_norm((q2 - q0) - 2.0 * (q1 - q0), 1),
-        ], axis=0)
-        scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
-        check.residual(resid / scale,
-                       lambda i: {"g_linear": g.linear[i], "h_linear": h.linear[i]})
-        for s in cfg.positive():
-            c = s.invariant_speed
-            members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
-            gmap = affine.AffineElement(members, rng.standard_normal((cfg.trials, n + 1)))
-            # a null and a slow line through random origins, one (2, trials) stack
-            origins = affine.Event(rng.standard_normal((2, cfg.trials, n)),
-                                   rng.standard_normal((2, cfg.trials)))
-            velocities = np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))
-            null, slow = affine.transform_worldline(
-                gmap, affine.WorldLine(origins, velocity=velocities)).speed()
-            check.residual(abs(null - c) / (1.0 + c), lambda i: {"a": members[i], "sigma": s})
-            check.flag(slow < c, lambda i: {"a": members[i], "sigma": s})
-    return check.result()
+def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    g, h, w = (_random_affine(n, rng, cfg.trials) for _ in range(3))
+    gh_w = affine.compose(affine.compose(g, h), w)
+    g_hw = affine.compose(g, affine.compose(h, w))
+    ident = affine.compose(g, affine.inverse(g))
+    x = affine.Event(rng.standard_normal((cfg.trials, n)), rng.standard_normal(cfg.trials))
+    gh_x = affine.act(affine.compose(g, h), x).vector()
+    g_hx = affine.act(g, affine.act(h, x)).vector()
+    step = rng.standard_normal((cfg.trials, n + 1))
+    # x, x + step and x + 2 step as one (3, trials) stack of events, each under its g
+    q0, q1, q2 = affine.act(g, affine.Event.from_vector(
+        x.vector() + np.multiply.outer([0.0, 1.0, 2.0], step))).vector()
+    resid = np.max([
+        matcore.op_norm(gh_w.linear - g_hw.linear, 2),
+        matcore.op_norm(gh_w.translation - g_hw.translation, 1),
+        matcore.op_norm(ident.linear - np.eye(n + 1), 2),
+        matcore.op_norm(ident.translation, 1),
+        matcore.op_norm(gh_x - g_hx, 1),
+        matcore.op_norm((q2 - q0) - 2.0 * (q1 - q0), 1),
+    ], axis=0)
+    scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
+    check.residual(resid / scale,
+                   lambda i: {"g_linear": g.linear[i], "h_linear": h.linear[i]})
+    for s in cfg.positive():
+        c = s.invariant_speed
+        members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
+        gmap = affine.AffineElement(members, rng.standard_normal((cfg.trials, n + 1)))
+        # a null and a slow line through random origins, one (2, trials) stack
+        origins = affine.Event(rng.standard_normal((2, cfg.trials, n)),
+                               rng.standard_normal((2, cfg.trials)))
+        velocities = np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))
+        null, slow = affine.transform_worldline(
+            gmap, affine.WorldLine(origins, velocity=velocities)).speed()
+        check.residual(abs(null - c) / (1.0 + c), lambda i: {"a": members[i], "sigma": s})
+        check.flag(slow < c, lambda i: {"a": members[i], "sigma": s})
 
 
-def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    for n in cfg.n_values:
-        # One stack: boosts plus m0, boosts plus m2, two sigmas; zero generators pad them.
-        base = _generated_bases(n, Sigma(1.0), rng, 1)[0]
-        sets = np.zeros((3, len(base) + 1, n + 1, n + 1))
-        sets[:2, :-1] = base
-        sets[0, -1] = np.diag(np.r_[np.ones(n), 0.0])
-        sets[1, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
-        sets[2, :len(base) - n + 2] = classify.rotation_generators(n) + [
-            groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
-        for name, r in zip(("m0", "m2", "mixed sigma"), classify.classify_algebra(sets, cfg.tol)):
-            check.flag(r.outcome == classify.OUTCOME_NOT_KINEMATICAL,
-                       {"n": n, "contaminant": name, "outcome": r.outcome})
-        _, _, corner = nonalgebra_witness(n)
-        check.residual(abs(corner - 2.0), {"n": n, "corner": corner})
-        span = _mixing_span_basis(n)
-        check.flag(not classify.is_closed_under_bracket(span, cfg.tol), {"n": n})
-        check.flag(classify.bracket_closure_defect(span, cfg.tol) >= 1.0, {"n": n})
-    return check.result()
+def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    # One stack: boosts plus m0, boosts plus m2, two sigmas; zero generators pad them.
+    base = _generated_bases(n, Sigma(1.0), rng, 1)[0]
+    sets = np.zeros((3, len(base) + 1, n + 1, n + 1))
+    sets[:2, :-1] = base
+    sets[0, -1] = np.diag(np.r_[np.ones(n), 0.0])
+    sets[1, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
+    sets[2, :len(base) - n + 2] = classify.rotation_generators(n) + [
+        groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
+    for name, r in zip(("m0", "m2", "mixed sigma"), classify.classify_algebra(sets, cfg.tol)):
+        check.flag(r.outcome == classify.OUTCOME_NOT_KINEMATICAL,
+                   {"n": n, "contaminant": name, "outcome": r.outcome})
+    _, _, corner = nonalgebra_witness(n)
+    check.residual(abs(corner - 2.0), {"n": n, "corner": corner})
+    span = _mixing_span_basis(n)
+    check.flag(not classify.is_closed_under_bracket(span, cfg.tol), {"n": n})
+    check.flag(classify.bracket_closure_defect(span, cfg.tol) >= 1.0, {"n": n})
 
 
 def _mixing_span_basis(n: int) -> list[np.ndarray]:
@@ -445,23 +421,19 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
-    check = _Check(cfg.tol)
-    negatives = [s for s in cfg.sigma_values if s.is_finite and s.value < 0.0]
-    for n in cfg.n_values:
-        for s in negatives:
-            C = s.rotation_scale
-            u = _units(rng, (cfg.trials, n))
-            M = wraparound_demo(C, u, cfg.tol)
-            expected = np.zeros(M.shape)  # the reflection through the plane normal to u
-            expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
-            expected[:, n, n] = -1.0  # and time reversed
-            check.residual(matcore.op_norm(_balanced(M - expected, s), 2),
-                           lambda i: {"u": u[i], "C": C})
-            full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
-            check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2),
-                           lambda i: {"u": u[i], "C": C})
-    return check.result()
+def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    for s in [s for s in cfg.sigma_values if s.is_finite and s.value < 0.0]:
+        C = s.rotation_scale
+        u = _units(rng, (cfg.trials, n))
+        M = wraparound_demo(C, u, cfg.tol)
+        expected = np.zeros(M.shape)  # the reflection through the plane normal to u
+        expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
+        expected[:, n, n] = -1.0  # and time reversed
+        check.residual(matcore.op_norm(_balanced(M - expected, s), 2),
+                       lambda i: {"u": u[i], "C": C})
+        full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
+        check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2),
+                       lambda i: {"u": u[i], "C": C})
 
 
 def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -557,7 +529,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     for pnum, (pid, description, fn) in enumerate(jobs, start=1):
         report.descriptions[pid] = description
         try:
-            report.results[pid] = fn(cfg, np.random.default_rng([cfg.seed, pnum]))
+            report.results[pid] = _run(fn, cfg, np.random.default_rng([cfg.seed, pnum]))
         except Exception as exc:  # a property must never take the suite down
             report.results[pid] = PropertyResult(
                 False, math.inf, {"error": f"{type(exc).__name__}: {exc}"})

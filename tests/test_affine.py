@@ -75,6 +75,22 @@ def test_worldline_speed_of_general_direction():
     assert line.speed() == 1.5
 
 
+def test_worldline_kinds_where_the_squared_direction_leaves_the_float_range():
+    # The squares of entries near 1e160 overflow and those near 1e-200 vanish; the zero and
+    # time-advance tests are judged on the direction over a power of two, so a line at
+    # speed 1 stays timelike and one of relative time advance 1e-13 stays general.
+    origin = Event([0.0, 0.0], 0.0)
+    for scale in (1e160, 1e300, 8e307, 1e-200, 1e-310):
+        line = WorldLine(origin, direction=[scale, 0.0, scale])
+        assert line.kind == "timelike" and line.speed() == 1.0
+        assert WorldLine(origin, direction=[scale, 0.0, scale * 1e-13]).kind == "general"
+    assert WorldLine(origin, velocity=[1e200, 0.0]).kind == "general"
+    directions = [[1e160, 0.0, 1e160], [1.0, 0.0, 1e-13], [3.0, 0.0, 2.0], [1e-200, 0.0, 1e-213]]
+    lines = WorldLine(Event(np.zeros((4, 2)), np.zeros(4)), direction=directions)
+    assert lines.kind.tolist() == ["timelike", "general", "timelike", "general"]
+    assert lines.speed()[[0, 2]].tolist() == [1.0, 1.5]
+
+
 def test_non_finite_events_and_lines_are_refused():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):

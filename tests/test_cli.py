@@ -522,7 +522,7 @@ def test_verify_command_passes(capsys):
 
 
 def test_verify_report_of_a_raising_property_is_strict_json(capsys, monkeypatch):
-    def boom(cfg, rng):
+    def boom(cfg, rng, check, n):
         raise RuntimeError("boom")
 
     patched = [(pid, text, boom if pid == "P5" else fn)
@@ -595,6 +595,22 @@ def test_generate_with_an_overflowing_rapidity_product_is_an_error_under_warning
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica", "generate",
          "--case", "lorentz", "--sigma", "1e300", "--n", "2", "--count", "3",
+         "--boost-bound", "1e300"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: boost rapidity") and "Traceback" not in proc.stderr
+
+
+def test_generate_with_an_overflowing_boost_angle_is_an_error_under_warnings(tmp_path):
+    # sigma < 0 and |b| near 1e300: the angle |b| sqrt(-sigma) overflows, and cos and
+    # sin of it would print NaN matrices (as null) with exit 0.
+    src = str(Path(kinematica.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica", "generate",
+         "--case", "orthogonal", "--sigma=-1e300", "--n", "2", "--count", "2",
          "--boost-bound", "1e300"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1

@@ -136,6 +136,18 @@ def test_boost_whose_rapidity_product_overflows_is_refused_without_a_warning():
             boost_closed_form(rows, 1e300)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boost_whose_angle_overflows_is_refused_without_a_warning():
+    # sigma < 0: cos(w) and sin(w) of an infinite angle w = |b| sqrt(-sigma) would be NaN.
+    # The angle is refused past half the float range, before the product is formed.
+    for rows, sigma in (([1e300, 0.0], -1e300), ([[0.1, 0.0], [1e300, 1e300]], -1e300),
+                        ([1e308, 0.0], -4.0)):
+        with pytest.raises(ValueError, match="rapidity .* overflows cos or sin"):
+            boost_closed_form(rows, sigma)
+    for rows, sigma in (([8e307, 0.0], -1.0), ([1e308, 0.0], -0.25), ([1e200, 0.0], -1e-300)):
+        assert np.isfinite(boost_closed_form(rows, sigma)).all()
+
+
 def test_boost_of_a_stack_is_the_boost_of_each_row():
     rng = np.random.default_rng(31)
     for sigma in ALL_SIGMAS:

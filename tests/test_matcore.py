@@ -13,6 +13,7 @@ from kinematica.matcore import (
     dagger,
     mat_exp,
     op_norm as frobenius_norm,
+    unit_exponent,
 )
 
 
@@ -81,6 +82,11 @@ def test_balance_of_exponents_matches_balance_of_values():
     np.testing.assert_array_equal(np.ldexp(mant, exps), a)
 
 
+def levelled(x):
+    """balance's k from the largest mixing entries of x, as the callers without a sigma take it."""
+    return unit_exponent(abs(x[..., :3, 3]).max(), abs(x[..., 3, :3]).max())
+
+
 def test_balance_without_sigma_levels_the_mixing_entries():
     rng = np.random.default_rng(9)
     stack = rng.standard_normal((3, 4, 4))
@@ -89,7 +95,7 @@ def test_balance_without_sigma_levels_the_mixing_entries():
         x[:, 3, :3] *= 2.0 ** j
         x[:, :3, 3] /= 2.0 ** j
         y = x.copy()
-        k = balance(y)
+        k = balance(y, k=levelled(y))
         ratio = abs(y[:, 3, :3]).max() / abs(y[:, :3, 3]).max()
         assert 0.25 <= ratio < 2.0
         assert balance(y, k=-k) == -k
@@ -99,9 +105,9 @@ def test_balance_without_sigma_levels_the_mixing_entries():
 def test_balance_leaves_galilei_and_carroll_content_alone():
     x = np.zeros((2, 4, 4))
     x[:, :3, 3] = [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]
-    assert balance(x.copy()) == 0  # no row: Galilei
+    assert balance(x.copy(), k=levelled(x)) == 0  # no row: Galilei
     carroll = x.swapaxes(-1, -2).copy()
-    assert balance(carroll.copy()) == 0  # no column
+    assert balance(carroll.copy(), k=levelled(carroll)) == 0  # no column
 
 
 def test_as_square_copies():

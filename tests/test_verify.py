@@ -102,7 +102,7 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
     assert 0 < counts["mat_exp"] <= 8  # two per P5 stack
     monkeypatch.setattr("kinematica.groups.in_K", counted_in_K)
     cfg = SuiteConfig()
-    assert verify._prop_pure_rotations(cfg, np.random.default_rng(0)).passed
+    assert verify._run(verify._prop_pure_rotations, cfg, np.random.default_rng(0)).passed
     stacks = [(cfg.trials, n + 1, n + 1) for n in cfg.n_values for _ in verify._cases(cfg)]
     assert in_K_stacks == stacks
 
@@ -120,7 +120,7 @@ def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
 
     monkeypatch.setattr("kinematica.classify.classify_algebra", counted)
     cfg = SuiteConfig()
-    assert verify._prop_classification(cfg, np.random.default_rng(0)).passed
+    assert verify._run(verify._prop_classification, cfg, np.random.default_rng(0)).passed
     assert len(shapes) <= len(cfg.n_values) * (1 + len(cfg.sigma_values))
     for n in cfg.n_values:
         m = n * (n - 1) // 2 + n
@@ -140,10 +140,27 @@ def test_collinearity_property_takes_one_defect_call_per_stack(monkeypatch):
 
     monkeypatch.setattr("kinematica.classify.collinearity_defect", counted)
     cfg = SuiteConfig()
-    assert verify._prop_collinearity(cfg, np.random.default_rng(0)).passed
+    assert verify._run(verify._prop_collinearity, cfg, np.random.default_rng(0)).passed
     assert len(shapes) == 2 * len(cfg.n_values) * len(cfg.sigma_values)
     for n in cfg.n_values:
         assert shapes.count((cfg.trials, n)) == 2 * len(cfg.sigma_values)
+
+
+def test_isotypic_property_takes_one_block_rotation_call_per_n(monkeypatch):
+    # One call per n on a stack of trials R, eps and Z; a call per trial would be 25 per n.
+    from kinematica import isotypic
+    real = isotypic.ad_rotation
+    shapes = []
+
+    def counted(R, eps, Z):
+        shapes.append((np.shape(R), np.shape(eps), np.shape(Z)))
+        return real(R, eps, Z)
+
+    monkeypatch.setattr("kinematica.isotypic.ad_rotation", counted)
+    cfg = SuiteConfig()
+    assert verify._run(verify._prop_isotypic, cfg, np.random.default_rng(0)).passed
+    assert shapes == [((cfg.trials, n, n), (cfg.trials,), (cfg.trials, n + 1, n + 1))
+                      for n in cfg.n_values]
 
 
 def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
@@ -168,11 +185,11 @@ def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
     for trials in (3, 25):
         cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
         counts.clear()
-        assert verify._prop_affine(cfg, np.random.default_rng(0)).passed
+        assert verify._run(verify._prop_affine, cfg, np.random.default_rng(0)).passed
         assert counts["compose"] == 6 * len(cfg.n_values)
         assert counts["transform_worldline"] == len(cfg.n_values) * len(cfg.positive())
         counts.clear()
-        assert verify._prop_wraparound(cfg, np.random.default_rng(0)).passed
+        assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
         assert counts == {"wraparound_demo": 2 * len(cfg.n_values),
                           "boost_closed_form": 4 * len(cfg.n_values)}
 
