@@ -340,16 +340,6 @@ def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
     return _closure_scan(basis, tol)[1]
 
 
-def _largest_norm(stack: np.ndarray) -> np.ndarray:
-    """Largest Frobenius norm of each (m, d, d) set, redone on each set / 2^e if needed."""
-    with np.errstate(over="ignore"):
-        scale = matcore.op_norm(stack, 2).max(axis=-1)
-    if not all(2.0 ** -500 < q < math.inf for q in scale.reshape(-1).tolist()):
-        e = np.frexp(abs(stack).max(axis=(-3, -2, -1)))[1]
-        return np.ldexp(matcore.op_norm(np.ldexp(stack, -e[..., None, None, None]), 2).max(-1), e)
-    return scale
-
-
 def classify_algebra(generators, tol: float = DEFAULT_TOL
                      ) -> ClassificationResult | list[ClassificationResult]:
     """Decide which kinematical algebra the generators span together with
@@ -359,10 +349,13 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     T results, each that of its set alone.  tol: the relative tolerance of
     every threshold.  Failures are a result "NotKinematical", not a raise.
 
-    Each set is judged in the time unit matcore.balance picks for it, its
-    sigma mapped back, unless its largest last column entry |b| is rounding
-    next to its largest last row entry |c| (|b| <= (n+1) eps |c|, as in a
-    Carroll set) or its balanced mixing content would fall under the cut.
+    Each set is first divided by the power of two that brings its largest
+    entry into [1/2, 1), which is exact: 2^j times a set gets that set's
+    result bit for bit.  It is judged in the time unit matcore.balance
+    picks for it, its sigma mapped back, unless its largest last column
+    entry |b| is rounding next to its largest last row entry |c|
+    (|b| <= (n+1) eps |c|, as in a Carroll set) or its balanced mixing
+    content would fall under the cut.
     The non-rotation parts m0 + m2 + m3 of the generators become rows of
     coordinates, isometric to the Frobenius norm; rows zero in every set
     are dropped.  One stacked SVD keeps an orthonormal basis of each set's
@@ -376,16 +369,19 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     if stack.ndim > 4 or not m or n < 2:
         raise ValueError("classification takes (m, n+1, n+1) sets, m >= 1 and n >= 2, "
                          f"or a stack of them, got shape {stack.shape}")
+    # Every threshold below is relative, so the scaled sets get the same verdicts.
+    top = np.frexp(abs(stack).max(axis=(-3, -2, -1)))[1]
+    np.ldexp(stack, -top[..., np.newaxis, np.newaxis, np.newaxis], out=stack)
     b, c = (abs(x).max(axis=(-2, -1)) for x in (stack[..., :n, n], stack[..., n, :n]))
     k = matcore.unit_exponent(b, c) * (b > (n + 1) * math.ulp(1.0) * c)  # the Carroll guard
     if balanced := np.count_nonzero(k):  # faster than any() on small arrays
         matcore.balance(stack, k=k[..., np.newaxis, np.newaxis])
-    scale = _largest_norm(stack)
+    scale = matcore.op_norm(stack, 2).max(-1)
     # A set whose balanced mixing content would fall under the cut keeps its own unit.
     undo = k * (np.maximum(np.ldexp(b, k), np.ldexp(c, -k)) <= tol * scale) if balanced else k
     if balanced and np.count_nonzero(undo):
         matcore.balance(stack, k=-undo[..., np.newaxis, np.newaxis])
-        k, scale = k - undo, _largest_norm(stack)
+        k, scale = k - undo, matcore.op_norm(stack, 2).max(-1)
     p = isotypic.split(stack)
     rows = np.concatenate((math.sqrt(n) * p.lam[..., np.newaxis], p.mu[..., np.newaxis],
                            p.m2.reshape(p.b.shape[:-1] + (n * n,)), p.b, p.c), axis=-1)

@@ -36,9 +36,10 @@ __all__ = [
     "random_element",
 ]
 
-# 2^500 and 1 as 0-d arrays, which a ufunc takes faster than Python floats.  No entry
-# below 2^500 squares, nor does a sum of n of its squares, past the float range.
-_WIDE, _ONE = np.array(2.0 ** 500), np.array(1.0)
+# 2^500, 2^250 and 1 as 0-d arrays, which a ufunc takes faster than Python floats.  No entry
+# below 2^500 squares, nor does a sum of n of its squares, past the float range; below 2^250
+# neither do the entries of an n x n A^T A nor, for n < 64, the sum of their squares.
+_WIDE, _GRAM, _ONE = np.array(2.0 ** 500), np.array(2.0 ** 250), np.array(1.0)
 
 
 class NotInNormalizer(ValueError):
@@ -62,21 +63,23 @@ def p_generator(b, sigma) -> np.ndarray:
     """Boost generator for the given sigma.
 
     Finite sigma places b in the last column and sigma * b in the last
-    row; infinite sigma (Carroll) places b in the last row only.
+    row; infinite sigma (Carroll) places b in the last row only.  b is one
+    vector (n,) or a stack (..., n), one generator per row; it must be finite.
     """
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size < 1:
-        raise ValueError("b must be a nonempty vector")
+    if b.ndim < 1 or b.shape[-1] < 1:
+        raise ValueError("b must be a nonempty vector or a stack of them")
     if np.count_nonzero(np.isfinite(b)) != b.size:
         raise ValueError("b must have finite entries")
     s = as_sigma(sigma)
-    n = b.size
-    Z = np.zeros((n + 1, n + 1))
+    n = b.shape[-1]
+    Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
     if s.is_infinite:
-        Z[n, :n] = b
+        Z[..., n, :n] = b
     else:
-        Z[:n, n] = b
-        Z[n, :n] = s.value * b
+        Z[..., :n, n] = b
+        if s.value != 0.0:  # at sigma = 0 the row stays +0.0, where 0.0 * b may be -0.0
+            np.multiply(b, s.value, out=Z[..., n, :n])
     return Z
 
 
@@ -94,37 +97,36 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     overflow: past log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or,
     for sigma < 0, past half the float max.
     """
+    s = as_sigma(sigma)
+    if s.is_infinite or s.value == 0.0:  # a shear, I + p_generator(b, s)
+        out = p_generator(b, s)
+        out.reshape(out.shape[:-2] + (out.shape[-1] ** 2,))[..., ::out.shape[-1] + 1] = 1.0
+        return out
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
     wide = np.count_nonzero(abs(b) < _WIDE) != b.size  # else no |b|^2 overflows
     if wide and np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() when small
         raise ValueError("b must have finite entries")
-    s = as_sigma(sigma)
-    n = b.shape[-1]
-    out = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    flat = out.reshape(b.shape[:-1] + ((n + 1) ** 2,))
-    if s.is_infinite or s.value == 0.0:
-        flat[..., ::n + 2] = 1.0
-        if s.is_infinite:
-            out[..., n, :n] = b
-        else:
-            out[..., :n, n] = b
-        return out
-    if wide:  # hypot does not overflow where |b|^2 does, past 2^500
-        with np.errstate(over="ignore"):
-            beta = np.sqrt(np.vecdot(b, b))
-        beta = np.where(np.isinf(beta), np.hypot.reduce(b, axis=-1), beta)
-    else:
+    if not wide:
         beta = np.sqrt(np.vecdot(b, b))  # np.linalg.norm of one vector, bit for bit
+        tiny = beta < 2.0 ** -500  # |b|^2 may have lost bits to underflow
+        wide = tiny.any() if tiny.ndim else tiny  # any() of a numpy scalar is slow, hence ndim
+    if wide:  # |b| read on each row over 2^e, e the exponent of its largest entry: exact
+        e = np.frexp(abs(b).max(axis=-1))[1]
+        with np.errstate(over="ignore"):  # a |b| past the float max reads inf: refused below
+            beta = np.ldexp(op_norm(np.ldexp(b, -e[..., None]), 1), e)
     root = math.sqrt(abs(s.value))
     # Below limit, w is finite for cos and sin, and cosh(w), sinh(w) root^+-1 < e^w for sigma > 0
     limit, trig = ((math.log(sys.float_info.max / max(root, 1.0 / root)), "cosh or sinh")
                    if s.value > 0.0 else (sys.float_info.max / 2.0, "cos or sin"))
     big = beta > min(limit / root, sys.float_info.max)  # judged before w = beta * root
-    if big.any() if big.ndim else big:  # any() of a numpy scalar is slow, hence ndim
+    if big.any() if big.ndim else big:
         raise ValueError(f"boost rapidity {float(beta.max()) * root:.6g} overflows {trig}: "
                          f"> {limit:.4g}")
+    n = b.shape[-1]
+    out = np.zeros(b.shape[:-1] + (n + 1, n + 1))
+    flat = out.reshape(b.shape[:-1] + ((n + 1) ** 2,))
     w = beta * root
     ch, sh, lift = ((np.cosh(w), np.sinh(w), root) if s.value > 0.0
                     else (np.cos(w), np.sin(w), -root))
@@ -157,17 +159,18 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
     blocks zero (Aristotle), within tol, or the one the case ties (Galilei, Carroll), within
     tol (1 + |a|).
 
-    Nothing is squared that could overflow.  A spatial block with an entry past 2^500 is
-    no rotation (|A^T A - I| > 2^999), and a matrix with such an entry has its off blocks
-    judged on a / 2^t, t the binary exponent of its largest entry, against the bounds
-    scaled alike: a power of two scales exactly, so no verdict changes."""
+    Nothing is squared that could overflow.  A spatial block with an entry past 2^250 is
+    no rotation (|A^T A - I| > 2^499) and is not formed: below it, neither a Gram entry of
+    A^T A nor its square passes the float range.  A matrix with an entry past 2^500 has
+    its off blocks judged on a / 2^t, t the binary exponent of its largest entry, against
+    the bounds scaled alike: a power of two scales exactly, so no verdict changes."""
     n = a.shape[-1] - 1
     x, A, s, fits = a, a[..., :n, :n], 1.0, True
-    if np.count_nonzero(abs(a) < _WIDE) != a.size:  # faster than .all() when small
+    if np.count_nonzero(abs(a) < _GRAM) != a.size:  # faster than .all() when small
         top = np.frexp(abs(a).max(axis=(-2, -1)))[1]
         t = np.where(top > 500, top, 0)  # only matrices with such an entry are scaled
         x, s = np.ldexp(a, -t[..., None, None]), np.ldexp(1.0, -t)
-        fits = np.count_nonzero(abs(A) < _WIDE, axis=(-2, -1)) == n * n
+        fits = np.count_nonzero(abs(A) < _GRAM, axis=(-2, -1)) == n * n
         A = A * fits[..., None, None]
     gram = (A.mT @ A).reshape(A.shape[:-2] + (n * n,))
     gram[..., ::n + 1] -= _ONE  # A^T A - I
@@ -288,10 +291,8 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     beta = op_norm(a[..., n, :n], 1)
     step = np.arcsinh(beta / root) / (root * (beta + (beta == 0.0)))  # 0 for beta = 0
     b = a[..., n, :n] * np.copysign(step, a[..., n, n])[..., None]
-    Z = np.zeros(a.shape)  # p_generator of each row of b, back in the unit of sigma
-    np.multiply(np.ldexp(b, -k, out=Z[..., :n, n]), s.value, out=Z[..., n, :n])
-    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, balanced_sigma), Z=Z,
-                         refused=_REFUSALS[status])
+    return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, balanced_sigma),
+                         Z=p_generator(np.ldexp(b, -k), s), refused=_REFUSALS[status])
 
 
 _REFUSALS = np.array([NotInNormalizer, NonPositiveLambda, None])  # by cartan_decompose status

@@ -64,12 +64,10 @@ def split(Z) -> IsotypicSplit:
     if n < 2:
         raise ValueError("isotypic split needs at least two space dimensions")
     A = Z[..., :n, :n]
-    At = A.swapaxes(-1, -2)
     lam = np.trace(A, axis1=-2, axis2=-1) / n
-    m1 = A - At
-    m1 *= 0.5  # in place, so a large stack makes no temporary copy
-    m2 = A + At
-    m2 *= 0.5
+    half = 0.5 * A  # halved first, so no sum or difference can overflow
+    m1 = half - half.mT
+    m2 = half + half.mT
     np.einsum("...ii->...i", m2)[...] -= lam[..., np.newaxis]  # a view of the diagonal
     return IsotypicSplit(lam=lam, mu=Z[..., n, n].copy()[()], m1=m1, m2=m2,
                          b=Z[..., :n, n].copy(), c=Z[..., n, :n].copy())

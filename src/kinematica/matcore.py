@@ -62,8 +62,7 @@ def as_square(matrix) -> np.ndarray:
 def refuse(failed, message: str) -> None:
     """Raise ValueError(message) if an entry of the failure mask is true, naming the first
     such index of a stack: " at index i", a tuple for more than one stack axis."""
-    failed = np.asarray(failed)
-    if failed.any():
+    if np.count_nonzero(failed):  # no 0-d dispatch of any() for one object
         i = tuple(int(k) for k in np.argwhere(failed)[0])  # () for one value
         raise ValueError(message + (f" at index {i[0] if len(i) == 1 else i}" if i else ""))
 

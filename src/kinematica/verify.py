@@ -238,8 +238,7 @@ def _generated_bases(n: int, s: Sigma, rng: np.random.Generator, count: int) -> 
     """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations and n boosts
     of sigma s (p_generator of b) along random b, each scaled by a factor in [1/4, 4]."""
     b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
-    boosts = np.zeros((count, n, n + 1, n + 1))
-    boosts[..., :n, n], boosts[..., n, :n] = (0.0, b) if s.is_infinite else (b, s.value * b)
+    boosts = groups.p_generator(b, s)
     rotations = classify.rotation_generators(n)
     return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
 
@@ -280,8 +279,7 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
         lam = rng.uniform(0.1, 10.0, cfg.trials)
         b = _units(rng, (cfg.trials, n)) * rng.uniform(0.0, 4.0 / math.sqrt(s.value),
                                                       (cfg.trials, 1))
-        Z = np.zeros((cfg.trials, n + 1, n + 1))  # p_generator of each row of b
-        Z[:, :n, n], Z[:, n, :n] = b, s.value * b
+        Z = groups.p_generator(b, s)
         a = groups.CartanFactors(lam, k, Z).reconstruct()
         factors = groups.cartan_decompose(a, s, cfg.tol)
         resid = np.max([

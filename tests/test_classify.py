@@ -507,6 +507,31 @@ def test_classify_reads_sets_with_entries_near_the_float_range():
             assert result.sigma.value == pytest.approx(1.0, rel=1e-12)
 
 
+def _fingerprint(result):
+    """Outcome, sigma bits, reason and the bits of every diagnostic."""
+    return (result.outcome, None if result.sigma is None else result.sigma.value.hex(),
+            result.reason, sorted((k, v.hex()) for k, v in result.diagnostics.items()))
+
+
+def test_classify_is_exact_under_power_of_two_scaling():
+    # Each set is read over the power of two that brings its largest entry into
+    # [1/2, 1), which is exact: 2^j G gets G's result bit for bit across the whole
+    # float range.  Boost sets scaled to a largest entry in [8, 16), so that 2^1020 G
+    # is finite while the largest generator norm of most sets, n = 10 and sigma = 1
+    # among them, is not.
+    rng = np.random.default_rng(35)
+    for n in (2, 3, 10):
+        for sigma in (1.0, -3.0, 0.0, SIGMA_INF):
+            b = rng.standard_normal((n, n)) * rng.uniform(0.25, 4.0, (n, 1))
+            gens = np.array(rotation_generators(n) + [p_generator(v, sigma) for v in b])
+            gens = np.ldexp(gens, 4 - np.frexp(abs(gens).max())[1])
+            result = classify_algebra(gens)
+            assert result.is_kinematical and case_label(result) is case_of_sigma(sigma)
+            for j in (-900, -600, -500, 500, 600, 900, 1020):
+                assert _fingerprint(classify_algebra(np.ldexp(gens, j))) == _fingerprint(
+                    result), (n, sigma, j)
+
+
 def test_classify_takes_one_svd_of_the_non_rotation_rows(monkeypatch):
     # Rotations are adjoined anyway, so only the non-rotation content of
     # each generator goes into the one SVD: rotation generators give zero

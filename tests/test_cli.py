@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -600,6 +601,44 @@ def test_generate_with_an_overflowing_rapidity_product_is_an_error_under_warning
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: boost rapidity") and "Traceback" not in proc.stderr
+
+
+def test_classify_of_entries_near_the_float_max_runs_under_warnings(tmp_path):
+    # 1e308 - (-1e308) would overflow in the isotypic split; each set is read over a
+    # power of two first.  Rotation content this large leaves the boost under the cut.
+    src = str(Path(kinematica.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = write_file(tmp_path, {"n": 2, "matrices": [[[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]],
+                                                      [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]})
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica", "classify", path],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["outcome"] == "AristotleOnly"
+
+
+def test_generate_boosts_whose_square_underflows(capsys):
+    # |b| up to 1e-300 at sigma 1e300: |b|^2 underflows, the rapidity (up to 1e-150)
+    # does not, and the last row sinh(w) sqrt(sigma) u, about |b| sigma, is no zero.
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1e300", "--boost-bound",
+                     "1e-300", "--n", "2", "--count", "2", "--seed", "1"]) == 0
+    members = np.array(json.loads(capsys.readouterr().out)["matrices"]).reshape(-1, 3, 3)
+    for a in members:
+        assert 0.0 < np.linalg.norm(a[2, :2]) < 1.0 and abs(a[2, 2]) == 1.0
+        assert membership(a, CaseLabel.LORENTZ, 1e300)
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("galilei", "940aaa1094b9ce6670dbc1ad1ca2d58d93983d0eb07f7fe6058ba62d54b902c6"),
+    ("carroll", "f609c239fdc2b258764343733ea2b2efba0b9c1dc166129d6e7d0330414e7213"),
+])
+def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
+    # The shear boosts are I + p_generator(b, sigma); the printed members are pinned
+    # byte for byte, the sign of each zero included, as the boosts written out entry by
+    # entry printed them.
+    assert cli.main(["generate", "--case", case, "--n", "3", "--count", "50", "--seed", "4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_generate_with_an_overflowing_boost_angle_is_an_error_under_warnings(tmp_path):

@@ -85,8 +85,33 @@ def test_p_generator_carroll():
 def test_p_generator_rejects_empty():
     with pytest.raises(ValueError):
         p_generator(np.zeros(0), 1.0)
-    with pytest.raises(ValueError):
-        p_generator(np.eye(2), 1.0)
+    # a (2, 2) array is a stack of two vectors, one generator per row
+    np.testing.assert_array_equal(p_generator(np.eye(2), 1.0),
+                                  [p_generator([1.0, 0.0], 1.0), p_generator([0.0, 1.0], 1.0)])
+
+
+def test_p_generator_of_a_stack_is_the_generator_of_each_row():
+    rng = np.random.default_rng(32)
+    for sigma in ALL_SIGMAS:
+        for n in (2, 3, 10):
+            rows = rng.standard_normal((2, 3, n))
+            stack = p_generator(rows, sigma)
+            assert stack.shape == (2, 3, n + 1, n + 1)
+            for i in range(2):
+                for j in range(3):
+                    assert stack[i, j].tobytes() == p_generator(rows[i, j], sigma).tobytes()
+        assert p_generator(np.zeros((0, 3)), sigma).shape == (0, 4, 4)
+        for bad in (1.0, np.zeros((3, 0)), [[0.0, 1.0], [math.nan, 0.0]], [[math.inf, 0.0]]):
+            with pytest.raises(ValueError):
+                p_generator(bad, sigma)
+
+
+def test_galilei_generator_keeps_a_positive_zero_row():
+    # 0.0 * b would write -0.0 under each negative entry; the shear boost
+    # I + p_generator(b, 0) keeps the +0.0 row the boost always had.
+    Z = p_generator([-1.0, 2.0, -3.0], 0.0)
+    assert not np.signbit(Z[3]).any()
+    assert not np.signbit(boost_closed_form([[-1.0, 2.0, -3.0]], 0.0)[0, 3]).any()
 
 
 def test_boost_of_zero_vector():
@@ -146,6 +171,46 @@ def test_boost_whose_angle_overflows_is_refused_without_a_warning():
             boost_closed_form(rows, sigma)
     for rows, sigma in (([8e307, 0.0], -1.0), ([1e308, 0.0], -0.25), ([1e200, 0.0], -1e-300)):
         assert np.isfinite(boost_closed_form(rows, sigma)).all()
+
+
+def test_boost_of_a_vector_longer_than_the_float_max_is_refused_without_a_warning():
+    # |b| itself passes the float range: the rapidity is judged on each row over a
+    # power of two, before |b| is formed.
+    for sigma in (0.25, -0.25):
+        with pytest.raises(ValueError, match="rapidity .* overflows"):
+            boost_closed_form([1.5e308, 1.5e308], sigma)
+
+
+def test_boost_of_a_vector_whose_square_underflows():
+    # |b|^2 = 1e-600 is below the float range, the rapidity 1e-150 is not: the
+    # boost is not the identity, and its last row is (sinh(w) sqrt(sigma), cosh(w)).
+    a = boost_closed_form([1e-300, 0.0, 0.0], 1e300)
+    np.testing.assert_array_equal(a[3], [1.0, 0.0, 0.0, 1.0])
+    assert a[0, 3] == 1e-300 and a[0, 0] == 1.0
+    rows = np.array([[0.0, 3e-300, 4e-300], [3e-150, -1e-150, 2e-150]])  # a normal |b|^2 beside
+    stack = boost_closed_form(rows, 1e300)
+    assert stack[0, 3].tolist() == pytest.approx([0.0, 3.0, 4.0, 1.0], rel=1e-15)
+    assert stack[1].tobytes() == boost_closed_form(rows[1], 1e300).tobytes()
+
+
+def test_boost_commutes_with_the_time_unit_across_the_float_range():
+    # D B(b, sigma) D^-1 = B(b / 2^j, 4^j sigma) bit for bit, D = diag(1, ..., 1, 2^j),
+    # wherever 4^j sigma is a normal float: |b| is read on each row over a power of
+    # two, so neither a square past the float max nor one below its normal range is
+    # formed.  Rapidities 1e-3 to 20; n = 2 and 3.
+    rng = np.random.default_rng(34)
+    steps = sorted(set(range(-540, 541, 45)) | {-540, -520, -510, -500, 500, 510, 520, 540})
+    for sigma in (1.0, -1.0, 3.7, -0.01, 1e300, -1e300, 1e-300, -1e-300):
+        for n in (2, 3):
+            for w in (1e-3, 0.5, 20.0):
+                u = rng.standard_normal(n)
+                b = w * u / np.linalg.norm(u) / math.sqrt(abs(sigma))
+                a = boost_closed_form(b, sigma)
+                for j in steps:
+                    if not -1021 <= math.frexp(sigma)[1] + 2 * j <= 1024:
+                        continue  # 4^j sigma is not a normal float
+                    got = boost_closed_form(np.ldexp(b, -j), math.ldexp(sigma, 2 * j))
+                    assert got.tobytes() == rescaled(a, j).tobytes(), (sigma, n, w, j)
 
 
 def test_boost_of_a_stack_is_the_boost_of_each_row():
@@ -447,6 +512,18 @@ def test_shape_verdicts_past_the_square_range_stay_silent():
     stack = np.stack([free_b, tied, squeezed, 2.0 ** 600 * galilei, galilei])
     assert membership(stack, CaseLabel.GALILEI).tolist() == [True, False, False, False, True]
     assert in_K(np.stack([np.eye(4), 2.0 ** 600 * np.eye(4)])).tolist() == [True, False]
+    # From 1e77 up, the squares of the entries of A^T A would pass the float max.
+    for scale in (1e77, 1e100, 1e150):
+        assert not in_K(np.full((3, 3), scale))
+    spread = np.logspace(77.0, 150.0, 9).reshape(3, 3)  # entries from 1e77 to 1e150
+    for case in (CaseLabel.GALILEI, CaseLabel.CARROLL, CaseLabel.ARISTOTLE):
+        member = random_element(case, None, 3, 1.0, seed=2)
+        for block in (spread, 1e77 * member[:3, :3], 1e100 * member[:3, :3],
+                      1e150 * member[:3, :3]):
+            a = member.copy()
+            a[:3, :3] = block
+            assert not membership(a, case)
+            assert membership(np.stack([member, a]), case).tolist() == [True, False]
 
 
 def test_membership_of_constructed_members():

@@ -17,6 +17,15 @@ def test_split_requires_two_space_dimensions():
         isotypic.split(np.eye(2))
 
 
+def test_split_near_the_float_max_stays_silent():
+    # A - A^T would be -2e308; A is halved first (warnings are errors here).
+    Z = np.array([[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    parts = isotypic.split(Z)
+    np.testing.assert_array_equal(parts.m1, Z[:2, :2])
+    assert not parts.m2.any()
+    np.testing.assert_array_equal(isotypic.merge(parts), Z)
+
+
 def test_split_of_worked_example():
     M = np.zeros((3, 3))
     M[:2, :2] = [[1.0, 2.0], [0.0, 1.0]]
