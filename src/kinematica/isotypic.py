@@ -64,7 +64,11 @@ def split(Z) -> IsotypicSplit:
     if n < 2:
         raise ValueError("isotypic split needs at least two space dimensions")
     A = Z[..., :n, :n]
-    lam = np.trace(A, axis1=-2, axis2=-1) / n
+    with np.errstate(all="ignore"):  # a sum past the float max is read again below
+        lam = np.trace(A, axis1=-2, axis2=-1) / n
+    if not np.isfinite(lam).all():  # over 2^k > n, no sum of n finite entries overflows
+        scale = 2.0 ** n.bit_length()
+        lam = np.where(np.isfinite(lam), lam, (A / scale).trace(0, -2, -1) / n * scale)[()]
     half = 0.5 * A  # halved first, so no sum or difference can overflow
     m1 = half - half.mT
     m2 = half + half.mT

@@ -31,6 +31,15 @@ def write_file(tmp_path, payload, name="data.json"):
     return str(path)
 
 
+def run_module(cwd, *args):
+    """``python -W error::RuntimeWarning -m kinematica ARGS`` in a fresh interpreter."""
+    src = str(Path(kinematica.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica",
+                           *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
 def generator_payload(n, sigma):
     gens = rotation_generators(n) + [
         p_generator(np.eye(n)[i], sigma) for i in range(n)
@@ -89,6 +98,73 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
         cli.load_matrix_file(str(path))
+
+
+def refuse_the_stdlib_parser(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads was called")
+    monkeypatch.setattr(json, "loads", refuse)
+
+
+def test_a_strict_json_file_never_reaches_the_stdlib_parser(tmp_path, capsys, monkeypatch):
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                     "--count", "20", "--seed", "5"]) == 0
+    path = tmp_path / "members.json"
+    path.write_text(capsys.readouterr().out)
+    expected = np.array(json.loads(path.read_text())["matrices"]).reshape(-1, 4, 4)
+    refuse_the_stdlib_parser(monkeypatch)
+    np.testing.assert_array_equal(cli.load_matrix_file(str(path)).matrices, expected)
+
+
+def assert_load_gives_the_bits_of_json(tmp_path, monkeypatch, literals):
+    text = '{"n": 2, "matrices": [' + ", ".join(literals) + "]}"
+    path = tmp_path / "numbers.json"
+    path.write_text(text)
+    want = np.asarray(json.loads(text)["matrices"], dtype=float).reshape(-1, 3, 3)
+    refuse_the_stdlib_parser(monkeypatch)
+    got = cli.load_matrix_file(str(path)).matrices
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("literal", [
+    "0.0", "-0.0", "5e-324", "-5e-324", "2.4703282292062328e-324",
+    "2.2250738585072014e-308", "2.2250738585072011e-308",
+    "1.7976931348623157e308", "-1.7976931348623157e308",
+    "0.30000000000000000444", "9007199254740993.0",
+    "1.00000000000000011102230246251565404236316680908203125",  # halfway: to even
+    "1.000000000000000111022302462515654042363166809082031251",  # past halfway: up
+    "3.141592653589793238462643383279502884197", "-2.718281828459045235360287471352662497e-300",
+    pytest.param(str(2**53 + 1), id="2**53+1"), pytest.param(str(2**64), id="2**64"),
+    pytest.param(str(-2**64), id="-2**64"), pytest.param(str(10**300), id="10**300"),
+])
+def test_load_reads_a_number_to_the_bits_json_gives(tmp_path, monkeypatch, literal):
+    assert_load_gives_the_bits_of_json(tmp_path, monkeypatch,
+                                       [f"[{literal}, 0, 0, 0, 0, 0, 0, 0, 1]"])
+
+
+def test_load_reads_random_long_decimals_to_the_bits_json_gives(tmp_path, monkeypatch):
+    # 17 to 40 significant digits, from below the smallest subnormal to near the float max.
+    rng = np.random.default_rng(22)
+    literals = []
+    for _ in range(9 * 300):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(17, 41))))
+        sign, exponent = rng.choice(["", "-"]), rng.integers(-340, 308)
+        literals.append(f"{sign}{digits[0]}.{digits[1:]}e{exponent}")
+    assert_load_gives_the_bits_of_json(
+        tmp_path, monkeypatch, ["[" + ", ".join(literals[i:i + 9]) + "]"
+                                for i in range(0, len(literals), 9)])
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_a_file_with_a_byte_order_mark_is_an_error(tmp_path, capsys, encoding):
+    # Python's json reads such bytes (it strips the UTF-8 mark and detects UTF-16), but the
+    # file is read as text, where the mark is no JSON.
+    path = tmp_path / "marked.json"
+    path.write_text(json.dumps(generator_payload(2, 1.0)), encoding=encoding)
+    assert cli.main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_classify_command_success(tmp_path, capsys):
@@ -575,29 +651,40 @@ def test_tol_flag_validation(tmp_path, capsys):
 
 
 def test_python_dash_m_kinematica_runs_without_warnings(tmp_path):
-    src = str(Path(kinematica.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica",
-         "generate", "--case", "galilei", "--count", "1"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module(tmp_path, "generate", "--case", "galilei", "--count", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert len(json.loads(proc.stdout)["matrices"]) == 1
 
 
+def test_python_dash_m_kinematica_decomposes_a_generated_file_without_warnings(tmp_path):
+    made = run_module(tmp_path, "generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                      "--count", "1000")
+    assert (made.returncode, made.stderr) == (0, "")
+    (tmp_path / "members.json").write_text(made.stdout)
+    proc = run_module(tmp_path, "decompose", "members.json", "--sigma", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    entries = json.loads(proc.stdout)
+    assert len(entries) == 1000 and all("error" not in entry for entry in entries)
+
+
+def test_the_parser_built_once_carries_nothing_from_call_to_call(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["verify", "--trials", "many"]) == 1
+    assert cli.main(["verify", "--n", "2", "--trials", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify"]) == 0
+    fresh = run_module(tmp_path, "verify")
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert capsys.readouterr().out == fresh.stdout
+
+
 def test_generate_with_an_overflowing_rapidity_product_is_an_error_under_warnings(tmp_path):
     # |b| and sigma near 1e300: the rapidity |b| sqrt(sigma) itself overflows,
     # which must end in the documented error, not a RuntimeWarning traceback.
-    src = str(Path(kinematica.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica", "generate",
-         "--case", "lorentz", "--sigma", "1e300", "--n", "2", "--count", "3",
-         "--boost-bound", "1e300"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module(tmp_path, "generate", "--case", "lorentz", "--sigma", "1e300", "--n", "2",
+                      "--count", "3", "--boost-bound", "1e300")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: boost rapidity") and "Traceback" not in proc.stderr
@@ -606,14 +693,9 @@ def test_generate_with_an_overflowing_rapidity_product_is_an_error_under_warning
 def test_classify_of_entries_near_the_float_max_runs_under_warnings(tmp_path):
     # 1e308 - (-1e308) would overflow in the isotypic split; each set is read over a
     # power of two first.  Rotation content this large leaves the boost under the cut.
-    src = str(Path(kinematica.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     path = write_file(tmp_path, {"n": 2, "matrices": [[[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]],
                                                       [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]})
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica", "classify", path],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module(tmp_path, "classify", path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["outcome"] == "AristotleOnly"
 
@@ -644,14 +726,8 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
 def test_generate_with_an_overflowing_boost_angle_is_an_error_under_warnings(tmp_path):
     # sigma < 0 and |b| near 1e300: the angle |b| sqrt(-sigma) overflows, and cos and
     # sin of it would print NaN matrices (as null) with exit 0.
-    src = str(Path(kinematica.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica", "generate",
-         "--case", "orthogonal", "--sigma=-1e300", "--n", "2", "--count", "2",
-         "--boost-bound", "1e300"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module(tmp_path, "generate", "--case", "orthogonal", "--sigma=-1e300", "--n", "2",
+                      "--count", "2", "--boost-bound", "1e300")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: boost rapidity") and "Traceback" not in proc.stderr

@@ -26,6 +26,21 @@ def test_split_near_the_float_max_stays_silent():
     np.testing.assert_array_equal(isotypic.merge(parts), Z)
 
 
+def test_split_of_a_trace_past_the_float_max_stays_silent():
+    # 1e308 + 1e308 overflows; such a trace is read over a power of two (warnings are
+    # errors here), and every other trace of a stack keeps its bits.
+    Z = np.diag([1e308, 1e308, 0.0])
+    parts = isotypic.split(Z)
+    assert parts.lam == 1e308 and not parts.m2.any()
+    np.testing.assert_array_equal(isotypic.merge(parts), Z)
+    rng = np.random.default_rng(5)
+    stack = np.stack([np.diag([2.0**1023] * 10 + [0.0]), rng.standard_normal((11, 11))])
+    parts = isotypic.split(stack)
+    assert parts.lam[0] == 2.0**1023
+    assert parts.lam[1] == np.trace(stack[1, :10, :10]) / 10
+    np.testing.assert_array_equal(isotypic.merge(parts)[0], stack[0])
+
+
 def test_split_of_worked_example():
     M = np.zeros((3, 3))
     M[:2, :2] = [[1.0, 2.0], [0.0, 1.0]]
