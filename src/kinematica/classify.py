@@ -186,8 +186,10 @@ def collinearity_defect(b, c) -> float | np.ndarray:
     ValueError unless b and c are finite and of one of these shapes.
     """
     vectors = np.ndim(b) == np.ndim(c) == 1
-    b, c = _finite_pairs(b, c)
-    bb, cc, bc, e = _scaled_products(np.stack((b, c), axis=-2))
+    pairs = np.stack(_finite_pairs(b, c), axis=-2)
+    e = np.frexp(abs(pairs).max(axis=(-2, -1)))[1]
+    pairs = np.ldexp(pairs, -e[:, np.newaxis, np.newaxis])
+    (bb, cc), bc = np.vecdot(pairs, pairs).T, np.vecdot(pairs[:, 0], pairs[:, 1])
     with np.errstate(over="ignore"):
         defects = np.ldexp(2.0 * (bb * cc - bc * bc), 4 * e)
     return float(defects[0]) if vectors else defects
@@ -205,88 +207,75 @@ def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def _scaled_products(pairs: np.ndarray):
-    """(b.b, c.c, b.c, e) of each pair b over c of the (..., 2, n) array pairs, formed on the
-    pair divided by its own power of two 2**e: exact, and |b|^2 |c|^2 cannot overflow."""
-    e = np.frexp(abs(pairs).max(axis=(-2, -1), initial=0.0))[1]
-    pairs = np.ldexp(pairs, -e[..., np.newaxis, np.newaxis])
-    squares = np.vecdot(pairs, pairs)
-    return squares[..., 0], squares[..., 1], np.vecdot(pairs[..., 0, :], pairs[..., 1, :]), e
-
-
-def _not_collinear(bb, cc, bc) -> NotCollinear:
-    nb, nc = math.sqrt(bb), math.sqrt(cc)
-    return NotCollinear(f"mixing vectors are not collinear (relative defect "
-                        f"{2.0 * (bb * cc - bc * bc) / (nb * nb * nc * nc):.3e})")
-
-
-def _row_sigmas(b: np.ndarray, c: np.ndarray, tol: float, products=None) -> np.ndarray:
-    """Sigma of each mixing pair b, c (rows of (..., r, n) arrays), inf for a Carroll row (b
-    negligible against c).  The first zero or non-collinear row of (r, n) arrays raises; given
-    products (b.b, c.c, b.c) of rows of norm at most 1, it is NaN or -inf instead."""
-    one, strict = 1.0, products is None  # one: the bound's absolute term
-    if strict:
-        *products, e = _scaled_products(
-            np.concatenate((b, c), axis=-1).reshape(b.shape[:-1] + (2, b.shape[-1])))
-        # On the scaled pair the term 1 becomes 2**(-4 e), capped at 2**1000 (a scaled
-        # defect is at most 2 n^2).
-        one = np.ldexp(1.0, np.minimum(-4 * e, 1000))
-    bb, cc, bc = products
+def _row_sigmas(bb, cc, bc, tol: float) -> np.ndarray:
+    """Sigma of each mixing pair of entries at most 1, from its b.b, c.c and b.c: inf for a
+    Carroll row (b negligible against c), -inf for a non-collinear one, NaN for a zero one."""
     nb, nc = np.sqrt(bb), np.sqrt(cc)
-    bad = 2.0 * (bb * cc - bc * bc) > tol * (one + nb * nb * nc * nc)
-    zero = bb + cc == 0.0
-    if strict and (bad | zero).any():
-        i = (bad | zero).argmax()
-        raise ZeroGenerator("mixing vectors are both zero") if zero[i] else _not_collinear(
-            bb[i], cc[i], bc[i])
+    bad = 2.0 * (bb * cc - bc * bc) > tol * (1.0 + nb * nb * nc * nc)
     rows = np.divide(bc, nb * nb, out=np.full(bc.shape, np.inf), where=nb > tol * nc)
-    rows[bad], rows[zero] = -np.inf, np.nan
+    rows[bad], rows[bb + cc == 0.0] = -np.inf, np.nan
     return rows
+
+
+def _time_unit(b, c, n: int):
+    """balance's k that levels the largest mixing entries |b| and |c| of (n+1)-dimensional
+    sets, but 0 where |b| is rounding next to |c|, |b| <= (n+1) eps |c|: the Carroll guard."""
+    return matcore.unit_exponent(b, c) * (b > (n + 1) * math.ulp(1.0) * c)
 
 
 def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     """Extract the one sigma shared by collinear mixing pairs (b, c).
 
-    b and c are vectors, or (m, n) arrays holding one pair per row.  A row
-    whose column part b is negligible against c (|b| <= tol |c|) is a
-    Carroll generator; when every row is, sigma is infinite.  Otherwise
-    every row must be finite, the per-row ratios (b.c)/|b|^2 must lie
-    within tol * (1 + |min| + |max|) of each other, and sigma is the
-    least-squares fit sum(b.c) / sum(|b|^2) over all rows.  Raises
-    ZeroGenerator when both vectors of a row vanish, NotCollinear when
-    a row fails the collinearity test or the rows disagree on sigma, and
+    b and c are vectors, or (m, n) arrays holding one pair per row.  The
+    rule is classify_algebra's: the pairs are judged in the time unit that
+    levels their largest |b| and |c| entries, unless |b| <= (n+1) eps |c|
+    (a Carroll set), divided by the power of two of their largest entry.
+    There a row is Carroll when |b| <= tol |c|, and collinear when
+    2 (|b|^2 |c|^2 - (b.c)^2) <= tol (1 + |b|^2 |c|^2): relative to the
+    set, so a row below about 1e-154 of the largest entry is skipped.
+    Sigma is inf when every row is Carroll; else the ratios (b.c)/|b|^2
+    must lie within tol (1 + |min| + |max|) of each other, and sigma is the
+    fit sum(b.c) / sum(|b|^2) in the caller's unit, finite up to the
+    Carroll guard (|sigma| about 1 / ((n+1) eps), at least 3e14).  Raises
+    ZeroGenerator when both vectors of a row vanish, NotCollinear when a
+    row fails the collinearity test or the rows disagree on sigma, and
     ValueError when b and c differ in shape or an entry is not finite.
     """
-    return Sigma(_sigma_and_rows(np.concatenate(_finite_pairs(b, c), axis=-1), tol)[0][0])
+    b, c = _finite_pairs(b, c)
+    if not (b.any(axis=1) | c.any(axis=1)).all():
+        raise ZeroGenerator("mixing vectors are both zero")
+    top = np.array([abs(b).max(), abs(c).max()])
+    k = int(_time_unit(*top, b.shape[1]))
+    e = np.frexp(np.ldexp(top, [k, -k]).max())[1]  # leveled, neither passes max(top)
+    pairs = np.ldexp(np.concatenate((b, c), axis=1), np.repeat([k - e, -k - e], b.shape[1]))
+    sigma = _sigma_and_rows(pairs[np.newaxis], tol, [k])[0][0]
+    if isinstance(sigma, NotCollinear):
+        raise sigma
+    return Sigma(sigma)
 
 
-def _sigma_and_rows(pairs, tol: float, k=(0,), unit: bool = False) -> list:
-    """:func:`sigma_from_m3` of each set of rows b then c of the (..., r, 2n) array pairs, as
-    (sigma, spread of the row sigmas), mapped back by 4^k, one k per set.  With unit, the rows
-    have norm at most 1, zero rows are skipped and a failed set's NotCollinear is its sigma."""
+def _sigma_and_rows(pairs, tol: float, k) -> list:
+    """:func:`sigma_from_m3` of each set of rows b then c, of entries at most 1, of the
+    (..., r, 2n) array pairs, as (sigma, spread of the row sigmas), mapped back by 4^k, one k
+    per set.  Zero rows are skipped and a failed set's NotCollinear is its sigma."""
     n = pairs.shape[-1] // 2
-    fit = pairs  # without unit, divided by a power of two per set: no overflow, rows as given
-    if not unit:
-        fit = np.ldexp(pairs, -np.frexp(abs(pairs).max(axis=(-2, -1)))[1][..., None, None])
-    products = bb, _, bc = [np.vecdot(fit[..., i:i + n], fit[..., j:j + n])
+    products = bb, _, bc = [np.vecdot(pairs[..., i:i + n], pairs[..., j:j + n])
                             for i, j in ((0, 0), (n, n), (0, n))]
-    rows = _row_sigmas(pairs[..., :n], pairs[..., n:], tol, products if unit else None)
+    rows = _row_sigmas(*products, tol)
     out = []
     for i, (lo, hi, fit_bc, fit_bb, k) in enumerate(zip(*(x.reshape(-1).tolist() for x in (
             np.fmin.reduce(rows, axis=-1), np.fmax.reduce(rows, axis=-1),
             bc.sum(axis=-1), bb.sum(axis=-1), np.asarray(k))))):
-        # Finite rows are below n 2^537 (b.b >= 2^-1074) and classify_algebra's Carroll
-        # guard keeps 4^k <= 2^52, so mapping back cannot overflow.
+        # Finite rows are below n 2^537 (b.b >= 2^-1074) and the Carroll guard of
+        # _time_unit keeps 4^k <= 2^52, so mapping back cannot overflow.
         back = math.ldexp(lo, 2 * k), math.ldexp(hi, 2 * k)
         if lo == -math.inf:  # a non-collinear row, of which the first is named
-            j = (rows[i] == -math.inf).argmax()
-            out.append((_not_collinear(*(x[i, j] for x in products)), None))
+            x, y, xy = (p[i, (rows[i] == -math.inf).argmax()] for p in products)  # b.b, c.c, b.c
+            out.append((NotCollinear("mixing vectors are not collinear (relative defect "
+                                     f"{2.0 * (x * y - xy * xy) / (x * y):.3e})"), None))
         elif lo < math.inf and (hi == math.inf or hi - lo > tol * (1.0 + abs(lo) + abs(hi))):
-            error = NotCollinear("mixing generators disagree on sigma: "
-                                 f"{Sigma(back[0])!r} vs {Sigma(back[1])!r}")
-            if not unit:
-                raise error
-            out.append((error, None))
+            out.append((NotCollinear("mixing generators disagree on sigma: "
+                                     f"{Sigma(back[0])!r} vs {Sigma(back[1])!r}"), None))
         else:  # lo is inf for Carroll rows only, NaN for no rows
             out.append((math.ldexp(fit_bc / fit_bb, 2 * k), back[1] - back[0]) if lo < math.inf
                        else (lo, 0.0))
@@ -351,18 +340,17 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
 
     Each set is first divided by the power of two that brings its largest
     entry into [1/2, 1), which is exact: 2^j times a set gets that set's
-    result bit for bit.  It is judged in the time unit matcore.balance
-    picks for it, its sigma mapped back, unless its largest last column
-    entry |b| is rounding next to its largest last row entry |c|
-    (|b| <= (n+1) eps |c|, as in a Carroll set) or its balanced mixing
-    content would fall under the cut.
-    The non-rotation parts m0 + m2 + m3 of the generators become rows of
-    coordinates, isometric to the Frobenius norm; rows zero in every set
-    are dropped.  One stacked SVD keeps an orthonormal basis of each set's
-    span above tol times its largest generator norm: scalar or traceless
-    symmetric content is rejected, no content is the Aristotle case, and
-    :func:`sigma_from_m3` extracts the sigma of the mixing content.  Those
-    boosts and the rotations close (module docstring): no closure check.
+    result bit for bit.  It is judged in the time unit that levels its
+    largest |b| and |c| entries, its sigma mapped back, unless |b| <=
+    (n+1) eps |c| (a Carroll set) or its balanced mixing content would
+    fall under the cut.  The non-rotation parts m0 + m2 + m3 of the
+    generators become rows of coordinates, isometric to the Frobenius
+    norm; rows zero in every set are dropped.  One stacked SVD keeps an
+    orthonormal basis of each set's span above tol times its largest
+    generator norm: scalar or traceless symmetric content is rejected, no
+    content is the Aristotle case, and the mixing rows of the basis give
+    sigma by the one rule of :func:`sigma_from_m3`.  Those boosts and the
+    rotations close (module docstring): no closure check.
     """
     stack = matcore.as_square_stack(np.array(generators, dtype=float))
     m, n = stack.shape[-3] if stack.ndim > 2 else 0, stack.shape[-1] - 1
@@ -373,7 +361,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     top = np.frexp(abs(stack).max(axis=(-3, -2, -1)))[1]
     np.ldexp(stack, -top[..., np.newaxis, np.newaxis, np.newaxis], out=stack)
     b, c = (abs(x).max(axis=(-2, -1)) for x in (stack[..., :n, n], stack[..., n, :n]))
-    k = matcore.unit_exponent(b, c) * (b > (n + 1) * math.ulp(1.0) * c)  # the Carroll guard
+    k = _time_unit(b, c, n)
     if balanced := np.count_nonzero(k):  # faster than any() on small arrays
         matcore.balance(stack, k=k[..., np.newaxis, np.newaxis])
     scale = matcore.op_norm(stack, 2).max(-1)
@@ -396,7 +384,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
         norms = np.sqrt(np.add.reduceat(basis * basis, [0, 2, 2 + n * n], axis=-1)
                         .max(axis=-2)).reshape(-1, 3).tolist()
     if any(r and m0 <= tol and m2 <= tol for r, (m0, m2, _) in zip(rank, norms)):
-        outcomes = _sigma_and_rows(basis[..., -2 * n:].reshape(k.size, -1, 2 * n), tol, k, True)
+        outcomes = _sigma_and_rows(basis[..., -2 * n:].reshape(k.size, -1, 2 * n), tol, k)
     results = []
     for r, (m0, m2, m3), (sigma, spread) in zip(rank, norms, outcomes):
         result = ClassificationResult(OUTCOME_ARISTOTLE if not r else OUTCOME_NOT_KINEMATICAL,

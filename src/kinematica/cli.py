@@ -107,6 +107,9 @@ def load_matrix_file(path: str) -> MatrixFile:
     if not isinstance(data, dict):
         raise ValueError("top level must be a JSON object")
     n = data.get("n")
+    # numpy cannot size one matrix of floats past this; orjson reads n >= 2^64 as a float
+    if isinstance(n, (int, float)) and n >= math.isqrt(sys.maxsize // 8):
+        raise ValueError('"n" is too large')
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError('"n" must be a positive integer')
     raw = data.get("matrices", [])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +39,9 @@ _DEFAULT_SIGMAS = (1.0, 0.5, -1.0, 0.0, math.inf)
 class SuiteConfig:
     """Knobs for :func:`run_suite`.
 
-    sigma_values accepts floats (inf included) or Sigma instances; seed
-    must be a nonnegative integer: with the property's number it seeds
-    one generator per property, so a report is reproducible from it.
+    sigma_values accepts floats (inf included) or Sigma instances; n_values,
+    trials and seed integers, numpy ones too.  With the property's number,
+    seed (>= 0) seeds one generator per property: a report is reproducible.
     """
 
     n_values: tuple = (2, 3)
@@ -50,7 +51,11 @@ class SuiteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.n_values = tuple(int(n) for n in self.n_values)
+        try:
+            self.n_values = tuple(operator.index(n) for n in self.n_values)
+            self.trials, self.seed = operator.index(self.trials), operator.index(self.seed)
+        except TypeError as error:
+            raise ValueError(f"n_values, trials and seed must be integers: {error}") from None
         if not self.n_values or min(self.n_values) < 2:
             raise ValueError("n_values must contain integers >= 2")
         self.sigma_values = tuple(as_sigma(s) for s in self.sigma_values)

@@ -215,17 +215,33 @@ def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():
 
 
 def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
-    # Scaling each row by a power of two is exact, so away from overflow the
-    # row verdicts and values are those of the unscaled test, bit for bit,
-    # and so is sigma_from_m3 of a single row.
-    def unscaled(b, c, tol=1e-9):
-        out = []
+    # The pairs are taken to the time unit that levels their largest b and c
+    # entries and divided by the power of two of their largest entry.  Both
+    # scalings are exact, so the verdicts are those of this balanced rule
+    # written out row by row, and a fitted sigma agrees to rounding.
+    def balanced(b, c, tol=1e-9):
+        n, eps = b.shape[1], np.finfo(float).eps
+        bmax, cmax = float(abs(b).max()), float(abs(c).max())
+        k = 0
+        if min(bmax, cmax) > 0.0 and bmax > (n + 1) * eps * cmax:
+            k = (math.frexp(cmax)[1] - math.frexp(bmax)[1] + 1) // 2
+        b, c = b * 2.0**k, c * 2.0**-k
+        top = 2.0 ** math.frexp(max(float(abs(b).max()), float(abs(c).max())))[1]
+        b, c = b / top, c / top
+        rows, fit_bc, fit_bb = [], 0.0, 0.0
         for bi, ci in zip(b, c):
-            nb, nc = float(np.linalg.norm(bi)), float(np.linalg.norm(ci))
-            if collinearity_defect(bi, ci) > tol * (1.0 + nb * nb * nc * nc):
+            bb, cc, bc = float(bi @ bi), float(ci @ ci), float(bi @ ci)
+            if 2.0 * (bb * cc - bc * bc) > tol * (1.0 + bb * cc):
                 return "NotCollinear"
-            out.append(float(bi @ ci) / (nb * nb) if nb > tol * nc else math.inf)
-        return out
+            if bb + cc > 0.0:
+                rows.append(bc / bb if math.sqrt(bb) > tol * math.sqrt(cc) else math.inf)
+            fit_bc, fit_bb = fit_bc + bc, fit_bb + bb
+        lo, hi = min(rows), max(rows)
+        if lo == math.inf:
+            return math.inf
+        if hi == math.inf or hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
+            return "NotCollinear"
+        return fit_bc / fit_bb * 4.0**k
 
     def verdict(fn):
         try:
@@ -240,28 +256,94 @@ def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
         b = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
         c = (rng.uniform(-5.0, 5.0, (m, 1)) * b
              + rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-9.0, -3.0))
+        # A Carroll row has b below (n+1) eps |c|, so that a set of them alone
+        # keeps its own time unit and reads as Carroll.
         carroll = rng.random(m) < 0.2
-        b[carroll], c[carroll] = b[carroll] * 10.0 ** rng.uniform(-12.0, -7.0), b[carroll]
-        want = unscaled(b, c)
-        assert verdict(lambda: classify._row_sigmas(b, c, 1e-9).tolist()) == want
-        if m == 1:
-            # sigma_from_m3 fits one row as b @ c / b @ b, not over |b|^2.
-            fit = (want if isinstance(want, str) else want[0] if math.isinf(want[0])
-                   else float(b[0] @ c[0]) / float(b[0] @ b[0]))
-            assert verdict(lambda: sigma_from_m3(b[0], c[0]).value) == fit
-        verdicts.add(want if isinstance(want, str) else math.inf in want)
+        b[carroll], c[carroll] = b[carroll] * 10.0 ** rng.uniform(-24.0, -16.0), b[carroll]
+        want = balanced(b, c)
+        got = verdict(lambda: sigma_from_m3(b, c).value)
+        if isinstance(want, str) or math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-13)
+        verdicts.add(want if isinstance(want, str) else math.isinf(want))
     assert verdicts == {"NotCollinear", True, False}
 
 
 def test_sigma_from_m3_keeps_a_row_far_smaller_than_the_largest():
-    # Each row has its own power-of-two scale, so a nonzero collinear row
-    # 1e170 times smaller than another does not underflow to zero.
+    # Rows are judged in the scale of the set: a collinear row 1e170 times
+    # smaller than the largest entry has squares that underflow there, so it
+    # is skipped, as classify_algebra skips content under its cut.  It does
+    # not spoil the fit, and its own sigma is not judged.
     b = [[1.0, 0.0], [1e-170, 0.0]]
     c = [[2.0, 0.0], [2e-170, 0.0]]
     assert sigma_from_m3(b, c) == Sigma(2.0)
     assert sigma_from_m3(c, b) == Sigma(0.5)
-    with pytest.raises(NotCollinear, match="disagree"):
-        sigma_from_m3(b, [[2.0, 0.0], [3e-170, 0.0]])
+    assert sigma_from_m3(b, [[2.0, 0.0], [3e-170, 0.0]]) == Sigma(2.0)
+
+
+def test_sigma_from_m3_reads_a_pair_as_classify_algebra_reads_its_generator():
+    # One sigma rule, over 3 * 28 * 3 * 20 = 5,040 pairs: n = 2, 3 and 10;
+    # sigma = +-1e-12 ... 1e12, 0 and inf; c collinear with b, tilted by 1e-3
+    # or perpendicular; |b| in 10^[-3, 3].
+    rng = np.random.default_rng(33)
+    sigmas = [s * 10.0**e for e in range(-12, 13, 2) for s in (1.0, -1.0)] + [0.0, math.inf]
+    for n in (2, 3, 10):
+        for sigma in sigmas:
+            for tilt in (0.0, 1e-3, math.pi / 2):
+                for _ in range(20):
+                    u, v = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+                    size = 10.0 ** rng.uniform(-3.0, 3.0)
+                    b, c = size * u, size * (math.cos(tilt) * u + math.sin(tilt) * v)
+                    b, c = (0.0 * b, c) if math.isinf(sigma) else (b, sigma * c)
+                    result = classify_algebra([mixing(b, c)])
+                    try:
+                        got = sigma_from_m3(b, c)
+                    except NotCollinear:
+                        assert not result.is_kinematical, (n, sigma, tilt, result.sigma)
+                    else:
+                        assert result.is_kinematical, (n, sigma, tilt, result.reason)
+                        assert got.value == pytest.approx(result.sigma.value, rel=1e-12, abs=0.0), (
+                            n, sigma, tilt, got, result.sigma)
+
+
+def test_sigma_from_m3_follows_a_change_of_time_unit_bit_for_bit():
+    # (2^k b, 2^-k c) is (b, c) in another time unit, of sigma 4^-k sigma.
+    # |sigma| <= 1e3 keeps 4^-k sigma below the Carroll guard for k >= -20.
+    rng = np.random.default_rng(34)
+    sets = []
+    for n, sigma in ((2, 1e3), (3, -1e3), (2, 0.37), (3, -1e-9), (2, 0.0), (3, 7.5e-4)):
+        b = rng.standard_normal((3, n)) * rng.uniform(0.5, 2.0, (3, 1))
+        c = sigma * b * (1.0 + 1e-11 * rng.standard_normal((3, 1)))
+        sets.append((b, c, sigma_from_m3(b, c).value))
+    for k in range(-20, 501):
+        b, c, sigma = sets[k % len(sets)]
+        assert sigma_from_m3(2.0**k * b, 2.0**-k * c).value == math.ldexp(sigma, -2 * k)
+
+
+def test_sigma_from_m3_is_scale_free_bit_for_bit():
+    # A common power of two is exact on every entry and leaves the verdict
+    # as it is: sigma bit for bit, and a pair tilted by 1e-3 refused.
+    def verdict(b, c):
+        try:
+            return sigma_from_m3(b, c).value
+        except NotCollinear:
+            return "NotCollinear"
+
+    rng = np.random.default_rng(35)
+    sets = []
+    for n, sigma, tilt in ((2, 1e3, 0.0), (3, -1e3, 0.0), (2, 0.37, 0.0), (3, -1e-9, 0.0),
+                           (2, 0.0, 0.0), (3, math.inf, 0.0), (2, -4e-3, 0.0), (3, 1.0, 1e-3)):
+        b = rng.standard_normal((3, n)) * rng.uniform(0.5, 2.0, (3, 1))
+        c = b * (1.0 + 1e-11 * rng.standard_normal((3, 1)))
+        v = np.linalg.qr(np.c_[b[0], rng.standard_normal(n)])[0][:, 1]
+        c[0] += tilt * np.linalg.norm(b[0]) * v
+        b, c = (0.0 * b, c) if math.isinf(sigma) else (b, sigma * c)
+        sets.append((b, c, verdict(b, c)))
+    assert sets[-1][2] == "NotCollinear"
+    for j in range(-900, 1001):
+        b, c, want = sets[j % len(sets)]
+        assert verdict(2.0**j * b, 2.0**j * c) == want
 
 
 def _pairs(*sigmas):

@@ -83,6 +83,30 @@ def test_load_rejects_bad_schema(tmp_path, payload):
         cli.load_matrix_file(path)
 
 
+@pytest.mark.parametrize("n, matrices", [
+    ("18446744073709551616", "[[1.0]]"),  # 2^64, which orjson reads as a float
+    ("18446744073709551615", "[]"),
+    ("1099511627776", "[]"),
+    ("1073741823", "[[1.0]]"),
+    ("1e400", "[]"),
+])
+def test_a_huge_n_is_too_large(tmp_path, capsys, n, matrices):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"n": {n}, "matrices": {matrices}}}')
+    with pytest.raises(ValueError, match='^"n" is too large$'):
+        cli.load_matrix_file(str(path))
+    assert cli.main(["classify", str(path)]) == 1
+    assert capsys.readouterr().err == 'error: "n" is too large\n'
+
+
+@pytest.mark.parametrize("n", ["2.5", "3.0", "-1", "true", "1073741822"])
+def test_an_n_below_the_bound_keeps_its_message(tmp_path, n):
+    path = tmp_path / "small.json"
+    path.write_text(f'{{"n": {n}, "matrices": [[1.0]]}}')
+    with pytest.raises(ValueError, match='positive integer|row-major entries'):
+        cli.load_matrix_file(str(path))
+
+
 def test_an_affine_key_is_ignored_like_any_unknown_key(tmp_path, capsys):
     payload = generator_payload(2, 1.0)
     runs = []

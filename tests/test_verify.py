@@ -32,6 +32,17 @@ def test_config_validation():
         SuiteConfig(seed=-1)
 
 
+def test_config_takes_integers_only():
+    # A float is refused at construction rather than rounded (n = 2.7 ran
+    # n = 2) or left to fail every property; numpy integers are integers.
+    for bad in (dict(seed=2.5), dict(trials=2.5), dict(n_values=(2.7,)), dict(n_values=(2, 3.0))):
+        with pytest.raises(ValueError, match="integers"):
+            SuiteConfig(**bad)
+    cfg = SuiteConfig(n_values=np.arange(2, 4), trials=np.int64(3), seed=np.uint8(7))
+    assert (cfg.n_values, cfg.trials, cfg.seed) == ((2, 3), 3, 7)
+    assert all(type(x) is int for x in (*cfg.n_values, cfg.trials, cfg.seed))
+
+
 def test_config_sigma_filters():
     cfg = SuiteConfig(sigma_values=(1.0, -2.0, 0.0, math.inf))
     assert [s.value for s in cfg.finite_nonzero()] == [1.0, -2.0]
