@@ -73,49 +73,41 @@ class WorldLine:
     def __init__(self, origin: Event, velocity=None, direction=None):
         if (velocity is None) == (direction is None):
             raise ValueError("give exactly one of velocity or direction")
-        self.origin, self._dt = origin, None  # each line's time advance, measured on first use
+        self.origin = origin
         if direction is None:
             velocity = np.asarray(velocity, dtype=float)
             if velocity.shape != origin.r.shape:
                 raise ValueError("velocity must have the event's dimension")
-            self.direction = np.empty(origin.vector().shape)
-            self.direction[..., :-1], self.direction[..., -1] = _finite(velocity, "world line"), 1.0
+            self.direction = d = np.empty(origin.vector().shape)
+            d[..., :-1], d[..., -1] = _finite(velocity, "world line"), 1.0
         else:
-            self.direction = np.asarray(direction, dtype=float)
-            if self.direction.shape != origin.vector().shape:
+            self.direction = d = np.asarray(direction, dtype=float)
+            if d.shape != origin.vector().shape:
                 raise ValueError("direction must have length n + 1")
-            refuse(self._measure()[1] == 0.0, "direction must be nonzero")  # and finite
-
-    def _measure(self):
-        """Store each line's time advance, NaN on a general line, and return it and each line's
-        length, judged on d, or where d has an entry past 2^500 or a line shorter than 2^-500, on
-        each line over 2^e, e the exponent of its largest entry: exact, and no square overflows."""
-        d = x = self.direction
+        # Each line's time advance, NaN on a general line, judged with its length on d, or
+        # where d has an entry past 2^500 or a line shorter than 2^-500, on each line over 2^e,
+        # e the exponent of its largest entry: exact, and no square overflows.
+        x = d
         if np.count_nonzero(abs(d) < 2.0 ** 500) != d.size or np.count_nonzero(
                 (length := op_norm(d, 1)) < 2.0 ** -500):  # inf and NaN come here, to _finite
             x = np.ldexp(_finite(d, "world line"), -np.frexp(abs(d).max(-1))[1][..., None])
             length = op_norm(x, 1)
+        refuse(length == 0.0, "direction must be nonzero")  # a velocity line's time is 1
         self._dt = np.where(abs(x[..., -1]) > _TIME_CUTOFF * length, d[..., -1], np.nan)
-        return self._dt, length
-
-    def _advance(self):
-        """Each line's time advance, NaN on a general line."""
-        return self._measure()[0] if self._dt is None else self._dt
 
     @property
     def kind(self):
         """"timelike" or "general", an array of them for a stack."""
-        return np.where(np.isnan(self._advance()), "general", "timelike")[()]
+        return np.where(np.isnan(self._dt), "general", "timelike")[()]
 
     @property
     def velocity(self) -> np.ndarray:
         """dr/dt, NaN on general lines."""
-        return self.direction[..., :-1] / self._advance()[..., None]
+        return self.direction[..., :-1] / self._dt[..., None]
 
     def point(self, s: float) -> Event:
         """Event at parameter s, the time advance on timelike lines."""
-        dt = self._advance()
-        step = self.direction / np.where(np.isnan(dt), 1.0, dt)[..., None]
+        step = self.direction / np.where(np.isnan(self._dt), 1.0, self._dt)[..., None]
         return Event.from_vector(self.origin.vector() + s * step)
 
     def speed(self):

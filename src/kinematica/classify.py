@@ -98,6 +98,10 @@ class Sigma:
             raise ValueError("rotation scale needs sigma < 0")
         return 1.0 / math.sqrt(-self.value)
 
+    def json_value(self) -> float | str:
+        """The value as JSON holds it: the float, or "inf" for Carroll (JSON has no infinity)."""
+        return "inf" if self.is_infinite else self.value
+
     def __repr__(self) -> str:
         if self.is_infinite:
             return "Sigma(inf)"

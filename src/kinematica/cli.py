@@ -47,12 +47,6 @@ def _parse_sigma(text: str) -> Sigma:
         raise ValueError(f"cannot read sigma value {text!r}") from None
 
 
-def _sigma_json(sigma: Sigma | None):
-    if sigma is None:
-        return None
-    return "inf" if sigma.is_infinite else sigma.value
-
-
 @dataclass
 class MatrixFile:
     """Parsed contents of the JSON matrix format: the space dimension n and
@@ -144,7 +138,7 @@ def _cmd_classify(args) -> int:
     out = {
         "outcome": result.outcome,
         "case": None,
-        "sigma": _sigma_json(result.sigma),
+        "sigma": None if result.sigma is None else result.sigma.json_value(),
         "diagnostics": result.diagnostics,
     }
     if result.outcome == classify_mod.OUTCOME_NOT_KINEMATICAL:
@@ -157,8 +151,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     sigma = _parse_sigma(args.sigma)
-    if not (sigma.is_finite and sigma.value > 0):
-        raise ValueError("decompose needs a finite sigma > 0")
     mf = load_matrix_file(args.file)
     f = groups.cartan_decompose(mf.matrices, sigma, args.tol)  # one call on the stack
     entries = [{"error": refused.__name__} if refused else {"lambda": lam, "k": k, "Z": Z}

@@ -184,10 +184,10 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
 
 
 def _metric_test(a: np.ndarray, s: Sigma, tol: float):
-    """(ok, lam, u), of a's stack shape, for a^dagger a = lam I, lam = trace / (n+1), tested
-    on a balanced by matcore.balance against sigma' = 4^-k sigma in [1/2, 2).  u = eps
+    """(ok, resolved, lam, u), of a's stack shape, for a^dagger a = lam I, lam = trace / (n+1),
+    tested on a balanced by matcore.balance against sigma' = 4^-k sigma in [1/2, 2).  u = eps
     |a^dagger| |a| grows like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u,
-    lam zero or normal."""
+    lam zero or normal.  resolved: ok and lam > 4 (n+3) u, the normalizer's gate."""
     n = a.shape[-1] - 1
     mant, exps = np.frexp(a)
     k = matcore.balance(exps, s.value)
@@ -207,13 +207,10 @@ def _metric_test(a: np.ndarray, s: Sigma, tol: float):
     u = math.ulp(1.0) * norms[0] * norms[1]
     ok = norms[2] <= tol * abs(lam) + (n + 3) * u
     zero = lam == 0.0
-    big = abs(top) > 500  # any() of a numpy scalar is slow, hence ndim
-    if big.any() if big.ndim else big:  # lam or u may pass the float range, to inf (refused)
-        with np.errstate(over="ignore"):
-            lam, u = np.ldexp(lam, 2 * top), np.ldexp(u, 2 * top)
-    else:  # |lam| <= 2 (n+1) and 4^top is a normal float: a product has ldexp's bits
-        lam, u = lam * (scale := np.ldexp(1.0, 2 * top)), u * scale
-    return ok & (zero | ((abs(lam) >= sys.float_info.min) & (abs(lam) < math.inf))), lam, u
+    with np.errstate(over="ignore"):  # lam or u may pass the float range, to inf (refused)
+        lam, u = np.ldexp(lam, 2 * top), np.ldexp(u, 2 * top)
+    ok &= zero | ((abs(lam) >= sys.float_info.min) & (abs(lam) < math.inf))
+    return ok, ok & (lam * (0.25 / (n + 3)) > u), lam, u
 
 
 def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
@@ -226,9 +223,8 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     balanced time unit.  Members beyond rapidity about 16 are refused, and
     so is a lam beyond the float range.  Needs a finite nonzero sigma.
     """
-    a = as_square_stack(a)
-    ok, lam, u = _metric_test(a, as_sigma(sigma), tol)
-    return _verdict(ok & (lam * (0.25 / (a.shape[-1] + 2)) > u)), lam  # lam > 4 (n+3) u
+    _, resolved, lam, _ = _metric_test(as_square_stack(a), as_sigma(sigma), tol)
+    return _verdict(resolved), lam
 
 
 @dataclass
@@ -272,13 +268,12 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     anti-member at n = 1), and NotInNormalizer whenever else
     :func:`in_normalizer` refuses a.  A stack raises neither (see ``refused``).
     """
-    a = as_square_stack(a)
     s = as_sigma(sigma)
     if not (s.is_finite and s.value > 0.0):
-        raise ValueError("Cartan decomposition needs sigma > 0")
+        raise ValueError("Cartan decomposition needs a finite sigma > 0")
+    a = as_square_stack(a)
     n = a.shape[-1] - 1
-    ok, lam, u = _metric_test(a, s, tol)
-    factored = ok & (lam * (0.25 / (n + 3)) > u)  # lam > 4 (n+3) u, and nothing overflows
+    ok, factored, lam, u = _metric_test(a, s, tol)  # factored: nothing below overflows
     status = np.subtract(ok & (lam <= 0.0), factored, dtype=np.intp)  # -1: factored
     if status.ndim == 0 and status >= 0:  # one matrix raises
         raise _REFUSALS[status](f"a^dagger a is not a resolvable positive multiple of I "
@@ -333,7 +328,7 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     s = _check_pairing(case, sigma)
 
     if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
-        ok, lam, u = _metric_test(a, s, tol)
+        ok, _, lam, u = _metric_test(a, s, tol)
         return _verdict(ok & (abs(lam - 1.0) <= tol) & (u <= 0.5 * tol))
 
     return _verdict(_shape_test(a, case, tol))

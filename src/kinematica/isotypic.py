@@ -64,11 +64,8 @@ def split(Z) -> IsotypicSplit:
     if n < 2:
         raise ValueError("isotypic split needs at least two space dimensions")
     A = Z[..., :n, :n]
-    with np.errstate(all="ignore"):  # a sum past the float max is read again below
-        lam = np.trace(A, axis1=-2, axis2=-1) / n
-    if not np.isfinite(lam).all():  # over 2^k > n, no sum of n finite entries overflows
-        scale = 2.0 ** n.bit_length()
-        lam = np.where(np.isfinite(lam), lam, (A / scale).trace(0, -2, -1) / n * scale)[()]
+    scale = 2.0 ** n.bit_length()  # over 2^k > n no sum of n entries overflows; exact if normal
+    lam = (np.diagonal(A, 0, -2, -1) / scale).sum(-1) / n * scale
     half = 0.5 * A  # halved first, so no sum or difference can overflow
     m1 = half - half.mT
     m2 = half + half.mT
@@ -97,7 +94,9 @@ def block_rotation(R, eps) -> np.ndarray:
     R = matcore.as_square_stack(R)
     eps = np.asarray(eps)
     n = R.shape[-1]
-    matcore.refuse(matcore.op_norm(R.mT @ R - np.eye(n), 2) > 1e-10, "R must be orthogonal")
+    with np.errstate(over="ignore", invalid="ignore"):  # a defect past the float max: inf or NaN
+        defect = matcore.op_norm(R.mT @ R - np.eye(n), 2)
+    matcore.refuse(np.logical_not(defect <= 1e-10), "R must be orthogonal")
     matcore.refuse((eps != 1) & (eps != -1), "eps must be +1 or -1")
     K = np.zeros(np.broadcast_shapes(R.shape[:-2], eps.shape) + (n + 1, n + 1))
     K[..., :n, :n] = R

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,8 @@ class SuiteConfig:
             raise ValueError(f"n_values, trials and seed must be integers: {error}") from None
         if not self.n_values or min(self.n_values) < 2:
             raise ValueError("n_values must contain integers >= 2")
+        if isinstance(self.sigma_values, (str, bytes)):  # else read one character at a time
+            raise ValueError("sigma_values must be a sequence of numbers, not a string")
         self.sigma_values = tuple(as_sigma(s) for s in self.sigma_values)
         if not self.sigma_values:
             raise ValueError("sigma_values must not be empty")
@@ -77,8 +80,7 @@ class SuiteConfig:
     def to_json_dict(self) -> dict:
         return {
             "n_values": list(self.n_values),
-            "sigma_values": ["inf" if s.is_infinite else s.value
-                             for s in self.sigma_values],
+            "sigma_values": [s.json_value() for s in self.sigma_values],
             "trials": self.trials,
             "tol": self.tol,
             "seed": self.seed,
@@ -126,52 +128,46 @@ class SuiteReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _listify(payload: dict) -> dict:
-    out = {}
-    for key, value in payload.items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        elif isinstance(value, Sigma):
-            out[key] = "inf" if value.is_infinite else value.value
-        else:
-            out[key] = value
-    return out
+def _json_item(value, i: int):
+    """A payload entry as JSON holds it: the row i of an ndarray, a Sigma's value."""
+    if isinstance(value, np.ndarray):
+        return value[i:i + 1].tolist()[0]  # Python scalars and lists, whatever the dtype
+    return value.json_value() if isinstance(value, Sigma) else value
 
 
 class _Check:
     """Accumulates residuals, how many were judged, and the counterexample at
-    the worst failure."""
+    the worst failure into one PropertyResult."""
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.worst = 0.0
-        self.passed = True
-        self.counterexample = None
-        self.checks = 0
+        self._result = PropertyResult(True, 0.0)
 
-    def residual(self, values, payload=None):
-        """Judge one value or an array of them; a NaN fails as inf.  payload is
-        the counterexample, or a function of the index of the worst value that
-        returns it, called only when that value fails and is the worst yet."""
+    def residual(self, values, payload: dict | None = None):
+        """Judge one value or an array of them; a NaN fails as inf.  payload is the
+        counterexample: each ndarray in it holds one row per value judged, and only the
+        row of the worst value is read, when that value fails and is the worst yet."""
         values = np.asarray(values, dtype=float).ravel()
-        self.checks += values.size
+        result = self._result
+        result.checks += values.size
         if not values.size:
             return
         i = int(values.argmax())  # the first NaN, if there is one
         value = math.inf if math.isnan(values[i]) else float(values[i])
         failing = value > self.tol
-        if value > self.worst:
-            self.worst = value
+        if value > result.worst_residual:
+            result.worst_residual = value
             if failing and payload is not None:
-                self.counterexample = _listify(payload(i) if callable(payload) else payload)
+                result.counterexample = {key: _json_item(item, i)
+                                         for key, item in payload.items()}
         if failing:
-            self.passed = False
+            result.passed = False
 
-    def flag(self, ok, payload=None):
+    def flag(self, ok, payload: dict | None = None):
         self.residual(np.where(ok, 0.0, 1.0), payload)
 
     def result(self) -> PropertyResult:
-        return PropertyResult(self.passed, self.worst, self.counterexample, self.checks)
+        return self._result
 
 
 def _members(rng: np.random.Generator, case: CaseLabel, s: Sigma | None, n: int,
@@ -220,23 +216,22 @@ def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n:
         matcore.op_norm(moved.b - eps[:, None] * (R @ parts.b[..., None])[..., 0], 1),
         matcore.op_norm(moved.c - eps[:, None] * (R @ parts.c[..., None])[..., 0], 1),
     ], axis=0)
-    check.residual(resid, lambda i: {"Z": Z[i], "R": R[i], "eps": int(eps[i])})
+    check.residual(resid, {"Z": Z, "R": R, "eps": eps})
 
 
 def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     for s in cfg.sigma_values:
-        b = rng.standard_normal((cfg.trials, n))
-        bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, s.value * b)
+        b = rng.standard_normal((cfg.trials, n))  # pairs in the balanced unit of sigma
+        bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, _balanced_sigma(s) * b)
         defects = classify.collinearity_defect(bs, cs)
         check.residual(abs(defects) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
-                       lambda i: {"b": bs[i], "c": cs[i], "sigma": s})
+                       {"b": bs, "c": cs, "sigma": s})
         # The doubled commutator of a general mixing generator with the
         # rotation it spawns reproduces the defect in its corner.
         b2, c2 = rng.standard_normal((2, cfg.trials, n))
         _, _, corners = _doubled_commutator(b2, c2)
         closed = classify.collinearity_defect(b2, c2)
-        check.residual(abs(corners - closed) / (1.0 + abs(closed)),
-                       lambda i: {"b": b2[i], "c": c2[i]})
+        check.residual(abs(corners - closed) / (1.0 + abs(closed)), {"b": b2, "c": c2})
 
 
 def _generated_bases(n: int, s: Sigma, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -253,15 +248,16 @@ def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
     check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
     for s in cfg.sigma_values:
         results = classify.classify_algebra(_generated_bases(n, s, rng, cfg.trials), cfg.tol)
-        payloads = [{"n": n, "sigma": s, "outcome": r.outcome, "reason": r.reason}
-                    for r in results]
+        outcome = np.array([r.outcome for r in results])
+        reason = np.array([r.reason for r in results], dtype=object)
         check.flag([r.is_kinematical and classify.case_label(r) == case_of_sigma(s)
-                    for r in results], payloads.__getitem__)
+                    for r in results], {"n": n, "sigma": s, "outcome": outcome, "reason": reason})
         read = [i for i, r in enumerate(results) if r.is_kinematical]
         got = np.array([results[i].sigma.value for i in read])
         err = (np.where(np.isinf(got), 0.0, 1.0) if s.is_infinite
                else abs(got - s.value) / (1.0 + abs(s.value)))
-        check.residual(err, lambda j: payloads[read[j]])
+        check.residual(err, {"n": n, "sigma": s, "outcome": outcome[read],
+                             "reason": reason[read]})
 
 
 def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -270,12 +266,11 @@ def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
         scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
         ok, lam = groups.in_normalizer(members, s, cfg.tol)
         ok2, lam2 = groups.in_normalizer(np.sqrt(scales)[:, None, None] * members, s, cfg.tol)
-        check.flag(ok, lambda i: {"a": members[i], "sigma": s})
-        check.residual(abs(lam - 1.0), lambda i: {"a": members[i], "sigma": s, "lam": lam[i]})
-        check.flag(ok2, lambda i: {"a": members[i], "sigma": s, "lam0": scales[i]})
+        check.flag(ok, {"a": members, "sigma": s})
+        check.residual(abs(lam - 1.0), {"a": members, "sigma": s, "lam": lam})
+        check.flag(ok2, {"a": members, "sigma": s, "lam0": scales})
         check.residual(abs(lam2 - scales) / (1.0 + scales),
-                       lambda i: {"a": members[i], "sigma": s, "lam0": scales[i],
-                                  "lam2": lam2[i]})
+                       {"a": members, "sigma": s, "lam0": scales, "lam2": lam2})
 
 
 def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -294,8 +289,7 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
             matcore.op_norm(_balanced(factors.reconstruct() - a, s), 2)
             / (1.0 + matcore.op_norm(_balanced(a, s), 2)),
         ], axis=0)
-        check.residual(resid, lambda i: {"a": a[i], "k": k[i], "Z": Z[i], "lam": lam[i],
-                                         "sigma": s})
+        check.residual(resid, {"a": a, "k": k, "Z": Z, "lam": lam, "sigma": s})
 
 
 def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
@@ -305,14 +299,18 @@ def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
     return x
 
 
+def _balanced_sigma(s: Sigma) -> float:
+    """Finite sigma in its balanced time unit, 4^-k sigma in [1/2, 2) (or 0), k balance's."""
+    return math.ldexp(s.value, -2 * matcore.balance(np.empty((0, 2, 2)), s.value))
+
+
 def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     for case, s in _cases(cfg):
         members = _members(rng, case, s, n, 2.0, 2 * cfg.trials)
         g1, g2 = members[:cfg.trials], members[cfg.trials:]
         products = groups.membership(g1 @ g2, case, s, cfg.tol)
         inverses = groups.membership(np.linalg.inv(g1), case, s, cfg.tol)
-        check.flag(products & inverses,
-                   lambda i: {"g1": g1[i], "g2": g2[i], "case": case.value})
+        check.flag(products & inverses, {"g1": g1, "g2": g2, "case": case.value})
 
 
 def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -325,29 +323,28 @@ def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
             matcore.op_norm(A.mT @ A - np.eye(n), 2),
             abs(abs(a[:, n, n]) - 1.0),
         ], axis=0)
-        check.residual(resid, lambda i: {"a": a[i], "case": case.value})
-        check.flag(groups.in_K(a, cfg.tol), lambda i: {"a": a[i], "case": case.value})
+        check.residual(resid, {"a": a, "case": case.value})
+        check.flag(groups.in_K(a, cfg.tol), {"a": a, "case": case.value})
 
 
 def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     for s in cfg.sigma_values:
         a = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
-        if s.is_finite and s.value != 0.0:
-            g = np.diag(np.r_[np.full(n, -s.value), 1.0])
-            resid = matcore.op_norm(a.mT @ g @ a - g, 2) / (1.0 + matcore.op_norm(g))
-            check.residual(resid, lambda i: {"a": a[i], "sigma": s})
+        if s.is_finite and s.value != 0.0:  # judged in the balanced unit of sigma
+            g, x = np.diag(np.r_[np.full(n, -_balanced_sigma(s)), 1.0]), _balanced(a, s)
+            resid = matcore.op_norm(x.mT @ g @ x - g, 2) / (1.0 + matcore.op_norm(g))
+            check.residual(resid, {"a": a, "sigma": s})
         elif s.is_finite:
             # Galilei: the last row is (0, ..., 0, +-1) exactly by
             # construction, so time differences change at most sign.
             exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
-            check.flag(exact == 0.0, lambda i: {"a": a[i], "sigma": s})
+            check.flag(exact == 0.0, {"a": a, "sigma": s})
         else:
             # Carroll: spatial separations are preserved.
             x, y = rng.standard_normal((2, cfg.trials, n + 1, 1))
             before = matcore.op_norm((x - y)[:, :n, 0], 1)
             after = matcore.op_norm((a @ x - a @ y)[:, :n, 0], 1)
-            check.residual(abs(after - before) / (1.0 + before),
-                           lambda i: {"a": a[i], "sigma": s})
+            check.residual(abs(after - before) / (1.0 + before), {"a": a, "sigma": s})
 
 
 def _random_affine(n: int, rng: np.random.Generator, count: int) -> affine.AffineElement:
@@ -380,8 +377,7 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
         matcore.op_norm((q2 - q0) - 2.0 * (q1 - q0), 1),
     ], axis=0)
     scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
-    check.residual(resid / scale,
-                   lambda i: {"g_linear": g.linear[i], "h_linear": h.linear[i]})
+    check.residual(resid / scale, {"g_linear": g.linear, "h_linear": h.linear})
     for s in cfg.positive():
         c = s.invariant_speed
         members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
@@ -392,8 +388,8 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
         velocities = np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))
         null, slow = affine.transform_worldline(
             gmap, affine.WorldLine(origins, velocity=velocities)).speed()
-        check.residual(abs(null - c) / (1.0 + c), lambda i: {"a": members[i], "sigma": s})
-        check.flag(slow < c, lambda i: {"a": members[i], "sigma": s})
+        check.residual(abs(null - c) / (1.0 + c), {"a": members, "sigma": s})
+        check.flag(slow < c, {"a": members, "sigma": s})
 
 
 def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -432,11 +428,9 @@ def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
         expected = np.zeros(M.shape)  # the reflection through the plane normal to u
         expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
         expected[:, n, n] = -1.0  # and time reversed
-        check.residual(matcore.op_norm(_balanced(M - expected, s), 2),
-                       lambda i: {"u": u[i], "C": C})
+        check.residual(matcore.op_norm(_balanced(M - expected, s), 2), {"u": u, "C": C})
         full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
-        check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2),
-                       lambda i: {"u": u[i], "C": C})
+        check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), {"u": u, "C": C})
 
 
 def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -445,16 +439,20 @@ def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The result is a block rotation: the spatial block reflects through the
     plane normal to u (determinant -1) and the corner entry is -1, a time
-    reversal.  Raises ValueError, naming the first failing row of a stack,
-    if u is not a unit vector or the result, in the balanced time unit of
-    sigma, fails the block test.
+    reversal.  Raises ValueError if C is not positive or sigma is not a
+    normal float, and, naming the first failing row of a stack, if u is not
+    a unit vector or the result, in the balanced time unit of sigma, fails
+    the block test.
     """
     if not (C > 0):
         raise ValueError("C must be positive")
+    r = 1.0 / C  # where C * C would overflow or underflow, r * r may not
+    if not sys.float_info.min <= r * r < math.inf:
+        raise ValueError(f"C = {C!r} gives sigma = -1/C^2 = {-(r * r)!r}, not a normal float")
+    sigma = Sigma(-(r * r))
     u = np.asarray(u, dtype=float)
     matcore.refuse(abs(matcore.op_norm(u, 1) - 1.0) > 1e-12, "u must be a unit vector")
     n = u.shape[-1]
-    sigma = Sigma(-1.0 / (C * C))
     M = groups.boost_closed_form(math.pi * C * u, sigma)
     matcore.refuse(np.logical_not(groups.in_K(_balanced(M, sigma), tol)),
                    "wrap-around boost did not land in the rotation block")

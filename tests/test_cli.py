@@ -391,8 +391,9 @@ def test_decompose_refuses_a_lam_beyond_the_float_range(tmp_path, capsys):
 
 def test_decompose_rejects_bad_sigma(tmp_path, capsys):
     path = write_file(tmp_path, {"n": 2, "matrices": []})
-    assert cli.main(["decompose", path, "--sigma", "inf"]) == 1
-    assert cli.main(["decompose", path, "--sigma", "-1"]) == 1
+    for sigma in ("inf", "-1", "0"):
+        assert cli.main(["decompose", path, "--sigma", sigma]) == 1
+        assert capsys.readouterr().err == "error: Cartan decomposition needs a finite sigma > 0\n"
     assert cli.main(["decompose", path, "--sigma", "bogus"]) == 1
     capsys.readouterr()
 

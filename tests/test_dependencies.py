@@ -1,22 +1,30 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency, and
+the declared numpy floor has every numpy function the package calls."""
 
 import ast
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def dependency_specs() -> str:
+    """The text of pyproject.toml's [project] dependencies list."""
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^\[project\]$.*?^dependencies\s*=\s*\[(.*?)\]", text,
+                      re.MULTILINE | re.DOTALL)
+    assert block, "pyproject.toml has no [project] dependencies list"
+    return block.group(1)
 
 
 def declared_dependencies() -> set[str]:
     """Module names of pyproject.toml's [project] dependencies.  Read with a
     regular expression, since tomllib needs Python 3.11 and the package
     supports 3.10."""
-    text = (ROOT / "pyproject.toml").read_text()
-    block = re.search(r"^\[project\]$.*?^dependencies\s*=\s*\[(.*?)\]", text,
-                      re.MULTILINE | re.DOTALL)
-    assert block, "pyproject.toml has no [project] dependencies list"
-    names = re.findall(r"""["']\s*([A-Za-z0-9][A-Za-z0-9._-]*)""", block.group(1))
+    names = re.findall(r"""["']\s*([A-Za-z0-9][A-Za-z0-9._-]*)""", dependency_specs())
     return {name.lower().replace("-", "_").replace(".", "_") for name in names}
 
 
@@ -50,3 +58,41 @@ def test_every_third_party_import_is_declared():
     undeclared = {name: where for name, where in imported.items()
                   if name.lower() not in declared_dependencies()}
     assert not undeclared, f"imported but not in pyproject.toml dependencies: {undeclared}"
+
+
+def version(text: str) -> tuple[int, int, int]:
+    """"2.2" as (2, 2, 0), so that it compares equal to "2.2.0"."""
+    return (tuple(int(part) for part in text.split(".")) + (0, 0))[:3]
+
+
+def added_in(obj) -> tuple[int, int, int]:
+    """The version of the docstring's own ``versionadded`` note, (0, 0, 0) without one.  Notes
+    under the Parameters heading date a parameter, not the function, and are not read."""
+    doc = re.split(r"\n\s*Parameters\n\s*-{3,}", getattr(obj, "__doc__", None) or "")[0]
+    return max((version(v) for v in re.findall(r"versionadded::\s*(\d+(?:\.\d+)*)", doc)),
+               default=(0, 0, 0))
+
+
+def numpy_features_used() -> dict[str, object]:
+    """Each np.<name> (dotted names resolved) and ndarray.mT the package source uses."""
+    found = {}
+    for path in sorted((ROOT / "src" / "kinematica").rglob("*.py")):
+        text = path.read_text()
+        for chain in re.findall(r"\bnp\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", text):
+            obj = np
+            for part in chain.split("."):
+                obj = getattr(obj, part)
+            found["np." + chain] = obj
+        if re.search(r"\.mT\b", text):
+            found["ndarray.mT"] = np.ndarray.mT
+    return found
+
+
+def test_declared_numpy_floor_has_every_numpy_feature_used():
+    floor = re.search(r"""["']numpy\s*>=\s*([\d.]+)["']""", dependency_specs())
+    assert floor, "pyproject.toml declares no numpy floor"
+    used = numpy_features_used()
+    assert "np.vecdot" in used and "ndarray.mT" in used  # the scan sees the package's calls
+    newer = {name: ".".join(map(str, added_in(obj))) for name, obj in used.items()
+             if added_in(obj) > version(floor.group(1))}
+    assert not newer, f"numpy>={floor.group(1)} lacks what the package uses: {newer}"

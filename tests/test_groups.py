@@ -67,6 +67,20 @@ def test_k_element_validation():
         k_element(np.full((2, 2), np.nan), 1)
 
 
+def test_k_element_refuses_entries_whose_gram_matrix_overflows_without_a_warning():
+    # R^T R of these passes the float range (inf, or inf - inf = NaN); warnings are errors here
+    for R in (np.full((2, 2), 1e200), np.array([[1e200, -1e200], [1e200, 1e200]]),
+              np.full((2, 2), 1e100)):
+        with pytest.raises(ValueError, match="R must be orthogonal$"):
+            k_element(R, 1)
+
+
+def test_cartan_decompose_refuses_sigma_that_is_not_finite_and_positive():
+    for sigma in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="needs a finite sigma > 0"):
+            cartan_decompose(np.eye(3), sigma)
+
+
 def test_p_generator_finite():
     Z = p_generator(np.array([1.0, 2.0]), 3.0)
     expected = np.zeros((3, 3))

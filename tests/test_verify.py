@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ def test_config_takes_integers_only():
     cfg = SuiteConfig(n_values=np.arange(2, 4), trials=np.int64(3), seed=np.uint8(7))
     assert (cfg.n_values, cfg.trials, cfg.seed) == ((2, 3), 3, 7)
     assert all(type(x) is int for x in (*cfg.n_values, cfg.trials, cfg.seed))
+
+
+def test_config_refuses_a_string_of_sigma_values():
+    # A string is a sequence too: "12" would run sigma 1 and 2.
+    for bad in ("12", b"12"):
+        with pytest.raises(ValueError, match="not a string"):
+            SuiteConfig(sigma_values=bad)
 
 
 def test_config_sigma_filters():
@@ -218,12 +226,12 @@ def test_default_suite_check_counts():
 def test_check_keeps_the_worst_failing_value_and_counts_every_value():
     check = verify._Check(0.5)
     check.residual(0.1, {"first": True})
-    check.residual(np.array([0.2, 3.0, 0.7, 3.0]), lambda i: {"index": i})
-    check.flag(np.array([True, False]), lambda i: {"flag": i})
+    check.residual(np.array([0.2, 3.0, 0.7, 3.0]), {"index": np.arange(4)})
+    check.flag(np.array([True, False]), {"flag": np.arange(2)})
     result = check.result()
     assert not result.passed and result.worst_residual == 3.0
     assert result.counterexample == {"index": 1} and result.checks == 7
-    check.residual(np.array([0.0, math.nan]), lambda i: {"nan": i})
+    check.residual(np.array([0.0, math.nan]), {"nan": np.arange(2)})
     assert check.result().worst_residual == math.inf
     assert check.result().counterexample == {"nan": 1}
 
@@ -314,6 +322,22 @@ def test_wraparound_demo_validation():
         wraparound_demo(1.0, np.array([2.0, 0.0]))
 
 
+def test_wraparound_demo_refuses_a_period_scale_whose_sigma_is_not_a_normal_float():
+    # 1/C^2 past the float range, or in or below the subnormal range, where a Galilei
+    # shear (sigma = -0.0) or a rounded sigma would fail the block test instead.
+    for C in (1e-300, 5e-324, 1e154, 1e300, math.inf):
+        with pytest.raises(ValueError, match="^" + re.escape(f"C = {C!r} gives sigma")):
+            wraparound_demo(C, np.array([1.0, 0.0]))
+    M = wraparound_demo(1e-150, np.array([1.0, 0.0]))  # sigma = -1e300
+    assert M[2, 2] == -1.0
+
+
+def test_wraparound_property_reports_the_refused_period_scale():
+    report = run_suite(SuiteConfig(n_values=(2,), sigma_values=(-1e-320,), trials=2))
+    assert report.results["wraparound"].counterexample["error"].startswith(
+        "ValueError: C = 1.0000055664551363e+160 gives sigma = -1/C^2 = -1e-320")
+
+
 def test_wraparound_demo_of_a_stack_is_each_row_and_names_a_bad_row():
     rng = np.random.default_rng(44)
     u = rng.standard_normal((2, 3, 3))
@@ -356,3 +380,14 @@ def test_report_dataclass_passed_property():
     assert report.passed  # vacuously, no results yet
     report.results["P1"] = verify.PropertyResult(False, 1.0)
     assert not report.passed
+
+
+@pytest.mark.parametrize("sigma", [1e200, -1e200, 1e300, -1e300, 1e308, -1e308])
+def test_collinearity_and_invariants_hold_at_huge_sigma(sigma):
+    # P2 and P8 are judged in the balanced time unit of sigma, where neither sigma * b
+    # nor a^T g a passes the float range; warnings are errors here.
+    cfg = SuiteConfig(n_values=(2, 3), sigma_values=(sigma,), trials=5)
+    for pnum, prop in ((2, verify._prop_collinearity), (8, verify._prop_invariants)):
+        result = verify._run(prop, cfg, np.random.default_rng([cfg.seed, pnum]))
+        assert result.passed and result.counterexample is None, (pnum, result)
+        assert result.checks > 0
