@@ -105,11 +105,6 @@ class WorldLine:
         """dr/dt, NaN on general lines."""
         return self.direction[..., :-1] / self._dt[..., None]
 
-    def point(self, s: float) -> Event:
-        """Event at parameter s, the time advance on timelike lines."""
-        step = self.direction / np.where(np.isnan(self._dt), 1.0, self._dt)[..., None]
-        return Event.from_vector(self.origin.vector() + s * step)
-
     def speed(self):
         """|dr/dt| per line, NaN on the general lines of a stack; ValueError for one
         general line."""
@@ -140,10 +135,6 @@ class AffineElement:
     @property
     def dim(self) -> int:
         return self.linear.shape[-1]
-
-    @classmethod
-    def identity(cls, dim: int) -> "AffineElement":
-        return cls(np.eye(dim), np.zeros(dim))
 
 
 def compose(g: AffineElement, h: AffineElement) -> AffineElement:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import isotypic, matcore
 from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma, case_of_sigma
-from .matcore import as_square, as_square_stack, op_norm
+from .matcore import as_square_stack, op_norm
 
 __all__ = [
     "CartanFactors",
@@ -54,9 +54,10 @@ class LogarithmFailure(ValueError):
     """No longer raised: the Cartan factors take no logarithm.  Kept for callers."""
 
 
-def k_element(R, eps: int) -> np.ndarray:
-    """Block rotation diag(R, eps) with R orthogonal and eps = +1 or -1."""
-    return isotypic.block_rotation(as_square(R), eps)
+def k_element(R, eps) -> np.ndarray:
+    """Block rotation diag(R, eps) with R orthogonal and eps = +1 or -1, or a stack of them
+    for stacks of R and eps that broadcast: :func:`isotypic.block_rotation`."""
+    return isotypic.block_rotation(R, eps)
 
 
 def p_generator(b, sigma) -> np.ndarray:

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "as_square",
     "as_square_stack",
     "balance",
     "bracket",
@@ -47,15 +46,6 @@ def as_square_stack(matrices) -> np.ndarray:
         raise ValueError("matrix dimension must be at least 2")
     if np.count_nonzero(np.isfinite(M)) != M.size:  # faster than .all() on small arrays
         raise ValueError("matrix entries must be finite")
-    return M
-
-
-def as_square(matrix) -> np.ndarray:
-    """Copy ``matrix`` into a float array, checking it is square, finite and
-    at least 2 x 2."""
-    M = as_square_stack(np.array(matrix, dtype=float))
-    if M.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return M
 
 

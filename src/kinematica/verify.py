@@ -71,12 +71,6 @@ class SuiteConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def finite_nonzero(self) -> list[Sigma]:
-        return [s for s in self.sigma_values if s.is_finite and s.value != 0.0]
-
-    def positive(self) -> list[Sigma]:
-        return [s for s in self.sigma_values if s.is_finite and s.value > 0.0]
-
     def to_json_dict(self) -> dict:
         return {
             "n_values": list(self.n_values),
@@ -188,6 +182,11 @@ def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return v / matcore.op_norm(v, 1)[..., None]
 
 
+def _sigmas(cfg: SuiteConfig, *cases: CaseLabel) -> list[Sigma]:
+    """The sigma values of cfg whose case is one of cases, in cfg's order."""
+    return [s for s in cfg.sigma_values if case_of_sigma(s) in cases]
+
+
 def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, Sigma | None]]:
     pairs = dict.fromkeys((case_of_sigma(s), s) for s in cfg.sigma_values)  # first seen first
     return list(pairs) + [(CaseLabel.ARISTOTLE, None)]
@@ -261,7 +260,7 @@ def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
 
 
 def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in cfg.finite_nonzero():
+    for s in _sigmas(cfg, CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
         members = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
         scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
         ok, lam = groups.in_normalizer(members, s, cfg.tol)
@@ -274,7 +273,7 @@ def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
 
 
 def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in cfg.positive():
+    for s in _sigmas(cfg, CaseLabel.LORENTZ):
         k = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
         lam = rng.uniform(0.1, 10.0, cfg.trials)
         b = _units(rng, (cfg.trials, n)) * rng.uniform(0.0, 4.0 / math.sqrt(s.value),
@@ -378,10 +377,11 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
     ], axis=0)
     scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
     check.residual(resid / scale, {"g_linear": g.linear, "h_linear": h.linear})
-    for s in cfg.positive():
-        c = s.invariant_speed
+    for s in _sigmas(cfg, CaseLabel.LORENTZ):  # judged in the balanced unit of sigma
+        c = 1.0 / math.sqrt(_balanced_sigma(s))
         members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
-        gmap = affine.AffineElement(members, rng.standard_normal((cfg.trials, n + 1)))
+        gmap = affine.AffineElement(_balanced(members, s),
+                                    rng.standard_normal((cfg.trials, n + 1)))
         # a null and a slow line through random origins, one (2, trials) stack
         origins = affine.Event(rng.standard_normal((2, cfg.trials, n)),
                                rng.standard_normal((2, cfg.trials)))
@@ -421,7 +421,7 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
 
 
 def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in [s for s in cfg.sigma_values if s.is_finite and s.value < 0.0]:
+    for s in _sigmas(cfg, CaseLabel.ORTHOGONAL):
         C = s.rotation_scale
         u = _units(rng, (cfg.trials, n))
         M = wraparound_demo(C, u, cfg.tol)
@@ -523,7 +523,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
         cfg = SuiteConfig()
     report = SuiteReport(config=cfg)
     jobs = list(_PROPERTIES)
-    if any(s.is_finite and s.value < 0.0 for s in cfg.sigma_values):
+    if _sigmas(cfg, CaseLabel.ORTHOGONAL):
         jobs.append(("wraparound",
                      "boosts of norm pi times the period scale land in the "
                      "rotation block (sigma < 0)", _prop_wraparound))

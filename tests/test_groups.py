@@ -75,6 +75,28 @@ def test_k_element_refuses_entries_whose_gram_matrix_overflows_without_a_warning
             k_element(R, 1)
 
 
+def test_k_element_of_a_stack_is_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(23)
+    R = np.linalg.qr(rng.standard_normal((5, 3, 3)))[0]
+    eps = np.array([1, -1, -1, 1, -1])
+    K = k_element(R, eps)
+    assert K.shape == (5, 4, 4)
+    for i in range(5):
+        np.testing.assert_array_equal(K[i], k_element(R[i], eps[i]))
+    np.testing.assert_array_equal(k_element(R, -1)[3], k_element(R[3], -1))  # eps broadcasts
+    R[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"R must be orthogonal at index 3$"):
+        k_element(R, eps)
+
+
+def test_an_unknown_case_is_refused():
+    # The case is a CaseLabel, not its name.
+    with pytest.raises(ValueError, match="unknown case 'lorentz'"):
+        membership(np.eye(3), "lorentz", 1.0)
+    with pytest.raises(ValueError, match="unknown case 'galilei'"):
+        random_element("galilei")
+
+
 def test_cartan_decompose_refuses_sigma_that_is_not_finite_and_positive():
     for sigma in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="needs a finite sigma > 0"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kinematica import groups, matcore, verify
+from kinematica.classify import CaseLabel
 from kinematica.matcore import bracket
 from kinematica.verify import (
     SuiteConfig,
@@ -53,8 +54,10 @@ def test_config_refuses_a_string_of_sigma_values():
 
 def test_config_sigma_filters():
     cfg = SuiteConfig(sigma_values=(1.0, -2.0, 0.0, math.inf))
-    assert [s.value for s in cfg.finite_nonzero()] == [1.0, -2.0]
-    assert [s.value for s in cfg.positive()] == [1.0]
+    finite_nonzero = verify._sigmas(cfg, CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL)
+    assert [s.value for s in finite_nonzero] == [1.0, -2.0]
+    assert [s.value for s in verify._sigmas(cfg, CaseLabel.LORENTZ)] == [1.0]
+    assert [s.value for s in verify._sigmas(cfg, CaseLabel.ORTHOGONAL)] == [-2.0]
     assert cfg.to_json_dict()["sigma_values"] == [1.0, -2.0, 0.0, "inf"]
 
 
@@ -87,6 +90,15 @@ def test_suite_reaches_sigma_1e12_of_either_sign():
         report = run_suite(SuiteConfig(n_values=(2, 3), sigma_values=sigmas, trials=5,
                                        seed=seed))
         assert report.passed, [pid for pid, res in report.results.items() if not res.passed]
+
+
+def test_affine_property_holds_where_the_invariant_speed_passes_1e12():
+    # P9 maps its lines in the balanced time unit of sigma, where the invariant speed is
+    # near 1; in sigma's own unit a line at 1e12 or faster reads as general, with no speed.
+    for sigma in (1e-24, 1e-300, 5e-324):
+        cfg = SuiteConfig(sigma_values=(sigma,), trials=5)
+        result = verify._run(verify._prop_affine, cfg, np.random.default_rng(0))
+        assert result.passed and result.worst_residual < 1e-13, sigma
 
 
 def test_suite_draws_its_members_in_stacks(monkeypatch):
@@ -206,7 +218,8 @@ def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
         counts.clear()
         assert verify._run(verify._prop_affine, cfg, np.random.default_rng(0)).passed
         assert counts["compose"] == 6 * len(cfg.n_values)
-        assert counts["transform_worldline"] == len(cfg.n_values) * len(cfg.positive())
+        lorentz = verify._sigmas(cfg, CaseLabel.LORENTZ)
+        assert counts["transform_worldline"] == len(cfg.n_values) * len(lorentz)
         counts.clear()
         assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
         assert counts == {"wraparound_demo": 2 * len(cfg.n_values),
@@ -231,6 +244,8 @@ def test_check_keeps_the_worst_failing_value_and_counts_every_value():
     result = check.result()
     assert not result.passed and result.worst_residual == 3.0
     assert result.counterexample == {"index": 1} and result.checks == 7
+    check.residual(np.array([]), {"empty": np.array([])})  # judges nothing
+    assert check.result() == verify.PropertyResult(False, 3.0, {"index": 1}, 7)
     check.residual(np.array([0.0, math.nan]), {"nan": np.arange(2)})
     assert check.result().worst_residual == math.inf
     assert check.result().counterexample == {"nan": 1}
