@@ -6,7 +6,7 @@ dimensions, classification of generator sets by the sign of the
 causality parameter sigma, an affine layer acting on events and world
 lines, and a randomized property suite.  Submodules:
 
-* ``matcore``   validation, brackets, exponentials, adjoints under sigma
+* ``matcore``   validation, brackets, exponentials, adjoints, scale and time unit
 * ``isotypic``  decomposition of generators under the rotation action
 * ``classify``  sigma extraction and the five-way classification
 * ``groups``    group elements, membership tests, Cartan factors

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import op_norm, refuse
+from .matcore import op_norm, refuse, scaled
 
 __all__ = [
     "AffineElement",
@@ -84,13 +84,12 @@ class WorldLine:
             self.direction = d = np.asarray(direction, dtype=float)
             if d.shape != origin.vector().shape:
                 raise ValueError("direction must have length n + 1")
-        # Each line's time advance, NaN on a general line, judged with its length on d, or
-        # where d has an entry past 2^500 or a line shorter than 2^-500, on each line over 2^e,
-        # e the exponent of its largest entry: exact, and no square overflows.
+        # Each line's time advance, NaN on a general line, judged with its length on d, or where
+        # d has an entry past 2^500 or a line shorter than 2^-500, on scaled(d): exact.
         x = d
         if np.count_nonzero(abs(d) < 2.0 ** 500) != d.size or np.count_nonzero(
                 (length := op_norm(d, 1)) < 2.0 ** -500):  # inf and NaN come here, to _finite
-            x = np.ldexp(_finite(d, "world line"), -np.frexp(abs(d).max(-1))[1][..., None])
+            x = scaled(_finite(d, "world line"), -1)[0]
             length = op_norm(x, 1)
         refuse(length == 0.0, "direction must be nonzero")  # a velocity line's time is 1
         self._dt = np.where(abs(x[..., -1]) > _TIME_CUTOFF * length, d[..., -1], np.nan)

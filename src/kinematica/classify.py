@@ -190,9 +190,7 @@ def collinearity_defect(b, c) -> float | np.ndarray:
     ValueError unless b and c are finite and of one of these shapes.
     """
     vectors = np.ndim(b) == np.ndim(c) == 1
-    pairs = np.stack(_finite_pairs(b, c), axis=-2)
-    e = np.frexp(abs(pairs).max(axis=(-2, -1)))[1]
-    pairs = np.ldexp(pairs, -e[:, np.newaxis, np.newaxis])
+    pairs, e = matcore.scaled(np.stack(_finite_pairs(b, c), axis=-2), (-2, -1))
     (bb, cc), bc = np.vecdot(pairs, pairs).T, np.vecdot(pairs[:, 0], pairs[:, 1])
     with np.errstate(over="ignore"):
         defects = np.ldexp(2.0 * (bb * cc - bc * bc), 4 * e)
@@ -248,10 +246,8 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     b, c = _finite_pairs(b, c)
     if not (b.any(axis=1) | c.any(axis=1)).all():
         raise ZeroGenerator("mixing vectors are both zero")
-    top = np.array([abs(b).max(), abs(c).max()])
-    k = int(_time_unit(*top, b.shape[1]))
-    e = np.frexp(np.ldexp(top, [k, -k]).max())[1]  # leveled, neither passes max(top)
-    pairs = np.ldexp(np.concatenate((b, c), axis=1), np.repeat([k - e, -k - e], b.shape[1]))
+    k = int(_time_unit(abs(b).max(), abs(c).max(), b.shape[1]))
+    pairs = matcore.scaled(np.concatenate((b, c), axis=1), None, np.repeat([k, -k], b.shape[1]))[0]
     sigma = _sigma_and_rows(pairs[np.newaxis], tol, [k])[0][0]
     if isinstance(sigma, NotCollinear):
         raise sigma
@@ -300,25 +296,25 @@ def rotation_generators(n: int) -> list[np.ndarray]:
 def _closure_scan(basis, tol: float) -> tuple[bool, float]:
     """Least-squares test that all pairwise brackets stay in the span.
 
-    Returns (closed, worst raw residual), both on the basis balanced by
-    :func:`matcore.balance`, an automorphism of the bracket that keeps the
-    rotations next to the boosts of any sigma.  The boolean compares each
-    residual against tol * (1 + |bracket|); the raw residual is reported
-    unnormalized.  All m (m - 1) / 2 brackets are formed at once, so memory
-    grows like m^2 (n+1)^2.
+    Returns (closed, worst residual).  The basis is balanced by the k of
+    :func:`matcore.unit_exponent`, an automorphism of the bracket, and each
+    generator is divided by the power of two of its largest entry, which
+    keeps the span: no time unit or power-of-two scale changes the verdict,
+    which compares each residual against tol * (1 + |bracket|).  The worst
+    residual is that of the balanced basis (inf past the float range).  All
+    m (m - 1) / 2 brackets are formed at once: memory grows like m^2 (n+1)^2.
     """
     stack = matcore.as_square_stack(np.array(basis, dtype=float))
-    d = stack.shape[-1]
-    matcore.balance(stack, k=matcore.unit_exponent(abs(stack[..., :d - 1, -1]).max(),
-                                                   abs(stack[..., -1, :d - 1]).max()))
+    matcore.balance(stack, matcore.unit_exponent(*matcore.mixing_maxima(stack)))
+    stack, e = matcore.scaled(stack, (-2, -1))
     _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
     Q = vt[s > tol * s[0]]
-    products = np.einsum("iab,jbc->ijac", stack, stack)
     i, j = np.triu_indices(len(stack), 1)
-    w = (products[i, j] - products[j, i]).reshape(len(i), d * d)
+    w = matcore.bracket(stack[i], stack[j]).reshape(len(i), stack[0].size)
     resid = np.linalg.norm(w - (w @ Q.T) @ Q, axis=1)
     closed = bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))
-    return closed, float(resid.max(initial=0.0))
+    with np.errstate(over="ignore"):  # [2^e_i X, 2^e_j Y] = 2^(e_i + e_j) [X, Y]
+        return closed, float(np.ldexp(resid, e[i] + e[j]).max(initial=0.0))
 
 
 def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
@@ -328,8 +324,8 @@ def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
 
 
 def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
-    """Largest distance of any pairwise bracket from the span of ``basis``,
-    measured in the balanced time unit of :func:`matcore.balance`."""
+    """Largest distance of any pairwise bracket from the span of ``basis``, in the balanced
+    time unit of :func:`_closure_scan`: 4^j times as far for 2^j times the basis."""
     return _closure_scan(basis, tol)[1]
 
 
@@ -362,17 +358,16 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
         raise ValueError("classification takes (m, n+1, n+1) sets, m >= 1 and n >= 2, "
                          f"or a stack of them, got shape {stack.shape}")
     # Every threshold below is relative, so the scaled sets get the same verdicts.
-    top = np.frexp(abs(stack).max(axis=(-3, -2, -1)))[1]
-    np.ldexp(stack, -top[..., np.newaxis, np.newaxis, np.newaxis], out=stack)
-    b, c = (abs(x).max(axis=(-2, -1)) for x in (stack[..., :n, n], stack[..., n, :n]))
+    stack = matcore.scaled(stack, (-3, -2, -1))[0]
+    b, c = matcore.mixing_maxima(stack, (-2, -1))
     k = _time_unit(b, c, n)
     if balanced := np.count_nonzero(k):  # faster than any() on small arrays
-        matcore.balance(stack, k=k[..., np.newaxis, np.newaxis])
+        matcore.balance(stack, k[..., np.newaxis, np.newaxis])
     scale = matcore.op_norm(stack, 2).max(-1)
     # A set whose balanced mixing content would fall under the cut keeps its own unit.
     undo = k * (np.maximum(np.ldexp(b, k), np.ldexp(c, -k)) <= tol * scale) if balanced else k
     if balanced and np.count_nonzero(undo):
-        matcore.balance(stack, k=-undo[..., np.newaxis, np.newaxis])
+        matcore.balance(stack, -undo[..., np.newaxis, np.newaxis])
         k, scale = k - undo, matcore.op_norm(stack, 2).max(-1)
     p = isotypic.split(stack)
     rows = np.concatenate((math.sqrt(n) * p.lam[..., np.newaxis], p.mu[..., np.newaxis],

@@ -65,7 +65,8 @@ def p_generator(b, sigma) -> np.ndarray:
 
     Finite sigma places b in the last column and sigma * b in the last
     row; infinite sigma (Carroll) places b in the last row only.  b is one
-    vector (n,) or a stack (..., n), one generator per row; it must be finite.
+    vector (n,) or a stack (..., n), one generator per row; it must be
+    finite, and so must sigma * b (else ValueError, with no overflow).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 1:
@@ -79,6 +80,8 @@ def p_generator(b, sigma) -> np.ndarray:
         Z[..., n, :n] = b
     else:
         Z[..., :n, n] = b
+        if abs(s.value) > 1.0 and abs(s.value) * float(abs(b).max(initial=0.0)) == math.inf:
+            raise ValueError(f"sigma * b passes the float range at sigma = {s.value!r}")
         if s.value != 0.0:  # at sigma = 0 the row stays +0.0, where 0.0 * b may be -0.0
             np.multiply(b, s.value, out=Z[..., n, :n])
     return Z
@@ -114,9 +117,9 @@ def boost_closed_form(b, sigma) -> np.ndarray:
         tiny = beta < 2.0 ** -500  # |b|^2 may have lost bits to underflow
         wide = tiny.any() if tiny.ndim else tiny  # any() of a numpy scalar is slow, hence ndim
     if wide:  # |b| read on each row over 2^e, e the exponent of its largest entry: exact
-        e = np.frexp(abs(b).max(axis=-1))[1]
+        x, e = matcore.scaled(b, -1)
         with np.errstate(over="ignore"):  # a |b| past the float max reads inf: refused below
-            beta = np.ldexp(op_norm(np.ldexp(b, -e[..., None]), 1), e)
+            beta = np.ldexp(op_norm(x, 1), e)
     root = math.sqrt(abs(s.value))
     # Below limit, w is finite for cos and sin, and cosh(w), sinh(w) root^+-1 < e^w for sigma > 0
     limit, trig = ((math.log(sys.float_info.max / max(root, 1.0 / root)), "cosh or sinh")
@@ -163,14 +166,13 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
     Nothing is squared that could overflow.  A spatial block with an entry past 2^250 is
     no rotation (|A^T A - I| > 2^499) and is not formed: below it, neither a Gram entry of
     A^T A nor its square passes the float range.  A matrix with an entry past 2^500 has
-    its off blocks judged on a / 2^t, t the binary exponent of its largest entry, against
-    the bounds scaled alike: a power of two scales exactly, so no verdict changes."""
+    its off blocks judged on matcore.scaled(a), against the bounds scaled alike: exact."""
     n = a.shape[-1] - 1
     x, A, s, fits = a, a[..., :n, :n], 1.0, True
     if np.count_nonzero(abs(a) < _GRAM) != a.size:  # faster than .all() when small
-        top = np.frexp(abs(a).max(axis=(-2, -1)))[1]
-        t = np.where(top > 500, top, 0)  # only matrices with such an entry are scaled
-        x, s = np.ldexp(a, -t[..., None, None]), np.ldexp(1.0, -t)
+        x, top = matcore.scaled(a, (-2, -1))
+        t = top > 500  # only matrices with such an entry are scaled
+        x, s = np.where(t[..., None, None], x, a), np.where(t, np.ldexp(1.0, -top), 1.0)
         fits = np.count_nonzero(abs(A) < _GRAM, axis=(-2, -1)) == n * n
         A = A * fits[..., None, None]
     gram = (A.mT @ A).reshape(A.shape[:-2] + (n * n,))
@@ -186,19 +188,19 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
 
 def _metric_test(a: np.ndarray, s: Sigma, tol: float):
     """(ok, resolved, lam, u), of a's stack shape, for a^dagger a = lam I, lam = trace / (n+1),
-    tested on a balanced by matcore.balance against sigma' = 4^-k sigma in [1/2, 2).  u = eps
-    |a^dagger| |a| grows like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u,
-    lam zero or normal.  resolved: ok and lam > 4 (n+3) u, the normalizer's gate."""
+    tested on a in sigma's balanced time unit (matcore.sigma_unit).  u = eps |a^dagger| |a|
+    grows like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u, lam zero or
+    normal.  resolved: ok and lam > 4 (n+3) u, the normalizer's gate."""
     n = a.shape[-1] - 1
-    mant, exps = np.frexp(a)
-    k = matcore.balance(exps, s.value)
-    top = exps.max(axis=(-2, -1), where=mant != 0.0, initial=-4096)  # zero entries do not count
-    # b = a / 2^top has its largest entry in [1/2, 1): nothing overflows.  adj^T, b and
-    # q = adj b - lam I share one buffer, whose three norms one op_norm call takes.
+    k, unit = matcore.sigma_unit(s.value)
+    t = np.zeros(n + 1, dtype=int)  # matcore.balance(a, k) is D a D^-1, D = diag(2^t): it
+    t[n] = -k  # adds t_i - t_j to the binary exponent of entry (i, j)
+    # b, balanced a / 2^top, has its largest entry in [1/2, 1): nothing overflows.  adj^T, b
+    # and q = adj b - lam I share one buffer, whose three norms one op_norm call takes.
     work = np.empty((3,) + a.shape)
     adj_t, b, q = work[0], work[1], work[2]
-    np.ldexp(mant, exps - top[..., None, None], out=b)
-    np.copyto(adj_t, matcore.dagger(b, math.ldexp(s.value, -2 * k)).mT)
+    b[...], top = matcore.scaled(a, (-2, -1), t[:, None] - t if k else None)
+    np.copyto(adj_t, matcore.dagger(b, unit).mT)
     np.matmul(adj_t.mT, b, out=q)
     flat = work.reshape(work.shape[:-2] + ((n + 1) ** 2,))  # one row per matrix
     diagonal = flat[2, ..., ::n + 2].T  # stack axes last: lam broadcasts as it is
@@ -239,20 +241,16 @@ class CartanFactors:
     refused: type | np.ndarray | None = None
 
     def reconstruct(self) -> np.ndarray:
-        """sqrt(lam) k mat_exp(Z), per matrix, each formed in the time unit matcore.balance
-        takes from its own Z and mapped back; a refused matrix rebuilds to zero.  Raises
+        """sqrt(lam) k mat_exp(Z), per matrix, each formed in the time unit that levels its own
+        Z (matcore.unit_exponent) and mapped back; a refused matrix rebuilds to zero.  Raises
         ValueError for a negative lam that is not refused."""
         Z = np.array(self.Z, dtype=float)
-        n = Z.shape[-1] - 1
-        k = matcore.unit_exponent(abs(Z[..., :n, n]).max(-1, keepdims=True),
-                                  abs(Z[..., n, :n]).max(-1, keepdims=True))
-        matcore.balance(Z, k=k)
+        k = matcore.unit_exponent(*matcore.mixing_maxima(Z, -1))[..., None]
+        matcore.balance(Z, k)
         lam = np.where(np.equal(self.refused, None), self.lam, 0.0)
         if np.any(lam < 0.0):
             raise ValueError("lam must be nonnegative")
-        a = np.sqrt(lam)[..., None, None] * self.k @ matcore.mat_exp(Z)
-        matcore.balance(a, k=-k)
-        return a
+        return matcore.balance(np.sqrt(lam)[..., None, None] * self.k @ matcore.mat_exp(Z), -k)
 
 
 def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
@@ -281,9 +279,9 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
                                 f"(lam {lam:.3e}, rounding bound {(n + 3) * float(u):.3e})")
     a = np.divide(a, np.sqrt(abs(lam))[..., None, None], out=np.zeros(a.shape),
                   where=factored[..., None, None])  # a refused matrix, and its factors, are 0
-    k = matcore.balance(a, s.value)  # read in the balanced unit of _metric_test
-    balanced_sigma = math.ldexp(s.value, -2 * k)
+    k, balanced_sigma = matcore.sigma_unit(s.value)
     root = math.sqrt(balanced_sigma)
+    matcore.balance(a, k)  # read in the balanced unit of _metric_test
     beta = op_norm(a[..., n, :n], 1)
     step = np.arcsinh(beta / root) / (root * (beta + (beta == 0.0)))  # 0 for beta = 0
     b = a[..., n, :n] * np.copysign(step, a[..., n, n])[..., None]

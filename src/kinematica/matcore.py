@@ -6,10 +6,11 @@ linear group acting on n space coordinates plus one time coordinate.  This
 module validates such matrices and provides commutator brackets, a
 matrix exponential (the generic oracle against which the closed-form
 boosts and Cartan factors are checked), the adjoint ("dagger") under the
-spacetime form of sigma, the Frobenius norm that scales every
-tolerance check and the change of time unit that every sigma-dependent
-verdict is judged in.  Blocks are read as slices: a[:n, :n], a[:n, n],
-a[n, :n] and a[n, n].  Functions are pure and never mutate their inputs,
+spacetime form of sigma and the Frobenius norm that scales every
+tolerance check.  Two exact rules live here alone: scaled divides by the
+power of two of the largest entry, and sigma_unit and balance change the
+time unit that every sigma-dependent verdict is judged in.  Blocks are
+slices: a[:n, :n], a[:n, n], a[n, :n] and a[n, n].  Functions are pure,
 except balance, which rescales the array it is given in place.
 """
 
@@ -25,8 +26,11 @@ __all__ = [
     "bracket",
     "dagger",
     "mat_exp",
+    "mixing_maxima",
     "op_norm",
     "refuse",
+    "scaled",
+    "sigma_unit",
     "unit_exponent",
 ]
 
@@ -72,21 +76,41 @@ def op_norm(matrix, axes: int | None = None):
     return np.sqrt(np.vecdot(r, r))
 
 
-def balance(x: np.ndarray, sigma: float | None = None, k: int | None = None) -> int:
-    """Change the time unit of x in place to D x D^-1, D = diag(1, ..., 1, 2^-k), and
-    return k; D maps the group of sigma exactly onto that of 4^-k sigma.  x is a float
-    (..., n+1, n+1) stack, rescaled by ldexp, or the int binary exponents of a matrix,
-    shifted.  k is given (-k undoes a balance; an int array broadcasting against x.shape[:-2]
-    + (1,) shifts each matrix by its own k; :func:`unit_exponent` levels the mixing entries),
-    or else taken from sigma, so that 4^-k sigma is in [1/2, 2)."""
+def scaled(x: np.ndarray, axes=None, shift=None):
+    """(x / 2^e, e), e the binary exponent of x's largest entry over axes, per slice (a numpy
+    scalar for one; any e for a zero slice).  With int exponents shift that broadcast against
+    x, x 2^shift is scaled instead, read off x's exponents: nothing overflows, one rounding."""
+    if shift is None:
+        e = np.frexp(abs(x).max(axis=axes, keepdims=True))[1]
+        return np.ldexp(x, -e), np.squeeze(e, axes)[()]
+    mant, exps = np.frexp(x)
+    exps = exps + shift
+    e = exps.max(axis=axes, keepdims=True, where=mant != 0.0, initial=-4096)
+    return np.ldexp(mant, exps - e), np.squeeze(e, axes)[()]
+
+
+def sigma_unit(sigma: float) -> tuple[int, float]:
+    """The balanced time unit of sigma: k, and sigma' = 4^-k sigma in [1/2, 2) (k = 0 for 0
+    and inf).  balance(x, k) maps the group of sigma exactly onto that of sigma'."""
+    k = math.frexp(sigma)[1] // 2
+    return k, math.ldexp(sigma, -2 * k)
+
+
+def balance(x: np.ndarray, k) -> np.ndarray:
+    """Change the time unit of the float (..., n+1, n+1) stack x in place to D x D^-1 and
+    return x, D = diag(1, ..., 1, 2^-k).  -k undoes it; an int array k that broadcasts
+    against x.shape[:-2] + (1,) moves each matrix by its own k."""
     n = x.shape[-1] - 1
-    if k is None:
-        k = math.frexp(sigma)[1] // 2
-    if isinstance(k, np.ndarray) or k:
-        shift = np.ldexp if x.dtype.kind == "f" else np.add  # values or binary exponents
-        shift(x[..., n, :n], -k, out=x[..., n, :n])
-        shift(x[..., :n, n], k, out=x[..., :n, n])
-    return k
+    if isinstance(k, np.ndarray) or k:  # a no-op on strided views costs more than the test
+        np.ldexp(x[..., n, :n], -k, out=x[..., n, :n])
+        np.ldexp(x[..., :n, n], k, out=x[..., :n, n])
+    return x
+
+
+def mixing_maxima(Z: np.ndarray, axes=None):
+    """The largest |entries| of Z[..., :n, n] and Z[..., n, :n] over axes of those slices."""
+    n = Z.shape[-1] - 1
+    return abs(Z[..., :n, n]).max(axes), abs(Z[..., n, :n]).max(axes)
 
 
 def unit_exponent(b, c):

@@ -221,7 +221,7 @@ def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n:
 def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     for s in cfg.sigma_values:
         b = rng.standard_normal((cfg.trials, n))  # pairs in the balanced unit of sigma
-        bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, _balanced_sigma(s) * b)
+        bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, matcore.sigma_unit(s.value)[1] * b)
         defects = classify.collinearity_defect(bs, cs)
         check.residual(abs(defects) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
                        {"b": bs, "c": cs, "sigma": s})
@@ -292,15 +292,8 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
 
 
 def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
-    """A copy of x in the balanced time unit of sigma (see matcore.balance)."""
-    x = np.array(x, dtype=float)
-    matcore.balance(x, s.value)
-    return x
-
-
-def _balanced_sigma(s: Sigma) -> float:
-    """Finite sigma in its balanced time unit, 4^-k sigma in [1/2, 2) (or 0), k balance's."""
-    return math.ldexp(s.value, -2 * matcore.balance(np.empty((0, 2, 2)), s.value))
+    """A copy of x in the balanced time unit of sigma (see matcore.sigma_unit)."""
+    return matcore.balance(np.array(x, dtype=float), matcore.sigma_unit(s.value)[0])
 
 
 def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -330,7 +323,7 @@ def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
     for s in cfg.sigma_values:
         a = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
         if s.is_finite and s.value != 0.0:  # judged in the balanced unit of sigma
-            g, x = np.diag(np.r_[np.full(n, -_balanced_sigma(s)), 1.0]), _balanced(a, s)
+            g, x = np.diag(np.r_[np.full(n, -matcore.sigma_unit(s.value)[1]), 1.0]), _balanced(a, s)
             resid = matcore.op_norm(x.mT @ g @ x - g, 2) / (1.0 + matcore.op_norm(g))
             check.residual(resid, {"a": a, "sigma": s})
         elif s.is_finite:
@@ -378,7 +371,7 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
     scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
     check.residual(resid / scale, {"g_linear": g.linear, "h_linear": h.linear})
     for s in _sigmas(cfg, CaseLabel.LORENTZ):  # judged in the balanced unit of sigma
-        c = 1.0 / math.sqrt(_balanced_sigma(s))
+        c = 1.0 / math.sqrt(matcore.sigma_unit(s.value)[1])
         members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
         gmap = affine.AffineElement(_balanced(members, s),
                                     rng.standard_normal((cfg.trials, n + 1)))

@@ -22,7 +22,7 @@ from kinematica.classify import (
     sigma_from_m3,
 )
 from kinematica.groups import p_generator
-from kinematica.matcore import bracket
+from kinematica.matcore import balance, bracket, sigma_unit
 
 
 def random_orthogonal(n, rng):
@@ -414,6 +414,15 @@ def _lstsq_closed(basis, tol=1e-9):
     return True
 
 
+def _levelled(basis, sigma):
+    """The basis in sigma's balanced time unit, D B D^-1 (an automorphism of the bracket),
+    each generator over its largest entry (the same span): the least-squares oracle has no
+    power-of-two step of its own, and this copy lets it judge the span at any sigma."""
+    k = sigma_unit(sigma.value)[0]
+    out = [balance(np.array(B), k) for B in basis]
+    return [B / abs(B).max() for B in out]
+
+
 def _signed_decades(lo, hi, step):
     """+-10^e for e from lo to hi in steps of step."""
     magnitudes = 10.0 ** np.arange(lo, hi + step / 2, step)
@@ -422,13 +431,18 @@ def _signed_decades(lo, hi, step):
 
 def test_closure_of_standard_algebras():
     standard = [Sigma(1.0), Sigma(0.5), Sigma(-1.0), Sigma(0.0), SIGMA_INF]
+    # Far sigmas: balanced, the boosts outweigh the rotations by sqrt(sigma), which the
+    # scan levels by judging each generator over its own power of two.  The oracle has no
+    # such step and would lose the rotations, so there it judges the levelled copy.
+    far = [Sigma(sign * m) for m in (1e18, 1e50, 1e100, 1e150, 1e200, 1e300, 1.7e308)
+           for sign in (1.0, -1.0)]
     for n in (2, 3):
-        for sigma in standard + _signed_decades(-12.0, 14.0, 0.25):
+        for sigma in standard + _signed_decades(-12.0, 14.0, 0.25) + far:
             basis = rotation_generators(n) + [
                 p_generator(np.eye(n)[i], sigma) for i in range(n)
             ]
             assert is_closed_under_bracket(basis)
-            assert _lstsq_closed(basis)
+            assert _lstsq_closed(_levelled(basis, sigma) if sigma in far else basis)
         assert is_closed_under_bracket(rotation_generators(n))
 
 
@@ -445,6 +459,23 @@ def test_closure_detects_m1_plus_m3():
         defect = bracket_closure_defect(basis)
         assert defect == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert defect >= 1.0
+
+
+def test_closure_verdict_does_not_depend_on_a_power_of_two_scale():
+    # The span of test_closure_detects_m1_plus_m3 at 2^j is refused at every j,
+    # with no warning, and its defect is that of scale 1 times 4^j, or inf past
+    # the float range: each generator is judged over its own power of two.
+    for n in (2, 3):
+        basis = rotation_generators(n)
+        for i in range(n):
+            basis += [mixing(np.eye(n)[i], np.zeros(n)), mixing(np.zeros(n), np.eye(n)[i])]
+        defect = bracket_closure_defect(basis)
+        assert defect == math.sqrt(2.0)
+        for j in range(-1000, 1001):
+            moved = np.ldexp(basis, j)
+            assert not is_closed_under_bracket(moved)
+            assert bracket_closure_defect(moved) == (math.ldexp(defect, 2 * j) if j < 512
+                                                     else math.inf)
 
 
 def test_closure_is_a_span_property():

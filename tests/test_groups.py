@@ -142,6 +142,17 @@ def test_p_generator_of_a_stack_is_the_generator_of_each_row():
                 p_generator(bad, sigma)
 
 
+def test_p_generator_refuses_a_row_past_the_float_range():
+    # sigma * b overflowing is refused with no warning (warnings fail the tests)
+    for b, sigma in (([2.0, 0.0], 1.7e308), ([2.0, 0.0], -1.7e308),
+                     ([[0.5, 0.0], [0.0, -1e10]], 1e300)):
+        with pytest.raises(ValueError, match=r"sigma \* b passes the float range"):
+            p_generator(b, sigma)
+    Z = p_generator([1.0, -1.0], -1.7e308)  # the largest row that fits
+    np.testing.assert_array_equal(Z[2, :2], [-1.7e308, 1.7e308])
+    np.testing.assert_array_equal(p_generator([1e300, 0.0], 1e-300)[2, :2], [1.0, 0.0])
+
+
 def test_galilei_generator_keeps_a_positive_zero_row():
     # 0.0 * b would write -0.0 under each negative entry; the shear boost
     # I + p_generator(b, 0) keeps the +0.0 row the boost always had.

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from kinematica.matcore import (
     bracket,
     dagger,
     mat_exp,
+    mixing_maxima,
     op_norm as frobenius_norm,
+    scaled,
+    sigma_unit,
     unit_exponent,
 )
 
@@ -69,23 +74,59 @@ def test_balance_from_sigma_maps_the_boost_generator_exactly():
         b = rng.uniform(-1.0, 1.0, 3)
         Z = np.zeros((4, 4))
         Z[:3, 3], Z[3, :3] = b, sigma * b
-        k = balance(Z, sigma)
+        k, unit = sigma_unit(sigma)
+        assert balance(Z, k) is Z
         assert 0.5 <= abs(math.ldexp(sigma, -2 * k)) < 2.0
+        assert unit == math.ldexp(sigma, -2 * k)
         np.testing.assert_array_equal(Z[:3, 3], np.ldexp(b, k))
         np.testing.assert_array_equal(Z[3, :3], np.ldexp(sigma * b, -k))
+    assert sigma_unit(0.0) == (0, 0.0) and sigma_unit(math.inf) == (0, math.inf)
+
+
+def _shift(k):
+    """The binary exponents that balance(x, k) adds to a 4 x 4 matrix."""
+    shift = np.zeros((4, 4), dtype=int)
+    shift[:3, 3], shift[3, :3] = k, -k
+    return shift
 
 
 def test_balance_of_exponents_matches_balance_of_values():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((4, 4))
     mant, exps = np.frexp(a)
-    assert balance(exps, 1e-20) == balance(a, 1e-20) == -33
+    k = sigma_unit(1e-20)[0]
+    assert k == -33
+    x, e = scaled(a, None, _shift(k))  # balanced on the exponents, then one ldexp
+    y, f = scaled(balance(a.copy(), k))
+    assert x.tobytes() == y.tobytes() and e == f
     np.testing.assert_array_equal(np.ldexp(mant, exps), a)
+    np.testing.assert_array_equal(a, np.ldexp(scaled(a)[0], scaled(a)[1]))
+    # A stack gets each matrix's bits: a zero matrix, entries of 5e-324 and 1.7e308.
+    stack = np.stack([a, np.zeros((4, 4)), np.full((4, 4), 5e-324), a / abs(a).max() * 1e308])
+    stack[3, 0, 3] = 1.7e308  # in the last column
+    x, e = scaled(stack, (-2, -1))
+    assert e.shape == (4,) and e[2] == -1073 and e[3] == 1024
+    np.testing.assert_array_equal(x[1], 0.0)
+    np.testing.assert_array_equal(x[2], 0.5)
+    for m, xm, em in zip(stack, x, e):
+        assert scaled(m)[0].tobytes() == xm.tobytes() and scaled(m)[1] == em
+        assert m.tobytes() == np.ldexp(xm, em).tobytes()  # the scale is exact
+        assert not m.any() or 0.5 <= abs(xm).max() < 1.0
+    # With a shift, no entry passes the float range before the one rounding: balancing the
+    # values by k = 1 first would overflow the last column of 1.7e308 and lose the last
+    # row of 5e-324.
+    x, e = scaled(stack, (-2, -1), _shift(1))
+    assert e[2] == -1072 and e[3] == 1025
+    assert x[0].tobytes() == scaled(balance(a.copy(), 1))[0].tobytes()
+    np.testing.assert_array_equal(x[1], 0.0)
+    for m, xm, em in zip(stack[2:], x[2:], e[2:]):
+        np.testing.assert_array_equal(xm, np.ldexp(m, _shift(1) - em))
+    assert x[2, 3, 0] == 0.125
 
 
 def levelled(x):
     """balance's k from the largest mixing entries of x, as the callers without a sigma take it."""
-    return unit_exponent(abs(x[..., :3, 3]).max(), abs(x[..., 3, :3]).max())
+    return unit_exponent(*mixing_maxima(x))
 
 
 def test_balance_without_sigma_levels_the_mixing_entries():
@@ -96,19 +137,38 @@ def test_balance_without_sigma_levels_the_mixing_entries():
         x[:, 3, :3] *= 2.0 ** j
         x[:, :3, 3] /= 2.0 ** j
         y = x.copy()
-        k = balance(y, k=levelled(y))
+        k = levelled(y)
+        assert balance(y, k) is y
         ratio = abs(y[:, 3, :3]).max() / abs(y[:, :3, 3]).max()
         assert 0.25 <= ratio < 2.0
-        assert balance(y, k=-k) == -k
+        assert balance(y, -k) is y
         np.testing.assert_array_equal(y, x)  # -k undoes it
+    # over the last axis the maxima, and so k, are per matrix, as reconstruct reads a stack
+    b, c = mixing_maxima(stack, -1)
+    assert b.tolist() == [abs(m[:3, 3]).max() for m in stack]
+    assert c.tolist() == [abs(m[3, :3]).max() for m in stack]
 
 
 def test_balance_leaves_galilei_and_carroll_content_alone():
     x = np.zeros((2, 4, 4))
     x[:, :3, 3] = [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]
-    assert balance(x.copy(), k=levelled(x)) == 0  # no row: Galilei
+    assert levelled(x) == 0  # no row: Galilei
+    np.testing.assert_array_equal(balance(x.copy(), levelled(x)), x)
     carroll = x.swapaxes(-1, -2).copy()
-    assert balance(carroll.copy(), k=levelled(carroll)) == 0  # no column
+    assert levelled(carroll) == 0  # no column
+    np.testing.assert_array_equal(balance(carroll.copy(), levelled(carroll)), carroll)
+
+
+def test_frexp_is_called_only_in_matcore():
+    # matcore is the one home of the power-of-two scale and of the time unit
+    callers = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "kinematica").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "frexp"
+                    or isinstance(node, ast.Name) and node.id == "frexp"
+                    or isinstance(node, ast.alias) and node.name == "frexp"):
+                callers.add(path.name)
+    assert callers == {"matcore.py"}
 
 
 def test_bracket_with_self_is_zero():
