@@ -1,14 +1,14 @@
 """Inhomogeneous kinematical groups acting on events and world lines.
 
-An affine element (linear, translation) acts on event vectors packed
-space-first as (r_1, ..., r_n, t).  Each type holds one object or a stack:
-an AffineElement a (..., d, d) linear part and a (..., d) translation, an
-Event an (..., n) position r and a (...) time t, a WorldLine an Event origin
-and an (..., n+1) direction.  compose, inverse, act and transform_worldline
-broadcast stack axes as numpy does, each entry the one-object answer bit for
-bit.  A line given by a velocity v has the direction (v, 1); its kind is
-derived per line: general when its time advance is at most _TIME_CUTOFF times
-its direction's length (Carroll maps can do this), else timelike.
+An affine element (linear, translation) acts on event vectors packed space-first as
+(r_1, ..., r_n, t).  Each type holds one object or a stack: an AffineElement a (..., d, d)
+linear part and a (..., d) translation, an Event an (..., n) position r and a (...) time t,
+a WorldLine an Event origin and an (..., n+1) direction.  compose, inverse, act and
+transform_worldline broadcast stack axes as numpy does, and run without overflow while each
+|linear| times the |vector| or |matrix| it maps, plus |translation| (Frobenius norms; for
+inverse, of the inverse), is below the float max.  A line given by a velocity v has the
+direction (v, 1); its kind is derived per line: general when its time advance is at most
+_TIME_CUTOFF times its direction's length (Carroll maps can do this), else timelike.
 """
 
 from __future__ import annotations

@@ -90,23 +90,20 @@ def p_generator(b, sigma) -> np.ndarray:
 def boost_closed_form(b, sigma) -> np.ndarray:
     """Exponential of the boost generator for b, in closed form.
 
-    sigma > 0 gives the familiar cosh/sinh boost along b, sigma < 0 a
-    rotation mixing b with time (periodic in |b|), and sigma = 0 or
-    infinity a shear (the generator squares to zero).  b = 0 returns the
-    identity.  b may be one vector of shape (n,) or a stack of shape
-    (..., n); the result has shape (n+1, n+1) or (..., n+1, n+1), and each
-    matrix of a stack is the boost of its own row.  Raises ValueError when
-    an entry of b is not finite, or a rapidity w = |b| sqrt(|sigma|) is so
-    large that cosh(w), sinh(w) sqrt(sigma) or sinh(w) / sqrt(sigma) could
-    overflow: past log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or,
-    for sigma < 0, past half the float max.
+    sigma > 0 gives the familiar cosh/sinh boost along b, sigma < 0 a rotation mixing b with
+    time (periodic in |b|), and sigma = 0 or infinity a shear (the generator squares to zero).
+    b = 0 returns the identity.  b is one vector (n,) or a stack (..., n), one boost per row.
+    Raises ValueError when an entry of b is not finite, or a rapidity w = |b| sqrt(|sigma|) is
+    so large that cosh(w), sinh(w) sqrt(sigma) or sinh(w) / sqrt(sigma) could overflow: past
+    log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or, for sigma < 0, past half the float
+    max.
     """
     s = as_sigma(sigma)
     if s.is_infinite or s.value == 0.0:  # a shear, I + p_generator(b, s)
         out = p_generator(b, s)
         out.reshape(out.shape[:-2] + (out.shape[-1] ** 2,))[..., ::out.shape[-1] + 1] = 1.0
         return out
-    b = np.asarray(b, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)  # |b| sums each row in one order, strided or not
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
     wide = np.count_nonzero(abs(b) < _WIDE) != b.size  # else no |b|^2 overflows
@@ -172,7 +169,7 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
     if np.count_nonzero(abs(a) < _GRAM) != a.size:  # faster than .all() when small
         x, top = matcore.scaled(a, (-2, -1))
         t = top > 500  # only matrices with such an entry are scaled
-        x, s = np.where(t[..., None, None], x, a), np.where(t, np.ldexp(1.0, -top), 1.0)
+        x, s = np.where(t[..., None, None], x, a), np.ldexp(1.0, -top * t)  # 1 where not t
         fits = np.count_nonzero(abs(A) < _GRAM, axis=(-2, -1)) == n * n
         A = A * fits[..., None, None]
     gram = (A.mT @ A).reshape(A.shape[:-2] + (n * n,))

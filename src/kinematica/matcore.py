@@ -62,10 +62,9 @@ def refuse(failed, message: str) -> None:
 
 
 def op_norm(matrix, axes: int | None = None):
-    """Frobenius norm, an upper bound on the spectral norm; scales every tolerance.
-    It is np.linalg.norm's formula, bit for bit, without its dispatch; with axes = 1 or 2,
-    one per vector or matrix of a stack (a float for one vector or matrix), with the
-    same bits."""
+    """Frobenius norm, an upper bound on the spectral norm; scales every tolerance.  With axes
+    = 1 or 2, one per vector or matrix of a stack (a float for one).  np.linalg.norm's formula,
+    bit for bit, without its dispatch: no overflow while the sum of squares is in float range."""
     r = np.asarray(matrix, dtype=float)
     if axes is None or axes == r.ndim:  # no stack axes: one dot, a Python float
         if r.ndim != 1:
@@ -120,8 +119,8 @@ def unit_exponent(b, c):
 
 
 def bracket(X, Y) -> np.ndarray:
-    """Commutator [X, Y] = XY - YX, of two matrices or of each pair of two
-    (..., d, d) stacks of one shape."""
+    """Commutator [X, Y] = XY - YX, of two matrices or of each pair of two (..., d, d) stacks
+    of one shape; no overflow while op_norm(X) op_norm(Y) is below half the float max."""
     X = as_square_stack(X)
     Y = as_square_stack(Y)
     if X.shape != Y.shape:
@@ -133,38 +132,41 @@ def mat_exp(Z) -> np.ndarray:
     """Matrix exponential by scaling and squaring, of one matrix or of each
     matrix of an (..., d, d) stack.
 
-    The argument is halved until its Frobenius norm (an upper bound on the
-    spectral norm) is at most 1/2, a fixed-degree Taylor polynomial is
-    evaluated by Horner's rule, and the result is squared back up.  For the
-    tiny matrices used here this is accurate to near machine precision.
-    Each matrix of a stack is halved and squared by its own count, so it
-    gets the bits of its one-matrix call.
+    The argument is halved until its Frobenius norm (an upper bound on the spectral
+    norm) is at most 1/2, a fixed-degree Taylor polynomial is evaluated by Horner's
+    rule, and the result is squared back up: near machine precision here, each matrix
+    by its own count.  Raises ValueError, with no warning and naming the first such
+    matrix of a stack, where the result (diag(800, 0, 0)) or the squared norm (a norm
+    past 1.3e154) passes the float range.
     """
     Z = as_square_stack(Z)
     d = Z.shape[-1]
-    squarings = np.ceil(np.log2(np.maximum(op_norm(Z, 2), 0.5) / 0.5)).astype(int)
-    X = Z / (2.0 ** squarings)[..., None, None]
-    E = np.eye(d)
-    for k in range(_EXP_DEGREE, 0, -1):
-        E = np.eye(d) + (X @ E) / k
-    flat, counts = E.reshape(-1, d, d), squarings.reshape(-1)  # views of E and squarings
-    for i in range(counts.max(initial=0)):
-        more = counts > i
-        flat[more] = flat[more] @ flat[more]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the range: refused
+        wide = (norms := op_norm(Z, 2)) == math.inf
+        squarings = np.ceil(np.log2(np.where(wide, 0.5, np.maximum(norms, 0.5)) / 0.5)).astype(int)
+        X = np.ldexp(Z, -squarings[..., None, None])  # Z / 2^squarings, bit for bit
+        E = np.eye(d)
+        for k in range(_EXP_DEGREE, 0, -1):
+            E = np.eye(d) + (X @ E) / k
+        flat, counts = E.reshape(-1, d, d), squarings.reshape(-1)  # views of E and squarings
+        for i in range(counts.max(initial=0)):
+            more = counts > i
+            flat[more] = flat[more] @ flat[more]
+    refuse(wide | (np.count_nonzero(np.isfinite(E), axis=(-2, -1)) != d * d),
+           "matrix exponential passes the float range")
     return E
 
 
 def dagger(Z, sigma: float) -> np.ndarray:
-    """Adjoint of the (n+1) x (n+1) matrix Z, or of each matrix of an
-    (..., n+1, n+1) stack, under the spacetime form
-    diag(-sigma, ..., -sigma, 1): gram^-1 Z^T gram.
+    """Adjoint of the (n+1) x (n+1) matrix Z, or of each matrix of an (..., n+1, n+1) stack,
+    under the spacetime form diag(-sigma, ..., -sigma, 1): gram^-1 Z^T gram.
 
-    On blocks this sends (A, b, c, d) to (A^T, -c/sigma, -sigma*b, d): Z^T
-    with its last column divided by -sigma and its last row multiplied by
-    -sigma, so the spatial block is an exact transpose.  The form of -sigma
-    is the companion of sigma, under which the boost generators of sigma
-    are self-adjoint.  It is an involution and reverses products.  Raises
-    ValueError unless sigma is finite and nonzero.
+    On blocks this sends (A, b, c, d) to (A^T, -c/sigma, -sigma*b, d): Z^T with its last
+    column divided by -sigma and its last row multiplied by -sigma, so the spatial block is an
+    exact transpose, with no overflow while sigma*b and c/sigma are in the float range.  The
+    form of -sigma is the companion of sigma, under which the boost generators of sigma are
+    self-adjoint.  It is an involution and reverses products.  Raises ValueError unless sigma
+    is finite and nonzero.
     """
     if not math.isfinite(sigma) or sigma == 0.0:
         raise ValueError("dagger needs a finite nonzero sigma")

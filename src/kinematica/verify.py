@@ -413,8 +413,19 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
+def _wrap_sigmas(cfg: SuiteConfig) -> list[Sigma]:
+    """The sigmas < 0 of cfg whose period scale wraparound_demo takes (see _wrap_sigma)."""
+    return [s for s in _sigmas(cfg, CaseLabel.ORTHOGONAL) if _wrap_sigma(s.rotation_scale)[1]]
+
+
+def _wrap_sigma(C: float) -> tuple[float, bool]:
+    """wraparound_demo's sigma = -1/C^2, and whether it is the normal float the demo needs."""
+    r = 1.0 / C  # where C * C would overflow or underflow, r * r may not
+    return -(r * r), sys.float_info.min <= r * r < math.inf
+
+
 def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in _sigmas(cfg, CaseLabel.ORTHOGONAL):
+    for s in _wrap_sigmas(cfg):
         C = s.rotation_scale
         u = _units(rng, (cfg.trials, n))
         M = wraparound_demo(C, u, cfg.tol)
@@ -439,10 +450,10 @@ def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if not (C > 0):
         raise ValueError("C must be positive")
-    r = 1.0 / C  # where C * C would overflow or underflow, r * r may not
-    if not sys.float_info.min <= r * r < math.inf:
-        raise ValueError(f"C = {C!r} gives sigma = -1/C^2 = {-(r * r)!r}, not a normal float")
-    sigma = Sigma(-(r * r))
+    sigma, normal = _wrap_sigma(C)
+    if not normal:
+        raise ValueError(f"C = {C!r} gives sigma = -1/C^2 = {sigma!r}, not a normal float")
+    sigma = Sigma(sigma)
     u = np.asarray(u, dtype=float)
     matcore.refuse(abs(matcore.op_norm(u, 1) - 1.0) > 1e-12, "u must be a unit vector")
     n = u.shape[-1]
@@ -516,7 +527,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
         cfg = SuiteConfig()
     report = SuiteReport(config=cfg)
     jobs = list(_PROPERTIES)
-    if _sigmas(cfg, CaseLabel.ORTHOGONAL):
+    if _wrap_sigmas(cfg):
         jobs.append(("wraparound",
                      "boosts of norm pi times the period scale land in the "
                      "rotation block (sigma < 0)", _prop_wraparound))

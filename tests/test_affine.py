@@ -280,45 +280,6 @@ def one_line(line, i):
     return WorldLine(one_event(line.origin, i), direction=line.direction[i])
 
 
-def random_maps(rng, m, d=3):
-    return AffineElement(rng.standard_normal((m, d, d)), rng.standard_normal((m, d)))
-
-
-def test_a_stack_of_maps_on_a_stack_of_events_is_each_pair_bit_for_bit():
-    rng = np.random.default_rng(44)
-    g, h = random_maps(rng, 6), random_maps(rng, 6)
-    x = Event(rng.standard_normal((6, 2)), rng.standard_normal(6))
-    assert x.r.shape == (6, 2) and x.t.shape == (6,) and x.n == 2
-    images, products, inverses = act(g, x), compose(g, h), inverse(g)
-    for i in range(6):
-        gi, hi = one_map(g, i), one_map(h, i)
-        assert same_bits(images.vector()[i], act(gi, one_event(x, i)).vector())
-        product, inv = compose(gi, hi), inverse(gi)
-        assert same_bits(products.linear[i], product.linear)
-        assert same_bits(products.translation[i], product.translation)
-        assert same_bits(inverses.linear[i], inv.linear)
-        assert same_bits(inverses.translation[i], inv.translation)
-
-
-def test_one_map_broadcasts_over_a_stack_and_a_stack_over_one():
-    rng = np.random.default_rng(45)
-    g, hs = random_maps(rng, 1), random_maps(rng, 5)
-    g = one_map(g, 0)
-    xs = Event(rng.standard_normal((2, 5, 2)), rng.standard_normal((2, 5)))
-    x = one_event(xs, (0, 0))
-    images, pulled = act(g, xs), act(hs, x)
-    after, before = compose(g, hs), compose(hs, g)
-    assert images.vector().shape == (2, 5, 3) and pulled.vector().shape == (5, 3)
-    for i in range(5):
-        h = one_map(hs, i)
-        for j in range(2):
-            assert same_bits(images.vector()[j, i], act(g, one_event(xs, (j, i))).vector())
-        assert same_bits(pulled.vector()[i], act(h, x).vector())
-        assert same_bits(after.linear[i], compose(g, h).linear)
-        assert same_bits(after.translation[i], compose(g, h).translation)
-        assert same_bits(before.translation[i], compose(h, g).translation)
-
-
 def test_a_carroll_stack_can_remove_the_time_advance_of_some_lines_only():
     # A Carroll boost b maps the direction (v, 1) to (v, 1 + b.v): b = -v / |v|^2
     # removes the time advance, so the even images are general, the odd timelike.
@@ -343,43 +304,3 @@ def test_a_carroll_stack_can_remove_the_time_advance_of_some_lines_only():
         else:
             assert same_bits(speeds[i], image.speed())
             assert same_bits(velocities[i], image.velocity)
-
-
-def test_a_stack_of_lines_keeps_the_invariant_speed_line_by_line():
-    rng = np.random.default_rng(47)
-    b = rng.standard_normal((4, 3))
-    g = AffineElement(boost_closed_form(b, 4.0), rng.standard_normal((4, 4)))
-    u = rng.standard_normal((4, 3))
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    lines = WorldLine(Event(rng.standard_normal((4, 3)), rng.standard_normal(4)), 0.5 * u)
-    speeds = transform_worldline(g, lines).speed()
-    np.testing.assert_allclose(speeds, 0.5, rtol=1e-12)
-    for i in range(4):
-        assert same_bits(speeds[i], transform_worldline(one_map(g, i), one_line(lines, i)).speed())
-
-
-def test_a_singular_map_in_a_stack_is_named():
-    linear = np.stack([np.eye(3)] * 4)
-    linear[2] = 0.0
-    with pytest.raises(ValueError, match=r"singular at index 2$"):
-        inverse(AffineElement(linear, np.zeros((4, 3))))
-    with pytest.raises(ValueError, match=r"singular at index \(1, 0\)$"):
-        inverse(AffineElement(linear.reshape(2, 2, 3, 3), np.zeros((2, 2, 3))))
-    with pytest.raises(ValueError, match=r"singular$"):
-        inverse(AffineElement(linear[2], np.zeros(3)))
-
-
-def test_stacked_events_and_lines_are_validated():
-    with pytest.raises(ValueError):
-        Event(np.zeros((3, 2)), np.zeros(2))
-    with pytest.raises(ValueError, match="finite"):
-        Event(np.zeros((3, 2)), [0.0, np.nan, 0.0])
-    origins = Event(np.zeros((3, 2)), np.zeros(3))
-    with pytest.raises(ValueError):
-        WorldLine(origins, velocity=np.zeros(2))
-    direction = np.ones((3, 3))
-    direction[1] = 0.0
-    with pytest.raises(ValueError, match=r"nonzero at index 1$"):
-        WorldLine(origins, direction=direction)
-    with pytest.raises(ValueError):
-        AffineElement(np.eye(3), np.zeros((2, 3)))

@@ -185,23 +185,6 @@ def test_mixing_pairs_with_no_rows_or_no_columns_are_refused():
         collinearity_defect([], [])
 
 
-def test_collinearity_defect_of_a_stack_is_each_pair_bit_for_bit():
-    # Rows at scales from 1e-200 to 1e150, so some defects underflow to 0 and
-    # some overflow to inf, and parallel rows among them.
-    rng = np.random.default_rng(29)
-    for n in (2, 3, 10):
-        for scale in (1e-200, 1e-20, 1.0, 1e20, 1e150):
-            b = scale * rng.standard_normal((12, n))
-            c = scale * rng.uniform(0.01, 100.0, (12, 1)) * rng.standard_normal((12, n))
-            c[::3] = rng.uniform(-3.0, 3.0, (4, 1)) * b[::3]
-            defects = collinearity_defect(b, c)
-            assert defects.shape == (12,)
-            assert defects.tobytes() == np.array(
-                [collinearity_defect(x, y) for x, y in zip(b, c)]).tobytes()
-    assert isinstance(collinearity_defect([0.0, 1.0], [1.0, 0.0]), float)
-    assert collinearity_defect([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]).tolist() == [0.0, 2.0]
-
-
 def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():
     # |b|^2 |c|^2 overflows here; perpendicular pairs must still be rejected
     with pytest.raises(NotCollinear, match="collinear"):

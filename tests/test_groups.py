@@ -75,20 +75,6 @@ def test_k_element_refuses_entries_whose_gram_matrix_overflows_without_a_warning
             k_element(R, 1)
 
 
-def test_k_element_of_a_stack_is_each_matrix_bit_for_bit():
-    rng = np.random.default_rng(23)
-    R = np.linalg.qr(rng.standard_normal((5, 3, 3)))[0]
-    eps = np.array([1, -1, -1, 1, -1])
-    K = k_element(R, eps)
-    assert K.shape == (5, 4, 4)
-    for i in range(5):
-        np.testing.assert_array_equal(K[i], k_element(R[i], eps[i]))
-    np.testing.assert_array_equal(k_element(R, -1)[3], k_element(R[3], -1))  # eps broadcasts
-    R[3, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match=r"R must be orthogonal at index 3$"):
-        k_element(R, eps)
-
-
 def test_an_unknown_case_is_refused():
     # The case is a CaseLabel, not its name.
     with pytest.raises(ValueError, match="unknown case 'lorentz'"):
@@ -124,22 +110,6 @@ def test_p_generator_rejects_empty():
     # a (2, 2) array is a stack of two vectors, one generator per row
     np.testing.assert_array_equal(p_generator(np.eye(2), 1.0),
                                   [p_generator([1.0, 0.0], 1.0), p_generator([0.0, 1.0], 1.0)])
-
-
-def test_p_generator_of_a_stack_is_the_generator_of_each_row():
-    rng = np.random.default_rng(32)
-    for sigma in ALL_SIGMAS:
-        for n in (2, 3, 10):
-            rows = rng.standard_normal((2, 3, n))
-            stack = p_generator(rows, sigma)
-            assert stack.shape == (2, 3, n + 1, n + 1)
-            for i in range(2):
-                for j in range(3):
-                    assert stack[i, j].tobytes() == p_generator(rows[i, j], sigma).tobytes()
-        assert p_generator(np.zeros((0, 3)), sigma).shape == (0, 4, 4)
-        for bad in (1.0, np.zeros((3, 0)), [[0.0, 1.0], [math.nan, 0.0]], [[math.inf, 0.0]]):
-            with pytest.raises(ValueError):
-                p_generator(bad, sigma)
 
 
 def test_p_generator_refuses_a_row_past_the_float_range():
@@ -513,30 +483,6 @@ def test_cartan_factors_lose_accuracy_only_like_cond(monkeypatch):
 def test_cartan_factors_reconstruct():
     f = CartanFactors(lam=4.0, k=np.eye(3), Z=np.zeros((3, 3)))
     np.testing.assert_allclose(f.reconstruct(), 2.0 * np.eye(3), atol=1e-15)
-
-
-def test_stacked_factors_rebuild_like_each_matrix():
-    # Each matrix of a stacked reconstruct gets the bits of its own call,
-    # and a refused one, lam <= 0 or past the float range, rebuilds to zero.
-    rng = np.random.default_rng(13)
-    for sigma in (1.0, 1e-12, 1e12):
-        g = random_element(CaseLabel.LORENTZ, sigma, 3, 2.0 / math.sqrt(sigma), 0, size=4)
-        stack = np.concatenate([mixed_stack(3, sigma, rng), 2.0 ** 600 * g])
-        factors = cartan_decompose(stack, sigma)
-        rebuilt = factors.reconstruct()
-        assert rebuilt.shape == stack.shape
-        refused = np.array([r is not None for r in factors.refused])
-        assert refused.any() and not refused.all()
-        assert (factors.lam[refused] <= 0.0).any() and np.isinf(factors.lam).any()
-        assert not rebuilt[refused].any()
-        for i in np.flatnonzero(~refused):
-            one = CartanFactors(factors.lam[i], factors.k[i], factors.Z[i]).reconstruct()
-            assert rebuilt[i].tobytes() == one.tobytes()
-            assert op_norm(rebuilt[i] - stack[i]) <= 1e-9 * op_norm(stack[i])
-    three = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, 1, size=3)
-    np.testing.assert_allclose(cartan_decompose(three, 1.0).reconstruct(), three, atol=1e-13)
-    with pytest.raises(ValueError):
-        CartanFactors(lam=-1.0, k=np.eye(3), Z=np.zeros((3, 3))).reconstruct()
 
 
 def test_shape_verdicts_past_the_square_range_stay_silent():

@@ -186,53 +186,9 @@ def test_split_reads_blocks_consistently():
     np.testing.assert_allclose(s.lam, np.trace(M[:4, :4]) / 4.0)
 
 
-FIELDS = ("lam", "mu", "m1", "m2", "b", "c")
-
-
 def _stacks(rng, n):
     d = n + 1
     return [rng.standard_normal((5, d, d)), rng.standard_normal((2, 3, d, d))]
-
-
-def test_stacked_calls_equal_the_per_matrix_calls_bit_for_bit():
-    rng = np.random.default_rng(19)
-    for n in (2, 3, 10):
-        R, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        for stack in _stacks(rng, n):
-            parts = isotypic.split(stack)
-            merged = isotypic.merge(parts)
-            moved = isotypic.ad_rotation(R, -1, stack)
-            # one R and eps per matrix of the stack, as the stack's own stacks
-            Rs = np.linalg.qr(rng.standard_normal(stack.shape[:-2] + (n, n)))[0]
-            signs = np.where(rng.random(stack.shape[:-2]) < 0.5, -1, 1)
-            each = isotypic.ad_rotation(Rs, signs, stack)
-            for index in np.ndindex(stack.shape[:-2]):
-                one = isotypic.split(stack[index])
-                for name in FIELDS:
-                    np.testing.assert_array_equal(getattr(parts, name)[index], getattr(one, name))
-                np.testing.assert_array_equal(merged[index], isotypic.merge(one))
-                np.testing.assert_array_equal(moved[index],
-                                              isotypic.ad_rotation(R, -1, stack[index]))
-                np.testing.assert_array_equal(
-                    each[index], isotypic.ad_rotation(Rs[index], int(signs[index]), stack[index]))
-
-
-def test_a_bad_block_rotation_in_a_stack_is_named():
-    rng = np.random.default_rng(21)
-    R = np.linalg.qr(rng.standard_normal((4, 3, 3)))[0]
-    eps = np.array([1, -1, 1, -1])
-    Z = rng.standard_normal((4, 4, 4))
-    skewed = R.copy()
-    skewed[2, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match=r"R must be orthogonal at index 2$"):
-        isotypic.ad_rotation(skewed, eps, Z)
-    with pytest.raises(ValueError, match=r"eps must be \+1 or -1 at index 1$"):
-        isotypic.ad_rotation(R, [1, 2, 1, 2], Z)
-    with pytest.raises(ValueError, match=r"R must be orthogonal at index \(1, 0\)$"):
-        isotypic.ad_rotation(skewed.reshape(2, 2, 3, 3), eps.reshape(2, 2), Z.reshape(2, 2, 4, 4))
-    # one matrix names no index
-    with pytest.raises(ValueError, match=r"eps must be \+1 or -1$"):
-        isotypic.ad_rotation(R[0], 2, Z[0])
 
 
 def test_merge_of_split_round_trips_a_stack():

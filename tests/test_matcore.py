@@ -56,16 +56,6 @@ def test_op_norm_is_the_frobenius_bound_on_the_spectral_norm():
                 assert frobenius_norm(view) == float(np.linalg.norm(view))
 
 
-def test_op_norm_and_dagger_of_a_stack_are_those_of_each_matrix():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((5, 4, 4)) * rng.uniform(1e-3, 1e3, (5, 1, 1))
-    assert frobenius_norm(x, 2).tolist() == [frobenius_norm(m) for m in x]
-    assert frobenius_norm(x[:, 0], 1).tolist() == [frobenius_norm(m[0]) for m in x]
-    for sigma in (0.3, -7.0):
-        adj = dagger(x, sigma)
-        assert all(np.array_equal(adj[i], dagger(m, sigma)) for i, m in enumerate(x))
-
-
 def test_balance_from_sigma_maps_the_boost_generator_exactly():
     # D = diag(1, ..., 1, 2^-k) sends the generator of b at sigma to that of
     # 2^k b at 4^-k sigma, with 4^-k sigma in [1/2, 2), bit for bit.
@@ -227,30 +217,6 @@ def test_mat_exp_inverse_pairing():
         Z *= rng.uniform(0.0, 5.0) / op_norm(Z)
         resid = op_norm(mat_exp(Z) @ mat_exp(-Z) - np.eye(4))
         assert resid <= 1e-11
-
-
-def test_mat_exp_of_a_stack_is_that_of_each_matrix_bit_for_bit():
-    # Norms from 1e-3 to 30 take 0 to 7 squarings, so the stack mixes counts.
-    rng = np.random.default_rng(11)
-    stack = rng.standard_normal((6, 5, 4, 4)) * 10.0 ** rng.uniform(-3.0, 1.5, (6, 5, 1, 1))
-    stack[2, 3] = 0.0
-    got = mat_exp(stack)
-    assert got.shape == stack.shape
-    flat = stack.reshape(-1, 4, 4)
-    counts = {math.ceil(math.log2(max(frobenius_norm(Z), 0.5) / 0.5)) for Z in flat}
-    assert len(counts) >= 5
-    singles = [mat_exp(Z) for Z in flat]
-    assert got.reshape(-1, 4, 4).tobytes() == np.array(singles).tobytes()
-    np.testing.assert_array_equal(got[2, 3], np.eye(4))
-
-
-def test_bracket_of_stacks_is_that_of_each_pair():
-    rng = np.random.default_rng(12)
-    X, Y = rng.standard_normal((2, 7, 4, 4))
-    got = bracket(X, Y)
-    assert all(np.array_equal(got[i], bracket(X[i], Y[i])) for i in range(7))
-    with pytest.raises(ValueError):
-        bracket(X, Y[0])
 
 
 def test_mat_exp_periodic_boost_wraps_to_reflection():
