@@ -358,7 +358,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
         raise ValueError("classification takes (m, n+1, n+1) sets, m >= 1 and n >= 2, "
                          f"or a stack of them, got shape {stack.shape}")
     # Every threshold below is relative, so the scaled sets get the same verdicts.
-    stack = matcore.scaled(stack, (-3, -2, -1))[0]
+    matcore.scaled(stack, (-3, -2, -1), out=stack)
     b, c = matcore.mixing_maxima(stack, (-2, -1))
     k = _time_unit(b, c, n)
     if balanced := np.count_nonzero(k):  # faster than any() on small arrays
@@ -369,10 +369,8 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     if balanced and np.count_nonzero(undo):
         matcore.balance(stack, -undo[..., np.newaxis, np.newaxis])
         k, scale = k - undo, matcore.op_norm(stack, 2).max(-1)
-    p = isotypic.split(stack)
-    rows = np.concatenate((math.sqrt(n) * p.lam[..., np.newaxis], p.mu[..., np.newaxis],
-                           p.m2.reshape(p.b.shape[:-1] + (n * n,)), p.b, p.c), axis=-1)
-    del stack, p  # free the matrices before the SVD
+    rows = isotypic._coordinates(stack)[1]
+    del stack  # free the matrices before the SVD
     rows = rows[..., rows.reshape(-1, m, rows.shape[-1]).any(axis=(0, 2)), :]
     rank, norms, outcomes = [0] * k.size, [[0.0, 0.0, 0.0]] * k.size, [(None, None)] * k.size
     if rows.shape[-2]:

@@ -19,6 +19,7 @@ and runs the same array code on either, reading the blocks as slices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,21 +58,40 @@ def split(Z) -> IsotypicSplit:
     The spatial block A contributes trace(A)/n to the scalar part,
     (A - A^T)/2 to the skew part and the traceless remainder of
     (A + A^T)/2 to the symmetric part; the off blocks pass through as
-    (b, c) and the corner as mu.  The components are new arrays.
+    (b, c) and the corner as mu.  Z is left as it is: the coordinate pass
+    runs on a copy, and all components but m1 are views of its one new
+    array of rows.
     """
-    Z = matcore.as_square_stack(Z)
+    Z = matcore.as_square_stack(np.array(Z, dtype=float))  # a copy, which the pass halves
     n = Z.shape[-1] - 1
     if n < 2:
         raise ValueError("isotypic split needs at least two space dimensions")
-    A = Z[..., :n, :n]
+    with np.errstate(over="ignore"):  # only the sqrt(n) lam coordinate, not kept, can overflow
+        lam, rows = _coordinates(Z)
+    half, j = Z[..., :n, :n], 2 + n * n
+    return IsotypicSplit(lam=lam, mu=rows[..., 1][()], m1=half - half.mT,
+                         m2=rows[..., 2:j].reshape(half.shape), b=rows[..., j:j + n],
+                         c=rows[..., j + n:])
+
+
+def _coordinates(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lam, and the coordinates [sqrt(n) lam, mu, m2, b, c] of m0 + m2 + m3, isometric to the
+    Frobenius norm, of each matrix of the float (..., n+1, n+1) stack Z, as the rows of one new
+    (..., 2 + n^2 + 2n) array.  Halves the spatial block of Z in place first, so that no sum
+    or difference overflows: m1 is then that block minus its transpose."""
+    n = Z.shape[-1] - 1
+    A, j = Z[..., :n, :n], 2 + n * n
     scale = 2.0 ** n.bit_length()  # over 2^k > n no sum of n entries overflows; exact if normal
-    lam = (np.diagonal(A, 0, -2, -1) / scale).sum(-1) / n * scale
-    half = 0.5 * A  # halved first, so no sum or difference can overflow
-    m1 = half - half.mT
-    m2 = half + half.mT
-    np.einsum("...ii->...i", m2)[...] -= lam[..., np.newaxis]  # a view of the diagonal
-    return IsotypicSplit(lam=lam, mu=Z[..., n, n].copy()[()], m1=m1, m2=m2,
-                         b=Z[..., :n, n].copy(), c=Z[..., n, :n].copy())
+    lam = np.add.reduce(np.diagonal(A, 0, -2, -1) / scale, -1) / n * scale
+    np.multiply(A, 0.5, out=A)
+    rows = np.empty(Z.shape[:-2] + (j + 2 * n,))
+    np.add(A, A.mT, out=rows[..., 2:j].reshape(A.shape))  # m2, a view of the rows
+    rows[..., 2:j:n + 1] -= lam[..., np.newaxis]  # the diagonal of m2
+    np.multiply(lam, math.sqrt(n), out=rows[..., 0])
+    rows[..., 1] = Z[..., n, n]
+    rows[..., j:j + n] = Z[..., :n, n]
+    rows[..., j + n:] = Z[..., n, :n]
+    return lam, rows
 
 
 def merge(parts: IsotypicSplit) -> np.ndarray:

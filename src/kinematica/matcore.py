@@ -75,17 +75,24 @@ def op_norm(matrix, axes: int | None = None):
     return np.sqrt(np.vecdot(r, r))
 
 
-def scaled(x: np.ndarray, axes=None, shift=None):
+def scaled(x: np.ndarray, axes=None, shift=None, out=None):
     """(x / 2^e, e), e the binary exponent of x's largest entry over axes, per slice (a numpy
     scalar for one; any e for a zero slice).  With int exponents shift that broadcast against
-    x, x 2^shift is scaled instead, read off x's exponents: nothing overflows, one rounding."""
+    x, x 2^shift is scaled instead, read off x's exponents: nothing overflows, one rounding.
+    out=x writes the result over the float array x; without shift no temporary of x's size is
+    formed then, as the largest entry is read as max(max x, -min x).  The bits are the same."""
     if shift is None:
-        e = np.frexp(abs(x).max(axis=axes, keepdims=True))[1]
-        return np.ldexp(x, -e), np.squeeze(e, axes)[()]
+        if out is None:
+            top = abs(x).max(axis=axes, keepdims=True)
+        else:
+            top = np.maximum(np.maximum.reduce(x, axes, keepdims=True),
+                             -np.minimum.reduce(x, axes, keepdims=True))
+        e = np.frexp(top)[1]
+        return np.ldexp(x, -e, out=out), np.squeeze(e, axes)[()]
     mant, exps = np.frexp(x)
     exps = exps + shift
     e = exps.max(axis=axes, keepdims=True, where=mant != 0.0, initial=-4096)
-    return np.ldexp(mant, exps - e), np.squeeze(e, axes)[()]
+    return np.ldexp(mant, exps - e, out=out), np.squeeze(e, axes)[()]
 
 
 def sigma_unit(sigma: float) -> tuple[int, float]:
@@ -98,7 +105,9 @@ def sigma_unit(sigma: float) -> tuple[int, float]:
 def balance(x: np.ndarray, k) -> np.ndarray:
     """Change the time unit of the float (..., n+1, n+1) stack x in place to D x D^-1 and
     return x, D = diag(1, ..., 1, 2^-k).  -k undoes it; an int array k that broadcasts
-    against x.shape[:-2] + (1,) moves each matrix by its own k."""
+    against x.shape[:-2] + (1,) moves each matrix by its own k.  Exact while each moved
+    entry times 2^|k| is a normal float: past the float max it warns (overflow encountered in
+    ldexp) and writes inf, and under the normal range it rounds, to a subnormal or zero."""
     n = x.shape[-1] - 1
     if isinstance(k, np.ndarray) or k:  # a no-op on strided views costs more than the test
         np.ldexp(x[..., n, :n], -k, out=x[..., n, :n])

@@ -399,9 +399,9 @@ def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _
                    {"n": n, "contaminant": name, "outcome": r.outcome})
     _, _, corner = nonalgebra_witness(n)
     check.residual(abs(corner - 2.0), {"n": n, "corner": corner})
-    span = _mixing_span_basis(n)
-    check.flag(not classify.is_closed_under_bracket(span, cfg.tol), {"n": n})
-    check.flag(classify.bracket_closure_defect(span, cfg.tol) >= 1.0, {"n": n})
+    closed, defect = classify._closure_scan(_mixing_span_basis(n), cfg.tol)  # one scan, two flags
+    check.flag(not closed, {"n": n})
+    check.flag(defect >= 1.0, {"n": n})
 
 
 def _mixing_span_basis(n: int) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -661,16 +662,16 @@ def test_classify_takes_one_svd_of_the_non_rotation_rows(monkeypatch):
 
 
 def test_classify_splits_all_generators_in_one_call(monkeypatch):
-    # The generators go to isotypic.split as one (m, n+1, n+1) stack.
+    # The generators go to the coordinate pass of isotypic as one (m, n+1, n+1) stack.
     from kinematica import isotypic
     shapes = []
-    split = isotypic.split
+    coordinates = isotypic._coordinates
 
     def counting(Z):
         shapes.append(np.shape(Z))
-        return split(Z)
+        return coordinates(Z)
 
-    monkeypatch.setattr(isotypic, "split", counting)
+    monkeypatch.setattr(isotypic, "_coordinates", counting)
     rng = np.random.default_rng(29)
     sets = [_standard_generators(rng, n, Sigma(s), count=n)
             for n in (2, 3, 10, 20) for s in (1.0, -0.5, 0.0, math.inf)]
@@ -889,11 +890,29 @@ def test_classify_a_stack_of_one_kind_is_bit_for_bit():
             _assert_one_set_answers([gates[name]] * 3, bits=True)
 
 
+def test_classify_holds_one_copy_of_a_set_and_its_coordinates():
+    # The set is copied once, scaled in place and its coordinates written once: no scaled
+    # copy, |x| temporary or split components of the set's size beside them.
+    n = 20
+    b = np.random.default_rng(35).standard_normal((n, n))
+    gens = np.array(rotation_generators(n) + list(p_generator(b, 0.7)))
+    classify_algebra(gens)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        result = classify_algebra(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert case_label(result) is CaseLabel.LORENTZ
+    assert peak <= 2.5 * gens.nbytes, peak / gens.nbytes
+
+
 def test_classify_a_stack_takes_one_split_and_one_svd(monkeypatch):
     from kinematica import isotypic
     calls = []
-    split, svd = isotypic.split, np.linalg.svd
-    monkeypatch.setattr(isotypic, "split", lambda Z: calls.append("split") or split(Z))
+    coordinates, svd = isotypic._coordinates, np.linalg.svd
+    monkeypatch.setattr(isotypic, "_coordinates",
+                        lambda Z: calls.append("split") or coordinates(Z))
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
         calls.append(np.shape(a)) or svd(a, *args, **kwargs)))
     stack = np.array(list(_gate_sets(np.random.default_rng(34), 3).values()))

@@ -114,6 +114,20 @@ def test_balance_of_exponents_matches_balance_of_values():
     assert x[2, 3, 0] == 0.125
 
 
+def test_scaled_in_place_gives_the_bits_of_the_new_array():
+    # out=x reads the largest entry as max(max x, -min x): the same exponent as |x|'s largest,
+    # for matrices whose largest entry is negative, -0.0, zero, subnormal or near the float max.
+    a = np.random.default_rng(9).standard_normal((4, 4))
+    stack = np.stack([a, -abs(a), np.full((4, 4), -0.0), np.zeros((4, 4)),
+                      np.full((4, 4), -5e-324), a / abs(a).max() * -1.7e308])
+    for axes, shift in ((None, None), ((-2, -1), None), ((-3, -2, -1), None), (-1, None),
+                        ((-2, -1), _shift(1)), (None, _shift(-33))):
+        x, e = scaled(stack, axes, shift)
+        y = stack.copy()
+        got, f = scaled(y, axes, shift, out=y)
+        assert got is y and y.tobytes() == x.tobytes() and np.array_equal(f, e), (axes, shift)
+
+
 def levelled(x):
     """balance's k from the largest mixing entries of x, as the callers without a sigma take it."""
     return unit_exponent(*mixing_maxima(x))
