@@ -45,6 +45,7 @@ __all__ = [
     "case_label",
     "case_of_sigma",
     "classify_algebra",
+    "closure_scan",
     "collinearity_defect",
     "is_closed_under_bracket",
     "rotation_generators",
@@ -293,10 +294,11 @@ def rotation_generators(n: int) -> list[np.ndarray]:
     return out
 
 
-def _closure_scan(basis, tol: float) -> tuple[bool, float]:
+def closure_scan(basis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Least-squares test that all pairwise brackets stay in the span.
 
-    Returns (closed, worst residual).  The basis is balanced by the k of
+    Returns (closed, worst residual), the answers of :func:`is_closed_under_bracket` and
+    :func:`bracket_closure_defect` from one scan.  The basis is balanced by the k of
     :func:`matcore.unit_exponent`, an automorphism of the bracket, and each
     generator is divided by the power of two of its largest entry, which
     keeps the span: no time unit or power-of-two scale changes the verdict,
@@ -320,13 +322,13 @@ def _closure_scan(basis, tol: float) -> tuple[bool, float]:
 def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
     """Whether the span of ``basis`` is closed under the bracket.  Rank-deficient
     inputs are fine: the span is what is tested."""
-    return _closure_scan(basis, tol)[0]
+    return closure_scan(basis, tol)[0]
 
 
 def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
     """Largest distance of any pairwise bracket from the span of ``basis``, in the balanced
-    time unit of :func:`_closure_scan`: 4^j times as far for 2^j times the basis."""
-    return _closure_scan(basis, tol)[1]
+    time unit of :func:`closure_scan`: 4^j times as far for 2^j times the basis."""
+    return closure_scan(basis, tol)[1]
 
 
 def classify_algebra(generators, tol: float = DEFAULT_TOL

@@ -71,22 +71,17 @@ def p_generator(b, sigma) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
+    if np.count_nonzero(np.isfinite(b)) != b.size:
+        raise ValueError("b must have finite entries")
     s = as_sigma(sigma)
-    # One test of each entry: finite, and where sigma * b could pass the float range, below
-    # 2^1023 / |sigma| (rounded up, that quotient still keeps sigma * b under the float max).
-    # Only where it fails are the exact tests run.
-    wide = s.is_finite and abs(s.value) > 1.0
-    if np.count_nonzero(abs(b) <= 2.0 ** 1023 / abs(s.value) if wide else np.isfinite(b)) != b.size:
-        if np.count_nonzero(np.isfinite(b)) != b.size:
-            raise ValueError("b must have finite entries")
-        if wide and abs(s.value) * float(abs(b).max()) == math.inf:
-            raise ValueError(f"sigma * b passes the float range at sigma = {s.value!r}")
     n = b.shape[-1]
     Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
     if s.is_infinite:
         Z[..., n, :n] = b
     else:
         Z[..., :n, n] = b
+        if abs(s.value) > 1.0 and abs(s.value) * float(abs(b).max(initial=0.0)) == math.inf:
+            raise ValueError(f"sigma * b passes the float range at sigma = {s.value!r}")
         if s.value != 0.0:  # at sigma = 0 the row stays +0.0, where 0.0 * b may be -0.0
             np.multiply(b, s.value, out=Z[..., n, :n])
     return Z

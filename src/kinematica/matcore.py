@@ -79,20 +79,14 @@ def scaled(x: np.ndarray, axes=None, shift=None, out=None):
     """(x / 2^e, e), e the binary exponent of x's largest entry over axes, per slice (a numpy
     scalar for one; any e for a zero slice).  With int exponents shift that broadcast against
     x, x 2^shift is scaled instead, read off x's exponents: nothing overflows, one rounding.
-    out=x writes the result over the float array x; without shift no temporary of x's size is
-    formed then, as the largest entry is read as max(max x, -min x).  The bits are the same."""
+    Unshifted, out=x divides the float array x in place, with the same bits."""
     if shift is None:
-        if out is None:
-            top = abs(x).max(axis=axes, keepdims=True)
-        else:
-            top = np.maximum(np.maximum.reduce(x, axes, keepdims=True),
-                             -np.minimum.reduce(x, axes, keepdims=True))
-        e = np.frexp(top)[1]
+        e = np.frexp(abs(x).max(axis=axes, keepdims=True))[1]
         return np.ldexp(x, -e, out=out), np.squeeze(e, axes)[()]
     mant, exps = np.frexp(x)
     exps = exps + shift
     e = exps.max(axis=axes, keepdims=True, where=mant != 0.0, initial=-4096)
-    return np.ldexp(mant, exps - e, out=out), np.squeeze(e, axes)[()]
+    return np.ldexp(mant, exps - e), np.squeeze(e, axes)[()]
 
 
 def sigma_unit(sigma: float) -> tuple[int, float]:

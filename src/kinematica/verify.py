@@ -399,7 +399,7 @@ def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _
                    {"n": n, "contaminant": name, "outcome": r.outcome})
     _, _, corner = nonalgebra_witness(n)
     check.residual(abs(corner - 2.0), {"n": n, "corner": corner})
-    closed, defect = classify._closure_scan(_mixing_span_basis(n), cfg.tol)  # one scan, two flags
+    closed, defect = classify.closure_scan(_mixing_span_basis(n), cfg.tol)
     check.flag(not closed, {"n": n})
     check.flag(defect >= 1.0, {"n": n})
 

@@ -396,6 +396,7 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
 
     real_dagger = matcore_mod.dagger
     real_split = isotypic_mod.split
+    real_coordinates = isotypic_mod._coordinates
     mutants = []
 
     def flipped_dagger(Z, sigma):
@@ -415,6 +416,13 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
         parts.m2 = np.zeros_like(parts.m2)
         return parts
     mutants.append(("kinematica.isotypic.split", split_without_m2))
+
+    def coordinates_without_m2(Z):
+        lam, rows = real_coordinates(Z)
+        rows[..., 2:2 + (Z.shape[-1] - 1) ** 2] = 0.0
+        return lam, rows
+    # the coordinate pass that classify_algebra reads its generators through
+    mutants.append(("kinematica.isotypic._coordinates", coordinates_without_m2))
 
     detected = 0
     for target, mutant in mutants:

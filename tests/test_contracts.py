@@ -267,8 +267,8 @@ UNSTACKED = {f"{module}.{name}" for module, names in (  # one sigma, set, size o
     ("matcore", "sigma_unit"), ("isotypic", "IsotypicSplit"), ("groups", "LogarithmFailure "
      "NonPositiveLambda NotInNormalizer"), ("classify", "CaseLabel ClassificationResult "
      "NotCollinear Sigma ZeroGenerator as_sigma bracket_closure_defect case_label case_of_sigma "
-     "is_closed_under_bracket rotation_generators sigma_from_m3"), ("verify", "PropertyResult "
-     "SuiteConfig SuiteReport nonalgebra_witness run_suite")) for name in names.split()}
+     "closure_scan is_closed_under_bracket rotation_generators sigma_from_m3"), ("verify",
+     "PropertyResult SuiteConfig SuiteReport nonalgebra_witness run_suite")) for name in names.split()}
 
 
 @pytest.mark.parametrize("name", TABLE)
