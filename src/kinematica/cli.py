@@ -189,6 +189,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
+def _glue_values(argv) -> list:
+    """argv with --sigma and --sigma-list joined to the next token, as --sigma=token: argparse
+    reads that as the value, where -1e-8 or -1,0.5 on its own would read as an option."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in ("--sigma", "--sigma-list") else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 @functools.cache  # built once a process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -234,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

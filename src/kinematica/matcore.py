@@ -148,9 +148,9 @@ def mat_exp(Z) -> np.ndarray:
         wide = (norms := op_norm(Z, 2)) == math.inf
         squarings = np.ceil(np.log2(np.where(wide, 0.5, np.maximum(norms, 0.5)) / 0.5)).astype(int)
         X = np.ldexp(Z, -squarings[..., None, None])  # Z / 2^squarings, bit for bit
-        E = np.eye(d)
+        E = identity = np.eye(d)
         for k in range(_EXP_DEGREE, 0, -1):
-            E = np.eye(d) + (X @ E) / k
+            E = identity + (X @ E) / k
         flat, counts = E.reshape(-1, d, d), squarings.reshape(-1)  # views of E and squarings
         for i in range(counts.max(initial=0)):
             more = counts > i

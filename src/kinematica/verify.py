@@ -1,14 +1,14 @@
 """Self-contained property suite over randomized inputs.
 
-Each property draws from one generator seeded by (seed, property number),
-takes its group members (P3: generator sets) from that generator in one
-stack per dimension and case, judges each stack in whole-array calls where
-the functions under test take stacks, accumulates the worst residual it
-sees and the number of values it judged, and reports pass/fail against
-the configured tolerance.  Failures never raise: they land in the
-report, together with a counterexample payload of the matrices involved,
-so a corrupted build shows up as a readable report entry and a nonzero
-exit from the command line wrapper.
+Each property draws from one generator seeded by (seed, property number), taking its group
+members (P3: generator sets) in one stack per dimension and case or sigma, in a fixed order.
+Per dimension, it judges all stacks in one call to each function under test that takes no
+sigma and no case (classify_algebra: one per stack) and splits the answers back, so each
+check sees what a call on its stack alone gives.  It accumulates the worst residual and the
+number of values judged, and reports pass/fail against the configured tolerance.  Failures
+never raise: they land in the report, with a counterexample payload of the matrices
+involved, so a corrupted build shows up as a readable report entry and a nonzero exit from
+the command line wrapper.
 """
 
 from __future__ import annotations
@@ -219,34 +219,40 @@ def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n:
 
 
 def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in cfg.sigma_values:
-        b = rng.standard_normal((cfg.trials, n))  # pairs in the balanced unit of sigma
-        bs, cs = (np.zeros_like(b), b) if s.is_infinite else (b, matcore.sigma_unit(s.value)[1] * b)
-        defects = classify.collinearity_defect(bs, cs)
-        check.residual(abs(defects) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
+    pairs = np.empty((len(cfg.sigma_values), 2, 2, cfg.trials, n))  # per sigma, two (b, c)
+    for (collinear, general), s in zip(pairs, cfg.sigma_values):  # in sigma's balanced unit
+        b = rng.standard_normal((cfg.trials, n))
+        collinear[:] = (np.zeros_like(b), b) if s.is_infinite else (
+            b, matcore.sigma_unit(s.value)[1] * b)
+        general[:] = rng.standard_normal((2, cfg.trials, n))
+    defects = classify.collinearity_defect(pairs[:, :, 0].reshape(-1, n),
+                                           pairs[:, :, 1].reshape(-1, n)).reshape(-1, 2, cfg.trials)
+    # The doubled commutator corner of a general pair's mixing generator reproduces its defect.
+    _, _, corners = _doubled_commutator(pairs[:, 1, 0], pairs[:, 1, 1])
+    for s, ((bs, cs), (b2, c2)), (defect, closed), corner in zip(
+            cfg.sigma_values, pairs, defects, corners):
+        check.residual(abs(defect) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
                        {"b": bs, "c": cs, "sigma": s})
-        # The doubled commutator of a general mixing generator with the
-        # rotation it spawns reproduces the defect in its corner.
-        b2, c2 = rng.standard_normal((2, cfg.trials, n))
-        _, _, corners = _doubled_commutator(b2, c2)
-        closed = classify.collinearity_defect(b2, c2)
-        check.residual(abs(corners - closed) / (1.0 + abs(closed)), {"b": b2, "c": c2})
+        check.residual(abs(corner - closed) / (1.0 + abs(closed)), {"b": b2, "c": c2})
 
 
-def _generated_bases(n: int, s: Sigma, rng: np.random.Generator, count: int) -> np.ndarray:
-    """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations and n boosts
-    of sigma s (p_generator of b) along random b, each scaled by a factor in [1/4, 4]."""
+def _generated_bases(rotations, s: Sigma, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations of dimension n
+    and n boosts of sigma s (p_generator of b) along random b, each scaled by [1/4, 4]."""
+    n = len(rotations[0]) - 1
     b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
     boosts = groups.p_generator(b, s)
-    rotations = classify.rotation_generators(n)
     return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
 
 
 def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    result = classify.classify_algebra(classify.rotation_generators(n), cfg.tol)
+    # a call per (n, sigma): per n, classify_algebra would hold every sigma's sets three times
+    rotations = classify.rotation_generators(n)
+    result = classify.classify_algebra(rotations, cfg.tol)
     check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
     for s in cfg.sigma_values:
-        results = classify.classify_algebra(_generated_bases(n, s, rng, cfg.trials), cfg.tol)
+        results = classify.classify_algebra(_generated_bases(rotations, s, rng, cfg.trials),
+                                            cfg.tol)
         outcome = np.array([r.outcome for r in results])
         reason = np.array([r.reason for r in results], dtype=object)
         check.flag([r.is_kinematical and classify.case_label(r) == case_of_sigma(s)
@@ -263,8 +269,8 @@ def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
     for s in _sigmas(cfg, CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
         members = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
         scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
-        ok, lam = groups.in_normalizer(members, s, cfg.tol)
-        ok2, lam2 = groups.in_normalizer(np.sqrt(scales)[:, None, None] * members, s, cfg.tol)
+        both = np.concatenate((members, np.sqrt(scales)[:, None, None] * members))
+        (ok, ok2), (lam, lam2) = (x.reshape(2, -1) for x in groups.in_normalizer(both, s, cfg.tol))
         check.flag(ok, {"a": members, "sigma": s})
         check.residual(abs(lam - 1.0), {"a": members, "sigma": s, "lam": lam})
         check.flag(ok2, {"a": members, "sigma": s, "lam0": scales})
@@ -273,22 +279,28 @@ def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
 
 
 def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in _sigmas(cfg, CaseLabel.LORENTZ):
-        k = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
-        lam = rng.uniform(0.1, 10.0, cfg.trials)
+    if not (sigmas := _sigmas(cfg, CaseLabel.LORENTZ)):
+        return
+    lams = np.empty((len(sigmas), cfg.trials))  # per sigma: lam, k and Z, drawn as stacks
+    ks, Zs = np.empty((2, len(sigmas), cfg.trials, n + 1, n + 1))
+    for s, lam, k, Z in zip(sigmas, lams, ks, Zs):
+        k[:] = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
+        lam[:] = rng.uniform(0.1, 10.0, cfg.trials)
         b = _units(rng, (cfg.trials, n)) * rng.uniform(0.0, 4.0 / math.sqrt(s.value),
                                                       (cfg.trials, 1))
-        Z = groups.p_generator(b, s)
-        a = groups.CartanFactors(lam, k, Z).reconstruct()
-        factors = groups.cartan_decompose(a, s, cfg.tol)
+        Z[:] = groups.p_generator(b, s)
+    a = groups.CartanFactors(lams, ks, Zs).reconstruct()
+    factors = [groups.cartan_decompose(x, s, cfg.tol) for x, s in zip(a, sigmas)]
+    rebuilt = groups.CartanFactors(*map(np.stack, zip(*(
+        (f.lam, f.k, f.Z, f.refused) for f in factors)))).reconstruct()
+    for s, f, x, y, lam, k, Z in zip(sigmas, factors, a, rebuilt, lams, ks, Zs):
         resid = np.max([
-            matcore.op_norm(factors.k - k, 2),
-            matcore.op_norm(_balanced(factors.Z - Z, s), 2),
-            abs(factors.lam - lam) / (1.0 + lam),
-            matcore.op_norm(_balanced(factors.reconstruct() - a, s), 2)
-            / (1.0 + matcore.op_norm(_balanced(a, s), 2)),
+            matcore.op_norm(f.k - k, 2),
+            matcore.op_norm(_balanced(f.Z - Z, s), 2),
+            abs(f.lam - lam) / (1.0 + lam),
+            matcore.op_norm(_balanced(y - x, s), 2) / (1.0 + matcore.op_norm(_balanced(x, s), 2)),
         ], axis=0)
-        check.residual(resid, {"a": a, "k": k, "Z": Z, "lam": lam, "sigma": s})
+        check.residual(resid, {"a": x, "k": k, "Z": Z, "lam": lam, "sigma": s})
 
 
 def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
@@ -297,17 +309,20 @@ def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
 
 
 def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for case, s in _cases(cfg):
-        members = _members(rng, case, s, n, 2.0, 2 * cfg.trials)
-        g1, g2 = members[:cfg.trials], members[cfg.trials:]
-        products = groups.membership(g1 @ g2, case, s, cfg.tol)
-        inverses = groups.membership(np.linalg.inv(g1), case, s, cfg.tol)
-        check.flag(products & inverses, {"g1": g1, "g2": g2, "case": case.value})
+    cases = _cases(cfg)
+    members = [_members(rng, case, s, n, 2.0, 2 * cfg.trials) for case, s in cases]
+    inverses = np.linalg.inv(np.stack([g[:cfg.trials] for g in members]))
+    for (case, s), g, inverse in zip(cases, members, inverses):
+        g1, g2 = g[:cfg.trials], g[cfg.trials:]  # products judged with inverses in one stack
+        ok = groups.membership(np.concatenate((g1 @ g2, inverse)), case, s, cfg.tol)
+        check.flag(ok[:cfg.trials] & ok[cfg.trials:], {"g1": g1, "g2": g2, "case": case.value})
 
 
 def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for case, s in _cases(cfg):
-        a = _members(rng, case, s, n, 0.0, cfg.trials)
+    cases = _cases(cfg)
+    members = np.stack([_members(rng, case, s, n, 0.0, cfg.trials) for case, s in cases])
+    in_K = groups.in_K(members.reshape(-1, n + 1, n + 1), cfg.tol).reshape(len(cases), -1)
+    for (case, s), a, ok in zip(cases, members, in_K):
         A = a[:, :n, :n]
         resid = np.max([
             matcore.op_norm(a[:, :n, n], 1),
@@ -316,7 +331,7 @@ def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
             abs(abs(a[:, n, n]) - 1.0),
         ], axis=0)
         check.residual(resid, {"a": a, "case": case.value})
-        check.flag(groups.in_K(a, cfg.tol), {"a": a, "case": case.value})
+        check.flag(ok, {"a": a, "case": case.value})
 
 
 def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -370,29 +385,33 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
     ], axis=0)
     scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
     check.residual(resid / scale, {"g_linear": g.linear, "h_linear": h.linear})
-    for s in _sigmas(cfg, CaseLabel.LORENTZ):  # judged in the balanced unit of sigma
-        c = 1.0 / math.sqrt(matcore.sigma_unit(s.value)[1])
+    if not (sigmas := _sigmas(cfg, CaseLabel.LORENTZ)):  # judged in sigma's balanced unit
+        return
+    speeds = [1.0 / math.sqrt(matcore.sigma_unit(s.value)[1]) for s in sigmas]
+    drawn = []  # per sigma: members, a map, and a null and a slow line through random origins
+    for s, c in zip(sigmas, speeds):
         members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
-        gmap = affine.AffineElement(_balanced(members, s),
-                                    rng.standard_normal((cfg.trials, n + 1)))
-        # a null and a slow line through random origins, one (2, trials) stack
-        origins = affine.Event(rng.standard_normal((2, cfg.trials, n)),
-                               rng.standard_normal((2, cfg.trials)))
-        velocities = np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))
-        null, slow = affine.transform_worldline(
-            gmap, affine.WorldLine(origins, velocity=velocities)).speed()
-        check.residual(abs(null - c) / (1.0 + c), {"a": members, "sigma": s})
-        check.flag(slow < c, {"a": members, "sigma": s})
+        drawn.append((members, _balanced(members, s), rng.standard_normal((cfg.trials, n + 1)),
+                      rng.standard_normal((2, cfg.trials, n)), rng.standard_normal((2, cfg.trials)),
+                      np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))))
+    members, linear, shift, r, t, velocities = (  # the lines: (2, sigmas, trials)
+        np.stack(x, axis) for x, axis in zip(zip(*drawn), (0, 0, 0, 1, 1, 1)))
+    lines = affine.WorldLine(affine.Event(r, t), velocity=velocities)
+    null, slow = affine.transform_worldline(affine.AffineElement(linear, shift), lines).speed()
+    for s, c, a, v, w in zip(sigmas, speeds, members, null, slow):
+        check.residual(abs(v - c) / (1.0 + c), {"a": a, "sigma": s})
+        check.flag(w < c, {"a": a, "sigma": s})
 
 
 def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     # One stack: boosts plus m0, boosts plus m2, two sigmas; zero generators pad them.
-    base = _generated_bases(n, Sigma(1.0), rng, 1)[0]
+    rotations = classify.rotation_generators(n)
+    base = _generated_bases(rotations, Sigma(1.0), rng, 1)[0]
     sets = np.zeros((3, len(base) + 1, n + 1, n + 1))
     sets[:2, :-1] = base
     sets[0, -1] = np.diag(np.r_[np.ones(n), 0.0])
     sets[1, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
-    sets[2, :len(base) - n + 2] = classify.rotation_generators(n) + [
+    sets[2, :len(base) - n + 2] = rotations + [
         groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
     for name, r in zip(("m0", "m2", "mixed sigma"), classify.classify_algebra(sets, cfg.tol)):
         check.flag(r.outcome == classify.OUTCOME_NOT_KINEMATICAL,

@@ -389,6 +389,25 @@ def test_decompose_refuses_a_lam_beyond_the_float_range(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_sigma_value_may_start_with_a_minus_sign(tmp_path, capsys):
+    # argparse would read -1e-8 and -1,0.5 as options: --sigma and --sigma-list take the next
+    # token as their value whatever its spelling, as with --flag=value.
+    for command, flag, value in (
+            (["generate", "--case", "orthogonal", "--n", "2"], "--sigma", "-1e-8"),
+            (["verify", "--n", "2", "--trials", "2"], "--sigma-list", "-1,0.5")):
+        assert cli.main(command + [flag, value]) == 0
+        spaced = capsys.readouterr()
+        assert cli.main(command + [f"{flag}={value}"]) == 0
+        assert capsys.readouterr() == spaced and spaced.err == ""
+    assert json.loads(spaced.out)["config"]["sigma_values"] == [-1.0, 0.5]
+    path = write_file(tmp_path, {"n": 2, "matrices": []})
+    assert cli.main(["decompose", path, "--sigma", "-1e-8"]) == 1  # the domain error, not usage
+    assert capsys.readouterr().err == "error: Cartan decomposition needs a finite sigma > 0\n"
+    for missing in (["generate", "--case", "orthogonal", "--sigma"], ["verify", "--sigma-list"]):
+        assert cli.main(missing) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
 def test_decompose_rejects_bad_sigma(tmp_path, capsys):
     path = write_file(tmp_path, {"n": 2, "matrices": []})
     for sigma in ("inf", "-1", "0"):

@@ -130,12 +130,13 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
 
     monkeypatch.setattr("kinematica.matcore.mat_exp", counted_exp)
     assert run_suite().passed
-    assert 0 < counts["mat_exp"] <= 8  # two per P5 stack
+    # P5 rebuilds every sigma's members in one call per n, and their factors in one more
+    assert counts["mat_exp"] == 2 * len(SuiteConfig().n_values)
     monkeypatch.setattr("kinematica.groups.in_K", counted_in_K)
     cfg = SuiteConfig()
     assert verify._run(verify._prop_pure_rotations, cfg, np.random.default_rng(0)).passed
-    stacks = [(cfg.trials, n + 1, n + 1) for n in cfg.n_values for _ in verify._cases(cfg)]
-    assert in_K_stacks == stacks
+    stacks = [(len(verify._cases(cfg)) * cfg.trials, n + 1, n + 1) for n in cfg.n_values]
+    assert in_K_stacks == stacks  # one call per n on every case's stack
 
 
 def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
@@ -159,7 +160,7 @@ def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
 
 
 def test_collinearity_property_takes_one_defect_call_per_stack(monkeypatch):
-    # Two calls per (n, sigma), each on a stack of trials pairs; a call per
+    # One call per n on every sigma's two stacks of trials pairs; a call per
     # pair would be 2 * 25 = 50 per (n, sigma).
     from kinematica import classify
     real = classify.collinearity_defect
@@ -172,9 +173,7 @@ def test_collinearity_property_takes_one_defect_call_per_stack(monkeypatch):
     monkeypatch.setattr("kinematica.classify.collinearity_defect", counted)
     cfg = SuiteConfig()
     assert verify._run(verify._prop_collinearity, cfg, np.random.default_rng(0)).passed
-    assert len(shapes) == 2 * len(cfg.n_values) * len(cfg.sigma_values)
-    for n in cfg.n_values:
-        assert shapes.count((cfg.trials, n)) == 2 * len(cfg.sigma_values)
+    assert shapes == [(2 * len(cfg.sigma_values) * cfg.trials, n) for n in cfg.n_values]
 
 
 def test_isotypic_property_takes_one_block_rotation_call_per_n(monkeypatch):
@@ -194,36 +193,56 @@ def test_isotypic_property_takes_one_block_rotation_call_per_n(monkeypatch):
                       for n in cfg.n_values]
 
 
-def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
-    # Each (n, sigma) stack is judged in a fixed number of calls, whatever the
-    # number of trials: P9 composes six times per n and maps one stack of lines
-    # per (n, sigma > 0); wrap-around makes one demo and two boosts per (n, sigma < 0).
-    from kinematica import affine
+def count_calls(monkeypatch, *targets) -> dict:
+    """Wrap each (module, name) of targets to count its calls in the returned dict, by name."""
     counts = {}
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args, **kwargs):
+    for module, name in targets:
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
             counts[name] = counts.get(name, 0) + 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return counts
 
-    for module, name in ((affine, "compose"), (affine, "transform_worldline"),
-                         (verify, "wraparound_demo"), (groups, "boost_closed_form")):
-        count(module, name)
+
+def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
+    # Each (n, sigma) stack is judged in a fixed number of calls, whatever the
+    # number of trials: P9 composes six times per n and maps one stack of lines
+    # per n, every sigma > 0 in it; wrap-around makes one demo and two boosts per (n, sigma < 0).
+    from kinematica import affine
+    counts = count_calls(monkeypatch, (affine, "compose"), (affine, "transform_worldline"),
+                         (verify, "wraparound_demo"), (groups, "boost_closed_form"))
     for trials in (3, 25):
         cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
         counts.clear()
         assert verify._run(verify._prop_affine, cfg, np.random.default_rng(0)).passed
         assert counts["compose"] == 6 * len(cfg.n_values)
-        lorentz = verify._sigmas(cfg, CaseLabel.LORENTZ)
-        assert counts["transform_worldline"] == len(cfg.n_values) * len(lorentz)
+        assert counts["transform_worldline"] == len(cfg.n_values)
         counts.clear()
         assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
         assert counts == {"wraparound_demo": 2 * len(cfg.n_values),
                           "boost_closed_form": 4 * len(cfg.n_values)}
+
+
+def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
+    # P2, P7 and P9 judge every sigma's stacks in one call per n to each function under test
+    # that takes no sigma and no case, so six sigmas cost those functions no more calls than one.
+    from kinematica import affine, classify
+    counts = count_calls(monkeypatch, (classify, "collinearity_defect"),
+                         (verify, "_doubled_commutator"), (groups, "in_K"),
+                         (affine, "transform_worldline"))
+
+    def calls(sigmas):
+        counts.clear()
+        cfg = SuiteConfig(sigma_values=sigmas, trials=3)
+        for prop in (verify._prop_collinearity, verify._prop_pure_rotations, verify._prop_affine):
+            assert verify._run(prop, cfg, np.random.default_rng(0)).passed
+        return dict(counts)
+
+    one = calls((1.0,))
+    assert one == dict.fromkeys(("collinearity_defect", "_doubled_commutator", "in_K",
+                                 "transform_worldline"), len(SuiteConfig().n_values))
+    assert calls((1.0, 0.5, -1.0, -0.25, 0.0, math.inf)) == one
 
 
 def test_default_suite_check_counts():
