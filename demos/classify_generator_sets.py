@@ -10,7 +10,6 @@ array of T sets is classified in one call, with each set's own answer.
 import numpy as np
 
 from kinematica.classify import (
-    Sigma,
     case_label,
     classify_algebra,
     rotation_generators,
@@ -23,7 +22,7 @@ rng = np.random.default_rng(7)
 n = 3
 
 sets = []
-for sigma in (Sigma(1.0), Sigma(0.25), Sigma(0.0), Sigma(-1.0), Sigma(np.inf)):
+for sigma in (1.0, 0.25, 0.0, -1.0, np.inf):
     gens = rotation_generators(n)
     # two boosts in random directions, with arbitrary scaling thrown in
     for _ in range(2):
@@ -33,7 +32,7 @@ for sigma in (Sigma(1.0), Sigma(0.25), Sigma(0.0), Sigma(-1.0), Sigma(np.inf)):
     result = classify_algebra(gens)
     print(f"input sigma {sigma!r:14} -> {result.outcome},",
           f"case {case_label(result).value},",
-          f"recovered sigma {result.sigma!r}")
+          f"recovered sigma {result.sigma.value!r}")
 
 # The same five sets as one (5, m, n+1, n+1) stack: one call, a list of
 # five results, each bit for bit the answer of its set alone.
@@ -43,16 +42,16 @@ print("one stacked call:", [case_label(r).value for r in stacked])
 for gens, result in zip(sets, stacked):
     alone = classify_algebra(gens)
     assert (result.sigma, result.diagnostics) == (alone.sigma, alone.diagnostics)
-print("each equals its single-set call:", [r.sigma for r in stacked])
+print("each equals its single-set call:", [r.sigma.value for r in stacked])
 
 print()
 print("rotations alone:",
       classify_algebra(rotation_generators(n)).outcome)
 
 # a single boost generator is enough, the rotations are adjoined for free
-lone = classify_algebra([p_generator(np.array([1.0, 2.0, -0.5]), Sigma(0.5))])
+lone = classify_algebra([p_generator(np.array([1.0, 2.0, -0.5]), 0.5)])
 print("single boost generator:", lone.outcome, case_label(lone).value,
-      lone.sigma)
+      lone.sigma.value)
 
 print()
 print("and now the failure modes:")
@@ -66,8 +65,8 @@ print(" stretch added:     ", classify_algebra(rotation_generators(n)
                                                + [stretch]).reason)
 
 mixed = rotation_generators(n) + [
-    p_generator(np.array([1.0, 0.0, 0.0]), Sigma(1.0)),
-    p_generator(np.array([0.0, 1.0, 0.0]), Sigma(2.0)),
+    p_generator(np.array([1.0, 0.0, 0.0]), 1.0),
+    p_generator(np.array([0.0, 1.0, 0.0]), 2.0),
 ]
 print(" two sigmas at once:", classify_algebra(mixed).reason)
 
@@ -77,6 +76,6 @@ skew_pair[n, 1] = 1.0   # ... but row along e2: not a boost of any sigma
 print(" non-collinear pair:", classify_algebra([skew_pair]).reason)
 
 result = classify_algebra(rotation_generators(n)
-                          + [p_generator(np.array([0.3, -1.0, 0.2]), Sigma(1.0))])
+                          + [p_generator(np.array([0.3, -1.0, 0.2]), 1.0)])
 print()
 print("diagnostics of a clean run:", result.diagnostics)

@@ -20,7 +20,6 @@ from .affine import AffineElement, Event, WorldLine
 from .classify import (
     CaseLabel,
     ClassificationResult,
-    SIGMA_INF,
     Sigma,
     case_label,
     classify_algebra,
@@ -49,7 +48,6 @@ __all__ = [
     "CaseLabel",
     "ClassificationResult",
     "Event",
-    "SIGMA_INF",
     "Sigma",
     "SuiteConfig",
     "SuiteReport",

@@ -37,10 +37,8 @@ __all__ = [
     "CaseLabel",
     "ClassificationResult",
     "NotCollinear",
-    "SIGMA_INF",
     "Sigma",
     "ZeroGenerator",
-    "as_sigma",
     "bracket_closure_defect",
     "case_label",
     "case_of_sigma",
@@ -65,58 +63,10 @@ class ZeroGenerator(ValueError):
 
 @dataclass(frozen=True)
 class Sigma:
-    """The causality parameter.  A finite value is stored directly; the
-    Carroll case is represented by ``math.inf``."""
+    """The sigma that :func:`classify_algebra` read, math.inf for Carroll.  Every function
+    that takes a sigma takes the number: pass ``result.sigma.value`` on."""
 
     value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v) or v == -math.inf:
-            raise ValueError("sigma must be a real number or +inf")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return not self.is_finite
-
-    @property
-    def invariant_speed(self) -> float:
-        """The speed preserved by the group; only defined for sigma > 0."""
-        if not (self.is_finite and self.value > 0):
-            raise ValueError("invariant speed needs sigma > 0")
-        return 1.0 / math.sqrt(self.value)
-
-    @property
-    def rotation_scale(self) -> float:
-        """Boost period scale for sigma < 0: boosts of norm 2*pi times this
-        return to the identity."""
-        if not (self.is_finite and self.value < 0):
-            raise ValueError("rotation scale needs sigma < 0")
-        return 1.0 / math.sqrt(-self.value)
-
-    def json_value(self) -> float | str:
-        """The value as JSON holds it: the float, or "inf" for Carroll (JSON has no infinity)."""
-        return "inf" if self.is_infinite else self.value
-
-    def __repr__(self) -> str:
-        if self.is_infinite:
-            return "Sigma(inf)"
-        return f"Sigma({self.value!r})"
-
-
-SIGMA_INF = Sigma(math.inf)
-
-
-def as_sigma(value) -> Sigma:
-    """Coerce a Sigma, float or int into a Sigma."""
-    if isinstance(value, Sigma):
-        return value
-    return Sigma(float(value))
 
 
 class CaseLabel(Enum):
@@ -127,16 +77,17 @@ class CaseLabel(Enum):
     ARISTOTLE = "Aristotle"
 
 
-def case_of_sigma(sigma) -> CaseLabel:
-    """Map a sigma value to its case label (never Aristotle)."""
-    s = as_sigma(sigma)
-    if s.is_infinite:
-        return CaseLabel.CARROLL
-    if s.value > 0:
-        return CaseLabel.LORENTZ
-    if s.value < 0:
+def case_of_sigma(sigma: float) -> CaseLabel:
+    """The case label of a real sigma, math.inf for Carroll (never Aristotle).  Every
+    function that takes a sigma reads it here, the one place that refuses NaN and -inf
+    (ValueError)."""
+    if sigma > 0.0:
+        return CaseLabel.LORENTZ if sigma < math.inf else CaseLabel.CARROLL
+    if sigma < 0.0 and sigma > -math.inf:
         return CaseLabel.ORTHOGONAL
-    return CaseLabel.GALILEI
+    if sigma == 0.0:
+        return CaseLabel.GALILEI
+    raise ValueError("sigma must be a real number or +inf")
 
 
 OUTCOME_KINEMATICAL = "Kinematical"
@@ -175,7 +126,7 @@ def case_label(result: ClassificationResult) -> CaseLabel:
     if result.outcome == OUTCOME_ARISTOTLE:
         return CaseLabel.ARISTOTLE
     if result.outcome == OUTCOME_KINEMATICAL:
-        return case_of_sigma(result.sigma)
+        return case_of_sigma(result.sigma.value)
     raise ValueError(f"no case label for a NotKinematical result: {result.reason}")
 
 
@@ -226,7 +177,7 @@ def _time_unit(b, c, n: int):
     return matcore.unit_exponent(b, c) * (b > (n + 1) * math.ulp(1.0) * c)
 
 
-def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
+def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> float:
     """Extract the one sigma shared by collinear mixing pairs (b, c).
 
     b and c are vectors, or (m, n) arrays holding one pair per row.  The
@@ -252,7 +203,7 @@ def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> Sigma:
     sigma = _sigma_and_rows(pairs[np.newaxis], tol, [k])[0][0]
     if isinstance(sigma, NotCollinear):
         raise sigma
-    return Sigma(sigma)
+    return sigma
 
 
 def _sigma_and_rows(pairs, tol: float, k) -> list:
@@ -276,7 +227,7 @@ def _sigma_and_rows(pairs, tol: float, k) -> list:
                                      f"{2.0 * (x * y - xy * xy) / (x * y):.3e})"), None))
         elif lo < math.inf and (hi == math.inf or hi - lo > tol * (1.0 + abs(lo) + abs(hi))):
             out.append((NotCollinear("mixing generators disagree on sigma: "
-                                     f"{Sigma(back[0])!r} vs {Sigma(back[1])!r}"), None))
+                                     f"{back[0]!r} vs {back[1]!r}"), None))
         else:  # lo is inf for Carroll rows only, NaN for no rows
             out.append((math.ldexp(fit_bc / fit_bb, 2 * k), back[1] - back[0]) if lo < math.inf
                        else (lo, 0.0))

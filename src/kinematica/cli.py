@@ -23,7 +23,7 @@ import orjson
 
 from . import classify as classify_mod
 from . import groups, verify
-from .classify import CaseLabel, Sigma
+from .classify import CaseLabel, case_of_sigma
 
 __all__ = ["MatrixFile", "dump_matrix_file", "load_matrix_file", "main"]
 
@@ -40,11 +40,12 @@ def _parse_tol(text: str) -> float:
     return value
 
 
-def _parse_sigma(text: str) -> Sigma:
+def _parse_sigma(text: str) -> float:
     try:
-        return Sigma(float(text))
+        case_of_sigma(sigma := float(text))
     except ValueError:
         raise ValueError(f"cannot read sigma value {text!r}") from None
+    return sigma
 
 
 @dataclass
@@ -138,7 +139,7 @@ def _cmd_classify(args) -> int:
     out = {
         "outcome": result.outcome,
         "case": None,
-        "sigma": None if result.sigma is None else result.sigma.json_value(),
+        "sigma": None if result.sigma is None else verify._json_number(result.sigma.value),
         "diagnostics": result.diagnostics,
     }
     if result.outcome == classify_mod.OUTCOME_NOT_KINEMATICAL:
@@ -202,24 +203,24 @@ def _glue_values(argv) -> list:
 @functools.cache  # built once a process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="kinematica",
+        prog="kinematica", allow_abbrev=False,
         description="Classify, decompose, generate and verify kinematical "
                     "group data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="classify a file of generators")
+    p = sub.add_parser("classify", help="classify a file of generators", allow_abbrev=False)
     p.add_argument("file", help="JSON matrix file")
     p.add_argument("--tol", type=_parse_tol, default=classify_mod.DEFAULT_TOL)
     p.set_defaults(run=_cmd_classify)
 
-    p = sub.add_parser("decompose",
-                       help="Cartan-decompose group elements (sigma > 0)")
+    p = sub.add_parser("decompose", help="Cartan-decompose group elements (sigma > 0)",
+                       allow_abbrev=False)
     p.add_argument("file", help="JSON matrix file")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tol", type=_parse_tol, default=classify_mod.DEFAULT_TOL)
     p.set_defaults(run=_cmd_decompose)
 
-    p = sub.add_parser("generate", help="emit random group members")
+    p = sub.add_parser("generate", help="emit random group members", allow_abbrev=False)
     p.add_argument("--case", required=True, choices=sorted(_CASE_NAMES))
     p.add_argument("--sigma", default=None)
     p.add_argument("--n", type=int, default=2)
@@ -228,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boost-bound", type=float, default=1.0)
     p.set_defaults(run=_cmd_generate)
 
-    p = sub.add_parser("verify", help="run the property suite")
+    p = sub.add_parser("verify", help="run the property suite", allow_abbrev=False)
     p.add_argument("--n", default=",".join(map(str, verify.SuiteConfig.n_values)),
                    help="comma list of dimensions")
     p.add_argument("--sigma-list", default=",".join(map(str, verify.SuiteConfig.sigma_values)),

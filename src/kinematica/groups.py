@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import isotypic, matcore
-from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma, case_of_sigma
+from .classify import DEFAULT_TOL, CaseLabel, case_of_sigma
 from .matcore import as_square_stack, op_norm
 
 __all__ = [
@@ -73,17 +73,16 @@ def p_generator(b, sigma) -> np.ndarray:
         raise ValueError("b must be a nonempty vector or a stack of them")
     if np.count_nonzero(np.isfinite(b)) != b.size:
         raise ValueError("b must have finite entries")
-    s = as_sigma(sigma)
     n = b.shape[-1]
     Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    if s.is_infinite:
+    if case_of_sigma(sigma) is CaseLabel.CARROLL:
         Z[..., n, :n] = b
     else:
         Z[..., :n, n] = b
-        if abs(s.value) > 1.0 and abs(s.value) * float(abs(b).max(initial=0.0)) == math.inf:
-            raise ValueError(f"sigma * b passes the float range at sigma = {s.value!r}")
-        if s.value != 0.0:  # at sigma = 0 the row stays +0.0, where 0.0 * b may be -0.0
-            np.multiply(b, s.value, out=Z[..., n, :n])
+        if abs(sigma) > 1.0 and abs(sigma) * float(abs(b).max(initial=0.0)) == math.inf:
+            raise ValueError(f"sigma * b passes the float range at sigma = {float(sigma)!r}")
+        if sigma != 0.0:  # at sigma = 0 the row stays +0.0, where 0.0 * b may be -0.0
+            np.multiply(b, sigma, out=Z[..., n, :n])
     return Z
 
 
@@ -98,9 +97,8 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or, for sigma < 0, past half the float
     max.
     """
-    s = as_sigma(sigma)
-    if s.is_infinite or s.value == 0.0:  # a shear, I + p_generator(b, s)
-        out = p_generator(b, s)
+    if case_of_sigma(sigma) in (CaseLabel.CARROLL, CaseLabel.GALILEI):  # a shear, I + Z
+        out = p_generator(b, sigma)
         out.reshape(out.shape[:-2] + (out.shape[-1] ** 2,))[..., ::out.shape[-1] + 1] = 1.0
         return out
     b = np.ascontiguousarray(b, dtype=float)  # |b| sums each row in one order, strided or not
@@ -117,10 +115,10 @@ def boost_closed_form(b, sigma) -> np.ndarray:
         x, e = matcore.scaled(b, -1)
         with np.errstate(over="ignore"):  # a |b| past the float max reads inf: refused below
             beta = np.ldexp(op_norm(x, 1), e)
-    root = math.sqrt(abs(s.value))
+    root = math.sqrt(abs(sigma))
     # Below limit, w is finite for cos and sin, and cosh(w), sinh(w) root^+-1 < e^w for sigma > 0
     limit, trig = ((math.log(sys.float_info.max / max(root, 1.0 / root)), "cosh or sinh")
-                   if s.value > 0.0 else (sys.float_info.max / 2.0, "cos or sin"))
+                   if sigma > 0.0 else (sys.float_info.max / 2.0, "cos or sin"))
     big = beta > min(limit / root, sys.float_info.max)  # judged before w = beta * root
     if big.any() if big.ndim else big:
         raise ValueError(f"boost rapidity {float(beta.max()) * root:.6g} overflows {trig}: "
@@ -129,7 +127,7 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     out = np.zeros(b.shape[:-1] + (n + 1, n + 1))
     flat = out.reshape(b.shape[:-1] + ((n + 1) ** 2,))
     w = beta * root
-    ch, sh, lift = ((np.cosh(w), np.sinh(w), root) if s.value > 0.0
+    ch, sh, lift = ((np.cosh(w), np.sinh(w), root) if sigma > 0.0
                     else (np.cos(w), np.sin(w), -root))
     # Transposed, the stack axes come last, so the per-row scalars broadcast
     # as they are (plain numpy scalars for one b).  A zero row gives u = 0
@@ -183,13 +181,13 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
     return off & (op_norm(gram, 1) <= tol) & fits & (abs(abs(a[..., n, n][()]) - 1.0) <= tol)
 
 
-def _metric_test(a: np.ndarray, s: Sigma, tol: float):
+def _metric_test(a: np.ndarray, sigma: float, tol: float):
     """(ok, resolved, lam, u), of a's stack shape, for a^dagger a = lam I, lam = trace / (n+1),
     tested on a in sigma's balanced time unit (matcore.sigma_unit).  u = eps |a^dagger| |a|
     grows like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u, lam zero or
     normal.  resolved: ok and lam > 4 (n+3) u, the normalizer's gate."""
     n = a.shape[-1] - 1
-    k, unit = matcore.sigma_unit(s.value)
+    k, unit = matcore.sigma_unit(sigma)
     t = np.zeros(n + 1, dtype=int)  # matcore.balance(a, k) is D a D^-1, D = diag(2^t): it
     t[n] = -k  # adds t_i - t_j to the binary exponent of entry (i, j)
     # b, balanced a / 2^top, has its largest entry in [1/2, 1): nothing overflows.  adj^T, b
@@ -223,7 +221,8 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     balanced time unit.  Members beyond rapidity about 16 are refused, and
     so is a lam beyond the float range.  Needs a finite nonzero sigma.
     """
-    _, resolved, lam, _ = _metric_test(as_square_stack(a), as_sigma(sigma), tol)
+    case_of_sigma(sigma)  # refuses NaN and -inf
+    _, resolved, lam, _ = _metric_test(as_square_stack(a), sigma, tol)
     return _verdict(resolved), lam
 
 
@@ -264,50 +263,48 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     anti-member at n = 1), and NotInNormalizer whenever else
     :func:`in_normalizer` refuses a.  A stack raises neither (see ``refused``).
     """
-    s = as_sigma(sigma)
-    if not (s.is_finite and s.value > 0.0):
+    if case_of_sigma(sigma) is not CaseLabel.LORENTZ:
         raise ValueError("Cartan decomposition needs a finite sigma > 0")
     a = as_square_stack(a)
     n = a.shape[-1] - 1
-    ok, factored, lam, u = _metric_test(a, s, tol)  # factored: nothing below overflows
+    ok, factored, lam, u = _metric_test(a, sigma, tol)  # factored: nothing below overflows
     status = np.subtract(ok & (lam <= 0.0), factored, dtype=np.intp)  # -1: factored
     if status.ndim == 0 and status >= 0:  # one matrix raises
         raise _REFUSALS[status](f"a^dagger a is not a resolvable positive multiple of I "
                                 f"(lam {lam:.3e}, rounding bound {(n + 3) * float(u):.3e})")
     a = np.divide(a, np.sqrt(abs(lam))[..., None, None], out=np.zeros(a.shape),
                   where=factored[..., None, None])  # a refused matrix, and its factors, are 0
-    k, balanced_sigma = matcore.sigma_unit(s.value)
+    k, balanced_sigma = matcore.sigma_unit(sigma)
     root = math.sqrt(balanced_sigma)
     matcore.balance(a, k)  # read in the balanced unit of _metric_test
     beta = op_norm(a[..., n, :n], 1)
     step = np.arcsinh(beta / root) / (root * (beta + (beta == 0.0)))  # 0 for beta = 0
     b = a[..., n, :n] * np.copysign(step, a[..., n, n])[..., None]
     return CartanFactors(lam=lam, k=a @ boost_closed_form(-b, balanced_sigma),
-                         Z=p_generator(np.ldexp(b, -k), s), refused=_REFUSALS[status])
+                         Z=p_generator(np.ldexp(b, -k), sigma), refused=_REFUSALS[status])
 
 
 _REFUSALS = np.array([NotInNormalizer, NonPositiveLambda, None])  # by cartan_decompose status
 _NEEDS = {CaseLabel.LORENTZ: "a finite sigma > 0", CaseLabel.ORTHOGONAL: "a finite sigma < 0",
           CaseLabel.GALILEI: "sigma = 0", CaseLabel.CARROLL: "an infinite sigma"}
-_OMITTED = {CaseLabel.GALILEI: Sigma(0.0), CaseLabel.CARROLL: SIGMA_INF}
+_OMITTED = {CaseLabel.GALILEI: 0.0, CaseLabel.CARROLL: math.inf}
 
 
-def _check_pairing(case: CaseLabel, sigma) -> Sigma | None:
+def _check_pairing(case: CaseLabel, sigma) -> float | None:
     """Validate the case/sigma pairing, returning the effective sigma: the
     case of sigma must be the given one, Galilei and Carroll may omit it,
     and Aristotle takes none."""
-    s = None if sigma is None else as_sigma(sigma)
     if case is CaseLabel.ARISTOTLE:
-        if s is not None:
+        if sigma is not None:
             raise ValueError("the Aristotle case takes no sigma")
         return None
     if not isinstance(case, CaseLabel):
         raise ValueError(f"unknown case {case!r}")
-    if s is None and case in _OMITTED:
+    if sigma is None and case in _OMITTED:
         return _OMITTED[case]
-    if s is None or case_of_sigma(s) is not case:
+    if sigma is None or case_of_sigma(sigma) is not case:
         raise ValueError(f"the {case.value} case needs {_NEEDS[case]}")
-    return s
+    return sigma
 
 
 def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):

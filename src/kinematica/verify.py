@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import affine, classify, groups, isotypic, matcore
-from .classify import DEFAULT_TOL, CaseLabel, SIGMA_INF, Sigma, as_sigma, case_of_sigma
+from .classify import DEFAULT_TOL, CaseLabel, case_of_sigma
 
 __all__ = [
     "PropertyResult",
@@ -40,8 +40,8 @@ _DEFAULT_SIGMAS = (1.0, 0.5, -1.0, 0.0, math.inf)
 class SuiteConfig:
     """Knobs for :func:`run_suite`.
 
-    sigma_values accepts floats (inf included) or Sigma instances; n_values,
-    trials and seed integers, numpy ones too.  With the property's number,
+    sigma_values takes real numbers, inf for Carroll; n_values, trials and
+    seed integers, numpy ones too.  With the property's number,
     seed (>= 0) seeds one generator per property: a report is reproducible.
     """
 
@@ -61,7 +61,9 @@ class SuiteConfig:
             raise ValueError("n_values must contain integers >= 2")
         if isinstance(self.sigma_values, (str, bytes)):  # else read one character at a time
             raise ValueError("sigma_values must be a sequence of numbers, not a string")
-        self.sigma_values = tuple(as_sigma(s) for s in self.sigma_values)
+        self.sigma_values = tuple(map(float, self.sigma_values))
+        for s in self.sigma_values:
+            case_of_sigma(s)  # refuses NaN and -inf
         if not self.sigma_values:
             raise ValueError("sigma_values must not be empty")
         if self.trials < 1:
@@ -74,7 +76,7 @@ class SuiteConfig:
     def to_json_dict(self) -> dict:
         return {
             "n_values": list(self.n_values),
-            "sigma_values": [s.json_value() for s in self.sigma_values],
+            "sigma_values": [_json_number(s) for s in self.sigma_values],
             "trials": self.trials,
             "tol": self.tol,
             "seed": self.seed,
@@ -104,8 +106,7 @@ class SuiteReport:
         for pid, res in self.results.items():
             entry = {
                 "pass": res.passed,
-                "worst_residual": (res.worst_residual if math.isfinite(res.worst_residual)
-                                   else "inf"),  # Infinity is not JSON
+                "worst_residual": _json_number(res.worst_residual),
                 "checks": res.checks,
                 "description": self.descriptions.get(pid, ""),
             }
@@ -122,11 +123,16 @@ class SuiteReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _json_number(value):
+    """value as JSON holds it: "inf" for math.inf (Carroll's sigma), which JSON cannot spell."""
+    return "inf" if value == math.inf else value
+
+
 def _json_item(value, i: int):
-    """A payload entry as JSON holds it: the row i of an ndarray, a Sigma's value."""
+    """A payload entry as JSON holds it: the row i of an ndarray, else :func:`_json_number`."""
     if isinstance(value, np.ndarray):
         return value[i:i + 1].tolist()[0]  # Python scalars and lists, whatever the dtype
-    return value.json_value() if isinstance(value, Sigma) else value
+    return _json_number(value)
 
 
 class _Check:
@@ -164,15 +170,15 @@ class _Check:
         return self._result
 
 
-def _members(rng: np.random.Generator, case: CaseLabel, s: Sigma | None, n: int,
+def _members(rng: np.random.Generator, case: CaseLabel, s: float | None, n: int,
              bound: float, count: int) -> np.ndarray:
     """A (count, n+1, n+1) stack of random members, drawn in one call.
 
     For sigma > 0, |b| is bounded by bound / sqrt(sigma), so the rapidity
     |b| sqrt(sigma) is at most bound at every sigma; a bound on |b| alone
     lets it grow like sqrt(sigma), past what membership can resolve."""
-    if s is not None and s.is_finite and s.value > 0.0:
-        bound /= math.sqrt(s.value)
+    if s is not None and 0.0 < s < math.inf:
+        bound /= math.sqrt(s)
     return groups.random_element(case, s, n, bound, rng, size=count)
 
 
@@ -182,12 +188,12 @@ def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return v / matcore.op_norm(v, 1)[..., None]
 
 
-def _sigmas(cfg: SuiteConfig, *cases: CaseLabel) -> list[Sigma]:
+def _sigmas(cfg: SuiteConfig, *cases: CaseLabel) -> list[float]:
     """The sigma values of cfg whose case is one of cases, in cfg's order."""
     return [s for s in cfg.sigma_values if case_of_sigma(s) in cases]
 
 
-def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, Sigma | None]]:
+def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, float | None]]:
     pairs = dict.fromkeys((case_of_sigma(s), s) for s in cfg.sigma_values)  # first seen first
     return list(pairs) + [(CaseLabel.ARISTOTLE, None)]
 
@@ -222,8 +228,8 @@ def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator, check: _Check
     pairs = np.empty((len(cfg.sigma_values), 2, 2, cfg.trials, n))  # per sigma, two (b, c)
     for (collinear, general), s in zip(pairs, cfg.sigma_values):  # in sigma's balanced unit
         b = rng.standard_normal((cfg.trials, n))
-        collinear[:] = (np.zeros_like(b), b) if s.is_infinite else (
-            b, matcore.sigma_unit(s.value)[1] * b)
+        collinear[:] = (np.zeros_like(b), b) if s == math.inf else (
+            b, matcore.sigma_unit(s)[1] * b)
         general[:] = rng.standard_normal((2, cfg.trials, n))
     defects = classify.collinearity_defect(pairs[:, :, 0].reshape(-1, n),
                                            pairs[:, :, 1].reshape(-1, n)).reshape(-1, 2, cfg.trials)
@@ -236,7 +242,7 @@ def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator, check: _Check
         check.residual(abs(corner - closed) / (1.0 + abs(closed)), {"b": b2, "c": c2})
 
 
-def _generated_bases(rotations, s: Sigma, rng: np.random.Generator, count: int) -> np.ndarray:
+def _generated_bases(rotations, s: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations of dimension n
     and n boosts of sigma s (p_generator of b) along random b, each scaled by [1/4, 4]."""
     n = len(rotations[0]) - 1
@@ -259,8 +265,8 @@ def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
                     for r in results], {"n": n, "sigma": s, "outcome": outcome, "reason": reason})
         read = [i for i, r in enumerate(results) if r.is_kinematical]
         got = np.array([results[i].sigma.value for i in read])
-        err = (np.where(np.isinf(got), 0.0, 1.0) if s.is_infinite
-               else abs(got - s.value) / (1.0 + abs(s.value)))
+        err = (np.where(np.isinf(got), 0.0, 1.0) if s == math.inf
+               else abs(got - s) / (1.0 + abs(s)))
         check.residual(err, {"n": n, "sigma": s, "outcome": outcome[read],
                              "reason": reason[read]})
 
@@ -286,7 +292,7 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
     for s, lam, k, Z in zip(sigmas, lams, ks, Zs):
         k[:] = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
         lam[:] = rng.uniform(0.1, 10.0, cfg.trials)
-        b = _units(rng, (cfg.trials, n)) * rng.uniform(0.0, 4.0 / math.sqrt(s.value),
+        b = _units(rng, (cfg.trials, n)) * rng.uniform(0.0, 4.0 / math.sqrt(s),
                                                       (cfg.trials, 1))
         Z[:] = groups.p_generator(b, s)
     a = groups.CartanFactors(lams, ks, Zs).reconstruct()
@@ -303,9 +309,9 @@ def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
         check.residual(resid, {"a": x, "k": k, "Z": Z, "lam": lam, "sigma": s})
 
 
-def _balanced(x: np.ndarray, s: Sigma) -> np.ndarray:
+def _balanced(x: np.ndarray, s: float) -> np.ndarray:
     """A copy of x in the balanced time unit of sigma (see matcore.sigma_unit)."""
-    return matcore.balance(np.array(x, dtype=float), matcore.sigma_unit(s.value)[0])
+    return matcore.balance(np.array(x, dtype=float), matcore.sigma_unit(s)[0])
 
 
 def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -337,11 +343,11 @@ def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
 def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     for s in cfg.sigma_values:
         a = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
-        if s.is_finite and s.value != 0.0:  # judged in the balanced unit of sigma
-            g, x = np.diag(np.r_[np.full(n, -matcore.sigma_unit(s.value)[1]), 1.0]), _balanced(a, s)
+        if math.isfinite(s) and s != 0.0:  # judged in the balanced unit of sigma
+            g, x = np.diag(np.r_[np.full(n, -matcore.sigma_unit(s)[1]), 1.0]), _balanced(a, s)
             resid = matcore.op_norm(x.mT @ g @ x - g, 2) / (1.0 + matcore.op_norm(g))
             check.residual(resid, {"a": a, "sigma": s})
-        elif s.is_finite:
+        elif math.isfinite(s):
             # Galilei: the last row is (0, ..., 0, +-1) exactly by
             # construction, so time differences change at most sign.
             exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
@@ -387,7 +393,7 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
     check.residual(resid / scale, {"g_linear": g.linear, "h_linear": h.linear})
     if not (sigmas := _sigmas(cfg, CaseLabel.LORENTZ)):  # judged in sigma's balanced unit
         return
-    speeds = [1.0 / math.sqrt(matcore.sigma_unit(s.value)[1]) for s in sigmas]
+    speeds = [1.0 / math.sqrt(matcore.sigma_unit(s)[1]) for s in sigmas]
     drawn = []  # per sigma: members, a map, and a null and a slow line through random origins
     for s, c in zip(sigmas, speeds):
         members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
@@ -406,7 +412,7 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
 def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     # One stack: boosts plus m0, boosts plus m2, two sigmas; zero generators pad them.
     rotations = classify.rotation_generators(n)
-    base = _generated_bases(rotations, Sigma(1.0), rng, 1)[0]
+    base = _generated_bases(rotations, 1.0, rng, 1)[0]
     sets = np.zeros((3, len(base) + 1, n + 1, n + 1))
     sets[:2, :-1] = base
     sets[0, -1] = np.diag(np.r_[np.ones(n), 0.0])
@@ -428,13 +434,13 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
     subalgebra."""
     basis = classify.rotation_generators(n)
     for e in np.eye(n):
-        basis += [groups.p_generator(e, 0.0), groups.p_generator(e, SIGMA_INF)]
+        basis += [groups.p_generator(e, 0.0), groups.p_generator(e, math.inf)]
     return basis
 
 
-def _wrap_sigmas(cfg: SuiteConfig) -> list[Sigma]:
+def _wrap_sigmas(cfg: SuiteConfig) -> list[float]:
     """The sigmas < 0 of cfg whose period scale wraparound_demo takes (see _wrap_sigma)."""
-    return [s for s in _sigmas(cfg, CaseLabel.ORTHOGONAL) if _wrap_sigma(s.rotation_scale)[1]]
+    return [s for s in _sigmas(cfg, CaseLabel.ORTHOGONAL) if _wrap_sigma(1.0 / math.sqrt(-s))[1]]
 
 
 def _wrap_sigma(C: float) -> tuple[float, bool]:
@@ -445,7 +451,7 @@ def _wrap_sigma(C: float) -> tuple[float, bool]:
 
 def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     for s in _wrap_sigmas(cfg):
-        C = s.rotation_scale
+        C = 1.0 / math.sqrt(-s)  # the period scale: boosts of norm 2 pi C are the identity
         u = _units(rng, (cfg.trials, n))
         M = wraparound_demo(C, u, cfg.tol)
         expected = np.zeros(M.shape)  # the reflection through the plane normal to u
@@ -472,7 +478,6 @@ def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     sigma, normal = _wrap_sigma(C)
     if not normal:
         raise ValueError(f"C = {C!r} gives sigma = -1/C^2 = {sigma!r}, not a normal float")
-    sigma = Sigma(sigma)
     u = np.asarray(u, dtype=float)
     matcore.refuse(abs(matcore.op_norm(u, 1) - 1.0) > 1e-12, "u must be a unit vector")
     n = u.shape[-1]

@@ -13,9 +13,7 @@ import numpy as np
 from kinematica import cli
 from kinematica.affine import AffineElement, Event, WorldLine, transform_worldline
 from kinematica.classify import (
-    SIGMA_INF,
     CaseLabel,
-    Sigma,
     bracket_closure_defect,
     case_label,
     classify_algebra,
@@ -85,7 +83,7 @@ def test_criterion_01_classification_round_trip():
     worst = 0.0
     for n in (2, 3):
         for value, expected in CASE_OF.items():
-            sigma = Sigma(value)
+            sigma = value
             for _ in range(100):
                 gens = list(rotation_generators(n))
                 for _ in range(2):
@@ -95,8 +93,8 @@ def test_criterion_01_classification_round_trip():
                 if not (result.is_kinematical and case_label(result) is expected):
                     ok = False
                     continue
-                if sigma.is_infinite:
-                    ok = ok and result.sigma.is_infinite
+                if sigma == math.inf:
+                    ok = ok and result.sigma.value == math.inf
                 else:
                     err = abs(result.sigma.value - value) / (1.0 + abs(value))
                     worst = max(worst, err)
@@ -113,7 +111,7 @@ def test_criterion_02_contamination_rejection():
     for n in (2, 3):
         for _ in range(34):
             base = list(rotation_generators(n))
-            base.append(p_generator(rng.standard_normal(n), Sigma(1.0)))
+            base.append(p_generator(rng.standard_normal(n), 1.0))
 
             m0 = np.zeros((n + 1, n + 1))
             m0[:n, :n] = rng.uniform(0.2, 2.0) * np.eye(n)
@@ -131,7 +129,7 @@ def test_criterion_02_contamination_rejection():
             if classify_algebra(base + [m2]).outcome == "NotKinematical":
                 rejected += 1
 
-            mixed = base + [p_generator(rng.standard_normal(n), Sigma(2.0))]
+            mixed = base + [p_generator(rng.standard_normal(n), 2.0)]
             total += 1
             if classify_algebra(mixed).outcome == "NotKinematical":
                 rejected += 1
@@ -161,7 +159,7 @@ def test_criterion_04_cartan_factor_recovery():
     rng = np.random.default_rng(104)
     ok = True
     worst = 0.0
-    sigmas = [Sigma(1.0), Sigma(0.5), Sigma(2.0)]
+    sigmas = [1.0, 0.5, 2.0]
     for trial in range(200):
         n = 2 + trial % 2
         sigma = sigmas[trial % 3]
@@ -184,11 +182,11 @@ def test_criterion_04_cartan_factor_recovery():
 def test_criterion_05_normalizer_detection():
     rng = np.random.default_rng(105)
     ok = True
-    sigmas = [Sigma(1.0), Sigma(0.5), Sigma(-1.0)]
+    sigmas = [1.0, 0.5, -1.0]
     for n in (2, 3):
         for trial in range(100):
             sigma = sigmas[trial % 3]
-            case = CaseLabel.LORENTZ if sigma.value > 0 else CaseLabel.ORTHOGONAL
+            case = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
             g = random_element(case, sigma, n, 2.0, seed=1000 * n + trial)
             accepted, lam = in_normalizer(g, sigma)
             ok = ok and accepted and abs(lam - 1.0) <= 1e-8
@@ -201,7 +199,7 @@ def test_criterion_05_normalizer_detection():
     for n in (2, 3):
         for trial in range(100):
             sigma = sigmas[trial % 3]
-            case = CaseLabel.LORENTZ if sigma.value > 0 else CaseLabel.ORTHOGONAL
+            case = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
             g = random_element(case, sigma, n, 2.0, seed=5000 * n + trial)
             E = rng.standard_normal((n + 1, n + 1))
             E /= op_norm(E)
@@ -209,7 +207,7 @@ def test_criterion_05_normalizer_detection():
             a = None
             for _ in range(40):
                 a = g + t * E
-                q = dagger(a, sigma.value) @ a
+                q = dagger(a, sigma) @ a
                 lam = float(np.trace(q)) / (n + 1)
                 if op_norm(q - lam * np.eye(n + 1)) >= 1e-3:
                     break
@@ -227,9 +225,9 @@ def test_criterion_05_normalizer_detection():
 def test_criterion_06_group_closure_and_invariants():
     ok = True
     specs = [
-        (CaseLabel.LORENTZ, Sigma(1.0)),
+        (CaseLabel.LORENTZ, 1.0),
         (CaseLabel.GALILEI, None),
-        (CaseLabel.ORTHOGONAL, Sigma(-1.0)),
+        (CaseLabel.ORTHOGONAL, -1.0),
         (CaseLabel.CARROLL, None),
         (CaseLabel.ARISTOTLE, None),
     ]
@@ -263,8 +261,8 @@ def test_criterion_07_invariant_speed_preservation():
     worst = 0.0
     for trial in range(1000):
         n = 2 + trial % 2
-        sigma = Sigma(1.0) if trial % 2 == 0 else Sigma(4.0)
-        c = sigma.invariant_speed
+        sigma = 1.0 if trial % 2 == 0 else 4.0
+        c = 1.0 / math.sqrt(sigma)
         member = random_element(CaseLabel.LORENTZ, sigma, n, 3.0, seed=trial)
         gmap = AffineElement(member, rng.standard_normal(n + 1))
         origin = Event(rng.standard_normal(n), float(rng.standard_normal()))
@@ -283,8 +281,7 @@ def test_criterion_08_closed_form_boosts_and_wraparound():
     rng = np.random.default_rng(108)
     ok = True
     worst = 0.0
-    regimes = [Sigma(1.0), Sigma(0.5), Sigma(-1.0), Sigma(-0.25), Sigma(0.0),
-               SIGMA_INF]
+    regimes = [1.0, 0.5, -1.0, -0.25, 0.0, math.inf]
     for n in (2, 3):
         for sigma in regimes:
             for norm in (0.1, 0.5, 1.5, 3.0, 5.0):
@@ -299,7 +296,7 @@ def test_criterion_08_closed_form_boosts_and_wraparound():
     for n in (2, 3):
         for trial in range(50):
             scale = (1.0, 2.0, 0.5)[trial % 3]
-            sigma = Sigma(-1.0 / scale**2)
+            sigma = -1.0 / scale**2
             u = rng.standard_normal(n)
             u /= np.linalg.norm(u)
             M = boost_closed_form(math.pi * scale * u, sigma)
@@ -359,8 +356,8 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     # generator files classify to their case with exit 0
     for value, expected in CASE_OF.items():
         gens = rotation_generators(2) + [
-            p_generator(np.array([1.0, 0.0]), Sigma(value)),
-            p_generator(np.array([0.0, 1.0]), Sigma(value)),
+            p_generator(np.array([1.0, 0.0]), value),
+            p_generator(np.array([0.0, 1.0]), value),
         ]
         path = tmp_path / f"gens_{value}.json"
         path.write_text(json.dumps(
@@ -406,8 +403,8 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     def always_finite_sigma(b, c, tol=1e-9):
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
-        sigma = Sigma(float(np.vdot(b, c)) / max(float(np.vdot(b, b)), 1e-300))
-        return sigma, np.array([sigma.value])
+        sigma = float(np.vdot(b, c)) / max(float(np.vdot(b, b)), 1e-300)
+        return sigma, np.array([sigma])
     # the sigma rule behind sigma_from_m3, which classify_algebra calls directly
     mutants.append(("kinematica.classify._sigma_and_rows", always_finite_sigma))
 

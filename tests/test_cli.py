@@ -48,10 +48,10 @@ def generator_payload(n, sigma):
 
 
 def test_parse_sigma_spellings():
-    assert cli._parse_sigma("inf").is_infinite
-    assert cli._parse_sigma(" INF ").is_infinite
-    assert cli._parse_sigma("0.5").value == 0.5
-    assert cli._parse_sigma("-2").value == -2.0
+    assert cli._parse_sigma("inf") == math.inf
+    assert cli._parse_sigma(" INF ") == math.inf
+    assert cli._parse_sigma("0.5") == 0.5
+    assert cli._parse_sigma("-2") == -2.0
     with pytest.raises(ValueError):
         cli._parse_sigma("seven")
     with pytest.raises(ValueError):
@@ -406,6 +406,12 @@ def test_a_sigma_value_may_start_with_a_minus_sign(tmp_path, capsys):
     for missing in (["generate", "--case", "orthogonal", "--sigma"], ["verify", "--sigma-list"]):
         assert cli.main(missing) == 1
         assert "expected one argument" in capsys.readouterr().err
+    # No option is read from a prefix of its name: --sigma is not --sigma-list, nor --sig --sigma.
+    for abbreviated in (["verify", "--sigma", "1"],
+                        ["generate", "--case", "orthogonal", "--sig", "-1e-8"]):
+        assert cli.main(abbreviated) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: kinematica ") and "unrecognized arguments" in err
 
 
 def test_decompose_rejects_bad_sigma(tmp_path, capsys):

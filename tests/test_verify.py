@@ -55,9 +55,9 @@ def test_config_refuses_a_string_of_sigma_values():
 def test_config_sigma_filters():
     cfg = SuiteConfig(sigma_values=(1.0, -2.0, 0.0, math.inf))
     finite_nonzero = verify._sigmas(cfg, CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL)
-    assert [s.value for s in finite_nonzero] == [1.0, -2.0]
-    assert [s.value for s in verify._sigmas(cfg, CaseLabel.LORENTZ)] == [1.0]
-    assert [s.value for s in verify._sigmas(cfg, CaseLabel.ORTHOGONAL)] == [-2.0]
+    assert finite_nonzero == [1.0, -2.0]
+    assert verify._sigmas(cfg, CaseLabel.LORENTZ) == [1.0]
+    assert verify._sigmas(cfg, CaseLabel.ORTHOGONAL) == [-2.0]
     assert cfg.to_json_dict()["sigma_values"] == [1.0, -2.0, 0.0, "inf"]
 
 
