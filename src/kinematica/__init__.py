@@ -24,7 +24,6 @@ from .classify import (
     case_label,
     classify_algebra,
     collinearity_defect,
-    sigma_from_m3,
 )
 from .groups import (
     CartanFactors,
@@ -73,6 +72,5 @@ __all__ = [
     "p_generator",
     "random_element",
     "run_suite",
-    "sigma_from_m3",
     "verify",
 ]

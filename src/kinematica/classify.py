@@ -36,9 +36,7 @@ from . import isotypic, matcore
 __all__ = [
     "CaseLabel",
     "ClassificationResult",
-    "NotCollinear",
     "Sigma",
-    "ZeroGenerator",
     "bracket_closure_defect",
     "case_label",
     "case_of_sigma",
@@ -47,18 +45,9 @@ __all__ = [
     "collinearity_defect",
     "is_closed_under_bracket",
     "rotation_generators",
-    "sigma_from_m3",
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-class NotCollinear(ValueError):
-    """The two mixing vectors do not point along a common line."""
-
-
-class ZeroGenerator(ValueError):
-    """Both mixing vectors vanish, so no sigma can be extracted."""
 
 
 @dataclass(frozen=True)
@@ -142,23 +131,16 @@ def collinearity_defect(b, c) -> float | np.ndarray:
     ValueError unless b and c are finite and of one of these shapes.
     """
     vectors = np.ndim(b) == np.ndim(c) == 1
-    pairs, e = matcore.scaled(np.stack(_finite_pairs(b, c), axis=-2), (-2, -1))
+    b, c = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (b, c))  # a vector is one row
+    if b.shape != c.shape or b.ndim != 2 or not b.size:
+        raise ValueError(f"b, c must share one nonempty (m, n) shape, got {b.shape} and {c.shape}")
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):  # else a NaN defect
+        raise ValueError("mixing vectors have non-finite entries")
+    pairs, e = matcore.scaled(np.stack((b, c), axis=-2), (-2, -1))
     (bb, cc), bc = np.vecdot(pairs, pairs).T, np.vecdot(pairs[:, 0], pairs[:, 1])
     with np.errstate(over="ignore"):
         defects = np.ldexp(2.0 * (bb * cc - bc * bc), 4 * e)
     return float(defects[0]) if vectors else defects
-
-
-def _finite_pairs(b, c) -> tuple[np.ndarray, np.ndarray]:
-    """b and c as (m, n) float arrays, one pair per row (a vector is one row).  Other shapes,
-    no rows or columns and non-finite entries (a Carroll pair or NaN defect else) are refused."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    if b.shape != c.shape or b.ndim != 2 or not b.size:
-        raise ValueError(f"b, c must share one nonempty (m, n) shape, got {b.shape} and {c.shape}")
-    if not (np.isfinite(b).all() and np.isfinite(c).all()):
-        raise ValueError("mixing vectors have non-finite entries")
-    return b, c
 
 
 def _row_sigmas(bb, cc, bc, tol: float) -> np.ndarray:
@@ -177,39 +159,17 @@ def _time_unit(b, c, n: int):
     return matcore.unit_exponent(b, c) * (b > (n + 1) * math.ulp(1.0) * c)
 
 
-def sigma_from_m3(b, c, tol: float = DEFAULT_TOL) -> float:
-    """Extract the one sigma shared by collinear mixing pairs (b, c).
-
-    b and c are vectors, or (m, n) arrays holding one pair per row.  The
-    rule is classify_algebra's: the pairs are judged in the time unit that
-    levels their largest |b| and |c| entries, unless |b| <= (n+1) eps |c|
-    (a Carroll set), divided by the power of two of their largest entry.
-    There a row is Carroll when |b| <= tol |c|, and collinear when
-    2 (|b|^2 |c|^2 - (b.c)^2) <= tol (1 + |b|^2 |c|^2): relative to the
-    set, so a row below about 1e-154 of the largest entry is skipped.
-    Sigma is inf when every row is Carroll; else the ratios (b.c)/|b|^2
-    must lie within tol (1 + |min| + |max|) of each other, and sigma is the
-    fit sum(b.c) / sum(|b|^2) in the caller's unit, finite up to the
-    Carroll guard (|sigma| about 1 / ((n+1) eps), at least 3e14).  Raises
-    ZeroGenerator when both vectors of a row vanish, NotCollinear when a
-    row fails the collinearity test or the rows disagree on sigma, and
-    ValueError when b and c differ in shape or an entry is not finite.
-    """
-    b, c = _finite_pairs(b, c)
-    if not (b.any(axis=1) | c.any(axis=1)).all():
-        raise ZeroGenerator("mixing vectors are both zero")
-    k = int(_time_unit(abs(b).max(), abs(c).max(), b.shape[1]))
-    pairs = matcore.scaled(np.concatenate((b, c), axis=1), None, np.repeat([k, -k], b.shape[1]))[0]
-    sigma = _sigma_and_rows(pairs[np.newaxis], tol, [k])[0][0]
-    if isinstance(sigma, NotCollinear):
-        raise sigma
-    return sigma
-
-
 def _sigma_and_rows(pairs, tol: float, k) -> list:
-    """:func:`sigma_from_m3` of each set of rows b then c, of entries at most 1, of the
-    (..., r, 2n) array pairs, as (sigma, spread of the row sigmas), mapped back by 4^k, one k
-    per set.  Zero rows are skipped and a failed set's NotCollinear is its sigma."""
+    """The sigma rule of :func:`classify_algebra`, for each set of rows b then c, of entries at
+    most 1, of the (..., r, 2n) array pairs, judged in the time unit of its k (one per set):
+    (sigma mapped back by 4^k, spread of the row sigmas) for a set that passes, (None, reason)
+    for one that fails.  A row is Carroll when |b| <= tol |c|, and collinear when
+    2 (|b|^2 |c|^2 - (b.c)^2) <= tol (1 + |b|^2 |c|^2).  Both tests are relative to the set,
+    which classify_algebra divided by the power of two of its largest entry, so a row whose
+    squares underflow there (below about 1e-154 of that entry) is skipped, as a zero row is.
+    Sigma is inf when every row is Carroll; else the row ratios (b.c)/|b|^2 must lie within
+    tol (1 + |min| + |max|) of each other, and sigma is the fit sum(b.c) / sum(|b|^2), finite up
+    to the Carroll guard of _time_unit (|sigma| about 1 / ((n+1) eps), at least 3e14)."""
     n = pairs.shape[-1] // 2
     products = bb, _, bc = [np.vecdot(pairs[..., i:i + n], pairs[..., j:j + n])
                             for i, j in ((0, 0), (n, n), (0, n))]
@@ -223,11 +183,10 @@ def _sigma_and_rows(pairs, tol: float, k) -> list:
         back = math.ldexp(lo, 2 * k), math.ldexp(hi, 2 * k)
         if lo == -math.inf:  # a non-collinear row, of which the first is named
             x, y, xy = (p[i, (rows[i] == -math.inf).argmax()] for p in products)  # b.b, c.c, b.c
-            out.append((NotCollinear("mixing vectors are not collinear (relative defect "
-                                     f"{2.0 * (x * y - xy * xy) / (x * y):.3e})"), None))
+            out.append((None, "mixing vectors are not collinear (relative defect "
+                              f"{2.0 * (x * y - xy * xy) / (x * y):.3e})"))
         elif lo < math.inf and (hi == math.inf or hi - lo > tol * (1.0 + abs(lo) + abs(hi))):
-            out.append((NotCollinear("mixing generators disagree on sigma: "
-                                     f"{back[0]!r} vs {back[1]!r}"), None))
+            out.append((None, f"mixing generators disagree on sigma: {back[0]!r} vs {back[1]!r}"))
         else:  # lo is inf for Carroll rows only, NaN for no rows
             out.append((math.ldexp(fit_bc / fit_bb, 2 * k), back[1] - back[0]) if lo < math.inf
                        else (lo, 0.0))
@@ -301,9 +260,11 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     norm; rows zero in every set are dropped.  One stacked SVD keeps an
     orthonormal basis of each set's span above tol times its largest
     generator norm: scalar or traceless symmetric content is rejected, no
-    content is the Aristotle case, and the mixing rows of the basis give
-    sigma by the one rule of :func:`sigma_from_m3`.  Those boosts and the
-    rotations close (module docstring): no closure check.
+    content is the Aristotle case, and the mixing rows (b, c) of the basis
+    give sigma: Carroll rows have |b| <= tol |c|, the others must be
+    collinear and agree within tol, and sigma is their fit
+    sum(b.c) / sum(|b|^2) (the rule in full: ``_sigma_and_rows``).  Those
+    boosts and the rotations close (module docstring): no closure check.
     """
     stack = matcore.as_square_stack(np.array(generators, dtype=float))
     m, n = stack.shape[-3] if stack.ndim > 2 else 0, stack.shape[-1] - 1
@@ -336,7 +297,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     if any(r and m0 <= tol and m2 <= tol for r, (m0, m2, _) in zip(rank, norms)):
         outcomes = _sigma_and_rows(basis[..., -2 * n:].reshape(k.size, -1, 2 * n), tol, k)
     results = []
-    for r, (m0, m2, m3), (sigma, spread) in zip(rank, norms, outcomes):
+    for r, (m0, m2, m3), (sigma, detail) in zip(rank, norms, outcomes):
         result = ClassificationResult(OUTCOME_ARISTOTLE if not r else OUTCOME_NOT_KINEMATICAL,
                                       diagnostics={"rank": float(r), "m0": m0, "m1": 0.0,
                                                    "m2": m2, "m3": m3})
@@ -344,10 +305,10 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
             key, content, norm = (("m0", "scalar", m0) if m0 > tol
                                   else ("m2", "traceless symmetric", m2))
             result.reason = f"{content} ({key}) content present: norm {norm:.3e}"
-        elif r and isinstance(sigma, ValueError):
-            result.reason = str(sigma)
+        elif r and sigma is None:
+            result.reason = detail
         elif r:
             result.outcome, result.sigma = OUTCOME_KINEMATICAL, Sigma(sigma)
-            result.diagnostics["sigma_spread"] = spread
+            result.diagnostics["sigma_spread"] = detail
         results.append(result)
     return results if k.ndim else results[0]

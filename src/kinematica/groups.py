@@ -219,9 +219,11 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     a^dagger a, and that bound to be below lam / 4, so the exact a^dagger a
     is within (tol + 1/2) lam of lam * I and a is invertible, all in the
     balanced time unit.  Members beyond rapidity about 16 are refused, and
-    so is a lam beyond the float range.  Needs a finite nonzero sigma.
+    so is a lam beyond the float range.  Raises ValueError unless sigma is
+    finite and nonzero.
     """
-    case_of_sigma(sigma)  # refuses NaN and -inf
+    if case_of_sigma(sigma) in (CaseLabel.GALILEI, CaseLabel.CARROLL):  # refuses NaN and -inf
+        raise ValueError(f"in_normalizer needs a finite nonzero sigma, got {sigma!r}")
     _, resolved, lam, _ = _metric_test(as_square_stack(a), sigma, tol)
     return _verdict(resolved), lam
 

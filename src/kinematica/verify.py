@@ -68,8 +68,8 @@ class SuiteConfig:
             raise ValueError("sigma_values must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise ValueError("tol must be a positive finite number")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

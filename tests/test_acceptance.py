@@ -405,7 +405,7 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
         c = np.asarray(c, dtype=float)
         sigma = float(np.vdot(b, c)) / max(float(np.vdot(b, b)), 1e-300)
         return sigma, np.array([sigma])
-    # the sigma rule behind sigma_from_m3, which classify_algebra calls directly
+    # the sigma rule that classify_algebra applies to the mixing rows of its basis
     mutants.append(("kinematica.classify._sigma_and_rows", always_finite_sigma))
 
     def split_without_m2(Z):

@@ -8,8 +8,6 @@ from kinematica import classify, cli, groups, verify
 from kinematica.classify import (
     DEFAULT_TOL,
     CaseLabel,
-    NotCollinear,
-    ZeroGenerator,
     bracket_closure_defect,
     case_label,
     case_of_sigma,
@@ -17,7 +15,6 @@ from kinematica.classify import (
     collinearity_defect,
     is_closed_under_bracket,
     rotation_generators,
-    sigma_from_m3,
 )
 from kinematica.groups import p_generator
 from kinematica.matcore import balance, bracket, sigma_unit
@@ -119,48 +116,76 @@ def test_collinearity_defect_matches_nested_bracket_corner():
             assert abs(corner - closed) <= 1e-10 * (1.0 + abs(closed))
 
 
+def one_pair(b, c):
+    """classify_algebra of the rotations and the one mixing generator of (b, c)."""
+    return classify_algebra(rotation_generators(len(b)) + [mixing(b, c)])
+
+
+def _balanced_rows(b, c):
+    """(b, c) as (m, n) rows taken to the time unit that levels their largest b and c entries,
+    unless b is rounding next to c (a Carroll set), and divided by the power of two of their
+    largest entry, as classify_algebra takes its sets; with that unit's k."""
+    b, c = np.atleast_2d(np.asarray(b, dtype=float)), np.atleast_2d(np.asarray(c, dtype=float))
+    n, eps = b.shape[1], np.finfo(float).eps
+    bmax, cmax = float(abs(b).max()), float(abs(c).max())
+    k = 0
+    if min(bmax, cmax) > 0.0 and bmax > (n + 1) * eps * cmax:
+        k = (math.frexp(cmax)[1] - math.frexp(bmax)[1] + 1) // 2
+    b, c = b * 2.0**k, c * 2.0**-k
+    top = 2.0 ** math.frexp(max(float(abs(b).max()), float(abs(c).max())))[1]
+    return b / top, c / top, k
+
+
+def rule(b, c, tol=DEFAULT_TOL):
+    """The sigma rule of classify_algebra on explicit rows (b, c), balanced by the test:
+    sigma, or the reason the rows fail."""
+    b, c, k = _balanced_rows(b, c)
+    sigma, detail = classify._sigma_and_rows(np.hstack((b, c))[np.newaxis], tol, [k])[0]
+    return detail if sigma is None else sigma
+
+
 def test_sigma_from_m3_finite():
     e1 = np.array([1.0, 0.0])
-    s = sigma_from_m3(e1, 3.0 * e1)
+    s = one_pair(e1, 3.0 * e1).sigma.value
     assert math.isfinite(s) and s == pytest.approx(3.0, abs=1e-15)
 
 
 def test_sigma_from_m3_zero_row_is_galilei():
-    s = sigma_from_m3(np.array([0.0, 1.0]), np.zeros(2))
+    s = one_pair(np.array([0.0, 1.0]), np.zeros(2)).sigma.value
     assert s == 0.0
 
 
 def test_sigma_from_m3_zero_column_is_carroll():
-    s = sigma_from_m3(np.zeros(2), np.array([1.0, 0.0]))
+    s = one_pair(np.zeros(2), np.array([1.0, 0.0])).sigma.value
     assert s == math.inf
 
 
 def test_sigma_from_m3_scale_free():
     b = np.array([0.3, -0.4, 1.2])
     for t in (1e-6, 1.0, 1e6):
-        s = sigma_from_m3(t * b, t * (-2.5) * b)
+        s = one_pair(t * b, t * (-2.5) * b).sigma.value
         assert s == pytest.approx(-2.5, rel=1e-12)
 
 
 def test_sigma_from_m3_rejects_bad_pairs():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    with pytest.raises(NotCollinear):
-        sigma_from_m3(e1, e2)
-    with pytest.raises(ZeroGenerator):
-        sigma_from_m3(np.zeros(2), np.zeros(2))
+    result = one_pair(e1, e2)
+    assert not result.is_kinematical and "not collinear" in result.reason
+    # a zero pair adds no mixing content: the rotations alone are the Aristotle case
+    assert case_label(one_pair(np.zeros(2), np.zeros(2))) is CaseLabel.ARISTOTLE
 
 
 def test_non_finite_mixing_vectors_are_refused():
     # NaN and inf rows would read as Carroll (sigma = inf) or a NaN defect
     for bad in (np.nan, np.inf, -np.inf):
         for b, c in (([bad, 0.0], [1.0, 0.0]), ([1.0, 0.0], [bad, 0.0])):
-            with pytest.raises(ValueError, match="non-finite"):
-                sigma_from_m3(b, c)
+            with pytest.raises(ValueError, match="entries must be finite"):
+                one_pair(b, c)
             with pytest.raises(ValueError, match="non-finite"):
                 collinearity_defect(b, c)
     with pytest.raises(ValueError, match="non-finite"):
-        sigma_from_m3([[1.0, 0.0], [np.nan, 0.0]], [[2.0, 0.0], [1.0, 0.0]])
+        collinearity_defect([[1.0, 0.0], [np.nan, 0.0]], [[2.0, 0.0], [1.0, 0.0]])
 
 
 def test_mixing_pairs_must_match_row_by_row():
@@ -168,46 +193,37 @@ def test_mixing_pairs_must_match_row_by_row():
     for b, c in (([1.0, 0.0], [[2.0, 0.0], [0.0, 5.0], [1.0, 1.0]]),
                  ([[1.0, 0.0], [1.0, 0.0]], [2.0, 0.0]),
                  ([1.0, 0.0], [1.0, 0.0, 0.0])):
-        for extract in (sigma_from_m3, collinearity_defect):
-            with pytest.raises(ValueError, match=r"shape, got \("):
-                extract(b, c)
-    assert sigma_from_m3([1.0, 0.0], [[2.0, 0.0]]) == 2.0
+        with pytest.raises(ValueError, match=r"shape, got \("):
+            collinearity_defect(b, c)
+    assert collinearity_defect([1.0, 0.0], [[2.0, 0.0]]).tolist() == [0.0]
 
 
 def test_mixing_pairs_with_no_rows_or_no_columns_are_refused():
-    # Neither no data nor empty vectors make a Carroll pair or a zero defect.
+    # Neither no data nor empty vectors make a zero defect.
     with pytest.raises(ValueError, match="nonempty"):
-        sigma_from_m3(np.zeros((0, 2)), np.zeros((0, 2)))
+        collinearity_defect(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="nonempty"):
         collinearity_defect([], [])
 
 
 def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():
     # |b|^2 |c|^2 overflows here; perpendicular pairs must still be rejected
-    with pytest.raises(NotCollinear, match="collinear"):
-        sigma_from_m3([1e160, 0.0], [0.0, 1e160])
-    with pytest.raises(NotCollinear, match="collinear"):
-        sigma_from_m3([1e160, 0.0], [0.0, 1e150])
-    assert sigma_from_m3([1e160, 0.0], [2e160, 0.0]) == 2.0
-    assert sigma_from_m3([[1e160, 0.0], [0.0, 3e160]],
-                         [[2e160, 0.0], [0.0, 6e160]]) == 2.0
-    assert sigma_from_m3([1e-300, 0.0], [1e300, 0.0]) == math.inf
+    for c in ([0.0, 1e160], [0.0, 1e150]):
+        result = one_pair([1e160, 0.0], c)
+        assert not result.is_kinematical and "not collinear" in result.reason
+    assert one_pair([1e160, 0.0], [2e160, 0.0]).sigma.value == 2.0
+    assert classify_algebra([mixing([1e160, 0.0], [2e160, 0.0]),
+                             mixing([0.0, 3e160], [0.0, 6e160])]).sigma.value == 2.0
+    assert one_pair([1e-300, 0.0], [1e300, 0.0]).sigma.value == math.inf
 
 
 def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
-    # The pairs are taken to the time unit that levels their largest b and c
-    # entries and divided by the power of two of their largest entry.  Both
-    # scalings are exact, so the verdicts are those of this balanced rule
-    # written out row by row, and a fitted sigma agrees to rounding.
+    # The rule is fed rows taken to the time unit that levels their largest b
+    # and c entries and divided by the power of two of their largest entry.
+    # Its verdicts are those of the rule written out row by row on those
+    # rows, and a fitted sigma agrees to rounding.
     def balanced(b, c, tol=1e-9):
-        n, eps = b.shape[1], np.finfo(float).eps
-        bmax, cmax = float(abs(b).max()), float(abs(c).max())
-        k = 0
-        if min(bmax, cmax) > 0.0 and bmax > (n + 1) * eps * cmax:
-            k = (math.frexp(cmax)[1] - math.frexp(bmax)[1] + 1) // 2
-        b, c = b * 2.0**k, c * 2.0**-k
-        top = 2.0 ** math.frexp(max(float(abs(b).max()), float(abs(c).max())))[1]
-        b, c = b / top, c / top
+        b, c, k = _balanced_rows(b, c)
         rows, fit_bc, fit_bb = [], 0.0, 0.0
         for bi, ci in zip(b, c):
             bb, cc, bc = float(bi @ bi), float(ci @ ci), float(bi @ ci)
@@ -223,11 +239,9 @@ def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
             return "NotCollinear"
         return fit_bc / fit_bb * 4.0**k
 
-    def verdict(fn):
-        try:
-            return fn()
-        except NotCollinear:
-            return "NotCollinear"
+    def verdict(b, c):
+        got = rule(b, c)
+        return "NotCollinear" if isinstance(got, str) else got
 
     rng = np.random.default_rng(12)
     verdicts = set()
@@ -241,7 +255,7 @@ def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
         carroll = rng.random(m) < 0.2
         b[carroll], c[carroll] = b[carroll] * 10.0 ** rng.uniform(-24.0, -16.0), b[carroll]
         want = balanced(b, c)
-        got = verdict(lambda: sigma_from_m3(b, c))
+        got = verdict(b, c)
         if isinstance(want, str) or math.isinf(want):
             assert got == want
         else:
@@ -257,9 +271,9 @@ def test_sigma_from_m3_keeps_a_row_far_smaller_than_the_largest():
     # not spoil the fit, and its own sigma is not judged.
     b = [[1.0, 0.0], [1e-170, 0.0]]
     c = [[2.0, 0.0], [2e-170, 0.0]]
-    assert sigma_from_m3(b, c) == 2.0
-    assert sigma_from_m3(c, b) == 0.5
-    assert sigma_from_m3(b, [[2.0, 0.0], [3e-170, 0.0]]) == 2.0
+    assert rule(b, c) == 2.0
+    assert rule(c, b) == 0.5
+    assert rule(b, [[2.0, 0.0], [3e-170, 0.0]]) == 2.0
 
 
 def test_sigma_from_m3_reads_a_pair_as_classify_algebra_reads_its_generator():
@@ -277,9 +291,8 @@ def test_sigma_from_m3_reads_a_pair_as_classify_algebra_reads_its_generator():
                     b, c = size * u, size * (math.cos(tilt) * u + math.sin(tilt) * v)
                     b, c = (0.0 * b, c) if math.isinf(sigma) else (b, sigma * c)
                     result = classify_algebra([mixing(b, c)])
-                    try:
-                        got = sigma_from_m3(b, c)
-                    except NotCollinear:
+                    got = rule(b, c)
+                    if isinstance(got, str):
                         assert not result.is_kinematical, (n, sigma, tilt, result.sigma)
                     else:
                         assert result.is_kinematical, (n, sigma, tilt, result.reason)
@@ -288,27 +301,32 @@ def test_sigma_from_m3_reads_a_pair_as_classify_algebra_reads_its_generator():
 
 
 def test_sigma_from_m3_follows_a_change_of_time_unit_bit_for_bit():
-    # (2^k b, 2^-k c) is (b, c) in another time unit, of sigma 4^-k sigma.
-    # |sigma| <= 1e3 keeps 4^-k sigma below the Carroll guard for k >= -20.
+    # (2^k b, 2^-k c) is (b, c) in another time unit, of sigma 4^-k sigma: the
+    # rule maps its sigma back bit for bit, and classify_algebra of the set to
+    # rounding.  |sigma| <= 1e3 keeps 4^-k sigma below the Carroll guard for
+    # k >= -20.
+    def sigma_of(b, c):
+        return classify_algebra([mixing(*pair) for pair in zip(b, c)]).sigma.value
+
     rng = np.random.default_rng(34)
     sets = []
     for n, sigma in ((2, 1e3), (3, -1e3), (2, 0.37), (3, -1e-9), (2, 0.0), (3, 7.5e-4)):
         b = rng.standard_normal((3, n)) * rng.uniform(0.5, 2.0, (3, 1))
         c = sigma * b * (1.0 + 1e-11 * rng.standard_normal((3, 1)))
-        sets.append((b, c, sigma_from_m3(b, c)))
+        sets.append((b, c, rule(b, c), sigma_of(b, c)))
     for k in range(-20, 501):
-        b, c, sigma = sets[k % len(sets)]
-        assert sigma_from_m3(2.0**k * b, 2.0**-k * c) == math.ldexp(sigma, -2 * k)
+        b, c, sigma, classified = sets[k % len(sets)]
+        assert rule(2.0**k * b, 2.0**-k * c) == math.ldexp(sigma, -2 * k)
+        assert sigma_of(2.0**k * b, 2.0**-k * c) == pytest.approx(
+            math.ldexp(classified, -2 * k), rel=1e-15, abs=0.0)
 
 
 def test_sigma_from_m3_is_scale_free_bit_for_bit():
     # A common power of two is exact on every entry and leaves the verdict
     # as it is: sigma bit for bit, and a pair tilted by 1e-3 refused.
     def verdict(b, c):
-        try:
-            return sigma_from_m3(b, c)
-        except NotCollinear:
-            return "NotCollinear"
+        result = classify_algebra([mixing(*pair) for pair in zip(b, c)])
+        return result.sigma.value if result.is_kinematical else result.reason
 
     rng = np.random.default_rng(35)
     sets = []
@@ -320,7 +338,7 @@ def test_sigma_from_m3_is_scale_free_bit_for_bit():
         c[0] += tilt * np.linalg.norm(b[0]) * v
         b, c = (0.0 * b, c) if math.isinf(sigma) else (b, sigma * c)
         sets.append((b, c, verdict(b, c)))
-    assert sets[-1][2] == "NotCollinear"
+    assert "not collinear" in sets[-1][2]
     for j in range(-900, 1001):
         b, c, want = sets[j % len(sets)]
         assert verdict(2.0**j * b, 2.0**j * c) == want
@@ -335,21 +353,17 @@ def _pairs(*sigmas):
 
 
 def test_sigma_from_m3_rows_agree_within_tol():
-    s = sigma_from_m3(*_pairs(1.0, 1.0 + 1e-10))
+    s = rule(*_pairs(1.0, 1.0 + 1e-10))
     assert s == pytest.approx(1.0 + 5e-11, rel=1e-15)
     # the comparison is relative in the magnitudes involved
-    s = sigma_from_m3(*_pairs(1e6, 1e6 + 1e-4))
+    s = rule(*_pairs(1e6, 1e6 + 1e-4))
     assert s == pytest.approx(1e6 + 5e-5, rel=1e-15)
-    assert sigma_from_m3(*_pairs(math.inf, math.inf)) == math.inf
+    assert rule(*_pairs(math.inf, math.inf)) == math.inf
 
 
 def test_sigma_from_m3_rows_disagree():
-    with pytest.raises(NotCollinear, match="sigma"):
-        sigma_from_m3(*_pairs(1.0, 1.1))
-    with pytest.raises(NotCollinear, match="sigma"):
-        sigma_from_m3(*_pairs(1e8, math.inf))
-    with pytest.raises(NotCollinear, match="sigma"):
-        sigma_from_m3(*_pairs(math.inf, 2.0, 2.0))
+    for b, c in (_pairs(1.0, 1.1), _pairs(1e8, math.inf), _pairs(math.inf, 2.0, 2.0)):
+        assert rule(b, c).startswith("mixing generators disagree on sigma: ")
 
 
 def test_sigma_from_m3_rows_fit_is_aggregate():
@@ -357,18 +371,16 @@ def test_sigma_from_m3_rows_fit_is_aggregate():
     b = np.array([[1.0, 0.0], [0.0, 3.0]])
     c = 2.0 * b
     c[1] *= 1.0 + 1e-10
-    s = sigma_from_m3(b, c)
+    s = rule(b, c)
     assert s == pytest.approx(2.0 * (1.0 + 9e-11), rel=1e-14)
 
 
 def test_sigma_from_m3_rejects_a_bad_row():
     b = np.array([[1.0, 0.0], [1.0, 0.0]])
     c = np.array([[2.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(NotCollinear, match="collinear"):
-        sigma_from_m3(b, c)
-    with pytest.raises(ZeroGenerator):
-        sigma_from_m3(np.array([[1.0, 0.0], [0.0, 0.0]]),
-                      np.array([[2.0, 0.0], [0.0, 0.0]]))
+    assert rule(b, c).startswith("mixing vectors are not collinear")
+    # a zero row is skipped, as classify_algebra drops zero content
+    assert rule(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]])) == 2.0
 
 
 def test_rotation_generators_shape():

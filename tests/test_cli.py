@@ -535,6 +535,19 @@ def test_generate_refuses_boosts_whose_sinh_overflows_the_time_unit(capsys):
     assert err.startswith("error: boost rapidity") and "Traceback" not in err
 
 
+def test_generate_out_of_memory_is_an_error(capsys, monkeypatch):
+    # --n 100000 asks random_element for tens of GiB; its MemoryError is
+    # stood in for here, so that nothing is allocated.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(groups, "random_element", out_of_memory)
+    code = cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "100000"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: Unable to allocate 74.5 GiB\n"
+
+
 def test_generate_draws_the_whole_batch_in_one_call(capsys, monkeypatch):
     calls = []
     real = groups.random_element

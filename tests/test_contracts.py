@@ -266,8 +266,8 @@ TABLE = {
 UNSTACKED = {f"{module}.{name}" for module, names in (  # one sigma, set, size or case each
     ("matcore", "sigma_unit"), ("isotypic", "IsotypicSplit"), ("groups", "LogarithmFailure "
      "NonPositiveLambda NotInNormalizer"), ("classify", "CaseLabel ClassificationResult "
-     "NotCollinear Sigma ZeroGenerator bracket_closure_defect case_label case_of_sigma "
-     "closure_scan is_closed_under_bracket rotation_generators sigma_from_m3"), ("verify",
+     "Sigma bracket_closure_defect case_label case_of_sigma closure_scan "
+     "is_closed_under_bracket rotation_generators"), ("verify",
      "PropertyResult SuiteConfig SuiteReport nonalgebra_witness run_suite")) for name in names.split()}
 
 

@@ -382,10 +382,9 @@ def test_in_normalizer_rejects_shears():
 
 def test_in_normalizer_validation():
     assert in_normalizer(np.zeros((3, 3)), 1.0) == (False, 0.0)
-    with pytest.raises(ValueError):
-        in_normalizer(np.eye(3), 0.0)
-    with pytest.raises(ValueError):
-        in_normalizer(np.eye(3), math.inf)
+    for sigma in (0.0, math.inf):
+        with pytest.raises(ValueError, match="^in_normalizer needs a finite nonzero sigma"):
+            in_normalizer(np.eye(3), sigma)
 
 
 def test_cartan_of_scaled_identity():

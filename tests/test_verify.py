@@ -30,6 +30,10 @@ def test_config_validation():
         SuiteConfig(trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(tol=0.0)
+    # an infinite tol passes every property and is not strict JSON
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            SuiteConfig(tol=tol)
     with pytest.raises(ValueError):
         SuiteConfig(seed=-1)
 
