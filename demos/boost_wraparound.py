@@ -10,7 +10,6 @@ import numpy as np
 
 from kinematica.groups import boost_closed_form, in_K, p_generator
 from kinematica.matcore import mat_exp, op_norm
-from kinematica.verify import wraparound_demo
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -30,10 +29,6 @@ print()
 print("the half-period boost is a block rotation:", in_K(half))
 print("corner entry (time reversal):", half[2, 2])
 print("spatial determinant (reflection):", np.linalg.det(half[:2, :2]))
-
-print()
-print("wraparound_demo checks all of that and returns the matrix:")
-print(wraparound_demo(C, u))
 
 full = boost_closed_form(2.0 * np.pi * C * u, sigma)
 print()

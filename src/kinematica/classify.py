@@ -50,6 +50,13 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    """Every function that takes a tol reads it here, the one place that refuses a tol that is
+    not a positive finite number (ValueError)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
+
+
 @dataclass(frozen=True)
 class Sigma:
     """The sigma that :func:`classify_algebra` read, math.inf for Carroll.  Every function
@@ -130,8 +137,9 @@ def collinearity_defect(b, c) -> float | np.ndarray:
     per pair of rows, each that pair's own defect bit for bit.  Raises
     ValueError unless b and c are finite and of one of these shapes.
     """
-    vectors = np.ndim(b) == np.ndim(c) == 1
-    b, c = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (b, c))  # a vector is one row
+    b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+    vectors = b.ndim == c.ndim == 1
+    b, c = (x[np.newaxis] if x.ndim == 1 else x for x in (b, c))  # a vector is one row
     if b.shape != c.shape or b.ndim != 2 or not b.size:
         raise ValueError(f"b, c must share one nonempty (m, n) shape, got {b.shape} and {c.shape}")
     if not (np.isfinite(b).all() and np.isfinite(c).all()):  # else a NaN defect
@@ -216,6 +224,7 @@ def closure_scan(basis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     residual is that of the balanced basis (inf past the float range).  All
     m (m - 1) / 2 brackets are formed at once: memory grows like m^2 (n+1)^2.
     """
+    _check_tol(tol)
     stack = matcore.as_square_stack(np.array(basis, dtype=float))
     matcore.balance(stack, matcore.unit_exponent(*matcore.mixing_maxima(stack)))
     stack, e = matcore.scaled(stack, (-2, -1))
@@ -266,6 +275,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     sum(b.c) / sum(|b|^2) (the rule in full: ``_sigma_and_rows``).  Those
     boosts and the rotations close (module docstring): no closure check.
     """
+    _check_tol(tol)
     stack = matcore.as_square_stack(np.array(generators, dtype=float))
     m, n = stack.shape[-3] if stack.ndim > 2 else 0, stack.shape[-1] - 1
     if stack.ndim > 4 or not m or n < 2:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import isotypic, matcore
-from .classify import DEFAULT_TOL, CaseLabel, case_of_sigma
+from .classify import DEFAULT_TOL, CaseLabel, _check_tol, case_of_sigma
 from .matcore import as_square_stack, op_norm
 
 __all__ = [
@@ -55,9 +55,10 @@ class LogarithmFailure(ValueError):
 
 
 def k_element(R, eps) -> np.ndarray:
-    """Block rotation diag(R, eps) with R orthogonal and eps = +1 or -1, or a stack of them
-    for stacks of R and eps that broadcast: :func:`isotypic.block_rotation`."""
-    return isotypic.block_rotation(R, eps)
+    """K = diag(R, eps), or a stack of them for an (..., n, n) stack of R and a (...) stack of
+    eps that broadcast.  Each R must be orthogonal and each eps +1 or -1; ValueError names the
+    first entry of a stack that is not.  :func:`isotypic.ad_rotation` conjugates by K."""
+    return isotypic._block_rotation(R, eps)
 
 
 def p_generator(b, sigma) -> np.ndarray:
@@ -162,6 +163,7 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
     no rotation (|A^T A - I| > 2^499) and is not formed: below it, neither a Gram entry of
     A^T A nor its square passes the float range.  A matrix with an entry past 2^500 has
     its off blocks judged on matcore.scaled(a), against the bounds scaled alike: exact."""
+    _check_tol(tol)
     n = a.shape[-1] - 1
     x, A, s, fits = a, a[..., :n, :n], 1.0, True
     if np.count_nonzero(abs(a) < _GRAM) != a.size:  # faster than .all() when small
@@ -186,6 +188,7 @@ def _metric_test(a: np.ndarray, sigma: float, tol: float):
     tested on a in sigma's balanced time unit (matcore.sigma_unit).  u = eps |a^dagger| |a|
     grows like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u, lam zero or
     normal.  resolved: ok and lam > 4 (n+3) u, the normalizer's gate."""
+    _check_tol(tol)
     n = a.shape[-1] - 1
     k, unit = matcore.sigma_unit(sigma)
     t = np.zeros(n + 1, dtype=int)  # matcore.balance(a, k) is D a D^-1, D = diag(2^t): it
@@ -241,12 +244,12 @@ class CartanFactors:
     def reconstruct(self) -> np.ndarray:
         """sqrt(lam) k mat_exp(Z), per matrix, each formed in the time unit that levels its own
         Z (matcore.unit_exponent) and mapped back; a refused matrix rebuilds to zero.  Raises
-        ValueError for a negative lam that is not refused."""
+        ValueError for a negative or NaN lam that is not refused."""
         Z = np.array(self.Z, dtype=float)
         k = matcore.unit_exponent(*matcore.mixing_maxima(Z, -1))[..., None]
         matcore.balance(Z, k)
         lam = np.where(np.equal(self.refused, None), self.lam, 0.0)
-        if np.any(lam < 0.0):
+        if not np.all(lam >= 0.0):  # NaN too
             raise ValueError("lam must be nonnegative")
         return matcore.balance(np.sqrt(lam)[..., None, None] * self.k @ matcore.mat_exp(Z), -k)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matcore
 
-__all__ = ["IsotypicSplit", "ad_rotation", "block_rotation", "merge", "split"]
+__all__ = ["IsotypicSplit", "ad_rotation", "merge", "split"]
 
 
 @dataclass
@@ -107,10 +107,8 @@ def merge(parts: IsotypicSplit) -> np.ndarray:
     return Z
 
 
-def block_rotation(R, eps) -> np.ndarray:
-    """K = diag(R, eps), or a stack of them for an (..., n, n) stack of R and a (...) stack
-    of eps that broadcast.  Each R must be orthogonal and each eps +1 or -1; ValueError
-    names the first entry of a stack that is not."""
+def _block_rotation(R, eps) -> np.ndarray:
+    """K = diag(R, eps), or a stack of them, checked: the rule of :func:`groups.k_element`."""
     R = matcore.as_square_stack(R)
     eps = np.asarray(eps)
     n = R.shape[-1]
@@ -126,12 +124,12 @@ def block_rotation(R, eps) -> np.ndarray:
 
 def ad_rotation(R, eps, Z) -> np.ndarray:
     """Conjugate Z by the block rotation K = diag(R, eps), which is K Z K^T since K is
-    orthogonal; Z, R and eps may be stacks that broadcast (see :func:`block_rotation`).
+    orthogonal; Z, R and eps may be stacks that broadcast (see :func:`groups.k_element`).
 
     On blocks: A goes to R A R^T, b to eps * R b, c to eps * R c, and the
     corner d is untouched.  R must be orthogonal and eps must be +1 or -1.
     """
-    K = block_rotation(R, eps)
+    K = _block_rotation(R, eps)
     Z = matcore.as_square_stack(Z)
     if Z.shape[-1] != K.shape[-1]:
         raise ValueError("Z must have one more row than R")

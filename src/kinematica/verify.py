@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import affine, classify, groups, isotypic, matcore
-from .classify import DEFAULT_TOL, CaseLabel, case_of_sigma
+from .classify import DEFAULT_TOL, CaseLabel, _check_tol, case_of_sigma
 
 __all__ = [
     "PropertyResult",
@@ -30,7 +30,6 @@ __all__ = [
     "SuiteReport",
     "nonalgebra_witness",
     "run_suite",
-    "wraparound_demo",
 ]
 
 _DEFAULT_SIGMAS = (1.0, 0.5, -1.0, 0.0, math.inf)
@@ -68,8 +67,7 @@ class SuiteConfig:
             raise ValueError("sigma_values must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not (0 < self.tol < math.inf):
-            raise ValueError("tol must be a positive finite number")
+        _check_tol(self.tol)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -439,12 +437,13 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
 
 
 def _wrap_sigmas(cfg: SuiteConfig) -> list[float]:
-    """The sigmas < 0 of cfg whose period scale wraparound_demo takes (see _wrap_sigma)."""
+    """The sigmas < 0 of cfg that the wrap-around property takes (see _wrap_sigma)."""
     return [s for s in _sigmas(cfg, CaseLabel.ORTHOGONAL) if _wrap_sigma(1.0 / math.sqrt(-s))[1]]
 
 
 def _wrap_sigma(C: float) -> tuple[float, bool]:
-    """wraparound_demo's sigma = -1/C^2, and whether it is the normal float the demo needs."""
+    """The sigma = -1/C^2 of period scale C, and whether it is a normal float, as the
+    wrap-around property needs: else its rounding, or a Galilei shear (-0.0), fails it."""
     r = 1.0 / C  # where C * C would overflow or underflow, r * r may not
     return -(r * r), sys.float_info.min <= r * r < math.inf
 
@@ -453,41 +452,13 @@ def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
     for s in _wrap_sigmas(cfg):
         C = 1.0 / math.sqrt(-s)  # the period scale: boosts of norm 2 pi C are the identity
         u = _units(rng, (cfg.trials, n))
-        M = wraparound_demo(C, u, cfg.tol)
+        M = groups.boost_closed_form(math.pi * C * u, _wrap_sigma(C)[0])
         expected = np.zeros(M.shape)  # the reflection through the plane normal to u
         expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
         expected[:, n, n] = -1.0  # and time reversed
         check.residual(matcore.op_norm(_balanced(M - expected, s), 2), {"u": u, "C": C})
         full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
         check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), {"u": u, "C": C})
-
-
-def wraparound_demo(C: float, u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Boost of norm pi * C for sigma = -1/C^2 along the unit vector u, or one such
-    boost per row of an (..., n) stack of them.
-
-    The result is a block rotation: the spatial block reflects through the
-    plane normal to u (determinant -1) and the corner entry is -1, a time
-    reversal.  Raises ValueError if C is not positive or sigma is not a
-    normal float, and, naming the first failing row of a stack, if u is not
-    a unit vector or the result, in the balanced time unit of sigma, fails
-    the block test.
-    """
-    if not (C > 0):
-        raise ValueError("C must be positive")
-    sigma, normal = _wrap_sigma(C)
-    if not normal:
-        raise ValueError(f"C = {C!r} gives sigma = -1/C^2 = {sigma!r}, not a normal float")
-    u = np.asarray(u, dtype=float)
-    matcore.refuse(abs(matcore.op_norm(u, 1) - 1.0) > 1e-12, "u must be a unit vector")
-    n = u.shape[-1]
-    M = groups.boost_closed_form(math.pi * C * u, sigma)
-    matcore.refuse(np.logical_not(groups.in_K(_balanced(M, sigma), tol)),
-                   "wrap-around boost did not land in the rotation block")
-    matcore.refuse((abs(M[..., n, n] + 1.0) > tol)
-                   | (abs(np.linalg.det(M[..., :n, :n]) + 1.0) > tol),
-                   "wrap-around boost has the wrong reflection structure")
-    return M
 
 
 def nonalgebra_witness(n: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -400,12 +400,13 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
         return -real_dagger(Z, sigma)
     mutants.append(("kinematica.matcore.dagger", flipped_dagger))
 
-    def always_finite_sigma(b, c, tol=1e-9):
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
-        sigma = float(np.vdot(b, c)) / max(float(np.vdot(b, b)), 1e-300)
-        return sigma, np.array([sigma])
-    # the sigma rule that classify_algebra applies to the mixing rows of its basis
+    def always_finite_sigma(pairs, tol, k):
+        n = pairs.shape[-1] // 2
+        fits = (np.vecdot(pairs[..., :n], pairs[..., n:]).sum(-1)
+                / np.maximum(np.vecdot(pairs[..., :n], pairs[..., :n]).sum(-1), 1e-300))
+        return [(math.ldexp(s, 2 * j), 0.0) for s, j in zip(fits.tolist(), np.ravel(k).tolist())]
+    # the sigma rule that classify_algebra applies to the mixing rows of each set's basis:
+    # the plain fit sum(b.c) / sum(|b|^2) of every set, never refused and never inf
     mutants.append(("kinematica.classify._sigma_and_rows", always_finite_sigma))
 
     def split_without_m2(Z):
@@ -425,9 +426,12 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     for target, mutant in mutants:
         with monkeypatch.context() as patch:
             patch.setattr(target, mutant)
-            code, _ = _run_cli(verify_argv)
-            if code != 0:
-                detected += 1
+            code, out = _run_cli(verify_argv)
+        # caught by a failing check, not by a crash inside a property
+        crashed = any(not prop["pass"] and "error" in prop.get("counterexample", {})
+                      for prop in json.loads(out)["properties"].values())
+        if code != 0 and not crashed:
+            detected += 1
     ok = ok and detected == len(mutants)
     _report(10, "cli pipeline and mutation sensitivity", ok,
             f"{detected}/{len(mutants)} mutations detected")

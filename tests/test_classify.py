@@ -69,6 +69,27 @@ def test_nan_and_minus_inf_are_refused_wherever_a_sigma_is_taken(entry, sigma, t
     assert capsys.readouterr().err.startswith("error: ")
 
 
+TOL_TAKERS = {  # each public entry point that takes a tol, called with one
+    "classify_algebra": lambda tol: classify_algebra(
+        rotation_generators(2) + [p_generator([1.0, 0.0], 1.0)], tol),
+    "closure_scan": lambda tol: classify.closure_scan(rotation_generators(2), tol),
+    "in_K": lambda tol: groups.in_K(np.eye(3), tol),
+    "in_normalizer": lambda tol: groups.in_normalizer(np.eye(3), 1.0, tol),
+    "cartan_decompose": lambda tol: groups.cartan_decompose(np.eye(3), 1.0, tol),
+    "membership": lambda tol: groups.membership(np.eye(3), CaseLabel.LORENTZ, 1.0, tol),
+    "membership, a shape test": lambda tol: groups.membership(np.eye(3), CaseLabel.GALILEI,
+                                                              tol=tol),
+    "SuiteConfig": lambda tol: verify.SuiteConfig(tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("entry", TOL_TAKERS)
+def test_a_tol_that_is_not_positive_and_finite_is_refused_wherever_one_is_taken(entry, tol):
+    with pytest.raises(ValueError, match="^tol must be a positive finite number$"):
+        TOL_TAKERS[entry](tol)
+
+
 def test_case_of_sigma():
     assert case_of_sigma(1.0) is CaseLabel.LORENTZ
     assert case_of_sigma(0.0) is CaseLabel.GALILEI
@@ -204,6 +225,8 @@ def test_mixing_pairs_with_no_rows_or_no_columns_are_refused():
         collinearity_defect(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="nonempty"):
         collinearity_defect([], [])
+    with pytest.raises(ValueError, match=r"nonempty \(m, n\) shape, got \(\) and \(\)"):
+        collinearity_defect(1.0, 2.0)  # two numbers are no pair of vectors
 
 
 def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():

@@ -182,7 +182,7 @@ def generator_sets(c):
     return (Stack(patched(c.draw, sets, (t,), True, False), (t,)),)
 
 
-PLAIN = {"sigma", "shift", "flag", "C", "flat", "case"}  # the rest are stacked alike
+PLAIN = {"sigma", "shift", "flag", "flat", "case"}  # the rest are stacked alike
 ARGUMENTS = {  # of a draw c: the stack x, sigma and what is made of them
     "x": lambda c: c.x, "xT": lambda c: c.x.mT, "sigma": lambda c: c.sigma,
     "b": lambda c: c.x[..., :-1, -1], "row": lambda c: c.x[..., 0, :],
@@ -202,9 +202,6 @@ ARGUMENTS = {  # of a draw c: the stack x, sigma and what is made of them
     "line": lambda c: WorldLine(Event.from_vector(c.x[..., 0, :]), velocity=c.x[..., 1, 1:]),
     "origin": lambda c: Event.from_vector(c.rng.standard_normal(c.x[..., 0, :].shape)),
     "direction": lambda c: c.x[..., :, -1] if c.draw(st.booleans()) else c.x[..., 0, :],
-    "C": lambda c: c.draw(st.sampled_from([1.0, 2.0, 1e-3, 1e3])),
-    "u": lambda c: patched(c.draw, (1.0 + (c.rng.random(c.shape + (1,)) < 0.1)) * np.linalg.qr(
-        c.rng.standard_normal(c.x[..., 1:, 1:].shape))[0][..., 0], c.shape, False, False),
     "case": lambda c: c.draw(st.sampled_from([case_of_sigma(c.sigma)] * 7 + list(CaseLabel))),
 }
 MIXED = Stack(np.concatenate([G := groups.random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, 0, size=3),
@@ -231,7 +228,6 @@ TABLE = {
                                    "x"),
     "isotypic.split": Entry(isotypic.split, "x"),
     "isotypic.merge": Entry(isotypic.merge, "split", False, finite=True),
-    "isotypic.block_rotation": Entry(isotypic.block_rotation, "R eps", broadcast=(0, 1)),
     "isotypic.ad_rotation": Entry(isotypic.ad_rotation, "R eps x", False, broadcast=(0, 1)),
     "classify.classify_algebra": Entry(classify.classify_algebra, generator_sets, examples=[
         (Stack(np.array(list(GATES.values())), (len(GATES),)),)] + [  # and stacks of one gate
@@ -261,7 +257,6 @@ TABLE = {
     "affine.inverse": Entry(affine.inverse, "map", False, finite=True),
     "affine.transform_worldline": Entry(affine.transform_worldline, "map line", False,
                                         finite=True, broadcast=(0, 1)),
-    "verify.wraparound_demo": Entry(verify.wraparound_demo, "C u", False),
 }
 UNSTACKED = {f"{module}.{name}" for module, names in (  # one sigma, set, size or case each
     ("matcore", "sigma_unit"), ("isotypic", "IsotypicSplit"), ("groups", "LogarithmFailure "
@@ -295,7 +290,8 @@ def test_the_refusals_and_the_type_that_the_folded_stack_tests_also_pinned():
     for call, *args in ((groups.p_generator, 1.0, 1.0), (groups.p_generator, np.zeros((3, 0)), 1.0),
                         (groups.boost_closed_form, np.zeros((3, 0)), 1.0),
                         (matcore.bracket, np.zeros((2, 3, 3)), np.eye(3)),
-                        (CartanFactors(-1.0, np.eye(3), np.zeros((3, 3))).reconstruct,)):
+                        (CartanFactors(-1.0, np.eye(3), np.zeros((3, 3))).reconstruct,),
+                        (CartanFactors(math.nan, np.eye(3), np.zeros((3, 3))).reconstruct,)):
         pytest.raises(ValueError, call, *args)
     assert isinstance(classify.collinearity_defect([0.0, 1.0], [1.0, 0.0]), float)
 

@@ -306,6 +306,18 @@ def test_boost_wraps_to_spatial_reflection():
     got = boost_closed_form(np.array([math.pi, 0.0]), -1.0)
     np.testing.assert_allclose(got, np.diag([-1.0, 1.0, -1.0]), atol=1e-15)
     assert in_K(got)
+    # and along a random axis u at n = 3, C = 2: a reflection through the plane normal to u
+    u = np.random.default_rng(43).standard_normal(3)
+    u /= np.linalg.norm(u)
+    C = 2.0
+    got = boost_closed_form(math.pi * C * u, -1.0 / C**2)
+    A = got[:3, :3]
+    assert got[3, 3] == pytest.approx(-1.0, abs=1e-12)
+    assert np.linalg.det(A) == pytest.approx(-1.0, abs=1e-10)
+    np.testing.assert_allclose(A @ u, -u, atol=1e-10)
+    w = np.array([u[1], -u[0], 0.0])
+    w -= (w @ u) * u
+    np.testing.assert_allclose(A @ w, w, atol=1e-10)
 
 
 def test_boost_period_is_two_pi():

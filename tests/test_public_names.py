@@ -53,3 +53,31 @@ def test_every_public_function_and_class_has_a_caller_besides_the_tests():
                        for owner, mentions in body if not (path == home and owner == name)):
                 unused.append(f"{module.__name__}.{name}")
     assert unused == []
+
+
+def _resolve(module, expr):
+    """What the name or dotted name expr reads in module's namespace, or None."""
+    if isinstance(expr, ast.Attribute):
+        return getattr(_resolve(module, expr.value), expr.attr, None)
+    return getattr(module, expr.id, None) if isinstance(expr, ast.Name) else None
+
+
+def test_no_public_function_is_a_second_name_for_another():
+    # One door per job: a public function whose body, after its docstring, is a single
+    # return of another public function called on its own parameters, in order, adds a name
+    # and no behaviour.
+    modules = [importlib.import_module(name) for name in MODULES[1:]]
+    public = {id(getattr(m, name)) for m in modules for name in m.__all__}
+    aliases = []
+    for module in modules:
+        for node in ast.parse(inspect.getsource(module)).body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in module.__all__:
+                continue
+            body = node.body[ast.get_docstring(node) is not None:]
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if (isinstance(call, ast.Call) and not call.keywords
+                    and [getattr(a, "id", None) for a in call.args] == [
+                        a.arg for a in node.args.args]
+                    and id(_resolve(module, call.func)) in public):
+                aliases.append(f"{module.__name__}.{node.name} -> {ast.unparse(call.func)}")
+    assert aliases == []

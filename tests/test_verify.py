@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from kinematica.verify import (
     SuiteReport,
     nonalgebra_witness,
     run_suite,
-    wraparound_demo,
 )
 
 FAST = dict(n_values=(2,), trials=3, seed=1)
@@ -212,10 +210,10 @@ def count_calls(monkeypatch, *targets) -> dict:
 def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
     # Each (n, sigma) stack is judged in a fixed number of calls, whatever the
     # number of trials: P9 composes six times per n and maps one stack of lines
-    # per n, every sigma > 0 in it; wrap-around makes one demo and two boosts per (n, sigma < 0).
+    # per n, every sigma > 0 in it; wrap-around makes two boosts per (n, sigma < 0).
     from kinematica import affine
     counts = count_calls(monkeypatch, (affine, "compose"), (affine, "transform_worldline"),
-                         (verify, "wraparound_demo"), (groups, "boost_closed_form"))
+                         (groups, "boost_closed_form"))
     for trials in (3, 25):
         cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
         counts.clear()
@@ -224,8 +222,7 @@ def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
         assert counts["transform_worldline"] == len(cfg.n_values)
         counts.clear()
         assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
-        assert counts == {"wraparound_demo": 2 * len(cfg.n_values),
-                          "boost_closed_form": 4 * len(cfg.n_values)}
+        assert counts == {"boost_closed_form": 4 * len(cfg.n_values)}
 
 
 def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
@@ -336,44 +333,15 @@ def test_suite_detects_a_corrupted_adjoint(monkeypatch):
     assert not report.results["P5"].passed
 
 
-def test_wraparound_demo_reflection_structure():
-    M = wraparound_demo(1.0, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(M, np.diag([-1.0, 1.0, -1.0]), atol=1e-12)
-
-    rng = np.random.default_rng(43)
-    u = rng.standard_normal(3)
-    u /= np.linalg.norm(u)
-    M = wraparound_demo(2.0, u)
-    A = M[:3, :3]
-    assert M[3, 3] == pytest.approx(-1.0, abs=1e-12)
-    assert np.linalg.det(A) == pytest.approx(-1.0, abs=1e-10)
-    np.testing.assert_allclose(A @ u, -u, atol=1e-10)
-    w = np.array([u[1], -u[0], 0.0])
-    w -= (w @ u) * u
-    np.testing.assert_allclose(A @ w, w, atol=1e-10)
-
-
-def test_wraparound_demo_validation():
-    with pytest.raises(ValueError):
-        wraparound_demo(0.0, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        wraparound_demo(1.0, np.array([2.0, 0.0]))
-
-
-def test_wraparound_demo_refuses_a_period_scale_whose_sigma_is_not_a_normal_float():
-    # 1/C^2 past the float range, or in or below the subnormal range, where a Galilei
-    # shear (sigma = -0.0) or a rounded sigma would fail the block test instead.
-    for C in (1e-300, 5e-324, 1e154, 1e300, math.inf):
-        with pytest.raises(ValueError, match="^" + re.escape(f"C = {C!r} gives sigma")):
-            wraparound_demo(C, np.array([1.0, 0.0]))
-    M = wraparound_demo(1e-150, np.array([1.0, 0.0]))  # sigma = -1e300
-    assert M[2, 2] == -1.0
-
-
-def test_wraparound_property_skips_the_sigmas_the_demo_refuses():
+def test_wraparound_property_skips_the_sigmas_whose_minus_one_over_C_squared_is_not_normal():
     both, alone, none = (run_suite(SuiteConfig(n_values=(2,), sigma_values=s, trials=2)).results
                          for s in ((-1.0, -1e-320), (-1.0,), (-1e-320,)))  # -1/C^2 subnormal
     assert both["wraparound"] == alone["wraparound"] and "wraparound" not in none
+    # -1/C^2 rounds to 0.0 at the least subnormal, and is normal at both ends of the range
+    ends = (-2.2250738585072014e-308, -1.7976931348623157e308)
+    cfg = SuiteConfig(n_values=(2, 3), sigma_values=(-5e-324,) + ends, trials=3)
+    assert verify._wrap_sigmas(cfg) == list(ends)
+    assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
 
 
 def test_nonalgebra_witness_corner_is_two():
