@@ -32,6 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import isotypic, matcore
+from .matcore import DEFAULT_TOL
 
 __all__ = [
     "CaseLabel",
@@ -46,8 +47,6 @@ __all__ = [
     "is_closed_under_bracket",
     "rotation_generators",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 def _check_tol(tol: float) -> None:

@@ -55,9 +55,9 @@ class LogarithmFailure(ValueError):
 
 
 def k_element(R, eps) -> np.ndarray:
-    """K = diag(R, eps), or a stack of them for an (..., n, n) stack of R and a (...) stack of
-    eps that broadcast.  Each R must be orthogonal and each eps +1 or -1; ValueError names the
-    first entry of a stack that is not.  :func:`isotypic.ad_rotation` conjugates by K."""
+    """K = diag(R, eps), or a stack of them for (..., n, n) R and (...) eps that broadcast;
+    :func:`isotypic.ad_rotation` conjugates by K.  Each R must be orthogonal within DEFAULT_TOL,
+    as in in_K, and each eps +1 or -1; ValueError names the first entry of a stack that is not."""
     return isotypic._block_rotation(R, eps)
 
 

@@ -114,7 +114,7 @@ def _block_rotation(R, eps) -> np.ndarray:
     n = R.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a defect past the float max: inf or NaN
         defect = matcore.op_norm(R.mT @ R - np.eye(n), 2)
-    matcore.refuse(np.logical_not(defect <= 1e-10), "R must be orthogonal")
+    matcore.refuse(np.logical_not(defect <= matcore.DEFAULT_TOL), "R must be orthogonal")
     matcore.refuse((eps != 1) & (eps != -1), "eps must be +1 or -1")
     K = np.zeros(np.broadcast_shapes(R.shape[:-2], eps.shape) + (n + 1, n + 1))
     K[..., :n, :n] = R

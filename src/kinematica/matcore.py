@@ -34,6 +34,8 @@ __all__ = [
     "unit_exponent",
 ]
 
+DEFAULT_TOL = 1e-9  # the tol of every verdict whose caller gives none
+
 # Degree of the Taylor polynomial used after scaling the argument below 1/2.
 # The remainder (1/2)**17 / 17! is far below double precision.
 _EXP_DEGREE = 16

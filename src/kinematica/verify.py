@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -436,29 +435,16 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-def _wrap_sigmas(cfg: SuiteConfig) -> list[float]:
-    """The sigmas < 0 of cfg that the wrap-around property takes (see _wrap_sigma)."""
-    return [s for s in _sigmas(cfg, CaseLabel.ORTHOGONAL) if _wrap_sigma(1.0 / math.sqrt(-s))[1]]
-
-
-def _wrap_sigma(C: float) -> tuple[float, bool]:
-    """The sigma = -1/C^2 of period scale C, and whether it is a normal float, as the
-    wrap-around property needs: else its rounding, or a Galilei shear (-0.0), fails it."""
-    r = 1.0 / C  # where C * C would overflow or underflow, r * r may not
-    return -(r * r), sys.float_info.min <= r * r < math.inf
-
-
 def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in _wrap_sigmas(cfg):
-        C = 1.0 / math.sqrt(-s)  # the period scale: boosts of norm 2 pi C are the identity
+    # For sigma < 0 boosts are rotations mixing space with time, of period 2 pi / sqrt(-sigma).
+    for s in _sigmas(cfg, CaseLabel.ORTHOGONAL):
         u = _units(rng, (cfg.trials, n))
-        M = groups.boost_closed_form(math.pi * C * u, _wrap_sigma(C)[0])
-        expected = np.zeros(M.shape)  # the reflection through the plane normal to u
+        half, full = groups.boost_closed_form(math.pi / math.sqrt(-s) * np.stack((u, 2.0 * u)), s)
+        expected = np.zeros(half.shape)  # the reflection through the plane normal to u
         expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
         expected[:, n, n] = -1.0  # and time reversed
-        check.residual(matcore.op_norm(_balanced(M - expected, s), 2), {"u": u, "C": C})
-        full = groups.boost_closed_form(2.0 * math.pi * C * u, s)
-        check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), {"u": u, "C": C})
+        check.residual(matcore.op_norm(_balanced(half - expected, s), 2), {"u": u, "sigma": s})
+        check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), {"u": u, "sigma": s})
 
 
 def nonalgebra_witness(n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -522,7 +508,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
         cfg = SuiteConfig()
     report = SuiteReport(config=cfg)
     jobs = list(_PROPERTIES)
-    if _wrap_sigmas(cfg):
+    if _sigmas(cfg, CaseLabel.ORTHOGONAL):
         jobs.append(("wraparound",
                      "boosts of norm pi times the period scale land in the "
                      "rotation block (sigma < 0)", _prop_wraparound))

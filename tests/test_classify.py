@@ -165,30 +165,30 @@ def rule(b, c, tol=DEFAULT_TOL):
     return detail if sigma is None else sigma
 
 
-def test_sigma_from_m3_finite():
+def test_a_collinear_pair_reads_its_finite_sigma():
     e1 = np.array([1.0, 0.0])
     s = one_pair(e1, 3.0 * e1).sigma.value
     assert math.isfinite(s) and s == pytest.approx(3.0, abs=1e-15)
 
 
-def test_sigma_from_m3_zero_row_is_galilei():
+def test_a_zero_c_row_reads_as_galilei():
     s = one_pair(np.array([0.0, 1.0]), np.zeros(2)).sigma.value
     assert s == 0.0
 
 
-def test_sigma_from_m3_zero_column_is_carroll():
+def test_a_zero_b_row_reads_as_carroll():
     s = one_pair(np.zeros(2), np.array([1.0, 0.0])).sigma.value
     assert s == math.inf
 
 
-def test_sigma_from_m3_scale_free():
+def test_a_common_scale_keeps_sigma_to_rounding():
     b = np.array([0.3, -0.4, 1.2])
     for t in (1e-6, 1.0, 1e6):
         s = one_pair(t * b, t * (-2.5) * b).sigma.value
         assert s == pytest.approx(-2.5, rel=1e-12)
 
 
-def test_sigma_from_m3_rejects_bad_pairs():
+def test_a_perpendicular_pair_is_refused_and_a_zero_pair_is_aristotle():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     result = one_pair(e1, e2)
@@ -229,7 +229,7 @@ def test_mixing_pairs_with_no_rows_or_no_columns_are_refused():
         collinearity_defect(1.0, 2.0)  # two numbers are no pair of vectors
 
 
-def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():
+def test_the_sigma_rule_holds_past_the_square_root_of_overflow():
     # |b|^2 |c|^2 overflows here; perpendicular pairs must still be rejected
     for c in ([0.0, 1e160], [0.0, 1e150]):
         result = one_pair([1e160, 0.0], c)
@@ -240,7 +240,7 @@ def test_sigma_from_m3_entries_beyond_the_square_root_of_overflow():
     assert one_pair([1e-300, 0.0], [1e300, 0.0]).sigma.value == math.inf
 
 
-def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
+def test_balanced_rows_keep_the_verdicts_of_the_rule_written_row_by_row():
     # The rule is fed rows taken to the time unit that levels their largest b
     # and c entries and divided by the power of two of their largest entry.
     # Its verdicts are those of the rule written out row by row on those
@@ -287,7 +287,7 @@ def test_sigma_from_m3_scaling_keeps_ordinary_verdicts():
     assert verdicts == {"NotCollinear", True, False}
 
 
-def test_sigma_from_m3_keeps_a_row_far_smaller_than_the_largest():
+def test_a_row_far_smaller_than_the_largest_is_skipped():
     # Rows are judged in the scale of the set: a collinear row 1e170 times
     # smaller than the largest entry has squares that underflow there, so it
     # is skipped, as classify_algebra skips content under its cut.  It does
@@ -299,7 +299,7 @@ def test_sigma_from_m3_keeps_a_row_far_smaller_than_the_largest():
     assert rule(b, [[2.0, 0.0], [3e-170, 0.0]]) == 2.0
 
 
-def test_sigma_from_m3_reads_a_pair_as_classify_algebra_reads_its_generator():
+def test_the_sigma_rule_reads_a_pair_as_classify_algebra_reads_its_generator():
     # One sigma rule, over 3 * 28 * 3 * 20 = 5,040 pairs: n = 2, 3 and 10;
     # sigma = +-1e-12 ... 1e12, 0 and inf; c collinear with b, tilted by 1e-3
     # or perpendicular; |b| in 10^[-3, 3].
@@ -323,7 +323,7 @@ def test_sigma_from_m3_reads_a_pair_as_classify_algebra_reads_its_generator():
                             n, sigma, tilt, got, result.sigma)
 
 
-def test_sigma_from_m3_follows_a_change_of_time_unit_bit_for_bit():
+def test_sigma_follows_a_change_of_time_unit_bit_for_bit():
     # (2^k b, 2^-k c) is (b, c) in another time unit, of sigma 4^-k sigma: the
     # rule maps its sigma back bit for bit, and classify_algebra of the set to
     # rounding.  |sigma| <= 1e3 keeps 4^-k sigma below the Carroll guard for
@@ -344,7 +344,7 @@ def test_sigma_from_m3_follows_a_change_of_time_unit_bit_for_bit():
             math.ldexp(classified, -2 * k), rel=1e-15, abs=0.0)
 
 
-def test_sigma_from_m3_is_scale_free_bit_for_bit():
+def test_a_power_of_two_scale_keeps_the_verdict_bit_for_bit():
     # A common power of two is exact on every entry and leaves the verdict
     # as it is: sigma bit for bit, and a pair tilted by 1e-3 refused.
     def verdict(b, c):
@@ -375,7 +375,7 @@ def _pairs(*sigmas):
     return b, c
 
 
-def test_sigma_from_m3_rows_agree_within_tol():
+def test_rows_that_agree_within_tol_give_their_fitted_sigma():
     s = rule(*_pairs(1.0, 1.0 + 1e-10))
     assert s == pytest.approx(1.0 + 5e-11, rel=1e-15)
     # the comparison is relative in the magnitudes involved
@@ -384,12 +384,12 @@ def test_sigma_from_m3_rows_agree_within_tol():
     assert rule(*_pairs(math.inf, math.inf)) == math.inf
 
 
-def test_sigma_from_m3_rows_disagree():
+def test_rows_that_disagree_on_sigma_are_refused():
     for b, c in (_pairs(1.0, 1.1), _pairs(1e8, math.inf), _pairs(math.inf, 2.0, 2.0)):
         assert rule(b, c).startswith("mixing generators disagree on sigma: ")
 
 
-def test_sigma_from_m3_rows_fit_is_aggregate():
+def test_the_fitted_sigma_weighs_each_row_by_b_squared():
     # rows of different lengths weigh in by |b|^2
     b = np.array([[1.0, 0.0], [0.0, 3.0]])
     c = 2.0 * b
@@ -398,7 +398,7 @@ def test_sigma_from_m3_rows_fit_is_aggregate():
     assert s == pytest.approx(2.0 * (1.0 + 9e-11), rel=1e-14)
 
 
-def test_sigma_from_m3_rejects_a_bad_row():
+def test_a_row_that_is_not_collinear_is_refused_and_a_zero_row_skipped():
     b = np.array([[1.0, 0.0], [1.0, 0.0]])
     c = np.array([[2.0, 0.0], [0.0, 2.0]])
     assert rule(b, c).startswith("mixing vectors are not collinear")

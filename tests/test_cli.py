@@ -786,6 +786,18 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    ([], "87d256fb02c77606de4a4bcab5c98cd059d4b45a1c02c38264844265cd5bf2d0"),
+    (["--seed", "4", "--sigma-list", "1,1e12,0.5,1e-12,-1"],
+     "5de1e4e2042bcd24f39928c192514f93f8561422b7d76eb45a1f7b09348d7e70"),
+])
+def test_verify_reports_keep_their_bytes(capsys, args, digest):
+    # The whole report is pinned: every verdict, residual, check count and description.
+    # A change that moves a report on purpose updates its digest.
+    assert cli.main(["verify"] + args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_generate_with_an_overflowing_boost_angle_is_an_error_under_warnings(tmp_path):
     # sigma < 0 and |b| near 1e300: the angle |b| sqrt(-sigma) overflows, and cos and
     # sin of it would print NaN matrices (as null) with exit 0.

@@ -64,6 +64,19 @@ def test_k_element_validation():
     # NaN entries would pass the orthogonality bound, since NaN > bound is False
     with pytest.raises(ValueError, match="finite"):
         k_element(np.full((2, 2), np.nan), 1)
+    # orthogonal within DEFAULT_TOL, as in_K judges it: R = Q (I + d diag(1, -1, 1/2)) has
+    # |R^T R - I| = 3 d to first order, 9e-10 accepted and 9e-9 refused
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    for d, orthogonal in ((3e-10, True), (3e-9, False)):
+        R = Q @ (np.eye(3) + d * np.diag([1.0, -1.0, 0.5]))
+        K = np.eye(4)
+        K[:3, :3] = R
+        assert in_K(K) is orthogonal and membership(K, CaseLabel.ARISTOTLE) is orthogonal
+        if orthogonal:
+            assert np.array_equal(k_element(R, 1), K)
+        else:
+            with pytest.raises(ValueError, match="R must be orthogonal$"):
+                k_element(R, 1)
 
 
 def test_k_element_refuses_entries_whose_gram_matrix_overflows_without_a_warning():

@@ -210,7 +210,8 @@ def count_calls(monkeypatch, *targets) -> dict:
 def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
     # Each (n, sigma) stack is judged in a fixed number of calls, whatever the
     # number of trials: P9 composes six times per n and maps one stack of lines
-    # per n, every sigma > 0 in it; wrap-around makes two boosts per (n, sigma < 0).
+    # per n, every sigma > 0 in it; wrap-around makes one boost call per (n, sigma < 0),
+    # on the stack of half and full periods.
     from kinematica import affine
     counts = count_calls(monkeypatch, (affine, "compose"), (affine, "transform_worldline"),
                          (groups, "boost_closed_form"))
@@ -222,7 +223,7 @@ def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
         assert counts["transform_worldline"] == len(cfg.n_values)
         counts.clear()
         assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
-        assert counts == {"boost_closed_form": 4 * len(cfg.n_values)}
+        assert counts == {"boost_closed_form": 2 * len(cfg.n_values)}
 
 
 def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
@@ -279,6 +280,20 @@ def test_wraparound_entry_only_with_negative_sigma():
     assert report.passed
 
 
+def test_the_suite_across_the_sigma_axis():
+    # +-10^j over the whole float range, plus Galilei and Carroll.  At |sigma| >= 1e100 the
+    # generated sets fall under classify's Carroll guard, |b| <= (n+1) eps |c|, and read back
+    # as Carroll: P3 fails there, and only P3.
+    grid = [sign * 10.0 ** j for j in (-300, -100, -24, -12, -8, -4, 0, 4, 8, 12, 100, 300)
+            for sign in (1.0, -1.0)] + [0.0, math.inf]
+    fails_in_p3 = (1e100, -1e100, 1e300, -1e300)
+    within = [s for s in grid if s not in fails_in_p3]
+    assert len(within) == 22 and run_suite(SuiteConfig(sigma_values=within)).passed
+    for s in fails_in_p3:
+        results = run_suite(SuiteConfig(sigma_values=(s,))).results
+        assert [pid for pid, r in results.items() if not r.passed] == ["P3"], s
+
+
 def test_suite_report_is_deterministic():
     a = run_suite(SuiteConfig(**FAST)).to_json()
     b = run_suite(SuiteConfig(**FAST)).to_json()
@@ -333,15 +348,14 @@ def test_suite_detects_a_corrupted_adjoint(monkeypatch):
     assert not report.results["P5"].passed
 
 
-def test_wraparound_property_skips_the_sigmas_whose_minus_one_over_C_squared_is_not_normal():
-    both, alone, none = (run_suite(SuiteConfig(n_values=(2,), sigma_values=s, trials=2)).results
-                         for s in ((-1.0, -1e-320), (-1.0,), (-1e-320,)))  # -1/C^2 subnormal
-    assert both["wraparound"] == alone["wraparound"] and "wraparound" not in none
-    # -1/C^2 rounds to 0.0 at the least subnormal, and is normal at both ends of the range
-    ends = (-2.2250738585072014e-308, -1.7976931348623157e308)
-    cfg = SuiteConfig(n_values=(2, 3), sigma_values=(-5e-324,) + ends, trials=3)
-    assert verify._wrap_sigmas(cfg) == list(ends)
-    assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
+def test_wraparound_property_judges_every_negative_sigma():
+    # subnormal sigmas, the least normal one and the most negative float are each judged
+    sigmas = (-5e-324, -1e-320, -2.2250738585072014e-308, -1.7976931348623157e308)
+    cfg = SuiteConfig(n_values=(2, 3), sigma_values=sigmas, trials=3)
+    result = verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0))
+    assert result.passed and result.checks == 48  # 2 n x 4 sigmas x 3 trials x 2 periods
+    report = run_suite(SuiteConfig(n_values=(2,), sigma_values=(-1e-320,), trials=2))
+    assert report.passed and report.results["wraparound"].passed
 
 
 def test_nonalgebra_witness_corner_is_two():
