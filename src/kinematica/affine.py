@@ -58,8 +58,12 @@ class Event:
 
     @classmethod
     def from_vector(cls, v) -> "Event":
+        return cls._of(np.array(v, dtype=float, ndmin=1))
+
+    @classmethod
+    def _of(cls, v: np.ndarray) -> "Event":  # keeps the float array v: checked, not copied
         event = cls.__new__(cls)
-        event._v = _finite(np.array(v, dtype=float, ndmin=1), "event")
+        event._v = _finite(v, "event")
         return event
 
     def __repr__(self) -> str:
@@ -88,11 +92,12 @@ class WorldLine:
         # d has an entry past 2^500 or a line shorter than 2^-500, on scaled(d): exact.
         x = d
         if np.count_nonzero(abs(d) < 2.0 ** 500) != d.size or np.count_nonzero(
-                (length := op_norm(d, 1)) < 2.0 ** -500):  # inf and NaN come here, to _finite
+                (length := op_norm(d, 1)) < 2.0 ** -500):  # inf, NaN and zero lines come here
             x = scaled(_finite(d, "world line"), -1)[0]
             length = op_norm(x, 1)
-        refuse(length == 0.0, "direction must be nonzero")  # a velocity line's time is 1
-        self._dt = np.where(abs(x[..., -1]) > _TIME_CUTOFF * length, d[..., -1], np.nan)
+            refuse(length == 0.0, "direction must be nonzero")  # a velocity line's time is 1
+        self._dt = d[..., -1].copy()
+        self._dt[abs(x[..., -1]) <= _TIME_CUTOFF * length] = np.nan
 
     @property
     def kind(self):
@@ -136,26 +141,31 @@ class AffineElement:
         return self.linear.shape[-1]
 
 
+def _affine(linear: np.ndarray, translation: np.ndarray) -> AffineElement:  # entries checked
+    g = object.__new__(AffineElement)
+    g.linear, g.translation = _finite(linear, "affine map"), _finite(translation, "affine map")
+    return g
+
+
 def compose(g: AffineElement, h: AffineElement) -> AffineElement:
     """g after h."""
     if g.dim != h.dim:
         raise ValueError("affine elements must share one dimension")
-    return AffineElement(g.linear @ h.linear,
-                         np.matvec(g.linear, h.translation) + g.translation)
+    return _affine(g.linear @ h.linear, np.matvec(g.linear, h.translation) + g.translation)
 
 
 def inverse(g: AffineElement) -> AffineElement:
     """ValueError for a singular linear part, naming the first of a stack."""
     d = np.linalg.det(g.linear)
-    refuse(~np.isfinite(d) | (d == 0.0), "linear part is singular")
+    refuse(~(abs(d) < math.inf) | (d == 0.0), "linear part is singular")
     Li = np.linalg.inv(g.linear)
-    return AffineElement(Li, -np.matvec(Li, g.translation))
+    return _affine(Li, -np.matvec(Li, g.translation))
 
 
 def act(g: AffineElement, x: Event) -> Event:
     if g.dim != x.n + 1:
         raise ValueError("event dimension does not match the map")
-    return Event.from_vector(np.matvec(g.linear, x.vector()) + g.translation)
+    return Event._of(np.matvec(g.linear, x.vector()) + g.translation)
 
 
 def transform_worldline(g: AffineElement, line: WorldLine) -> WorldLine:

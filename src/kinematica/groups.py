@@ -11,6 +11,7 @@ the remaining cases reduce to block-triangular shape checks.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ __all__ = [
 # below 2^500 squares, nor does a sum of n of its squares, past the float range; below 2^250
 # neither do the entries of an n x n A^T A nor, for n < 64, the sum of their squares.
 _WIDE, _GRAM, _ONE = np.array(2.0 ** 500), np.array(2.0 ** 250), np.array(1.0)
+_QUIET = contextlib.nullcontext()  # in place of an errstate block where nothing can overflow
 
 
 class NotInNormalizer(ValueError):
@@ -95,8 +97,7 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     b = 0 returns the identity.  b is one vector (n,) or a stack (..., n), one boost per row.
     Raises ValueError when an entry of b is not finite, or a rapidity w = |b| sqrt(|sigma|) is
     so large that cosh(w), sinh(w) sqrt(sigma) or sinh(w) / sqrt(sigma) could overflow: past
-    log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or, for sigma < 0, past half the float
-    max.
+    log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or past half the float max (sigma < 0).
     """
     if case_of_sigma(sigma) in (CaseLabel.CARROLL, CaseLabel.GALILEI):  # a shear, I + Z
         out = p_generator(b, sigma)
@@ -143,14 +144,13 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     return out
 
 
-def _verdict(ok):
-    """A Python bool for one matrix, a bool array for a stack."""
+def _verdict(ok):  # a Python bool for one matrix, a bool array for a stack
     return ok if ok.ndim else bool(ok)
 
 
 def in_K(a, tol: float = DEFAULT_TOL):
-    """Whether a is a block rotation: off blocks zero, orthogonal spatial
-    block, corner of modulus one, each within tol."""
+    """Whether a is a block rotation: off blocks zero, orthogonal spatial block, corner of
+    modulus one, each within tol."""
     return _verdict(_shape_test(as_square_stack(a), CaseLabel.ARISTOTLE, tol))
 
 
@@ -191,14 +191,16 @@ def _metric_test(a: np.ndarray, sigma: float, tol: float):
     _check_tol(tol)
     n = a.shape[-1] - 1
     k, unit = matcore.sigma_unit(sigma)
-    t = np.zeros(n + 1, dtype=int)  # matcore.balance(a, k) is D a D^-1, D = diag(2^t): it
-    t[n] = -k  # adds t_i - t_j to the binary exponent of entry (i, j)
+    shift = None
+    if k:  # matcore.balance(a, k) is D a D^-1, D = diag(2^t), t = (0, ..., 0, -k): it adds
+        shift = np.zeros((n + 1, n + 1), dtype=int)  # t_i - t_j to the exponent of entry (i, j)
+        shift[:n, n], shift[n, :n] = k, -k
     # b, balanced a / 2^top, has its largest entry in [1/2, 1): nothing overflows.  adj^T, b
     # and q = adj b - lam I share one buffer, whose three norms one op_norm call takes.
     work = np.empty((3,) + a.shape)
     adj_t, b, q = work[0], work[1], work[2]
-    b[...], top = matcore.scaled(a, (-2, -1), t[:, None] - t if k else None)
-    np.copyto(adj_t, matcore.dagger(b, unit).mT)
+    top = matcore.scaled(a, (-2, -1), shift, out=b)[1]
+    adj_t[...] = matcore.dagger(b, unit).mT
     np.matmul(adj_t.mT, b, out=q)
     flat = work.reshape(work.shape[:-2] + ((n + 1) ** 2,))  # one row per matrix
     diagonal = flat[2, ..., ::n + 2].T  # stack axes last: lam broadcasts as it is
@@ -208,7 +210,8 @@ def _metric_test(a: np.ndarray, sigma: float, tol: float):
     u = math.ulp(1.0) * norms[0] * norms[1]
     ok = norms[2] <= tol * abs(lam) + (n + 3) * u
     zero = lam == 0.0
-    with np.errstate(over="ignore"):  # lam or u may pass the float range, to inf (refused)
+    big = top > 500  # only there can lam <= 2 (n+1) or u pass the float range, to inf (refused)
+    with np.errstate(over="ignore") if (big.any() if big.ndim else big) else _QUIET:
         lam, u = np.ldexp(lam, 2 * top), np.ldexp(u, 2 * top)
     ok &= zero | ((abs(lam) >= sys.float_info.min) & (abs(lam) < math.inf))
     return ok, ok & (lam * (0.25 / (n + 3)) > u), lam, u
@@ -217,13 +220,11 @@ def _metric_test(a: np.ndarray, sigma: float, tol: float):
 def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     """Test whether a^dagger a is a positive multiple of the identity.
 
-    Returns (ok, lam) with lam the mean diagonal of a^dagger a.  ok requires
-    the residual to be at most tol * lam plus the rounding bound of
-    a^dagger a, and that bound to be below lam / 4, so the exact a^dagger a
-    is within (tol + 1/2) lam of lam * I and a is invertible, all in the
-    balanced time unit.  Members beyond rapidity about 16 are refused, and
-    so is a lam beyond the float range.  Raises ValueError unless sigma is
-    finite and nonzero.
+    Returns (ok, lam) with lam the mean diagonal of a^dagger a.  ok requires the residual to be
+    at most tol * lam plus the rounding bound of a^dagger a, and that bound to be below lam / 4,
+    so the exact a^dagger a is within (tol + 1/2) lam of lam * I and a is invertible, all in
+    the balanced time unit.  Members beyond rapidity about 16 are refused, and so is a lam
+    beyond the float range.  Raises ValueError unless sigma is finite and nonzero.
     """
     if case_of_sigma(sigma) in (CaseLabel.GALILEI, CaseLabel.CARROLL):  # refuses NaN and -inf
         raise ValueError(f"in_normalizer needs a finite nonzero sigma, got {sigma!r}")
@@ -257,16 +258,14 @@ class CartanFactors:
 def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     """Factor a normalizer element as sqrt(lam) * k * exp(Z), sigma > 0.
 
-    lam is read off a^dagger a (spacetime metric).  The boost exp(Z) is
-    read off the last row eps * (sinh(w) sqrt(sigma) u, cosh(w)) of
-    a / sqrt(lam), and k = a exp(-Z) / sqrt(lam) with the closed-form boost,
-    so no logarithm or exponential is taken and the factors lose accuracy
-    only like eps * cond(a).  They are unique: a chart for the Lorentz case.
+    lam is read off a^dagger a (spacetime metric).  The boost exp(Z) is read off the last row
+    eps * (sinh(w) sqrt(sigma) u, cosh(w)) of a / sqrt(lam), and k = a exp(-Z) / sqrt(lam) with
+    the closed-form boost, so no logarithm or exponential is taken and the factors lose
+    accuracy only like eps * cond(a).  They are unique: a chart for the Lorentz case.
 
-    Raises ValueError unless sigma is finite and positive, NonPositiveLambda
-    when a^dagger a is a multiple lam <= 0 of I (the zero matrix, or an
-    anti-member at n = 1), and NotInNormalizer whenever else
-    :func:`in_normalizer` refuses a.  A stack raises neither (see ``refused``).
+    Raises ValueError unless sigma is finite and positive, NonPositiveLambda when a^dagger a is
+    a multiple lam <= 0 of I (the zero matrix, or an anti-member at n = 1), and NotInNormalizer
+    whenever else :func:`in_normalizer` refuses a.  A stack raises neither (see ``refused``).
     """
     if case_of_sigma(sigma) is not CaseLabel.LORENTZ:
         raise ValueError("Cartan decomposition needs a finite sigma > 0")
@@ -315,12 +314,11 @@ def _check_pairing(case: CaseLabel, sigma) -> float | None:
 def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     """Whether a belongs to the kinematical group of the given case.
 
-    For Lorentz and Orthogonal the test is a^dagger a = lam * I as in
-    :func:`in_normalizer`, with lam = 1 within tol; a whose lam rounding,
-    about 2 eps |a^dagger| |a|, exceeds tol is refused, which caps the
-    rapidity near 7.5 at every sigma.  Galilei and Carroll are
-    block-triangular shape tests and Aristotle is :func:`in_K`.
-    sigma must match the case; Galilei, Carroll and Aristotle may omit it.
+    For Lorentz and Orthogonal the test is a^dagger a = lam * I as in :func:`in_normalizer`,
+    with lam = 1 within tol; a whose lam rounding, about 2 eps |a^dagger| |a|, exceeds tol is
+    refused, which caps the rapidity near 7.5 at every sigma.  Galilei and Carroll are
+    block-triangular shape tests and Aristotle is :func:`in_K`.  sigma must match the case;
+    Galilei, Carroll and Aristotle may omit it.
     """
     a = as_square_stack(a)
     s = _check_pairing(case, sigma)
@@ -332,27 +330,16 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     return _verdict(_shape_test(a, case, tol))
 
 
-def _haar(M: np.ndarray, flip) -> np.ndarray:
-    """Orthonormalize each matrix of the stack M by QR, with the signs that
-    make the draw Haar distributed, times flip (+-1) on the first column."""
-    Q, R = np.linalg.qr(M)
-    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
-    signs[..., 0] *= flip
-    return Q * signs[..., None, :]
-
-
 def random_element(case: CaseLabel, sigma=None, n: int = 2, boost_bound: float = 1.0,
                    seed=0, size=None) -> np.ndarray:
-    """Deterministic random member of the given group: a random block
-    rotation diag(Q, +-1) times a boost of norm at most ``boost_bound``
-    (none for Aristotle).
+    """Deterministic random member of the given group: a random block rotation diag(Q, +-1)
+    times a boost of norm at most ``boost_bound`` (none for Aristotle).
 
     ``seed`` is a nonnegative int or a numpy Generator; an int draws through
-    ``np.random.default_rng(seed)``, so the same arguments always produce the
-    same members, and a Generator is advanced by the draws.  ``size=None``
-    gives one (n+1) x (n+1) member, ``size`` = m an (m, n+1, n+1) stack drawn
-    in whole-array calls.  Any other seed, a sequence included, raises
-    ValueError.
+    ``np.random.default_rng(seed)``, so the same arguments always produce the same members, and
+    a Generator is advanced by the draws.  ``size=None`` gives one (n+1) x (n+1) member,
+    ``size`` = m an (m, n+1, n+1) stack drawn in whole-array calls.  Any other seed, a sequence
+    included, raises ValueError.
     """
     if n < 2:
         raise ValueError("need at least two space dimensions")
@@ -363,17 +350,20 @@ def random_element(case: CaseLabel, sigma=None, n: int = 2, boost_bound: float =
         raise ValueError(f"seed must be an int or a numpy Generator, not {type(seed).__name__}")
     rng = np.random.default_rng(seed)
     stack = () if size is None else (size,)
-    # Drawn in this order: the Gaussian sample for Q, the sign of Q's first
-    # column, eps, and then the boost direction and size, even for bound 0.
+    # Drawn in this order: the Gaussian sample for Q, the sign of Q's first column, eps, and
+    # then the boost direction and size, even for bound 0.  Q is orthonormalized by QR with the
+    # signs that make the draw Haar distributed (Mezzadri 2007), its first column flipped where
+    # a uniform draw is below 1/2, where eps is +1.
     k = np.zeros(stack + (n + 1, n + 1))
-    gauss = rng.standard_normal(stack + (n, n))
-    k[..., :n, :n] = _haar(gauss, np.where(rng.random(stack) < 0.5, -1.0, 1.0))
-    k[..., n, n] = np.where(rng.random(stack) < 0.5, 1.0, -1.0)
+    Q, R = np.linalg.qr(rng.standard_normal(stack + (n, n)))
+    signs = np.sign(R.diagonal(0, -2, -1))
+    signs[..., 0] *= 1.0 - 2.0 * (rng.random(size) < 0.5)
+    np.multiply(Q, signs[..., None, :], out=k[..., :n, :n])
+    k[..., n, n] = 2.0 * (rng.random(size) < 0.5) - 1.0
     if s is None:  # Aristotle
         return k
     direction = rng.standard_normal(stack + (n,))
-    scale = boost_bound * rng.random(stack)
+    scale = boost_bound * rng.random(size)
     if boost_bound == 0.0:
         return k
-    b = direction / np.sqrt(np.vecdot(direction, direction))[..., None] * scale[..., None]
-    return k @ boost_closed_form(b, s)
+    return k @ boost_closed_form((direction.T / op_norm(direction, 1) * scale).T, s)

@@ -77,19 +77,19 @@ def split(Z) -> IsotypicSplit:
 def _coordinates(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lam, and the coordinates [sqrt(n) lam, mu, m2, b, c] of m0 + m2 + m3, isometric to the
     Frobenius norm, of each matrix of the float (..., n+1, n+1) stack Z, as the rows of one new
-    (..., 2 + n^2 + 2n) array.  Halves the spatial block of Z in place first, so that no sum
-    or difference overflows: m1 is then that block minus its transpose."""
+    (..., 2 + n^2 + 2n) array.  Halves the first n rows of Z in place, after b is read, so that
+    no sum or difference overflows: m1 is then the spatial block minus its transpose."""
     n = Z.shape[-1] - 1
     A, j = Z[..., :n, :n], 2 + n * n
     scale = 2.0 ** n.bit_length()  # over 2^k > n no sum of n entries overflows; exact if normal
     lam = np.add.reduce(np.diagonal(A, 0, -2, -1) / scale, -1) / n * scale
-    np.multiply(A, 0.5, out=A)
     rows = np.empty(Z.shape[:-2] + (j + 2 * n,))
+    rows[..., j:j + n] = Z[..., :n, n]
+    np.multiply(Z[..., :n, :], 0.5, out=Z[..., :n, :])  # contiguous rows: faster than A alone
     np.add(A, A.mT, out=rows[..., 2:j].reshape(A.shape))  # m2, a view of the rows
     rows[..., 2:j:n + 1] -= lam[..., np.newaxis]  # the diagonal of m2
     np.multiply(lam, math.sqrt(n), out=rows[..., 0])
     rows[..., 1] = Z[..., n, n]
-    rows[..., j:j + n] = Z[..., :n, n]
     rows[..., j + n:] = Z[..., n, :n]
     return lam, rows
 

@@ -58,7 +58,7 @@ def as_square_stack(matrices) -> np.ndarray:
 def refuse(failed, message: str) -> None:
     """Raise ValueError(message) if an entry of the failure mask is true, naming the first
     such index of a stack: " at index i", a tuple for more than one stack axis."""
-    if np.count_nonzero(failed):  # no 0-d dispatch of any() for one object
+    if np.count_nonzero(failed) if getattr(failed, "ndim", 1) else failed:  # 0-d read as it is
         i = tuple(int(k) for k in np.argwhere(failed)[0])  # () for one value
         raise ValueError(message + (f" at index {i[0] if len(i) == 1 else i}" if i else ""))
 
@@ -81,14 +81,14 @@ def scaled(x: np.ndarray, axes=None, shift=None, out=None):
     """(x / 2^e, e), e the binary exponent of x's largest entry over axes, per slice (a numpy
     scalar for one; any e for a zero slice).  With int exponents shift that broadcast against
     x, x 2^shift is scaled instead, read off x's exponents: nothing overflows, one rounding.
-    Unshifted, out=x divides the float array x in place, with the same bits."""
+    out, a float array of the result's shape (x itself if unshifted), receives the same bits."""
     if shift is None:
-        e = np.frexp(abs(x).max(axis=axes, keepdims=True))[1]
-        return np.ldexp(x, -e, out=out), np.squeeze(e, axes)[()]
+        e = np.frexp(np.maximum.reduce(abs(x), axes, keepdims=True))[1]
+        return np.ldexp(x, -e, out=out), e.squeeze(axes)[()]
     mant, exps = np.frexp(x)
     exps = exps + shift
-    e = exps.max(axis=axes, keepdims=True, where=mant != 0.0, initial=-4096)
-    return np.ldexp(mant, exps - e), np.squeeze(e, axes)[()]
+    e = np.maximum.reduce(exps, axes, keepdims=True, where=mant != 0.0, initial=-4096)
+    return np.ldexp(mant, exps - e, out=out), e.squeeze(axes)[()]
 
 
 def sigma_unit(sigma: float) -> tuple[int, float]:
@@ -114,7 +114,7 @@ def balance(x: np.ndarray, k) -> np.ndarray:
 def mixing_maxima(Z: np.ndarray, axes=None):
     """The largest |entries| of Z[..., :n, n] and Z[..., n, :n] over axes of those slices."""
     n = Z.shape[-1] - 1
-    return abs(Z[..., :n, n]).max(axes), abs(Z[..., n, :n]).max(axes)
+    return np.maximum.reduce(abs(Z[..., :n, n]), axes), np.maximum.reduce(abs(Z[..., n, :n]), axes)
 
 
 def unit_exponent(b, c):

@@ -96,3 +96,53 @@ def test_declared_numpy_floor_has_every_numpy_feature_used():
     newer = {name: ".".join(map(str, added_in(obj))) for name, obj in used.items()
              if added_in(obj) > version(floor.group(1))}
     assert not newer, f"numpy>={floor.group(1)} lacks what the package uses: {newer}"
+
+
+def private_numpy_names(source: str) -> list[str]:
+    """Each numpy name with a part that starts with an underscore that the source imports,
+    or reads as an attribute chain or a getattr string on a name bound to numpy, dotted
+    from numpy.  numpy's private modules (numpy.linalg._umath_linalg, say) skip the checks
+    and the dispatch of the public wrappers, and they may change in any release."""
+    tree = ast.parse(source)
+    bound, found = {}, []  # local name -> the numpy name it holds
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "numpy":
+                    found.append(alias.name)
+                    bound[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                (node.module or "").partition(".")[0] == "numpy":
+            for alias in node.names:
+                found.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            parts, root = [], node
+            while isinstance(root, ast.Attribute):
+                parts.append(root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(".".join([bound[root.id], *reversed(parts)]))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                node.func.id == "getattr" and len(node.args) >= 2 and \
+                isinstance(node.args[0], ast.Name) and node.args[0].id in bound and \
+                isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str):
+            found.append(f"{bound[node.args[0].id]}.{node.args[1].value}")
+    return sorted({name for name in found if any(p.startswith("_") for p in name.split("."))})
+
+
+def test_private_numpy_names_are_seen():
+    source = ("import numpy as np\nimport numpy.linalg._umath_linalg\n"
+              "from numpy.linalg import _umath_linalg as gufuncs, qr\nfrom numpy import linalg\n"
+              "np.linalg._umath_linalg.qr_r_raw(a)\nlinalg._umath_linalg\nnp._core.umath\n"
+              "getattr(np, '_NoValue')\nnp.linalg.qr(a).Q._x\nqr(a)\n")
+    assert private_numpy_names(source) == [
+        "numpy._NoValue", "numpy._core", "numpy._core.umath", "numpy.linalg._umath_linalg",
+        "numpy.linalg._umath_linalg.qr_r_raw"]
+
+
+def test_the_package_uses_no_private_numpy_name():
+    found = {path.name: names for path in sorted((ROOT / "src" / "kinematica").rglob("*.py"))
+             if (names := private_numpy_names(path.read_text()))}
+    assert not found, f"private numpy names used: {found}"

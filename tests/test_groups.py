@@ -1,10 +1,11 @@
+import hashlib
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from kinematica import matcore
+from kinematica import affine, matcore
 from kinematica.classify import CaseLabel
 from kinematica.groups import (
     CartanFactors,
@@ -1137,3 +1138,71 @@ def test_a_stack_with_lam_past_the_float_range_matches_its_matrices():
     factors = cartan_decompose(stack, 1.0)
     assert factors.refused.tolist() == [None] * 4 + [NotInNormalizer] * 4
     assert same_bits(factors.k[:4], [cartan_decompose(a, 1.0).k for a in g])
+
+
+# The (case, sigma) pairs of the benchmark's elements workload.
+ONE_MATRIX_CASES = [(CaseLabel.LORENTZ, 1.0), (CaseLabel.LORENTZ, 0.25),
+                    (CaseLabel.ORTHOGONAL, -1.0), (CaseLabel.ORTHOGONAL, -4.0),
+                    (CaseLabel.GALILEI, 0.0), (CaseLabel.CARROLL, math.inf),
+                    (CaseLabel.ARISTOTLE, None)]
+
+
+def one_matrix_answers():
+    """Every answer of the one-matrix path, in order: draws, verdicts, lams, Cartan factors,
+    affine maps and line speeds, with each refusal as its type and message.  An answer's
+    type is part of it (a Python bool is not a numpy bool).  Past the elements workload's
+    range, a last draw boosts to rapidity 30, and the scales 2^260, 1e-310 and 1e305 reach
+    the scaled branches of the verdicts."""
+    def answer(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return (type(exc).__name__, str(exc))
+
+    rng = np.random.default_rng(36)
+    for case, sigma in ONE_MATRIX_CASES:
+        unit = 1.0 if sigma is None or sigma in (0.0, math.inf) else math.sqrt(abs(sigma))
+        for n in (3, 10):
+            for seed, rapidity in [(0, 12.0), (1, 12.0), (2, 12.0), (3, 12.0), (1, 30.0)]:
+                g = random_element(case, sigma, n, 0.0 if sigma is None else rapidity / unit, seed)
+                bumped = g.copy()
+                bumped[0, 0] += 1e-6
+                yield g, membership(g, case, sigma), membership(bumped, case, sigma)
+                yield membership(2.0 ** 260 * g, case, sigma)
+                for lam in [*10.0 ** np.linspace(-3.0, 3.0, 7), 1e-310, 1e305]:
+                    a = math.sqrt(lam) * g
+                    if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
+                        yield answer(in_normalizer, a, sigma)
+                    if case is CaseLabel.LORENTZ:
+                        got = answer(cartan_decompose, a, sigma)
+                        yield (got.lam, got.k, got.Z, got.refused) if isinstance(
+                            got, CartanFactors) else got
+                gmap = affine.AffineElement(g, rng.standard_normal(n + 1))
+                x = affine.Event(rng.standard_normal(n), rng.standard_normal())
+                back = affine.inverse(gmap)
+                both = affine.compose(gmap, gmap)
+                yield affine.act(gmap, x).vector(), back.linear, back.translation
+                yield both.linear, both.translation
+                u = rng.standard_normal(n)
+                speeds = [0.5, 1.0 / math.sqrt(sigma)] if case is CaseLabel.LORENTZ else [0.5]
+                for v in speeds:
+                    line = affine.transform_worldline(gmap, affine.WorldLine(x, v * u))
+                    yield line.origin.vector(), line.direction, answer(line.speed)
+
+
+def answers_digest(answers) -> str:
+    h = hashlib.sha256()
+    for item in answers:
+        for part in item if isinstance(item, tuple) else (item,):
+            if isinstance(part, np.ndarray):
+                h.update(repr((part.dtype, part.shape)).encode() + part.tobytes())
+            else:
+                h.update(f"{type(part).__name__}:{part!r}".encode())
+    return h.hexdigest()
+
+
+def test_one_matrix_answers_keep_their_bytes():
+    # Every answer of the one-matrix path is pinned: each bit, each refusal and each type.
+    # A change that moves an answer on purpose updates the digest.
+    assert answers_digest(one_matrix_answers()) == (
+        "f96a28baf68a20c58c184d9dffbaf1ab1f3361d462f3c09ba337c1341b691cbf")
