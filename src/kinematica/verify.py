@@ -3,12 +3,12 @@
 Each property draws from one generator seeded by (seed, property number), taking its group
 members (P3: generator sets) in one stack per dimension and case or sigma, in a fixed order.
 Per dimension, it judges all stacks in one call to each function under test that takes no
-sigma and no case (classify_algebra: one per stack) and splits the answers back, so each
-check sees what a call on its stack alone gives.  It accumulates the worst residual and the
-number of values judged, and reports pass/fail against the configured tolerance.  Failures
-never raise: they land in the report, with a counterexample payload of the matrices
-involved, so a corrupted build shows up as a readable report entry and a nonzero exit from
-the command line wrapper.
+sigma and no case (classify_algebra: as many as a memory budget holds) and splits the answers
+back, so each check sees what a call on its stack alone gives.  It accumulates the worst
+residual and the number of values judged, and reports pass/fail against the configured
+tolerance.  Failures never raise: they land in the report, with a counterexample payload of
+the matrices involved, so a corrupted build shows up as a readable report entry and a
+nonzero exit from the command line wrapper.
 """
 
 from __future__ import annotations
@@ -121,14 +121,17 @@ class SuiteReport:
 
 
 def _json_number(value):
-    """value as JSON holds it: "inf" for math.inf (Carroll's sigma), which JSON cannot spell."""
-    return "inf" if value == math.inf else value
+    """value as JSON holds it, at any depth of a list: inf (Carroll's sigma), -inf and NaN
+    spelled "inf", "-inf" and "nan", which JSON cannot spell."""
+    if isinstance(value, list):
+        return [_json_number(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _json_item(value, i: int):
-    """A payload entry as JSON holds it: the row i of an ndarray, else :func:`_json_number`."""
+    """A payload entry as JSON holds it: row i of an ndarray, else the value, by _json_number."""
     if isinstance(value, np.ndarray):
-        return value[i:i + 1].tolist()[0]  # Python scalars and lists, whatever the dtype
+        value = value[i:i + 1].tolist()[0]  # Python scalars and lists, whatever the dtype
     return _json_number(value)
 
 
@@ -248,24 +251,35 @@ def _generated_bases(rotations, s: float, rng: np.random.Generator, count: int) 
     return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
 
 
+# Floats of generator sets per classify_algebra call in P3.  The call holds about three copies
+# of them, so 2^18 (2 MiB) keeps n = 10 at one sigma a call (166,375 floats at 25 trials), the
+# peak of a call per sigma, while all five default sigmas share one at n = 2 and 3 (2,400 a sigma).
+_CLASSIFY_BUDGET = 2 ** 18
+
+
 def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    # a call per (n, sigma): per n, classify_algebra would hold every sigma's sets three times
+    # Consecutive sigmas' sets share a call, within _CLASSIFY_BUDGET, and split back per sigma.
     rotations = classify.rotation_generators(n)
     result = classify.classify_algebra(rotations, cfg.tol)
     check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
-    for s in cfg.sigma_values:
-        results = classify.classify_algebra(_generated_bases(rotations, s, rng, cfg.trials),
-                                            cfg.tol)
-        outcome = np.array([r.outcome for r in results])
-        reason = np.array([r.reason for r in results], dtype=object)
-        check.flag([r.is_kinematical and classify.case_label(r) == case_of_sigma(s)
-                    for r in results], {"n": n, "sigma": s, "outcome": outcome, "reason": reason})
-        read = [i for i, r in enumerate(results) if r.is_kinematical]
-        got = np.array([results[i].sigma.value for i in read])
-        err = (np.where(np.isinf(got), 0.0, 1.0) if s == math.inf
-               else abs(got - s) / (1.0 + abs(s)))
-        check.residual(err, {"n": n, "sigma": s, "outcome": outcome[read],
-                             "reason": reason[read]})
+    t = cfg.trials
+    step = max(1, _CLASSIFY_BUDGET // (t * (len(rotations) + n) * (n + 1) ** 2))
+    for start in range(0, len(cfg.sigma_values), step):
+        sigmas = cfg.sigma_values[start:start + step]
+        results = classify.classify_algebra(np.concatenate(
+            [_generated_bases(rotations, s, rng, t) for s in sigmas]), cfg.tol)
+        outcome = np.array([r.outcome for r in results]).reshape(-1, t)
+        reason = np.array([r.reason for r in results], dtype=object).reshape(-1, t)
+        read = outcome == classify.OUTCOME_KINEMATICAL
+        got = np.array([r.sigma.value if r.is_kinematical else 0.0 for r in results]).reshape(-1, t)
+        labels = [classify.case_label(r) if r.is_kinematical else None for r in results]
+        for i, (s, out, why, ok, g) in enumerate(zip(sigmas, outcome, reason, read, got)):
+            case = case_of_sigma(s)
+            check.flag([label == case for label in labels[i * t:(i + 1) * t]],
+                       {"n": n, "sigma": s, "outcome": out, "reason": why})
+            err = np.where(np.isinf(g[ok]), 0.0, 1.0) if s == math.inf else (
+                abs(g[ok] - s) / (1.0 + abs(s)))
+            check.residual(err, {"n": n, "sigma": s, "outcome": out[ok], "reason": why[ok]})
 
 
 def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):

@@ -676,6 +676,33 @@ def test_verify_report_of_a_raising_property_is_strict_json(capsys, monkeypatch)
     assert all(entry["pass"] for pid, entry in report["properties"].items() if pid != "P5")
 
 
+def test_verify_report_of_a_nan_counterexample_is_strict_json(capsys, monkeypatch):
+    # A corrupted normalizer test that returns a NaN lam fails P4, whose counterexample
+    # rows then hold NaN: the report spells it "nan", as it spells a residual of inf "inf".
+    real = groups.in_normalizer
+
+    def nan_lam(a, sigma, tol):
+        ok, lam = real(a, sigma, tol)
+        return ok, np.full_like(lam, math.nan)
+
+    monkeypatch.setattr(groups, "in_normalizer", nan_lam)
+    code = cli.main(["verify", "--n", "2", "--trials", "4", "--seed", "2"])
+    report = orjson.loads(capsys.readouterr().out)  # refuses Infinity and NaN
+    assert code == 2
+    entry = report["properties"]["P4"]
+    assert not entry["pass"] and entry["worst_residual"] == "inf"
+    assert entry["counterexample"]["lam"] == "nan"
+
+
+def test_json_spells_every_non_finite_float_at_any_depth():
+    assert verify._json_item(np.array([[1.0, -math.inf], [math.nan, math.inf]]), 0) == \
+        [1.0, "-inf"]
+    nested = np.array([[[math.nan, 2.0]], [[0.5, math.inf]]])
+    assert verify._json_item(nested, 1) == [[0.5, "inf"]]
+    assert [verify._json_item(x, 0) for x in (math.inf, -math.inf, math.nan, 3, "a")] == \
+        ["inf", "-inf", "nan", 3, "a"]
+
+
 def test_verify_sigma_list_controls_the_jobs(capsys):
     code = cli.main(["verify", "--n", "2", "--sigma-list", "1,0",
                      "--trials", "2"])
@@ -796,6 +823,23 @@ def test_verify_reports_keep_their_bytes(capsys, args, digest):
     # A change that moves a report on purpose updates its digest.
     assert cli.main(["verify"] + args) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
+    # several failing sigmas share one P3 classification call
+    (["--seed", "3", "--sigma-list", "1,1e16,5e-324,-1e300,inf"],
+     "91e491cddbe35ca068fbb6cbaeb10017905cfa04ffebad024fbd1cd43b2259b7"),
+    # at n = 10, P3's memory budget gives each sigma its own call
+    (["--n", "2,3,10", "--sigma-list", "1,-1e300,0,1e100"],
+     "7eccb3e2898e24f2420c9c4516fab61065bfe70764168fb31d40c6e7b50553fc"),
+])
+def test_failing_verify_reports_keep_their_bytes(capsys, args, digest):
+    # Reports that fail in P3 alone, pinned whole: its counterexample payloads included.
+    assert cli.main(["verify"] + args) == 2
+    report = capsys.readouterr().out
+    assert [pid for pid, entry in json.loads(report)["properties"].items()
+            if not entry["pass"]] == ["P3"]
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def test_generate_with_an_overflowing_boost_angle_is_an_error_under_warnings(tmp_path):

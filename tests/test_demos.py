@@ -1,7 +1,10 @@
 """Each script under demos/ runs to completion against the package in src/ and prints
-the bytes pinned for it here."""
+the bytes pinned for it here; README's library quick start prints what its comments say."""
 
+import contextlib
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -38,3 +41,18 @@ def test_demo_runs(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_DIGESTS[script.name], \
         proc.stdout
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    code = block.split("```", 1)[0]
+    comments = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    classified, lam = out.getvalue().splitlines()
+    assert comments[0] == classified == "Kinematical Lorentz 1.0"
+    assert comments[1].startswith("4.0 up to rounding")
+    assert abs(float(lam) - 4.0) <= 4 * math.ulp(4.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
 
 
 def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
-    # One call per (n, sigma) stack of trials sets, and one for the rotations
-    # alone per n; a call per set would be 1 + 5 * 25 = 126 per n.
+    # Per n, one call for the rotations alone and one on every sigma's stack of trials sets
+    # at once; a call per set would be 1 + 5 * 25 = 126 per n, a call per sigma 6.
     from kinematica import classify
     real = classify.classify_algebra
     shapes = []
@@ -155,10 +156,33 @@ def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
     monkeypatch.setattr("kinematica.classify.classify_algebra", counted)
     cfg = SuiteConfig()
     assert verify._run(verify._prop_classification, cfg, np.random.default_rng(0)).passed
-    assert len(shapes) <= len(cfg.n_values) * (1 + len(cfg.sigma_values))
+    expected = []
     for n in cfg.n_values:
         m = n * (n - 1) // 2 + n
-        assert shapes.count((cfg.trials, m, n + 1, n + 1)) == len(cfg.sigma_values)
+        expected += [(m - n, n + 1, n + 1),
+                     (len(cfg.sigma_values) * cfg.trials, m, n + 1, n + 1)]
+    assert shapes == expected
+    for sigmas in ((1.0,), (1.0, 0.5, -1.0, -0.25, 0.0, math.inf)):
+        shapes.clear()
+        cfg = SuiteConfig(sigma_values=sigmas)
+        assert verify._run(verify._prop_classification, cfg, np.random.default_rng(0)).passed
+        assert len(shapes) == 2 * len(cfg.n_values)  # a sigma more adds no call
+
+
+def test_classification_property_keeps_its_peak_under_the_budget():
+    # Merged without a limit, the n = 10 sets of every sigma would sit in one call, about
+    # three copies of 5 * 1.33 M floats (153 MiB traced).  The budget keeps one sigma a
+    # call there: the peak stays within 5% of a call per sigma (31.0 MiB).
+    cfg = SuiteConfig(n_values=(2, 3, 10), trials=200)
+    verify._run(verify._prop_classification, SuiteConfig(), np.random.default_rng(0))  # warm
+    tracemalloc.start()
+    try:
+        result = verify._run(verify._prop_classification, cfg, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 1.05 * 31.0 * 2 ** 20
 
 
 def test_collinearity_property_takes_one_defect_call_per_stack(monkeypatch):
