@@ -7,7 +7,7 @@ causality parameter sigma, an affine layer acting on events and world
 lines, and a randomized property suite.  Submodules:
 
 * ``matcore``   validation, brackets, exponentials, adjoints, scale and time unit
-* ``isotypic``  decomposition of generators under the rotation action
+* ``isotypic``  the coordinate pass that splits generators under the rotation action
 * ``classify``  sigma extraction and the five-way classification
 * ``groups``    group elements, membership tests, Cartan factors
 * ``affine``    inhomogeneous groups acting on events and world lines

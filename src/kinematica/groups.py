@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import isotypic, matcore
+from . import matcore
 from .classify import DEFAULT_TOL, CaseLabel, _check_tol, case_of_sigma
 from .matcore import as_square_stack, op_norm
 
@@ -58,9 +58,19 @@ class LogarithmFailure(ValueError):
 
 def k_element(R, eps) -> np.ndarray:
     """K = diag(R, eps), or a stack of them for (..., n, n) R and (...) eps that broadcast;
-    :func:`isotypic.ad_rotation` conjugates by K.  Each R must be orthogonal within DEFAULT_TOL,
+    K Z K^T conjugates a generator Z by it.  Each R must be orthogonal within DEFAULT_TOL,
     as in in_K, and each eps +1 or -1; ValueError names the first entry of a stack that is not."""
-    return isotypic._block_rotation(R, eps)
+    R = as_square_stack(R)
+    eps = np.asarray(eps)
+    n = R.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a defect past the float max: inf or NaN
+        defect = op_norm(R.mT @ R - np.eye(n), 2)
+    matcore.refuse(np.logical_not(defect <= DEFAULT_TOL), "R must be orthogonal")
+    matcore.refuse((eps != 1) & (eps != -1), "eps must be +1 or -1")
+    K = np.zeros(np.broadcast_shapes(R.shape[:-2], eps.shape) + (n + 1, n + 1))
+    K[..., :n, :n] = R
+    K[..., n, n] = eps
+    return K
 
 
 def p_generator(b, sigma) -> np.ndarray:

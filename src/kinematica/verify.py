@@ -207,19 +207,22 @@ def _run(fn, cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
 
 
 def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    rotations = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
+    K = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
     Z = rng.standard_normal((cfg.trials, n + 1, n + 1))
-    R, eps = rotations[:, :n, :n], rotations[:, n, n].astype(int)
-    parts = isotypic.split(Z)
-    moved = isotypic.split(isotypic.ad_rotation(R, eps, Z))
-    resid = np.max([
-        matcore.op_norm(isotypic.merge(parts) - Z, 2),
-        abs(moved.lam - parts.lam),
-        abs(moved.mu - parts.mu),
-        matcore.op_norm(moved.m1 - R @ parts.m1 @ R.mT, 2),
-        matcore.op_norm(moved.m2 - R @ parts.m2 @ R.mT, 2),
-        matcore.op_norm(moved.b - eps[:, None] * (R @ parts.b[..., None])[..., 0], 1),
-        matcore.op_norm(moved.c - eps[:, None] * (R @ parts.c[..., None])[..., 0], 1),
+    R, eps = K[:, :n, :n], K[:, n, n].astype(int)
+    pairs = np.stack((Z, K @ Z @ K.mT), 1)  # a new array, whose spatial rows the pass halves
+    sizes = np.sum(pairs * pairs, (-2, -1))
+    _, rows = isotypic._coordinates(pairs)
+    half, j = pairs[..., :n, :n], 2 + n * n
+    m1 = half - half.mT
+    m2 = rows[..., 2:j].reshape(m1.shape)
+    mixing = rows[..., j:].reshape(rows.shape[:-1] + (2, n))  # b over c
+    resid = np.max([  # per trial: complete, scalars invariant, m1, m2, b and c equivariant
+        np.max(abs(np.vecdot(rows, rows) + np.sum(m1 * m1, (-2, -1)) - sizes) / sizes, 1),
+        np.max(abs(rows[:, 1, :2] - rows[:, 0, :2]), 1),
+        matcore.op_norm(m1[:, 1] - R @ m1[:, 0] @ R.mT, 2),
+        matcore.op_norm(m2[:, 1] - R @ m2[:, 0] @ R.mT, 2),
+        np.max(matcore.op_norm(mixing[:, 1] - eps[:, None, None] * (mixing[:, 0] @ R.mT), 1), 1),
     ], axis=0)
     check.residual(resid, {"Z": Z, "R": R, "eps": eps})
 
@@ -491,7 +494,7 @@ def _doubled_commutator(b: np.ndarray, c: np.ndarray):
 
 
 _PROPERTIES = [
-    ("P1", "isotypic split is complete and equivariant under block rotations",
+    ("P1", "the coordinate pass is complete and equivariant under block rotations",
      _prop_isotypic),
     ("P2", "boost generators are collinear; the doubled-commutator corner "
            "equals the collinearity defect", _prop_collinearity),

@@ -392,7 +392,6 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     from kinematica import matcore as matcore_mod
 
     real_dagger = matcore_mod.dagger
-    real_split = isotypic_mod.split
     real_coordinates = isotypic_mod._coordinates
     mutants = []
 
@@ -409,17 +408,11 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     # the plain fit sum(b.c) / sum(|b|^2) of every set, never refused and never inf
     mutants.append(("kinematica.classify._sigma_and_rows", always_finite_sigma))
 
-    def split_without_m2(Z):
-        parts = real_split(Z)
-        parts.m2 = np.zeros_like(parts.m2)
-        return parts
-    mutants.append(("kinematica.isotypic.split", split_without_m2))
-
     def coordinates_without_m2(Z):
         lam, rows = real_coordinates(Z)
         rows[..., 2:2 + (Z.shape[-1] - 1) ** 2] = 0.0
         return lam, rows
-    # the coordinate pass that classify_algebra reads its generators through
+    # the coordinate pass that classify_algebra reads its generators through, and P1 checks
     mutants.append(("kinematica.isotypic._coordinates", coordinates_without_m2))
 
     detected = 0

@@ -781,7 +781,7 @@ def test_generate_with_an_overflowing_rapidity_product_is_an_error_under_warning
 
 
 def test_classify_of_entries_near_the_float_max_runs_under_warnings(tmp_path):
-    # 1e308 - (-1e308) would overflow in the isotypic split; each set is read over a
+    # 1e308 - (-1e308) would overflow in the coordinate pass; each set is read over a
     # power of two first.  Rotation content this large leaves the boost under the cut.
     path = write_file(tmp_path, {"n": 2, "matrices": [[[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]],
                                                       [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]})
@@ -814,9 +814,9 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    ([], "87d256fb02c77606de4a4bcab5c98cd059d4b45a1c02c38264844265cd5bf2d0"),
+    ([], "855712bb14b6dc93721f878cc68b85a9f3d5eb38de7704807304401b01545ebc"),
     (["--seed", "4", "--sigma-list", "1,1e12,0.5,1e-12,-1"],
-     "5de1e4e2042bcd24f39928c192514f93f8561422b7d76eb45a1f7b09348d7e70"),
+     "d382b0a74a4f8f548c08fa44837c0a5c27205d6a66a73f1972b307b6be861b60"),
 ])
 def test_verify_reports_keep_their_bytes(capsys, args, digest):
     # The whole report is pinned: every verdict, residual, check count and description.
@@ -828,10 +828,10 @@ def test_verify_reports_keep_their_bytes(capsys, args, digest):
 @pytest.mark.parametrize("args, digest", [
     # several failing sigmas share one P3 classification call
     (["--seed", "3", "--sigma-list", "1,1e16,5e-324,-1e300,inf"],
-     "91e491cddbe35ca068fbb6cbaeb10017905cfa04ffebad024fbd1cd43b2259b7"),
+     "438664e3ebce5934eec6ed0d39fa5f093249a5add760b3bec9c1f4d4badcd167"),
     # at n = 10, P3's memory budget gives each sigma its own call
     (["--n", "2,3,10", "--sigma-list", "1,-1e300,0,1e100"],
-     "7eccb3e2898e24f2420c9c4516fab61065bfe70764168fb31d40c6e7b50553fc"),
+     "e38fe545d6c0fa4265a3c55cec6b870c6b1c2a0362ac2b2b1ff588926fbb286b"),
 ])
 def test_failing_verify_reports_keep_their_bytes(capsys, args, digest):
     # Reports that fail in P3 alone, pinned whole: its counterexample payloads included.

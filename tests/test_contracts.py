@@ -191,7 +191,6 @@ ARGUMENTS = {  # of a draw c: the stack x, sigma and what is made of them
     "k": lambda c: c.rng.integers(-540, 540, c.shape + (1,)),
     "shift": lambda c: c.draw(st.sampled_from([None, np.subtract.outer(*[np.r_[np.zeros(
         c.x.shape[-1] - 1, int), -matcore.sigma_unit(c.sigma)[0]]] * 2)])),
-    "split": lambda c: isotypic.split(c.x),
     "factors": lambda c: groups.cartan_decompose(c.x, c.sigma),
     "R": lambda c: np.where(c.rng.random(c.shape + (1, 1)) < 0.1, c.x[..., 1:, 1:], np.linalg.qr(
         c.rng.standard_normal(c.x[..., 1:, 1:].shape))[0]),  # orthogonal, some blocks of x
@@ -226,9 +225,6 @@ TABLE = {
     "matcore.scaled": Entry(lambda x, shift: matcore.scaled(x, (-2, -1), shift), "x shift"),
     "matcore.unit_exponent": Entry(lambda Z: matcore.unit_exponent(*matcore.mixing_maxima(Z, -1)),
                                    "x"),
-    "isotypic.split": Entry(isotypic.split, "x"),
-    "isotypic.merge": Entry(isotypic.merge, "split", False, finite=True),
-    "isotypic.ad_rotation": Entry(isotypic.ad_rotation, "R eps x", False, broadcast=(0, 1)),
     "classify.classify_algebra": Entry(classify.classify_algebra, generator_sets, examples=[
         (Stack(np.array(list(GATES.values())), (len(GATES),)),)] + [  # and stacks of one gate
         (Stack(np.array([GATES[name]] * 3), (3,)),) for name in GATES]),
@@ -259,7 +255,7 @@ TABLE = {
                                         finite=True, broadcast=(0, 1)),
 }
 UNSTACKED = {f"{module}.{name}" for module, names in (  # one sigma, set, size or case each
-    ("matcore", "sigma_unit"), ("isotypic", "IsotypicSplit"), ("groups", "LogarithmFailure "
+    ("matcore", "sigma_unit"), ("groups", "LogarithmFailure "
      "NonPositiveLambda NotInNormalizer"), ("classify", "CaseLabel ClassificationResult "
      "Sigma bracket_closure_defect case_label case_of_sigma closure_scan "
      "is_closed_under_bracket rotation_generators"), ("verify",
@@ -294,6 +290,18 @@ def test_the_refusals_and_the_type_that_the_folded_stack_tests_also_pinned():
                         (CartanFactors(math.nan, np.eye(3), np.zeros((3, 3))).reconstruct,)):
         pytest.raises(ValueError, call, *args)
     assert isinstance(classify.collinearity_defect([0.0, 1.0], [1.0, 0.0]), float)
+
+
+def coordinates(x):
+    """The private coordinate pass that classify_algebra reads every generator through, run as
+    it is there: on a float copy, which it halves in place.  Only its sqrt(n) lam coordinate
+    overflows, past the float max, as documented."""
+    with np.errstate(over="ignore"):
+        return isotypic._coordinates(matcore.as_square_stack(np.array(x, dtype=float)))
+
+
+def test_the_coordinate_pass_answers_as_its_entries():
+    run("isotypic._coordinates", Entry(coordinates, "x"))
 
 
 PLANTED = {  # two stack-dependent functions, which the contract must report

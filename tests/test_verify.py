@@ -202,21 +202,65 @@ def test_collinearity_property_takes_one_defect_call_per_stack(monkeypatch):
     assert shapes == [(2 * len(cfg.sigma_values) * cfg.trials, n) for n in cfg.n_values]
 
 
-def test_isotypic_property_takes_one_block_rotation_call_per_n(monkeypatch):
-    # One call per n on a stack of trials R, eps and Z; a call per trial would be 25 per n.
+def test_isotypic_property_takes_one_coordinate_call_per_n(monkeypatch):
+    # One call per n on the trials and their conjugates, stacked as (trials, 2, n+1, n+1).
     from kinematica import isotypic
-    real = isotypic.ad_rotation
+    real = isotypic._coordinates
     shapes = []
 
-    def counted(R, eps, Z):
-        shapes.append((np.shape(R), np.shape(eps), np.shape(Z)))
-        return real(R, eps, Z)
+    def counted(Z):
+        shapes.append(Z.shape)
+        return real(Z)
 
-    monkeypatch.setattr("kinematica.isotypic.ad_rotation", counted)
+    monkeypatch.setattr("kinematica.isotypic._coordinates", counted)
     cfg = SuiteConfig()
     assert verify._run(verify._prop_isotypic, cfg, np.random.default_rng(0)).passed
-    assert shapes == [((cfg.trials, n, n), (cfg.trials,), (cfg.trials, n + 1, n + 1))
-                      for n in cfg.n_values]
+    assert shapes == [(cfg.trials, 2, n + 1, n + 1) for n in cfg.n_values]
+
+
+def test_isotypic_property_residuals_stay_near_the_float_epsilon():
+    # Every residual is a relative float error: a few ulps at n = 2, 3 and 10, far under tol.
+    cfg = SuiteConfig(n_values=(2, 3, 10))
+    result = verify._run(verify._prop_isotypic, cfg, np.random.default_rng(cfg.seed))
+    assert result.passed and result.checks == 3 * cfg.trials
+    assert result.worst_residual <= 1e-14
+
+
+def drop_m2(lam, rows, n, j):
+    rows[..., 2:j] = 0.0
+
+
+def drop_the_sqrt_n_of_lam(lam, rows, n, j):
+    rows[..., 0] = lam
+
+
+def read_c_in_place_of_b(lam, rows, n, j):
+    rows[..., j:j + n] = rows[..., j + n:]
+
+
+def reverse_b(lam, rows, n, j):  # keeps every norm: only equivariance is broken
+    rows[..., j:j + n] = rows[..., j:j + n][..., ::-1].copy()
+
+
+@pytest.mark.parametrize("fault", [drop_m2, drop_the_sqrt_n_of_lam, read_c_in_place_of_b,
+                                   reverse_b], ids=lambda fault: fault.__name__)
+def test_isotypic_property_fails_on_a_faulty_coordinate_pass(monkeypatch, fault):
+    # A fault planted in the rows that the coordinate pass returns fails P1's checks.
+    from kinematica import isotypic
+    real = isotypic._coordinates
+
+    def faulty(Z):
+        lam, rows = real(Z)
+        n = Z.shape[-1] - 1
+        fault(lam, rows, n, 2 + n * n)
+        return lam, rows
+
+    monkeypatch.setattr("kinematica.isotypic._coordinates", faulty)
+    cfg = SuiteConfig()
+    result = verify._run(verify._prop_isotypic, cfg, np.random.default_rng(cfg.seed))
+    assert not result.passed and result.checks == len(cfg.n_values) * cfg.trials
+    assert 1e-3 < result.worst_residual < math.inf
+    assert set(result.counterexample) >= {"Z", "R", "eps"}
 
 
 def count_calls(monkeypatch, *targets) -> dict:
