@@ -1,20 +1,22 @@
-"""Self-contained property suite over randomized inputs.
+"""Self-contained property suite over randomized inputs, one property per claim of the paper:
+P1, P2, P3 and P10 the algebra of rotations and boosts, group that each member factors as
+sqrt(lam) k B(b), and kinematics the invariant structure and speed of each case.
 
-Each property draws from one generator seeded by (seed, property number), taking its group
-members (P3: generator sets) in one stack per dimension and case or sigma, in a fixed order.
-Per dimension, it judges all stacks in one call to each function under test that takes no
-sigma and no case (classify_algebra: as many as a memory budget holds) and splits the answers
-back, so each check sees what a call on its stack alone gives.  It accumulates the worst
-residual and the number of values judged, and reports pass/fail against the configured
-tolerance.  Failures never raise: they land in the report, with a counterexample payload of
-the matrices involved, so a corrupted build shows up as a readable report entry and a
-nonzero exit from the command line wrapper.
+Each property draws from one generator seeded by (seed, its place in the suite), in a fixed
+order: group the factors of its members once per dimension and case, kinematics its members
+once per dimension and sigma.  Per dimension, it judges all stacks in one call to each function
+under test that takes no sigma and no case (classify_algebra: as many as a memory budget holds),
+so each check sees what a call on its stack alone gives.  It reports the worst residual and the
+number of values judged against the tolerance.  Failures never raise: they land in the report
+with a counterexample (in group and kinematics, naming the failed check under "check"), so a
+corrupted build shows up as a readable entry and a nonzero exit from the command line wrapper.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -38,9 +40,10 @@ _DEFAULT_SIGMAS = (1.0, 0.5, -1.0, 0.0, math.inf)
 class SuiteConfig:
     """Knobs for :func:`run_suite`.
 
-    sigma_values takes real numbers, inf for Carroll; n_values, trials and
-    seed integers, numpy ones too.  With the property's number,
-    seed (>= 0) seeds one generator per property: a report is reproducible.
+    sigma_values takes real numbers, inf for Carroll, and tol a positive finite one, a bool
+    not; both are stored as floats.  n_values, trials and seed take integers, numpy ones
+    too.  With the property's place in the suite, seed (>= 0) seeds one generator per
+    property: a report is reproducible.
     """
 
     n_values: tuple = (2, 3)
@@ -66,6 +69,9 @@ class SuiteConfig:
             raise ValueError("sigma_values must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError("tol must be a positive finite number")
+        self.tol = float(self.tol)
         _check_tol(self.tol)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -170,27 +176,23 @@ class _Check:
         return self._result
 
 
-def _members(rng: np.random.Generator, case: CaseLabel, s: float | None, n: int,
-             bound: float, count: int) -> np.ndarray:
-    """A (count, n+1, n+1) stack of random members, drawn in one call.
-
-    For sigma > 0, |b| is bounded by bound / sqrt(sigma), so the rapidity
-    |b| sqrt(sigma) is at most bound at every sigma; a bound on |b| alone
-    lets it grow like sqrt(sigma), past what membership can resolve."""
+def _factors(rng: np.random.Generator, s: float | None, n: int, bounds: np.ndarray):
+    """Factors of members k B(b), one per bound: an (m, n+1, n+1) stack of block rotations k,
+    unit directions u and boosts b = |b| u, |b| uniform in [0, bound], drawn in that order.
+    For sigma > 0, |b| is divided by sqrt(sigma): the rapidity |b| sqrt(sigma) is at most bound
+    at every sigma, where a bound on |b| would let it pass what membership can resolve."""
+    k = groups.random_element(CaseLabel.ARISTOTLE, None, n, 0.0, rng, size=len(bounds))
+    u = _units(rng, (len(bounds), n))
+    b = (bounds * rng.random(len(bounds)))[:, None] * u
     if s is not None and 0.0 < s < math.inf:
-        bound /= math.sqrt(s)
-    return groups.random_element(case, s, n, bound, rng, size=count)
+        b /= math.sqrt(s)
+    return k, u, b
 
 
 def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """A stack of random unit vectors, the last axis of shape."""
     v = rng.standard_normal(shape)
     return v / matcore.op_norm(v, 1)[..., None]
-
-
-def _sigmas(cfg: SuiteConfig, *cases: CaseLabel) -> list[float]:
-    """The sigma values of cfg whose case is one of cases, in cfg's order."""
-    return [s for s in cfg.sigma_values if case_of_sigma(s) in cases]
 
 
 def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, float | None]]:
@@ -207,7 +209,7 @@ def _run(fn, cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
 
 
 def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    K = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
+    K = groups.random_element(CaseLabel.ARISTOTLE, None, n, 0.0, rng, size=cfg.trials)
     Z = rng.standard_normal((cfg.trials, n + 1, n + 1))
     R, eps = K[:, :n, :n], K[:, n, n].astype(int)
     pairs = np.stack((Z, K @ Z @ K.mT), 1)  # a new array, whose spatial rows the pass halves
@@ -285,93 +287,68 @@ def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
             check.residual(err, {"n": n, "sigma": s, "outcome": out[ok], "reason": why[ok]})
 
 
-def _prop_normalizer(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in _sigmas(cfg, CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
-        members = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
-        scales = 10.0 ** rng.uniform(-8.0, 8.0, cfg.trials)
-        both = np.concatenate((members, np.sqrt(scales)[:, None, None] * members))
-        (ok, ok2), (lam, lam2) = (x.reshape(2, -1) for x in groups.in_normalizer(both, s, cfg.tol))
-        check.flag(ok, {"a": members, "sigma": s})
-        check.residual(abs(lam - 1.0), {"a": members, "sigma": s, "lam": lam})
-        check.flag(ok2, {"a": members, "sigma": s, "lam0": scales})
-        check.residual(abs(lam2 - scales) / (1.0 + scales),
-                       {"a": members, "sigma": s, "lam0": scales, "lam2": lam2})
-
-
-def _prop_cartan(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    if not (sigmas := _sigmas(cfg, CaseLabel.LORENTZ)):
+def _prop_group(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    # From factors drawn once per case, members g = k B(b), b up to 4 (2 for h: products g h
+    # stay inside membership's envelope; rapidity for sigma > 0), lam in 10^[-8, 8] and E of
+    # spectral norm 1e-4.  Each verdict recovers its factor and refuses the copies x (I + E).
+    t = cfg.trials
+    rotations, lorentz = [], []  # judged after the loop: in_K and reconstruct take no sigma
+    for case, s in _cases(cfg):
+        k, _, b = _factors(rng, s, n, np.repeat([4.0, 2.0], t))
+        lam = 10.0 ** rng.uniform(-8.0, 8.0, t)
+        E = rng.standard_normal((t, n + 1, n + 1))
+        E *= 1e-4 / np.linalg.svd(E, compute_uv=False)[:, :1, None]
+        g, h = np.split(k if s is None else k @ groups.boost_closed_form(b, s), 2)
+        ok = groups.membership(np.concatenate((g @ h, np.linalg.inv(g), g + g @ E)),
+                               case, s, cfg.tol).reshape(3, t)
+        check.flag(ok[0] & ok[1], {"check": "closure", "case": case.value, "g1": g, "g2": h})
+        check.flag(~ok[2], {"check": "perturbed member", "case": case.value, "a": g, "E": E})
+        rotations.append((case, k[:t], E))
+        if case not in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
+            continue
+        a = np.sqrt(lam)[:, None, None] * g
+        oks, lams = (x.reshape(3, t) for x in groups.in_normalizer(
+            np.concatenate((g, a, a + a @ E)), s, cfg.tol))
+        payload = {"check": "normalizer", "a": g, "sigma": s}
+        check.flag(oks[0], payload)
+        check.residual(abs(lams[0] - 1.0), payload | {"lam": lams[0]})
+        check.flag(oks[1], payload | {"lam0": lam})
+        check.residual(abs(lams[1] - lam) / (1.0 + lam), payload | {"lam0": lam, "lam2": lams[1]})
+        check.flag(~oks[2], {"check": "perturbed normalizer", "a": a, "E": E, "sigma": s})
+        if case is CaseLabel.LORENTZ:
+            lorentz.append((s, a, groups.cartan_decompose(a, s, cfg.tol), k[:t],
+                            groups.p_generator(b[:t], s), lam))
+    stack = np.stack([(k, k + k @ E) for _, k, E in rotations])
+    in_K = groups.in_K(stack.reshape(-1, n + 1, n + 1), cfg.tol).reshape(stack.shape[:3])
+    for (case, k, E), (ok, perturbed) in zip(rotations, in_K):
+        A = k[:, :n, :n]
+        resid = np.max([
+            matcore.op_norm(k[:, :n, n], 1),
+            matcore.op_norm(k[:, n, :n], 1),
+            matcore.op_norm(A.mT @ A - np.eye(n), 2),
+            abs(abs(k[:, n, n]) - 1.0),
+        ], axis=0)
+        check.residual(resid, {"check": "rotations", "case": case.value, "a": k})
+        check.flag(ok, {"check": "rotations", "case": case.value, "a": k})
+        check.flag(~perturbed, {"check": "perturbed rotation", "case": case.value, "a": k, "E": E})
+    if not lorentz:
         return
-    lams = np.empty((len(sigmas), cfg.trials))  # per sigma: lam, k and Z, drawn as stacks
-    ks, Zs = np.empty((2, len(sigmas), cfg.trials, n + 1, n + 1))
-    for s, lam, k, Z in zip(sigmas, lams, ks, Zs):
-        k[:] = _members(rng, CaseLabel.ARISTOTLE, None, n, 0.0, cfg.trials)
-        lam[:] = rng.uniform(0.1, 10.0, cfg.trials)
-        b = _units(rng, (cfg.trials, n)) * rng.uniform(0.0, 4.0 / math.sqrt(s),
-                                                      (cfg.trials, 1))
-        Z[:] = groups.p_generator(b, s)
-    a = groups.CartanFactors(lams, ks, Zs).reconstruct()
-    factors = [groups.cartan_decompose(x, s, cfg.tol) for x, s in zip(a, sigmas)]
+    # Rebuilt through mat_exp, not the closed form the members were built with.
     rebuilt = groups.CartanFactors(*map(np.stack, zip(*(
-        (f.lam, f.k, f.Z, f.refused) for f in factors)))).reconstruct()
-    for s, f, x, y, lam, k, Z in zip(sigmas, factors, a, rebuilt, lams, ks, Zs):
+        (f.lam, f.k, f.Z, f.refused) for _, _, f, *_ in lorentz)))).reconstruct()
+    for (s, x, f, k, Z, lam), y in zip(lorentz, rebuilt):
         resid = np.max([
             matcore.op_norm(f.k - k, 2),
             matcore.op_norm(_balanced(f.Z - Z, s), 2),
             abs(f.lam - lam) / (1.0 + lam),
             matcore.op_norm(_balanced(y - x, s), 2) / (1.0 + matcore.op_norm(_balanced(x, s), 2)),
         ], axis=0)
-        check.residual(resid, {"a": x, "k": k, "Z": Z, "lam": lam, "sigma": s})
+        check.residual(resid, {"check": "cartan", "a": x, "k": k, "Z": Z, "lam": lam, "sigma": s})
 
 
 def _balanced(x: np.ndarray, s: float) -> np.ndarray:
     """A copy of x in the balanced time unit of sigma (see matcore.sigma_unit)."""
     return matcore.balance(np.array(x, dtype=float), matcore.sigma_unit(s)[0])
-
-
-def _prop_closure(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    cases = _cases(cfg)
-    members = [_members(rng, case, s, n, 2.0, 2 * cfg.trials) for case, s in cases]
-    inverses = np.linalg.inv(np.stack([g[:cfg.trials] for g in members]))
-    for (case, s), g, inverse in zip(cases, members, inverses):
-        g1, g2 = g[:cfg.trials], g[cfg.trials:]  # products judged with inverses in one stack
-        ok = groups.membership(np.concatenate((g1 @ g2, inverse)), case, s, cfg.tol)
-        check.flag(ok[:cfg.trials] & ok[cfg.trials:], {"g1": g1, "g2": g2, "case": case.value})
-
-
-def _prop_pure_rotations(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    cases = _cases(cfg)
-    members = np.stack([_members(rng, case, s, n, 0.0, cfg.trials) for case, s in cases])
-    in_K = groups.in_K(members.reshape(-1, n + 1, n + 1), cfg.tol).reshape(len(cases), -1)
-    for (case, s), a, ok in zip(cases, members, in_K):
-        A = a[:, :n, :n]
-        resid = np.max([
-            matcore.op_norm(a[:, :n, n], 1),
-            matcore.op_norm(a[:, n, :n], 1),
-            matcore.op_norm(A.mT @ A - np.eye(n), 2),
-            abs(abs(a[:, n, n]) - 1.0),
-        ], axis=0)
-        check.residual(resid, {"a": a, "case": case.value})
-        check.flag(ok, {"a": a, "case": case.value})
-
-
-def _prop_invariants(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    for s in cfg.sigma_values:
-        a = _members(rng, case_of_sigma(s), s, n, 2.0, cfg.trials)
-        if math.isfinite(s) and s != 0.0:  # judged in the balanced unit of sigma
-            g, x = np.diag(np.r_[np.full(n, -matcore.sigma_unit(s)[1]), 1.0]), _balanced(a, s)
-            resid = matcore.op_norm(x.mT @ g @ x - g, 2) / (1.0 + matcore.op_norm(g))
-            check.residual(resid, {"a": a, "sigma": s})
-        elif math.isfinite(s):
-            # Galilei: the last row is (0, ..., 0, +-1) exactly by
-            # construction, so time differences change at most sign.
-            exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
-            check.flag(exact == 0.0, {"a": a, "sigma": s})
-        else:
-            # Carroll: spatial separations are preserved.
-            x, y = rng.standard_normal((2, cfg.trials, n + 1, 1))
-            before = matcore.op_norm((x - y)[:, :n, 0], 1)
-            after = matcore.op_norm((a @ x - a @ y)[:, :n, 0], 1)
-            check.residual(abs(after - before) / (1.0 + before), {"a": a, "sigma": s})
 
 
 def _random_affine(n: int, rng: np.random.Generator, count: int) -> affine.AffineElement:
@@ -383,7 +360,12 @@ def _random_affine(n: int, rng: np.random.Generator, count: int) -> affine.Affin
     return affine.AffineElement(L, rng.standard_normal((count, n + 1)))
 
 
-def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+def _ends(line: affine.WorldLine) -> np.ndarray:
+    """The events at the origin and at origin + direction of each line of a stack, stacked."""
+    return line.origin.vector() + np.multiply.outer([0.0, 1.0], line.direction)
+
+
+def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     g, h, w = (_random_affine(n, rng, cfg.trials) for _ in range(3))
     gh_w = affine.compose(affine.compose(g, h), w)
     g_hw = affine.compose(g, affine.compose(h, w))
@@ -404,23 +386,60 @@ def _prop_affine(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: i
         matcore.op_norm((q2 - q0) - 2.0 * (q1 - q0), 1),
     ], axis=0)
     scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
-    check.residual(resid / scale, {"g_linear": g.linear, "h_linear": h.linear})
-    if not (sigmas := _sigmas(cfg, CaseLabel.LORENTZ)):  # judged in sigma's balanced unit
+    check.residual(resid / scale, {"check": "affine", "g_linear": g.linear, "h_linear": h.linear})
+    drawn = []  # per sigma > 0: sigma, speed, members, a map, and a null and a slow line
+    for s in cfg.sigma_values:
+        case = case_of_sigma(s)
+        k, u, b = _factors(rng, s, n, np.full(cfg.trials, 3.0))
+        if case is CaseLabel.ORTHOGONAL:  # boosts rotate space into time, of period 2 pi/sqrt(-s)
+            b = np.concatenate((b, math.pi / math.sqrt(-s) * np.concatenate((u, 2.0 * u))))
+        boosts = groups.boost_closed_form(b, s)
+        a = k @ boosts[:cfg.trials]
+        payload = {"check": "invariants", "a": a, "sigma": s}
+        if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):  # in the balanced unit of sigma
+            metric, y = np.diag(np.r_[np.full(n, -matcore.sigma_unit(s)[1]), 1.0]), _balanced(a, s)
+            check.residual(matcore.op_norm(y.mT @ metric @ y - metric, 2)
+                           / (1.0 + matcore.op_norm(metric)), payload)
+        elif case is CaseLabel.GALILEI:
+            # the last row is (0, ..., 0, +-1) exactly: time differences change at most sign.
+            exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
+            check.flag(exact == 0.0, payload)
+        else:  # Carroll: spatial separations are preserved.
+            p, q = rng.standard_normal((2, cfg.trials, n + 1, 1))
+            before = matcore.op_norm((p - q)[:, :n, 0], 1)
+            after = matcore.op_norm((a @ p - a @ q)[:, :n, 0], 1)
+            check.residual(abs(after - before) / (1.0 + before), payload)
+        if case is CaseLabel.ORTHOGONAL:
+            half, full = np.split(boosts[cfg.trials:], 2)
+            expected = np.zeros(half.shape)  # the reflection through the plane normal to u
+            expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
+            expected[:, n, n] = -1.0  # and time reversed
+            payload = {"check": "period", "u": u, "sigma": s}
+            check.residual(matcore.op_norm(_balanced(half - expected, s), 2), payload)
+            check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), payload)
+        elif case is CaseLabel.LORENTZ:  # lines mapped in sigma's balanced unit
+            c = 1.0 / math.sqrt(matcore.sigma_unit(s)[1])
+            drawn.append((s, c, a, _balanced(a, s), rng.standard_normal((cfg.trials, n + 1)),
+                          rng.standard_normal((2, cfg.trials, n)),
+                          rng.standard_normal((2, cfg.trials)),
+                          np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))))
+    if not drawn:
         return
-    speeds = [1.0 / math.sqrt(matcore.sigma_unit(s)[1]) for s in sigmas]
-    drawn = []  # per sigma: members, a map, and a null and a slow line through random origins
-    for s, c in zip(sigmas, speeds):
-        members = _members(rng, CaseLabel.LORENTZ, s, n, 3.0, cfg.trials)
-        drawn.append((members, _balanced(members, s), rng.standard_normal((cfg.trials, n + 1)),
-                      rng.standard_normal((2, cfg.trials, n)), rng.standard_normal((2, cfg.trials)),
-                      np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))))
+    sigmas, speeds, *stacks = zip(*drawn)
     members, linear, shift, r, t, velocities = (  # the lines: (2, sigmas, trials)
-        np.stack(x, axis) for x, axis in zip(zip(*drawn), (0, 0, 0, 1, 1, 1)))
+        np.stack(x, axis) for x, axis in zip(stacks, (0, 0, 0, 1, 1, 1)))
+    g = affine.AffineElement(linear, shift)
     lines = affine.WorldLine(affine.Event(r, t), velocity=velocities)
-    null, slow = affine.transform_worldline(affine.AffineElement(linear, shift), lines).speed()
-    for s, c, a, v, w in zip(sigmas, speeds, members, null, slow):
-        check.residual(abs(v - c) / (1.0 + c), {"a": a, "sigma": s})
-        check.flag(w < c, {"a": a, "sigma": s})
+    image = affine.transform_worldline(g, lines)
+    # The image passes through act(g, origin) and act(g, origin + direction), at 0 and 1.
+    ends = affine.act(g, affine.Event.from_vector(_ends(lines))).vector()
+    gaps = np.max(matcore.op_norm(_ends(image) - ends, 1) / (1.0 + matcore.op_norm(ends, 1)),
+                  (0, 1))
+    null, slow = image.speed()
+    for s, c, a, v, w, gap in zip(sigmas, speeds, members, null, slow, gaps):
+        check.residual(abs(v - c) / (1.0 + c), {"check": "speed", "a": a, "sigma": s})
+        check.flag(w < c, {"check": "speed", "a": a, "sigma": s})
+        check.residual(gap, {"check": "worldline", "a": a, "sigma": s})
 
 
 def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -450,18 +469,6 @@ def _mixing_span_basis(n: int) -> list[np.ndarray]:
     for e in np.eye(n):
         basis += [groups.p_generator(e, 0.0), groups.p_generator(e, math.inf)]
     return basis
-
-
-def _prop_wraparound(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    # For sigma < 0 boosts are rotations mixing space with time, of period 2 pi / sqrt(-sigma).
-    for s in _sigmas(cfg, CaseLabel.ORTHOGONAL):
-        u = _units(rng, (cfg.trials, n))
-        half, full = groups.boost_closed_form(math.pi / math.sqrt(-s) * np.stack((u, 2.0 * u)), s)
-        expected = np.zeros(half.shape)  # the reflection through the plane normal to u
-        expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
-        expected[:, n, n] = -1.0  # and time reversed
-        check.residual(matcore.op_norm(_balanced(half - expected, s), 2), {"u": u, "sigma": s})
-        check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), {"u": u, "sigma": s})
 
 
 def nonalgebra_witness(n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -500,16 +507,13 @@ _PROPERTIES = [
            "equals the collinearity defect", _prop_collinearity),
     ("P3", "generated algebras classify back to their case and sigma",
      _prop_classification),
-    ("P4", "members pass the normalizer test with lam = 1 and scaled members "
-           "return the scale", _prop_normalizer),
-    ("P5", "Cartan factors are recovered from their product (sigma > 0)",
-     _prop_cartan),
-    ("P6", "products and inverses of members stay members", _prop_closure),
-    ("P7", "members with vanishing mixing blocks are block rotations",
-     _prop_pure_rotations),
-    ("P8", "each case preserves its invariant structure", _prop_invariants),
-    ("P9", "affine maps satisfy the group axioms, keep lines straight and "
-           "preserve the invariant speed", _prop_affine),
+    ("group", "every member factors as sqrt(lam) k B(b): membership (of products and "
+              "inverses), in_K, in_normalizer and cartan_decompose give back the drawn "
+              "factors, and the verdicts refuse perturbed copies", _prop_group),
+    ("kinematics", "the invariant speed follows without light: each case preserves its "
+                   "invariant structure, affine maps satisfy the group axioms and map lines "
+                   "as they map events, and boosts keep the speed 1/sqrt(sigma) (sigma > 0) "
+                   "or have period 2 pi/sqrt(-sigma) (sigma < 0)", _prop_kinematics),
     ("P10", "contaminated or mixed-sigma inputs are rejected and the "
             "non-closing span is detected", _prop_negative_controls),
 ]
@@ -524,12 +528,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     if cfg is None:
         cfg = SuiteConfig()
     report = SuiteReport(config=cfg)
-    jobs = list(_PROPERTIES)
-    if _sigmas(cfg, CaseLabel.ORTHOGONAL):
-        jobs.append(("wraparound",
-                     "boosts of norm pi times the period scale land in the "
-                     "rotation block (sigma < 0)", _prop_wraparound))
-    for pnum, (pid, description, fn) in enumerate(jobs, start=1):
+    for pnum, (pid, description, fn) in enumerate(_PROPERTIES, start=1):
         report.descriptions[pid] = description
         try:
             report.results[pid] = _run(fn, cfg, np.random.default_rng([cfg.seed, pnum]))

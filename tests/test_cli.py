@@ -658,27 +658,28 @@ def test_verify_command_passes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["pass"] is True
-    assert "wraparound" in report["properties"]
+    assert list(report["properties"]) == ["P1", "P2", "P3", "group", "kinematics", "P10"]
 
 
 def test_verify_report_of_a_raising_property_is_strict_json(capsys, monkeypatch):
     def boom(cfg, rng, check, n):
         raise RuntimeError("boom")
 
-    patched = [(pid, text, boom if pid == "P5" else fn)
+    patched = [(pid, text, boom if pid == "group" else fn)
                for pid, text, fn in verify._PROPERTIES]
     monkeypatch.setattr(verify, "_PROPERTIES", patched)
     code = cli.main(["verify", "--n", "2", "--sigma-list", "1", "--trials", "2"])
     report = orjson.loads(capsys.readouterr().out)  # refuses Infinity and NaN
     assert code == 2
-    assert report["properties"]["P5"]["worst_residual"] == "inf"
-    assert "RuntimeError: boom" in report["properties"]["P5"]["counterexample"]["error"]
-    assert all(entry["pass"] for pid, entry in report["properties"].items() if pid != "P5")
+    assert report["properties"]["group"]["worst_residual"] == "inf"
+    assert "RuntimeError: boom" in report["properties"]["group"]["counterexample"]["error"]
+    assert all(entry["pass"] for pid, entry in report["properties"].items() if pid != "group")
 
 
 def test_verify_report_of_a_nan_counterexample_is_strict_json(capsys, monkeypatch):
-    # A corrupted normalizer test that returns a NaN lam fails P4, whose counterexample
-    # rows then hold NaN: the report spells it "nan", as it spells a residual of inf "inf".
+    # A corrupted normalizer test that returns a NaN lam fails group's normalizer check, whose
+    # counterexample rows then hold NaN: the report spells it "nan", as it spells a residual
+    # of inf "inf".
     real = groups.in_normalizer
 
     def nan_lam(a, sigma, tol):
@@ -689,8 +690,9 @@ def test_verify_report_of_a_nan_counterexample_is_strict_json(capsys, monkeypatc
     code = cli.main(["verify", "--n", "2", "--trials", "4", "--seed", "2"])
     report = orjson.loads(capsys.readouterr().out)  # refuses Infinity and NaN
     assert code == 2
-    entry = report["properties"]["P4"]
+    entry = report["properties"]["group"]
     assert not entry["pass"] and entry["worst_residual"] == "inf"
+    assert entry["counterexample"]["check"] == "normalizer"
     assert entry["counterexample"]["lam"] == "nan"
 
 
@@ -703,12 +705,12 @@ def test_json_spells_every_non_finite_float_at_any_depth():
         ["inf", "-inf", "nan", 3, "a"]
 
 
-def test_verify_sigma_list_controls_the_jobs(capsys):
+def test_verify_sigma_list_keeps_the_properties(capsys):
     code = cli.main(["verify", "--n", "2", "--sigma-list", "1,0",
                      "--trials", "2"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert "wraparound" not in report["properties"]
+    assert list(report["properties"]) == ["P1", "P2", "P3", "group", "kinematics", "P10"]
 
 
 def test_verify_bad_arguments(capsys):
@@ -814,9 +816,9 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    ([], "855712bb14b6dc93721f878cc68b85a9f3d5eb38de7704807304401b01545ebc"),
+    ([], "b08dcaec59eb5b3853002e8df3241700e281d6fb7d8fd5db66e1bce03de08001"),
     (["--seed", "4", "--sigma-list", "1,1e12,0.5,1e-12,-1"],
-     "d382b0a74a4f8f548c08fa44837c0a5c27205d6a66a73f1972b307b6be861b60"),
+     "6f471e00737e5e0646072f830866159ec03536cbaccfcce907530efd3a8afb80"),
 ])
 def test_verify_reports_keep_their_bytes(capsys, args, digest):
     # The whole report is pinned: every verdict, residual, check count and description.
@@ -828,10 +830,10 @@ def test_verify_reports_keep_their_bytes(capsys, args, digest):
 @pytest.mark.parametrize("args, digest", [
     # several failing sigmas share one P3 classification call
     (["--seed", "3", "--sigma-list", "1,1e16,5e-324,-1e300,inf"],
-     "438664e3ebce5934eec6ed0d39fa5f093249a5add760b3bec9c1f4d4badcd167"),
+     "c3b9d272fc14752191c61dc76cbc865d29884d4da1dc0cfc0610f62daa3e3892"),
     # at n = 10, P3's memory budget gives each sigma its own call
     (["--n", "2,3,10", "--sigma-list", "1,-1e300,0,1e100"],
-     "e38fe545d6c0fa4265a3c55cec6b870c6b1c2a0362ac2b2b1ff588926fbb286b"),
+     "95305465948c71dbc2ded188b22e740519fd4267a6240a041cf1d7f420270fab"),
 ])
 def test_failing_verify_reports_keep_their_bytes(capsys, args, digest):
     # Reports that fail in P3 alone, pinned whole: its counterexample payloads included.

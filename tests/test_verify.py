@@ -1,12 +1,14 @@
+import inspect
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinematica import groups, matcore, verify
-from kinematica.classify import CaseLabel
+from kinematica import affine, groups, matcore, verify
 from kinematica.matcore import bracket
 from kinematica.verify import (
     SuiteConfig,
@@ -16,6 +18,7 @@ from kinematica.verify import (
 )
 
 FAST = dict(n_values=(2,), trials=3, seed=1)
+PROPERTY_IDS = ["P1", "P2", "P3", "group", "kinematics", "P10"]
 
 
 def test_config_validation():
@@ -35,6 +38,13 @@ def test_config_validation():
             SuiteConfig(tol=tol)
     with pytest.raises(ValueError):
         SuiteConfig(seed=-1)
+    # tol is stored as a float, so the report stays JSON; a bool is no tolerance
+    cfg = SuiteConfig(n_values=(2,), sigma_values=(1.0,), trials=2, tol=np.float32(1e-6))
+    assert type(cfg.tol) is float and cfg.tol == float(np.float32(1e-6))
+    assert json.loads(run_suite(cfg).to_json())["config"]["tol"] == cfg.tol
+    for tol in (True, np.True_, "1e-9", None):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            SuiteConfig(tol=tol)
 
 
 def test_config_takes_integers_only():
@@ -55,19 +65,15 @@ def test_config_refuses_a_string_of_sigma_values():
             SuiteConfig(sigma_values=bad)
 
 
-def test_config_sigma_filters():
+def test_config_json_spells_an_infinite_sigma():
     cfg = SuiteConfig(sigma_values=(1.0, -2.0, 0.0, math.inf))
-    finite_nonzero = verify._sigmas(cfg, CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL)
-    assert finite_nonzero == [1.0, -2.0]
-    assert verify._sigmas(cfg, CaseLabel.LORENTZ) == [1.0]
-    assert verify._sigmas(cfg, CaseLabel.ORTHOGONAL) == [-2.0]
     assert cfg.to_json_dict()["sigma_values"] == [1.0, -2.0, 0.0, "inf"]
 
 
 def test_suite_passes_on_a_correct_build():
     report = run_suite(SuiteConfig(**FAST))
     assert report.passed
-    assert set(report.results) == {f"P{i}" for i in range(1, 11)} | {"wraparound"}
+    assert list(report.results) == PROPERTY_IDS
     for pid, res in report.results.items():
         assert res.passed, pid
         assert res.worst_residual <= report.config.tol
@@ -85,7 +91,7 @@ def test_suite_passes_at_large_sigma():
 
 
 def test_suite_reaches_sigma_1e12_of_either_sign():
-    # Verdicts, classification and the residuals of P5 and wraparound are
+    # Verdicts, classification and the residuals of group and kinematics are
     # judged in the balanced time unit, so every property holds however far
     # sigma is from 1.
     sigmas = tuple(sign * 10.0 ** e for sign in (1, -1) for e in (4, -4, 8, -8, 12, -12))
@@ -95,12 +101,12 @@ def test_suite_reaches_sigma_1e12_of_either_sign():
         assert report.passed, [pid for pid, res in report.results.items() if not res.passed]
 
 
-def test_affine_property_holds_where_the_invariant_speed_passes_1e12():
-    # P9 maps its lines in the balanced time unit of sigma, where the invariant speed is
-    # near 1; in sigma's own unit a line at 1e12 or faster reads as general, with no speed.
+def test_kinematics_property_holds_where_the_invariant_speed_passes_1e12():
+    # kinematics maps its lines in the balanced time unit of sigma, where the invariant speed
+    # is near 1; in sigma's own unit a line at 1e12 or faster reads as general, with no speed.
     for sigma in (1e-24, 1e-300, 5e-324):
         cfg = SuiteConfig(sigma_values=(sigma,), trials=5)
-        result = verify._run(verify._prop_affine, cfg, np.random.default_rng(0))
+        result = verify._run(verify._prop_kinematics, cfg, np.random.default_rng(0))
         assert result.passed and result.worst_residual < 1e-13, sigma
 
 
@@ -133,13 +139,14 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
 
     monkeypatch.setattr("kinematica.matcore.mat_exp", counted_exp)
     assert run_suite().passed
-    # P5 rebuilds every sigma's members in one call per n, and their factors in one more
-    assert counts["mat_exp"] == 2 * len(SuiteConfig().n_values)
+    # group builds its members in closed form, and rebuilds every sigma's factors in one call
+    # per n through mat_exp
+    assert counts["mat_exp"] == len(SuiteConfig().n_values)
     monkeypatch.setattr("kinematica.groups.in_K", counted_in_K)
     cfg = SuiteConfig()
-    assert verify._run(verify._prop_pure_rotations, cfg, np.random.default_rng(0)).passed
-    stacks = [(len(verify._cases(cfg)) * cfg.trials, n + 1, n + 1) for n in cfg.n_values]
-    assert in_K_stacks == stacks  # one call per n on every case's stack
+    assert verify._run(verify._prop_group, cfg, np.random.default_rng(0)).passed
+    stacks = [(2 * len(verify._cases(cfg)) * cfg.trials, n + 1, n + 1) for n in cfg.n_values]
+    assert in_K_stacks == stacks  # one call per n on every case's rotations and their copies
 
 
 def test_classification_property_classifies_each_stack_in_one_call(monkeypatch):
@@ -275,43 +282,63 @@ def count_calls(monkeypatch, *targets) -> dict:
     return counts
 
 
-def test_affine_and_wraparound_properties_call_once_per_stack(monkeypatch):
-    # Each (n, sigma) stack is judged in a fixed number of calls, whatever the
-    # number of trials: P9 composes six times per n and maps one stack of lines
-    # per n, every sigma > 0 in it; wrap-around makes one boost call per (n, sigma < 0),
-    # on the stack of half and full periods.
+def test_kinematics_property_calls_once_per_stack(monkeypatch):
+    # Each (n, sigma) stack is judged in a fixed number of calls, whatever the number of
+    # trials: kinematics composes six times per n and maps one stack of lines per n, every
+    # sigma > 0 in it.  It draws each sigma's members once: one random_element call for the
+    # rotations and one boost call per (n, sigma), which for sigma < 0 also makes the stack
+    # of half and full periods.
     from kinematica import affine
     counts = count_calls(monkeypatch, (affine, "compose"), (affine, "transform_worldline"),
-                         (groups, "boost_closed_form"))
+                         (groups, "boost_closed_form"), (groups, "random_element"))
     for trials in (3, 25):
         cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
         counts.clear()
-        assert verify._run(verify._prop_affine, cfg, np.random.default_rng(0)).passed
-        assert counts["compose"] == 6 * len(cfg.n_values)
-        assert counts["transform_worldline"] == len(cfg.n_values)
+        assert verify._run(verify._prop_kinematics, cfg, np.random.default_rng(0)).passed
+        stacks = len(cfg.n_values) * len(cfg.sigma_values)
+        assert counts == {"compose": 6 * len(cfg.n_values),
+                          "transform_worldline": len(cfg.n_values),
+                          "boost_closed_form": stacks, "random_element": stacks}
+
+
+def test_group_property_draws_once_per_case(monkeypatch):
+    # Per (n, case), Aristotle included, one random_element call draws the rotations, one
+    # boost call builds the members (none for Aristotle) and one membership call judges the
+    # products, inverses and perturbed copies; per sigma != 0, inf one in_normalizer call
+    # judges the members, scaled members and their copies; per sigma > 0 one cartan_decompose
+    # call (with its own boost call) factors them.  Per n, one in_K call takes every case.
+    counts = count_calls(monkeypatch, *((groups, name) for name in (
+        "random_element", "boost_closed_form", "membership", "in_normalizer",
+        "cartan_decompose", "in_K")))
+    for trials in (3, 25):
+        cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
         counts.clear()
-        assert verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0)).passed
-        assert counts == {"boost_closed_form": 2 * len(cfg.n_values)}
+        assert verify._run(verify._prop_group, cfg, np.random.default_rng(0)).passed
+        n = len(cfg.n_values)
+        assert counts == {"random_element": 7 * n, "boost_closed_form": (6 + 2) * n,
+                          "membership": 7 * n, "in_normalizer": 4 * n,
+                          "cartan_decompose": 2 * n, "in_K": n}
 
 
 def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
-    # P2, P7 and P9 judge every sigma's stacks in one call per n to each function under test
-    # that takes no sigma and no case, so six sigmas cost those functions no more calls than one.
+    # P2, group and kinematics judge every sigma's stacks in one call per n to each function
+    # under test that takes no sigma and no case, so six sigmas cost those functions no more
+    # calls than one.
     from kinematica import affine, classify
     counts = count_calls(monkeypatch, (classify, "collinearity_defect"),
                          (verify, "_doubled_commutator"), (groups, "in_K"),
-                         (affine, "transform_worldline"))
+                         (affine, "transform_worldline"), (matcore, "mat_exp"))
 
     def calls(sigmas):
         counts.clear()
         cfg = SuiteConfig(sigma_values=sigmas, trials=3)
-        for prop in (verify._prop_collinearity, verify._prop_pure_rotations, verify._prop_affine):
+        for prop in (verify._prop_collinearity, verify._prop_group, verify._prop_kinematics):
             assert verify._run(prop, cfg, np.random.default_rng(0)).passed
         return dict(counts)
 
     one = calls((1.0,))
     assert one == dict.fromkeys(("collinearity_defect", "_doubled_commutator", "in_K",
-                                 "transform_worldline"), len(SuiteConfig().n_values))
+                                 "transform_worldline", "mat_exp"), len(SuiteConfig().n_values))
     assert calls((1.0, 0.5, -1.0, -0.25, 0.0, math.inf)) == one
 
 
@@ -320,9 +347,14 @@ def test_default_suite_check_counts():
     # the properties must drop none of them.
     data = json.loads(run_suite().to_json())
     counts = {pid: entry["checks"] for pid, entry in data["properties"].items()}
-    assert counts == {"P1": 50, "P2": 500, "P3": 502, "P4": 600, "P5": 100, "P6": 300,
-                      "P7": 600, "P8": 250, "P9": 250, "P10": 12, "wraparound": 100}
-    assert sum(counts.values()) == 3264
+    # group: per n and case, closure, the rotations' residual and verdict, and the refused
+    # copies of members and rotations (6 cases x 5 x 25); per sigma != 0, inf the normalizer's
+    # four values and the refused copies (3 x 5 x 25); per sigma > 0 the Cartan factors
+    # (2 x 25).  kinematics: per n the affine axioms (25), per sigma the invariants (5 x 25),
+    # per sigma > 0 two speeds and the world line (2 x 3 x 25), per sigma < 0 two periods (50).
+    assert counts == {"P1": 50, "P2": 500, "P3": 502, "group": 2350, "kinematics": 700,
+                      "P10": 12}
+    assert sum(counts.values()) == 4114
 
 
 def test_check_keeps_the_worst_failing_value_and_counts_every_value():
@@ -340,11 +372,10 @@ def test_check_keeps_the_worst_failing_value_and_counts_every_value():
     assert check.result().counterexample == {"nan": 1}
 
 
-def test_wraparound_entry_only_with_negative_sigma():
-    cfg = SuiteConfig(n_values=(2,), sigma_values=(1.0, 0.0, math.inf),
-                      trials=2, seed=0)
-    report = run_suite(cfg)
-    assert "wraparound" not in report.results
+@pytest.mark.parametrize("sigmas", [(1.0, 0.0, math.inf), (-1.0,), (0.0,), (math.inf,)])
+def test_the_suite_reports_the_same_properties_at_every_sigma_list(sigmas):
+    report = run_suite(SuiteConfig(n_values=(2,), sigma_values=sigmas, trials=2, seed=0))
+    assert list(report.results) == PROPERTY_IDS
     assert report.passed
 
 
@@ -395,15 +426,15 @@ def test_property_exceptions_become_report_entries(monkeypatch):
     monkeypatch.setattr("kinematica.groups.random_element", boom)
     report = run_suite(SuiteConfig(**FAST))
     assert not report.passed
-    broken = report.results["P4"]
+    broken = report.results["group"]
     assert not broken.passed
     assert broken.worst_residual == math.inf
     assert "RuntimeError" in broken.counterexample["error"]
 
 
 def test_suite_detects_a_corrupted_adjoint(monkeypatch):
-    # same route the command-line mutation checks use: a sign error in the
-    # metric adjoint must take down the normalizer and Cartan properties
+    # same route the command-line mutation checks use: a sign error in the metric adjoint
+    # must take down group, by a failing check, and nothing else
     real = matcore.dagger
 
     def flipped(Z, sigma):
@@ -411,19 +442,65 @@ def test_suite_detects_a_corrupted_adjoint(monkeypatch):
 
     monkeypatch.setattr("kinematica.matcore.dagger", flipped)
     report = run_suite(SuiteConfig(**FAST))
-    assert not report.passed
-    assert not report.results["P4"].passed
-    assert not report.results["P5"].passed
+    assert [pid for pid, r in report.results.items() if not r.passed] == ["group"]
+    assert report.results["group"].counterexample["check"] in ("closure", "normalizer",
+                                                               "cartan")
 
 
-def test_wraparound_property_judges_every_negative_sigma():
+def always_true(a, *args, **kwargs):
+    ok = np.ones(np.shape(a)[:-2], dtype=bool)
+    return ok if ok.ndim else True
+
+
+@pytest.mark.parametrize("verdict, check", [("membership", "perturbed member"),
+                                            ("in_K", "perturbed rotation"),
+                                            ("in_normalizer", "perturbed normalizer")])
+def test_group_fails_on_a_verdict_that_accepts_everything(monkeypatch, verdict, check):
+    # Each verdict must refuse the copies x (I + E) of its inputs, ||E||_2 = 1e-4.
+    real = getattr(groups, verdict)
+    fake = always_true if verdict != "in_normalizer" else (
+        lambda a, sigma, tol: (always_true(a), real(a, sigma, tol)[1]))
+    monkeypatch.setattr(groups, verdict, fake)
+    report = run_suite(SuiteConfig(**FAST))
+    assert [pid for pid, r in report.results.items() if not r.passed] == ["group"]
+    assert report.results["group"].counterexample["check"] == check
+
+
+def unchanged_line(g, line):
+    return line
+
+
+def origin_only(g, line):
+    return affine.WorldLine(affine.act(g, line.origin), direction=line.direction)
+
+
+@pytest.mark.parametrize("fault", [unchanged_line, origin_only], ids=lambda f: f.__name__)
+def test_kinematics_fails_on_a_line_map_that_skips_the_map(monkeypatch, fault):
+    # The null line keeps speed c and the slow line stays slow whether or not the line is
+    # mapped; the line's events, mapped by act, tell.
+    monkeypatch.setattr(affine, "transform_worldline", fault)
+    report = run_suite(SuiteConfig(**FAST))
+    assert [pid for pid, r in report.results.items() if not r.passed] == ["kinematics"]
+    assert report.results["kinematics"].counterexample["check"] == "worldline"
+
+
+def test_kinematics_judges_the_periods_at_every_negative_sigma(monkeypatch):
     # subnormal sigmas, the least normal one and the most negative float are each judged
     sigmas = (-5e-324, -1e-320, -2.2250738585072014e-308, -1.7976931348623157e308)
     cfg = SuiteConfig(n_values=(2, 3), sigma_values=sigmas, trials=3)
-    result = verify._run(verify._prop_wraparound, cfg, np.random.default_rng(0))
-    assert result.passed and result.checks == 48  # 2 n x 4 sigmas x 3 trials x 2 periods
+    real, periods = groups.boost_closed_form, []
+
+    def counted(b, sigma):
+        periods.append(len(b) - cfg.trials)  # the half and full periods after the members
+        return real(b, sigma)
+
+    monkeypatch.setattr(groups, "boost_closed_form", counted)
+    result = verify._run(verify._prop_kinematics, cfg, np.random.default_rng(0))
+    assert periods == [2 * cfg.trials] * 8  # 2 n x 4 sigmas
+    # 2 n x 4 sigmas x 3 trials x (2 periods + 1 invariant), and 2 n x 3 affine maps
+    assert result.passed and result.checks == 72 + 6
     report = run_suite(SuiteConfig(n_values=(2,), sigma_values=(-1e-320,), trials=2))
-    assert report.passed and report.results["wraparound"].passed
+    assert report.passed and report.results["kinematics"].passed
 
 
 def test_nonalgebra_witness_corner_is_two():
@@ -454,10 +531,31 @@ def test_report_dataclass_passed_property():
 
 @pytest.mark.parametrize("sigma", [1e200, -1e200, 1e300, -1e300, 1e308, -1e308])
 def test_collinearity_and_invariants_hold_at_huge_sigma(sigma):
-    # P2 and P8 are judged in the balanced time unit of sigma, where neither sigma * b
-    # nor a^T g a passes the float range; warnings are errors here.
+    # P2 and kinematics are judged in the balanced time unit of sigma, where neither
+    # sigma * b nor a^T g a passes the float range; warnings are errors here.
     cfg = SuiteConfig(n_values=(2, 3), sigma_values=(sigma,), trials=5)
-    for pnum, prop in ((2, verify._prop_collinearity), (8, verify._prop_invariants)):
+    for pnum, prop in ((2, verify._prop_collinearity), (5, verify._prop_kinematics)):
         result = verify._run(prop, cfg, np.random.default_rng([cfg.seed, pnum]))
         assert result.passed and result.counterexample is None, (pnum, result)
         assert result.checks > 0
+
+
+def readme_property_table() -> list[list[str]]:
+    """The rows of README's property table under "## The property suite", as lists of cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## The property suite"):]
+    section = section[:section.index("\n## ")]
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+@pytest.mark.parametrize("sigmas", [None, (1.0, 0.0, math.inf), (-1.0,)])
+def test_readme_maps_exactly_the_reported_properties_and_checks(sigmas):
+    # The table lists each property run_suite reports, at the default config and at configs
+    # with and without a negative sigma, and each check name that group and kinematics give.
+    cfg = SuiteConfig() if sigmas is None else SuiteConfig(n_values=(2,), sigma_values=sigmas,
+                                                           trials=2)
+    rows = readme_property_table()
+    assert {row[0].strip("`") for row in rows} == set(run_suite(cfg).results)
+    names = {name for row in rows for name in re.findall(r"`([^`]+)`", row[3])}
+    assert names == set(re.findall(r'"check": "([^"]+)"', inspect.getsource(verify)))
