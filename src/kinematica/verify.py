@@ -288,22 +288,23 @@ def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Che
 
 
 def _prop_group(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    # From factors drawn once per case, members g = k B(b), b up to 4 (2 for h: products g h
-    # stay inside membership's envelope; rapidity for sigma > 0), lam in 10^[-8, 8] and E of
-    # spectral norm 1e-4.  Each verdict recovers its factor and refuses the copies x (I + E).
+    # From factors drawn once per case, members g = k B(b), b up to 4, and h, b up to 2 (rapidity
+    # for sigma > 0), lam in 10^[-8, 8] and E of spectral norm 1e3 tol, at least 1e-4.  membership
+    # reads h (products at rapidity up to 4), the other verdicts g; each refuses x (I + E).
     t = cfg.trials
     rotations, lorentz = [], []  # judged after the loop: in_K and reconstruct take no sigma
     for case, s in _cases(cfg):
         k, _, b = _factors(rng, s, n, np.repeat([4.0, 2.0], t))
         lam = 10.0 ** rng.uniform(-8.0, 8.0, t)
         E = rng.standard_normal((t, n + 1, n + 1))
-        E *= 1e-4 / np.linalg.svd(E, compute_uv=False)[:, :1, None]
+        E *= max(1e-4, 1e3 * cfg.tol) / np.linalg.svd(E, compute_uv=False)[:, :1, None]
         g, h = np.split(k if s is None else k @ groups.boost_closed_form(b, s), 2)
-        ok = groups.membership(np.concatenate((g @ h, np.linalg.inv(g), g + g @ E)),
+        h2 = np.roll(h, 1, 0)
+        ok = groups.membership(np.concatenate((h @ h2, np.linalg.inv(h), h + h @ E)),
                                case, s, cfg.tol).reshape(3, t)
-        check.flag(ok[0] & ok[1], {"check": "closure", "case": case.value, "g1": g, "g2": h})
-        check.flag(~ok[2], {"check": "perturbed member", "case": case.value, "a": g, "E": E})
-        rotations.append((case, k[:t], E))
+        check.flag(ok[0] & ok[1], {"check": "closure", "case": case.value, "g1": h, "g2": h2})
+        check.flag(~ok[2], {"check": "perturbed member", "case": case.value, "a": h, "E": E})
+        rotations.append((k[:t], E))
         if case not in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
             continue
         a = np.sqrt(lam)[:, None, None] * g
@@ -318,19 +319,18 @@ def _prop_group(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: in
         if case is CaseLabel.LORENTZ:
             lorentz.append((s, a, groups.cartan_decompose(a, s, cfg.tol), k[:t],
                             groups.p_generator(b[:t], s), lam))
-    stack = np.stack([(k, k + k @ E) for _, k, E in rotations])
-    in_K = groups.in_K(stack.reshape(-1, n + 1, n + 1), cfg.tol).reshape(stack.shape[:3])
-    for (case, k, E), (ok, perturbed) in zip(rotations, in_K):
-        A = k[:, :n, :n]
-        resid = np.max([
-            matcore.op_norm(k[:, :n, n], 1),
-            matcore.op_norm(k[:, n, :n], 1),
-            matcore.op_norm(A.mT @ A - np.eye(n), 2),
-            abs(abs(k[:, n, n]) - 1.0),
-        ], axis=0)
-        check.residual(resid, {"check": "rotations", "case": case.value, "a": k})
-        check.flag(ok, {"check": "rotations", "case": case.value, "a": k})
-        check.flag(~perturbed, {"check": "perturbed rotation", "case": case.value, "a": k, "E": E})
+    k, E = map(np.concatenate, zip(*rotations))  # every case's rotation factors, one stack
+    ok, perturbed = groups.in_K(np.concatenate((k, k + k @ E)), cfg.tol).reshape(2, -1)
+    A = k[:, :n, :n]
+    resid = np.max([
+        matcore.op_norm(k[:, :n, n], 1),
+        matcore.op_norm(k[:, n, :n], 1),
+        matcore.op_norm(A.mT @ A - np.eye(n), 2),
+        abs(abs(k[:, n, n]) - 1.0),
+    ], axis=0)
+    check.residual(resid, {"check": "rotations", "a": k})
+    check.flag(ok, {"check": "rotations", "a": k})
+    check.flag(~perturbed, {"check": "perturbed rotation", "a": k, "E": E})
     if not lorentz:
         return
     # Rebuilt through mat_exp, not the closed form the members were built with.

@@ -434,17 +434,31 @@ def test_property_exceptions_become_report_entries(monkeypatch):
 
 def test_suite_detects_a_corrupted_adjoint(monkeypatch):
     # same route the command-line mutation checks use: a sign error in the metric adjoint
-    # must take down group, by a failing check, and nothing else
-    real = matcore.dagger
+    # must fail the normalizer and the Cartan checks, two routes, and take down group alone
+    real, real_residual, failed = matcore.dagger, verify._Check.residual, set()
 
     def flipped(Z, sigma):
         return -real(Z, sigma)
 
+    def recording(self, values, payload=None):  # flag judges through residual
+        if not np.all(np.asarray(values, dtype=float) <= self.tol):  # a NaN fails too
+            failed.add((payload or {}).get("check"))
+        real_residual(self, values, payload)
+
     monkeypatch.setattr("kinematica.matcore.dagger", flipped)
+    monkeypatch.setattr(verify._Check, "residual", recording)
     report = run_suite(SuiteConfig(**FAST))
     assert [pid for pid, r in report.results.items() if not r.passed] == ["group"]
-    assert report.results["group"].counterexample["check"] in ("closure", "normalizer",
-                                                               "cartan")
+    assert {"normalizer", "cartan"} <= failed
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-3, 1e-2])
+def test_the_suite_passes_across_the_tol_range(tol):
+    # Closure judges products up to rapidity 4, which membership resolves from tol 1e-12, and
+    # the perturbed copies scale with tol, so they are refused up to tol 1e-2.
+    for seed in range(3):
+        report = run_suite(SuiteConfig(tol=tol, seed=seed))
+        assert report.passed, [pid for pid, r in report.results.items() if not r.passed]
 
 
 def always_true(a, *args, **kwargs):
@@ -452,16 +466,17 @@ def always_true(a, *args, **kwargs):
     return ok if ok.ndim else True
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
 @pytest.mark.parametrize("verdict, check", [("membership", "perturbed member"),
                                             ("in_K", "perturbed rotation"),
                                             ("in_normalizer", "perturbed normalizer")])
-def test_group_fails_on_a_verdict_that_accepts_everything(monkeypatch, verdict, check):
-    # Each verdict must refuse the copies x (I + E) of its inputs, ||E||_2 = 1e-4.
+def test_group_fails_on_a_verdict_that_accepts_everything(monkeypatch, verdict, check, tol):
+    # Each verdict must refuse the copies x (I + E) of its inputs, ||E||_2 = max(1e-4, 1e3 tol).
     real = getattr(groups, verdict)
     fake = always_true if verdict != "in_normalizer" else (
         lambda a, sigma, tol: (always_true(a), real(a, sigma, tol)[1]))
     monkeypatch.setattr(groups, verdict, fake)
-    report = run_suite(SuiteConfig(**FAST))
+    report = run_suite(SuiteConfig(**FAST, tol=tol))
     assert [pid for pid, r in report.results.items() if not r.passed] == ["group"]
     assert report.results["group"].counterexample["check"] == check
 
