@@ -15,7 +15,7 @@ meaningful; its callers take n >= 2.
 
 The package reads the pieces through one private pass, :func:`_coordinates`, on a float
 (..., n+1, n+1) stack, with the blocks read as slices: classify_algebra reads its generators
-through it, and verify's P1 checks it.  The module has no public names.
+through it, and verify's `algebra` checks it.  The module has no public names.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """Self-contained property suite over randomized inputs, one property per claim of the paper:
-P1, P2, P3 and P10 the algebra of rotations and boosts, group that each member factors as
-sqrt(lam) k B(b), and kinematics the invariant structure and speed of each case.
+algebra that rotations plus the boosts of one sigma span one of five algebras, group that each
+member factors as sqrt(lam) k B(b), and kinematics the invariant structure and speed of each case.
 
 Each property draws from one generator seeded by (seed, its place in the suite), in a fixed
-order: group the factors of its members once per dimension and case, kinematics its members
-once per dimension and sigma.  Per dimension, it judges all stacks in one call to each function
-under test that takes no sigma and no case (classify_algebra: as many as a memory budget holds),
-so each check sees what a call on its stack alone gives.  It reports the worst residual and the
-number of values judged against the tolerance.  Failures never raise: they land in the report
-with a counterexample (in group and kinematics, naming the failed check under "check"), so a
-corrupted build shows up as a readable entry and a nonzero exit from the command line wrapper.
+order: algebra its generated sets once per dimension and sigma, group the factors of its members
+once per dimension and case, kinematics its members once per dimension and sigma.  Per
+dimension, it judges all stacks in one call to each function under test that takes no sigma and
+no case (classify_algebra: as many as a memory budget holds), so each check sees what a call on
+its stack alone gives.  It reports the worst residual, the number of values judged against the
+tolerance and the names of the failing checks.  Failures never raise: they land in the report
+with a counterexample naming the failed check under "check", so a corrupted build shows up as a
+readable entry and a nonzero exit from the command line wrapper.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ class PropertyResult:
     worst_residual: float
     counterexample: dict | None = None
     checks: int = 0  # residual and flag values judged
+    failed_checks: list = field(default_factory=list)  # by "check" name, first failed first
 
 
 @dataclass
@@ -113,6 +115,8 @@ class SuiteReport:
                 "checks": res.checks,
                 "description": self.descriptions.get(pid, ""),
             }
+            if not res.passed:
+                entry["failed_checks"] = res.failed_checks
             if res.counterexample is not None:
                 entry["counterexample"] = res.counterexample
             props[pid] = entry
@@ -142,17 +146,17 @@ def _json_item(value, i: int):
 
 
 class _Check:
-    """Accumulates residuals, how many were judged, and the counterexample at
-    the worst failure into one PropertyResult."""
+    """Accumulates residuals, how many were judged, the names of the failing checks and the
+    counterexample at the worst failure into one PropertyResult."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self._result = PropertyResult(True, 0.0)
 
     def residual(self, values, payload: dict | None = None):
-        """Judge one value or an array of them; a NaN fails as inf.  payload is the
-        counterexample: each ndarray in it holds one row per value judged, and only the
-        row of the worst value is read, when that value fails and is the worst yet."""
+        """Judge one value or an array of them; a NaN fails as inf.  payload is the counterexample,
+        named by its "check": each ndarray in it holds one row per value judged, and only the row
+        of the worst value is read, when that value fails and is the worst yet."""
         values = np.asarray(values, dtype=float).ravel()
         result = self._result
         result.checks += values.size
@@ -168,9 +172,12 @@ class _Check:
                                          for key, item in payload.items()}
         if failing:
             result.passed = False
+            if (name := (payload or {}).get("check")) and name not in result.failed_checks:
+                result.failed_checks.append(name)
 
     def flag(self, ok, payload: dict | None = None):
-        self.residual(np.where(ok, 0.0, 1.0), payload)
+        """Judge verdicts: a False fails as inf, at every tol."""
+        self.residual(np.where(ok, 0.0, math.inf), payload)
 
     def result(self) -> PropertyResult:
         return self._result
@@ -208,9 +215,69 @@ def _run(fn, cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     return check.result()
 
 
-def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    K = groups.random_element(CaseLabel.ARISTOTLE, None, n, 0.0, rng, size=cfg.trials)
-    Z = rng.standard_normal((cfg.trials, n + 1, n + 1))
+def _generated_bases(rotations, s: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations of dimension n
+    and n boosts of sigma s (p_generator of b) along random b, each scaled by [1/4, 4]."""
+    n = len(rotations[0]) - 1
+    b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
+    boosts = groups.p_generator(b, s)
+    return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
+
+
+# Floats of generator sets per classification call of algebra.  The call holds about three copies
+# of them, so 2^18 (2 MiB) keeps n = 10 at one sigma a call (166,375 floats at 25 trials), the
+# peak of a call per sigma, while all five default sigmas share one at n = 2 and 3 (2,400 a sigma).
+_CLASSIFY_BUDGET = 2 ** 18
+
+
+def _prop_algebra(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
+    # Classification first, so that no other check's arrays are alive during its large calls.
+    # Consecutive sigmas' sets share a call, within _CLASSIFY_BUDGET, and split back per sigma.
+    rotations = classify.rotation_generators(n)
+    t, m = cfg.trials, len(rotations) + n
+    step = max(1, _CLASSIFY_BUDGET // (t * m * (n + 1) ** 2))
+    for start in range(0, len(cfg.sigma_values), step):
+        sigmas = cfg.sigma_values[start:start + step]
+        try:
+            sets = np.concatenate([_generated_bases(rotations, s, rng, t) for s in sigmas])
+        except ValueError as error:  # sigma * b passes the float range: no set to classify
+            check.residual(math.inf, {"check": "classification", "n": n, "error": str(error)})
+            continue
+        results = classify.classify_algebra(sets, cfg.tol)
+        outcome = np.array([r.outcome for r in results]).reshape(-1, t)
+        reason = np.array([r.reason for r in results], dtype=object).reshape(-1, t)
+        read = outcome == classify.OUTCOME_KINEMATICAL
+        got = np.array([r.sigma.value if r.is_kinematical else 0.0 for r in results]).reshape(-1, t)
+        labels = [classify.case_label(r) if r.is_kinematical else None for r in results]
+        for i, (s, out, why, ok, g) in enumerate(zip(sigmas, outcome, reason, read, got)):
+            case = case_of_sigma(s)
+            payload = {"check": "classification", "n": n, "sigma": s}
+            check.flag([label == case for label in labels[i * t:(i + 1) * t]],
+                       payload | {"outcome": out, "reason": why})
+            err = np.where(np.isinf(g[ok]), 0.0, math.inf) if s == math.inf else (
+                abs(g[ok] - s) / (1.0 + abs(s)))
+            check.residual(err, payload | {"outcome": out[ok], "reason": why[ok]})
+    # One stack of controls, zero generators padding them: the rotations alone, an Aristotle
+    # algebra, and boosts plus m0, boosts plus m2 and two sigmas' boosts, none an algebra.
+    sets = np.zeros((4, m + 1, n + 1, n + 1))
+    sets[0, :len(rotations)] = rotations
+    sets[1:3, :-1] = _generated_bases(rotations, 1.0, rng, 1)
+    sets[1, -1] = np.diag(np.r_[np.ones(n), 0.0])
+    sets[2, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
+    sets[3, :len(rotations) + 2] = rotations + [
+        groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
+    outcome = np.array([r.outcome for r in classify.classify_algebra(sets, cfg.tol)])
+    check.flag(outcome == [classify.OUTCOME_ARISTOTLE] + [classify.OUTCOME_NOT_KINEMATICAL] * 3,
+               {"check": "controls", "n": n, "outcome": outcome,
+                "set": np.array(["rotations", "m0", "m2", "mixed sigma"])})
+    # Rotations plus the full mixing component span no algebra.
+    span = np.concatenate((rotations, groups.p_generator(np.eye(n), 0.0),
+                           groups.p_generator(np.eye(n), math.inf)))
+    closed, defect = classify.closure_scan(span, cfg.tol)
+    check.flag([not closed, defect >= 1.0], {"check": "non-closing span", "n": n, "defect": defect})
+    # The coordinate pass is complete and equivariant under block rotations K = diag(R, eps).
+    K = groups.random_element(CaseLabel.ARISTOTLE, None, n, 0.0, rng, size=t)
+    Z = rng.standard_normal((t, n + 1, n + 1))
     R, eps = K[:, :n, :n], K[:, n, n].astype(int)
     pairs = np.stack((Z, K @ Z @ K.mT), 1)  # a new array, whose spatial rows the pass halves
     sizes = np.sum(pairs * pairs, (-2, -1))
@@ -226,65 +293,21 @@ def _prop_isotypic(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n:
         matcore.op_norm(m2[:, 1] - R @ m2[:, 0] @ R.mT, 2),
         np.max(matcore.op_norm(mixing[:, 1] - eps[:, None, None] * (mixing[:, 0] @ R.mT), 1), 1),
     ], axis=0)
-    check.residual(resid, {"Z": Z, "R": R, "eps": eps})
-
-
-def _prop_collinearity(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    pairs = np.empty((len(cfg.sigma_values), 2, 2, cfg.trials, n))  # per sigma, two (b, c)
-    for (collinear, general), s in zip(pairs, cfg.sigma_values):  # in sigma's balanced unit
-        b = rng.standard_normal((cfg.trials, n))
-        collinear[:] = (np.zeros_like(b), b) if s == math.inf else (
-            b, matcore.sigma_unit(s)[1] * b)
-        general[:] = rng.standard_normal((2, cfg.trials, n))
-    defects = classify.collinearity_defect(pairs[:, :, 0].reshape(-1, n),
-                                           pairs[:, :, 1].reshape(-1, n)).reshape(-1, 2, cfg.trials)
-    # The doubled commutator corner of a general pair's mixing generator reproduces its defect.
-    _, _, corners = _doubled_commutator(pairs[:, 1, 0], pairs[:, 1, 1])
-    for s, ((bs, cs), (b2, c2)), (defect, closed), corner in zip(
-            cfg.sigma_values, pairs, defects, corners):
-        check.residual(abs(defect) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
-                       {"b": bs, "c": cs, "sigma": s})
-        check.residual(abs(corner - closed) / (1.0 + abs(closed)), {"b": b2, "c": c2})
-
-
-def _generated_bases(rotations, s: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations of dimension n
-    and n boosts of sigma s (p_generator of b) along random b, each scaled by [1/4, 4]."""
-    n = len(rotations[0]) - 1
-    b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
-    boosts = groups.p_generator(b, s)
-    return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
-
-
-# Floats of generator sets per classify_algebra call in P3.  The call holds about three copies
-# of them, so 2^18 (2 MiB) keeps n = 10 at one sigma a call (166,375 floats at 25 trials), the
-# peak of a call per sigma, while all five default sigmas share one at n = 2 and 3 (2,400 a sigma).
-_CLASSIFY_BUDGET = 2 ** 18
-
-
-def _prop_classification(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    # Consecutive sigmas' sets share a call, within _CLASSIFY_BUDGET, and split back per sigma.
-    rotations = classify.rotation_generators(n)
-    result = classify.classify_algebra(rotations, cfg.tol)
-    check.flag(result.outcome == classify.OUTCOME_ARISTOTLE, {"n": n})
-    t = cfg.trials
-    step = max(1, _CLASSIFY_BUDGET // (t * (len(rotations) + n) * (n + 1) ** 2))
-    for start in range(0, len(cfg.sigma_values), step):
-        sigmas = cfg.sigma_values[start:start + step]
-        results = classify.classify_algebra(np.concatenate(
-            [_generated_bases(rotations, s, rng, t) for s in sigmas]), cfg.tol)
-        outcome = np.array([r.outcome for r in results]).reshape(-1, t)
-        reason = np.array([r.reason for r in results], dtype=object).reshape(-1, t)
-        read = outcome == classify.OUTCOME_KINEMATICAL
-        got = np.array([r.sigma.value if r.is_kinematical else 0.0 for r in results]).reshape(-1, t)
-        labels = [classify.case_label(r) if r.is_kinematical else None for r in results]
-        for i, (s, out, why, ok, g) in enumerate(zip(sigmas, outcome, reason, read, got)):
-            case = case_of_sigma(s)
-            check.flag([label == case for label in labels[i * t:(i + 1) * t]],
-                       {"n": n, "sigma": s, "outcome": out, "reason": why})
-            err = np.where(np.isinf(g[ok]), 0.0, 1.0) if s == math.inf else (
-                abs(g[ok] - s) / (1.0 + abs(s)))
-            check.residual(err, {"n": n, "sigma": s, "outcome": out[ok], "reason": why[ok]})
+    check.residual(resid, {"check": "coordinates", "Z": Z, "R": R, "eps": eps})
+    # Pairs (b, c): per sigma, collinear ones in sigma's balanced unit; then the witness
+    # (e1, e2) and general ones, whose doubled commutator corner reproduces their defect.
+    drawn = rng.standard_normal((len(cfg.sigma_values), t, n))
+    bs, cs = np.concatenate([(np.zeros_like(b), b) if s == math.inf else (
+        b, matcore.sigma_unit(s)[1] * b) for s, b in zip(cfg.sigma_values, drawn)], 1)
+    general = np.concatenate((np.eye(n)[:2, None], rng.standard_normal((2, len(bs), n))), 1)
+    defects = classify.collinearity_defect(*np.concatenate(((bs, cs), general), 1))
+    _, _, corners = _doubled_commutator(*general)
+    expected = defects[len(bs):]
+    check.residual(abs(defects[:len(bs)]) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
+                   {"check": "collinear", "b": bs, "c": cs,
+                    "sigma": np.repeat(cfg.sigma_values, t)})
+    check.residual(abs(corners - expected) / (1.0 + abs(expected)),
+                   {"check": "commutator", "b": general[0], "c": general[1]})
 
 
 def _prop_group(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
@@ -442,35 +465,6 @@ def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
         check.residual(gap, {"check": "worldline", "a": a, "sigma": s})
 
 
-def _prop_negative_controls(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    # One stack: boosts plus m0, boosts plus m2, two sigmas; zero generators pad them.
-    rotations = classify.rotation_generators(n)
-    base = _generated_bases(rotations, 1.0, rng, 1)[0]
-    sets = np.zeros((3, len(base) + 1, n + 1, n + 1))
-    sets[:2, :-1] = base
-    sets[0, -1] = np.diag(np.r_[np.ones(n), 0.0])
-    sets[1, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
-    sets[2, :len(base) - n + 2] = rotations + [
-        groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
-    for name, r in zip(("m0", "m2", "mixed sigma"), classify.classify_algebra(sets, cfg.tol)):
-        check.flag(r.outcome == classify.OUTCOME_NOT_KINEMATICAL,
-                   {"n": n, "contaminant": name, "outcome": r.outcome})
-    _, _, corner = nonalgebra_witness(n)
-    check.residual(abs(corner - 2.0), {"n": n, "corner": corner})
-    closed, defect = classify.closure_scan(_mixing_span_basis(n), cfg.tol)
-    check.flag(not closed, {"n": n})
-    check.flag(defect >= 1.0, {"n": n})
-
-
-def _mixing_span_basis(n: int) -> list[np.ndarray]:
-    """Basis of rotations plus the full mixing component, which is not a
-    subalgebra."""
-    basis = classify.rotation_generators(n)
-    for e in np.eye(n):
-        basis += [groups.p_generator(e, 0.0), groups.p_generator(e, math.inf)]
-    return basis
-
-
 def nonalgebra_witness(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Witness that rotations plus the full mixing component do not close.
 
@@ -501,12 +495,11 @@ def _doubled_commutator(b: np.ndarray, c: np.ndarray):
 
 
 _PROPERTIES = [
-    ("P1", "the coordinate pass is complete and equivariant under block rotations",
-     _prop_isotypic),
-    ("P2", "boost generators are collinear; the doubled-commutator corner "
-           "equals the collinearity defect", _prop_collinearity),
-    ("P3", "generated algebras classify back to their case and sigma",
-     _prop_classification),
+    ("algebra", "rotations plus the boosts of one sigma span one of five algebras: generated "
+                "algebras classify back to their case and sigma, contaminated, mixed-sigma and "
+                "non-closing spans are refused, the coordinate pass is complete and "
+                "equivariant, boost generators are collinear, and the doubled commutator's "
+                "corner equals the collinearity defect", _prop_algebra),
     ("group", "every member factors as sqrt(lam) k B(b): membership (of products and "
               "inverses), in_K, in_normalizer and cartan_decompose give back the drawn "
               "factors, and the verdicts refuse perturbed copies", _prop_group),
@@ -514,8 +507,6 @@ _PROPERTIES = [
                    "invariant structure, affine maps satisfy the group axioms and map lines "
                    "as they map events, and boosts keep the speed 1/sqrt(sigma) (sigma > 0) "
                    "or have period 2 pi/sqrt(-sigma) (sigma < 0)", _prop_kinematics),
-    ("P10", "contaminated or mixed-sigma inputs are rejected and the "
-            "non-closing span is detected", _prop_negative_controls),
 ]
 
 

@@ -412,7 +412,8 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
         lam, rows = real_coordinates(Z)
         rows[..., 2:2 + (Z.shape[-1] - 1) ** 2] = 0.0
         return lam, rows
-    # the coordinate pass that classify_algebra reads its generators through, and P1 checks
+    # the coordinate pass that classify_algebra reads its generators through, and algebra's
+    # coordinates check judges
     mutants.append(("kinematica.isotypic._coordinates", coordinates_without_m2))
 
     detected = 0

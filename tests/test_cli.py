@@ -658,7 +658,7 @@ def test_verify_command_passes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["pass"] is True
-    assert list(report["properties"]) == ["P1", "P2", "P3", "group", "kinematics", "P10"]
+    assert list(report["properties"]) == ["algebra", "group", "kinematics"]
 
 
 def test_verify_report_of_a_raising_property_is_strict_json(capsys, monkeypatch):
@@ -710,7 +710,7 @@ def test_verify_sigma_list_keeps_the_properties(capsys):
                      "--trials", "2"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert list(report["properties"]) == ["P1", "P2", "P3", "group", "kinematics", "P10"]
+    assert list(report["properties"]) == ["algebra", "group", "kinematics"]
 
 
 def test_verify_bad_arguments(capsys):
@@ -725,6 +725,9 @@ def test_tol_flag_is_honored(capsys):
                      "--trials", "2", "--tol", "1e-16"])
     capsys.readouterr()
     assert code == 2
+    # at tol 10 no residual fails, but a failed flag does, at every tol
+    assert cli.main(["verify", "--tol", "10"]) == 2
+    capsys.readouterr()
 
 
 def test_tol_flag_validation(tmp_path, capsys):
@@ -816,9 +819,9 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    ([], "b08dcaec59eb5b3853002e8df3241700e281d6fb7d8fd5db66e1bce03de08001"),
+    ([], "043cebd460c002139533e3c15fb4f435032e10e1c810908719172390ccbaacad"),
     (["--seed", "4", "--sigma-list", "1,1e12,0.5,1e-12,-1"],
-     "6f471e00737e5e0646072f830866159ec03536cbaccfcce907530efd3a8afb80"),
+     "72a664c9cac6902223f5952b009552fbbe52c2b58edd2841ddab195c039c7532"),
 ])
 def test_verify_reports_keep_their_bytes(capsys, args, digest):
     # The whole report is pinned: every verdict, residual, check count and description.
@@ -828,19 +831,21 @@ def test_verify_reports_keep_their_bytes(capsys, args, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    # several failing sigmas share one P3 classification call
+    # several failing sigmas share one classification call
     (["--seed", "3", "--sigma-list", "1,1e16,5e-324,-1e300,inf"],
-     "c3b9d272fc14752191c61dc76cbc865d29884d4da1dc0cfc0610f62daa3e3892"),
-    # at n = 10, P3's memory budget gives each sigma its own call
+     "d39837616c221e946f643824ef290cef9f532e341052e4acca0e68e53dbbd8ce"),
+    # at n = 10, the classification's memory budget gives each sigma its own call
     (["--n", "2,3,10", "--sigma-list", "1,-1e300,0,1e100"],
-     "95305465948c71dbc2ded188b22e740519fd4267a6240a041cf1d7f420270fab"),
+     "781f854593143bf92a1e675d0eda11a193416567e2711e731f14c2e61992d0f0"),
 ])
 def test_failing_verify_reports_keep_their_bytes(capsys, args, digest):
-    # Reports that fail in P3 alone, pinned whole: its counterexample payloads included.
+    # Reports that fail in algebra's classification check alone, pinned whole: its
+    # counterexample payloads included.
     assert cli.main(["verify"] + args) == 2
     report = capsys.readouterr().out
-    assert [pid for pid, entry in json.loads(report)["properties"].items()
-            if not entry["pass"]] == ["P3"]
+    failing = {pid: entry["failed_checks"]
+               for pid, entry in json.loads(report)["properties"].items() if not entry["pass"]}
+    assert failing == {"algebra": ["classification"]}
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
