@@ -90,14 +90,14 @@ def _read_matrices(raw: list, d: int) -> np.ndarray:
 def load_matrix_file(path: str) -> MatrixFile:
     """Read and validate a matrix file.  Raises ValueError on any schema
     problem and OSError if the file cannot be read."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        content = fh.read()
     try:
-        data = orjson.loads(text)
+        data = orjson.loads(content)
     except orjson.JSONDecodeError:  # NaN, Infinity, a number past the float range, bad text
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        try:  # strict UTF-8, as orjson: no byte order mark, no UTF-16
+            data = json.loads(content.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("top level must be a JSON object")

@@ -3,12 +3,13 @@ algebra that rotations plus the boosts of one sigma span one of five algebras, g
 member factors as sqrt(lam) k B(b), and kinematics the invariant structure and speed of each case.
 
 Each property draws from one generator seeded by (seed, its place in the suite), in a fixed
-order: algebra its generated sets once per dimension and sigma, group the factors of its members
-once per dimension and case, kinematics its members once per dimension and sigma.  Per
-dimension, it judges all stacks in one call to each function under test that takes no sigma and
-no case (classify_algebra: as many as a memory budget holds), so each check sees what a call on
-its stack alone gives.  It reports the worst residual, the number of values judged against the
-tolerance and the names of the failing checks.  Failures never raise: they land in the report
+order: algebra its generated sets once per dimension and sigma, group and kinematics each
+quantity once per dimension, in one stack over every case or sigma.  Per dimension, it judges
+all stacks in one call to each function under test that takes no sigma and no case
+(classify_algebra: as many as a memory budget holds), and each case or sigma its slice in one
+call to each that takes one, so each check sees what a call on its stack alone gives.  It
+reports the worst residual, the number of values judged against the tolerance and the names of
+the failing checks.  Failures never raise: they land in the report
 with a counterexample naming the failed check under "check", so a corrupted build shows up as a
 readable entry and a nonzero exit from the command line wrapper.
 """
@@ -183,17 +184,21 @@ class _Check:
         return self._result
 
 
-def _factors(rng: np.random.Generator, s: float | None, n: int, bounds: np.ndarray):
-    """Factors of members k B(b), one per bound: an (m, n+1, n+1) stack of block rotations k,
-    unit directions u and boosts b = |b| u, |b| uniform in [0, bound], drawn in that order.
-    For sigma > 0, |b| is divided by sqrt(sigma): the rapidity |b| sqrt(sigma) is at most bound
-    at every sigma, where a bound on |b| would let it pass what membership can resolve."""
-    k = groups.random_element(CaseLabel.ARISTOTLE, None, n, 0.0, rng, size=len(bounds))
-    u = _units(rng, (len(bounds), n))
-    b = (bounds * rng.random(len(bounds)))[:, None] * u
+def _factors(rng: np.random.Generator, n: int, shape: tuple):
+    """Factors of members k B(b), one per place of a stack of the given shape: block rotations
+    k, unit directions u and sizes |b| uniform in [0, 1], drawn in that order, one call each."""
+    k = groups.random_element(CaseLabel.ARISTOTLE, None, n, 0.0, rng, size=math.prod(shape))
+    return k.reshape(shape + k.shape[1:]), _units(rng, shape + (n,)), rng.random(shape)
+
+
+def _boosts(s: float | None, size: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Boosts b = size u of sigma s.  For sigma > 0, |b| is divided by sqrt(sigma): the rapidity
+    |b| sqrt(sigma) is at most size at every sigma, where a bound on |b| would let it pass what
+    membership can resolve."""
+    b = size[..., None] * u
     if s is not None and 0.0 < s < math.inf:
         b /= math.sqrt(s)
-    return k, u, b
+    return b
 
 
 def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -311,38 +316,43 @@ def _prop_algebra(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: 
 
 
 def _prop_group(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    # From factors drawn once per case, members g = k B(b), b up to 4, and h, b up to 2 (rapidity
-    # for sigma > 0), lam in 10^[-8, 8] and E of spectral norm 1e3 tol, at least 1e-4.  membership
-    # reads h (products at rapidity up to 4), the other verdicts g; each refuses x (I + E).
-    t = cfg.trials
-    rotations, lorentz = [], []  # judged after the loop: in_K and reconstruct take no sigma
-    for case, s in _cases(cfg):
-        k, _, b = _factors(rng, s, n, np.repeat([4.0, 2.0], t))
-        lam = 10.0 ** rng.uniform(-8.0, 8.0, t)
-        E = rng.standard_normal((t, n + 1, n + 1))
-        E *= max(1e-4, 1e3 * cfg.tol) / np.linalg.svd(E, compute_uv=False)[:, :1, None]
-        g, h = np.split(k if s is None else k @ groups.boost_closed_form(b, s), 2)
-        h2 = np.roll(h, 1, 0)
-        ok = groups.membership(np.concatenate((h @ h2, np.linalg.inv(h), h + h @ E)),
-                               case, s, cfg.tol).reshape(3, t)
-        check.flag(ok[0] & ok[1], {"check": "closure", "case": case.value, "g1": h, "g2": h2})
-        check.flag(~ok[2], {"check": "perturbed member", "case": case.value, "a": h, "E": E})
-        rotations.append((k[:t], E))
+    # From factors drawn once for every case, members g = k B(b), b up to 4, and h, b up to 2
+    # (rapidity for sigma > 0), lam in 10^[-8, 8] and E of Frobenius norm 1e3 tol, at least
+    # 1e-4: of spectral norm at least that over sqrt(n + 1).  membership reads h (products at
+    # rapidity up to 4), the other verdicts g; each refuses x (I + E).
+    t, cases = cfg.trials, _cases(cfg)
+    k, u, size = _factors(rng, n, (len(cases), 2 * t))
+    lam = 10.0 ** rng.uniform(-8.0, 8.0, (len(cases), t))
+    E = rng.standard_normal((len(cases), t, n + 1, n + 1))
+    E *= max(1e-4, 1e3 * cfg.tol) / matcore.op_norm(E, 2)[..., None, None]
+    b = [_boosts(s, r, v) for (_, s), r, v in zip(cases, np.repeat([4.0, 2.0], t) * size, u)]
+    g, h = np.split(np.stack([x if s is None else x @ groups.boost_closed_form(y, s)
+                              for (_, s), x, y in zip(cases, k, b)]), 2, 1)
+    h2 = np.roll(h, 1, 1)
+    judged = np.concatenate((h @ h2, np.linalg.inv(h), h + h @ E), 1)
+    lorentz = []  # judged after the loop: reconstruct takes no sigma
+    for i, (case, s) in enumerate(cases):
+        ok = groups.membership(judged[i], case, s, cfg.tol).reshape(3, t)
+        check.flag(ok[0] & ok[1], {"check": "closure", "case": case.value, "g1": h[i],
+                                   "g2": h2[i]})
+        check.flag(~ok[2], {"check": "perturbed member", "case": case.value, "a": h[i],
+                            "E": E[i]})
         if case not in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
             continue
-        a = np.sqrt(lam)[:, None, None] * g
+        a = np.sqrt(lam[i])[:, None, None] * g[i]
         oks, lams = (x.reshape(3, t) for x in groups.in_normalizer(
-            np.concatenate((g, a, a + a @ E)), s, cfg.tol))
-        payload = {"check": "normalizer", "a": g, "sigma": s}
+            np.concatenate((g[i], a, a + a @ E[i])), s, cfg.tol))
+        payload = {"check": "normalizer", "a": g[i], "sigma": s}
         check.flag(oks[0], payload)
         check.residual(abs(lams[0] - 1.0), payload | {"lam": lams[0]})
-        check.flag(oks[1], payload | {"lam0": lam})
-        check.residual(abs(lams[1] - lam) / (1.0 + lam), payload | {"lam0": lam, "lam2": lams[1]})
-        check.flag(~oks[2], {"check": "perturbed normalizer", "a": a, "E": E, "sigma": s})
+        check.flag(oks[1], payload | {"lam0": lam[i]})
+        check.residual(abs(lams[1] - lam[i]) / (1.0 + lam[i]),
+                       payload | {"lam0": lam[i], "lam2": lams[1]})
+        check.flag(~oks[2], {"check": "perturbed normalizer", "a": a, "E": E[i], "sigma": s})
         if case is CaseLabel.LORENTZ:
-            lorentz.append((s, a, groups.cartan_decompose(a, s, cfg.tol), k[:t],
-                            groups.p_generator(b[:t], s), lam))
-    k, E = map(np.concatenate, zip(*rotations))  # every case's rotation factors, one stack
+            lorentz.append((s, a, groups.cartan_decompose(a, s, cfg.tol), k[i, :t],
+                            groups.p_generator(b[i][:t], s), lam[i]))
+    k, E = (x.reshape(-1, n + 1, n + 1) for x in (k[:, :t], E))  # in_K takes no case
     ok, perturbed = groups.in_K(np.concatenate((k, k + k @ E)), cfg.tol).reshape(2, -1)
     A = k[:, :n, :n]
     resid = np.max([
@@ -374,13 +384,13 @@ def _balanced(x: np.ndarray, s: float) -> np.ndarray:
     return matcore.balance(np.array(x, dtype=float), matcore.sigma_unit(s)[0])
 
 
-def _random_affine(n: int, rng: np.random.Generator, count: int) -> affine.AffineElement:
-    """A stack of count affine maps of dimension n + 1, each linear part redrawn until
-    |det| > 0.1."""
-    L = rng.standard_normal((count, n + 1, n + 1))
+def _random_affine(n: int, rng: np.random.Generator, shape: tuple):
+    """The linear parts and translations of a stack of affine maps of dimension n + 1, of the
+    given shape, each linear part redrawn until |det| > 0.1."""
+    L = rng.standard_normal(shape + (n + 1, n + 1))
     while (redraw := abs(np.linalg.det(L)) <= 0.1).any():
         L[redraw] = rng.standard_normal((np.count_nonzero(redraw), n + 1, n + 1))
-    return affine.AffineElement(L, rng.standard_normal((count, n + 1)))
+    return L, rng.standard_normal(shape + (n + 1,))
 
 
 def _ends(line: affine.WorldLine) -> np.ndarray:
@@ -389,14 +399,15 @@ def _ends(line: affine.WorldLine) -> np.ndarray:
 
 
 def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    g, h, w = (_random_affine(n, rng, cfg.trials) for _ in range(3))
+    t, sigmas = cfg.trials, cfg.sigma_values
+    g, h, w = (affine.AffineElement(*x) for x in zip(*_random_affine(n, rng, (3, t))))
     gh_w = affine.compose(affine.compose(g, h), w)
     g_hw = affine.compose(g, affine.compose(h, w))
     ident = affine.compose(g, affine.inverse(g))
-    x = affine.Event(rng.standard_normal((cfg.trials, n)), rng.standard_normal(cfg.trials))
+    x = affine.Event(rng.standard_normal((t, n)), rng.standard_normal(t))
     gh_x = affine.act(affine.compose(g, h), x).vector()
     g_hx = affine.act(g, affine.act(h, x)).vector()
-    step = rng.standard_normal((cfg.trials, n + 1))
+    step = rng.standard_normal((t, n + 1))
     # x, x + step and x + 2 step as one (3, trials) stack of events, each under its g
     q0, q1, q2 = affine.act(g, affine.Event.from_vector(
         x.vector() + np.multiply.outer([0.0, 1.0, 2.0], step))).vector()
@@ -410,14 +421,22 @@ def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
     ], axis=0)
     scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
     check.residual(resid / scale, {"check": "affine", "g_linear": g.linear, "h_linear": h.linear})
-    drawn = []  # per sigma > 0: sigma, speed, members, a map, and a null and a slow line
-    for s in cfg.sigma_values:
-        case = case_of_sigma(s)
-        k, u, b = _factors(rng, s, n, np.full(cfg.trials, 3.0))
+    # Each drawn in one stack: every sigma's members, each Carroll sigma's pairs of events and,
+    # per sigma > 0, a translation and a null and a slow line, (2, sigmas > 0, trials).
+    cases = [case_of_sigma(s) for s in sigmas]
+    fast = [s for s, case in zip(sigmas, cases) if case is CaseLabel.LORENTZ]
+    k, u, size = _factors(rng, n, (len(sigmas), t))
+    events = iter(zip(*rng.standard_normal((2, cases.count(CaseLabel.CARROLL), t, n + 1, 1))))
+    shift = rng.standard_normal((len(fast), t, n + 1))
+    r, times = rng.standard_normal((2, len(fast), t, n)), rng.standard_normal((2, len(fast), t))
+    directions = _units(rng, (2, len(fast), t, n))
+    members = []  # per sigma > 0
+    for s, case, ki, ui, bi in zip(sigmas, cases, k, u, 3.0 * size):
+        b = _boosts(s, bi, ui)
         if case is CaseLabel.ORTHOGONAL:  # boosts rotate space into time, of period 2 pi/sqrt(-s)
-            b = np.concatenate((b, math.pi / math.sqrt(-s) * np.concatenate((u, 2.0 * u))))
+            b = np.concatenate((b, math.pi / math.sqrt(-s) * np.concatenate((ui, 2.0 * ui))))
         boosts = groups.boost_closed_form(b, s)
-        a = k @ boosts[:cfg.trials]
+        a = ki @ boosts[:t]
         payload = {"check": "invariants", "a": a, "sigma": s}
         if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):  # in the balanced unit of sigma
             metric, y = np.diag(np.r_[np.full(n, -matcore.sigma_unit(s)[1]), 1.0]), _balanced(a, s)
@@ -428,38 +447,34 @@ def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
             exact = matcore.op_norm(a[:, n, :n], 1) + abs(abs(a[:, n, n]) - 1.0)
             check.flag(exact == 0.0, payload)
         else:  # Carroll: spatial separations are preserved.
-            p, q = rng.standard_normal((2, cfg.trials, n + 1, 1))
+            p, q = next(events)
             before = matcore.op_norm((p - q)[:, :n, 0], 1)
             after = matcore.op_norm((a @ p - a @ q)[:, :n, 0], 1)
             check.residual(abs(after - before) / (1.0 + before), payload)
         if case is CaseLabel.ORTHOGONAL:
-            half, full = np.split(boosts[cfg.trials:], 2)
+            half, full = np.split(boosts[t:], 2)
             expected = np.zeros(half.shape)  # the reflection through the plane normal to u
-            expected[:, :n, :n] = np.eye(n) - 2.0 * u[:, :, None] * u[:, None, :]
+            expected[:, :n, :n] = np.eye(n) - 2.0 * ui[:, :, None] * ui[:, None, :]
             expected[:, n, n] = -1.0  # and time reversed
-            payload = {"check": "period", "u": u, "sigma": s}
+            payload = {"check": "period", "u": ui, "sigma": s}
             check.residual(matcore.op_norm(_balanced(half - expected, s), 2), payload)
             check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), payload)
-        elif case is CaseLabel.LORENTZ:  # lines mapped in sigma's balanced unit
-            c = 1.0 / math.sqrt(matcore.sigma_unit(s)[1])
-            drawn.append((s, c, a, _balanced(a, s), rng.standard_normal((cfg.trials, n + 1)),
-                          rng.standard_normal((2, cfg.trials, n)),
-                          rng.standard_normal((2, cfg.trials)),
-                          np.array([c, 0.5 * c])[:, None, None] * _units(rng, (2, cfg.trials, n))))
-    if not drawn:
+        elif case is CaseLabel.LORENTZ:
+            members.append(a)
+    if not members:
         return
-    sigmas, speeds, *stacks = zip(*drawn)
-    members, linear, shift, r, t, velocities = (  # the lines: (2, sigmas, trials)
-        np.stack(x, axis) for x, axis in zip(stacks, (0, 0, 0, 1, 1, 1)))
-    g = affine.AffineElement(linear, shift)
-    lines = affine.WorldLine(affine.Event(r, t), velocity=velocities)
+    # The lines, at speeds c and c/2, mapped in sigma's balanced unit.
+    speeds = [1.0 / math.sqrt(matcore.sigma_unit(s)[1]) for s in fast]
+    g = affine.AffineElement(np.stack([_balanced(a, s) for s, a in zip(fast, members)]), shift)
+    velocities = np.multiply.outer([1.0, 0.5], speeds)[..., None, None] * directions
+    lines = affine.WorldLine(affine.Event(r, times), velocity=velocities)
     image = affine.transform_worldline(g, lines)
     # The image passes through act(g, origin) and act(g, origin + direction), at 0 and 1.
     ends = affine.act(g, affine.Event.from_vector(_ends(lines))).vector()
     gaps = np.max(matcore.op_norm(_ends(image) - ends, 1) / (1.0 + matcore.op_norm(ends, 1)),
                   (0, 1))
     null, slow = image.speed()
-    for s, c, a, v, w, gap in zip(sigmas, speeds, members, null, slow, gaps):
+    for s, c, a, v, w, gap in zip(fast, speeds, members, null, slow, gaps):
         check.residual(abs(v - c) / (1.0 + c), {"check": "speed", "a": a, "sigma": s})
         check.flag(w < c, {"check": "speed", "a": a, "sigma": s})
         check.residual(gap, {"check": "worldline", "a": a, "sigma": s})

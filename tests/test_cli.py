@@ -182,9 +182,22 @@ def test_load_reads_random_long_decimals_to_the_bits_json_gives(tmp_path, monkey
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
 def test_a_file_with_a_byte_order_mark_is_an_error(tmp_path, capsys, encoding):
     # Python's json reads such bytes (it strips the UTF-8 mark and detects UTF-16), but the
-    # file is read as text, where the mark is no JSON.
+    # file goes to orjson as bytes and to Python's json as a str decoded in strict UTF-8:
+    # UTF-16 fails the decode, and neither parser takes the mark.
     path = tmp_path / "marked.json"
     path.write_text(json.dumps(generator_payload(2, 1.0)), encoding=encoding)
+    assert cli.main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_a_file_with_an_invalid_utf8_byte_is_an_error(tmp_path, capsys):
+    # The file is read as bytes: orjson refuses a byte that starts no UTF-8 character, and so
+    # does the strict decode before Python's json.
+    path = tmp_path / "latin1.json"
+    text = json.dumps(generator_payload(2, 1.0) | {"note": "\xe9"}, ensure_ascii=False)
+    path.write_bytes(text.encode("latin-1"))
     assert cli.main(["classify", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
@@ -819,9 +832,9 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    ([], "043cebd460c002139533e3c15fb4f435032e10e1c810908719172390ccbaacad"),
+    ([], "1ebc8277abfd2f286beefcebbc32d4d471cb17bb65f678e9afc01cb3890061be"),
     (["--seed", "4", "--sigma-list", "1,1e12,0.5,1e-12,-1"],
-     "72a664c9cac6902223f5952b009552fbbe52c2b58edd2841ddab195c039c7532"),
+     "d30a66005d2c014576cebb1e6bdedc348a388832a55de887f8d863751bf80912"),
 ])
 def test_verify_reports_keep_their_bytes(capsys, args, digest):
     # The whole report is pinned: every verdict, residual, check count and description.
@@ -833,10 +846,10 @@ def test_verify_reports_keep_their_bytes(capsys, args, digest):
 @pytest.mark.parametrize("args, digest", [
     # several failing sigmas share one classification call
     (["--seed", "3", "--sigma-list", "1,1e16,5e-324,-1e300,inf"],
-     "d39837616c221e946f643824ef290cef9f532e341052e4acca0e68e53dbbd8ce"),
+     "123dac7a879fc542ac8952ad276d04b14f0c8d558c8adc0b7807e265e467ddb5"),
     # at n = 10, the classification's memory budget gives each sigma its own call
     (["--n", "2,3,10", "--sigma-list", "1,-1e300,0,1e100"],
-     "781f854593143bf92a1e675d0eda11a193416567e2711e731f14c2e61992d0f0"),
+     "d5fed03bc85b3054cd7f2f5380b84ea5ae3b4edb28efece24486ecb8fd0804fe"),
 ])
 def test_failing_verify_reports_keep_their_bytes(capsys, args, digest):
     # Reports that fail in algebra's classification check alone, pinned whole: its

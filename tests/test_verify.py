@@ -120,8 +120,8 @@ def test_suite_draws_its_members_in_stacks(monkeypatch):
 
     monkeypatch.setattr("kinematica.groups.random_element", counted)
     assert run_suite().passed
-    # one call per property, dimension and case
-    assert 0 < len(calls) <= 50
+    # one call per property and dimension, whatever the number of cases
+    assert len(calls) == 3 * len(SuiteConfig().n_values)
 
 
 def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
@@ -319,9 +319,9 @@ def count_calls(monkeypatch, *targets) -> dict:
 def test_kinematics_property_calls_once_per_stack(monkeypatch):
     # Each (n, sigma) stack is judged in a fixed number of calls, whatever the number of
     # trials: kinematics composes six times per n and maps one stack of lines per n, every
-    # sigma > 0 in it.  It draws each sigma's members once: one random_element call for the
-    # rotations and one boost call per (n, sigma), which for sigma < 0 also makes the stack
-    # of half and full periods.
+    # sigma > 0 in it.  It draws every sigma's rotations in one random_element call per n, and
+    # makes one boost call per (n, sigma), which for sigma < 0 also makes the stack of half
+    # and full periods.
     from kinematica import affine
     counts = count_calls(monkeypatch, (affine, "compose"), (affine, "transform_worldline"),
                          (groups, "boost_closed_form"), (groups, "random_element"))
@@ -332,26 +332,27 @@ def test_kinematics_property_calls_once_per_stack(monkeypatch):
         stacks = len(cfg.n_values) * len(cfg.sigma_values)
         assert counts == {"compose": 6 * len(cfg.n_values),
                           "transform_worldline": len(cfg.n_values),
-                          "boost_closed_form": stacks, "random_element": stacks}
+                          "boost_closed_form": stacks, "random_element": len(cfg.n_values)}
 
 
-def test_group_property_draws_once_per_case(monkeypatch):
-    # Per (n, case), Aristotle included, one random_element call draws the rotations, one
-    # boost call builds the members (none for Aristotle) and one membership call judges the
-    # products, inverses and perturbed copies; per sigma != 0, inf one in_normalizer call
-    # judges the members, scaled members and their copies; per sigma > 0 one cartan_decompose
-    # call (with its own boost call) factors them.  Per n, one in_K call takes every case.
+def test_group_property_draws_once_per_n(monkeypatch):
+    # Per n, one random_element call draws every case's rotations, Aristotle included.  Per
+    # (n, case), one boost call builds the members (none for Aristotle) and one membership call
+    # judges the products, inverses and perturbed copies; per sigma != 0, inf one in_normalizer
+    # call judges the members, scaled members and their copies; per sigma > 0 one
+    # cartan_decompose call (with its own boost call) factors them.  Per n, one in_K call
+    # takes every case, one inv call inverts every case's members, and no SVD scales E.
     counts = count_calls(monkeypatch, *((groups, name) for name in (
         "random_element", "boost_closed_form", "membership", "in_normalizer",
-        "cartan_decompose", "in_K")))
+        "cartan_decompose", "in_K")), (np.linalg, "inv"), (np.linalg, "svd"))
     for trials in (3, 25):
         cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
         counts.clear()
         assert verify._run(verify._prop_group, cfg, np.random.default_rng(0)).passed
         n = len(cfg.n_values)
-        assert counts == {"random_element": 7 * n, "boost_closed_form": (6 + 2) * n,
+        assert counts == {"random_element": n, "boost_closed_form": (6 + 2) * n,
                           "membership": 7 * n, "in_normalizer": 4 * n,
-                          "cartan_decompose": 2 * n, "in_K": n}
+                          "cartan_decompose": 2 * n, "in_K": n, "inv": n}
 
 
 def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
@@ -361,7 +362,8 @@ def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
     from kinematica import affine, classify
     counts = count_calls(monkeypatch, (classify, "collinearity_defect"),
                          (verify, "_doubled_commutator"), (groups, "in_K"),
-                         (affine, "transform_worldline"), (matcore, "mat_exp"))
+                         (affine, "transform_worldline"), (matcore, "mat_exp"),
+                         (groups, "random_element"))
 
     def calls(sigmas):
         counts.clear()
@@ -371,8 +373,9 @@ def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
         return dict(counts)
 
     one = calls((1.0,))
+    n = len(SuiteConfig().n_values)
     assert one == dict.fromkeys(("collinearity_defect", "_doubled_commutator", "in_K",
-                                 "transform_worldline", "mat_exp"), len(SuiteConfig().n_values))
+                                 "transform_worldline", "mat_exp"), n) | {"random_element": 3 * n}
     assert calls((1.0, 0.5, -1.0, -0.25, 0.0, math.inf)) == one
 
 
@@ -519,7 +522,7 @@ def always_true(a, *args, **kwargs):
                                             ("in_K", "perturbed rotation"),
                                             ("in_normalizer", "perturbed normalizer")])
 def test_group_fails_on_a_verdict_that_accepts_everything(monkeypatch, verdict, check, tol):
-    # Each verdict must refuse the copies x (I + E) of its inputs, ||E||_2 = max(1e-4, 1e3 tol).
+    # Each verdict must refuse the copies x (I + E) of its inputs, ||E||_F = max(1e-4, 1e3 tol).
     real = getattr(groups, verdict)
     fake = always_true if verdict != "in_normalizer" else (
         lambda a, sigma, tol: (always_true(a), real(a, sigma, tol)[1]))
