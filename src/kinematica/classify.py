@@ -21,13 +21,20 @@ K_i = e_i e_n^T + sigma e_n e_i^T the brackets are [J, J] in J, [J, K] in
 K and [K_i, K_j] = sigma J_ij (zero for Carroll), so rotations plus the
 boosts of one sigma span a Lie algebra for every sigma (Bacry and
 Levy-Leblond, "Possible kinematics", J. Math. Phys. 9 (1968) 1605).
+
+:func:`classify_algebra` checks its input and builds one ClassificationResult
+per set from the arrays of the private whole-array core ``_verdicts``, which
+decides every set of a stack with masks (a loop only writes the reasons of
+refused sets) and whose arrays the property suite reads directly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +161,9 @@ def _row_sigmas(bb, cc, bc, tol: float) -> np.ndarray:
     """Sigma of each mixing pair of entries at most 1, from its b.b, c.c and b.c: inf for a
     Carroll row (b negligible against c), -inf for a non-collinear one, NaN for a zero one."""
     nb, nc = np.sqrt(bb), np.sqrt(cc)
-    bad = 2.0 * (bb * cc - bc * bc) > tol * (1.0 + nb * nb * nc * nc)
-    rows = np.divide(bc, nb * nb, out=np.full(bc.shape, np.inf), where=nb > tol * nc)
+    nb2 = nb * nb
+    bad = 2.0 * (bb * cc - bc * bc) > tol * (1.0 + nb2 * nc * nc)
+    rows = np.divide(bc, nb2, out=np.full(bc.shape, np.inf), where=nb > tol * nc)
     rows[bad], rows[bb + cc == 0.0] = -np.inf, np.nan
     return rows
 
@@ -166,38 +174,50 @@ def _time_unit(b, c, n: int):
     return matcore.unit_exponent(b, c) * (b > (n + 1) * math.ulp(1.0) * c)
 
 
-def _sigma_and_rows(pairs, tol: float, k) -> list:
+def _sigma_and_rows(pairs, tol: float, k, judged) -> tuple:
     """The sigma rule of :func:`classify_algebra`, for each set of rows b then c, of entries at
-    most 1, of the (..., r, 2n) array pairs, judged in the time unit of its k (one per set):
-    (sigma mapped back by 4^k, spread of the row sigmas) for a set that passes, (None, reason)
-    for one that fails.  A row is Carroll when |b| <= tol |c|, and collinear when
-    2 (|b|^2 |c|^2 - (b.c)^2) <= tol (1 + |b|^2 |c|^2).  Both tests are relative to the set,
-    which classify_algebra divided by the power of two of its largest entry, so a row whose
-    squares underflow there (below about 1e-154 of that entry) is skipped, as a zero row is.
-    Sigma is inf when every row is Carroll; else the row ratios (b.c)/|b|^2 must lie within
-    tol (1 + |min| + |max|) of each other, and sigma is the fit sum(b.c) / sum(|b|^2), finite up
-    to the Carroll guard of _time_unit (|sigma| about 1 / ((n+1) eps), at least 3e14)."""
+    most 1, of the (..., r, 2n) array pairs, judged in the time unit of its k (one per set).
+    Returns, one entry per set, sigma mapped back by 4^k and the spread of the row sigmas (to
+    be read where the set passes) and whether the set fails, where judged marks it, and
+    {i: reason} for those sets, i the index in the flattened stack.  Masks decide every set;
+    only the reasons are written one set at a time.  A row is Carroll when |b| <= tol |c|, and
+    collinear when 2 (|b|^2 |c|^2 - (b.c)^2) <= tol (1 + |b|^2 |c|^2).  Both tests are relative
+    to the set, which classify_algebra divided by the power of two of its largest entry, so a
+    row whose squares underflow there (below about 1e-154 of that entry) is skipped, as a zero
+    row is.  Sigma is inf when every row is Carroll; else the row ratios (b.c)/|b|^2 must lie
+    within tol (1 + |min| + |max|) of each other, and sigma is the fit sum(b.c) / sum(|b|^2),
+    finite up to the Carroll guard of _time_unit (|sigma| about 1 / ((n+1) eps), at least
+    3e14)."""
     n = pairs.shape[-1] // 2
-    products = bb, _, bc = [np.vecdot(pairs[..., i:i + n], pairs[..., j:j + n])
-                            for i, j in ((0, 0), (n, n), (0, n))]
+    b, c = pairs[..., :n], pairs[..., n:]
+    products = bb, _, bc = [np.vecdot(b, b), np.vecdot(c, c), np.vecdot(b, c)]
     rows = _row_sigmas(*products, tol)
-    out = []
-    for i, (lo, hi, fit_bc, fit_bb, k) in enumerate(zip(*(x.reshape(-1).tolist() for x in (
-            np.fmin.reduce(rows, axis=-1), np.fmax.reduce(rows, axis=-1),
-            bc.sum(axis=-1), bb.sum(axis=-1), np.asarray(k))))):
-        # Finite rows are below n 2^537 (b.b >= 2^-1074) and the Carroll guard of
-        # _time_unit keeps 4^k <= 2^52, so mapping back cannot overflow.
-        back = math.ldexp(lo, 2 * k), math.ldexp(hi, 2 * k)
-        if lo == -math.inf:  # a non-collinear row, of which the first is named
-            x, y, xy = (p[i, (rows[i] == -math.inf).argmax()] for p in products)  # b.b, c.c, b.c
-            out.append((None, "mixing vectors are not collinear (relative defect "
-                              f"{2.0 * (x * y - xy * xy) / (x * y):.3e})"))
-        elif lo < math.inf and (hi == math.inf or hi - lo > tol * (1.0 + abs(lo) + abs(hi))):
-            out.append((None, f"mixing generators disagree on sigma: {back[0]!r} vs {back[1]!r}"))
-        else:  # lo is inf for Carroll rows only, NaN for no rows
-            out.append((math.ldexp(fit_bc / fit_bb, 2 * k), back[1] - back[0]) if lo < math.inf
-                       else (lo, 0.0))
-    return out
+    lo, hi, k = np.fmin.reduce(rows, -1), np.fmax.reduce(rows, -1), 2 * k
+    fit = lo < math.inf  # lo is inf for Carroll rows only, NaN for no rows
+    if not (fits := np.count_nonzero(fit)):  # Carroll sets and sets of no rows alone: none fails
+        return lo, np.zeros(lo.shape), fit, {}
+    # Finite rows are below n 2^537 (b.b >= 2^-1074) and the Carroll guard of
+    # _time_unit keeps 4^k <= 2^52, so mapping back cannot overflow.
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf and 0 / 0: sets with no fit
+        back = np.ldexp(np.array([np.add.reduce(bc, -1) / np.add.reduce(bb, -1), lo, hi]), k)
+        sigma, spread = back[0], back[2] - back[1]
+        wide = hi - lo > tol * (1.0 + abs(lo) + abs(hi))
+    failed = (lo == -math.inf) | fit & ((hi == math.inf) | wide)
+    reasons = {}
+    if np.count_nonzero(told := failed & judged):
+        values = back[1:].reshape(2, -1).T.tolist()  # lo and hi mapped back, per set
+        for i in told.reshape(-1).nonzero()[0].tolist():
+            low, high = values[i]
+            if low == -math.inf:  # a non-collinear row, of which the first is named
+                j = (rows.reshape(-1, rows.shape[-1])[i] == -math.inf).argmax()
+                x, y, xy = np.array(products).reshape(3, -1, rows.shape[-1])[:, i, j].tolist()
+                reasons[i] = ("mixing vectors are not collinear (relative defect "
+                              f"{2.0 * (x * y - xy * xy) / (x * y):.3e})")
+            else:
+                reasons[i] = f"mixing generators disagree on sigma: {low!r} vs {high!r}"
+    if fits < fit.size:  # the Carroll sets, and sets of no rows, read lo
+        sigma, spread = np.where(fit, sigma, lo), np.where(fit, spread, 0.0)
+    return sigma, spread, told, reasons
 
 
 def rotation_generators(n: int) -> list[np.ndarray]:
@@ -206,7 +226,7 @@ def rotation_generators(n: int) -> list[np.ndarray]:
     if n < 2:
         raise ValueError("need at least two space dimensions")
     out = [np.zeros((n + 1, n + 1)) for _ in range(n * (n - 1) // 2)]
-    for Z, i, j in zip(out, *np.triu_indices(n, 1)):
+    for Z, (i, j) in zip(out, itertools.combinations(range(n), 2)):
         Z[i, j], Z[j, i] = 1.0, -1.0
     return out
 
@@ -229,7 +249,8 @@ def closure_scan(basis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     stack, e = matcore.scaled(stack, (-2, -1))
     _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
     Q = vt[s > tol * s[0]]
-    i, j = np.triu_indices(len(stack), 1)
+    i, j = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(len(stack)), 2)),
+                       np.intp, len(stack) * (len(stack) - 1)).reshape(-1, 2).T  # row-major pairs
     w = matcore.bracket(stack[i], stack[j]).reshape(len(i), stack[0].size)
     resid = np.linalg.norm(w - (w @ Q.T) @ Q, axis=1)
     closed = bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))
@@ -247,6 +268,86 @@ def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
     """Largest distance of any pairwise bracket from the span of ``basis``, in the balanced
     time unit of :func:`closure_scan`: 4^j times as far for 2^j times the basis."""
     return closure_scan(basis, tol)[1]
+
+
+class _Verdicts(NamedTuple):
+    """What :func:`_verdicts` reads of each set, one entry per set of a stack in stack order
+    (numpy values of shape () for one set): the outcome strings, sigma and the spread of the
+    row sigmas (to be read where the outcome is Kinematical), the rank of the non-rotation
+    span, its m0, m2 and m3 norms (see ClassificationResult) and the reason (None unless the
+    outcome is NotKinematical)."""
+
+    outcome: np.ndarray
+    sigma: np.ndarray
+    spread: np.ndarray
+    rank: np.ndarray
+    m0: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+    reason: np.ndarray
+
+
+_OUTCOMES = np.array([OUTCOME_KINEMATICAL, OUTCOME_ARISTOTLE, OUTCOME_NOT_KINEMATICAL])
+
+
+def _verdicts(stack: np.ndarray, tol: float) -> _Verdicts:
+    """The verdicts of :func:`classify_algebra` on the float (m, n+1, n+1) set, or on each set of
+    the (T, m, n+1, n+1) stack, which it overwrites.  The stack and tol are taken as they come:
+    classify_algebra checks them first.  Pass the stack as the only reference to it, so that
+    its matrices are freed before the SVD."""
+    m, n = stack.shape[-3], stack.shape[-1] - 1
+    # Every threshold below is relative, so the scaled sets get the same verdicts.
+    matcore.scaled(stack, (-3, -2, -1), out=stack)
+    b, c = matcore.mixing_maxima(stack, (-2, -1))
+    k = _time_unit(b, c, n)
+    if balanced := np.count_nonzero(k):  # faster than any() on small arrays
+        matcore.balance(stack, k[..., np.newaxis, np.newaxis])
+    scale = np.maximum.reduce(matcore.op_norm(stack, 2), -1)
+    # A set whose balanced mixing content would fall under the cut keeps its own unit.
+    undo = k * (np.maximum(np.ldexp(b, k), np.ldexp(c, -k)) <= tol * scale) if balanced else k
+    if balanced and np.count_nonzero(undo):
+        matcore.balance(stack, -undo[..., np.newaxis, np.newaxis])
+        k, scale = k - undo, np.maximum.reduce(matcore.op_norm(stack, 2), -1)
+    rows = isotypic._coordinates(stack)[1]
+    del stack  # free the matrices before the SVD
+    rows = rows.compress(rows.reshape(-1, m, rows.shape[-1]).any(axis=(0, 2)), -2)
+    reason = np.empty(k.shape, dtype=object)  # None in every set
+    if not rows.shape[-2]:  # no set has content beyond the rotations: each is Aristotle's
+        rank, zero = np.zeros(k.shape, dtype=int), np.zeros(k.shape)
+        return _Verdicts(_OUTCOMES[rank + 1], zero + math.nan, zero + math.nan, rank, zero, zero,
+                         zero, reason)
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    live = s > (tol * scale)[..., np.newaxis]
+    basis = vt * live[..., np.newaxis]  # the rows under the cut are zero
+    rank = np.add.reduce(live, -1)
+    norms = np.sqrt(np.maximum.reduce(np.add.reduceat(basis * basis, (0, 2, 2 + n * n), -1), -2))
+    m0, m2, m3 = norms[..., 0], norms[..., 1], norms[..., 2]
+    refused = (m0 > tol) | (m2 > tol)
+    judged = (rank > 0) ^ refused  # a set of no rank has zero norms: never refused here
+    for i in refused.reshape(-1).nonzero()[0].tolist():
+        x, y, _ = norms.reshape(-1, 3)[i].tolist()
+        key, name, norm = ("m0", "scalar", x) if x > tol else ("m2", "traceless symmetric", y)
+        reason.reshape(-1)[i] = f"{name} ({key}) content present: norm {norm:.3e}"
+    if np.count_nonzero(judged):
+        sigma, spread, failed, reasons = _sigma_and_rows(basis[..., -2 * n:], tol, k, judged)
+        refused = refused | failed
+        for i, text in reasons.items():
+            reason.reshape(-1)[i] = text
+    else:
+        sigma = spread = m3 + math.nan  # NaN in every set
+    return _Verdicts(_OUTCOMES[2 * refused.astype(int) + (rank == 0)], sigma, spread, rank, m0,
+                     m2, m3, reason)
+
+
+def _generator_sets(generators, tol: float) -> np.ndarray:
+    """generators as a new float (m, n+1, n+1) set or (T, m, n+1, n+1) stack of sets, m >= 1 and
+    n >= 2 (else ValueError), once tol is checked."""
+    _check_tol(tol)
+    stack = matcore.as_square_stack(np.array(generators, dtype=float))
+    if stack.ndim not in (3, 4) or not stack.shape[-3] or stack.shape[-1] < 3:
+        raise ValueError("classification takes (m, n+1, n+1) sets, m >= 1 and n >= 2, "
+                         f"or a stack of them, got shape {stack.shape}")
+    return stack
 
 
 def classify_algebra(generators, tol: float = DEFAULT_TOL
@@ -274,50 +375,18 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     sum(b.c) / sum(|b|^2) (the rule in full: ``_sigma_and_rows``).  Those
     boosts and the rotations close (module docstring): no closure check.
     """
-    _check_tol(tol)
-    stack = matcore.as_square_stack(np.array(generators, dtype=float))
-    m, n = stack.shape[-3] if stack.ndim > 2 else 0, stack.shape[-1] - 1
-    if stack.ndim > 4 or not m or n < 2:
-        raise ValueError("classification takes (m, n+1, n+1) sets, m >= 1 and n >= 2, "
-                         f"or a stack of them, got shape {stack.shape}")
-    # Every threshold below is relative, so the scaled sets get the same verdicts.
-    matcore.scaled(stack, (-3, -2, -1), out=stack)
-    b, c = matcore.mixing_maxima(stack, (-2, -1))
-    k = _time_unit(b, c, n)
-    if balanced := np.count_nonzero(k):  # faster than any() on small arrays
-        matcore.balance(stack, k[..., np.newaxis, np.newaxis])
-    scale = matcore.op_norm(stack, 2).max(-1)
-    # A set whose balanced mixing content would fall under the cut keeps its own unit.
-    undo = k * (np.maximum(np.ldexp(b, k), np.ldexp(c, -k)) <= tol * scale) if balanced else k
-    if balanced and np.count_nonzero(undo):
-        matcore.balance(stack, -undo[..., np.newaxis, np.newaxis])
-        k, scale = k - undo, matcore.op_norm(stack, 2).max(-1)
-    rows = isotypic._coordinates(stack)[1]
-    del stack  # free the matrices before the SVD
-    rows = rows[..., rows.reshape(-1, m, rows.shape[-1]).any(axis=(0, 2)), :]
-    rank, norms, outcomes = [0] * k.size, [[0.0, 0.0, 0.0]] * k.size, [(None, None)] * k.size
-    if rows.shape[-2]:
-        _, s, vt = np.linalg.svd(rows, full_matrices=False)
-        live = s > tol * scale[..., np.newaxis]
-        basis = vt * live[..., np.newaxis]  # the rows under the cut are zero
-        rank = live.sum(axis=-1).reshape(-1).tolist()
-        norms = np.sqrt(np.add.reduceat(basis * basis, [0, 2, 2 + n * n], axis=-1)
-                        .max(axis=-2)).reshape(-1, 3).tolist()
-    if any(r and m0 <= tol and m2 <= tol for r, (m0, m2, _) in zip(rank, norms)):
-        outcomes = _sigma_and_rows(basis[..., -2 * n:].reshape(k.size, -1, 2 * n), tol, k)
-    results = []
-    for r, (m0, m2, m3), (sigma, detail) in zip(rank, norms, outcomes):
-        result = ClassificationResult(OUTCOME_ARISTOTLE if not r else OUTCOME_NOT_KINEMATICAL,
-                                      diagnostics={"rank": float(r), "m0": m0, "m1": 0.0,
-                                                   "m2": m2, "m3": m3})
-        if r and max(m0, m2) > tol:
-            key, content, norm = (("m0", "scalar", m0) if m0 > tol
-                                  else ("m2", "traceless symmetric", m2))
-            result.reason = f"{content} ({key}) content present: norm {norm:.3e}"
-        elif r and sigma is None:
-            result.reason = detail
-        elif r:
-            result.outcome, result.sigma = OUTCOME_KINEMATICAL, Sigma(sigma)
-            result.diagnostics["sigma_spread"] = detail
-        results.append(result)
-    return results if k.ndim else results[0]
+    verdicts = _verdicts(_generator_sets(generators, tol), tol)
+    if verdicts.outcome.ndim:
+        return [_result(*entries) for entries in zip(*(v.tolist() for v in verdicts))]
+    outcome, sigma, spread, rank, m0, m2, m3, reason = verdicts
+    return _result(str(outcome), float(sigma), float(spread), int(rank), float(m0), float(m2),
+                   float(m3), reason[()])
+
+
+def _result(outcome, sigma, spread, rank, m0, m2, m3, reason) -> ClassificationResult:
+    """The ClassificationResult of one set's entries of :func:`_verdicts`."""
+    diagnostics = {"rank": float(rank), "m0": m0, "m1": 0.0, "m2": m2, "m3": m3}
+    if outcome != OUTCOME_KINEMATICAL:
+        return ClassificationResult(outcome, None, reason, diagnostics)
+    diagnostics["sigma_spread"] = spread
+    return ClassificationResult(outcome, Sigma(sigma), None, diagnostics)

@@ -35,7 +35,7 @@ def _coordinates(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = Z.shape[-1] - 1
     A, j = Z[..., :n, :n], 2 + n * n
     scale = 2.0 ** n.bit_length()  # over 2^k > n no sum of n entries overflows; exact if normal
-    lam = np.add.reduce(np.diagonal(A, 0, -2, -1) / scale, -1) / n * scale
+    lam = np.add.reduce(A.diagonal(0, -2, -1) / scale, -1) / n * scale
     rows = np.empty(Z.shape[:-2] + (j + 2 * n,))
     rows[..., j:j + n] = Z[..., :n, n]
     np.multiply(Z[..., :n, :], 0.5, out=Z[..., :n, :])  # contiguous rows: faster than A alone

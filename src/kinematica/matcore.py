@@ -65,8 +65,10 @@ def refuse(failed, message: str) -> None:
 
 def op_norm(matrix, axes: int | None = None):
     """Frobenius norm, an upper bound on the spectral norm; scales every tolerance.  With axes
-    = 1 or 2, one per vector or matrix of a stack (a float for one).  np.linalg.norm's formula,
-    bit for bit, without its dispatch: no overflow while the sum of squares is in float range."""
+    = 1 or 2, one per vector or matrix of a stack (a float for one).  For one vector or matrix,
+    np.linalg.norm's formula, bit for bit, without its dispatch; a stack's norms sum through
+    np.vecdot, which can differ from np.linalg.norm(x, axis=...) in the last bit.  No overflow
+    while the sum of squares is in float range."""
     r = np.asarray(matrix, dtype=float)
     if axes is None or axes == r.ndim:  # no stack axes: one dot, a Python float
         if r.ndim != 1:
@@ -120,7 +122,7 @@ def mixing_maxima(Z: np.ndarray, axes=None):
 def unit_exponent(b, c):
     """balance's k that levels the mixing entries, one for each largest last column entry
     |b| and last row entry |c|: |c| / |b| goes into [1/4, 2), and k = 0 if either is zero."""
-    return (np.frexp(c)[1] - np.frexp(b)[1] + 1) // 2 * (np.minimum(b, c) > 0.0)
+    return (np.frexp(c)[1] - np.frexp(b)[1] + 1) // 2 * ((b > 0.0) & (c > 0.0))
 
 
 def bracket(X, Y) -> np.ndarray:

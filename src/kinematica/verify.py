@@ -6,10 +6,11 @@ Each property draws from one generator seeded by (seed, its place in the suite),
 order: algebra its generated sets once per dimension and sigma, group and kinematics each
 quantity once per dimension, in one stack over every case or sigma.  Per dimension, it judges
 all stacks in one call to each function under test that takes no sigma and no case
-(classify_algebra: as many as a memory budget holds), and each case or sigma its slice in one
-call to each that takes one, so each check sees what a call on its stack alone gives.  It
-reports the worst residual, the number of values judged against the tolerance and the names of
-the failing checks.  Failures never raise: they land in the report
+(classification: as many calls of classify's whole-array core as a memory budget holds, whose
+verdict arrays it judges in one flag and one residual call each), and each case or sigma its
+slice in one call to each that takes one, so each check sees what a call on its stack alone
+gives.  It reports the worst residual, the number of values judged against the tolerance and
+the names of the failing checks.  Failures never raise: they land in the report
 with a counterexample naming the failed check under "check", so a corrupted build shows up as a
 readable entry and a nonzero exit from the command line wrapper.
 """
@@ -177,8 +178,12 @@ class _Check:
                 result.failed_checks.append(name)
 
     def flag(self, ok, payload: dict | None = None):
-        """Judge verdicts: a False fails as inf, at every tol."""
-        self.residual(np.where(ok, 0.0, math.inf), payload)
+        """Judge verdicts: a False fails as inf, at every tol.  All true, they are only counted."""
+        ok = np.asarray(ok)
+        if np.count_nonzero(ok) == ok.size:  # no residuals to build: none can fail
+            self._result.checks += ok.size
+        else:
+            self.residual(np.where(ok, 0.0, math.inf), payload)
 
     def result(self) -> PropertyResult:
         return self._result
@@ -220,58 +225,70 @@ def _run(fn, cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
     return check.result()
 
 
-def _generated_bases(rotations, s: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """A (count, m, n+1, n+1) stack of sets drawn in whole arrays: the rotations of dimension n
-    and n boosts of sigma s (p_generator of b) along random b, each scaled by [1/4, 4]."""
-    n = len(rotations[0]) - 1
-    b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
-    boosts = groups.p_generator(b, s)
-    return np.concatenate((np.broadcast_to(rotations, (count,) + np.shape(rotations)), boosts), 1)
+def _generated_bases(rotations, sigmas, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (len(sigmas) count, m, n+1, n+1) stack of sets drawn in whole arrays, count per sigma in
+    turn: the rotations of dimension n and n boosts of sigma s (p_generator of b) along random
+    b, each scaled by [1/4, 4], written into one array."""
+    n, r = len(rotations[0]) - 1, len(rotations)
+    sets = np.empty((len(sigmas) * count, r + n, n + 1, n + 1))
+    sets[:, :r] = rotations
+    for i, s in enumerate(sigmas):
+        b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
+        sets[i * count:(i + 1) * count, r:] = groups.p_generator(b, s)
+    return sets
 
 
-# Floats of generator sets per classification call of algebra.  The call holds about three copies
-# of them, so 2^18 (2 MiB) keeps n = 10 at one sigma a call (166,375 floats at 25 trials), the
-# peak of a call per sigma, while all five default sigmas share one at n = 2 and 3 (2,400 a sigma).
+def _case_codes(sigma: np.ndarray) -> np.ndarray:
+    """The case of each sigma as a number, equal where case_of_sigma is: -1 Orthogonal,
+    0 Galilei, 1 Lorentz, 2 Carroll, and NaN, equal to none, for NaN."""
+    return np.sign(sigma) + (sigma == math.inf)
+
+
+# Floats of generator sets per classification call of algebra.  The call holds the sets and their
+# coordinate rows, about two copies, so 2^18 (2 MiB) keeps n = 10 at one sigma a call (166,375
+# floats at 25 trials), the peak of a call per sigma, while all five default sigmas share one at
+# n = 2 and 3 (2,400 a sigma).
 _CLASSIFY_BUDGET = 2 ** 18
 
 
 def _prop_algebra(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
     # Classification first, so that no other check's arrays are alive during its large calls.
-    # Consecutive sigmas' sets share a call, within _CLASSIFY_BUDGET, and split back per sigma.
+    # Consecutive sigmas' sets share a call, within _CLASSIFY_BUDGET, and are judged together.
     rotations = classify.rotation_generators(n)
     t, m = cfg.trials, len(rotations) + n
     step = max(1, _CLASSIFY_BUDGET // (t * m * (n + 1) ** 2))
     for start in range(0, len(cfg.sigma_values), step):
         sigmas = cfg.sigma_values[start:start + step]
         try:
-            sets = np.concatenate([_generated_bases(rotations, s, rng, t) for s in sigmas])
+            sets = _generated_bases(rotations, sigmas, rng, t)
         except ValueError as error:  # sigma * b passes the float range: no set to classify
             check.residual(math.inf, {"check": "classification", "n": n, "error": str(error)})
             continue
-        results = classify.classify_algebra(sets, cfg.tol)
-        outcome = np.array([r.outcome for r in results]).reshape(-1, t)
-        reason = np.array([r.reason for r in results], dtype=object).reshape(-1, t)
-        read = outcome == classify.OUTCOME_KINEMATICAL
-        got = np.array([r.sigma.value if r.is_kinematical else 0.0 for r in results]).reshape(-1, t)
-        labels = [classify.case_label(r) if r.is_kinematical else None for r in results]
-        for i, (s, out, why, ok, g) in enumerate(zip(sigmas, outcome, reason, read, got)):
-            case = case_of_sigma(s)
-            payload = {"check": "classification", "n": n, "sigma": s}
-            check.flag([label == case for label in labels[i * t:(i + 1) * t]],
-                       payload | {"outcome": out, "reason": why})
-            err = np.where(np.isinf(g[ok]), 0.0, math.inf) if s == math.inf else (
-                abs(g[ok] - s) / (1.0 + abs(s)))
-            check.residual(err, payload | {"outcome": out[ok], "reason": why[ok]})
+        # One flag and one residual call per chunk: a residual is inf only where its set's flag
+        # fails, and the flags are judged first, so the worst value reported is the first
+        # failing flag in chunk order, as with a flag and a residual call per sigma.
+        verdicts = classify._verdicts(sets, cfg.tol)
+        outcome, got, reason = verdicts.outcome, verdicts.sigma, verdicts.reason
+        want, read = np.repeat(sigmas, t), outcome == classify.OUTCOME_KINEMATICAL
+        payload = {"check": "classification", "n": n, "sigma": want}
+        check.flag(read & (_case_codes(got) == _case_codes(want)),
+                   payload | {"outcome": outcome, "reason": reason})
+        got, want = got[read], want[read]
+        with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, where want is Carroll's
+            err = np.where(want == math.inf, np.where(np.isinf(got), 0.0, math.inf),
+                           abs(got - want) / (1.0 + abs(want)))
+        check.residual(err, payload | {"sigma": want, "outcome": outcome[read],
+                                       "reason": reason[read]})
     # One stack of controls, zero generators padding them: the rotations alone, an Aristotle
     # algebra, and boosts plus m0, boosts plus m2 and two sigmas' boosts, none an algebra.
     sets = np.zeros((4, m + 1, n + 1, n + 1))
     sets[0, :len(rotations)] = rotations
-    sets[1:3, :-1] = _generated_bases(rotations, 1.0, rng, 1)
+    sets[1:3, :-1] = _generated_bases(rotations, (1.0,), rng, 1)
     sets[1, -1] = np.diag(np.r_[np.ones(n), 0.0])
     sets[2, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
     sets[3, :len(rotations) + 2] = rotations + [
         groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
-    outcome = np.array([r.outcome for r in classify.classify_algebra(sets, cfg.tol)])
+    outcome = classify._verdicts(sets, cfg.tol).outcome
     check.flag(outcome == [classify.OUTCOME_ARISTOTLE] + [classify.OUTCOME_NOT_KINEMATICAL] * 3,
                {"check": "controls", "n": n, "outcome": outcome,
                 "set": np.array(["rotations", "m0", "m2", "mixed sigma"])})

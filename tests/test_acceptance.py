@@ -399,11 +399,11 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
         return -real_dagger(Z, sigma)
     mutants.append(("kinematica.matcore.dagger", flipped_dagger))
 
-    def always_finite_sigma(pairs, tol, k):
+    def always_finite_sigma(pairs, tol, k, judged):
         n = pairs.shape[-1] // 2
         fits = (np.vecdot(pairs[..., :n], pairs[..., n:]).sum(-1)
                 / np.maximum(np.vecdot(pairs[..., :n], pairs[..., :n]).sum(-1), 1e-300))
-        return [(math.ldexp(s, 2 * j), 0.0) for s, j in zip(fits.tolist(), np.ravel(k).tolist())]
+        return np.ldexp(fits, 2 * k), np.zeros(np.shape(fits)), np.zeros(np.shape(fits), bool), {}
     # the sigma rule that classify_algebra applies to the mixing rows of each set's basis:
     # the plain fit sum(b.c) / sum(|b|^2) of every set, never refused and never inf
     mutants.append(("kinematica.classify._sigma_and_rows", always_finite_sigma))

@@ -161,8 +161,9 @@ def rule(b, c, tol=DEFAULT_TOL):
     """The sigma rule of classify_algebra on explicit rows (b, c), balanced by the test:
     sigma, or the reason the rows fail."""
     b, c, k = _balanced_rows(b, c)
-    sigma, detail = classify._sigma_and_rows(np.hstack((b, c))[np.newaxis], tol, [k])[0]
-    return detail if sigma is None else sigma
+    sigma, _, _, reasons = classify._sigma_and_rows(np.hstack((b, c))[np.newaxis], tol,
+                                                    np.array([k]), True)
+    return reasons.get(0, float(sigma[0]))
 
 
 def test_a_collinear_pair_reads_its_finite_sigma():
@@ -827,6 +828,17 @@ def test_classify_sigma_spread_is_the_range_of_row_sigmas():
     assert carroll.diagnostics["sigma_spread"] == 0.0
 
 
+def test_classify_maps_the_sigma_spread_back_with_sigma():
+    # Far from sigma = 1 the rows are read in the balanced time unit; their spread is mapped
+    # back to sigma's unit with sigma, so it stays relative to sigma.
+    for sigma in (1e8, -1e-8):
+        result = classify_algebra(rotation_generators(2) + [
+            p_generator(np.array([1.0, 0.0]), sigma),
+            p_generator(np.array([0.0, 1.0]), sigma * (1.0 + 1e-10))])
+        assert result.sigma.value == pytest.approx(sigma, rel=1e-9)
+        assert result.diagnostics["sigma_spread"] == pytest.approx(1e-10 * abs(sigma), rel=1e-4)
+
+
 def test_classify_computes_row_sigmas_once_per_accepted_set(monkeypatch):
     calls = []
     row_sigmas = classify._row_sigmas
@@ -919,6 +931,61 @@ def test_classify_a_stack_of_one_kind_is_bit_for_bit():
         gates = _gate_sets(rng, n)
         for name in ("m0", "not collinear", "carroll guard", "undo", "zero"):
             _assert_one_set_answers([gates[name]] * 3, bits=True)
+
+
+def _kind_sets(rng, n):
+    """One set of each kind, by the gate or case it reads as, all of m = n(n-1)/2 + n + 2
+    generators with their rotation rows (none in non-rotation content), their n + 1 content rows
+    and one zero generator at the same places, so that a stack of them drops the rows each set
+    alone drops."""
+    eps = np.finfo(float).eps
+    rotations, e = rotation_generators(n), np.eye(n)
+    sym = np.zeros((n + 1, n + 1))
+    sym[0, 0], sym[1, 1] = 1.0, -1.0
+
+    def boosts(sigma, count=n + 1):
+        return list(p_generator(rng.standard_normal((count, n)), sigma))
+
+    def skew():
+        return mixing(rng.standard_normal(n), rng.standard_normal(n))
+
+    sets = [(case_of_sigma(sigma).value, boosts(sigma)) for sigma in (
+        1e12, -1e12, 1.0, -1.0, 0.5, 1e-12, -1e-12, 0.0, math.inf)] + [
+        ("scalar", boosts(1.0, n) + [np.eye(n + 1) + boosts(1.0, 1)[0]]),
+        ("scalar", boosts(1.0, n - 1) + [skew(), np.eye(n + 1) + skew()]),  # m0 comes first
+        ("traceless symmetric", boosts(1.0, n) + [sym + boosts(1.0, 1)[0]]),
+        ("mixing generators disagree on sigma", [p_generator(e[0], 1.0), p_generator(
+            3.0 * e[0], 1.0)] + [p_generator((i + 2) * e[i], 2.0) for i in range(1, n)]),
+        ("mixing vectors are not collinear", boosts(1.0, n) + [skew()]),
+        ("Aristotle", [np.zeros((n + 1, n + 1))] * (n + 1)),  # the rotations alone
+        ("Carroll", [mixing((n + 1) * eps * v, v) for v in (*e, e.sum(0))]),  # at the guard
+        ("Lorentz", [p_generator(0.01 * v, 2e-15) for v in (*e, e.sum(0))]),  # the undo branch
+    ]
+    return [(kind, rotations + gens + [np.zeros((n + 1, n + 1))]) for kind, gens in sets]
+
+
+def test_a_stack_classifies_each_set_as_its_one_set_call():
+    # A (T, m, n+1, n+1) stack of every kind, T = 1 and T = 40, gets each set's one-set answer
+    # bit for bit: outcome, reason text, sigma, spread and every diagnostic.  The arrays of
+    # classify's whole-array core hold the same answers.
+    rng = np.random.default_rng(36)
+    for n in (2, 3):
+        kinds, sets = zip(*[entry for _ in range(3) for entry in _kind_sets(rng, n)][:40])
+        assert len(sets) == 40 and len(set(map(len, sets))) == 1
+        want = [classify_algebra(gens) for gens in sets]
+        assert [(_gate(r) or case_label(r).value).split(" (")[0] for r in want] == list(kinds)
+        for which in [[i] for i in range(len(sets))] + [range(len(sets))]:
+            got = classify_algebra(np.array([sets[i] for i in which]))
+            assert [_fingerprint(r) for r in got] == [_fingerprint(want[i]) for i in which]
+        verdicts = classify._verdicts(np.array(sets), DEFAULT_TOL)
+        assert [v.shape for v in verdicts] == [(40,)] * 8
+        for i, result in enumerate(want):
+            outcome, sigma, spread, rank, m0, m2, m3, reason = (v[i] for v in verdicts)
+            assert (outcome, reason) == (result.outcome, result.reason)
+            assert [rank, m0, m2, m3] == [result.diagnostics[key] for key in (
+                "rank", "m0", "m2", "m3")]
+            if result.is_kinematical:
+                assert (sigma, spread) == (result.sigma.value, result.diagnostics["sigma_spread"])
 
 
 def test_classify_holds_one_copy_of_a_set_and_its_coordinates():

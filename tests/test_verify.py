@@ -150,18 +150,19 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
 
 
 def test_algebra_property_classifies_in_two_calls_per_n(monkeypatch):
-    # Per n, one call on every sigma's stack of trials sets at once, then one on the four
-    # controls (the rotations alone, and the m0, m2 and mixed-sigma sets), padded to m + 1
-    # generators; a call per set would be 5 * 25 + 4 = 129 per n, a call per sigma and control 9.
+    # Per n, one call to classify's whole-array core on every sigma's stack of trials sets at
+    # once, then one on the four controls (the rotations alone, and the m0, m2 and mixed-sigma
+    # sets), padded to m + 1 generators; a call per set would be 5 * 25 + 4 = 129 per n, a call
+    # per sigma and control 9.
     from kinematica import classify
-    real = classify.classify_algebra
+    real = classify._verdicts
     shapes = []
 
-    def counted(generators, tol=1e-9):
-        shapes.append(np.shape(generators))
-        return real(generators, tol)
+    def counted(stack, tol):
+        shapes.append(np.shape(stack))
+        return real(stack, tol)
 
-    monkeypatch.setattr("kinematica.classify.classify_algebra", counted)
+    monkeypatch.setattr("kinematica.classify._verdicts", counted)
     cfg = SuiteConfig()
     assert verify._run(verify._prop_algebra, cfg, np.random.default_rng(0)).passed
     expected = []
@@ -242,15 +243,26 @@ def test_algebra_property_takes_one_coordinate_call_per_n(monkeypatch):
 
 
 def judge_each_check(monkeypatch) -> dict:
-    """Wrap _Check.residual, through which flag judges, so that every value is also judged by a
-    _Check of its own "check" name: the returned dict holds them by name."""
-    real, checks = verify._Check.residual, {}
+    """Wrap _Check.residual and _Check.flag so that every value is also judged by a _Check of its
+    own "check" name: the returned dict holds them by name.  A failing flag judges through
+    residual, which then judges as it is, so that no value is judged twice."""
+    checks, depth = {}, []
 
-    def judged(self, values, payload=None):
-        real(checks.setdefault(payload["check"], verify._Check(self.tol)), values, payload)
-        real(self, values, payload)
+    def wrap(real):
+        def judged(self, values, payload=None):
+            if depth:
+                return real(self, values, payload)
+            depth.append(True)
+            try:
+                real(checks.setdefault(payload["check"], verify._Check(self.tol)), values,
+                     payload)
+                real(self, values, payload)
+            finally:
+                depth.pop()
+        return judged
 
-    monkeypatch.setattr(verify._Check, "residual", judged)
+    for name in ("residual", "flag"):
+        monkeypatch.setattr(verify._Check, name, wrap(getattr(verify._Check, name)))
     return checks
 
 
@@ -394,6 +406,33 @@ def test_default_suite_check_counts():
     # per sigma > 0 two speeds and the world line (2 x 3 x 25), per sigma < 0 two periods (50).
     assert counts == {"algebra": 1064, "group": 2350, "kinematics": 700}
     assert sum(counts.values()) == 4114
+
+
+def test_default_suite_judges_in_a_fixed_number_of_calls(monkeypatch):
+    # algebra judges each classification chunk (every default sigma shares one per n) in one
+    # flag and one residual call, where a pair per sigma would make 8 more of each; a flag
+    # whose verdicts all hold is counted without a residual call.  No check loops per sigma
+    # beyond these, or per set.
+    counts = count_calls(monkeypatch, (verify._Check, "residual"), (verify._Check, "flag"))
+    assert run_suite().passed
+    assert counts == {"residual": 48, "flag": 58}
+
+
+def test_suite_builds_no_classification_result(monkeypatch):
+    # The classification and controls checks read classify's verdicts as arrays.
+    from kinematica import classify
+    real, built = classify.ClassificationResult.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(classify.ClassificationResult, "__init__", counted)
+    assert classify.classify_algebra(classify.rotation_generators(2)).outcome == "AristotleOnly"
+    assert len(built) == 1  # the count sees a construction
+    built.clear()
+    assert run_suite().passed
+    assert built == []
 
 
 def test_check_keeps_the_worst_failing_value_and_counts_every_value():
