@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -81,15 +82,14 @@ class CaseLabel(Enum):
 
 def case_of_sigma(sigma: float) -> CaseLabel:
     """The case label of a real sigma, math.inf for Carroll (never Aristotle).  Every
-    function that takes a sigma reads it here, the one place that refuses NaN and -inf
-    (ValueError)."""
-    if sigma > 0.0:
-        return CaseLabel.LORENTZ if sigma < math.inf else CaseLabel.CARROLL
-    if sigma < 0.0 and sigma > -math.inf:
-        return CaseLabel.ORTHOGONAL
-    if sigma == 0.0:
-        return CaseLabel.GALILEI
-    raise ValueError("sigma must be a real number or +inf")
+    function that takes a sigma reads it here, the one place that refuses NaN, -inf and a
+    number past the float range, such as the int 10**400 (ValueError)."""
+    if abs(sigma) <= sys.float_info.max:
+        return (CaseLabel.LORENTZ if sigma > 0.0 else CaseLabel.ORTHOGONAL if sigma < 0.0
+                else CaseLabel.GALILEI)
+    if sigma == math.inf:
+        return CaseLabel.CARROLL
+    raise ValueError("sigma must be a real number within the float range, or +inf")
 
 
 OUTCOME_KINEMATICAL = "Kinematical"
@@ -105,9 +105,8 @@ class ClassificationResult:
     rotation content) or "NotKinematical" (reason set).  diagnostics holds
     plain floats: "rank" is the rank of the non-rotation span; "m0", "m2"
     and "m3" are the largest norms of those components over its
-    orthonormal basis; "m1" is 0.0, since rotation content is dropped
-    before the basis is formed; an accepted set adds "sigma_spread", the
-    range of the per-row sigmas.
+    orthonormal basis, from which rotation content is dropped; an accepted
+    set adds "sigma_spread", the range of the per-row sigmas.
     """
 
     outcome: str
@@ -385,7 +384,7 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
 
 def _result(outcome, sigma, spread, rank, m0, m2, m3, reason) -> ClassificationResult:
     """The ClassificationResult of one set's entries of :func:`_verdicts`."""
-    diagnostics = {"rank": float(rank), "m0": m0, "m1": 0.0, "m2": m2, "m3": m3}
+    diagnostics = {"rank": float(rank), "m0": m0, "m2": m2, "m3": m3}
     if outcome != OUTCOME_KINEMATICAL:
         return ClassificationResult(outcome, None, reason, diagnostics)
     diagnostics["sigma_spread"] = spread

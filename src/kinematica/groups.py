@@ -2,9 +2,9 @@
 
 Elements are plain (n+1) x (n+1) arrays; boosts, random members and verdicts
 also come as (..., n+1, n+1) stacks, one per row, draw or matrix.  The building
-blocks are block rotations diag(R, eps) and one-parameter boosts exp of a mixing
-generator, for which closed forms exist in every sigma regime, and so does the
-polar-style Cartan decomposition a = sqrt(lam) * k * exp(Z) for sigma > 0.
+blocks are block rotations diag(R, eps) and one-parameter boosts exp(Z) of a mixing
+generator, one closed form I + S Z + C2 Z^2 at every sigma, and so is the polar-style
+Cartan decomposition a = sqrt(lam) * k * exp(Z) for sigma > 0.
 Lorentz and Orthogonal membership is the normalizer test a^dagger a = I;
 the remaining cases reduce to block-triangular shape checks.
 """
@@ -73,6 +73,10 @@ def k_element(R, eps) -> np.ndarray:
     return K
 
 
+def _mixing(sigma) -> tuple[float, float]:  # last column and row of a unit b's generator
+    return (0.0, 1.0) if case_of_sigma(sigma) is CaseLabel.CARROLL else (1.0, sigma)
+
+
 def p_generator(b, sigma) -> np.ndarray:
     """Boost generator for the given sigma.
 
@@ -88,70 +92,63 @@ def p_generator(b, sigma) -> np.ndarray:
         raise ValueError("b must have finite entries")
     n = b.shape[-1]
     Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    if case_of_sigma(sigma) is CaseLabel.CARROLL:
-        Z[..., n, :n] = b
-    else:
-        Z[..., :n, n] = b
-        if abs(sigma) > 1.0 and abs(sigma) * float(abs(b).max(initial=0.0)) == math.inf:
-            raise ValueError(f"sigma * b passes the float range at sigma = {float(sigma)!r}")
-        if sigma != 0.0:  # at sigma = 0 the row stays +0.0, where 0.0 * b may be -0.0
-            np.multiply(b, sigma, out=Z[..., n, :n])
+    column, row = _mixing(sigma)
+    if abs(row) > 1.0 and abs(row) * float(abs(b).max(initial=0.0)) == math.inf:
+        raise ValueError(f"sigma * b passes the float range at sigma = {float(sigma)!r}")
+    np.multiply(b, column, out=Z[..., :n, n], where=column != 0.0)  # a zero factor leaves
+    np.multiply(b, row, out=Z[..., n, :n], where=row != 0.0)  # +0.0, not 0.0 * b, maybe -0.0
     return Z
 
 
 def boost_closed_form(b, sigma) -> np.ndarray:
-    """Exponential of the boost generator for b, in closed form.
+    """exp(Z) of the boost generator Z = p_generator(b, sigma), one formula at every sigma.
 
-    sigma > 0 gives the familiar cosh/sinh boost along b, sigma < 0 a rotation mixing b with
-    time (periodic in |b|), and sigma = 0 or infinity a shear (the generator squares to zero).
-    b = 0 returns the identity.  b is one vector (n,) or a stack (..., n), one boost per row.
-    Raises ValueError when an entry of b is not finite, or a rapidity w = |b| sqrt(|sigma|) is
-    so large that cosh(w), sinh(w) sqrt(sigma) or sinh(w) / sqrt(sigma) could overflow: past
-    log(float max / max(sqrt(sigma), 1 / sqrt(sigma))), or past half the float max (sigma < 0).
+    Z^3 = z Z with z = sigma |b|^2, so exp(Z) = I + S Z + C2 Z^2, Z^2 = z diag(u u^T, 1) and
+    u = b / |b|: S = sinh(w) / w and C2 z = cosh(w) - 1 for z > 0, sin(w) / w and cos(w) - 1
+    for z < 0, w = sqrt(|z|), formed from w and u in sigma's balanced unit.  The Galilei and
+    Carroll generators square to zero: z = 0 gives the shear I + Z, exact.  Within 2 eps
+    max(1, w) of a 50-digit reference (tests/test_oracle.py).  b is one vector (n,) or a stack
+    (..., n), one boost per row.  Raises ValueError for an entry of b that is not finite, or a
+    rapidity w = |b| sqrt(|sigma|) past log(float max / max(sqrt(sigma), 1 / sqrt(sigma)))
+    (cosh(w), sinh(w) sigma^+-1/2 could overflow), or past half the float max (sigma < 0).
     """
-    if case_of_sigma(sigma) in (CaseLabel.CARROLL, CaseLabel.GALILEI):  # a shear, I + Z
-        out = p_generator(b, sigma)
-        out.reshape(out.shape[:-2] + (out.shape[-1] ** 2,))[..., ::out.shape[-1] + 1] = 1.0
-        return out
+    case_of_sigma(sigma)  # refuses NaN, -inf and a sigma past the float range
     b = np.ascontiguousarray(b, dtype=float)  # |b| sums each row in one order, strided or not
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
     wide = np.count_nonzero(abs(b) < _WIDE) != b.size  # else no |b|^2 overflows
     if wide and np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() when small
         raise ValueError("b must have finite entries")
-    if not wide:
-        beta = np.sqrt(np.vecdot(b, b))  # np.linalg.norm of one vector, bit for bit
-        tiny = beta < 2.0 ** -500  # |b|^2 may have lost bits to underflow
-        wide = tiny.any() if tiny.ndim else tiny  # any() of a numpy scalar is slow, hence ndim
-    if wide:  # |b| read on each row over 2^e, e the exponent of its largest entry: exact
-        x, e = matcore.scaled(b, -1)
-        with np.errstate(over="ignore"):  # a |b| past the float max reads inf: refused below
-            beta = np.ldexp(op_norm(x, 1), e)
-    root = math.sqrt(abs(sigma))
-    # Below limit, w is finite for cos and sin, and cosh(w), sinh(w) root^+-1 < e^w for sigma > 0
-    limit, trig = ((math.log(sys.float_info.max / max(root, 1.0 / root)), "cosh or sinh")
-                   if sigma > 0.0 else (sys.float_info.max / 2.0, "cos or sin"))
-    big = beta > min(limit / root, sys.float_info.max)  # judged before w = beta * root
-    if big.any() if big.ndim else big:
-        raise ValueError(f"boost rapidity {float(beta.max()) * root:.6g} overflows {trig}: "
-                         f"> {limit:.4g}")
+    # also where |b|^2 may have lost bits to underflow
+    wide = wide or np.count_nonzero((square := np.vecdot(b, b)) < 2.0 ** -1000) > 0
+    x, e = matcore.scaled(b, -1) if wide else (b, 0)  # |b| = |x| 2^e, exact if wide
+    beta = np.sqrt(np.vecdot(x, x) if wide else square)  # np.linalg.norm's bits if not wide
+    k, unit = matcore.sigma_unit(sigma)  # Z: b' = b 2^k times a unit b's column and row
+    column, row = _mixing(unit)  # z = z_unit |b'|^2: sigma' |b'|^2, or 0 for a shear
+    root = math.sqrt(abs(z_unit := column * row))
+    # Below limit, w is finite for sin, and cosh(w), sinh(w) sigma^+-1/2 < e^w for z > 0
+    limit, trig = ((math.log(sys.float_info.max / max(r := math.sqrt(sigma), 1.0 / r)),
+                    "cosh or sinh") if z_unit > 0.0 else (sys.float_info.max / 2.0, "cos or sin"))
+    with np.errstate(over="ignore") if wide else _QUIET:  # |b| or w past the float max: refused
+        w = np.ldexp(beta * root, e + k)  # |b| sqrt(|sigma|), in either unit
+        big = w > limit  # any() of a numpy scalar is slow, hence ndim
+        if (big.any() if big.ndim else big) or wide and root and np.isinf(np.ldexp(beta, e)).any():
+            shown = float(np.ldexp(beta, e).max()) * math.ldexp(root, k)  # inf if |b| is
+            raise ValueError(f"boost rapidity {shown:.6g} overflows {trig}: > {limit:.4g}")
+    f = np.sinh if z_unit > 0.0 else np.sin
+    s = (f(w) + (w == 0.0)) / (w + (w == 0.0))  # S, 1 at w = 0
+    c = math.copysign(2.0, z_unit) * f(0.5 * w) ** 2  # C2 z: cosh(w) - 1, or cos(w) - 1
+    # The stack axes come last in t, so the per-row scalars broadcast as they are.
     n = b.shape[-1]
-    out = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    flat = out.reshape(b.shape[:-1] + ((n + 1) ** 2,))
-    w = beta * root
-    ch, sh, lift = ((np.cosh(w), np.sinh(w), root) if sigma > 0.0
-                    else (np.cos(w), np.sin(w), -root))
-    # Transposed, the stack axes come last, so the per-row scalars broadcast
-    # as they are (plain numpy scalars for one b).  A zero row gives u = 0
-    # and so the identity.
-    t = out.T
-    u = b.T / (beta + (beta == 0.0)).T
-    np.multiply((ch - 1.0).T * u[:, None], u[None, :], out=t[:n, :n])
-    flat[..., :n * (n + 2):n + 2] += 1.0
-    np.multiply((sh / root).T, u, out=t[n, :n])
-    np.multiply((sh * lift).T, u, out=t[:n, n])
-    t[n, n] = ch.T
-    return out
+    t = (out := np.empty(b.shape[:-1] + (n + 1, n + 1))).T
+    u = x.T / (beta + (beta == 0.0)).T  # a zero row gives u = 0 and the identity
+    np.multiply((u * c.T)[:, None], u, out=t[:n, :n])  # C2 Z^2
+    t[n, n] = c.T
+    b_balanced = np.ldexp(b, k).T
+    np.multiply((s * column).T, b_balanced, out=t[n, :n])  # S Z
+    np.multiply((s * row).T, b_balanced, out=t[:n, n])
+    out += np.eye(n + 1)  # I; each zero becomes +0.0, as in I + Z
+    return matcore.balance(out, -k)
 
 
 def _verdict(ok):  # a Python bool for one matrix, a bool array for a stack

@@ -65,7 +65,10 @@ class SuiteConfig:
             raise ValueError("n_values must contain integers >= 2")
         if isinstance(self.sigma_values, (str, bytes)):  # else read one character at a time
             raise ValueError("sigma_values must be a sequence of numbers, not a string")
-        self.sigma_values = tuple(map(float, self.sigma_values))
+        try:
+            self.sigma_values = tuple(map(float, self.sigma_values))
+        except OverflowError:  # as case_of_sigma refuses it
+            raise ValueError("sigma_values must be within the float range") from None
         for s in self.sigma_values:
             case_of_sigma(s)  # refuses NaN and -inf
         if not self.sigma_values:

@@ -69,6 +69,14 @@ def test_nan_and_minus_inf_are_refused_wherever_a_sigma_is_taken(entry, sigma, t
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("sigma", [10**400, -10**400], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("entry", [name for name, take in SIGMA_TAKERS.items() if callable(take)])
+def test_a_sigma_past_the_float_range_is_refused_wherever_a_sigma_is_taken(entry, sigma):
+    # An int that float() cannot hold is the documented ValueError, not an OverflowError.
+    with pytest.raises(ValueError, match="within the float range"):
+        SIGMA_TAKERS[entry](sigma)
+
+
 TOL_TAKERS = {  # each public entry point that takes a tol, called with one
     "classify_algebra": lambda tol: classify_algebra(
         rotation_generators(2) + [p_generator([1.0, 0.0], 1.0)], tol),
@@ -808,10 +816,9 @@ def test_classify_rejects_mixed_sigmas():
 def test_classify_diagnostics_populated():
     result = classify_algebra(_standard_generators(np.random.default_rng(24), 2,
                                                    1.0))
-    for key in ("rank", "m0", "m1", "m2", "m3", "sigma_spread"):
-        assert key in result.diagnostics
-        assert isinstance(result.diagnostics[key], float)
-    assert "closure_defect" not in result.diagnostics
+    assert set(result.diagnostics) == {"rank", "m0", "m2", "m3", "sigma_spread"}
+    for value in result.diagnostics.values():
+        assert isinstance(value, float)
 
 
 def test_classify_sigma_spread_is_the_range_of_row_sigmas():

@@ -832,9 +832,9 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    ([], "1ebc8277abfd2f286beefcebbc32d4d471cb17bb65f678e9afc01cb3890061be"),
+    ([], "04c2c6eec716867eda8e37c794d1f582e58b8c0bd4c0e5c80157fc1c921f6e84"),
     (["--seed", "4", "--sigma-list", "1,1e12,0.5,1e-12,-1"],
-     "d30a66005d2c014576cebb1e6bdedc348a388832a55de887f8d863751bf80912"),
+     "0e7411d8676873c1d0ce4ac0dc029e3d0e1c4e78c72b6927f4aff08f6510787b"),
 ])
 def test_verify_reports_keep_their_bytes(capsys, args, digest):
     # The whole report is pinned: every verdict, residual, check count and description.
@@ -846,10 +846,10 @@ def test_verify_reports_keep_their_bytes(capsys, args, digest):
 @pytest.mark.parametrize("args, digest", [
     # several failing sigmas share one classification call
     (["--seed", "3", "--sigma-list", "1,1e16,5e-324,-1e300,inf"],
-     "123dac7a879fc542ac8952ad276d04b14f0c8d558c8adc0b7807e265e467ddb5"),
+     "4158bb5393b69c6332b7938170d97a1bfec85813ad299a58dc3b0d7122a4b715"),
     # at n = 10, the classification's memory budget gives each sigma its own call
     (["--n", "2,3,10", "--sigma-list", "1,-1e300,0,1e100"],
-     "d5fed03bc85b3054cd7f2f5380b84ea5ae3b4edb28efece24486ecb8fd0804fe"),
+     "60a618b876839ee02f4560fe9ee2b76d850818abe9da56bd1994aa96c0d56198"),
 ])
 def test_failing_verify_reports_keep_their_bytes(capsys, args, digest):
     # Reports that fail in algebra's classification check alone, pinned whole: its

@@ -16,10 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # sha256 of each demo's stdout.  A change that moves a printed value on purpose updates it.
 STDOUT_DIGESTS = {
-    "boost_wraparound.py": "040e9efe20420b18af8d89f384ce9011f1f0f25bed9a6ded0ac5735de58acedf",
-    "cartan_factors.py": "9635e7fa06e001fcbec3d66003b41aaddf92a3b75431c5b8a39e11bffafe78f4",
+    "boost_wraparound.py": "9413c3c24be60af12a870e76e1ac35bb3ee51801a6019f03050ddaec731cbcc6",
+    "cartan_factors.py": "fd54f186e4247c46fe822fa6643defe9dd0459ddbd2c52aac347e57c7821bac0",
     "classify_generator_sets.py":
-        "ccde86919556441cd4ecd7aeb304b2276a63394c8df092e564574160f1f7529e",
+        "e1657cb6283a6a78c06bad9d3e5c88a904eecc9a6b25cf543d4626642b45bc60",
     "five_groups_tour.py": "d93e578aba18c30a3105676797abc215c8cf99ca6ada5634e8bf60fc8a7d9ad2",
     "worldlines_and_speed.py": "cdeec9be7471ee0d54bdc1f5a04a4eebd127885b96e2413f1fce43b62aa2c179",
 }

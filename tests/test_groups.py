@@ -1205,4 +1205,4 @@ def test_one_matrix_answers_keep_their_bytes():
     # Every answer of the one-matrix path is pinned: each bit, each refusal and each type.
     # A change that moves an answer on purpose updates the digest.
     assert answers_digest(one_matrix_answers()) == (
-        "f96a28baf68a20c58c184d9dffbaf1ab1f3361d462f3c09ba337c1341b691cbf")
+        "93d1730ae64f9c07e4f0a754a85afdde55abefe2b35f1363e6ae180e20d28af1")
