@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -82,14 +81,13 @@ class CaseLabel(Enum):
 
 def case_of_sigma(sigma: float) -> CaseLabel:
     """The case label of a real sigma, math.inf for Carroll (never Aristotle).  Every
-    function that takes a sigma reads it here, the one place that refuses NaN, -inf and a
-    number past the float range, such as the int 10**400 (ValueError)."""
-    if abs(sigma) <= sys.float_info.max:
-        return (CaseLabel.LORENTZ if sigma > 0.0 else CaseLabel.ORTHOGONAL if sigma < 0.0
-                else CaseLabel.GALILEI)
-    if sigma == math.inf:
+    function that takes a sigma reads it here or in matcore.sigma_unit or matcore.dagger,
+    which share one refusal of NaN, -inf and a number past the float range, such as the int
+    10**400 (ValueError)."""
+    if not matcore._finite_sigma(sigma):
         return CaseLabel.CARROLL
-    raise ValueError("sigma must be a real number within the float range, or +inf")
+    return (CaseLabel.LORENTZ if sigma > 0.0 else CaseLabel.ORTHOGONAL if sigma < 0.0
+            else CaseLabel.GALILEI)
 
 
 OUTCOME_KINEMATICAL = "Kinematical"

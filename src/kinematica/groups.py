@@ -49,7 +49,8 @@ class NotInNormalizer(ValueError):
 
 
 class NonPositiveLambda(ValueError):
-    """The scalar part of a^dagger a came out non-positive."""
+    """a^dagger a is a multiple lam of I that is zero, or negative by at least four times its
+    rounding bound: the normalizer's gate on a positive lam, mirrored."""
 
 
 class LogarithmFailure(ValueError):
@@ -112,7 +113,7 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     rapidity w = |b| sqrt(|sigma|) past log(float max / max(sqrt(sigma), 1 / sqrt(sigma)))
     (cosh(w), sinh(w) sigma^+-1/2 could overflow), or past half the float max (sigma < 0).
     """
-    case_of_sigma(sigma)  # refuses NaN, -inf and a sigma past the float range
+    k, unit = matcore.sigma_unit(sigma)  # Z: b' = b 2^k times a unit b's column and row
     b = np.ascontiguousarray(b, dtype=float)  # |b| sums each row in one order, strided or not
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
@@ -123,7 +124,6 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     wide = wide or np.count_nonzero((square := np.vecdot(b, b)) < 2.0 ** -1000) > 0
     x, e = matcore.scaled(b, -1) if wide else (b, 0)  # |b| = |x| 2^e, exact if wide
     beta = np.sqrt(np.vecdot(x, x) if wide else square)  # np.linalg.norm's bits if not wide
-    k, unit = matcore.sigma_unit(sigma)  # Z: b' = b 2^k times a unit b's column and row
     column, row = _mixing(unit)  # z = z_unit |b'|^2: sigma' |b'|^2, or 0 for a shear
     root = math.sqrt(abs(z_unit := column * row))
     # Below limit, w is finite for sin, and cosh(w), sinh(w) sigma^+-1/2 < e^w for z > 0
@@ -157,8 +157,8 @@ def _verdict(ok):  # a Python bool for one matrix, a bool array for a stack
 
 def in_K(a, tol: float = DEFAULT_TOL):
     """Whether a is a block rotation: off blocks zero, orthogonal spatial block, corner of
-    modulus one, each within tol."""
-    return _verdict(_shape_test(as_square_stack(a), CaseLabel.ARISTOTLE, tol))
+    modulus one, each within tol.  The Aristotle case of :func:`membership`."""
+    return membership(a, CaseLabel.ARISTOTLE, None, tol)
 
 
 def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
@@ -271,15 +271,17 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     accuracy only like eps * cond(a).  They are unique: a chart for the Lorentz case.
 
     Raises ValueError unless sigma is finite and positive, NonPositiveLambda when a^dagger a is
-    a multiple lam <= 0 of I (the zero matrix, or an anti-member at n = 1), and NotInNormalizer
-    whenever else :func:`in_normalizer` refuses a.  A stack raises neither (see ``refused``).
+    a multiple lam of I, zero or negative beyond four rounding bounds (the zero matrix, or an
+    anti-member at n = 1), and NotInNormalizer whenever else :func:`in_normalizer` refuses a,
+    a lam that rounding leaves negative included.  A stack raises neither (see ``refused``).
     """
     if case_of_sigma(sigma) is not CaseLabel.LORENTZ:
         raise ValueError("Cartan decomposition needs a finite sigma > 0")
     a = as_square_stack(a)
     n = a.shape[-1] - 1
     ok, factored, lam, u = _metric_test(a, sigma, tol)  # factored: nothing below overflows
-    status = np.subtract(ok & (lam <= 0.0), factored, dtype=np.intp)  # -1: factored
+    nonpositive = (lam == 0.0) | (lam * (0.25 / (n + 3)) <= -u)  # as resolved: no overflow
+    status = np.subtract(ok & nonpositive, factored, dtype=np.intp)  # -1: factored
     if status.ndim == 0 and status >= 0:  # one matrix raises
         raise _REFUSALS[status](f"a^dagger a is not a resolvable positive multiple of I "
                                 f"(lam {lam:.3e}, rounding bound {(n + 3) * float(u):.3e})")
@@ -324,8 +326,8 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     For Lorentz and Orthogonal the test is a^dagger a = lam * I as in :func:`in_normalizer`,
     with lam = 1 within tol; a whose lam rounding, about 2 eps |a^dagger| |a|, exceeds tol is
     refused, which caps the rapidity near 7.5 at every sigma.  Galilei and Carroll are
-    block-triangular shape tests and Aristotle is :func:`in_K`.  sigma must match the case;
-    Galilei, Carroll and Aristotle may omit it.
+    block-triangular shape tests, Aristotle the block rotations of :func:`in_K`.  sigma must
+    match the case; Galilei, Carroll and Aristotle may omit it.
     """
     a = as_square_stack(a)
     s = _check_pairing(case, sigma)

@@ -17,6 +17,7 @@ except balance, which rescales the array it is given in place.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -93,10 +94,19 @@ def scaled(x: np.ndarray, axes=None, shift=None, out=None):
     return np.ldexp(mant, exps - e, out=out), e.squeeze(axes)[()]
 
 
+def _finite_sigma(sigma, refusal="sigma must be a real number within the float range, or +inf"):
+    """Whether sigma is finite (False for +inf): the one refusal of a sigma, ValueError(refusal)
+    for NaN, -inf and a number past the float range, such as the int 10**400."""
+    if not (abs(sigma) <= sys.float_info.max or sigma == math.inf):  # NaN compares false
+        raise ValueError(refusal)
+    return sigma != math.inf
+
+
 def sigma_unit(sigma: float) -> tuple[int, float]:
     """The balanced time unit of sigma: k, and sigma' = 4^-k sigma in [1/2, 2) (k = 0 for 0
-    and inf).  balance(x, k) maps the group of sigma exactly onto that of sigma'."""
-    k = math.frexp(sigma)[1] // 2
+    and inf).  balance(x, k) maps the group of sigma exactly onto that of sigma'.  Raises
+    ValueError for NaN, -inf and a sigma past the float range."""
+    k = math.frexp(sigma)[1] // 2 if _finite_sigma(sigma) else 0
     return k, math.ldexp(sigma, -2 * k)
 
 
@@ -173,10 +183,11 @@ def dagger(Z, sigma: float) -> np.ndarray:
     exact transpose, with no overflow while sigma*b and c/sigma are in the float range.  The
     form of -sigma is the companion of sigma, under which the boost generators of sigma are
     self-adjoint.  It is an involution and reverses products.  Raises ValueError unless sigma
-    is finite and nonzero.
+    is finite and nonzero, within the float range.
     """
-    if not math.isfinite(sigma) or sigma == 0.0:
-        raise ValueError("dagger needs a finite nonzero sigma")
+    refusal = "dagger needs a finite nonzero sigma within the float range"
+    if not _finite_sigma(sigma, refusal) or sigma == 0.0:
+        raise ValueError(refusal)
     adj = as_square_stack(np.array(Z, dtype=float)).mT  # a view of a fresh copy, scaled in place
     column, row = adj[..., :-1, -1], adj[..., -1, :-1]
     np.divide(column, -sigma, out=column)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kinematica import classify, cli, groups, verify
+from kinematica import classify, cli, groups, matcore, verify
 from kinematica.classify import (
     DEFAULT_TOL,
     CaseLabel,
@@ -42,6 +42,8 @@ def mixing(b, c):
 
 SIGMA_TAKERS = {  # each public entry point that takes a sigma, called with one
     "case_of_sigma": case_of_sigma,
+    "matcore.sigma_unit": matcore.sigma_unit,
+    "matcore.dagger": lambda s: matcore.dagger(np.eye(3), s),
     "p_generator": lambda s: p_generator([1.0, 0.0], s),
     "boost_closed_form": lambda s: groups.boost_closed_form([1.0, 0.0], s),
     "in_normalizer": lambda s: groups.in_normalizer(np.eye(3), s),

@@ -928,6 +928,23 @@ def test_a_lam_beyond_the_float_range_is_a_refusal():
                 cartan_decompose(rescaled(a, j), 4.0 ** j)
 
 
+def test_a_lam_that_rounding_leaves_negative_is_no_nonpositive_lambda():
+    # Far past the resolvable rapidity, a^dagger a loses lam to rounding, which can leave it
+    # below zero: NotInNormalizer, alone or in a stack.  NonPositiveLambda is kept for a lam
+    # that is zero or negative by at least four times the rounding bound.
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 5, 10):
+        for sigma in (1.0, 0.25, 4.0):
+            a = random_element(CaseLabel.LORENTZ, sigma, n, 35.0 / math.sqrt(sigma), rng, size=60)
+            a *= np.sqrt(10.0 ** rng.uniform(-3.0, 3.0, 60))[:, None, None]
+            assert NonPositiveLambda not in cartan_decompose(a, sigma).refused.tolist()
+            for x in a[:20]:  # alone, NonPositiveLambda would escape and fail the test
+                try:
+                    cartan_decompose(x, sigma)
+                except NotInNormalizer:
+                    pass
+
+
 def test_random_element_is_deterministic():
     a = random_element(CaseLabel.LORENTZ, 1.0, n=3, boost_bound=2.0, seed=7)
     b = random_element(CaseLabel.LORENTZ, 1.0, n=3, boost_bound=2.0, seed=7)

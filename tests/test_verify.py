@@ -145,8 +145,9 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
     monkeypatch.setattr("kinematica.groups.in_K", counted_in_K)
     cfg = SuiteConfig()
     assert verify._run(verify._prop_group, cfg, np.random.default_rng(0)).passed
-    stacks = [(2 * len(verify._cases(cfg)) * cfg.trials, n + 1, n + 1) for n in cfg.n_values]
-    assert in_K_stacks == stacks  # one call per n on every case's rotations and their copies
+    stacks = [(3 * len(verify._cases(cfg)) * cfg.trials, n + 1, n + 1) for n in cfg.n_values]
+    # one call per n on every case's rotations: their products, inverses and perturbed copies
+    assert in_K_stacks == stacks
 
 
 def test_algebra_property_classifies_in_two_calls_per_n(monkeypatch):
@@ -348,12 +349,13 @@ def test_kinematics_property_calls_once_per_stack(monkeypatch):
 
 
 def test_group_property_draws_once_per_n(monkeypatch):
-    # Per n, one random_element call draws every case's rotations, Aristotle included.  Per
-    # (n, case), one boost call builds the members (none for Aristotle) and one membership call
-    # judges the products, inverses and perturbed copies; per sigma != 0, inf one in_normalizer
-    # call judges the members, scaled members and their copies; per sigma > 0 one
-    # cartan_decompose call (with its own boost call) factors them.  Per n, one in_K call
-    # takes every case, one inv call inverts every case's members, and no SVD scales E.
+    # Per n, one random_element call draws every case's rotations.  Per (n, case), one boost
+    # call builds the members and one membership call judges the products, inverses and
+    # perturbed copies; per sigma != 0, inf one in_normalizer call judges the members, scaled
+    # members and their copies; per sigma > 0 one cartan_decompose call (with its own boost
+    # call) factors them.  Per n, one in_K call takes every case's rotations, through one more
+    # membership call (Aristotle's), one inv call inverts every case's members and rotations,
+    # and no SVD scales E.
     counts = count_calls(monkeypatch, *((groups, name) for name in (
         "random_element", "boost_closed_form", "membership", "in_normalizer",
         "cartan_decompose", "in_K")), (np.linalg, "inv"), (np.linalg, "svd"))
@@ -399,13 +401,14 @@ def test_default_suite_check_counts():
     # algebra, per n: the classified sets' case and sigma (2 x 5 x 25), the four controls, the
     # non-closing span's two flags, the coordinate pass (25), the collinear pairs (5 x 25), and
     # the commutator of the witness and the general pairs (1 + 5 x 25); P1, P2, P3 and P10 had
-    # 50, 500, 502 and 12.  group: per n and case, closure, the rotations' residual and
-    # verdict, and the refused copies of members and rotations (6 cases x 5 x 25); per
+    # 50, 500, 502 and 12.  group: per n and case, closure, the rotations' products and
+    # inverses, and the refused copies of members and rotations (5 cases x 4 x 25); per
     # sigma != 0, inf the normalizer's four values and the refused copies (3 x 5 x 25); per
-    # sigma > 0 the Cartan factors (2 x 25).  kinematics: per n the affine axioms (25), per sigma the invariants (5 x 25),
-    # per sigma > 0 two speeds and the world line (2 x 3 x 25), per sigma < 0 two periods (50).
-    assert counts == {"algebra": 1064, "group": 2350, "kinematics": 700}
-    assert sum(counts.values()) == 4114
+    # sigma > 0 the Cartan factors (2 x 25).  kinematics: per n the affine axioms (25), per
+    # sigma the invariants (5 x 25), per sigma > 0 two speeds and the world line (2 x 3 x 25),
+    # per sigma < 0 two periods (50).
+    assert counts == {"algebra": 1064, "group": 1850, "kinematics": 700}
+    assert sum(counts.values()) == 3614
 
 
 def test_default_suite_judges_in_a_fixed_number_of_calls(monkeypatch):
@@ -415,7 +418,7 @@ def test_default_suite_judges_in_a_fixed_number_of_calls(monkeypatch):
     # beyond these, or per set.
     counts = count_calls(monkeypatch, (verify._Check, "residual"), (verify._Check, "flag"))
     assert run_suite().passed
-    assert counts == {"residual": 48, "flag": 58}
+    assert counts == {"residual": 48, "flag": 52}
 
 
 def test_suite_builds_no_classification_result(monkeypatch):
@@ -606,6 +609,25 @@ def test_kinematics_judges_the_periods_at_every_negative_sigma(monkeypatch):
     assert result.passed and result.checks == 72 + 6
     report = run_suite(SuiteConfig(n_values=(2,), sigma_values=(-1e-320,), trials=2))
     assert report.passed and report.results["kinematics"].passed
+
+
+@pytest.mark.parametrize("sigma", [0.0, math.inf], ids=["galilei", "carroll"])
+def test_kinematics_fails_on_a_defect_in_a_degenerate_form(monkeypatch, sigma):
+    # A 1e-8 defect in the Galilei boost's last row, or in the Carroll boost's last column,
+    # moves the form diag(0, ..., 0, 1) or diag(-I, 0) that the case preserves.
+    real = groups.boost_closed_form
+
+    def planted(b, s):
+        out = real(b, s)
+        n = out.shape[-1] - 1
+        edge = out[..., n, :n] if s == 0.0 else out[..., :n, n]
+        edge += 1e-8  # a view: out moves with it
+        return out
+
+    monkeypatch.setattr(groups, "boost_closed_form", planted)
+    cfg = SuiteConfig(n_values=(2, 3), sigma_values=(sigma,), trials=5)
+    result = verify._run(verify._prop_kinematics, cfg, np.random.default_rng(0))
+    assert "invariants" in result.failed_checks
 
 
 def test_nonalgebra_witness_corner_is_two():
