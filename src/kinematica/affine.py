@@ -13,6 +13,7 @@ _TIME_CUTOFF times its direction's length (Carroll maps can do this), else timel
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -155,10 +156,16 @@ def compose(g: AffineElement, h: AffineElement) -> AffineElement:
 
 
 def inverse(g: AffineElement) -> AffineElement:
-    """ValueError for a singular linear part, naming the first of a stack."""
-    d = np.linalg.det(g.linear)
-    refuse(~(abs(d) < math.inf) | (d == 0.0), "linear part is singular")
-    Li = np.linalg.inv(g.linear)
+    """ValueError for a linear part with no finite inverse, naming the first of a stack."""
+    try:
+        Li = np.linalg.inv(g.linear)
+    except np.linalg.LinAlgError:  # an exact zero pivot: each matrix alone, NaN where it has one
+        Li = np.full(g.linear.shape, math.nan)
+        for i in np.ndindex(g.linear.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                Li[i] = np.linalg.inv(g.linear[i])
+    if np.count_nonzero(np.isfinite(Li)) != Li.size:  # some inverse past the float range
+        refuse(~np.isfinite(Li).all((-2, -1)), "linear part is singular")
     return _affine(Li, -np.matvec(Li, g.translation))
 
 

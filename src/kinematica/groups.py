@@ -6,7 +6,8 @@ blocks are block rotations diag(R, eps) and one-parameter boosts exp(Z) of a mix
 generator, one closed form I + S Z + C2 Z^2 at every sigma, and so is the polar-style
 Cartan decomposition a = sqrt(lam) * k * exp(Z) for sigma > 0.
 Lorentz and Orthogonal membership is the normalizer test a^dagger a = I;
-the remaining cases reduce to block-triangular shape checks.
+the remaining cases reduce to block-triangular shape checks.  A sigma array, one
+per matrix or row, broadcasts to the stack axes: each row is judged as alone.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def k_element(R, eps) -> np.ndarray:
 
 
 def _mixing(sigma) -> tuple[float, float]:  # last column and row of a unit b's generator
-    return (0.0, 1.0) if case_of_sigma(sigma) is CaseLabel.CARROLL else (1.0, sigma)
+    return (1.0, sigma) if matcore._finite_sigma(sigma) else (0.0, 1.0)
 
 
 def p_generator(b, sigma) -> np.ndarray:
@@ -93,12 +94,24 @@ def p_generator(b, sigma) -> np.ndarray:
         raise ValueError("b must have finite entries")
     n = b.shape[-1]
     Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    column, row = _mixing(sigma)
-    if abs(row) > 1.0 and abs(row) * float(abs(b).max(initial=0.0)) == math.inf:
-        raise ValueError(f"sigma * b passes the float range at sigma = {float(sigma)!r}")
+    column, row = matcore._each(_mixing, sigma)
+    if isinstance(row, np.ndarray) or abs(row) > 1.0:  # else sigma * b cannot overflow
+        column, row = matcore._widened(column), matcore._widened(row)  # one per row of b
+        with np.errstate(over="ignore"):
+            matcore.refuse(np.isinf(row * b).any(-1), "sigma * b passes the float range")
     np.multiply(b, column, out=Z[..., :n, n], where=column != 0.0)  # a zero factor leaves
     np.multiply(b, row, out=Z[..., n, :n], where=row != 0.0)  # +0.0, not 0.0 * b, maybe -0.0
     return Z
+
+
+def _boost_terms(sigma) -> tuple:
+    """k, a unit b's weights in sigma's unit, sqrt(|z|) and 2 sgn(z) of z = column row, and the
+    largest rapidity: w is finite for sin, and cosh(w), sinh(w) sigma^+-1/2 < e^w for z > 0."""
+    k, unit = matcore.sigma_unit(sigma)
+    column, row = _mixing(unit)
+    limit = (math.log(sys.float_info.max / max(r := math.sqrt(sigma), 1.0 / r))
+             if (z := column * row) > 0.0 else sys.float_info.max / 2.0)
+    return k, column, row, math.sqrt(abs(z)), math.copysign(2.0, z), limit
 
 
 def boost_closed_form(b, sigma) -> np.ndarray:
@@ -113,7 +126,7 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     rapidity w = |b| sqrt(|sigma|) past log(float max / max(sqrt(sigma), 1 / sqrt(sigma)))
     (cosh(w), sinh(w) sigma^+-1/2 could overflow), or past half the float max (sigma < 0).
     """
-    k, unit = matcore.sigma_unit(sigma)  # Z: b' = b 2^k times a unit b's column and row
+    k, column, row, root, sign, limit = matcore._each(_boost_terms, sigma)  # Z: b' = b 2^k
     b = np.ascontiguousarray(b, dtype=float)  # |b| sums each row in one order, strided or not
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
@@ -124,22 +137,24 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     wide = wide or np.count_nonzero((square := np.vecdot(b, b)) < 2.0 ** -1000) > 0
     x, e = matcore.scaled(b, -1) if wide else (b, 0)  # |b| = |x| 2^e, exact if wide
     beta = np.sqrt(np.vecdot(x, x) if wide else square)  # np.linalg.norm's bits if not wide
-    column, row = _mixing(unit)  # z = z_unit |b'|^2: sigma' |b'|^2, or 0 for a shear
-    root = math.sqrt(abs(z_unit := column * row))
-    # Below limit, w is finite for sin, and cosh(w), sinh(w) sigma^+-1/2 < e^w for z > 0
-    limit, trig = ((math.log(sys.float_info.max / max(r := math.sqrt(sigma), 1.0 / r)),
-                    "cosh or sinh") if z_unit > 0.0 else (sys.float_info.max / 2.0, "cos or sin"))
+    lorentz = sign * root > 0.0  # z > 0: sinh, else sin, each only where it is used
+    if isinstance(lorentz, np.ndarray) and (m := np.count_nonzero(lorentz)) in (0, lorentz.size):
+        lorentz = m > 0  # one function for every row
+    f = np.sinh if lorentz is True else np.sin if lorentz is False else lambda x: np.sinh(
+        x, out=np.sin(x, out=np.empty(x.shape), where=~lorentz), where=lorentz)
     with np.errstate(over="ignore") if wide else _QUIET:  # |b| or w past the float max: refused
         w = np.ldexp(beta * root, e + k)  # |b| sqrt(|sigma|), in either unit
-        big = w > limit  # any() of a numpy scalar is slow, hence ndim
-        if (big.any() if big.ndim else big) or wide and root and np.isinf(np.ldexp(beta, e)).any():
-            shown = float(np.ldexp(beta, e).max()) * math.ldexp(root, k)  # inf if |b| is
-            raise ValueError(f"boost rapidity {shown:.6g} overflows {trig}: > {limit:.4g}")
-    f = np.sinh if z_unit > 0.0 else np.sin
+        past = (w > limit) | ((root != 0.0) & np.isinf(np.ldexp(beta, e))) if wide else w > limit
+        if past.any() if past.ndim else past:  # any() of a numpy scalar is slow, hence ndim
+            shown, lorentz, limit = (x.ravel() for x in np.broadcast_arrays(  # |b| sqrt(|sigma|)
+                np.where(past, np.ldexp(beta, e) * np.ldexp(root, k), -1.0), lorentz, limit))
+            i = shown.argmax()  # the fastest row refused, inf if its |b| is
+            raise ValueError(f"boost rapidity {shown[i]:.6g} overflows "
+                             f"{'cosh or sinh' if lorentz[i] else 'cos or sin'}: > {limit[i]:.4g}")
     s = (f(w) + (w == 0.0)) / (w + (w == 0.0))  # S, 1 at w = 0
-    c = math.copysign(2.0, z_unit) * f(0.5 * w) ** 2  # C2 z: cosh(w) - 1, or cos(w) - 1
+    c = sign * f(0.5 * w) ** 2  # C2 z: cosh(w) - 1, or cos(w) - 1
     # The stack axes come last in t, so the per-row scalars broadcast as they are.
-    n = b.shape[-1]
+    n, k = b.shape[-1], matcore._widened(k)
     t = (out := np.empty(b.shape[:-1] + (n + 1, n + 1))).T
     u = x.T / (beta + (beta == 0.0)).T  # a zero row gives u = 0 and the identity
     np.multiply((u * c.T)[:, None], u, out=t[:n, :n])  # C2 Z^2
@@ -190,7 +205,7 @@ def _shape_test(a: np.ndarray, case: CaseLabel, tol: float):
     return off & (op_norm(gram, 1) <= tol) & fits & (abs(abs(a[..., n, n][()]) - 1.0) <= tol)
 
 
-def _metric_test(a: np.ndarray, sigma: float, tol: float):
+def _metric_test(a: np.ndarray, sigma, tol: float):
     """(ok, resolved, lam, u), of a's stack shape, for a^dagger a = lam I, lam = trace / (n+1),
     tested on a in sigma's balanced time unit (matcore.sigma_unit).  u = eps |a^dagger| |a|
     grows like cond(a).  ok: |a^dagger a - lam I| <= tol |lam| + (n+3) u, lam zero or
@@ -199,9 +214,9 @@ def _metric_test(a: np.ndarray, sigma: float, tol: float):
     n = a.shape[-1] - 1
     k, unit = matcore.sigma_unit(sigma)
     shift = None
-    if k:  # matcore.balance(a, k) is D a D^-1, D = diag(2^t), t = (0, ..., 0, -k): it adds
-        shift = np.zeros((n + 1, n + 1), dtype=int)  # t_i - t_j to the exponent of entry (i, j)
-        shift[:n, n], shift[n, :n] = k, -k
+    if np.count_nonzero(k) if isinstance(k, np.ndarray) else k:  # balance(a, k) = D a D^-1, D =
+        shift = np.zeros(np.shape(k) + (n + 1, n + 1), dtype=int)  # diag(2^t), t = (0, .., -k):
+        shift[..., :n, n], shift[..., n, :n] = (k := matcore._widened(k)), -k  # t_i - t_j at i, j
     # b, balanced a / 2^top, has its largest entry in [1/2, 1): nothing overflows.  adj^T, b
     # and q = adj b - lam I share one buffer, whose three norms one op_norm call takes.
     work = np.empty((3,) + a.shape)
@@ -233,8 +248,8 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     the balanced time unit.  Members beyond rapidity about 16 are refused, and so is a lam
     beyond the float range.  Raises ValueError unless sigma is finite and nonzero.
     """
-    if case_of_sigma(sigma) in (CaseLabel.GALILEI, CaseLabel.CARROLL):  # refuses NaN and -inf
-        raise ValueError(f"in_normalizer needs a finite nonzero sigma, got {sigma!r}")
+    matcore._each(lambda s: () if case_of_sigma(s) in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL)
+                  else matcore._refused("in_normalizer needs a finite nonzero sigma"), sigma)
     _, resolved, lam, _ = _metric_test(as_square_stack(a), sigma, tol)
     return _verdict(resolved), lam
 
@@ -275,8 +290,8 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     anti-member at n = 1), and NotInNormalizer whenever else :func:`in_normalizer` refuses a,
     a lam that rounding leaves negative included.  A stack raises neither (see ``refused``).
     """
-    if case_of_sigma(sigma) is not CaseLabel.LORENTZ:
-        raise ValueError("Cartan decomposition needs a finite sigma > 0")
+    matcore._each(lambda s: () if case_of_sigma(s) is CaseLabel.LORENTZ else matcore._refused(
+        "Cartan decomposition needs a finite sigma > 0"), sigma)
     a = as_square_stack(a)
     n = a.shape[-1] - 1
     ok, factored, lam, u = _metric_test(a, sigma, tol)  # factored: nothing below overflows
@@ -288,7 +303,7 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     a = np.divide(a, np.sqrt(abs(lam))[..., None, None], out=np.zeros(a.shape),
                   where=factored[..., None, None])  # a refused matrix, and its factors, are 0
     k, balanced_sigma = matcore.sigma_unit(sigma)
-    root = math.sqrt(balanced_sigma)
+    root, k = np.sqrt(balanced_sigma), matcore._widened(k)
     matcore.balance(a, k)  # read in the balanced unit of _metric_test
     beta = op_norm(a[..., n, :n], 1)
     step = np.arcsinh(beta / root) / (root * (beta + (beta == 0.0)))  # 0 for beta = 0
@@ -303,10 +318,10 @@ _NEEDS = {CaseLabel.LORENTZ: "a finite sigma > 0", CaseLabel.ORTHOGONAL: "a fini
 _OMITTED = {CaseLabel.GALILEI: 0.0, CaseLabel.CARROLL: math.inf}
 
 
-def _check_pairing(case: CaseLabel, sigma) -> float | None:
+def _check_pairing(case: CaseLabel, sigma):
     """Validate the case/sigma pairing, returning the effective sigma: the
-    case of sigma must be the given one, Galilei and Carroll may omit it,
-    and Aristotle takes none."""
+    case of sigma (each entry's) must be the given one, Galilei and Carroll
+    may omit it, and Aristotle takes none."""
     if case is CaseLabel.ARISTOTLE:
         if sigma is not None:
             raise ValueError("the Aristotle case takes no sigma")
@@ -315,8 +330,10 @@ def _check_pairing(case: CaseLabel, sigma) -> float | None:
         raise ValueError(f"unknown case {case!r}")
     if sigma is None and case in _OMITTED:
         return _OMITTED[case]
-    if sigma is None or case_of_sigma(sigma) is not case:
-        raise ValueError(f"the {case.value} case needs {_NEEDS[case]}")
+    if sigma is None or isinstance(sigma, np.ndarray) or case_of_sigma(sigma) is not case:
+        needs = f"the {case.value} case needs {_NEEDS[case]}"
+        matcore._each(lambda s: () if s is not None and case_of_sigma(s) is case
+                      else matcore._refused(needs), sigma)
     return sigma
 
 

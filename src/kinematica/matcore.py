@@ -102,10 +102,35 @@ def _finite_sigma(sigma, refusal="sigma must be a real number within the float r
     return sigma != math.inf
 
 
-def sigma_unit(sigma: float) -> tuple[int, float]:
+def _each(rule, sigma):
+    """rule(sigma), a tuple of numbers, for a number sigma; for an array, rule of each entry as
+    arrays of sigma's shape, or the ValueError of the first entry to raise one, at its index."""
+    if not isinstance(sigma, np.ndarray):
+        return rule(sigma)
+    rows = []
+    try:
+        rows.extend(map(rule, sigma.ravel().tolist()))  # one by one: len(rows) names a refusal
+    except ValueError as error:
+        refuse(np.arange(sigma.size).reshape(sigma.shape) == len(rows), str(error))
+    first = rows[0] if rows else rule(1.0)  # an empty sigma reads the types off 1.0
+    return tuple(x.reshape(sigma.shape).astype(type(y), copy=False)
+                 for x, y in zip(np.array(rows or [first]).T[:, :sigma.size], first))
+
+
+def _refused(message: str):  # in a check of each sigma: _each(lambda s: () if ok else ...)
+    raise ValueError(message)
+
+
+def _widened(x):  # an array with an axis more, one entry per row of a stack; a number as is
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def sigma_unit(sigma) -> tuple:
     """The balanced time unit of sigma: k, and sigma' = 4^-k sigma in [1/2, 2) (k = 0 for 0
-    and inf).  balance(x, k) maps the group of sigma exactly onto that of sigma'.  Raises
-    ValueError for NaN, -inf and a sigma past the float range."""
+    and inf), of each entry of a sigma array.  balance(x, k) maps the group of sigma exactly
+    onto that of sigma'.  Raises ValueError for NaN, -inf and a sigma past the float range."""
+    if isinstance(sigma, np.ndarray):
+        return _each(sigma_unit, sigma)
     k = math.frexp(sigma)[1] // 2 if _finite_sigma(sigma) else 0
     return k, math.ldexp(sigma, -2 * k)
 
@@ -117,7 +142,7 @@ def balance(x: np.ndarray, k) -> np.ndarray:
     entry times 2^|k| is a normal float: past the float max it warns (overflow encountered in
     ldexp) and writes inf, and under the normal range it rounds, to a subnormal or zero."""
     n = x.shape[-1] - 1
-    if isinstance(k, np.ndarray) or k:  # a no-op on strided views costs more than the test
+    if np.count_nonzero(k) if isinstance(k, np.ndarray) else k:  # a no-op costs more
         np.ldexp(x[..., n, :n], -k, out=x[..., n, :n])
         np.ldexp(x[..., :n, n], k, out=x[..., :n, n])
     return x
@@ -174,9 +199,9 @@ def mat_exp(Z) -> np.ndarray:
     return E
 
 
-def dagger(Z, sigma: float) -> np.ndarray:
+def dagger(Z, sigma) -> np.ndarray:
     """Adjoint of the (n+1) x (n+1) matrix Z, or of each matrix of an (..., n+1, n+1) stack,
-    under the spacetime form diag(-sigma, ..., -sigma, 1): gram^-1 Z^T gram.
+    under the spacetime form diag(-sigma, ..., -sigma, 1): gram^-1 Z^T gram, for each sigma.
 
     On blocks this sends (A, b, c, d) to (A^T, -c/sigma, -sigma*b, d): Z^T with its last
     column divided by -sigma and its last row multiplied by -sigma, so the spatial block is an
@@ -186,8 +211,9 @@ def dagger(Z, sigma: float) -> np.ndarray:
     is finite and nonzero, within the float range.
     """
     refusal = "dagger needs a finite nonzero sigma within the float range"
-    if not _finite_sigma(sigma, refusal) or sigma == 0.0:
-        raise ValueError(refusal)
+    if isinstance(sigma, np.ndarray) or not _finite_sigma(sigma, refusal) or sigma == 0.0:
+        _each(lambda s: () if _finite_sigma(s, refusal) and s != 0.0 else _refused(refusal), sigma)
+        sigma = sigma[..., None]  # an array, one per matrix: a number was refused
     adj = as_square_stack(np.array(Z, dtype=float)).mT  # a view of a fresh copy, scaled in place
     column, row = adj[..., :-1, -1], adj[..., -1, :-1]
     np.divide(column, -sigma, out=column)

@@ -5,10 +5,10 @@ member factors as sqrt(lam) k B(b), and kinematics the invariant structure and s
 Each property draws from one generator seeded by (seed, its place in the suite), in a fixed
 order: algebra its generated sets once per dimension and sigma, group and kinematics each
 quantity once per dimension, in one stack over every case or sigma.  Per dimension, it judges
-all stacks in one call to each function under test that takes no sigma and no case
-(classification: as many calls of classify's whole-array core as a memory budget holds, whose
-verdict arrays it judges in one flag and one residual call each), and each case or sigma its
-slice in one call to each that takes one, so each check sees what a call on its stack alone
+all stacks in one call to each function under test, each row at its own sigma (membership:
+one call per case; classification: as many calls of classify's whole-array core as a memory
+budget holds, the controls riding the last), and each check in one flag or residual call, each
+payload array one row per value judged, so each check sees what a call on its row alone
 gives.  It reports the worst residual, the number of values judged against the tolerance and
 the names of the failing checks.  Failures never raise: they land in the report
 with a counterexample naming the failed check under "check", so a corrupted build shows up as a
@@ -143,10 +143,12 @@ def _json_number(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _json_item(value, i: int):
-    """A payload entry as JSON holds it: row i of an ndarray, else the value, by _json_number."""
-    if isinstance(value, np.ndarray):
-        value = value[i:i + 1].tolist()[0]  # Python scalars and lists, whatever the dtype
+def _json_item(value, i):
+    """A payload entry as JSON holds it, by _json_number: of an ndarray, whose leading axes
+    broadcast against the judged values' shape, the entry at their index i, else the value."""
+    if isinstance(value, np.ndarray):  # Python scalars and lists, whatever the dtype
+        at = tuple(j * (size > 1) for j, size in zip(np.atleast_1d(i), value.shape))
+        value = value[at + (None,)].tolist()[0]
     return _json_number(value)
 
 
@@ -160,9 +162,9 @@ class _Check:
 
     def residual(self, values, payload: dict | None = None):
         """Judge one value or an array of them; a NaN fails as inf.  payload is the counterexample,
-        named by its "check": each ndarray in it holds one row per value judged, and only the row
-        of the worst value is read, when that value fails and is the worst yet."""
-        values = np.asarray(values, dtype=float).ravel()
+        named by its "check": each ndarray's leading axes broadcast against values', and only the
+        entry of the worst value is read, when that value fails and is the worst yet."""
+        shape, values = np.shape(values), np.asarray(values, dtype=float).ravel()
         result = self._result
         result.checks += values.size
         if not values.size:
@@ -173,7 +175,7 @@ class _Check:
         if value > result.worst_residual:
             result.worst_residual = value
             if failing and payload is not None:
-                result.counterexample = {key: _json_item(item, i)
+                result.counterexample = {key: _json_item(item, np.unravel_index(i, shape))
                                          for key, item in payload.items()}
         if failing:
             result.passed = False
@@ -199,13 +201,12 @@ def _factors(rng: np.random.Generator, n: int, shape: tuple):
     return k.reshape(shape + k.shape[1:]), _units(rng, shape + (n,)), rng.random(shape)
 
 
-def _boosts(s: float, size: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Boosts b = size u of sigma s.  For sigma > 0, |b| is divided by sqrt(sigma): the rapidity
-    |b| sqrt(sigma) is at most size at every sigma, where a bound on |b| would let it pass what
-    membership can resolve."""
+def _boosts(sigma: np.ndarray, size: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Boosts b = size u, of the sigma of their row (an array that broadcasts against size).  For
+    sigma > 0, |b| is divided by sqrt(sigma): the rapidity |b| sqrt(sigma) is at most size at
+    every sigma, where a bound on |b| would let it pass what membership can resolve."""
     b = size[..., None] * u
-    if 0.0 < s < math.inf:
-        b /= math.sqrt(s)
+    b /= np.sqrt(np.where((0.0 < sigma) & (sigma < math.inf), sigma, 1.0))[..., None]
     return b
 
 
@@ -230,20 +231,14 @@ def _run(fn, cfg: SuiteConfig, rng: np.random.Generator) -> PropertyResult:
 def _generated_bases(rotations, sigmas, rng: np.random.Generator, count: int) -> np.ndarray:
     """A (len(sigmas) count, m, n+1, n+1) stack of sets drawn in whole arrays, count per sigma in
     turn: the rotations of dimension n and n boosts of sigma s (p_generator of b) along random
-    b, each scaled by [1/4, 4], written into one array."""
+    b, each scaled by [1/4, 4], written into one array by one p_generator call."""
     n, r = len(rotations[0]) - 1, len(rotations)
     sets = np.empty((len(sigmas) * count, r + n, n + 1, n + 1))
     sets[:, :r] = rotations
-    for i, s in enumerate(sigmas):
-        b = rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1))
-        sets[i * count:(i + 1) * count, r:] = groups.p_generator(b, s)
+    b = [rng.standard_normal((count, n, n)) * rng.uniform(0.25, 4.0, (count, n, 1)) for _ in sigmas]
+    sets[:, r:] = groups.p_generator(np.array(b), np.array(sigmas)[:, None, None]).reshape(
+        sets[:, r:].shape)
     return sets
-
-
-def _case_codes(sigma: np.ndarray) -> np.ndarray:
-    """The case of each sigma as a number, equal where case_of_sigma is: -1 Orthogonal,
-    0 Galilei, 1 Lorentz, 2 Carroll, and NaN, equal to none, for NaN."""
-    return np.sign(sigma) + (sigma == math.inf)
 
 
 # Floats of generator sets per classification call of algebra.  The call holds the sets and their
@@ -257,39 +252,41 @@ def _prop_algebra(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: 
     # Classification first, so that no other check's arrays are alive during its large calls.
     # Consecutive sigmas' sets share a call, within _CLASSIFY_BUDGET, and are judged together.
     rotations = classify.rotation_generators(n)
-    t, m = cfg.trials, len(rotations) + n
-    step = max(1, _CLASSIFY_BUDGET // (t * m * (n + 1) ** 2))
-    for start in range(0, len(cfg.sigma_values), step):
-        sigmas = cfg.sigma_values[start:start + step]
+    t, r, sigmas = cfg.trials, len(rotations), cfg.sigma_values
+    step = max(1, _CLASSIFY_BUDGET // (t * (r + n) * (n + 1) ** 2))
+    for start in range(0, len(sigmas), step):
+        chunk = sigmas[start:start + step]
         try:
-            sets = _generated_bases(rotations, sigmas, rng, t)
+            sets = _generated_bases(rotations, chunk, rng, t)
         except ValueError as error:  # sigma * b passes the float range: no set to classify
             check.residual(math.inf, {"check": "classification", "n": n, "error": str(error)})
-            continue
+            sets, chunk = np.empty((0, r + n, n + 1, n + 1)), ()
+        if start + step >= len(sigmas):  # the controls ride the last call: the rotations alone
+            controls = np.zeros((4, r + n, n + 1, n + 1))  # (Aristotle's algebra), and boosts
+            controls[:, :r] = rotations  # with m0 or m2 content or of two sigmas (no algebra)
+            controls[1:3] = _generated_bases(rotations, (1.0,), rng, 1)
+            controls[1, -1, range(n), range(n)] += 1.0  # diag(1, ..., 1, 0)
+            controls[2, -1, [0, 1], [0, 1]] += [1.0, -1.0]
+            controls[3, r:r + 2] = [groups.p_generator(b, s) for b, s in zip(
+                rng.standard_normal((2, n)), (1.0, 2.0))]
+            sets = np.concatenate((sets, controls))
         # One flag and one residual call per chunk: a residual is inf only where its set's flag
         # fails, and the flags are judged first, so the worst value reported is the first
         # failing flag in chunk order, as with a flag and a residual call per sigma.
         verdicts = classify._verdicts(sets, cfg.tol)
-        outcome, got, reason = verdicts.outcome, verdicts.sigma, verdicts.reason
-        want, read = np.repeat(sigmas, t), outcome == classify.OUTCOME_KINEMATICAL
+        j = len(chunk) * t  # the controls come after
+        outcome, got, reason = verdicts.outcome[:j], verdicts.sigma[:j], verdicts.reason[:j]
+        want, read = np.repeat(chunk, t), outcome == classify.OUTCOME_KINEMATICAL
         payload = {"check": "classification", "n": n, "sigma": want}
-        check.flag(read & (_case_codes(got) == _case_codes(want)),
+        # the cases, numbered as sign(sigma) + (sigma = inf), agree: a NaN agrees with none
+        check.flag(read & (np.sign(got) + (got == math.inf) == np.sign(want) + (want == math.inf)),
                    payload | {"outcome": outcome, "reason": reason})
         got, want = got[read], want[read]
         with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, where want is Carroll's
             err = np.where(want == math.inf, np.where(np.isinf(got), 0.0, math.inf),
                            abs(got - want) / (1.0 + abs(want)))
         check.residual(err, payload | {"sigma": want, "outcome": outcome[read]})
-    # One stack of controls, zero generators padding them: the rotations alone, an Aristotle
-    # algebra, and boosts plus m0, boosts plus m2 and two sigmas' boosts, none an algebra.
-    sets = np.zeros((4, m + 1, n + 1, n + 1))
-    sets[0, :len(rotations)] = rotations
-    sets[1:3, :-1] = _generated_bases(rotations, (1.0,), rng, 1)
-    sets[1, -1] = np.diag(np.r_[np.ones(n), 0.0])
-    sets[2, -1] = np.diag(np.r_[1.0, -1.0, np.zeros(n - 1)])
-    sets[3, :len(rotations) + 2] = rotations + [
-        groups.p_generator(rng.standard_normal(n), s) for s in (1.0, 2.0)]
-    outcome = classify._verdicts(sets, cfg.tol).outcome
+    outcome = verdicts.outcome[j:]
     check.flag(outcome == [classify.OUTCOME_ARISTOTLE] + [classify.OUTCOME_NOT_KINEMATICAL] * 3,
                {"check": "controls", "n": n, "outcome": outcome,
                 "set": np.array(["rotations", "m0", "m2", "mixed sigma"])})
@@ -320,16 +317,15 @@ def _prop_algebra(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: 
     # Pairs (b, c): per sigma, the collinear column and row of its boost generators in its
     # balanced unit; then the witness (e1, e2) and general ones, whose doubled commutator
     # corner reproduces their defect.
-    drawn = rng.standard_normal((len(cfg.sigma_values), t, n))
-    bs, cs = np.concatenate([np.multiply.outer(groups._mixing(matcore.sigma_unit(s)[1]), b)
-                             for s, b in zip(cfg.sigma_values, drawn)], 1)
+    weights = np.array(matcore._each(groups._mixing, matcore.sigma_unit(np.array(sigmas))[1]))
+    bs, cs = (weights[..., None, None] * rng.standard_normal((len(sigmas), t, n))).reshape(2, -1, n)
     general = np.concatenate((np.eye(n)[:2, None], rng.standard_normal((2, len(bs), n))), 1)
     defects = classify.collinearity_defect(*np.concatenate(((bs, cs), general), 1))
     _, _, corners = _doubled_commutator(*general)
     expected = defects[len(bs):]
     check.residual(abs(defects[:len(bs)]) / (1.0 + np.vecdot(bs, bs) * np.vecdot(cs, cs)),
                    {"check": "collinear", "b": bs, "c": cs,
-                    "sigma": np.repeat(cfg.sigma_values, t)})
+                    "sigma": np.repeat(sigmas, t)})
     check.residual(abs(corners - expected) / (1.0 + abs(expected)),
                    {"check": "commutator", "b": general[0], "c": general[1]})
 
@@ -339,63 +335,63 @@ def _prop_group(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: in
     # (rapidity for sigma > 0), lam in 10^[-8, 8] and E of Frobenius norm 1e3 tol, at least
     # 1e-4: of spectral norm at least that over sqrt(n + 1).  membership reads h (products at
     # rapidity up to 4), in_K the rotations of g, the other verdicts g; each refuses x (I + E).
+    # One call to each function under test takes every case's rows (membership: one a case).
     t, cases = cfg.trials, _cases(cfg)
     k, u, size = _factors(rng, n, (len(cases), 2 * t))
     lam = 10.0 ** rng.uniform(-8.0, 8.0, (len(cases), t))
     E = rng.standard_normal((len(cases), t, n + 1, n + 1))
     E *= max(1e-4, 1e3 * cfg.tol) / matcore.op_norm(E, 2)[..., None, None]
-    b = [_boosts(s, r, v) for (_, s), r, v in zip(cases, np.repeat([4.0, 2.0], t) * size, u)]
-    g, h = np.split(k @ np.stack([groups.boost_closed_form(y, s) for (_, s), y in zip(cases, b)]),
-                    2, 1)
+    sigma, names = (np.array(x)[:, None] for x in zip(*((s, c.value) for c, s in cases)))
+    b = _boosts(sigma, np.repeat([4.0, 2.0], t) * size, u)
+    g, h = np.split(k @ groups.boost_closed_form(b, sigma), 2, 1)
     h2 = np.roll(h, 1, 1)
     inverses, k_inverses = np.split(np.linalg.inv(np.concatenate((h, k[:, :t]), 1)), 2, 1)
     judged = np.concatenate((h @ h2, inverses, h + h @ E), 1)
-    lorentz = []  # judged after the loop: reconstruct takes no sigma
-    for i, (case, s) in enumerate(cases):
-        ok = groups.membership(judged[i], case, s, cfg.tol).reshape(3, t)
-        check.flag(ok[0] & ok[1], {"check": "closure", "case": case.value, "g1": h[i],
-                                   "g2": h2[i]})
-        check.flag(~ok[2], {"check": "perturbed member", "case": case.value, "a": h[i],
-                            "E": E[i]})
-        if case not in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
-            continue
-        a = np.sqrt(lam[i])[:, None, None] * g[i]
-        oks, lams = (x.reshape(3, t) for x in groups.in_normalizer(
-            np.concatenate((g[i], a, a + a @ E[i])), s, cfg.tol))
-        payload = {"check": "normalizer", "a": g[i], "sigma": s}
-        check.flag(oks[0], payload)
-        check.residual(abs(lams[0] - 1.0), payload | {"lam": lams[0]})
-        check.flag(oks[1], payload | {"lam0": lam[i]})
-        check.residual(abs(lams[1] - lam[i]) / (1.0 + lam[i]),
-                       payload | {"lam0": lam[i], "lam2": lams[1]})
-        check.flag(~oks[2], {"check": "perturbed normalizer", "a": a, "E": E[i], "sigma": s})
-        if case is CaseLabel.LORENTZ:
-            lorentz.append((s, a, groups.cartan_decompose(a, s, cfg.tol), k[i, :t],
-                            groups.p_generator(b[i][:t], s), lam[i]))
+    ok = np.empty(judged.shape[:2], dtype=bool)
+    for case in dict.fromkeys(case for case, _ in cases):
+        rows = names[:, 0] == case.value
+        ok[rows] = groups.membership(judged[rows], case, sigma[rows], cfg.tol)
+    ok, at = ok.reshape(len(cases), 3, t), {"case": names, "sigma": sigma}
+    check.flag(ok[:, 0] & ok[:, 1], {"check": "closure"} | at | {"g1": h, "g2": h2})
+    check.flag(~ok[:, 2], {"check": "perturbed member"} | at | {"a": h, "E": E})
+    finite = ((sigma != 0.0) & (sigma < math.inf))[:, 0]  # Lorentz and Orthogonal
+    s, x, lam0 = sigma[finite], g[finite], lam[finite]
+    a = np.sqrt(lam0)[..., None, None] * x
+    oks, lams = (y.reshape(len(s), 3, t) for y in groups.in_normalizer(
+        np.concatenate((x, a, a + a @ E[finite]), 1), s, cfg.tol))
+    payload = {"check": "normalizer", "a": x, "sigma": s}
+    check.flag(oks[:, 0], payload)
+    check.residual(abs(lams[:, 0] - 1.0), payload | {"lam": lams[:, 0]})
+    check.flag(oks[:, 1], payload | {"lam0": lam0})
+    check.residual(abs(lams[:, 1] - lam0) / (1.0 + lam0),
+                   payload | {"lam0": lam0, "lam2": lams[:, 1]})
+    check.flag(~oks[:, 2], {"check": "perturbed normalizer", "a": a, "E": E[finite], "sigma": s})
     # in_K takes no case: it judges every case's products k k', inverses and perturbed copies.
-    k, k_inverses, E = (x.reshape(-1, n + 1, n + 1) for x in (k[:, :t], k_inverses, E))
-    k2 = np.roll(k, 1, 0)
-    ok = groups.in_K(np.concatenate((k @ k2, k_inverses, k + k @ E)), cfg.tol).reshape(3, -1)
-    check.flag(ok[0] & ok[1], {"check": "rotations", "k1": k, "k2": k2})
-    check.flag(~ok[2], {"check": "perturbed rotation", "a": k, "E": E})
-    if not lorentz:
+    rotations, k_inverses, E = (y.reshape(-1, n + 1, n + 1) for y in (k[:, :t], k_inverses, E))
+    k2 = np.roll(rotations, 1, 0)
+    ok = groups.in_K(np.concatenate((rotations @ k2, k_inverses, rotations + rotations @ E)),
+                     cfg.tol).reshape(3, -1)
+    check.flag(ok[0] & ok[1], {"check": "rotations", "k1": rotations, "k2": k2})
+    check.flag(~ok[2], {"check": "perturbed rotation", "a": rotations, "E": E})
+    if not (lorentz := finite & (sigma[:, 0] > 0.0)).any():
         return
     # Rebuilt through mat_exp, not the closed form the members were built with.
-    rebuilt = groups.CartanFactors(*map(np.stack, zip(*(
-        (f.lam, f.k, f.Z, f.refused) for _, _, f, *_ in lorentz)))).reconstruct()
-    for (s, x, f, k, Z, lam), y in zip(lorentz, rebuilt):
-        resid = np.max([
-            matcore.op_norm(f.k - k, 2),
-            matcore.op_norm(_balanced(f.Z - Z, s), 2),
-            abs(f.lam - lam) / (1.0 + lam),
-            matcore.op_norm(_balanced(y - x, s), 2) / (1.0 + matcore.op_norm(_balanced(x, s), 2)),
-        ], axis=0)
-        check.residual(resid, {"check": "cartan", "a": x, "k": k, "Z": Z, "lam": lam, "sigma": s})
+    s, x, k, lam0 = sigma[lorentz], a[lorentz[finite]], k[lorentz, :t], lam[lorentz]
+    f, Z = groups.cartan_decompose(x, s, cfg.tol), groups.p_generator(b[lorentz, :t], s)
+    unit = matcore.sigma_unit(s)[0]
+    resid = np.max([
+        matcore.op_norm(f.k - k, 2),
+        matcore.op_norm(_balanced(f.Z - Z, unit), 2),
+        abs(f.lam - lam0) / (1.0 + lam0),
+        matcore.op_norm(_balanced(f.reconstruct() - x, unit), 2)
+        / (1.0 + matcore.op_norm(_balanced(x, unit), 2)),
+    ], axis=0)
+    check.residual(resid, {"check": "cartan", "a": x, "k": k, "Z": Z, "lam": lam0, "sigma": s})
 
 
-def _balanced(x: np.ndarray, s: float) -> np.ndarray:
-    """A copy of x in the balanced time unit of sigma (see matcore.sigma_unit)."""
-    return matcore.balance(np.array(x, dtype=float), matcore.sigma_unit(s)[0])
+def _balanced(x: np.ndarray, k) -> np.ndarray:
+    """A copy of x in the balanced time unit of sigma_unit's k, one or an array of one a matrix."""
+    return matcore.balance(np.array(x, dtype=float), matcore._widened(k))
 
 
 def _random_affine(n: int, rng: np.random.Generator, shape: tuple):
@@ -436,42 +432,40 @@ def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
     scale = 1.0 + matcore.op_norm(g.linear, 2) * (1.0 + matcore.op_norm(step, 1))
     check.residual(resid / scale, {"check": "affine", "g_linear": g.linear, "h_linear": h.linear})
     # Each drawn in one stack: every sigma's members and, per sigma > 0, a translation and a
-    # null and a slow line, (2, sigmas > 0, trials).
-    cases = [case_of_sigma(s) for s in sigmas]
-    fast = [s for s, case in zip(sigmas, cases) if case is CaseLabel.LORENTZ]
+    # null and a slow line, (2, sigmas > 0, trials).  One boost call makes the members and,
+    # for sigma < 0, of period 2 pi/sqrt(-sigma), the half and whole periods as more rows.
+    sigma = np.array(sigmas)[:, None]
+    fast, negative = ((0.0 < sigma) & (sigma < math.inf))[:, 0], sigma[:, 0] < 0.0
     k, u, size = _factors(rng, n, (len(sigmas), t))
-    shift = rng.standard_normal((len(fast), t, n + 1))
-    r, times = rng.standard_normal((2, len(fast), t, n)), rng.standard_normal((2, len(fast), t))
-    directions = _units(rng, (2, len(fast), t, n))
-    members = []  # per sigma > 0
-    for s, case, ki, ui, bi in zip(sigmas, cases, k, u, 3.0 * size):
-        b = _boosts(s, bi, ui)
-        if case is CaseLabel.ORTHOGONAL:  # boosts rotate space into time, of period 2 pi/sqrt(-s)
-            b = np.concatenate((b, math.pi / math.sqrt(-s) * np.concatenate((ui, 2.0 * ui))))
-        boosts = groups.boost_closed_form(b, s)
-        a = ki @ boosts[:t]
-        # The form diag(-row I, column) of the generators' weights, in sigma's balanced unit:
-        # diag(0, ..., 0, 1) is Galilei's time, diag(-I, 0) Carroll's space.
-        column, row = groups._mixing(matcore.sigma_unit(s)[1])
-        metric, y = np.diag(np.r_[np.full(n, -row), column]), _balanced(a, s)
-        defect = matcore.op_norm(y.mT @ metric @ y - metric, 2) / (1.0 + matcore.op_norm(metric))
-        check.residual(defect, {"check": "invariants", "a": a, "sigma": s})
-        if case is CaseLabel.ORTHOGONAL:
-            half, full = np.split(boosts[t:], 2)
-            expected = np.zeros(half.shape)  # the reflection through the plane normal to u
-            expected[:, :n, :n] = np.eye(n) - 2.0 * ui[:, :, None] * ui[:, None, :]
-            expected[:, n, n] = -1.0  # and time reversed
-            payload = {"check": "period", "u": ui, "sigma": s}
-            check.residual(matcore.op_norm(_balanced(half - expected, s), 2), payload)
-            check.residual(matcore.op_norm(_balanced(full - np.eye(n + 1), s), 2), payload)
-        elif case is CaseLabel.LORENTZ:
-            members.append(a)
-    if not members:
+    shift = rng.standard_normal(((m := np.count_nonzero(fast)), t, n + 1))
+    r, times = rng.standard_normal((2, m, t, n)), rng.standard_normal((2, m, t))
+    directions = _units(rng, (2, m, t, n))
+    period = math.pi / np.sqrt(-sigma[negative])[..., None] * np.stack((u, 2.0 * u))[:, negative]
+    boosts = groups.boost_closed_form(np.concatenate((_boosts(sigma, 3.0 * size, u), *period)),
+                                      np.concatenate((sigma, sigma[negative], sigma[negative])))
+    a = k @ boosts[:len(sigmas)]
+    # The form diag(-row I, column) of the generators' weights, in sigma's balanced unit:
+    # diag(0, ..., 0, 1) is Galilei's time, diag(-I, 0) Carroll's space.
+    unit, balanced = matcore.sigma_unit(sigma)
+    column, row = matcore._each(groups._mixing, balanced)
+    metric = np.eye(n + 1) * np.concatenate((np.repeat(-row, n, 1), column), 1)[:, None, None]
+    y = _balanced(a, unit)
+    defect = matcore.op_norm(y.mT @ metric @ y - metric, 2) / (1.0 + matcore.op_norm(metric, 2))
+    check.residual(defect, {"check": "invariants", "a": a, "sigma": sigma})
+    # The half period is the reflection through the plane normal to u, time reversed.
+    half, full = np.split(boosts[len(sigmas):], 2)
+    expected = np.zeros(half.shape)
+    expected[..., :n, :n] = np.eye(n) - 2.0 * u[negative, :, :, None] * u[negative, :, None, :]
+    expected[..., n, n] = -1.0
+    check.residual(matcore.op_norm(_balanced(np.stack((half - expected, full - np.eye(n + 1)), 1),
+                                             unit[negative, None]), 2),
+                   {"check": "period", "u": u[negative, None], "sigma": sigma[negative, None]})
+    if not fast.any():
         return
     # The lines, at speeds c and c/2, mapped in sigma's balanced unit.
-    speeds = [1.0 / math.sqrt(matcore.sigma_unit(s)[1]) for s in fast]
-    g = affine.AffineElement(np.stack([_balanced(a, s) for s, a in zip(fast, members)]), shift)
-    velocities = np.multiply.outer([1.0, 0.5], speeds)[..., None, None] * directions
+    s, a, c = sigma[fast], a[fast], 1.0 / np.sqrt(balanced[fast])
+    g = affine.AffineElement(_balanced(a, unit[fast]), shift)
+    velocities = np.multiply.outer([1.0, 0.5], c)[..., None] * directions
     lines = affine.WorldLine(affine.Event(r, times), velocity=velocities)
     image = affine.transform_worldline(g, lines)
     # The image passes through act(g, origin) and act(g, origin + direction), at 0 and 1.
@@ -479,10 +473,10 @@ def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
     gaps = np.max(matcore.op_norm(_ends(image) - ends, 1) / (1.0 + matcore.op_norm(ends, 1)),
                   (0, 1))
     null, slow = image.speed()
-    for s, c, a, v, w, gap in zip(fast, speeds, members, null, slow, gaps):
-        check.residual(abs(v - c) / (1.0 + c), {"check": "speed", "a": a, "sigma": s})
-        check.flag(w < c, {"check": "speed", "a": a, "sigma": s})
-        check.residual(gap, {"check": "worldline", "a": a, "sigma": s})
+    at = {"a": a, "sigma": s}
+    check.residual(abs(null - c) / (1.0 + c), {"check": "speed"} | at)
+    check.flag(slow < c, {"check": "speed"} | at)
+    check.residual(gaps, {"check": "worldline"} | at)
 
 
 def nonalgebra_witness(n: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -150,6 +150,23 @@ def test_inverse_rejects_singular():
         inverse(AffineElement(np.zeros((3, 3)), np.zeros(3)))
 
 
+def test_inverse_refuses_only_a_map_with_no_finite_inverse():
+    # Each of these has an exact, finite inverse, though its determinant underflows to 0 or
+    # overflows: the inverse, not the determinant, decides.
+    for d in (1e-200, 1e-170, 1e200):
+        g = inverse(AffineElement(np.diag([d, d, 1.0, 1.0]), np.ones(4)))
+        assert g.linear.tolist() == np.diag([1.0 / d, 1.0 / d, 1.0, 1.0]).tolist()
+        assert g.translation.tolist() == [-1.0 / d, -1.0 / d, -1.0, -1.0]
+    # No finite inverse: an exact zero pivot, or an inverse past the float range.
+    for linear in (np.diag([0.0, 1.0, 1.0]), np.diag([1e-320, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="^linear part is singular$"):
+            inverse(AffineElement(linear, np.zeros(3)))
+    stack = np.stack([np.eye(3), np.diag([1e-320, 1.0, 1.0]), np.zeros((3, 3))])
+    for order in ([0, 1, 2], [0, 2, 1]):
+        with pytest.raises(ValueError, match="^linear part is singular at index 1$"):
+            inverse(AffineElement(stack[order], np.zeros((3, 3))))
+
+
 def test_act_matches_direct_formula():
     g = galilei_map([0.3, -0.2], translation=np.array([1.0, 2.0, 0.5]))
     x = Event([1.0, 1.0], 2.0)

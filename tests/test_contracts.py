@@ -110,11 +110,18 @@ def attempt(call, args):
         return error
 
 
+def spelled_out(a: Stack):
+    """The value of a stacked argument, an array broadcast to its stack axes (a sigma of shape
+    (k, 1) is one per row of a (k, m) stack)."""
+    v = a.value
+    return np.broadcast_to(v, a.shape + v.shape[len(a.shape):]) if isinstance(v, np.ndarray) else v
+
+
 def check(name: str, entry: Entry, args: tuple):
     """Assert the stack contract for one draw of arguments."""
     (shape,) = {a.shape for a in args if isinstance(a, Stack)}
     whole = attempt(entry.call, [a.value if isinstance(a, Stack) else a for a in args])
-    alone = {i: attempt(entry.call, [pick(a.value, i) if isinstance(a, Stack) else a
+    alone = {i: attempt(entry.call, [pick(spelled_out(a), i) if isinstance(a, Stack) else a
                                      for a in args]) for i in np.ndindex(shape)}
     if not isinstance(whole, Exception):
         assert all(np.shape(leaf)[:len(shape)] == shape for leaf in leaves(whole)), name
@@ -157,7 +164,8 @@ def arguments(draw, entry: Entry):
                       np.sqrt(10.0 ** rng.uniform(-8, 8, (m, 1, 1))) * g, gauss, 0.0 * g])
     x = kinds[rng.choice(5, m, p=[0.3, 0.2, 0.2, 0.2, 0.1]), np.arange(m)]
     c = SimpleNamespace(draw=draw, x=patched(draw, x.reshape(shape + (d, d)), shape, entry.exact,
-                                             entry.finite), sigma=sigma, shape=shape, rng=rng)
+                                             entry.finite), sigma=sigma, shape=shape, rng=rng,
+                        pool=entry.sigmas or SIGMAS[entry.exact])
     args = list(entry.build(c) if callable(entry.build) else (
         ARGUMENTS[name](c) if name in PLAIN else Stack(ARGUMENTS[name](c), shape)
         for name in entry.build.split()))
@@ -202,6 +210,9 @@ ARGUMENTS = {  # of a draw c: the stack x, sigma and what is made of them
     "origin": lambda c: Event.from_vector(c.rng.standard_normal(c.x[..., 0, :].shape)),
     "direction": lambda c: c.x[..., :, -1] if c.draw(st.booleans()) else c.x[..., 0, :],
     "case": lambda c: c.draw(st.sampled_from([case_of_sigma(c.sigma)] * 7 + list(CaseLabel))),
+    # one sigma per row, the drawn one half the time, or one per first-axis row broadcasting
+    "sigmas": lambda c: c.draw(arrays(float, c.shape[:1] + (1,) * (len(c.shape) - 1) if c.draw(
+        st.booleans()) else c.shape, elements=st.sampled_from((c.sigma,) * len(c.pool) + c.pool))),
 }
 MIXED = Stack(np.concatenate([G := groups.random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, 0, size=3),
                               2.0 ** 600 * G[:1], 2.0 ** -600 * G[1:2], np.zeros((1, 4, 4)),
@@ -223,6 +234,9 @@ TABLE = {
         st.booleans()) else (Stack(c.x, c.shape + c.x.shape[-2:-1]), 1), False),
     "matcore.refuse": Entry(lambda mask: matcore.refuse(mask, "judged") or (), "mask"),
     "matcore.scaled": Entry(lambda x, shift: matcore.scaled(x, (-2, -1), shift), "x shift"),
+    "matcore.sigma_unit": Entry(matcore.sigma_unit, lambda c: (Stack(c.draw(arrays(
+        float, c.shape, elements=st.sampled_from(c.pool))), c.shape),), examples=[(Stack(np.array(
+        [1.0, math.nan, -1.0, -math.inf]), (4,)),), (Stack(np.zeros((0, 1)), (0, 1)),)]),
     "matcore.unit_exponent": Entry(lambda Z: matcore.unit_exponent(*matcore.mixing_maxima(Z, -1)),
                                    "x"),
     "classify.classify_algebra": Entry(classify.classify_algebra, generator_sets, examples=[
@@ -254,8 +268,8 @@ TABLE = {
     "affine.transform_worldline": Entry(affine.transform_worldline, "map line", False,
                                         finite=True, broadcast=(0, 1)),
 }
-UNSTACKED = {f"{module}.{name}" for module, names in (  # one sigma, set, size or case each
-    ("matcore", "sigma_unit"), ("groups", "LogarithmFailure "
+UNSTACKED = {f"{module}.{name}" for module, names in (  # one set, size or case each
+    ("groups", "LogarithmFailure "
      "NonPositiveLambda NotInNormalizer"), ("classify", "CaseLabel ClassificationResult "
      "Sigma bracket_closure_defect case_label case_of_sigma closure_scan "
      "is_closed_under_bracket rotation_generators"), ("verify",
@@ -290,6 +304,36 @@ def test_the_refusals_and_the_type_that_the_folded_stack_tests_also_pinned():
                         (CartanFactors(math.nan, np.eye(3), np.zeros((3, 3))).reconstruct,)):
         pytest.raises(ValueError, call, *args)
     assert isinstance(classify.collinearity_defect([0.0, 1.0], [1.0, 0.0]), float)
+
+
+def members_at(*sigmas):
+    """Two members of each sigma's group, each row with its own sigma."""
+    x = [groups.random_element(case_of_sigma(s), s, 3, 1.0, 5, size=2) for s in sigmas]
+    return Stack(np.concatenate(x), (2 * len(sigmas),)), Stack(np.repeat(sigmas, 2), (2 * len(x),))
+
+
+LORENTZ = (1.0, 0.25, 1e-12, 1e300, 5e-324)  # with one sigma of another case, drawn rarely
+SIGMA_STACKED = {  # each entry point that takes a sigma, with one sigma per row
+    "groups.boost_closed_form": Entry(groups.boost_closed_form, "b sigmas"),
+    "groups.p_generator": Entry(groups.p_generator, "b sigmas"),
+    "matcore.dagger": Entry(matcore.dagger, "x sigmas", False),
+    "groups.membership.lorentz": Entry(lambda a, s: groups.membership(a, CaseLabel.LORENTZ, s),
+                                       "x sigmas", sigmas=LORENTZ * 4 + (-1.0,),
+                                       examples=[members_at(1.0, 0.25, 1e-12)]),
+    "groups.membership.orthogonal": Entry(lambda a, s: groups.membership(
+        a, CaseLabel.ORTHOGONAL, s), "x sigmas", sigmas=(-1.0, -0.25, -1e12, -1e-300) * 4 + (
+        math.inf,), examples=[members_at(-1.0, -4.0, -1e-12)]),
+    "groups.in_normalizer": Entry(groups.in_normalizer, "x sigmas", sigmas=LORENTZ + (
+        -1.0, -4.0, -1e-300) + (0.0,), examples=[members_at(0.25, -4.0, 1.0)]),
+    "groups.cartan_decompose": Entry(groups.cartan_decompose, "x sigmas", sigmas=LORENTZ * 4 + (
+        -1.0,), examples=[(MIXED, Stack(np.array([1.0, 0.25] * 4), (8,))),
+                          members_at(1.0, 0.25, 1e-12)]),
+}
+
+
+@pytest.mark.parametrize("name", SIGMA_STACKED)
+def test_a_sigma_per_row_answers_as_each_row_at_its_sigma(name):
+    run(name, SIGMA_STACKED[name])
 
 
 def coordinates(x):

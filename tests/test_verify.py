@@ -151,10 +151,10 @@ def test_suite_judges_each_stack_in_whole_array_calls(monkeypatch):
 
 
 def test_algebra_property_classifies_in_two_calls_per_n(monkeypatch):
-    # Per n, one call to classify's whole-array core on every sigma's stack of trials sets at
-    # once, then one on the four controls (the rotations alone, and the m0, m2 and mixed-sigma
-    # sets), padded to m + 1 generators; a call per set would be 5 * 25 + 4 = 129 per n, a call
-    # per sigma and control 9.
+    # Per n, one call to classify's whole-array core on every sigma's stack of trials sets and,
+    # after them, the four controls (the rotations alone, and the m0, m2 and mixed-sigma sets) of
+    # m generators each; a call per set would be 5 * 25 + 4 = 129 per n, a call per sigma and
+    # control 9, and a call for the sets and one for the controls 2.
     from kinematica import classify
     real = classify._verdicts
     shapes = []
@@ -169,14 +169,13 @@ def test_algebra_property_classifies_in_two_calls_per_n(monkeypatch):
     expected = []
     for n in cfg.n_values:
         m = n * (n - 1) // 2 + n
-        expected += [(len(cfg.sigma_values) * cfg.trials, m, n + 1, n + 1),
-                     (4, m + 1, n + 1, n + 1)]
+        expected += [(len(cfg.sigma_values) * cfg.trials + 4, m, n + 1, n + 1)]
     assert shapes == expected
     for sigmas in ((1.0,), (1.0, 0.5, -1.0, -0.25, 0.0, math.inf)):
         shapes.clear()
         cfg = SuiteConfig(sigma_values=sigmas)
         assert verify._run(verify._prop_algebra, cfg, np.random.default_rng(0)).passed
-        assert len(shapes) == 2 * len(cfg.n_values)  # a sigma more adds no call
+        assert len(shapes) == len(cfg.n_values)  # a sigma more adds no call
 
 
 def test_algebra_property_keeps_its_peak_under_the_budget():
@@ -223,7 +222,7 @@ def test_algebra_property_takes_one_defect_and_one_commutator_call_per_n(monkeyp
 
 def test_algebra_property_takes_one_coordinate_call_per_n(monkeypatch):
     # One call per n on the trials and their conjugates, stacked as (trials, 2, n+1, n+1),
-    # after the two that classify_algebra makes on the generated sets and the controls.
+    # after the one that classify's core makes on the generated sets and the controls.
     from kinematica import isotypic
     real = isotypic._coordinates
     shapes = []
@@ -238,8 +237,8 @@ def test_algebra_property_takes_one_coordinate_call_per_n(monkeypatch):
     expected = []
     for n in cfg.n_values:
         m = n * (n - 1) // 2 + n
-        expected += [(len(cfg.sigma_values) * cfg.trials, m, n + 1, n + 1),
-                     (4, m + 1, n + 1, n + 1), (cfg.trials, 2, n + 1, n + 1)]
+        expected += [(len(cfg.sigma_values) * cfg.trials + 4, m, n + 1, n + 1),
+                     (cfg.trials, 2, n + 1, n + 1)]
     assert shapes == expected
 
 
@@ -330,10 +329,10 @@ def count_calls(monkeypatch, *targets) -> dict:
 
 
 def test_kinematics_property_calls_once_per_stack(monkeypatch):
-    # Each (n, sigma) stack is judged in a fixed number of calls, whatever the number of
-    # trials: kinematics composes six times per n and maps one stack of lines per n, every
-    # sigma > 0 in it.  It draws every sigma's rotations in one random_element call per n, and
-    # makes one boost call per (n, sigma), which for sigma < 0 also makes the stack of half
+    # Each n is judged in a fixed number of calls, whatever the number of trials and sigmas:
+    # kinematics composes six times per n and maps one stack of lines per n, every sigma > 0 in
+    # it.  It draws every sigma's rotations in one random_element call per n, and makes one
+    # boost call per n, each row at its own sigma, whose rows for sigma < 0 also make the half
     # and full periods.
     from kinematica import affine
     counts = count_calls(monkeypatch, (affine, "compose"), (affine, "transform_worldline"),
@@ -342,20 +341,21 @@ def test_kinematics_property_calls_once_per_stack(monkeypatch):
         cfg = SuiteConfig(sigma_values=(1.0, 0.5, -1.0, -0.25, 0.0, math.inf), trials=trials)
         counts.clear()
         assert verify._run(verify._prop_kinematics, cfg, np.random.default_rng(0)).passed
-        stacks = len(cfg.n_values) * len(cfg.sigma_values)
         assert counts == {"compose": 6 * len(cfg.n_values),
                           "transform_worldline": len(cfg.n_values),
-                          "boost_closed_form": stacks, "random_element": len(cfg.n_values)}
+                          "boost_closed_form": len(cfg.n_values),
+                          "random_element": len(cfg.n_values)}
 
 
 def test_group_property_draws_once_per_n(monkeypatch):
-    # Per n, one random_element call draws every case's rotations.  Per (n, case), one boost
-    # call builds the members and one membership call judges the products, inverses and
-    # perturbed copies; per sigma != 0, inf one in_normalizer call judges the members, scaled
-    # members and their copies; per sigma > 0 one cartan_decompose call (with its own boost
-    # call) factors them.  Per n, one in_K call takes every case's rotations, through one more
-    # membership call (Aristotle's), one inv call inverts every case's members and rotations,
-    # and no SVD scales E.
+    # Per n, one random_element call draws every case's rotations, one boost call builds every
+    # case's members, each row at its own sigma, and one membership call per case (both
+    # Lorentz sigmas in one) judges the products, inverses and perturbed copies; one
+    # in_normalizer call judges every sigma != 0, inf's members, scaled members and their
+    # copies, and one cartan_decompose call (with its own boost call) factors every sigma > 0's.
+    # Per n, one in_K call takes every case's rotations, through one more membership call
+    # (Aristotle's), one inv call inverts every case's members and rotations, and no SVD scales
+    # E.
     counts = count_calls(monkeypatch, *((groups, name) for name in (
         "random_element", "boost_closed_form", "membership", "in_normalizer",
         "cartan_decompose", "in_K")), (np.linalg, "inv"), (np.linalg, "svd"))
@@ -364,20 +364,22 @@ def test_group_property_draws_once_per_n(monkeypatch):
         counts.clear()
         assert verify._run(verify._prop_group, cfg, np.random.default_rng(0)).passed
         n = len(cfg.n_values)
-        assert counts == {"random_element": n, "boost_closed_form": (6 + 2) * n,
-                          "membership": 7 * n, "in_normalizer": 4 * n,
-                          "cartan_decompose": 2 * n, "in_K": n, "inv": n}
+        assert counts == {"random_element": n, "boost_closed_form": 2 * n,
+                          "membership": (4 + 1) * n, "in_normalizer": n,
+                          "cartan_decompose": n, "in_K": n, "inv": n}
 
 
 def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
     # algebra, group and kinematics judge every sigma's stacks in one call per n to each function
-    # under test that takes no sigma and no case, so six sigmas cost those functions no more
-    # calls than one.
+    # under test that takes no case, each row at its own sigma, so six sigmas cost those
+    # functions no more calls than one.
     from kinematica import affine, classify
     counts = count_calls(monkeypatch, (classify, "collinearity_defect"),
                          (verify, "_doubled_commutator"), (groups, "in_K"),
                          (affine, "transform_worldline"), (matcore, "mat_exp"),
-                         (groups, "random_element"))
+                         (groups, "random_element"), (groups, "boost_closed_form"),
+                         (groups, "in_normalizer"), (groups, "cartan_decompose"),
+                         (groups, "p_generator"), (classify, "_verdicts"))
 
     def calls(sigmas):
         counts.clear()
@@ -388,8 +390,13 @@ def test_sigma_free_calls_do_not_grow_with_the_sigmas(monkeypatch):
 
     one = calls((1.0,))
     n = len(SuiteConfig().n_values)
+    # p_generator: per n, one call in _generated_bases on every sigma's sets, one on the
+    # controls' and two on their mixed sigmas, two on the non-closing span, and group's and
+    # cartan_decompose's; boost_closed_form: group's, cartan_decompose's and kinematics'
     assert one == dict.fromkeys(("collinearity_defect", "_doubled_commutator", "in_K",
-                                 "transform_worldline", "mat_exp"), n) | {"random_element": 3 * n}
+                                 "transform_worldline", "mat_exp", "in_normalizer",
+                                 "cartan_decompose", "_verdicts"), n) | {
+        "random_element": 3 * n, "boost_closed_form": 3 * n, "p_generator": 8 * n}
     assert calls((1.0, 0.5, -1.0, -0.25, 0.0, math.inf)) == one
 
 
@@ -412,13 +419,14 @@ def test_default_suite_check_counts():
 
 
 def test_default_suite_judges_in_a_fixed_number_of_calls(monkeypatch):
-    # algebra judges each classification chunk (every default sigma shares one per n) in one
-    # flag and one residual call, where a pair per sigma would make 8 more of each; a flag
-    # whose verdicts all hold is counted without a residual call.  No check loops per sigma
-    # beyond these, or per set.
+    # Each check is judged in one flag or residual call per n, over every sigma and case: per n,
+    # algebra makes 4 residual and 3 flag calls (one flag and one residual on its one
+    # classification chunk), group 3 and 7 and kinematics 5 and 1; a call per case or sigma
+    # would make 48 and 52 in all.  A flag whose verdicts all hold is counted without a
+    # residual call.  No check loops per sigma, case or set.
     counts = count_calls(monkeypatch, (verify._Check, "residual"), (verify._Check, "flag"))
     assert run_suite().passed
-    assert counts == {"residual": 48, "flag": 52}
+    assert counts == {"residual": 24, "flag": 22}
 
 
 def test_suite_builds_no_classification_result(monkeypatch):
@@ -596,15 +604,16 @@ def test_kinematics_judges_the_periods_at_every_negative_sigma(monkeypatch):
     # subnormal sigmas, the least normal one and the most negative float are each judged
     sigmas = (-5e-324, -1e-320, -2.2250738585072014e-308, -1.7976931348623157e308)
     cfg = SuiteConfig(n_values=(2, 3), sigma_values=sigmas, trials=3)
-    real, periods = groups.boost_closed_form, []
+    real, shapes = groups.boost_closed_form, []
 
     def counted(b, sigma):
-        periods.append(len(b) - cfg.trials)  # the half and full periods after the members
+        shapes.append((np.shape(b)[:-1], np.shape(sigma)))
         return real(b, sigma)
 
     monkeypatch.setattr(groups, "boost_closed_form", counted)
     result = verify._run(verify._prop_kinematics, cfg, np.random.default_rng(0))
-    assert periods == [2 * cfg.trials] * 8  # 2 n x 4 sigmas
+    # one call per n: the 4 sigmas' members, then their half and full periods, a row each
+    assert shapes == [((3 * 4, cfg.trials), (3 * 4, 1))] * 2
     # 2 n x 4 sigmas x 3 trials x (2 periods + 1 invariant), and 2 n x 3 affine maps
     assert result.passed and result.checks == 72 + 6
     report = run_suite(SuiteConfig(n_values=(2,), sigma_values=(-1e-320,), trials=2))
