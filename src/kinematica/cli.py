@@ -4,9 +4,10 @@ Subcommands: ``classify`` a file of generators, ``decompose`` group
 elements into Cartan factors, ``generate`` sample members, and ``verify``
 to run the property suite.  All input and output is JSON; matrices travel
 as flat row-major lists.  orjson reads each file, and Python's json what it
-refuses.  Exit codes: 0 for success, 1 for usage or I/O problems, 2 for a
-negative domain answer (not kinematical, not in the normalizer, property
-failure).  ``--tol`` must be a positive finite number and defaults to 1e-9.
+refuses; generate and decompose write in chunks, never holding all the text.
+Exit codes: 0 for success, 1 for usage or I/O problems, 2 for a negative
+domain answer (not kinematical, not in the normalizer, property failure).
+``--tol`` must be a positive finite number and defaults to 1e-9.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .classify import CaseLabel, case_of_sigma
 __all__ = ["MatrixFile", "dump_matrix_file", "load_matrix_file", "main"]
 
 _CASE_NAMES = {label.value.lower(): label for label in CaseLabel}
+# Numbers per write: at most 24 characters each, so every str, bytes and float list of a chunk
+# stays under glibc's 128 KiB mmap threshold, and no write maps and unmaps fresh pages.
+_CHUNK = 2 ** 12
 
 
 def _parse_tol(text: str) -> float:
@@ -113,24 +117,21 @@ def load_matrix_file(path: str) -> MatrixFile:
     return MatrixFile(n=n, matrices=_read_matrices(raw, n + 1))
 
 
-def dump_matrix_file(mf: MatrixFile) -> dict:
-    """JSON-ready dictionary in the same schema load_matrix_file reads."""
-    return {"n": mf.n, "matrices": np.asarray(mf.matrices, dtype=float)
-            .reshape(-1, (mf.n + 1) ** 2).tolist()}
+def _write_list(count: int, width: int, items, head: str = "", tail: str = "") -> None:
+    """Write head, the JSON list of count items one per line, tail and a newline to stdout, one
+    write per chunk; items(i, j) gives items i to j - 1, of width numbers, finite (NaN: null)."""
+    write, step, sep = sys.stdout.write, max(1, _CHUNK // width), head + "[\n"
+    for i in range(0, count, step):
+        write(sep + b",\n".join(map(orjson.dumps, items(i, i + step))).decode())
+        sep = ",\n"
+    write(("\n]" if count else head + "[]") + tail + "\n")
 
 
-def _json_lines(value) -> str:
-    """JSON text with each item of a list on a line of its own, for a list
-    at the top level or in a top-level object.  orjson encodes each line and
-    spells each float as the shortest text that reads back to the same
-    double.  It would write NaN or an infinity as null; the generated members
-    and the accepted Cartan factors this prints are finite."""
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{_json_lines(key)}: {_json_lines(item)}"
-                               for key, item in value.items()) + "}"
-    if isinstance(value, list) and value:
-        return "[\n" + b",\n".join(map(orjson.dumps, value)).decode() + "\n]"
-    return orjson.dumps(value).decode()
+def dump_matrix_file(mf: MatrixFile) -> None:
+    """Write mf to stdout in the schema load_matrix_file reads, one matrix per line."""
+    flat = np.asarray(mf.matrices, dtype=float).reshape(-1, (mf.n + 1) ** 2)
+    _write_list(len(flat), flat.shape[1], lambda i, j: flat[i:j].tolist(),
+                f'{{"n": {mf.n}, "matrices": ', "}")
 
 
 def _cmd_classify(args) -> int:
@@ -154,11 +155,10 @@ def _cmd_decompose(args) -> int:
     sigma = _parse_sigma(args.sigma)
     mf = load_matrix_file(args.file)
     f = groups.cartan_decompose(mf.matrices, sigma, args.tol)  # one call on the stack
-    entries = [{"error": refused.__name__} if refused else {"lambda": lam, "k": k, "Z": Z}
-               for refused, lam, k, Z in zip(f.refused.tolist(), f.lam.tolist(),
-                                             f.k.reshape(-1, f.k.shape[-1] ** 2).tolist(),
-                                             f.Z.reshape(-1, f.Z.shape[-1] ** 2).tolist())]
-    print(_json_lines(entries))
+    ks, Zs = (x.reshape(-1, x.shape[-1] ** 2) for x in (f.k, f.Z))  # one row per matrix
+    _write_list(len(ks), 1 + 2 * ks.shape[1], lambda i, j: [
+        {"error": refused.__name__} if refused else {"lambda": lam, "k": k, "Z": Z}
+        for refused, lam, k, Z in zip(*(x[i:j].tolist() for x in (f.refused, f.lam, ks, Zs)))])
     return 2 if np.not_equal(f.refused, None).any() else 0
 
 
@@ -169,7 +169,7 @@ def _cmd_generate(args) -> int:
         raise ValueError("--count must be nonnegative")
     matrices = groups.random_element(case, sigma, args.n, args.boost_bound, args.seed,
                                      size=args.count)
-    print(_json_lines(dump_matrix_file(MatrixFile(args.n, matrices))))
+    dump_matrix_file(MatrixFile(args.n, matrices))
     return 0
 
 

@@ -94,7 +94,7 @@ def p_generator(b, sigma) -> np.ndarray:
         raise ValueError("b must have finite entries")
     n = b.shape[-1]
     Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    column, row = matcore._each(_mixing, sigma)
+    column, row = matcore._each(_mixing, sigma, b.shape[:-1])
     if isinstance(row, np.ndarray) or abs(row) > 1.0:  # else sigma * b cannot overflow
         column, row = matcore._widened(column), matcore._widened(row)  # one per row of b
         with np.errstate(over="ignore"):
@@ -126,10 +126,11 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     rapidity w = |b| sqrt(|sigma|) past log(float max / max(sqrt(sigma), 1 / sqrt(sigma)))
     (cosh(w), sinh(w) sigma^+-1/2 could overflow), or past half the float max (sigma < 0).
     """
-    k, column, row, root, sign, limit = matcore._each(_boost_terms, sigma)  # Z: b' = b 2^k
     b = np.ascontiguousarray(b, dtype=float)  # |b| sums each row in one order, strided or not
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
+    # Z in sigma's balanced unit: b' = b 2^k
+    k, column, row, root, sign, limit = matcore._each(_boost_terms, sigma, b.shape[:-1])
     wide = np.count_nonzero(abs(b) < _WIDE) != b.size  # else no |b|^2 overflows
     if wide and np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() when small
         raise ValueError("b must have finite entries")
@@ -248,9 +249,11 @@ def in_normalizer(a, sigma, tol: float = DEFAULT_TOL):
     the balanced time unit.  Members beyond rapidity about 16 are refused, and so is a lam
     beyond the float range.  Raises ValueError unless sigma is finite and nonzero.
     """
+    a = as_square_stack(a)
     matcore._each(lambda s: () if case_of_sigma(s) in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL)
-                  else matcore._refused("in_normalizer needs a finite nonzero sigma"), sigma)
-    _, resolved, lam, _ = _metric_test(as_square_stack(a), sigma, tol)
+                  else matcore._refused("in_normalizer needs a finite nonzero sigma"), sigma,
+                  a.shape[:-2])
+    _, resolved, lam, _ = _metric_test(a, sigma, tol)
     return _verdict(resolved), lam
 
 
@@ -290,9 +293,9 @@ def cartan_decompose(a, sigma, tol: float = DEFAULT_TOL) -> CartanFactors:
     anti-member at n = 1), and NotInNormalizer whenever else :func:`in_normalizer` refuses a,
     a lam that rounding leaves negative included.  A stack raises neither (see ``refused``).
     """
-    matcore._each(lambda s: () if case_of_sigma(s) is CaseLabel.LORENTZ else matcore._refused(
-        "Cartan decomposition needs a finite sigma > 0"), sigma)
     a = as_square_stack(a)
+    matcore._each(lambda s: () if case_of_sigma(s) is CaseLabel.LORENTZ else matcore._refused(
+        "Cartan decomposition needs a finite sigma > 0"), sigma, a.shape[:-2])
     n = a.shape[-1] - 1
     ok, factored, lam, u = _metric_test(a, sigma, tol)  # factored: nothing below overflows
     nonpositive = (lam == 0.0) | (lam * (0.25 / (n + 3)) <= -u)  # as resolved: no overflow
@@ -318,10 +321,11 @@ _NEEDS = {CaseLabel.LORENTZ: "a finite sigma > 0", CaseLabel.ORTHOGONAL: "a fini
 _OMITTED = {CaseLabel.GALILEI: 0.0, CaseLabel.CARROLL: math.inf}
 
 
-def _check_pairing(case: CaseLabel, sigma):
+def _check_pairing(case: CaseLabel, sigma, stack: tuple):
     """Validate the case/sigma pairing, returning the effective sigma: the
-    case of sigma (each entry's) must be the given one, Galilei and Carroll
-    may omit it, and Aristotle takes none."""
+    case of sigma (each entry's, of an array that broadcasts to the stack
+    axes) must be the given one, Galilei and Carroll may omit it, and
+    Aristotle takes none."""
     if case is CaseLabel.ARISTOTLE:
         if sigma is not None:
             raise ValueError("the Aristotle case takes no sigma")
@@ -333,7 +337,7 @@ def _check_pairing(case: CaseLabel, sigma):
     if sigma is None or isinstance(sigma, np.ndarray) or case_of_sigma(sigma) is not case:
         needs = f"the {case.value} case needs {_NEEDS[case]}"
         matcore._each(lambda s: () if s is not None and case_of_sigma(s) is case
-                      else matcore._refused(needs), sigma)
+                      else matcore._refused(needs), sigma, stack)
     return sigma
 
 
@@ -347,7 +351,7 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     match the case; Galilei, Carroll and Aristotle may omit it.
     """
     a = as_square_stack(a)
-    s = _check_pairing(case, sigma)
+    s = _check_pairing(case, sigma, a.shape[:-2])
 
     if case in (CaseLabel.LORENTZ, CaseLabel.ORTHOGONAL):
         ok, _, lam, u = _metric_test(a, s, tol)
@@ -371,7 +375,7 @@ def random_element(case: CaseLabel, sigma=None, n: int = 2, boost_bound: float =
         raise ValueError("need at least two space dimensions")
     if not 0.0 <= boost_bound < math.inf:
         raise ValueError("boost_bound must be finite and nonnegative")
-    s = _check_pairing(case, sigma)
+    s = _check_pairing(case, sigma, ())  # one sigma for the draw
     if not isinstance(seed, (int, np.integer, np.random.Generator)):
         raise ValueError(f"seed must be an int or a numpy Generator, not {type(seed).__name__}")
     rng = np.random.default_rng(seed)

@@ -102,11 +102,16 @@ def _finite_sigma(sigma, refusal="sigma must be a real number within the float r
     return sigma != math.inf
 
 
-def _each(rule, sigma):
+def _each(rule, sigma, stack: tuple | None = None):
     """rule(sigma), a tuple of numbers, for a number sigma; for an array, rule of each entry as
-    arrays of sigma's shape, or the ValueError of the first entry to raise one, at its index."""
+    arrays of sigma's shape, or the ValueError of the first entry to raise one, at its index.
+    With the stack axes of the call, an array that does not broadcast to them is refused."""
     if not isinstance(sigma, np.ndarray):
         return rule(sigma)
+    if stack is not None and (sigma.ndim > len(stack) or any(
+            s not in (1, t) for s, t in zip(sigma.shape[::-1], stack[::-1]))):
+        raise ValueError(f"a sigma array must broadcast to the stack axes {stack}, "
+                         f"got shape {sigma.shape}")
     rows = []
     try:
         rows.extend(map(rule, sigma.ravel().tolist()))  # one by one: len(rows) names a refusal
@@ -211,10 +216,11 @@ def dagger(Z, sigma) -> np.ndarray:
     is finite and nonzero, within the float range.
     """
     refusal = "dagger needs a finite nonzero sigma within the float range"
-    if isinstance(sigma, np.ndarray) or not _finite_sigma(sigma, refusal) or sigma == 0.0:
-        _each(lambda s: () if _finite_sigma(s, refusal) and s != 0.0 else _refused(refusal), sigma)
-        sigma = sigma[..., None]  # an array, one per matrix: a number was refused
     adj = as_square_stack(np.array(Z, dtype=float)).mT  # a view of a fresh copy, scaled in place
+    if isinstance(sigma, np.ndarray) or not _finite_sigma(sigma, refusal) or sigma == 0.0:
+        _each(lambda s: () if _finite_sigma(s, refusal) and s != 0.0 else _refused(refusal),
+              sigma, adj.shape[:-2])
+        sigma = sigma[..., None]  # an array, one per matrix: a number was refused
     column, row = adj[..., :-1, -1], adj[..., -1, :-1]
     np.divide(column, -sigma, out=column)
     np.multiply(row, -sigma, out=row)

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,13 +33,22 @@ def write_file(tmp_path, payload, name="data.json"):
     return str(path)
 
 
+def factor_entry(a, sigma) -> dict:
+    """What decompose prints for a, from a call on a alone."""
+    try:
+        f = cartan_decompose(a, sigma)
+    except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
+        return {"error": type(exc).__name__}
+    return {"lambda": float(f.lam), "k": f.k.ravel().tolist(), "Z": f.Z.ravel().tolist()}
+
+
 def run_module(cwd, *args):
-    """``python -W error::RuntimeWarning -m kinematica ARGS`` in a fresh interpreter."""
+    """``python -W error -m kinematica ARGS`` in a fresh interpreter, its stdout a pipe."""
     src = str(Path(kinematica.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kinematica",
-                           *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error", "-m", "kinematica", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def generator_payload(n, sigma):
@@ -361,14 +372,7 @@ def test_decompose_of_a_mixed_file_matches_each_matrix_alone(tmp_path, capsys):
     code = cli.main(["decompose", path, "--sigma", "1"])
     entries = json.loads(capsys.readouterr().out)
     assert code == 2 and len(entries) == len(matrices)
-    for entry, a in zip(entries, matrices):
-        try:
-            factors = cartan_decompose(a, 1.0)
-        except (groups.NotInNormalizer, groups.NonPositiveLambda) as exc:
-            assert entry == {"error": type(exc).__name__}
-        else:
-            assert entry == {"lambda": float(factors.lam), "k": factors.k.ravel().tolist(),
-                             "Z": factors.Z.ravel().tolist()}
+    assert entries == [factor_entry(a, 1.0) for a in matrices]
     errors = [entry.get("error") for entry in entries]
     assert errors.count("NonPositiveLambda") == 1 and "NotInNormalizer" in errors
     assert errors.count(None) >= 8
@@ -658,6 +662,91 @@ def test_empty_outputs_are_pinned_as_text(tmp_path, capsys):
     assert capsys.readouterr().out == "[]\n"
 
 
+# The chunked writer's layout, written out: the head, then "[", each item's orjson text on a
+# line of its own, ",\n" between items, "]", the tail and a newline; "[]" for no item.
+def layout(items, head="", tail="") -> str:
+    lines = [orjson.dumps(item).decode() for item in items]
+    return head + ("[\n" + ",\n".join(lines) + "\n]" if lines else "[]") + tail + "\n"
+
+
+def edge_counts(width):
+    """Item counts on each side of the writer's chunk edges, for items of width numbers."""
+    chunk = cli._CHUNK // width  # items per write
+    return 0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1
+
+
+SIGMAS = {"lorentz": 1.0, "orthogonal": -1.0, "galilei": 0.0, "carroll": math.inf,
+          "aristotle": None}
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("case", sorted(SIGMAS))
+def test_generate_prints_the_layout_at_every_chunk_edge(capsys, case, n):
+    sigma = SIGMAS[case]
+    flags = [] if sigma is None else ["--sigma", str(sigma)]
+    for count in edge_counts((n + 1) ** 2):
+        assert cli.main(["generate", "--case", case, "--n", str(n), "--count", str(count),
+                         "--seed", str(count)] + flags) == 0
+        drawn = random_element(cli._CASE_NAMES[case], sigma, n, 1.0, count, size=count)
+        assert capsys.readouterr().out == layout(drawn.reshape(count, (n + 1) ** 2).tolist(),
+                                                 f'{{"n": {n}, "matrices": ', "}"), count
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_decompose_prints_the_layout_at_every_chunk_edge(tmp_path, capsys, n):
+    path = tmp_path / "members.json"
+    for count in edge_counts(1 + 2 * (n + 1) ** 2):
+        members = random_element(CaseLabel.LORENTZ, 1.0, n, 1.0, count, size=count)
+        path.write_bytes(orjson.dumps({"n": n, "matrices": [a.ravel().tolist() for a in members]}))
+        assert cli.main(["decompose", str(path), "--sigma", "1"]) == 0
+        assert capsys.readouterr().out == layout([factor_entry(a, 1.0) for a in members]), count
+
+
+def test_decompose_prints_refused_rows_on_the_chunk_edges(tmp_path, capsys):
+    chunk = edge_counts(33)[3]  # n = 3: a line of lambda, k and Z holds 33 numbers
+    members = random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, 8, size=2 * chunk + 2)
+    edges = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1]
+    members[edges[::2]] = 0.0  # NonPositiveLambda
+    members[edges[1::2]] *= 1.0 + 1e-3 * np.arange(16).reshape(4, 4)  # NotInNormalizer
+    path = write_file(tmp_path, {"n": 3, "matrices": members.reshape(-1, 16).tolist()})
+    assert cli.main(["decompose", path, "--sigma", "1"]) == 2
+    entries = [factor_entry(a, 1.0) for a in members]
+    assert [i for i, entry in enumerate(entries) if "error" in entry] == edges
+    assert {entries[i]["error"] for i in edges[::2]} == {"NonPositiveLambda"}
+    assert {entries[i]["error"] for i in edges[1::2]} == {"NotInNormalizer"}
+    assert capsys.readouterr().out == layout(entries)
+
+
+def test_each_write_holds_one_chunk_under_the_mmap_threshold(monkeypatch):
+    # Galilei members with a boost bound of 1e300 print numbers of 22 or more characters.
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    count = 2000
+    assert cli.main(["generate", "--case", "galilei", "--n", "3", "--count", str(count),
+                     "--boost-bound", "1e300"]) == 0
+    assert len(writes) == math.ceil(count / edge_counts(16)[3]) + 1  # the chunks, the tail
+    assert 64 * 1024 < max(map(len, writes)) < 128 * 1024
+
+
+def test_the_traced_peak_does_not_grow_with_the_text(tmp_path):
+    # 20,000 members at n = 3: a 2.6 MB stack, 6.4 MB of text and 10.5 MB of factors.  The
+    # bounds lie between the chunked peaks (13 and 21 MB) and those of whole text (44 and 69).
+    members = tmp_path / "members.json"
+
+    def peak(argv, out) -> float:
+        with open(out, "w") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+    assert peak(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                 "--count", "20000"], members) < 16.0
+    assert peak(["decompose", str(members), "--sigma", "1"], tmp_path / "factors.json") < 28.0
+
+
 def test_generate_overflowing_rapidity_is_an_error(capsys):
     code = cli.main(["generate", "--case", "lorentz", "--sigma", "1e8"])
     err = capsys.readouterr().err
@@ -765,15 +854,23 @@ def test_python_dash_m_kinematica_runs_without_warnings(tmp_path):
     assert len(json.loads(proc.stdout)["matrices"]) == 1
 
 
-def test_python_dash_m_kinematica_decomposes_a_generated_file_without_warnings(tmp_path):
+def test_python_dash_m_kinematica_decomposes_a_generated_file_without_warnings(tmp_path, capsys):
+    # Both commands write many chunks to a real pipe: the bytes are those written in-process.
+    count = 1000
+    assert count > 2 * max(edge_counts(16)[3], edge_counts(33)[3]) + 1
     made = run_module(tmp_path, "generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
-                      "--count", "1000")
+                      "--count", str(count))
     assert (made.returncode, made.stderr) == (0, "")
+    assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
+                     "--count", str(count)]) == 0
+    assert capsys.readouterr().out == made.stdout
     (tmp_path / "members.json").write_text(made.stdout)
     proc = run_module(tmp_path, "decompose", "members.json", "--sigma", "1")
     assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.main(["decompose", str(tmp_path / "members.json"), "--sigma", "1"]) == 0
+    assert capsys.readouterr().out == proc.stdout
     entries = json.loads(proc.stdout)
-    assert len(entries) == 1000 and all("error" not in entry for entry in entries)
+    assert len(entries) == count and all("error" not in entry for entry in entries)
 
 
 def test_the_parser_built_once_carries_nothing_from_call_to_call(tmp_path, capsys):

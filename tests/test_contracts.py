@@ -336,6 +336,41 @@ def test_a_sigma_per_row_answers_as_each_row_at_its_sigma(name):
     run(name, SIGMA_STACKED[name])
 
 
+TWO = np.array([1.0, 2.0])
+UNFIT = {  # a sigma array that does not broadcast to the stack axes, with those axes
+    "boost_closed_form": (lambda: groups.boost_closed_form(np.ones(2), TWO), ()),
+    "p_generator": (lambda: groups.p_generator(np.ones(2), TWO), ()),
+    "dagger": (lambda: matcore.dagger(np.eye(3), TWO), ()),
+    "in_normalizer": (lambda: groups.in_normalizer(np.eye(3), TWO), ()),
+    "cartan_decompose": (lambda: groups.cartan_decompose(np.eye(3), TWO), ()),
+    "cartan_decompose of two": (lambda: groups.cartan_decompose(np.stack([np.eye(3)] * 2),
+                                                                np.ones(3)), (2,)),
+    "membership": (lambda: groups.membership(np.eye(3), CaseLabel.LORENTZ, TWO), ()),
+    "membership, Galilei": (lambda: groups.membership(np.eye(3), CaseLabel.GALILEI,
+                                                      np.zeros(2)), ()),
+    "membership of two, (2, 1)": (lambda: groups.membership(
+        np.stack([np.eye(3)] * 2), CaseLabel.LORENTZ, np.ones((2, 1))), (2,)),
+    "random_element keeps one sigma": (lambda: groups.random_element(
+        CaseLabel.LORENTZ, TWO, 2, size=2), ()),
+}
+
+
+@pytest.mark.parametrize("name", UNFIT)
+def test_a_sigma_array_that_does_not_fit_the_stack_is_refused(name):
+    call, stack = UNFIT[name]
+    with pytest.raises(ValueError, match=re.escape(
+            f"a sigma array must broadcast to the stack axes {stack}, got shape (")):
+        call()
+
+
+def test_a_sigma_array_that_fits_the_stack_is_read():
+    # one sigma for the draw, as a 0-d array, and one per row or per first axis of a stack
+    assert groups.random_element(CaseLabel.LORENTZ, np.array(1.0), 2, size=2).shape == (2, 3, 3)
+    assert groups.membership(np.eye(3), CaseLabel.GALILEI, np.array(0.0)) is True
+    assert groups.boost_closed_form(np.ones((2, 3, 2)), np.ones((2, 1))).shape == (2, 3, 3, 3)
+    assert groups.cartan_decompose(np.stack([np.eye(3)] * 2), TWO).refused.tolist() == [None] * 2
+
+
 def coordinates(x):
     """The private coordinate pass that classify_algebra reads every generator through, run as
     it is there: on a float copy, which it halves in place.  Only its sqrt(n) lam coordinate
