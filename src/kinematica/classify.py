@@ -30,7 +30,6 @@ refused sets) and whose arrays the property suite reads directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -223,7 +222,7 @@ def rotation_generators(n: int) -> list[np.ndarray]:
     if n < 2:
         raise ValueError("need at least two space dimensions")
     out = [np.zeros((n + 1, n + 1)) for _ in range(n * (n - 1) // 2)]
-    for Z, (i, j) in zip(out, itertools.combinations(range(n), 2)):
+    for Z, i, j in zip(out, *np.triu_indices(n, 1)):
         Z[i, j], Z[j, i] = 1.0, -1.0
     return out
 
@@ -246,8 +245,7 @@ def closure_scan(basis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     stack, e = matcore.scaled(stack, (-2, -1))
     _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
     Q = vt[s > tol * s[0]]
-    i, j = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(len(stack)), 2)),
-                       np.intp, len(stack) * (len(stack) - 1)).reshape(-1, 2).T  # row-major pairs
+    i, j = np.triu_indices(len(stack), 1)  # row-major pairs
     w = matcore.bracket(stack[i], stack[j]).reshape(len(i), stack[0].size)
     resid = np.linalg.norm(w - (w @ Q.T) @ Q, axis=1)
     closed = bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))

@@ -65,12 +65,11 @@ def k_element(R, eps) -> np.ndarray:
     R = as_square_stack(R)
     eps = np.asarray(eps)
     n = R.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a defect past the float max: inf or NaN
-        defect = op_norm(R.mT @ R - np.eye(n), 2)
-    matcore.refuse(np.logical_not(defect <= DEFAULT_TOL), "R must be orthogonal")
-    matcore.refuse((eps != 1) & (eps != -1), "eps must be +1 or -1")
     K = np.zeros(np.broadcast_shapes(R.shape[:-2], eps.shape) + (n + 1, n + 1))
     K[..., :n, :n] = R
+    K[..., n, n] = 1.0  # R is judged first, by in_K's rule
+    matcore.refuse(~_shape_test(K, CaseLabel.ARISTOTLE, DEFAULT_TOL), "R must be orthogonal")
+    matcore.refuse((eps != 1) & (eps != -1), "eps must be +1 or -1")
     K[..., n, n] = eps
     return K
 
@@ -94,7 +93,7 @@ def p_generator(b, sigma) -> np.ndarray:
         raise ValueError("b must have finite entries")
     n = b.shape[-1]
     Z = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    column, row = matcore._each(_mixing, sigma, b.shape[:-1])
+    column, row = matcore._each(_mixing, sigma, b.shape[:-1], (0.0, 0.0))
     if isinstance(row, np.ndarray) or abs(row) > 1.0:  # else sigma * b cannot overflow
         column, row = matcore._widened(column), matcore._widened(row)  # one per row of b
         with np.errstate(over="ignore"):
@@ -130,7 +129,8 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
     # Z in sigma's balanced unit: b' = b 2^k
-    k, column, row, root, sign, limit = matcore._each(_boost_terms, sigma, b.shape[:-1])
+    k, column, row, root, sign, limit = matcore._each(_boost_terms, sigma, b.shape[:-1],
+                                                      (0,) + (0.0,) * 5)
     wide = np.count_nonzero(abs(b) < _WIDE) != b.size  # else no |b|^2 overflows
     if wide and np.count_nonzero(np.isfinite(b)) != b.size:  # faster than .all() when small
         raise ValueError("b must have finite entries")

@@ -102,10 +102,11 @@ def _finite_sigma(sigma, refusal="sigma must be a real number within the float r
     return sigma != math.inf
 
 
-def _each(rule, sigma, stack: tuple | None = None):
+def _each(rule, sigma, stack: tuple | None = None, empty: tuple = ()):
     """rule(sigma), a tuple of numbers, for a number sigma; for an array, rule of each entry as
     arrays of sigma's shape, or the ValueError of the first entry to raise one, at its index.
-    With the stack axes of the call, an array that does not broadcast to them is refused."""
+    With the stack axes of the call, an array that does not broadcast to them is refused.  An
+    array with no entry runs no rule: its arrays take the types of the numbers of empty."""
     if not isinstance(sigma, np.ndarray):
         return rule(sigma)
     if stack is not None and (sigma.ndim > len(stack) or any(
@@ -117,7 +118,7 @@ def _each(rule, sigma, stack: tuple | None = None):
         rows.extend(map(rule, sigma.ravel().tolist()))  # one by one: len(rows) names a refusal
     except ValueError as error:
         refuse(np.arange(sigma.size).reshape(sigma.shape) == len(rows), str(error))
-    first = rows[0] if rows else rule(1.0)  # an empty sigma reads the types off 1.0
+    first = rows[0] if rows else empty
     return tuple(x.reshape(sigma.shape).astype(type(y), copy=False)
                  for x, y in zip(np.array(rows or [first]).T[:, :sigma.size], first))
 
@@ -135,7 +136,7 @@ def sigma_unit(sigma) -> tuple:
     and inf), of each entry of a sigma array.  balance(x, k) maps the group of sigma exactly
     onto that of sigma'.  Raises ValueError for NaN, -inf and a sigma past the float range."""
     if isinstance(sigma, np.ndarray):
-        return _each(sigma_unit, sigma)
+        return _each(sigma_unit, sigma, empty=(0, 0.0))
     k = math.frexp(sigma)[1] // 2 if _finite_sigma(sigma) else 0
     return k, math.ldexp(sigma, -2 * k)
 

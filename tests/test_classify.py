@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kinematica import classify, cli, groups, matcore, verify
+from kinematica import classify, cli, groups, isotypic, matcore, verify
 from kinematica.classify import (
     DEFAULT_TOL,
     CaseLabel,
@@ -703,25 +703,16 @@ def test_classify_takes_one_svd_of_the_non_rotation_rows(monkeypatch):
     assert len(inputs) == before
 
 
-def test_classify_splits_all_generators_in_one_call(monkeypatch):
+def test_classify_splits_all_generators_in_one_call(tracer):
     # The generators go to the coordinate pass of isotypic as one (m, n+1, n+1) stack.
-    from kinematica import isotypic
-    shapes = []
-    coordinates = isotypic._coordinates
-
-    def counting(Z):
-        shapes.append(np.shape(Z))
-        return coordinates(Z)
-
-    monkeypatch.setattr(isotypic, "_coordinates", counting)
+    tracer.watch(isotypic, "_coordinates")
     rng = np.random.default_rng(29)
     sets = [_standard_generators(rng, n, s, count=n)
             for n in (2, 3, 10, 20) for s in (1.0, -0.5, 0.0, math.inf)]
     sets += [rotation_generators(20), rotation_generators(2) + [np.eye(3)]]
     for gens in sets:
-        before = len(shapes)
         classify_algebra(gens)
-        assert shapes[before:] == [(len(gens),) + gens[0].shape]
+    assert tracer.calls["_coordinates"] == [((len(gens),) + gens[0].shape,) for gens in sets]
 
 
 def test_classify_a_boost_plus_a_rotation_is_the_boost_case():
@@ -848,21 +839,14 @@ def test_classify_maps_the_sigma_spread_back_with_sigma():
         assert result.diagnostics["sigma_spread"] == pytest.approx(1e-10 * abs(sigma), rel=1e-4)
 
 
-def test_classify_computes_row_sigmas_once_per_accepted_set(monkeypatch):
-    calls = []
-    row_sigmas = classify._row_sigmas
-
-    def counting(*args):
-        calls.append(args)
-        return row_sigmas(*args)
-
-    monkeypatch.setattr(classify, "_row_sigmas", counting)
+def test_classify_computes_row_sigmas_once_per_accepted_set(tracer):
+    tracer.watch(classify, "_row_sigmas")
     rng = np.random.default_rng(25)
     sets = [_standard_generators(rng, n, s)
             for n in (2, 3) for s in (1.0, -0.5, 0.0, math.inf)]
     for gens in sets:
         assert classify_algebra(gens).is_kinematical
-    assert len(calls) == len(sets)
+    assert len(tracer.calls["_row_sigmas"]) == len(sets)
 
 
 def _padded(gens, m):
@@ -894,109 +878,6 @@ def _gate_sets(rng, n):
     return {name: _padded(gens, m) for name, gens in sets.items()}
 
 
-def _assert_one_set_answers(stack, bits, tol=DEFAULT_TOL):
-    results = classify_algebra(np.array(stack), tol)
-    assert isinstance(results, list) and len(results) == len(stack)
-    for got, gens in zip(results, stack):
-        want = classify_algebra(list(gens), tol)
-        assert (got.outcome, got.reason) == (want.outcome, want.reason)
-        if got.outcome != "NotKinematical":
-            assert case_label(got) is case_label(want)
-        if bits:
-            assert got.sigma == want.sigma and got.diagnostics == want.diagnostics
-            continue
-        if want.sigma is not None:
-            assert got.sigma.value == pytest.approx(want.sigma.value, rel=1e-12, abs=0.0)
-        # The norms are of unit basis rows, and the spread is in the unit of sigma.
-        scale = {"sigma_spread": 1.0 + abs(want.sigma.value) if want.sigma else 1.0}
-        assert got.diagnostics.keys() == want.diagnostics.keys()
-        for key, value in want.diagnostics.items():
-            assert abs(got.diagnostics[key] - value) <= 1e-12 * scale.get(key, 1.0), key
-
-
-def test_classify_a_stack_gives_each_set_its_one_set_answer():
-    # Every gate in one (T, m, n+1, n+1) stack: the guard, the undo and the
-    # cut act per set.  These sets differ in their zero rows, so each one's
-    # SVD sees rows the others need: equal to 1e-12.
-    rng = np.random.default_rng(32)
-    for n in (2, 3, 5):
-        sets = _gate_sets(rng, n)
-        _assert_one_set_answers(list(sets.values()), bits=False)
-        outcomes = [classify_algebra(gens) for gens in sets.values()]
-        assert {(_gate(r) or case_label(r).value).split(" (")[0] for r in outcomes} == {
-            "Aristotle", "scalar", "traceless symmetric", "mixing generators disagree on sigma",
-            "mixing vectors are not collinear", "Carroll", "Lorentz", "Orthogonal", "Galilei"}
-
-
-def test_classify_a_stack_of_one_kind_is_bit_for_bit():
-    # Sets that share their zero rows, as the property suite draws them:
-    # each set's answer is that of its one-set call, bit for bit.
-    rng = np.random.default_rng(33)
-    for n in (2, 3, 10):
-        for sigma in (1.0, 0.5, -1.0, 0.0, math.inf, 3e13, -2e-12):
-            stack = [_standard_generators(rng, n, sigma, count=n,
-                                          scale=rng.uniform(0.25, 4.0)) for _ in range(6)]
-            _assert_one_set_answers(stack, bits=True)
-        gates = _gate_sets(rng, n)
-        for name in ("m0", "not collinear", "carroll guard", "undo", "zero"):
-            _assert_one_set_answers([gates[name]] * 3, bits=True)
-
-
-def _kind_sets(rng, n):
-    """One set of each kind, by the gate or case it reads as, all of m = n(n-1)/2 + n + 2
-    generators with their rotation rows (none in non-rotation content), their n + 1 content rows
-    and one zero generator at the same places, so that a stack of them drops the rows each set
-    alone drops."""
-    eps = np.finfo(float).eps
-    rotations, e = rotation_generators(n), np.eye(n)
-    sym = np.zeros((n + 1, n + 1))
-    sym[0, 0], sym[1, 1] = 1.0, -1.0
-
-    def boosts(sigma, count=n + 1):
-        return list(p_generator(rng.standard_normal((count, n)), sigma))
-
-    def skew():
-        return mixing(rng.standard_normal(n), rng.standard_normal(n))
-
-    sets = [(case_of_sigma(sigma).value, boosts(sigma)) for sigma in (
-        1e12, -1e12, 1.0, -1.0, 0.5, 1e-12, -1e-12, 0.0, math.inf)] + [
-        ("scalar", boosts(1.0, n) + [np.eye(n + 1) + boosts(1.0, 1)[0]]),
-        ("scalar", boosts(1.0, n - 1) + [skew(), np.eye(n + 1) + skew()]),  # m0 comes first
-        ("traceless symmetric", boosts(1.0, n) + [sym + boosts(1.0, 1)[0]]),
-        ("mixing generators disagree on sigma", [p_generator(e[0], 1.0), p_generator(
-            3.0 * e[0], 1.0)] + [p_generator((i + 2) * e[i], 2.0) for i in range(1, n)]),
-        ("mixing vectors are not collinear", boosts(1.0, n) + [skew()]),
-        ("Aristotle", [np.zeros((n + 1, n + 1))] * (n + 1)),  # the rotations alone
-        ("Carroll", [mixing((n + 1) * eps * v, v) for v in (*e, e.sum(0))]),  # at the guard
-        ("Lorentz", [p_generator(0.01 * v, 2e-15) for v in (*e, e.sum(0))]),  # the undo branch
-    ]
-    return [(kind, rotations + gens + [np.zeros((n + 1, n + 1))]) for kind, gens in sets]
-
-
-def test_a_stack_classifies_each_set_as_its_one_set_call():
-    # A (T, m, n+1, n+1) stack of every kind, T = 1 and T = 40, gets each set's one-set answer
-    # bit for bit: outcome, reason text, sigma, spread and every diagnostic.  The arrays of
-    # classify's whole-array core hold the same answers.
-    rng = np.random.default_rng(36)
-    for n in (2, 3):
-        kinds, sets = zip(*[entry for _ in range(3) for entry in _kind_sets(rng, n)][:40])
-        assert len(sets) == 40 and len(set(map(len, sets))) == 1
-        want = [classify_algebra(gens) for gens in sets]
-        assert [(_gate(r) or case_label(r).value).split(" (")[0] for r in want] == list(kinds)
-        for which in [[i] for i in range(len(sets))] + [range(len(sets))]:
-            got = classify_algebra(np.array([sets[i] for i in which]))
-            assert [_fingerprint(r) for r in got] == [_fingerprint(want[i]) for i in which]
-        verdicts = classify._verdicts(np.array(sets), DEFAULT_TOL)
-        assert [v.shape for v in verdicts] == [(40,)] * 8
-        for i, result in enumerate(want):
-            outcome, sigma, spread, rank, m0, m2, m3, reason = (v[i] for v in verdicts)
-            assert (outcome, reason) == (result.outcome, result.reason)
-            assert [rank, m0, m2, m3] == [result.diagnostics[key] for key in (
-                "rank", "m0", "m2", "m3")]
-            if result.is_kinematical:
-                assert (sigma, spread) == (result.sigma.value, result.diagnostics["sigma_spread"])
-
-
 def test_classify_holds_one_copy_of_a_set_and_its_coordinates():
     # The set is copied once, scaled in place and its coordinates written once: no scaled
     # copy, |x| temporary or split components of the set's size beside them.
@@ -1014,22 +895,17 @@ def test_classify_holds_one_copy_of_a_set_and_its_coordinates():
     assert peak <= 2.5 * gens.nbytes, peak / gens.nbytes
 
 
-def test_classify_a_stack_takes_one_split_and_one_svd(monkeypatch):
-    from kinematica import isotypic
-    calls = []
-    coordinates, svd = isotypic._coordinates, np.linalg.svd
-    monkeypatch.setattr(isotypic, "_coordinates",
-                        lambda Z: calls.append("split") or coordinates(Z))
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
-        calls.append(np.shape(a)) or svd(a, *args, **kwargs)))
+def test_classify_a_stack_takes_one_split_and_one_svd(tracer):
+    tracer.watch(isotypic, "_coordinates", "split")
+    tracer.watch(np.linalg, "svd")
     stack = np.array(list(_gate_sets(np.random.default_rng(34), 3).values()))
     assert len(classify_algebra(stack)) == len(stack)
-    assert calls[0] == "split" and len(calls) == 2 and calls[1][0] == len(stack)
+    assert tracer.log == ["split", "svd"] and tracer.calls["svd"][0][0][0] == len(stack)
     # a stack with nothing but rotations takes no SVD
-    calls.clear()
+    tracer.log.clear()
     assert [r.outcome for r in classify_algebra(np.array([rotation_generators(3)] * 4))] == [
         "AristotleOnly"] * 4
-    assert calls == ["split"]
+    assert tracer.log == ["split"]
     assert classify_algebra(np.zeros((0, 2, 3, 3))) == []
 
 

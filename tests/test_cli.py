@@ -565,19 +565,12 @@ def test_generate_out_of_memory_is_an_error(capsys, monkeypatch):
     assert err == "error: Unable to allocate 74.5 GiB\n"
 
 
-def test_generate_draws_the_whole_batch_in_one_call(capsys, monkeypatch):
-    calls = []
-    real = groups.random_element
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groups, "random_element", counted)
+def test_generate_draws_the_whole_batch_in_one_call(capsys, tracer):
+    tracer.watch(groups, "random_element")
     assert cli.main(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
                      "--count", "1000", "--seed", "5"]) == 0
     assert len(json.loads(capsys.readouterr().out)["matrices"]) == 1000
-    assert len(calls) == 1
+    assert tracer.log == ["random_element"]
 
 
 def test_generate_and_decompose_print_the_same_values_one_per_line(tmp_path, capsys):

@@ -17,11 +17,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_affine import one_event, one_line, same_bits
-from test_classify import _gate_sets
+from test_classify import _fingerprint, _gate, _gate_sets, _standard_generators, mixing
 
 from kinematica import affine, classify, groups, isotypic, matcore, verify
 from kinematica.affine import AffineElement, Event, WorldLine
@@ -75,19 +75,26 @@ def same_leaves(whole, i, one, args):
 def same_result(whole, i, one, args):
     """classify_algebra's form: outcome equal; reason, sigma (so the case) and diagnostics bit for
     bit where the set drops the rotation-only generators the stack drops (read over the power of
-    two of its largest entry, none below 2^-900); else the reason's words, rank, sigma to 1e-12."""
+    two of its largest entry, none below 2^-900); else, with no entry below 2^-900, the reason,
+    sigma and diagnostics to 1e-12 (the spread relative to 1 + |sigma|); else the reason's
+    words, rank and sigma to 1e-12."""
     got, sets, n = whole[i[0]], args[0].value, args[0].value.shape[-1] - 1
     assert [got.outcome, *got.diagnostics] == [one.outcome, *one.diagnostics], i
     x = np.ldexp(sets, -np.frexp(abs(sets).max(axis=(-3, -2, -1), keepdims=True))[1])
     x[..., :n, :n] += x[..., :n, :n].mT  # its content outside the rotations, the rest of x
     zero, tiny = ~x.any((-2, -1)), (x[i] != 0.0) & (abs(x[i]) < 2.0 ** -900)
-    if (zero[i] == zero.all(0)).all() and not tiny.any():
+    near = got.sigma is one.sigma or got.sigma.value == pytest.approx(one.sigma.value, 1e-12, 0.0)
+    if tiny.any():
+        assert NUMBER.sub("#", got.reason or "") == NUMBER.sub("#", one.reason or ""), i
+        assert got.diagnostics["rank"] == one.diagnostics["rank"] and near, i
+    elif (zero[i] == zero.all(0)).all():
         assert got.reason == one.reason and got.sigma == one.sigma and same_bits(
             list(got.diagnostics.values()), list(one.diagnostics.values())), i
     else:
-        assert NUMBER.sub("#", got.reason or "") == NUMBER.sub("#", one.reason or ""), i
-        assert got.diagnostics["rank"] == one.diagnostics["rank"] and (
-            got.sigma is one.sigma or got.sigma.value == pytest.approx(one.sigma.value, 1e-12)), i
+        spread = 1.0 + abs(one.sigma.value) if one.sigma else 1.0
+        assert got.reason == one.reason and near and all(abs(got.diagnostics[key] - value) <= (
+            1e-12 * (spread if key == "sigma_spread" else 1.0)) for key, value in
+            one.diagnostics.items()), i
 
 
 class Entry(NamedTuple):
@@ -121,8 +128,9 @@ def check(name: str, entry: Entry, args: tuple):
     """Assert the stack contract for one draw of arguments."""
     (shape,) = {a.shape for a in args if isinstance(a, Stack)}
     whole = attempt(entry.call, [a.value if isinstance(a, Stack) else a for a in args])
-    alone = {i: attempt(entry.call, [pick(spelled_out(a), i) if isinstance(a, Stack) else a
-                                     for a in args]) for i in np.ndindex(shape)}
+    spelled = [Stack(spelled_out(a), a.shape) if isinstance(a, Stack) else a for a in args]
+    alone = {i: attempt(entry.call, [pick(a.value, i) if isinstance(a, Stack) else a
+                                     for a in spelled]) for i in np.ndindex(shape)}
     if not isinstance(whole, Exception):
         assert all(np.shape(leaf)[:len(shape)] == shape for leaf in leaves(whole)), name
         for i, one in alone.items():
@@ -175,11 +183,12 @@ def arguments(draw, entry: Entry):
 
 
 def run(name: str, entry: Entry, **overrides):
-    """Check the contract of entry over its examples and draws."""
+    """Check the contract of entry over its examples, then its draws (hypothesis derandomizes
+    by contract's source: the same source, the same draws)."""
     def contract(args):
         check(name, entry, args)
     for args in entry.examples:
-        contract = example(args)(contract)
+        contract(args)
     settings(max_examples=8, deadline=None, **overrides)(given(arguments(entry))(contract))()
 
 
@@ -220,6 +229,93 @@ MIXED = Stack(np.concatenate([G := groups.random_element(CaseLabel.LORENTZ, 1.0,
 GATES = _gate_sets(np.random.default_rng(1), 3)
 STRIDED = Stack(np.asfortranarray(np.random.default_rng(4).standard_normal((3, 4)) * 2.0 ** np.c_[
     [-499, -503, -503]]), (3,))  # strided rows, |b| about 2^-500: one |b| formula, one order
+STACK_SIGMAS = tuple(sign * 10.0 ** e for sign in (1.0, -1.0) for e in (-12, -6, 0, 6, 12))
+
+
+def mixed_stack(n, sigma, rng, count=4):
+    """Members of each group at n, the metric one at sigma and of rapidity or angle up to 2,
+    then the same scaled by sqrt(lam) with lam from 1e-8 to 1e8, copies of those with every
+    entry moved by 1e-6 relative, the zero matrix and Gaussian non-members: a (m,) Stack."""
+    metric = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
+    seed = int(rng.integers(2**32))
+    members = np.concatenate(
+        [groups.random_element(metric, sigma, n, 2.0 / math.sqrt(abs(sigma)), seed, size=count)]
+        + [groups.random_element(case, None, n, 2.0, seed, size=count)
+           for case in (CaseLabel.GALILEI, CaseLabel.CARROLL, CaseLabel.ARISTOTLE)])
+    scaled = np.sqrt(10.0 ** rng.uniform(-8.0, 8.0, len(members)))[:, None, None] * members
+    moved = scaled * (1.0 + 1e-6 * rng.choice((-1.0, 1.0), scaled.shape))
+    x = np.concatenate([members, scaled, moved, np.zeros((1, n + 1, n + 1)),
+                        rng.standard_normal((count, n + 1, n + 1))])
+    return Stack(x, x.shape[:1])
+
+
+def kind_sets(rng, n):
+    """One set of each kind, by the gate or case it reads as, all of m = n(n-1)/2 + n + 2
+    generators with their rotation rows (none in non-rotation content), their n + 1 content rows
+    and one zero generator at the same places, so that a stack of them drops the rows each set
+    alone drops."""
+    eps = np.finfo(float).eps
+    rotations, e = classify.rotation_generators(n), np.eye(n)
+    sym = np.zeros((n + 1, n + 1))
+    sym[0, 0], sym[1, 1] = 1.0, -1.0
+
+    def boosts(sigma, count=n + 1):
+        return list(groups.p_generator(rng.standard_normal((count, n)), sigma))
+
+    def skew():
+        return mixing(rng.standard_normal(n), rng.standard_normal(n))
+
+    sets = [(case_of_sigma(sigma).value, boosts(sigma)) for sigma in (
+        1e12, -1e12, 1.0, -1.0, 0.5, 1e-12, -1e-12, 0.0, math.inf)] + [
+        ("scalar", boosts(1.0, n) + [np.eye(n + 1) + boosts(1.0, 1)[0]]),
+        ("scalar", boosts(1.0, n - 1) + [skew(), np.eye(n + 1) + skew()]),  # m0 comes first
+        ("traceless symmetric", boosts(1.0, n) + [sym + boosts(1.0, 1)[0]]),
+        ("mixing generators disagree on sigma", [groups.p_generator(e[0], 1.0), groups.p_generator(
+            3.0 * e[0], 1.0)] + [groups.p_generator((i + 2) * e[i], 2.0) for i in range(1, n)]),
+        ("mixing vectors are not collinear", boosts(1.0, n) + [skew()]),
+        ("Aristotle", [np.zeros((n + 1, n + 1))] * (n + 1)),  # the rotations alone
+        ("Carroll", [mixing((n + 1) * eps * v, v) for v in (*e, e.sum(0))]),  # at the guard
+        ("Lorentz", [groups.p_generator(0.01 * v, 2e-15) for v in (*e, e.sum(0))]),  # the undo
+    ]
+    return [(kind, rotations + gens + [np.zeros((n + 1, n + 1))]) for kind, gens in sets]
+
+
+def boost_rows():
+    """Rows b at each sigma and n, a (6,) stack and the same as a (2, 3) one, with a sigma."""
+    rng = np.random.default_rng(31)
+    for sigma in (1.0, 0.5, 2.0, -1.0, -0.25, 0.0, math.inf):
+        for n in (2, 3, 10):
+            rows = rng.standard_normal((6, n)) * rng.uniform(0.0, 3.0, (6, 1))
+            yield from ((Stack(b, b.shape[:-1]), sigma) for b in (rows, rows.reshape(2, 3, n)))
+
+
+def one_kind_stacks():
+    """Stacks of sets that share their zero rows, as the property suite draws them, and of
+    copies of one gate set: each set gets its one-set answer bit for bit."""
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 10):
+        for sigma in (1.0, 0.5, -1.0, 0.0, math.inf, 3e13, -2e-12):
+            yield [_standard_generators(rng, n, sigma, count=n, scale=rng.uniform(0.25, 4.0))
+                   for _ in range(6)]
+        gates = _gate_sets(rng, n)
+        yield from ([gates[name]] * 3 for name in ("m0", "not collinear", "carroll guard", "undo",
+                                                    "zero"))
+
+
+SHAPE_CASES = (CaseLabel.GALILEI, CaseLabel.CARROLL, CaseLabel.ARISTOTLE)  # sigma omitted
+VERDICT_STACKS = [(mixed_stack(n, sigma, rng), sigma) for n in (2, 3, 10)  # with sigma
+                  for rng in [np.random.default_rng(n)] for sigma in STACK_SIGMAS]
+DEEP = mixed_stack(3, 1.0, np.random.default_rng(5), count=3).value
+PAST = np.concatenate([G := groups.random_element(CaseLabel.LORENTZ, 1.0, 3, 1.0, 0, size=4),
+                       2.0 ** 600 * G[:2], 2.0 ** -600 * G[2:]])  # lam past the float range
+AT_ONE = [(Stack(x, x.shape[:-2]), 1.0) for x in (DEEP, DEEP.reshape(5, 8, 4, 4), PAST)]
+GATE_STACKS = [np.array(list(_gate_sets(rng, n).values())) for rng in [np.random.default_rng(32)]
+               for n in (2, 3, 5)]  # sets that differ in their zero rows
+KINDS = {n: list(zip(*[entry for _ in range(3) for entry in kind_sets(rng, n)][:40]))
+         for rng in [np.random.default_rng(36)] for n in (2, 3)}  # n -> (kinds, sets)
+CLASSIFY_STACKS = GATE_STACKS + list(map(np.array, one_kind_stacks())) + [  # T = 1 and T = 40
+    np.array(sets)[which] for _, sets in KINDS.values()
+    for which in [[i] for i in range(40)] + [...]]
 TABLE = {
     "matcore.as_square_stack": Entry(matcore.as_square_stack, "x"),
     "matcore.balance": Entry(lambda x, k: matcore.balance(matcore.scaled(x, (-2, -1))[0], k),
@@ -241,23 +337,30 @@ TABLE = {
                                    "x"),
     "classify.classify_algebra": Entry(classify.classify_algebra, generator_sets, examples=[
         (Stack(np.array(list(GATES.values())), (len(GATES),)),)] + [  # and stacks of one gate
-        (Stack(np.array([GATES[name]] * 3), (3,)),) for name in GATES]),
+        (Stack(np.array([GATES[name]] * 3), (3,)),) for name in GATES] + [
+        (Stack(sets, sets.shape[:1]),) for sets in CLASSIFY_STACKS]),
     "classify.collinearity_defect": Entry(lambda Z: classify.collinearity_defect(
         Z[..., :-1, -1], Z[..., -1, :-1]), "flat"),
     "groups.boost_closed_form": Entry(groups.boost_closed_form, "b sigma",
-                                      examples=[(STRIDED, -1e-300)]),
+                                      examples=[(STRIDED, -1e-300), *boost_rows()]),
     "groups.p_generator": Entry(groups.p_generator, "b sigma",
                                 examples=[(Stack(np.zeros((0, 3)), (0,)), 1.0)]),
     "groups.cartan_decompose": Entry(groups.cartan_decompose, "x sigma", sigmas=(
-        1.0, 0.25, 1e-12, 1e300, 5e-324, -1.0), examples=[(MIXED, 1.0)]),
+        1.0, 0.25, 1e-12, 1e300, 5e-324, -1.0), examples=[(MIXED, 1.0), *AT_ONE] + [
+        (x, sigma) for x, sigma in VERDICT_STACKS if sigma > 0]),
     "groups.CartanFactors": Entry(CartanFactors.reconstruct, "factors", False, (1.0, 0.25, 1e6),
                                   finite=True),
     "groups.in_K": Entry(groups.in_K, "x", examples=[(Stack(np.array(
-        [np.diag([5e-324, 0.0, 0.0]), np.diag([1.7e308, 1.0, 1.0])]), (2,)),)]),
-    "groups.in_normalizer": Entry(groups.in_normalizer, "x sigma"),
+        [np.diag([5e-324, 0.0, 0.0]), np.diag([1.7e308, 1.0, 1.0])]), (2,)),)] + [
+        (x,) for x, _ in VERDICT_STACKS]),
+    "groups.in_normalizer": Entry(groups.in_normalizer, "x sigma",
+                                  examples=VERDICT_STACKS + AT_ONE),
     "groups.k_element": Entry(groups.k_element, "R eps", broadcast=(0, 1)),
     "groups.membership": Entry(lambda a, sigma, case, omit: groups.membership(a, case, (
-        sigma, None)[omit]), "x sigma case flag", examples=[(MIXED, 1.0, CaseLabel.LORENTZ, 0)]),
+        sigma, None)[omit]), "x sigma case flag", examples=[
+        (x, sigma, case, case in SHAPE_CASES) for x, sigma in VERDICT_STACKS for case in (
+            case_of_sigma(sigma), *SHAPE_CASES)] + [(x, 1.0, CaseLabel.LORENTZ, 0) for x, _ in [
+                (MIXED, 1.0), *AT_ONE]]),
     "affine.AffineElement": Entry(AffineElement, "x row", False),
     "affine.Event": Entry(lambda v: Event(v[..., 1:], v[..., 0]), "row", False),
     "affine.WorldLine": Entry(lambda origin, d, v: WorldLine(origin, velocity=d[..., 1:]) if v
@@ -279,6 +382,65 @@ UNSTACKED = {f"{module}.{name}" for module, names in (  # one set, size or case 
 @pytest.mark.parametrize("name", TABLE)
 def test_a_stack_answers_as_its_entries(name):
     run(name, TABLE[name])
+
+
+@pytest.mark.parametrize("n", (2, 3, 10))
+def test_each_mixed_stack_holds_both_verdicts_and_every_refusal(n):
+    # What the contract leaves to its examples: each mixed stack holds both verdicts of every
+    # case and, at sigma > 0, every refused value.
+    for x, sigma in VERDICT_STACKS:
+        if x.value.shape[-1] == n + 1:
+            for case in (case_of_sigma(sigma), *SHAPE_CASES):
+                verdicts = groups.membership(x.value, case, None if case in SHAPE_CASES else sigma)
+                assert verdicts.any() and not verdicts.all(), (case, sigma)
+            if sigma > 0:
+                refused = groups.cartan_decompose(x.value, sigma).refused.tolist()
+                assert set(refused) == {None, NotInNormalizer, NonPositiveLambda}, sigma
+
+
+def test_lam_past_the_float_range_reads_inf_and_0_and_is_refused():
+    # 2^600 g and 2^-600 g take lam past the float range, to inf and to 0.
+    ok, lam = groups.in_normalizer(PAST, 1.0)
+    assert ok.tolist() == [True] * 4 + [False] * 4
+    assert lam[4:6].tolist() == [math.inf] * 2 and lam[6:].tolist() == [0.0] * 2
+    assert groups.cartan_decompose(PAST, 1.0).refused.tolist() == [None] * 4 + [NotInNormalizer] * 4
+
+
+def read(result):
+    """The gate or case a classification reads as."""
+    return (_gate(result) or classify.case_label(result).value).split(" (")[0]
+
+
+def test_the_gate_stacks_reach_every_gate_and_case():
+    for sets in GATE_STACKS:
+        assert {read(classify.classify_algebra(list(gens))) for gens in sets} == {
+            "Aristotle", "scalar", "traceless symmetric", "mixing generators disagree on sigma",
+            "mixing vectors are not collinear", "Carroll", "Lorentz", "Orthogonal", "Galilei"}
+
+
+@pytest.mark.parametrize("n", KINDS)
+def test_each_kind_set_reads_as_its_kind_and_gets_its_one_set_answer_in_a_stack(n):
+    kinds, sets = KINDS[n]
+    want = [classify.classify_algebra(gens) for gens in sets]
+    assert len(sets) == 40 and [read(result) for result in want] == list(kinds)
+    # bit for bit, the rotations-only sets too, which drop rows the stack keeps
+    assert list(map(_fingerprint, classify.classify_algebra(np.array(sets)))) == list(map(
+        _fingerprint, want))
+
+
+@pytest.mark.parametrize("n", KINDS)
+def test_the_verdict_arrays_hold_each_sets_answers(n):
+    # The arrays of classify's whole-array core, read at each set of the T = 40 kind stack.
+    sets = KINDS[n][1]
+    verdicts = classify._verdicts(np.array(sets), classify.DEFAULT_TOL)
+    assert [v.shape for v in verdicts] == [(40,)] * 8
+    for i, result in enumerate(map(classify.classify_algebra, sets)):
+        outcome, sigma, spread, rank, m0, m2, m3, reason = (v[i] for v in verdicts)
+        assert (outcome, reason) == (result.outcome, result.reason)
+        assert [rank, m0, m2, m3] == [result.diagnostics[key] for key in (
+            "rank", "m0", "m2", "m3")]
+        if result.is_kinematical:
+            assert (sigma, spread) == (result.sigma.value, result.diagnostics["sigma_spread"])
 
 
 @settings(max_examples=10, deadline=None)
@@ -313,16 +475,20 @@ def members_at(*sigmas):
 
 
 LORENTZ = (1.0, 0.25, 1e-12, 1e300, 5e-324)  # with one sigma of another case, drawn rarely
+EMPTY = [(Stack(np.zeros(shape + (3, 3)), shape), Stack(np.zeros(shape[:1] + (1,) * (
+    len(shape) - 1)), shape)) for shape in ((0,), (0, 2))]  # no matrix, no sigma: no refusal
 SIGMA_STACKED = {  # each entry point that takes a sigma, with one sigma per row
     "groups.boost_closed_form": Entry(groups.boost_closed_form, "b sigmas"),
     "groups.p_generator": Entry(groups.p_generator, "b sigmas"),
     "matcore.dagger": Entry(matcore.dagger, "x sigmas", False),
-    "groups.membership.lorentz": Entry(lambda a, s: groups.membership(a, CaseLabel.LORENTZ, s),
-                                       "x sigmas", sigmas=LORENTZ * 4 + (-1.0,),
-                                       examples=[members_at(1.0, 0.25, 1e-12)]),
-    "groups.membership.orthogonal": Entry(lambda a, s: groups.membership(
-        a, CaseLabel.ORTHOGONAL, s), "x sigmas", sigmas=(-1.0, -0.25, -1e12, -1e-300) * 4 + (
-        math.inf,), examples=[members_at(-1.0, -4.0, -1e-12)]),
+    **{f"groups.membership.{case.name.lower()}": Entry(  # each case, a sigma of another rarely
+        lambda a, s, case=case: groups.membership(a, case, s), "x sigmas", sigmas=sigmas,
+        examples=[members_at(*at), *EMPTY]) for case, sigmas, at in (
+        (CaseLabel.LORENTZ, LORENTZ * 4 + (-1.0,), (1.0, 0.25, 1e-12)),
+        (CaseLabel.ORTHOGONAL, (-1.0, -0.25, -1e12, -1e-300) * 4 + (math.inf,),
+         (-1.0, -4.0, -1e-12)),
+        (CaseLabel.GALILEI, (0.0,) * 4 + (1.0,), (0.0,)),
+        (CaseLabel.CARROLL, (math.inf,) * 4 + (0.0,), (math.inf,)))},
     "groups.in_normalizer": Entry(groups.in_normalizer, "x sigmas", sigmas=LORENTZ + (
         -1.0, -4.0, -1e-300) + (0.0,), examples=[members_at(0.25, -4.0, 1.0)]),
     "groups.cartan_decompose": Entry(groups.cartan_decompose, "x sigmas", sigmas=LORENTZ * 4 + (
