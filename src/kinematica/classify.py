@@ -44,13 +44,11 @@ __all__ = [
     "CaseLabel",
     "ClassificationResult",
     "Sigma",
-    "bracket_closure_defect",
     "case_label",
     "case_of_sigma",
     "classify_algebra",
     "closure_scan",
     "collinearity_defect",
-    "is_closed_under_bracket",
     "rotation_generators",
 ]
 
@@ -230,17 +228,17 @@ def rotation_generators(n: int) -> list[np.ndarray]:
 def closure_scan(basis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Least-squares test that all pairwise brackets stay in the span.
 
-    Returns (closed, worst residual), the answers of :func:`is_closed_under_bracket` and
-    :func:`bracket_closure_defect` from one scan.  The basis is balanced by the k of
-    :func:`matcore.unit_exponent`, an automorphism of the bracket, and each
-    generator is divided by the power of two of its largest entry, which
-    keeps the span: no time unit or power-of-two scale changes the verdict,
-    which compares each residual against tol * (1 + |bracket|).  The worst
-    residual is that of the balanced basis (inf past the float range).  All
-    m (m - 1) / 2 brackets are formed at once: memory grows like m^2 (n+1)^2.
+    Returns (closed, worst residual): whether the span of ``basis`` is closed under the bracket
+    (a rank-deficient basis is fine), and the largest distance of a pairwise bracket from it.
+    The basis is balanced by the k of :func:`matcore.unit_exponent`, an automorphism of the
+    bracket, and each generator is divided by the power of two of its largest entry, which
+    keeps the span: no time unit or power-of-two scale changes the verdict, which compares each
+    residual against tol * (1 + |bracket|).  The worst residual is that of the balanced basis:
+    4^j times as far for 2^j times the basis, inf past the float range.  All m (m - 1) / 2
+    brackets are formed at once: memory grows like m^2 (n+1)^2.
     """
     _check_tol(tol)
-    stack = matcore.as_square_stack(np.array(basis, dtype=float))
+    stack = matcore._fresh_stack(basis)
     matcore.balance(stack, matcore.unit_exponent(*matcore.mixing_maxima(stack)))
     stack, e = matcore.scaled(stack, (-2, -1))
     _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
@@ -251,18 +249,6 @@ def closure_scan(basis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     closed = bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))
     with np.errstate(over="ignore"):  # [2^e_i X, 2^e_j Y] = 2^(e_i + e_j) [X, Y]
         return closed, float(np.ldexp(resid, e[i] + e[j]).max(initial=0.0))
-
-
-def is_closed_under_bracket(basis, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the span of ``basis`` is closed under the bracket.  Rank-deficient
-    inputs are fine: the span is what is tested."""
-    return closure_scan(basis, tol)[0]
-
-
-def bracket_closure_defect(basis, tol: float = DEFAULT_TOL) -> float:
-    """Largest distance of any pairwise bracket from the span of ``basis``, in the balanced
-    time unit of :func:`closure_scan`: 4^j times as far for 2^j times the basis."""
-    return closure_scan(basis, tol)[1]
 
 
 class _Verdicts(NamedTuple):
@@ -338,7 +324,7 @@ def _generator_sets(generators, tol: float) -> np.ndarray:
     """generators as a new float (m, n+1, n+1) set or (T, m, n+1, n+1) stack of sets, m >= 1 and
     n >= 2 (else ValueError), once tol is checked."""
     _check_tol(tol)
-    stack = matcore.as_square_stack(np.array(generators, dtype=float))
+    stack = matcore._fresh_stack(generators)
     if stack.ndim not in (3, 4) or not stack.shape[-3] or stack.shape[-1] < 3:
         raise ValueError("classification takes (m, n+1, n+1) sets, m >= 1 and n >= 2, "
                          f"or a stack of them, got shape {stack.shape}")

@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
@@ -26,7 +25,7 @@ from . import classify as classify_mod
 from . import groups, verify
 from .classify import CaseLabel, case_of_sigma
 
-__all__ = ["MatrixFile", "dump_matrix_file", "load_matrix_file", "main"]
+__all__ = ["dump_matrix_file", "load_matrix_file", "main"]
 
 _CASE_NAMES = {label.value.lower(): label for label in CaseLabel}
 # Numbers per write: at most 24 characters each, so every str, bytes and float list of a chunk
@@ -50,15 +49,6 @@ def _parse_sigma(text: str) -> float:
     except ValueError:
         raise ValueError(f"cannot read sigma value {text!r}") from None
     return sigma
-
-
-@dataclass
-class MatrixFile:
-    """Parsed contents of the JSON matrix format: the space dimension n and
-    an (m, n+1, n+1) stack (or a list) of (n+1) x (n+1) matrices."""
-
-    n: int
-    matrices: np.ndarray | list = field(default_factory=list)
 
 
 def _read_matrix(entry, d: int, where: str) -> np.ndarray:
@@ -91,9 +81,10 @@ def _read_matrices(raw: list, d: int) -> np.ndarray:
     return stack.reshape(-1, d, d)
 
 
-def load_matrix_file(path: str) -> MatrixFile:
-    """Read and validate a matrix file.  Raises ValueError on any schema
-    problem and OSError if the file cannot be read."""
+def load_matrix_file(path: str) -> np.ndarray:
+    """Read and validate a matrix file: its matrices as a float (m, n+1, n+1) stack, of the n of
+    the file even for m = 0.  Raises ValueError on any schema problem and OSError if the file
+    cannot be read."""
     with open(path, "rb") as fh:
         content = fh.read()
     try:
@@ -114,7 +105,7 @@ def load_matrix_file(path: str) -> MatrixFile:
     raw = data.get("matrices", [])
     if not isinstance(raw, list):
         raise ValueError('"matrices" must be a list')
-    return MatrixFile(n=n, matrices=_read_matrices(raw, n + 1))
+    return _read_matrices(raw, n + 1)
 
 
 def _write_list(count: int, width: int, items, head: str = "", tail: str = "") -> None:
@@ -127,16 +118,16 @@ def _write_list(count: int, width: int, items, head: str = "", tail: str = "") -
     write(("\n]" if count else head + "[]") + tail + "\n")
 
 
-def dump_matrix_file(mf: MatrixFile) -> None:
-    """Write mf to stdout in the schema load_matrix_file reads, one matrix per line."""
-    flat = np.asarray(mf.matrices, dtype=float).reshape(-1, (mf.n + 1) ** 2)
+def dump_matrix_file(matrices: np.ndarray) -> None:
+    """Write the (m, n+1, n+1) stack to stdout in the schema load_matrix_file reads, one matrix
+    per line."""
+    flat = matrices.reshape(-1, matrices.shape[-1] ** 2)
     _write_list(len(flat), flat.shape[1], lambda i, j: flat[i:j].tolist(),
-                f'{{"n": {mf.n}, "matrices": ', "}")
+                f'{{"n": {matrices.shape[-1] - 1}, "matrices": ', "}")
 
 
 def _cmd_classify(args) -> int:
-    mf = load_matrix_file(args.file)
-    result = classify_mod.classify_algebra(mf.matrices, args.tol)
+    result = classify_mod.classify_algebra(load_matrix_file(args.file), args.tol)
     out = {
         "outcome": result.outcome,
         "case": None,
@@ -153,8 +144,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     sigma = _parse_sigma(args.sigma)
-    mf = load_matrix_file(args.file)
-    f = groups.cartan_decompose(mf.matrices, sigma, args.tol)  # one call on the stack
+    f = groups.cartan_decompose(load_matrix_file(args.file), sigma, args.tol)  # one call
     ks, Zs = (x.reshape(-1, x.shape[-1] ** 2) for x in (f.k, f.Z))  # one row per matrix
     _write_list(len(ks), 1 + 2 * ks.shape[1], lambda i, j: [
         {"error": refused.__name__} if refused else {"lambda": lam, "k": k, "Z": Z}
@@ -169,7 +159,7 @@ def _cmd_generate(args) -> int:
         raise ValueError("--count must be nonnegative")
     matrices = groups.random_element(case, sigma, args.n, args.boost_bound, args.seed,
                                      size=args.count)
-    dump_matrix_file(MatrixFile(args.n, matrices))
+    dump_matrix_file(matrices)
     return 0
 
 

@@ -43,10 +43,13 @@ _EXP_DEGREE = 16
 
 
 def as_square_stack(matrices) -> np.ndarray:
-    """Return ``matrices`` as a float array of shape (..., d, d), checking
-    that its matrices are square, finite and at least 2 x 2.  A float array
-    is returned as it is, anything else is copied into one."""
-    M = np.asarray(matrices, dtype=float)
+    """Return ``matrices`` as a float array of shape (..., d, d), checking that
+    they are square matrices of numbers, of one shape, finite and at least
+    2 x 2.  A float array is returned as it is, anything else is copied into one."""
+    try:
+        M = np.asarray(matrices, dtype=float)
+    except ValueError:  # a ragged list, or a string that is no number
+        raise ValueError("expected square matrices of numbers, of one shape") from None
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {M.shape}")
     if M.shape[-1] < 2:
@@ -54,6 +57,11 @@ def as_square_stack(matrices) -> np.ndarray:
     if np.count_nonzero(np.isfinite(M)) != M.size:  # faster than .all() on small arrays
         raise ValueError("matrix entries must be finite")
     return M
+
+
+def _fresh_stack(matrices) -> np.ndarray:  # as_square_stack's answer, copied once, to overwrite
+    M = as_square_stack(matrices)
+    return M.copy() if M is matrices or M.base is not None else M
 
 
 def refuse(failed, message: str) -> None:
@@ -217,7 +225,7 @@ def dagger(Z, sigma) -> np.ndarray:
     is finite and nonzero, within the float range.
     """
     refusal = "dagger needs a finite nonzero sigma within the float range"
-    adj = as_square_stack(np.array(Z, dtype=float)).mT  # a view of a fresh copy, scaled in place
+    adj = _fresh_stack(Z).mT  # a view of a fresh copy, scaled in place
     if isinstance(sigma, np.ndarray) or not _finite_sigma(sigma, refusal) or sigma == 0.0:
         _each(lambda s: () if _finite_sigma(s, refusal) and s != 0.0 else _refused(refusal),
               sigma, adj.shape[:-2])

@@ -14,11 +14,10 @@ from kinematica import cli
 from kinematica.affine import AffineElement, Event, WorldLine, transform_worldline
 from kinematica.classify import (
     CaseLabel,
-    bracket_closure_defect,
     case_label,
     classify_algebra,
+    closure_scan,
     collinearity_defect,
-    is_closed_under_bracket,
     rotation_generators,
 )
 from kinematica.groups import (
@@ -32,7 +31,6 @@ from kinematica.groups import (
     random_element,
 )
 from kinematica.matcore import bracket, dagger, mat_exp
-from kinematica.verify import nonalgebra_witness
 
 
 def op_norm(m) -> float:
@@ -313,7 +311,7 @@ def test_criterion_08_closed_form_boosts_and_wraparound():
 
 def test_criterion_09_non_subalgebra_witness():
     ok = True
-    for n in (2, 3):
+    for n in (2, 3, 4):
         basis = list(rotation_generators(n))
         for i in range(n):
             Z = np.zeros((n + 1, n + 1))
@@ -322,9 +320,15 @@ def test_criterion_09_non_subalgebra_witness():
             W = np.zeros((n + 1, n + 1))
             W[n, i] = 1.0
             basis.append(W)
-        closed = is_closed_under_bracket(basis)
-        defect = bracket_closure_defect(basis)
-        _, _, corner = nonalgebra_witness(n)
+        closed, defect = closure_scan(basis)
+        # the witness (b, c) = (e1, e2): [Z, [Z, A]] leaves the span at its corner
+        b, c = np.eye(n)[:2]
+        Z = np.zeros((n + 1, n + 1))
+        Z[:n, n] = b
+        Z[n, :n] = c
+        A = np.zeros((n + 1, n + 1))
+        A[:n, :n] = np.outer(b, c) - np.outer(c, b)
+        corner = bracket(Z, bracket(Z, A))[n, n]
         ok = ok and not closed and defect >= 1.0 and corner == 2.0
         ok = ok and abs(defect - math.sqrt(2.0)) <= 1e-12
     _report(9, "non-subalgebra witness", ok)
@@ -374,7 +378,7 @@ def test_criterion_10_cli_pipeline_and_mutations(tmp_path, monkeypatch):
     member_path.write_text(out)
     code, out = _run_cli(["decompose", str(member_path), "--sigma", "1"])
     ok = ok and code == 0
-    originals = cli.load_matrix_file(str(member_path)).matrices
+    originals = cli.load_matrix_file(str(member_path))
     for entry, a in zip(json.loads(out), originals):
         rebuilt = (math.sqrt(entry["lambda"])
                    * np.array(entry["k"]).reshape(3, 3)

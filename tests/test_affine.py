@@ -38,21 +38,21 @@ def test_event_round_trip():
 
 
 def test_event_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="event position must be a vector"):
         Event(np.eye(2), 0.0)
 
 
 def test_worldline_needs_exactly_one_parametrization():
     origin = Event([0.0, 0.0], 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="give exactly one of velocity or direction"):
         WorldLine(origin)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="give exactly one of velocity or direction"):
         WorldLine(origin, velocity=np.zeros(2), direction=np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="velocity must have the event's dimension"):
         WorldLine(origin, velocity=np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must have length"):
         WorldLine(origin, direction=np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be nonzero"):
         WorldLine(origin, direction=np.zeros(3))
 
 
@@ -64,7 +64,7 @@ def test_worldline_kinds_and_points():
 
     general = WorldLine(origin, direction=[1.0, 0.0, 0.0])
     assert general.kind == "general"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line has no time advance"):
         general.speed()
 
 
@@ -103,9 +103,9 @@ def test_non_finite_events_and_lines_are_refused():
 
 
 def test_affine_element_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="linear part must be a square matrix"):
         AffineElement(np.ones((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="translation length must match the linear part"):
         AffineElement(np.eye(3), np.zeros(2))
     with pytest.raises(ValueError, match="finite"):
         AffineElement(np.full((2, 2), np.nan), np.zeros(2))
@@ -131,7 +131,7 @@ def test_as_matrix_is_multiplicative():
 
 
 def test_compose_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="affine elements must share one dimension"):
         compose(identity_map(3), identity_map(4))
 
 
@@ -146,7 +146,7 @@ def test_inverse_round_trip():
 
 
 def test_inverse_rejects_singular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="linear part is singular"):
         inverse(AffineElement(np.zeros((3, 3)), np.zeros(3)))
 
 
@@ -177,7 +177,7 @@ def test_act_matches_direct_formula():
 
 
 def test_act_dimension_check():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="event dimension does not match the map"):
         act(identity_map(3), Event([0.0, 0.0, 0.0], 0.0))
 
 
@@ -243,14 +243,14 @@ def test_carroll_map_can_remove_the_time_advance():
     image = transform_worldline(gmap, line)
     assert image.kind == "general"
     np.testing.assert_allclose(image.direction, [2.0, 0.0, 0.0], atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line has no time advance"):
         image.speed()
 
 
 def test_transform_worldline_rejects_point_images():
     squash = AffineElement(np.zeros((3, 3)), np.ones(3))
     line = WorldLine(Event([0.0, 0.0], 0.0), velocity=[1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be nonzero"):
         transform_worldline(squash, line)
 
 

@@ -8,12 +8,11 @@ from kinematica import classify, cli, groups, isotypic, matcore, verify
 from kinematica.classify import (
     DEFAULT_TOL,
     CaseLabel,
-    bracket_closure_defect,
     case_label,
     case_of_sigma,
     classify_algebra,
+    closure_scan,
     collinearity_defect,
-    is_closed_under_bracket,
     rotation_generators,
 )
 from kinematica.groups import p_generator
@@ -62,7 +61,8 @@ SIGMA_TAKERS = {  # each public entry point that takes a sigma, called with one
 def test_nan_and_minus_inf_are_refused_wherever_a_sigma_is_taken(entry, sigma, tmp_path, capsys):
     take = SIGMA_TAKERS[entry]
     if callable(take):
-        with pytest.raises(ValueError):
+        refusal = "dagger needs" if entry == "matcore.dagger" else "sigma must be a real number"
+        with pytest.raises(ValueError, match=refusal):
             take(float(sigma))
         return
     path = tmp_path / "members.json"
@@ -424,7 +424,7 @@ def test_rotation_generators_shape():
         for J in gens:
             np.testing.assert_array_equal(J, -J.T)
             assert np.all(J[:, n] == 0.0) and np.all(J[n, :] == 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two space dimensions"):
         rotation_generators(1)
 
 
@@ -467,9 +467,9 @@ def test_closure_of_standard_algebras():
             basis = rotation_generators(n) + [
                 p_generator(np.eye(n)[i], sigma) for i in range(n)
             ]
-            assert is_closed_under_bracket(basis)
+            assert closure_scan(basis)[0]
             assert _lstsq_closed(_levelled(basis, sigma) if sigma in far else basis)
-        assert is_closed_under_bracket(rotation_generators(n))
+        assert closure_scan(rotation_generators(n))[0]
 
 
 def test_closure_detects_m1_plus_m3():
@@ -480,9 +480,9 @@ def test_closure_detects_m1_plus_m3():
         for i in range(n):
             basis.append(mixing(np.eye(n)[i], np.zeros(n)))
             basis.append(mixing(np.zeros(n), np.eye(n)[i]))
-        assert not is_closed_under_bracket(basis)
+        closed, defect = closure_scan(basis)
+        assert not closed
         assert not _lstsq_closed(basis)
-        defect = bracket_closure_defect(basis)
         assert defect == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert defect >= 1.0
 
@@ -495,20 +495,18 @@ def test_closure_verdict_does_not_depend_on_a_power_of_two_scale():
         basis = rotation_generators(n)
         for i in range(n):
             basis += [mixing(np.eye(n)[i], np.zeros(n)), mixing(np.zeros(n), np.eye(n)[i])]
-        defect = bracket_closure_defect(basis)
+        defect = closure_scan(basis)[1]
         assert defect == math.sqrt(2.0)
         for j in range(-1000, 1001):
-            moved = np.ldexp(basis, j)
-            assert not is_closed_under_bracket(moved)
-            assert bracket_closure_defect(moved) == (math.ldexp(defect, 2 * j) if j < 512
-                                                     else math.inf)
+            assert closure_scan(np.ldexp(basis, j)) == (
+                False, math.ldexp(defect, 2 * j) if j < 512 else math.inf)
 
 
 def test_closure_is_a_span_property():
     # duplicating and rescaling basis vectors changes nothing
     basis = rotation_generators(2) + [p_generator(np.array([1.0, 0.0]), 1.0)]
     fat = [7.0 * B for B in basis] + basis + [basis[0] + basis[1]]
-    assert is_closed_under_bracket(basis) == is_closed_under_bracket(fat)
+    assert closure_scan(basis)[0] == closure_scan(fat)[0]
 
 
 def _standard_generators(rng, n, sigma, count=2, scale=1.0):
@@ -802,7 +800,7 @@ def test_classify_rejects_mixed_sigmas():
     result = classify_algebra(gens)
     assert result.outcome == "NotKinematical"
     assert "sigma" in result.reason
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no case label for a NotKinematical result"):
         case_label(result)
 
 
@@ -880,19 +878,27 @@ def _gate_sets(rng, n):
 
 def test_classify_holds_one_copy_of_a_set_and_its_coordinates():
     # The set is copied once, scaled in place and its coordinates written once: no scaled
-    # copy, |x| temporary or split components of the set's size beside them.
+    # copy, |x| temporary or split components of the set's size beside them.  The copy, which
+    # closure_scan and dagger take too, converts a list and copies a float set or a view of
+    # one, never both: the set, 741 KB, is past glibc's mmap threshold.  Beside it,
+    # as_square_stack's finiteness mask takes an eighth of its size.
     n = 20
     b = np.random.default_rng(35).standard_normal((n, n))
     gens = np.array(rotation_generators(n) + list(p_generator(b, 0.7)))
+    original = gens.copy()
     classify_algebra(gens)  # lazy set-up outside the trace
-    tracemalloc.start()
-    try:
-        result = classify_algebra(gens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert case_label(result) is CaseLabel.LORENTZ
-    assert peak <= 2.5 * gens.nbytes, peak / gens.nbytes
+    for given in (gens, gens[::-1], list(gens), gens.tolist()):
+        peaks = []
+        for call in (matcore._fresh_stack, classify_algebra):
+            tracemalloc.start()
+            try:
+                result = call(given)
+                peaks.append(tracemalloc.get_traced_memory()[1] / gens.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert case_label(result) is CaseLabel.LORENTZ
+        assert peaks[0] < 1.5 and peaks[1] <= 2.5, peaks
+    assert np.array_equal(gens, original)  # scaled in its copy only
 
 
 def test_classify_a_stack_takes_one_split_and_one_svd(tracer):
@@ -917,9 +923,9 @@ def test_classify_refuses_arrays_that_are_no_set_or_stack_of_sets():
 
 
 def test_classify_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected square matrices, got shape \\(0,\\)"):
         classify_algebra([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="classification takes"):
         classify_algebra([np.eye(2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected square matrices of numbers, of one shape"):
         classify_algebra([np.eye(3), np.eye(4)])

@@ -374,9 +374,8 @@ TABLE = {
 UNSTACKED = {f"{module}.{name}" for module, names in (  # one set, size or case each
     ("groups", "LogarithmFailure "
      "NonPositiveLambda NotInNormalizer"), ("classify", "CaseLabel ClassificationResult "
-     "Sigma bracket_closure_defect case_label case_of_sigma closure_scan "
-     "is_closed_under_bracket rotation_generators"), ("verify",
-     "PropertyResult SuiteConfig SuiteReport nonalgebra_witness run_suite")) for name in names.split()}
+     "Sigma case_label case_of_sigma closure_scan rotation_generators"), ("verify",
+     "PropertyResult SuiteConfig SuiteReport run_suite")) for name in names.split()}
 
 
 @pytest.mark.parametrize("name", TABLE)
@@ -459,12 +458,17 @@ def test_every_public_callable_is_in_the_contract_or_takes_no_stacks():
 
 
 def test_the_refusals_and_the_type_that_the_folded_stack_tests_also_pinned():
-    for call, *args in ((groups.p_generator, 1.0, 1.0), (groups.p_generator, np.zeros((3, 0)), 1.0),
-                        (groups.boost_closed_form, np.zeros((3, 0)), 1.0),
-                        (matcore.bracket, np.zeros((2, 3, 3)), np.eye(3)),
-                        (CartanFactors(-1.0, np.eye(3), np.zeros((3, 3))).reconstruct,),
-                        (CartanFactors(math.nan, np.eye(3), np.zeros((3, 3))).reconstruct,)):
-        pytest.raises(ValueError, call, *args)
+    vector, same, lam = ("b must be a nonempty vector",
+                         "bracket arguments must have the same shape", "lam must be nonnegative")
+    for message, call, *args in (
+            (vector, groups.p_generator, 1.0, 1.0),
+            (vector, groups.p_generator, np.zeros((3, 0)), 1.0),
+            (vector, groups.boost_closed_form, np.zeros((3, 0)), 1.0),
+            (same, matcore.bracket, np.zeros((2, 3, 3)), np.eye(3)),
+            (lam, CartanFactors(-1.0, np.eye(3), np.zeros((3, 3))).reconstruct),
+            (lam, CartanFactors(math.nan, np.eye(3), np.zeros((3, 3))).reconstruct)):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
     assert isinstance(classify.collinearity_defect([0.0, 1.0], [1.0, 0.0]), float)
 
 

@@ -56,11 +56,11 @@ def test_k_element_shape():
 
 
 def test_k_element_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="R must be orthogonal"):
         k_element(np.array([[1.0, 0.5], [0.0, 1.0]]), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps must be"):
         k_element(rotation(0.1), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected square matrices"):
         k_element(np.ones((2, 3)), 1)
     # NaN entries would pass the orthogonality bound, since NaN > bound is False
     with pytest.raises(ValueError, match="finite"):
@@ -118,7 +118,7 @@ def test_p_generator_carroll():
 
 
 def test_p_generator_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b must be a nonempty vector"):
         p_generator(np.zeros(0), 1.0)
     # a (2, 2) array is a stack of two vectors, one generator per row
     np.testing.assert_array_equal(p_generator(np.eye(2), 1.0),
@@ -255,7 +255,7 @@ def test_boost_overflow_anywhere_in_a_stack_is_an_error():
         rows[where, 0] = 1e4
         with pytest.raises(ValueError, match="rapidity"):
             boost_closed_form(rows, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b must be a nonempty vector"):
         boost_closed_form(np.zeros((3, 0)), 1.0)
 
 
@@ -455,9 +455,9 @@ def test_cartan_rejects_non_members():
 
 
 def test_cartan_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Cartan decomposition needs a finite sigma > 0"):
         cartan_decompose(np.eye(3), -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Cartan decomposition needs a finite sigma > 0"):
         cartan_decompose(np.eye(3), 0.0)
     with pytest.raises(NonPositiveLambda):
         cartan_decompose(np.zeros((3, 3)), 1.0)
@@ -592,19 +592,19 @@ def test_membership_singular_matrix_is_rejected():
 
 def test_membership_pairing_validation():
     a = np.eye(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Lorentz case needs a finite sigma > 0"):
         membership(a, CaseLabel.LORENTZ)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Lorentz case needs a finite sigma > 0"):
         membership(a, CaseLabel.LORENTZ, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Orthogonal case needs a finite sigma < 0"):
         membership(a, CaseLabel.ORTHOGONAL, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Orthogonal case needs a finite sigma < 0"):
         membership(a, CaseLabel.ORTHOGONAL)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Galilei case needs sigma = 0"):
         membership(a, CaseLabel.GALILEI, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Carroll case needs an infinite sigma"):
         membership(a, CaseLabel.CARROLL, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Aristotle case takes no sigma"):
         membership(a, CaseLabel.ARISTOTLE, 1.0)
     # tolerant spellings of the implied sigma are fine
     assert membership(a, CaseLabel.GALILEI, 0.0)
@@ -1046,12 +1046,12 @@ def test_random_element_zero_bound_is_rotational():
 
 
 def test_random_element_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two space dimensions"):
         random_element(CaseLabel.LORENTZ, 1.0, n=1)
     for bound in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="boost_bound"):
             random_element(CaseLabel.LORENTZ, 1.0, boost_bound=bound)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Aristotle case takes no sigma"):
         random_element(CaseLabel.ARISTOTLE, 1.0)
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kinematica import classify, groups
+from kinematica.classify import CaseLabel
 from kinematica.matcore import (
     as_square_stack,
     balance,
@@ -40,6 +42,15 @@ def test_as_square_stack_rejects_bad_input():
         as_square_stack(np.ones((1, 1)))
     with pytest.raises(ValueError, match="finite"):
         as_square_stack([[np.nan, 0.0], [0.0, 1.0]])
+    # A ragged list, where numpy's own message names no shape, gets one refusal at every
+    # function that takes matrices.
+    for call in (as_square_stack, classify.classify_algebra, classify.closure_scan,
+                 lambda x: bracket(x, x), mat_exp, lambda x: dagger(x, 1.0),
+                 lambda x: groups.membership(x, CaseLabel.LORENTZ, 1.0), groups.in_K,
+                 lambda x: groups.in_normalizer(x, 1.0), lambda x: groups.cartan_decompose(x, 1.0),
+                 lambda x: groups.k_element(x, 1.0)):
+        with pytest.raises(ValueError, match="^expected square matrices of numbers, of one shape$"):
+            call([np.eye(3), np.eye(4)])
 
 
 def test_op_norm_is_the_frobenius_bound_on_the_spectral_norm():
@@ -245,7 +256,7 @@ def test_dagger_validation():
     for sigma in (0.0, np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite nonzero sigma"):
             dagger(Z, sigma)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected square matrices"):
         dagger(np.ones((2, 3)), 1.0)
 
 

@@ -64,8 +64,8 @@ def _resolve(module, expr):
 
 def test_no_public_function_is_a_second_name_for_another():
     # One door per job: a public function whose body, after its docstring, is a single
-    # return of another public function called on its own parameters, in order, adds a name
-    # and no behaviour.
+    # return of another public function called on its own parameters, in order, or of an
+    # item of that call's answer, adds a name and no behaviour.
     modules = [importlib.import_module(name) for name in MODULES[1:]]
     public = {id(getattr(m, name)) for m in modules for name in m.__all__}
     aliases = []
@@ -75,9 +75,24 @@ def test_no_public_function_is_a_second_name_for_another():
                 continue
             body = node.body[ast.get_docstring(node) is not None:]
             call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if isinstance(call, ast.Subscript):  # f(params)[i]
+                call = call.value
             if (isinstance(call, ast.Call) and not call.keywords
                     and [getattr(a, "id", None) for a in call.args] == [
                         a.arg for a in node.args.args]
                     and id(_resolve(module, call.func)) in public):
                 aliases.append(f"{module.__name__}.{node.name} -> {ast.unparse(call.func)}")
     assert aliases == []
+
+
+def test_every_value_error_a_test_expects_pins_its_message():
+    # A bare pytest.raises(ValueError) passes on any ValueError, numpy's own included, so each
+    # one names the message it expects with match=.  A typed refusal keeps its type as its pin.
+    bare = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises"
+                    and node.args and ast.unparse(node.args[0]) == "ValueError"
+                    and "match" not in {k.arg for k in node.keywords}):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
