@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import op_norm, refuse, scaled
+from .matcore import _floats, op_norm, refuse, scaled
 
 __all__ = [
     "AffineElement",
@@ -45,7 +45,7 @@ class Event:
     of shape (...).  It holds the packed (..., n+1) vector."""
 
     def __init__(self, r, t):
-        r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+        r, t = _floats(r), _floats(t)
         if r.ndim < 1 or t.shape != r.shape[:-1]:
             raise ValueError("event position must be a vector, with one time per vector")
         self._v = _finite(np.concatenate((r, t[..., None]), -1), "event")
@@ -59,7 +59,7 @@ class Event:
 
     @classmethod
     def from_vector(cls, v) -> "Event":
-        return cls._of(np.array(v, dtype=float, ndmin=1))
+        return cls._of(np.array(_floats(v), ndmin=1))
 
     @classmethod
     def _of(cls, v: np.ndarray) -> "Event":  # keeps the float array v: checked, not copied
@@ -80,13 +80,13 @@ class WorldLine:
             raise ValueError("give exactly one of velocity or direction")
         self.origin = origin
         if direction is None:
-            velocity = np.asarray(velocity, dtype=float)
+            velocity = _floats(velocity)
             if velocity.shape != origin.r.shape:
                 raise ValueError("velocity must have the event's dimension")
             self.direction = d = np.empty(origin.vector().shape)
             d[..., :-1], d[..., -1] = _finite(velocity, "world line"), 1.0
         else:
-            self.direction = d = np.asarray(direction, dtype=float)
+            self.direction = d = _floats(direction)
             if d.shape != origin.vector().shape:
                 raise ValueError("direction must have length n + 1")
         # Each line's time advance, NaN on a general line, judged with its length on d, or where
@@ -128,8 +128,8 @@ class AffineElement:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.linear = np.asarray(self.linear, dtype=float)
-        self.translation = np.asarray(self.translation, dtype=float)
+        self.linear = _floats(self.linear, "square matrices")
+        self.translation = _floats(self.translation)
         if self.linear.ndim < 2 or self.linear.shape[-1] != self.linear.shape[-2]:
             raise ValueError("linear part must be a square matrix")
         if self.translation.shape != self.linear.shape[:-1]:

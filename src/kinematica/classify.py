@@ -30,6 +30,8 @@ refused sets) and whose arrays the property suite reads directly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -137,7 +139,7 @@ def collinearity_defect(b, c) -> float | np.ndarray:
     per pair of rows, each that pair's own defect bit for bit.  Raises
     ValueError unless b and c are finite and of one of these shapes.
     """
-    b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+    b, c = matcore._floats(b), matcore._floats(c)
     vectors = b.ndim == c.ndim == 1
     b, c = (x[np.newaxis] if x.ndim == 1 else x for x in (b, c))  # a vector is one row
     if b.shape != c.shape or b.ndim != 2 or not b.size:
@@ -220,35 +222,72 @@ def rotation_generators(n: int) -> list[np.ndarray]:
     if n < 2:
         raise ValueError("need at least two space dimensions")
     out = [np.zeros((n + 1, n + 1)) for _ in range(n * (n - 1) // 2)]
-    for Z, i, j in zip(out, *np.triu_indices(n, 1)):
+    for Z, (i, j) in zip(out, itertools.combinations(range(n), 2)):  # the planes i < j, row-major
         Z[i, j], Z[j, i] = 1.0, -1.0
     return out
+
+
+# Floats of the working arrays that one step of classify_algebra's whole-set passes or of
+# closure_scan forms: the passes run over chunks of generators and the scan over chunks of
+# brackets of at most 2^14 floats (128 KiB, at glibc's mmap threshold), so that apart from the
+# one converted copy of a set no temporary grows with it, and the temporaries are reused from
+# the heap rather than mapped and faulted in afresh (an n = 20 set of 210 generators took
+# about 356 page faults a classification in one pass, and takes none in chunks).  The
+# rotations and n boosts up to n = 10 (65 x 121 floats) are one chunk, and so are the closure
+# scans of the default verify suite (10 and 36 pairs).
+_BUDGET = 2 ** 14
+
+
+def _chunks(count: int, size: int) -> list[slice]:
+    """Consecutive slices that cover range(count), each of at most max(1, _BUDGET // size)
+    items: a chunk of items of size floats each stays within the budget where one item does."""
+    step = max(1, _BUDGET // max(size, 1))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _pairs(m: int, size: int):
+    """The pairs i < j of range(m) in row-major order, np.triu_indices(m, 1)'s, as consecutive
+    chunks of index arrays (i, j), each of at most _BUDGET // size pairs (at least one)."""
+    rows = np.arange(m)
+    first = rows * (2 * m - 1 - rows) // 2  # the pair index of (i, i + 1)
+    for chunk in _chunks(m * (m - 1) // 2, size):
+        p = np.arange(chunk.start, chunk.stop)
+        i = first.searchsorted(p, "right") - 1
+        yield i, p - first[i] + i + 1
 
 
 def closure_scan(basis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Least-squares test that all pairwise brackets stay in the span.
 
-    Returns (closed, worst residual): whether the span of ``basis`` is closed under the bracket
+    Returns (closed, worst residual): whether the span of ``basis``, m >= 1 square matrices of
+    one dimension (a list or an (m, d, d) array, else ValueError), is closed under the bracket
     (a rank-deficient basis is fine), and the largest distance of a pairwise bracket from it.
     The basis is balanced by the k of :func:`matcore.unit_exponent`, an automorphism of the
     bracket, and each generator is divided by the power of two of its largest entry, which
     keeps the span: no time unit or power-of-two scale changes the verdict, which compares each
     residual against tol * (1 + |bracket|).  The worst residual is that of the balanced basis:
-    4^j times as far for 2^j times the basis, inf past the float range.  All m (m - 1) / 2
-    brackets are formed at once: memory grows like m^2 (n+1)^2.
+    4^j times as far for 2^j times the basis, inf past the float range.  The m (m - 1) / 2
+    brackets are formed and judged a chunk of pairs at a time, in row-major order: beside the
+    basis and its SVD, memory stays within a fixed budget of floats per chunk, whatever m and n.
     """
     _check_tol(tol)
     stack = matcore._fresh_stack(basis)
+    if stack.ndim != 3 or not len(stack):
+        raise ValueError(f"closure_scan takes an (m, d, d) basis, m >= 1, got shape {stack.shape}")
     matcore.balance(stack, matcore.unit_exponent(*matcore.mixing_maxima(stack)))
-    stack, e = matcore.scaled(stack, (-2, -1))
-    _, s, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
+    m, size = len(stack), stack[0].size
+    e = np.concatenate([matcore.scaled(stack[g], (-2, -1), out=stack[g])[1]
+                        for g in _chunks(m, size)])
+    _, s, vt = np.linalg.svd(stack.reshape(m, size), full_matrices=False)
     Q = vt[s > tol * s[0]]
-    i, j = np.triu_indices(len(stack), 1)  # row-major pairs
-    w = matcore.bracket(stack[i], stack[j]).reshape(len(i), stack[0].size)
-    resid = np.linalg.norm(w - (w @ Q.T) @ Q, axis=1)
-    closed = bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))
-    with np.errstate(over="ignore"):  # [2^e_i X, 2^e_j Y] = 2^(e_i + e_j) [X, Y]
-        return closed, float(np.ldexp(resid, e[i] + e[j]).max(initial=0.0))
+    closed, worst = True, 0.0
+    for i, j in _pairs(m, size):
+        w = matcore.bracket(stack[i], stack[j]).reshape(len(i), size)
+        resid = np.linalg.norm(w - (w @ Q.T) @ Q, axis=1)
+        closed &= bool(np.all(resid <= tol * (1.0 + np.linalg.norm(w, axis=1))))
+        with np.errstate(over="ignore"):  # [2^e_i X, 2^e_j Y] = 2^(e_i + e_j) [X, Y]
+            worst = max(worst, float(np.ldexp(resid, e[i] + e[j]).max()))
+    return closed, worst
 
 
 class _Verdicts(NamedTuple):
@@ -271,15 +310,30 @@ class _Verdicts(NamedTuple):
 _OUTCOMES = np.array([OUTCOME_KINEMATICAL, OUTCOME_ARISTOTLE, OUTCOME_NOT_KINEMATICAL])
 
 
+def _beyond_rotations(rows: np.ndarray) -> np.ndarray:
+    """The coordinate rows, (..., g, 2 + n^2 + 2n), of the generator positions with content
+    beyond the rotations in some set of the stack: a rotation's rows are zero."""
+    return rows.compress(rows.reshape((-1,) + rows.shape[-2:]).any(axis=(0, 2)), -2)
+
+
 def _verdicts(stack: np.ndarray, tol: float) -> _Verdicts:
     """The verdicts of :func:`classify_algebra` on the float (m, n+1, n+1) set, or on each set of
     the (T, m, n+1, n+1) stack, which it overwrites.  The stack and tol are taken as they come:
     classify_algebra checks them first.  Pass the stack as the only reference to it, so that
-    its matrices are freed before the SVD."""
+    its matrices are freed before the SVD.  The whole-set passes run over chunks of generators
+    (the same positions in every set of a stack), within _BUDGET: no temporary grows with the
+    stack, and each set reads the same bits as in one pass."""
     m, n = stack.shape[-3], stack.shape[-1] - 1
-    # Every threshold below is relative, so the scaled sets get the same verdicts.
-    matcore.scaled(stack, (-3, -2, -1), out=stack)
-    b, c = matcore.mixing_maxima(stack, (-2, -1))
+    chunks = [stack[..., g, :, :] for g in _chunks(m, stack.size // m)]  # views
+    top, b, c = functools.reduce(np.maximum, ((np.maximum.reduce(abs(x), (-3, -2, -1)),
+                                               *matcore.mixing_maxima(x, (-2, -1)))
+                                              for x in chunks))
+    # Every threshold below is relative, so the scaled sets get the same verdicts: each set is
+    # divided by the power of two of its largest entry, as matcore.scaled divides it, and so
+    # are its largest mixing entries, which a rounding division leaves the largest.
+    e = -matcore._exponent(top)
+    np.ldexp(stack, e[..., np.newaxis, np.newaxis, np.newaxis], out=stack)
+    b, c = np.ldexp(b, e), np.ldexp(c, e)
     k = _time_unit(b, c, n)
     if balanced := np.count_nonzero(k):  # faster than any() on small arrays
         matcore.balance(stack, k[..., np.newaxis, np.newaxis])
@@ -289,9 +343,9 @@ def _verdicts(stack: np.ndarray, tol: float) -> _Verdicts:
     if balanced and np.count_nonzero(undo):
         matcore.balance(stack, -undo[..., np.newaxis, np.newaxis])
         k, scale = k - undo, np.maximum.reduce(matcore.op_norm(stack, 2), -1)
-    rows = isotypic._coordinates(stack)[1]
-    del stack  # free the matrices before the SVD
-    rows = rows.compress(rows.reshape(-1, m, rows.shape[-1]).any(axis=(0, 2)), -2)
+    rows = [_beyond_rotations(isotypic._coordinates(x)[1]) for x in chunks]
+    del stack, chunks  # free the matrices before the SVD
+    rows = np.concatenate(rows, -2) if len(rows) > 1 else rows[0]
     reason = np.empty(k.shape, dtype=object)  # None in every set
     if not rows.shape[-2]:  # no set has content beyond the rotations: each is Aristotle's
         rank, zero = np.zeros(k.shape, dtype=int), np.zeros(k.shape)
@@ -347,7 +401,10 @@ def classify_algebra(generators, tol: float = DEFAULT_TOL
     (n+1) eps |c| (a Carroll set) or its balanced mixing content would
     fall under the cut.  The non-rotation parts m0 + m2 + m3 of the
     generators become rows of coordinates, isometric to the Frobenius
-    norm; rows zero in every set are dropped.  One stacked SVD keeps an
+    norm; rows zero in every set are dropped.  These passes read the
+    generators a chunk at a time, so that beside the one converted copy of
+    the set (or stack) no working array grows with it; a larger set gets
+    the result of one pass, bit for bit.  One stacked SVD keeps an
     orthonormal basis of each set's span above tol times its largest
     generator norm: scalar or traceless symmetric content is rejected, no
     content is the Aristotle case, and the mixing rows (b, c) of the basis

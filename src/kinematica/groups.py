@@ -63,7 +63,7 @@ def k_element(R, eps) -> np.ndarray:
     K Z K^T conjugates a generator Z by it.  Each R must be orthogonal within DEFAULT_TOL,
     as in in_K, and each eps +1 or -1; ValueError names the first entry of a stack that is not."""
     R = as_square_stack(R)
-    eps = np.asarray(eps)
+    eps = matcore._floats(eps)
     n = R.shape[-1]
     K = np.zeros(np.broadcast_shapes(R.shape[:-2], eps.shape) + (n + 1, n + 1))
     K[..., :n, :n] = R
@@ -86,7 +86,7 @@ def p_generator(b, sigma) -> np.ndarray:
     vector (n,) or a stack (..., n), one generator per row; it must be
     finite, and so must sigma * b (else ValueError, with no overflow).
     """
-    b = np.asarray(b, dtype=float)
+    b = matcore._floats(b)
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
     if np.count_nonzero(np.isfinite(b)) != b.size:
@@ -125,7 +125,7 @@ def boost_closed_form(b, sigma) -> np.ndarray:
     rapidity w = |b| sqrt(|sigma|) past log(float max / max(sqrt(sigma), 1 / sqrt(sigma)))
     (cosh(w), sinh(w) sigma^+-1/2 could overflow), or past half the float max (sigma < 0).
     """
-    b = np.ascontiguousarray(b, dtype=float)  # |b| sums each row in one order, strided or not
+    b = np.ascontiguousarray(matcore._floats(b))  # |b| sums each row in one order, strided or not
     if b.ndim < 1 or b.shape[-1] < 1:
         raise ValueError("b must be a nonempty vector or a stack of them")
     # Z in sigma's balanced unit: b' = b 2^k

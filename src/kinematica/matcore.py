@@ -46,10 +46,7 @@ def as_square_stack(matrices) -> np.ndarray:
     """Return ``matrices`` as a float array of shape (..., d, d), checking that
     they are square matrices of numbers, of one shape, finite and at least
     2 x 2.  A float array is returned as it is, anything else is copied into one."""
-    try:
-        M = np.asarray(matrices, dtype=float)
-    except ValueError:  # a ragged list, or a string that is no number
-        raise ValueError("expected square matrices of numbers, of one shape") from None
+    M = _floats(matrices, "square matrices")
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {M.shape}")
     if M.shape[-1] < 2:
@@ -57,6 +54,15 @@ def as_square_stack(matrices) -> np.ndarray:
     if np.count_nonzero(np.isfinite(M)) != M.size:  # faster than .all() on small arrays
         raise ValueError("matrix entries must be finite")
     return M
+
+
+def _floats(x, what: str = "vectors") -> np.ndarray:
+    """np.asarray(x, dtype=float), with one refusal of a ragged list or a string that is no
+    number, in place of numpy's: ValueError(f"expected {what} of numbers, of one shape")."""
+    try:
+        return np.asarray(x, dtype=float)
+    except ValueError:
+        raise ValueError(f"expected {what} of numbers, of one shape") from None
 
 
 def _fresh_stack(matrices) -> np.ndarray:  # as_square_stack's answer, copied once, to overwrite
@@ -94,12 +100,16 @@ def scaled(x: np.ndarray, axes=None, shift=None, out=None):
     x, x 2^shift is scaled instead, read off x's exponents: nothing overflows, one rounding.
     out, a float array of the result's shape (x itself if unshifted), receives the same bits."""
     if shift is None:
-        e = np.frexp(np.maximum.reduce(abs(x), axes, keepdims=True))[1]
+        e = _exponent(np.maximum.reduce(abs(x), axes, keepdims=True))
         return np.ldexp(x, -e, out=out), e.squeeze(axes)[()]
     mant, exps = np.frexp(x)
     exps = exps + shift
     e = np.maximum.reduce(exps, axes, keepdims=True, where=mant != 0.0, initial=-4096)
     return np.ldexp(mant, exps - e, out=out), e.squeeze(axes)[()]
+
+
+def _exponent(top):  # scaled's e of each largest |entry| top: top / 2^e in [1/2, 1), 0 for 0
+    return np.frexp(top)[1]
 
 
 def _finite_sigma(sigma, refusal="sigma must be a real number within the float range, or +inf"):

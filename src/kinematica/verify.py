@@ -239,10 +239,10 @@ def _generated_bases(rotations, sigmas, rng: np.random.Generator, count: int) ->
     return sets
 
 
-# Floats of generator sets per classification call of algebra.  The call holds the sets and their
-# coordinate rows, about two copies, so 2^18 (2 MiB) keeps n = 10 at one sigma a call (166,375
-# floats at 25 trials), the peak of a call per sigma, while all five default sigmas share one at
-# n = 2 and 3 (2,400 a sigma).
+# Floats of generator sets per classification call of algebra.  The call holds the sets, about one
+# copy (classify reads them in chunks of a fixed size), so 2^18 (2 MiB) keeps n = 10 at one sigma a
+# call (166,375 floats at 25 trials), the peak of a call per sigma, while all five default sigmas
+# share one at n = 2 and 3 (2,400 a sigma).
 _CLASSIFY_BUDGET = 2 ** 18
 
 

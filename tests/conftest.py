@@ -3,9 +3,11 @@ keeps no example database, so a run is reproducible.  Its other cache (the
 constants it reads from the source) goes to a temporary directory removed
 at the end of the run, so no ``.hypothesis/`` directory is written.  A
 test's own ``@settings`` (max_examples, deadline) still applies on top of
-this profile.  The ``tracer`` fixture counts the calls of functions under test."""
+this profile.  The ``tracer`` fixture counts the calls of functions under test, and the
+``traced_peak`` fixture measures the memory a call takes."""
 
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,3 +54,17 @@ class Tracer:
 @pytest.fixture
 def tracer(monkeypatch):
     return Tracer(monkeypatch)
+
+
+def _traced_peak(call, *args):
+    """call(*args) and the peak of the memory traced (tracemalloc) while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +423,9 @@ def test_rotation_generators_shape():
         for J in gens:
             np.testing.assert_array_equal(J, -J.T)
             assert np.all(J[:, n] == 0.0) and np.all(J[n, :] == 0.0)
+        # one plane i < j each, J[i, j] = 1, in row-major order
+        assert [np.argwhere(J == 1.0).tolist() for J in gens] == [
+            [[i, j]] for i in range(n) for j in range(i + 1, n)]
     with pytest.raises(ValueError, match="need at least two space dimensions"):
         rotation_generators(1)
 
@@ -500,6 +502,14 @@ def test_closure_verdict_does_not_depend_on_a_power_of_two_scale():
         for j in range(-1000, 1001):
             assert closure_scan(np.ldexp(basis, j)) == (
                 False, math.ldexp(defect, 2 * j) if j < 512 else math.inf)
+
+
+def test_closure_scan_refuses_what_is_no_basis():
+    # One matrix, an empty basis and a stack of bases get one refusal, not numpy's index or
+    # reduction errors.
+    for shape in ((3, 3), (0, 3, 3), (2, 2, 3, 3)):
+        with pytest.raises(ValueError, match="closure_scan takes an \\(m, d, d\\) basis"):
+            closure_scan(np.ones(shape))
 
 
 def test_closure_is_a_span_property():
@@ -701,16 +711,44 @@ def test_classify_takes_one_svd_of_the_non_rotation_rows(monkeypatch):
     assert len(inputs) == before
 
 
-def test_classify_splits_all_generators_in_one_call(tracer):
-    # The generators go to the coordinate pass of isotypic as one (m, n+1, n+1) stack.
-    tracer.watch(isotypic, "_coordinates")
+def test_classify_splits_every_generator_once_in_chunks_within_the_budget(monkeypatch):
+    # The generators go to the coordinate pass of isotypic in chunks of consecutive positions,
+    # the same in every set of a stack: put together, the chunks are bit for bit the one
+    # (m, n+1, n+1) array that a budget past every set passes, so each generator arrives
+    # exactly once and in order, and the results are the same.  A chunk stays within the
+    # budget unless it is a single position; every set here of n <= 10 is one call.
     rng = np.random.default_rng(29)
-    sets = [_standard_generators(rng, n, s, count=n)
+    sets = [np.array(_standard_generators(rng, n, s, count=n))
             for n in (2, 3, 10, 20) for s in (1.0, -0.5, 0.0, math.inf)]
-    sets += [rotation_generators(20), rotation_generators(2) + [np.eye(3)]]
+    sets += [np.array(rotation_generators(20)), np.array(rotation_generators(2) + [np.eye(3)]),
+             np.array(sets[12:14]), np.array(sets[4:6] * 513)]  # stacks of n = 20 and 3 sets
+    real, arguments = isotypic._coordinates, []
+
+    def recorded(Z):
+        arguments.append(Z.copy())  # before the pass halves its spatial rows
+        return real(Z)
+
+    monkeypatch.setattr(isotypic, "_coordinates", recorded)
+
+    def split(gens) -> tuple:
+        arguments.clear()
+        return repr(classify_algebra(gens)), list(arguments)
+
+    counts = []
     for gens in sets:
-        classify_algebra(gens)
-    assert tracer.calls["_coordinates"] == [((len(gens),) + gens[0].shape,) for gens in sets]
+        result, chunks = split(gens)
+        with monkeypatch.context() as whole:
+            whole.setattr(classify, "_BUDGET", 2 ** 62)
+            assert split(gens)[0] == result
+            (one,) = arguments
+        joined = np.concatenate(chunks, -3)
+        assert joined.shape == one.shape and joined.tobytes() == one.tobytes()
+        assert all(x.size <= classify._BUDGET or x.shape[-3] == 1 for x in chunks)
+        assert len(chunks) == 1 or gens.ndim == 4 or gens.shape[-1] > 11
+        counts.append(len(chunks))
+    # 37 rotations of n = 20 a chunk, 18 positions of two such sets, one of 1,026 n = 3 sets
+    # (16,416 floats, past the budget)
+    assert counts[-4:] == [6, 1, 12, 6]
 
 
 def test_classify_a_boost_plus_a_rotation_is_the_boost_case():
@@ -876,12 +914,14 @@ def _gate_sets(rng, n):
     return {name: _padded(gens, m) for name, gens in sets.items()}
 
 
-def test_classify_holds_one_copy_of_a_set_and_its_coordinates():
-    # The set is copied once, scaled in place and its coordinates written once: no scaled
-    # copy, |x| temporary or split components of the set's size beside them.  The copy, which
-    # closure_scan and dagger take too, converts a list and copies a float set or a view of
-    # one, never both: the set, 741 KB, is past glibc's mmap threshold.  Beside it,
-    # as_square_stack's finiteness mask takes an eighth of its size.
+def test_classify_holds_one_copy_of_a_set_and_its_coordinates(traced_peak):
+    # The set is copied once and scaled in place, and its coordinates are written a chunk of
+    # generators at a time, of which only the positions beyond the rotations are kept: no
+    # scaled copy, |x| temporary or coordinate rows of the set's size beside it.  The copy,
+    # which closure_scan and dagger take too, converts a list and copies a float set or a
+    # view of one, never both: the set, 741 KB, is past glibc's mmap threshold.  Beside it,
+    # as_square_stack's finiteness mask takes an eighth of its size.  Coordinate rows of the
+    # whole set beside the copy read 2.27.
     n = 20
     b = np.random.default_rng(35).standard_normal((n, n))
     gens = np.array(rotation_generators(n) + list(p_generator(b, 0.7)))
@@ -890,15 +930,24 @@ def test_classify_holds_one_copy_of_a_set_and_its_coordinates():
     for given in (gens, gens[::-1], list(gens), gens.tolist()):
         peaks = []
         for call in (matcore._fresh_stack, classify_algebra):
-            tracemalloc.start()
-            try:
-                result = call(given)
-                peaks.append(tracemalloc.get_traced_memory()[1] / gens.nbytes)
-            finally:
-                tracemalloc.stop()
+            result, peak = traced_peak(call, given)
+            peaks.append(peak / gens.nbytes)
         assert case_label(result) is CaseLabel.LORENTZ
-        assert peaks[0] < 1.5 and peaks[1] <= 2.5, peaks
+        assert peaks[0] < 1.5 and peaks[1] <= 1.7, peaks
     assert np.array_equal(gens, original)  # scaled in its copy only
+
+
+def test_closure_scan_forms_its_brackets_in_bounded_chunks(traced_peak):
+    # verify's non-closing span at n = 20: the rotations and both limit mixings, 230
+    # generators of 21 x 21.  Its 26,335 brackets at once take 358 MiB (traced); a chunk of
+    # pairs at a time, the basis and its SVD dominate.
+    n = 20
+    span = np.concatenate((rotation_generators(n), p_generator(np.eye(n), 0.0),
+                           p_generator(np.eye(n), math.inf)))
+    closure_scan(span[:3])  # lazy set-up outside the trace
+    answer, peak = traced_peak(closure_scan, span)
+    assert answer == (False, 1.4142135623730951)
+    assert peak <= 8 * 2 ** 20, peak
 
 
 def test_classify_a_stack_takes_one_split_and_one_svd(tracer):

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -723,19 +722,16 @@ def test_each_write_holds_one_chunk_under_the_mmap_threshold(monkeypatch):
     assert 64 * 1024 < max(map(len, writes)) < 128 * 1024
 
 
-def test_the_traced_peak_does_not_grow_with_the_text(tmp_path):
+def test_the_traced_peak_does_not_grow_with_the_text(tmp_path, traced_peak):
     # 20,000 members at n = 3: a 2.6 MB stack, 6.4 MB of text and 10.5 MB of factors.  The
     # bounds lie between the chunked peaks (13 and 21 MB) and those of whole text (44 and 69).
     members = tmp_path / "members.json"
 
     def peak(argv, out) -> float:
         with open(out, "w") as fh, contextlib.redirect_stdout(fh):
-            tracemalloc.start()
-            try:
-                assert cli.main(argv) == 0
-                return tracemalloc.get_traced_memory()[1] / 1e6
-            finally:
-                tracemalloc.stop()
+            code, size = traced_peak(cli.main, argv)
+        assert code == 0
+        return size / 1e6
 
     assert peak(["generate", "--case", "lorentz", "--sigma", "1", "--n", "3",
                  "--count", "20000"], members) < 16.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kinematica import classify, groups
+from kinematica import affine, classify, groups
 from kinematica.classify import CaseLabel
 from kinematica.matcore import (
     as_square_stack,
@@ -51,6 +51,37 @@ def test_as_square_stack_rejects_bad_input():
                  lambda x: groups.k_element(x, 1.0)):
         with pytest.raises(ValueError, match="^expected square matrices of numbers, of one shape$"):
             call([np.eye(3), np.eye(4)])
+
+
+RAGGED = [[1.0, 2.0], [1.0]]
+ORIGIN = affine.Event([1.0, 2.0], 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: groups.p_generator(x, 1.0),
+    lambda x: groups.boost_closed_form(x, 1.0),
+    lambda x: affine.Event(x, [0.0, 1.0]),
+    lambda x: affine.Event([[1.0], [2.0]], x),
+    affine.Event.from_vector,
+    lambda x: affine.WorldLine(ORIGIN, direction=x),
+    lambda x: affine.WorldLine(ORIGIN, velocity=x),
+    lambda x: affine.AffineElement(np.eye(2), x),
+    lambda x: classify.collinearity_defect(x, np.ones((2, 2))),
+    lambda x: classify.collinearity_defect(np.ones((2, 2)), x),
+    lambda x: groups.k_element(np.eye(2), x),
+], ids=["p_generator", "boost_closed_form", "Event r", "Event t", "Event.from_vector",
+        "WorldLine direction", "WorldLine velocity", "AffineElement translation",
+        "collinearity_defect b", "collinearity_defect c", "k_element eps"])
+def test_a_ragged_vector_list_gets_one_refusal(call):
+    # As for matrices: numpy's own message ("setting an array element with a sequence")
+    # names no shape.
+    with pytest.raises(ValueError, match="^expected vectors of numbers, of one shape$"):
+        call(RAGGED)
+
+
+def test_a_ragged_affine_linear_part_gets_the_matrix_refusal():
+    with pytest.raises(ValueError, match="^expected square matrices of numbers, of one shape$"):
+        affine.AffineElement(RAGGED, [0.0, 0.0])
 
 
 def test_op_norm_is_the_frobenius_bound_on_the_spectral_norm():

@@ -2,7 +2,6 @@ import inspect
 import json
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,19 +215,14 @@ def test_the_call_table_reports_a_planted_extra_call(tracer, monkeypatch, name):
             owner, attr, plant(getattr(owner, attr))))
 
 
-def test_algebra_property_keeps_its_peak_under_the_budget():
+def test_algebra_property_keeps_its_peak_under_the_budget(traced_peak):
     # Merged without a limit, the n = 10 sets of every sigma would sit in one call, about
     # three copies of 5 * 1.33 M floats (153 MiB traced).  The budget keeps one sigma a
     # call there: the peak stays within 5% of a call per sigma (31.0 MiB).  Classification
     # runs first, so the arrays of the other checks do not add to it.
     cfg = SuiteConfig(n_values=(2, 3, 10), trials=200)
     verify._run(verify._prop_algebra, SuiteConfig(), np.random.default_rng(0))  # warm
-    tracemalloc.start()
-    try:
-        result = verify._run(verify._prop_algebra, cfg, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(verify._run, verify._prop_algebra, cfg, np.random.default_rng(0))
     assert result.passed
     assert peak <= 1.05 * 31.0 * 2 ** 20
 
