@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--boost-bound", type=float, default=1.0)
+    p.add_argument("--boost-bound", type=float, default=1.0,
+                   help="largest |b|, or largest rapidity sqrt(sigma) |b| for sigma > 1")
     p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("verify", help="run the property suite", allow_abbrev=False)

@@ -360,40 +360,55 @@ def membership(a, case: CaseLabel, sigma=None, tol: float = DEFAULT_TOL):
     return _verdict(_shape_test(a, case, tol))
 
 
-def random_element(case: CaseLabel, sigma=None, n: int = 2, boost_bound: float = 1.0,
-                   seed=0, size=None) -> np.ndarray:
-    """Deterministic random member of the given group: a random block rotation diag(Q, +-1)
-    times a boost of norm at most ``boost_bound`` (none for Aristotle).
-
-    ``seed`` is a nonnegative int or a numpy Generator; an int draws through
-    ``np.random.default_rng(seed)``, so the same arguments always produce the same members, and
-    a Generator is advanced by the draws.  ``size=None`` gives one (n+1) x (n+1) member,
-    ``size`` = m an (m, n+1, n+1) stack drawn in whole-array calls.  Any other seed, a sequence
-    included, raises ValueError.
-    """
-    if n < 2:
-        raise ValueError("need at least two space dimensions")
-    if not 0.0 <= boost_bound < math.inf:
-        raise ValueError("boost_bound must be finite and nonnegative")
-    s = _check_pairing(case, sigma, ())  # one sigma for the draw
-    if not isinstance(seed, (int, np.integer, np.random.Generator)):
-        raise ValueError(f"seed must be an int or a numpy Generator, not {type(seed).__name__}")
-    rng = np.random.default_rng(seed)
-    stack = () if size is None else (size,)
-    # Drawn in this order: the Gaussian sample for Q, the sign of Q's first column, eps, and
-    # then the boost direction and size, even for bound 0.  Q is orthonormalized by QR with the
-    # signs that make the draw Haar distributed (Mezzadri 2007), its first column flipped where
-    # a uniform draw is below 1/2, where eps is +1.
+def _draw(rng: np.random.Generator, n: int, stack: tuple, bound, sigma):
+    """(k, u, b) of members k exp(p_generator(b, sigma)) by random_element's law, a stack of the
+    given shape; bound and sigma broadcast against it, and sigma None draws no u or b (None).
+    One rng call each, in this order even for bound 0: the Gaussian sample for Q (QR, Mezzadri's
+    signs), the sign of Q's first column (flipped below 1/2, as eps is +1), eps, u and |b|."""
+    size = stack or None  # one member's scalars are Python floats, faster than 0-d arrays
     k = np.zeros(stack + (n + 1, n + 1))
     Q, R = np.linalg.qr(rng.standard_normal(stack + (n, n)))
     signs = np.sign(R.diagonal(0, -2, -1))
     signs[..., 0] *= 1.0 - 2.0 * (rng.random(size) < 0.5)
     np.multiply(Q, signs[..., None, :], out=k[..., :n, :n])
     k[..., n, n] = 2.0 * (rng.random(size) < 0.5) - 1.0
-    if s is None:  # Aristotle
-        return k
-    direction = rng.standard_normal(stack + (n,))
-    scale = boost_bound * rng.random(size)
-    if boost_bound == 0.0:
-        return k
-    return k @ boost_closed_form((direction.T / op_norm(direction, 1) * scale).T, s)
+    if sigma is None:
+        return k, None, None
+    u = rng.standard_normal(stack + (n,))
+    u /= _along(op_norm(u, 1))
+    b = u * _along(bound * rng.random(size))
+    fast = (1.0 < sigma) & (sigma < math.inf)
+    if fast.any() if isinstance(fast, np.ndarray) else fast:
+        b /= _along(np.sqrt(np.where(fast, sigma, 1.0)))
+    return k, u, b
+
+
+def _along(x):  # a scalar per place, to broadcast along vectors: a float does as it is
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def random_element(case: CaseLabel, sigma=None, n: int = 2, boost_bound: float = 1.0,
+                   seed=0, size=None) -> np.ndarray:
+    """Deterministic random member of the given group: a block rotation diag(Q, +-1), Q Haar
+    distributed on O(n) (Mezzadri 2007), times a boost exp(p_generator(b, sigma)), none for
+    Aristotle.  b has a uniform direction and |b| is uniform in [0, ``boost_bound``], divided by
+    sqrt(sigma) for sigma > 1: |b| and the rapidity sqrt(sigma) |b| are at most the bound.
+
+    ``seed`` is a nonnegative int or a numpy Generator; an int draws through
+    ``np.random.default_rng(seed)``, so the same arguments always produce the same members, and
+    a Generator is advanced by the draws.  ``size=None`` gives one (n+1) x (n+1) member,
+    ``size`` = m an (m, n+1, n+1) stack drawn in whole-array calls.  An n that is not an int
+    >= 2, a size not None or an int >= 0 and any other seed, a sequence too, raise ValueError.
+    """
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError(f"need at least two space dimensions: n must be an int >= 2, not {n!r}")
+    if size is not None and not (isinstance(size, (int, np.integer)) and size >= 0):
+        raise ValueError(f"size must be None or a nonnegative int, not {size!r}")
+    if not 0.0 <= boost_bound < math.inf:
+        raise ValueError("boost_bound must be finite and nonnegative")
+    s = _check_pairing(case, sigma, ())  # one sigma for the draw
+    if not isinstance(seed, (int, np.integer, np.random.Generator)):
+        raise ValueError(f"seed must be an int or a numpy Generator, not {type(seed).__name__}")
+    stack = () if size is None else (size,)
+    k, _, b = _draw(np.random.default_rng(seed), n, stack, boost_bound, s)
+    return k if b is None or boost_bound == 0.0 else k @ boost_closed_form(b, s)

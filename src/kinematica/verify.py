@@ -192,26 +192,8 @@ class _Check:
         return self._result
 
 
-def _factors(rng: np.random.Generator, n: int, shape: tuple):
-    """Factors of members k B(b), one per place of a stack of the given shape: block rotations
-    k, unit directions u and sizes |b| uniform in [0, 1], drawn in that order, one call each."""
-    k = groups.random_element(CaseLabel.ARISTOTLE, None, n, 0.0, rng, size=math.prod(shape))
-    return k.reshape(shape + k.shape[1:]), _units(rng, shape + (n,)), rng.random(shape)
-
-
-def _boosts(sigma: np.ndarray, size: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Boosts b = size u, of the sigma of their row (an array that broadcasts against size).  For
-    sigma > 0, |b| is divided by sqrt(sigma): the rapidity |b| sqrt(sigma) is at most size at
-    every sigma, where a bound on |b| would let it pass what membership can resolve."""
-    b = size[..., None] * u
-    b /= np.sqrt(np.where((0.0 < sigma) & (sigma < math.inf), sigma, 1.0))[..., None]
-    return b
-
-
-def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """A stack of random unit vectors, the last axis of shape."""
-    v = rng.standard_normal(shape)
-    return v / matcore.op_norm(v, 1)[..., None]
+def _reach(bound, sigma: np.ndarray):  # groups._draw's bound, rapidity capped at 0 < sigma < 1 too
+    return bound / np.sqrt(np.where((0.0 < sigma) & (sigma < 1.0), sigma, 1.0))
 
 
 def _cases(cfg: SuiteConfig) -> list[tuple[CaseLabel, float]]:
@@ -321,18 +303,18 @@ def _prop_algebra(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: 
 
 
 def _prop_group(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, n: int):
-    # From factors drawn once for every case, members g = k B(b), b up to 4, and h, b up to 2
-    # (rapidity for sigma > 0), lam in 10^[-8, 8] and E of Frobenius norm 1e3 tol, at least
-    # 1e-4: of spectral norm at least that over sqrt(n + 1).  membership reads h (products at
-    # rapidity up to 4), in_K the rotations of g, the other verdicts g; each refuses x (I + E).
-    # One call to each function under test takes every case's rows (membership: one a case).
+    # From factors drawn once for every case (groups._draw), members g = k B(b), b up to 4, and
+    # h, b up to 2 (the rapidity for sigma > 0), lam in 10^[-8, 8] and E of Frobenius norm 1e3
+    # tol, at least 1e-4: of spectral norm at least that over sqrt(n + 1).  membership reads h
+    # (products at rapidity up to 4), in_K the rotations of g, the other verdicts g; each refuses
+    # x (I + E).  One call to each function under test takes every case's rows (one a case).
     t, cases = cfg.trials, _cases(cfg)
-    k, u, size = _factors(rng, n, (len(cases), 2 * t))
+    sigma, names = (np.array(x)[:, None] for x in zip(*((s, c.value) for c, s in cases)))
+    k, _, b = groups._draw(rng, n, (len(cases), 2 * t), _reach(np.repeat([4.0, 2.0], t), sigma),
+                           sigma)
     lam = 10.0 ** rng.uniform(-8.0, 8.0, (len(cases), t))
     E = rng.standard_normal((len(cases), t, n + 1, n + 1))
     E *= max(1e-4, 1e3 * cfg.tol) / matcore.op_norm(E, 2)[..., None, None]
-    sigma, names = (np.array(x)[:, None] for x in zip(*((s, c.value) for c, s in cases)))
-    b = _boosts(sigma, np.repeat([4.0, 2.0], t) * size, u)
     g, h = np.split(k @ groups.boost_closed_form(b, sigma), 2, 1)
     h2 = np.roll(h, 1, 1)
     inverses, k_inverses = np.split(np.linalg.inv(np.concatenate((h, k[:, :t]), 1)), 2, 1)
@@ -426,12 +408,13 @@ def _prop_kinematics(cfg: SuiteConfig, rng: np.random.Generator, check: _Check, 
     # for sigma < 0, of period 2 pi/sqrt(-sigma), the half and whole periods as more rows.
     sigma = np.array(sigmas)[:, None]
     fast, negative = ((0.0 < sigma) & (sigma < math.inf))[:, 0], sigma[:, 0] < 0.0
-    k, u, size = _factors(rng, n, (len(sigmas), t))
+    k, u, b = groups._draw(rng, n, (len(sigmas), t), _reach(3.0, sigma), sigma)
     shift = rng.standard_normal(((m := np.count_nonzero(fast)), t, n + 1))
     r, times = rng.standard_normal((2, m, t, n)), rng.standard_normal((2, m, t))
-    directions = _units(rng, (2, m, t, n))
+    directions = rng.standard_normal((2, m, t, n))
+    directions /= matcore.op_norm(directions, 1)[..., None]
     period = math.pi / np.sqrt(-sigma[negative])[..., None] * np.stack((u, 2.0 * u))[:, negative]
-    boosts = groups.boost_closed_form(np.concatenate((_boosts(sigma, 3.0 * size, u), *period)),
+    boosts = groups.boost_closed_form(np.concatenate((b, *period)),
                                       np.concatenate((sigma, sigma[negative], sigma[negative])))
     a = k @ boosts[:len(sigmas)]
     # The form diag(-row I, column) of the generators' weights, in sigma's balanced unit:

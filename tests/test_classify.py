@@ -16,16 +16,7 @@ from kinematica.classify import (
 )
 from kinematica.groups import p_generator
 from kinematica.matcore import balance, bracket, sigma_unit
-
-
-def random_orthogonal(n, rng):
-    """Haar orthogonal matrix with a random determinant sign, drawn from
-    rng as random_element draws its rotation block."""
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    if rng.random() < 0.5:
-        Q[:, 0] = -Q[:, 0]
-    return Q
+from helpers import random_orthogonal
 
 
 def mixing(b, c):

@@ -15,16 +15,11 @@ import pytest
 
 import kinematica
 from kinematica import cli, groups, verify
-from kinematica.classify import CaseLabel, rotation_generators
+from kinematica.classify import CaseLabel, case_of_sigma, rotation_generators
 from kinematica.groups import (boost_closed_form, cartan_decompose, membership,
                                p_generator, random_element)
 from kinematica.matcore import mat_exp
-
-
-def op_norm(m) -> float:
-    """Spectral norm: the tests measure in it, whatever norm the library
-    scales its tolerances by."""
-    return float(np.linalg.norm(m, 2))
+from helpers import op_norm
 
 
 def write_file(tmp_path, payload, name="data.json"):
@@ -471,6 +466,23 @@ def test_generate_members_pass_membership(capsys):
             assert membership(a, case, sigma, tol=1e-8)
 
 
+# The sigma axis, both signs: +-10^j, 0, inf, the largest double and the smallest subnormal.
+SIGMA_AXIS = [sign * 10.0 ** j for sign in (1.0, -1.0)
+              for j in (-300, -100, -24, -12, -8, -4, 0, 4, 8, 12, 100, 300)] + [
+    0.0, math.inf, 1.797e308, -1.797e308, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("sigma", SIGMA_AXIS)
+def test_generate_draws_members_across_the_sigma_axis(capsys, sigma):
+    # The draw caps the rapidity at the bound for sigma > 1, so membership resolves every
+    # member, as it does where the bound caps |b| alone.
+    case = case_of_sigma(sigma)
+    assert cli.main(["generate", "--case", case.value.lower(), f"--sigma={sigma!r}", "--n", "3",
+                     "--count", "100"]) == 0
+    members = np.array(json.loads(capsys.readouterr().out)["matrices"]).reshape(100, 4, 4)
+    assert membership(members, case, sigma).all()
+
+
 def test_generate_validation_errors(capsys):
     assert cli.main(["generate", "--case", "aristotle", "--sigma", "1"]) == 1
     assert cli.main(["generate", "--case", "lorentz"]) == 1
@@ -739,10 +751,11 @@ def test_the_traced_peak_does_not_grow_with_the_text(tmp_path, traced_peak):
 
 
 def test_generate_overflowing_rapidity_is_an_error(capsys):
-    code = cli.main(["generate", "--case", "lorentz", "--sigma", "1e8"])
+    # The draw caps the rapidity at the bound for sigma > 1: a bound of 1e6 overflows cosh.
+    code = cli.main(["generate", "--case", "lorentz", "--sigma", "1e8", "--boost-bound", "1e6"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:") and "rapidity" in err
+    assert err.startswith("error: boost rapidity")
     assert "Traceback" not in err
 
 
@@ -897,10 +910,11 @@ def test_classify_of_entries_near_the_float_max_runs_under_warnings(tmp_path):
 
 
 def test_generate_boosts_whose_square_underflows(capsys):
-    # |b| up to 1e-300 at sigma 1e300: |b|^2 underflows, the rapidity (up to 1e-150)
-    # does not, and the last row sinh(w) sqrt(sigma) u, about |b| sigma, is no zero.
+    # The bound 1e-150 caps the rapidity at sigma 1e300, so |b| is up to 1e-300: |b|^2
+    # underflows, the rapidity does not, and the last row sinh(w) sqrt(sigma) u, about
+    # |b| sigma, is no zero.
     assert cli.main(["generate", "--case", "lorentz", "--sigma", "1e300", "--boost-bound",
-                     "1e-300", "--n", "2", "--count", "2", "--seed", "1"]) == 0
+                     "1e-150", "--n", "2", "--count", "2", "--seed", "1"]) == 0
     members = np.array(json.loads(capsys.readouterr().out)["matrices"]).reshape(-1, 3, 3)
     for a in members:
         assert 0.0 < np.linalg.norm(a[2, :2]) < 1.0 and abs(a[2, 2]) == 1.0
@@ -920,7 +934,7 @@ def test_generate_shear_members_keep_their_bytes(capsys, case, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    ([], "e35a2f4204cffcd80758992a56bb7bf27f07d83b90458a40df8eb1d7f8424de0"),
+    ([], "9eaa673c113c5d9f2ff921a93ac5af92e31de45f0b0f1f8b0c06b467c90d5ee6"),
     (["--seed", "4", "--sigma-list", "1,1e12,0.5,1e-12,-1"],
      "8e1e6c5be391684f0dae2321f16b7460354827dcad3e83f9ecfafb92e4a7c8bd"),
 ])

@@ -159,14 +159,19 @@ def patched(draw, x: np.ndarray, shape: tuple, exact: bool, finite: bool) -> np.
     return x
 
 
+def reach(bound, sigma):
+    """A bound on |b| that keeps the rapidity or angle |b| sqrt(|sigma|) of a drawn member up to
+    bound: random_element caps it so for sigma >= 1, and caps |b| alone below."""
+    return bound / math.sqrt(abs(sigma)) if sigma < 1.0 and sigma != 0.0 else bound
+
+
 @st.composite
 def arguments(draw, entry: Entry):
     """Arguments for a drawn stack x of members, near-members, sqrt(lam) copies, Gaussian, zeros."""
     sigma = draw(st.sampled_from(entry.sigmas or SIGMAS[entry.exact]))
     shape, d = draw(st.sampled_from(SHAPES)), draw(st.sampled_from([3, 4, 5, 11]))
     rng, m = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), math.prod(shape)
-    bound = 2.0 / math.sqrt(abs(sigma)) if 0.0 < abs(sigma) < math.inf else 2.0
-    g = groups.random_element(case_of_sigma(sigma), sigma, d - 1, bound, rng, size=m)
+    g = groups.random_element(case_of_sigma(sigma), sigma, d - 1, reach(2.0, sigma), rng, size=m)
     gauss = rng.standard_normal((m, d, d))
     kinds = np.stack([g, g @ (np.eye(d) + 10.0 ** rng.uniform(-9, -3, (m, 1, 1)) * gauss),
                       np.sqrt(10.0 ** rng.uniform(-8, 8, (m, 1, 1))) * g, gauss, 0.0 * g])
@@ -239,7 +244,7 @@ def mixed_stack(n, sigma, rng, count=4):
     metric = CaseLabel.LORENTZ if sigma > 0 else CaseLabel.ORTHOGONAL
     seed = int(rng.integers(2**32))
     members = np.concatenate(
-        [groups.random_element(metric, sigma, n, 2.0 / math.sqrt(abs(sigma)), seed, size=count)]
+        [groups.random_element(metric, sigma, n, reach(2.0, sigma), seed, size=count)]
         + [groups.random_element(case, None, n, 2.0, seed, size=count)
            for case in (CaseLabel.GALILEI, CaseLabel.CARROLL, CaseLabel.ARISTOTLE)])
     scaled = np.sqrt(10.0 ** rng.uniform(-8.0, 8.0, len(members)))[:, None, None] * members

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from kinematica import affine, matcore
+from kinematica import affine, groups, matcore
 from kinematica.classify import CaseLabel
 from kinematica.groups import (
     CartanFactors,
@@ -22,22 +22,7 @@ from kinematica.groups import (
     random_element,
 )
 from kinematica.matcore import dagger, mat_exp
-
-
-def op_norm(m) -> float:
-    """Spectral norm: the tests measure in it, whatever norm the library
-    scales its tolerances by."""
-    return float(np.linalg.norm(m, 2))
-
-
-def random_orthogonal(n, rng):
-    """Haar orthogonal matrix with a random determinant sign, drawn from
-    rng as random_element draws its rotation block."""
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    if rng.random() < 0.5:
-        Q[:, 0] = -Q[:, 0]
-    return Q
+from helpers import op_norm, random_orthogonal
 
 
 ALL_SIGMAS = [1.0, 0.5, 2.0, -1.0, -0.25, 0.0, math.inf]
@@ -1002,12 +987,9 @@ def one_seed_reference(case, sigma, n, bound, seed):
     """A member drawn seed by seed with math's cosh and sinh, the way
     random_element drew them before it took stacks of seeds."""
     rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    if rng.random() < 0.5:
-        Q[:, 0] = -Q[:, 0]
     k = np.zeros((n + 1, n + 1))
-    k[:n, :n], k[n, n] = Q, (1.0 if rng.random() < 0.5 else -1.0)
+    k[:n, :n] = random_orthogonal(n, rng)
+    k[n, n] = 1.0 if rng.random() < 0.5 else -1.0
     if case is CaseLabel.ARISTOTLE or bound == 0.0:
         return k
     direction = rng.standard_normal(n)
@@ -1045,9 +1027,42 @@ def test_random_element_zero_bound_is_rotational():
     assert in_K(a)
 
 
+SIZE_SIGMAS = np.array([-1.0, 0.0, 1e-300, 0.5, 4.0, 1e300, math.inf])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_the_draw_follows_its_law(n):
+    # k = diag(Q, eps): for Haar Q on O(n), E[tr Q] = 0 and E[tr Q^2] = E[(tr Q)^2] = 1
+    # (P. Diaconis and M. Shahshahani, J. Appl. Probab. 31A (1994) 49), which QR of a
+    # Gaussian sample gives only with Mezzadri's signs (Notices AMS 54 (2007) 592).  These,
+    # E[eps] = 0 and n E[u u^T] = I each hold within 5 standard errors at 20,000 draws.
+    # The size, the rapidity sqrt(sigma) |b| for sigma >= 1 and |b| below, is uniform in
+    # [0, bound]: a Kolmogorov-Smirnov distance under 1.95 / sqrt(20,000) (p = 0.001).
+    count, bound = 20_000, 2.0
+    k, u, b = groups._draw(np.random.default_rng(n), n, (len(SIZE_SIGMAS), count), bound,
+                           SIZE_SIGMAS[:, None])
+    Q = k[0, :, :n, :n]
+    trace = np.trace(Q, axis1=1, axis2=2)
+    means = [(trace, 0.0), (np.trace(Q @ Q, axis1=1, axis2=2), 1.0), (trace ** 2, 1.0),
+             (k[0, :, n, n], 0.0), *((n * u[0, :, i] * u[0, :, j], float(i == j))
+                                     for i in range(n) for j in range(i + 1))]
+    for x, want in means:
+        assert abs(x.mean() - want) <= 5.0 * x.std() / math.sqrt(count), want
+    sizes, fast = np.linalg.norm(b, axis=-1), (1.0 <= SIZE_SIGMAS) & (SIZE_SIGMAS < math.inf)
+    sizes[fast] *= np.sqrt(SIZE_SIGMAS[fast, None])
+    x, ranks = np.sort(sizes / bound, axis=1), np.arange(count + 1) / count
+    distance = np.maximum(ranks[1:] - x, x - ranks[:-1]).max(axis=1)
+    assert list(SIZE_SIGMAS[distance >= 1.95 / math.sqrt(count)]) == []
+
+
 def test_random_element_validation():
     with pytest.raises(ValueError, match="need at least two space dimensions"):
         random_element(CaseLabel.LORENTZ, 1.0, n=1)
+    with pytest.raises(ValueError, match="n must be an int >= 2, not 3.0"):
+        random_element(CaseLabel.LORENTZ, 1.0, n=3.0)
+    for size in (-1, 2.5):
+        with pytest.raises(ValueError, match=f"size must be None or a nonnegative int, not {size}"):
+            random_element(CaseLabel.LORENTZ, 1.0, size=size)
     for bound in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="boost_bound"):
             random_element(CaseLabel.LORENTZ, 1.0, boost_bound=bound)

@@ -22,12 +22,7 @@ from kinematica.matcore import (
     sigma_unit,
     unit_exponent,
 )
-
-
-def op_norm(m) -> float:
-    """Spectral norm: the tests measure in it, whatever norm the library
-    scales its tolerances by."""
-    return float(np.linalg.norm(m, 2))
+from helpers import op_norm
 
 
 ENTRIES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)

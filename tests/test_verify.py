@@ -106,38 +106,41 @@ def test_kinematics_property_holds_where_the_invariant_speed_passes_1e12():
 
 SIX = (1.0, 0.5, -1.0, -0.25, 0.0, math.inf)
 NEGATIVE = (-5e-324, -1e-320, -2.2250738585072014e-308, -1.7976931348623157e308)
-TRACED = [(groups, "random_element"), (groups, "boost_closed_form"), (groups, "p_generator"),
-          (groups, "membership"), (groups, "in_normalizer"), (groups, "cartan_decompose"),
-          (groups, "in_K"), (np.linalg, "inv"), (np.linalg, "svd"), (matcore, "mat_exp"),
-          (affine, "compose"), (affine, "transform_worldline"), (classify, "collinearity_defect"),
-          (classify, "_verdicts"), (verify, "_doubled_commutator"), (isotypic, "_coordinates"),
+TRACED = [(groups, "random_element"), (groups, "_draw"), (groups, "boost_closed_form"),
+          (groups, "p_generator"), (groups, "membership"), (groups, "in_normalizer"),
+          (groups, "cartan_decompose"), (groups, "in_K"), (np.linalg, "inv"), (np.linalg, "svd"),
+          (matcore, "mat_exp"), (affine, "compose"), (affine, "transform_worldline"),
+          (classify, "collinearity_defect"), (classify, "_verdicts"),
+          (verify, "_doubled_commutator"), (isotypic, "_coordinates"),
           (verify._Check, "residual"), (verify._Check, "flag"),
           (classify.ClassificationResult, "__init__", "ClassificationResult")]
 # Per n, kinematics composes six times and maps one stack of lines, every sigma > 0 in it; it
-# draws every sigma's rotations in one call, and makes one boost call, each row at its own
+# draws every sigma's factors in one call, and makes one boost call, each row at its own
 # sigma, whose rows for sigma < 0 also make the half and full periods.
 KINEMATICS = {"kinematics.compose": 12, "kinematics.transform_worldline": 2,
-              "kinematics.boost_closed_form": 2, "kinematics.random_element": 2}
-# Per n, group draws every case's rotations in one call and builds every case's members in one
+              "kinematics.boost_closed_form": 2, "kinematics._draw": 2,
+              "kinematics.random_element": 0}
+# Per n, group draws every case's factors in one call and builds every case's members in one
 # boost call; one membership call per case (both Lorentz sigmas in one) and one more in in_K,
 # one in_normalizer call on every sigma != 0, inf and one cartan_decompose call (with its own
 # boost call) on every sigma > 0 judge them; one inv call inverts every case's members and
 # rotations, and no SVD scales E.
-GROUP = {"group.random_element": 2, "group.boost_closed_form": 4, "group.membership": 10,
-         "group.in_normalizer": 2, "group.cartan_decompose": 2, "group.in_K": 2, "group.inv": 2,
-         "group.svd": 0}
+GROUP = {"group._draw": 2, "group.random_element": 0, "group.boost_closed_form": 4,
+         "group.membership": 10, "group.in_normalizer": 2, "group.cartan_decompose": 2,
+         "group.in_K": 2, "group.inv": 2, "group.svd": 0}
 # Each function under test that takes no case is called once per n over every sigma's stacks,
 # each row at its own sigma, so six sigmas cost no more calls than one.  p_generator: per n,
 # one call on every sigma's sets, one on the controls', two on their mixed sigmas, two on the
 # non-closing span, and group's and cartan_decompose's; boost_closed_form: group's,
-# cartan_decompose's and kinematics'; random_element: one per property.
+# cartan_decompose's and kinematics'; the draw: one per property, algebra's through
+# random_element.
 SIGMA_FREE = dict.fromkeys(("collinearity_defect", "_doubled_commutator", "in_K",
                             "transform_worldline", "mat_exp", "in_normalizer", "cartan_decompose",
-                            "_verdicts"), 2) | {"random_element": 6, "boost_closed_form": 6,
-                                                "p_generator": 16}
+                            "_verdicts"), 2) | {"random_element": 2, "_draw": 6,
+                                                "boost_closed_form": 6, "p_generator": 16}
 CALLS = {  # configuration (n = 2 and 3) -> the calls run_suite makes, "property.name" in one
     "default": ({}, {
-        "random_element": 6, "mat_exp": 2, "ClassificationResult": 0,
+        "random_element": 2, "_draw": 6, "mat_exp": 2, "ClassificationResult": 0,
         # one flag or residual call per check and n, over every sigma and case: a call per
         # case or sigma would make 38 and 52; a flag whose verdicts all hold takes no residual
         "residual": 22, "flag": 22,
@@ -400,7 +403,7 @@ def test_property_exceptions_become_report_entries(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("kinematica.groups.random_element", boom)
+    monkeypatch.setattr("kinematica.groups._draw", boom)
     report = run_suite(SuiteConfig(**FAST))
     assert not report.passed
     broken = report.results["group"]
